@@ -42,14 +42,9 @@ from .panel import PanelBlocks, PanelData, load_panel, split_and_center
 from .ridge import (
     AugEstimate,
     BoundSketch,
-    ConstantModel,
     ControlSVD,
-    OutcomeModel,
     RidgeFit,
-    RidgeModel,
-    UnitMeanModel,
     augment_weights,
-    augment_with_model,
     bound_sketch,
     fit_ridge,
     ridge_weights,
@@ -93,12 +88,7 @@ __all__ = [
     "verify_penalized_form",
     "svd_imbalance",
     "weight_norm_bound",
-    "augment_with_model",
     "bound_sketch",
-    "OutcomeModel",
-    "RidgeModel",
-    "UnitMeanModel",
-    "ConstantModel",
     "CovariatePanel",
     "ResidualizedPanel",
     "joint_solve",

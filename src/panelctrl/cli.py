@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .covariates import balance_table, covariates_from_long
 from .errors import ConfigError, PanelCtrlError
-from .estimators import EstimatorSpec, estimate
+from .estimators import EstimatorSpec, estimate, weights_for_design
 from .inference import conformal_interval, jackknife_plus
 from .panel import load_panel, split_and_center
 from .ridge import (
@@ -31,12 +31,11 @@ from .ridge import (
     bound_sketch,
     demeaned_estimate,
     fit_ridge,
-    ridge_weights,
     svd_imbalance,
     verify_penalized_form,
     weight_norm_bound,
 )
-from .scm import ScmConfig, solve_scm
+from .scm import ScmConfig
 from .selection import default_lambda_grid, in_time_placebo, loo_cv, select_lambda
 from .sim import default_dgp, run_monte_carlo
 
@@ -108,7 +107,6 @@ def _build_parser():
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("cv", help="cross-validate the ridge penalty")
     add_panel_args(sp)
@@ -117,7 +115,6 @@ def _build_parser():
     sp.add_argument("--zeta", type=float, default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("placebo", help="in-time placebo estimates")
     add_panel_args(sp)
@@ -127,7 +124,6 @@ def _build_parser():
     )
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("simulate", help="run the Monte Carlo study")
     sp.add_argument("--dgp", choices=["factor", "fixed-effects", "ar3"], default="factor")
@@ -141,7 +137,6 @@ def _build_parser():
     sp.add_argument("--sigma-scale", type=float, default=1.0)
     sp.add_argument("--stratify", action="store_true")
     sp.add_argument("--rep-log", default=None, help="per-replication estimate CSV")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("diagnose", help="identity checks and the error-bound sketch")
@@ -150,7 +145,6 @@ def _build_parser():
     sp.add_argument("--zeta", type=float, default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -164,12 +158,17 @@ def _load_inputs(args):
     return p, cov
 
 
-def _resolve_spec(args, p):
+def _resolve_spec(args, p, cov):
     lam = args.lam
     if lam is None and args.method in ("ridge", "ridge_ascm"):
+        if cov is not None:
+            raise ConfigError(
+                "--covariates with a ridge method needs --lambda: "
+                "cross-validation does not use covariates"
+            )
         rule = args.select or "one-se"
         blocks = split_and_center(p, center=True)
-        cv = loo_cv(blocks)
+        cv = loo_cv(blocks, cfg=ScmConfig(zeta=args.zeta))
         lam = select_lambda(cv, rule)
         logger.info("selected lambda %.6g by rule %s", lam, rule)
     return EstimatorSpec(
@@ -180,34 +179,9 @@ def _resolve_spec(args, p):
     )
 
 
-def _gap_rows(p, est, intervals=None):
-    rows = []
-    t0 = p.t0
-    treated = p.outcomes[p.treated_index]
-    for j, time_label in enumerate(p.time_ids):
-        observed = treated[j]
-        if j < t0:
-            gap = est.gap_pre[j]
-            counterfactual = observed - gap
-            ci_lo = ci_hi = method = ""
-        else:
-            k = j - t0
-            counterfactual = est.counterfactual[k]
-            gap = est.att[k]
-            if intervals is not None:
-                ci_lo, ci_hi, method = intervals[k]
-            else:
-                ci_lo = ci_hi = method = ""
-        if intervals is not None:
-            rows.append((time_label, observed, counterfactual, gap, ci_lo, ci_hi, method))
-        else:
-            rows.append((time_label, observed, counterfactual, gap))
-    return rows
-
-
 def _cmd_estimate(args):
     p, cov = _load_inputs(args)
-    spec = _resolve_spec(args, p)
+    spec = _resolve_spec(args, p, cov)
     est = estimate(p, spec, cov=cov)
     os.makedirs(args.out, exist_ok=True)
 
@@ -217,19 +191,18 @@ def _cmd_estimate(args):
         list(zip(p.donor_ids, est.weights.values)),
     )
 
-    intervals = None
-    if args.inference != "none":
-        intervals = []
-        for k in range(p.n_periods - p.t0):
-            if args.inference == "conformal":
-                ci = conformal_interval(p, args.alpha, spec, post_period=k, target="effect")
-            else:
-                ci = jackknife_plus(p, args.alpha, spec, post_period=k, target="effect")
-            intervals.append((ci.lower, ci.upper, ci.method))
     header = ["time", "observed", "counterfactual", "gap"]
-    if intervals is not None:
+    rows = est.to_rows(p.time_ids, p.outcomes[p.treated_index])
+    if args.inference != "none":
+        interval = conformal_interval if args.inference == "conformal" else jackknife_plus
+        cis = [
+            interval(p, args.alpha, spec, post_period=k, target="effect", cov=cov)
+            for k in range(p.n_periods - p.t0)
+        ]
         header += ["ci_lower", "ci_upper", "method"]
-    _write_csv(os.path.join(args.out, "gap.csv"), header, _gap_rows(p, est, intervals))
+        cells = [("", "", "")] * p.t0 + [(ci.lower, ci.upper, ci.method) for ci in cis]
+        rows = [row + cell for row, cell in zip(rows, cells)]
+    _write_csv(os.path.join(args.out, "gap.csv"), header, rows)
 
     if cov is not None:
         _write_csv(
@@ -286,14 +259,14 @@ def _cmd_cv(args):
 
 def _cmd_placebo(args):
     p, cov = _load_inputs(args)
-    spec = _resolve_spec(args, p)
+    spec = _resolve_spec(args, p, cov)
     times = [s.strip() for s in args.placebo_times.split(",") if s.strip()]
     if not times:
         raise ConfigError("no placebo times given")
     os.makedirs(args.out, exist_ok=True)
     for time_label in times:
         est = in_time_placebo(p, time_label, spec, cov=cov)
-        new_t0 = sum(1 for v in p.time_ids[: p.t0] if _before(v, time_label))
+        new_t0 = len(est.gap_pre)
         rows = []
         for j, label in enumerate(p.time_ids[: p.t0]):
             observed = p.outcomes[p.treated_index, j]
@@ -324,15 +297,6 @@ def _cmd_placebo(args):
     return 0
 
 
-def _before(label, placebo_label):
-    from .panel import parse_time_label
-
-    a, b = parse_time_label(label), parse_time_label(placebo_label)
-    if isinstance(a, str) != isinstance(b, str):
-        a, b = str(label), str(placebo_label)
-    return a < b
-
-
 def _cmd_simulate(args):
     params = default_dgp(args.dgp)
     if args.sigma_scale != 1.0:
@@ -350,7 +314,6 @@ def _cmd_simulate(args):
         t0=args.t0,
         lam=lam,
         stratify_by_fit=args.stratify,
-        threads=args.threads,
         rep_log=args.rep_log,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -397,8 +360,7 @@ def _cmd_simulate(args):
 def _cmd_diagnose(args):
     p, _ = _load_inputs(args)
     blocks = split_and_center(p, center=True)
-    cfg = ScmConfig(zeta=args.zeta)
-    w = solve_scm(blocks, cfg)
+    w = weights_for_design(blocks, EstimatorSpec(method="scm", zeta=args.zeta))
     grid = default_lambda_grid(blocks)
     lam = args.lam if args.lam is not None else float(np.median(grid))
 
@@ -406,7 +368,7 @@ def _cmd_diagnose(args):
     aug = augment_weights(w, blocks, lam)
     rep = verify_penalized_form(aug, w, blocks, lam)
     checks.append(("augmented_weights_stationarity", rep.residual, rep.threshold))
-    rw = ridge_weights(blocks, lam)
+    rw = weights_for_design(blocks, EstimatorSpec(method="ridge", lam=lam))
     fr = fit_ridge(blocks, lam, 0)
     gap2 = abs(float(rw.values @ blocks.y0_post[:, 0]) - fr.predict(blocks.x1))
     checks.append(("ridge_weighting_equals_regression", gap2, 1e-10))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, PanelFormatError, SingularityError
 from .panel import PanelBlocks
-from .ridge import AugEstimate, ControlSVD, _exact_sum_to_one, augment_weights
+from .ridge import ControlSVD, _exact_sum_to_one, augment_weights
 from .scm import DonorWeights, solve_scm
 
 logger = logging.getLogger(__name__)
@@ -188,7 +188,7 @@ def joint_solve(blocks, cov, cfg=None):
 
 
 def joint_augment(scm_w, blocks, cov, lam):
-    """Ridge augmentation on the stacked (outcomes, covariates) features.
+    """Ridge-augmented weights on the stacked (outcomes, covariates) features.
 
     With a common penalty this is the closed-form augmentation applied to
     the (T0+K)-dimensional design; differing ``lambda_x`` / ``lambda_z``
@@ -203,18 +203,11 @@ def joint_augment(scm_w, blocks, cov, lam):
     z_scale = float(np.sqrt(lam_x / lam_z)) if cov.k else 1.0
     stacked = stacked_blocks(blocks, cov, theta=False, z_scale=z_scale)
     weights = augment_weights(scm_w, stacked, lam_x)
-    weights = DonorWeights(
+    return DonorWeights(
         values=weights.values,
         provenance="covariate-adjusted",
         sum_constrained=True,
         simplex=False,
-    )
-    counterfactual = weights.values @ blocks.y0_post
-    return AugEstimate(
-        counterfactual=counterfactual,
-        att=blocks.y1_post - counterfactual,
-        gap_pre=blocks.x1 - blocks.x0.T @ weights.values,
-        weights=weights,
     )
 
 

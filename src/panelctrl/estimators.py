@@ -3,8 +3,9 @@
 A single :class:`EstimatorSpec` names one of the supported counterfactual
 estimators and its hyper-parameters; :func:`estimate` runs it on a panel,
 and the lower-level :func:`weights_for_design` produces the donor weights
-for an arbitrary design matrix, which is what the cross-validation,
-placebo, and conformal refits need.
+for an arbitrary design matrix. It is the only place a spec (plus optional
+covariates) becomes weights, so the point estimate, the conformal refits
+and the jackknife+ folds all fit the same estimator.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from .covariates import (
 )
 from .errors import ConfigError
 from .panel import PanelBlocks, split_and_center
-from .ridge import (
-    AugEstimate,
-    UnitMeanModel,
-    augment_weights,
-    augment_with_model,
-    ridge_weights,
-)
+from .ridge import AugEstimate, augment_weights, ridge_weights
 from .scm import DonorWeights, ScmConfig, solve_scm
 
 logger = logging.getLogger(__name__)
@@ -102,25 +97,39 @@ def demean_rows(blocks):
     )
 
 
-def weights_for_design(blocks, spec, scm_w=None):
+def weights_for_design(blocks, spec, cov=None):
     """Donor weights for the configured method on an arbitrary (centered) design.
 
-    For the two ridge methods ``lam`` must be set on the spec. ``scm_w``
-    short-circuits the SCM solve when the caller already has the weights.
+    This is the one place a spec becomes weights: the point estimate, the
+    conformal refits and the jackknife+ folds all come through here. For
+    the two ridge methods ``lam`` must be set on the spec. When ``cov`` (a
+    CovariatePanel with at least one column) is given, the covariates enter
+    per ``spec.covariate_mode``: jointly stacked with standardized scales,
+    or via two-step residualization. Covariates are only supported for the
+    ridge-augmented method; any other method raises ConfigError.
     """
     cfg = spec.scm_config()
+    if cov is not None and cov.k > 0:
+        if spec.method != "ridge_ascm":
+            raise ConfigError(
+                f"covariates are only supported with ridge_ascm (got {spec.method!r})"
+            )
+        _require_lam(spec)
+        if spec.covariate_mode == "joint":
+            scaled, _ = standardize_to_outcomes(cov, blocks)
+            return joint_augment(joint_solve(blocks, scaled, cfg), blocks, scaled, spec.lam)
+        w = solve_scm(residualized_blocks(blocks, cov), cfg)
+        return two_step_weights(w, blocks, cov, spec.lam)
     if spec.method == "scm":
-        return scm_w if scm_w is not None else solve_scm(blocks, cfg)
+        return solve_scm(blocks, cfg)
     if spec.method == "ridge":
         _require_lam(spec)
         return ridge_weights(blocks, spec.lam)
     if spec.method == "ridge_ascm":
         _require_lam(spec)
-        base = scm_w if scm_w is not None else solve_scm(blocks, cfg)
-        return augment_weights(base, blocks, spec.lam)
+        return augment_weights(solve_scm(blocks, cfg), blocks, spec.lam)
     if spec.method == "demeaned":
-        demeaned = demean_rows(blocks)
-        return scm_w if scm_w is not None else solve_scm(demeaned, cfg)
+        return solve_scm(demean_rows(blocks), cfg)
     if spec.method == "fixed_effects":
         n0 = blocks.n_donors
         return DonorWeights(values=np.full(n0, 1.0 / n0), provenance="scm")
@@ -132,23 +141,29 @@ def _require_lam(spec):
         raise ConfigError(f"method {spec.method!r} requires a lambda value")
 
 
-def _weighting_estimate(blocks, weights):
-    counterfactual = weights.values @ blocks.y0_post
-    return AugEstimate(
-        counterfactual=counterfactual,
-        att=blocks.y1_post - counterfactual,
-        gap_pre=blocks.x1 - blocks.x0.T @ weights.values,
-        weights=weights,
+def _unit_mean_correction(blocks, g):
+    """Counterfactual and pre-period fit of weights g corrected by the unit
+    fixed-effects outcome model m(X_i) = mean of unit i's pre outcomes.
+
+    Per post period the estimate is m(X_1) + sum_i g_i (Y_i - m(X_i)): the
+    de-meaned (weighted difference-in-differences) estimator.
+    """
+    x1_raw = blocks.x1 + blocks.centering
+    x0_raw = blocks.x0 + blocks.centering
+    m1 = float(x1_raw.mean())
+    m0 = x0_raw.mean(axis=1)
+    counterfactual = np.array(
+        [m1 + float(g @ (blocks.y0_post[:, k] - m0)) for k in range(blocks.n_post)]
     )
+    gap_pre = (x1_raw - m1) - (x0_raw - m0[:, None]).T @ g
+    return counterfactual, gap_pre
 
 
 def estimate(p, spec, cov=None):
     """Run the configured estimator on a panel; returns an AugEstimate.
 
-    When ``cov`` (a CovariatePanel) is given, the covariates enter per
-    ``spec.covariate_mode``: jointly stacked with standardized scales, or
-    via two-step residualization. Covariates are only supported for the
-    ridge-augmented method.
+    ``cov`` (a CovariatePanel) enters the weights as described in
+    :func:`weights_for_design`.
     """
     blocks = split_and_center(p, center=True)
     return estimate_on_blocks(blocks, spec, cov=cov)
@@ -156,31 +171,16 @@ def estimate(p, spec, cov=None):
 
 def estimate_on_blocks(blocks, spec, cov=None):
     """Like :func:`estimate` but starting from already-built blocks."""
-    cfg = spec.scm_config()
-    if cov is not None and cov.k > 0:
-        if spec.method != "ridge_ascm":
-            raise ConfigError(
-                f"covariates are only supported with ridge_ascm (got {spec.method!r})"
-            )
-        _require_lam(spec)
-        if spec.covariate_mode == "joint":
-            scaled, _ = standardize_to_outcomes(cov, blocks)
-            w = joint_solve(blocks, scaled, cfg)
-            return joint_augment(w, blocks, scaled, spec.lam)
-        resid = residualized_blocks(blocks, cov)
-        w = solve_scm(resid, cfg)
-        weights = two_step_weights(w, blocks, cov, spec.lam)
-        counterfactual = weights.values @ blocks.y0_post
-        return AugEstimate(
-            counterfactual=counterfactual,
-            att=blocks.y1_post - counterfactual,
-            gap_pre=blocks.x1 - blocks.x0.T @ weights.values,
-            weights=weights,
-        )
-
-    if spec.method in ("scm", "ridge", "ridge_ascm"):
-        return _weighting_estimate(blocks, weights_for_design(blocks, spec))
+    weights = weights_for_design(blocks, spec, cov)
+    g = weights.values
     if spec.method in ("demeaned", "fixed_effects"):
-        w = weights_for_design(blocks, spec)
-        return augment_with_model(w, UnitMeanModel(), blocks)
-    raise ConfigError(f"unknown estimator method {spec.method!r}")
+        counterfactual, gap_pre = _unit_mean_correction(blocks, g)
+    else:
+        counterfactual = g @ blocks.y0_post
+        gap_pre = blocks.x1 - blocks.x0.T @ g
+    return AugEstimate(
+        counterfactual=counterfactual,
+        att=blocks.y1_post - counterfactual,
+        gap_pre=gap_pre,
+        weights=weights,
+    )

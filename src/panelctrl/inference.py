@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariates import (
-    joint_augment,
-    joint_solve,
-    residualized_blocks,
-    standardize_to_outcomes,
-    two_step_weights,
-)
 from .errors import ConfigError, GridError
 from .estimators import estimate_on_blocks, weights_for_design
 from .panel import PanelBlocks, split_and_center
-from .scm import solve_scm
 
 logger = logging.getLogger(__name__)
 
@@ -107,24 +99,6 @@ def _augmented_design(blocks, tau0, post_period):
     )
 
 
-def _conformal_weights(design, spec, cov):
-    if cov is not None and cov.k > 0:
-        if spec.method != "ridge_ascm":
-            raise ConfigError(
-                "covariate-aware conformal inference requires the ridge_ascm method"
-            )
-        if spec.lam is None:
-            raise ConfigError("covariate-aware conformal inference requires a lambda")
-        if spec.covariate_mode == "joint":
-            scaled, _ = standardize_to_outcomes(cov, design)
-            w = joint_solve(design, scaled, spec.scm_config())
-            return joint_augment(w, design, scaled, spec.lam).weights
-        resid = residualized_blocks(design, cov)
-        w = solve_scm(resid, spec.scm_config())
-        return two_step_weights(w, design, cov, spec.lam)
-    return weights_for_design(design, spec)
-
-
 def _conformal_p_blocks(blocks, tau0, spec, post_period, cov=None):
     if spec.method not in _WEIGHTING_METHODS:
         raise ConfigError(
@@ -132,7 +106,7 @@ def _conformal_p_blocks(blocks, tau0, spec, post_period, cov=None):
             f"got {spec.method!r}"
         )
     design = _augmented_design(blocks, tau0, post_period)
-    w = _conformal_weights(design, spec, cov)
+    w = weights_for_design(design, spec, cov)
     residuals = design.x1 - design.x0.T @ w.values
     pre = np.abs(residuals[:-1])
     post = abs(residuals[-1])
@@ -171,6 +145,7 @@ def conformal_interval(
     minus five pre-period residual RMS are used and widened (doubling the
     half-width) while an endpoint stays accepted. The reported interval is
     the hull of the accepted set; disconnected acceptance is flagged.
+    ``cov`` enters every refit and the point estimate that centres the grid.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
@@ -181,7 +156,8 @@ def conformal_interval(
     def accepted_mask(grid):
         return np.array(
             [
-                _conformal_p_blocks(blocks, t0_val, spec, post_period) >= alpha - 1e-12
+                _conformal_p_blocks(blocks, t0_val, spec, post_period, cov=cov)
+                >= alpha - 1e-12
                 for t0_val in grid
             ]
         )
@@ -192,7 +168,7 @@ def conformal_interval(
         mask = accepted_mask(grid)
         open_ended = bool(mask[0] or mask[-1])
     else:
-        point = estimate_on_blocks(blocks, spec)
+        point = estimate_on_blocks(blocks, spec, cov=cov)
         center = float(point.att[post_period])
         rms = float(np.sqrt(np.mean(point.gap_pre**2)))
         half = 5.0 * max(rms, 1e-12)
@@ -242,13 +218,13 @@ def _order_statistic(values, k):
     return float(values[k - 1])
 
 
-def jackknife_plus(p, alpha, spec, post_period=0, target="counterfactual"):
+def jackknife_plus(p, alpha, spec, post_period=0, target="counterfactual", cov=None):
     """Leave-one-period-out prediction interval for the counterfactual.
 
-    For each pre period t the estimator is refit without that period; the
-    interval combines the leave-one-out post predictions shifted by the
-    absolute held-out residuals through lower/upper order statistics at
-    level alpha/2 on each side.
+    For each pre period t the estimator (with ``cov`` when given) is refit
+    without that period; the interval combines the leave-one-out post
+    predictions shifted by the absolute held-out residuals through
+    lower/upper order statistics at level alpha/2 on each side.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
@@ -271,7 +247,7 @@ def jackknife_plus(p, alpha, spec, post_period=0, target="counterfactual"):
             y1_post=blocks.y1_post,
             centering=np.zeros(keep.size),
         )
-        est = estimate_on_blocks(fold, spec)
+        est = estimate_on_blocks(fold, spec, cov=cov)
         y_hat_post = float(est.counterfactual[post_period])
         pre_pred = _loo_pre_prediction(fold, blocks, est, spec, t)
         r = abs(float(blocks.x1[t]) - pre_pred)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -30,10 +29,8 @@ __all__ = [
     "PanelBlocks",
     "load_panel",
     "split_and_center",
-    "to_long_rows",
-    "panel_manifest",
-    "write_panel",
     "parse_time_label",
+    "periods_preceding",
 ]
 
 
@@ -58,6 +55,26 @@ def _time_keys(labels):
         # mixed numeric / non-numeric labels: fall back to string ordering
         keys = [str(v) for v in labels]
     return keys
+
+
+def periods_preceding(time_ids, label):
+    """Number of periods in ``time_ids`` strictly before ``label``.
+
+    ``label`` is compared under the ordering of the whole time axis: as a
+    string when the axis is string-ordered (including mixed labels), as a
+    number when it is numeric. A non-numeric label on a numeric axis has no
+    place in that ordering and raises :class:`TreatmentTimeError`.
+    """
+    keys = _time_keys(time_ids)
+    if isinstance(keys[0], str):
+        key = str(label)
+    else:
+        key = parse_time_label(label)
+        if isinstance(key, str):
+            raise TreatmentTimeError(
+                f"time label {label!r} is not numeric but the panel's periods are"
+            )
+    return sum(1 for k in keys if k < key)
 
 
 def _readonly(a):
@@ -242,7 +259,6 @@ def load_panel(source, treated_label, treatment_time):
     unsorted_keys = _time_keys(unsorted_labels)
     order = sorted(range(len(unsorted_labels)), key=lambda i: unsorted_keys[i])
     time_list = [unsorted_labels[i] for i in order]
-    keys = [unsorted_keys[i] for i in order]
     n, t = len(units), len(time_list)
     outcomes = np.empty((n, t))
     for i, unit in enumerate(units):
@@ -252,10 +268,7 @@ def load_panel(source, treated_label, treatment_time):
             except KeyError:
                 raise MissingCellError(unit, time_label) from None
 
-    treat_key = parse_time_label(treatment_time)
-    if isinstance(keys[0], str) != isinstance(treat_key, str):
-        treat_key = str(treatment_time) if isinstance(keys[0], str) else treat_key
-    t0 = sum(1 for k in keys if k < treat_key)
+    t0 = periods_preceding(time_list, treatment_time)
     if t0 == 0:
         raise TreatmentTimeError(
             f"treatment time {treatment_time!r} is at or before the first period"
@@ -328,41 +341,3 @@ def split_and_center(p, center=True):
     else:
         shift = np.zeros(p.t0)
     return PanelBlocks(x1=x1, x0=x0, y0_post=y0_post, y1_post=y1_post, centering=shift)
-
-
-def to_long_rows(p):
-    """Canonical long-format rows (unit, time, outcome), unit-major order."""
-    rows = []
-    for i, unit in enumerate(p.unit_ids):
-        for j, time_label in enumerate(p.time_ids):
-            rows.append((unit, time_label, p.outcomes[i, j]))
-    return rows
-
-
-def panel_manifest(p):
-    """JSON-serializable description of the panel layout."""
-    return {
-        "n_units": p.n_units,
-        "n_periods": p.n_periods,
-        "t0": p.t0,
-        "treated_index": p.treated_index,
-        "treated_unit": p.unit_ids[p.treated_index],
-        "unit_ids": list(p.unit_ids),
-        "time_ids": [str(v) for v in p.time_ids],
-    }
-
-
-def write_panel(p, out_dir):
-    """Write the panel as a JSON manifest plus a dense CSV matrix."""
-    os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "panel_manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(panel_manifest(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    matrix_path = os.path.join(out_dir, "outcomes.csv")
-    with open(matrix_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit"] + [str(v) for v in p.time_ids])
-        for i, unit in enumerate(p.unit_ids):
-            writer.writerow([unit] + [format(v, ".17g") for v in p.outcomes[i]])
-    return manifest_path, matrix_path

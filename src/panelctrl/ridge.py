@@ -43,12 +43,7 @@ __all__ = [
     "verify_penalized_form",
     "svd_imbalance",
     "weight_norm_bound",
-    "augment_with_model",
     "bound_sketch",
-    "OutcomeModel",
-    "RidgeModel",
-    "UnitMeanModel",
-    "ConstantModel",
     "demeaned_estimate",
 ]
 
@@ -157,9 +152,9 @@ class AugEstimate:
     def to_rows(self, time_ids=None, observed=None):
         """(time, observed, counterfactual, gap) rows over all periods.
 
-        Pre-period rows reconstruct the synthetic path from the recorded
-        fit residuals; ``observed`` must hold the treated unit's full
-        outcome series when given.
+        ``observed`` must hold the treated unit's full outcome series when
+        given; without it the observed column is NaN. Pre-period rows
+        reconstruct the synthetic path from the recorded fit residuals.
         """
         t0 = self.gap_pre.shape[0]
         total = t0 + self.counterfactual.shape[0]
@@ -167,14 +162,13 @@ class AugEstimate:
             time_ids = list(range(1, total + 1))
         rows = []
         for j in range(total):
+            obs = float(observed[j]) if observed is not None else float("nan")
             if j < t0:
                 gap = float(self.gap_pre[j])
-                obs = float(observed[j]) if observed is not None else float("nan")
                 cf = obs - gap
             else:
                 cf = float(self.counterfactual[j - t0])
                 gap = float(self.att[j - t0])
-                obs = cf + gap
             rows.append((time_ids[j], obs, cf, gap))
         return rows
 
@@ -389,126 +383,6 @@ def weight_norm_bound(scm_w, blocks, lam, svd=None):
         bound=bound,
         lambda_ridge=float(lam),
         lambda_scaled=float(lam_scaled),
-    )
-
-
-class OutcomeModel:
-    """Prediction of a control post-period outcome from pre outcomes.
-
-    Implementations fit on control units only; augmentation corrects the
-    weighted SCM estimate by the model-implied imbalance.
-    """
-
-    def fit(self, blocks, post_period):
-        raise NotImplementedError
-
-    def predict_treated(self, blocks):
-        raise NotImplementedError
-
-    def predict_controls(self, blocks):
-        raise NotImplementedError
-
-    def _require_fitted(self):
-        if not getattr(self, "_fitted", False):
-            raise ConfigError(f"{type(self).__name__} must be fitted before predicting")
-
-
-class RidgeModel(OutcomeModel):
-    """Ridge regression outcome model; reduces to the closed-form path."""
-
-    def __init__(self, lam):
-        self.lam = float(lam)
-        self._fitted = False
-        self._fit = None
-
-    def fit(self, blocks, post_period):
-        self._fit = fit_ridge(blocks, self.lam, post_period)
-        self._fitted = True
-        return self
-
-    def predict_treated(self, blocks):
-        self._require_fitted()
-        return float(self._fit.predict(blocks.x1))
-
-    def predict_controls(self, blocks):
-        self._require_fitted()
-        return blocks.x0 @ self._fit.coefs + self._fit.intercept
-
-
-class UnitMeanModel(OutcomeModel):
-    """Unit fixed-effects model m(X_i) = mean of the unit's pre outcomes.
-
-    Augmenting SCM with this model gives the de-meaned (weighted
-    difference-in-differences) estimator.
-    """
-
-    def __init__(self):
-        self._fitted = False
-
-    def fit(self, blocks, post_period):
-        self._fitted = True
-        return self
-
-    def predict_treated(self, blocks):
-        self._require_fitted()
-        return float((blocks.x1 + blocks.centering).mean())
-
-    def predict_controls(self, blocks):
-        self._require_fitted()
-        return (blocks.x0 + blocks.centering).mean(axis=1)
-
-
-class ConstantModel(OutcomeModel):
-    """Constant model; augmentation leaves the plain SCM estimate intact."""
-
-    def __init__(self):
-        self._fitted = False
-        self._value = 0.0
-
-    def fit(self, blocks, post_period):
-        self._value = float(blocks.y0_post[:, post_period].mean())
-        self._fitted = True
-        return self
-
-    def predict_treated(self, blocks):
-        self._require_fitted()
-        return self._value
-
-    def predict_controls(self, blocks):
-        self._require_fitted()
-        return np.full(blocks.x0.shape[0], self._value)
-
-
-def augment_with_model(scm_w, model, blocks):
-    """Bias-corrected estimate m(X1) + sum_i g_i (Y_i - m(X_i)) per post period.
-
-    The model prototype is refit for every post period (coefficients may
-    differ by period). For the ridge model the returned weights are the
-    equivalent closed-form augmented weights; other models keep the SCM
-    weights they correct.
-    """
-    g = _values(scm_w)
-    counterfactual = np.empty(blocks.n_post)
-    for k in range(blocks.n_post):
-        model.fit(blocks, k)
-        m1 = model.predict_treated(blocks)
-        m0 = model.predict_controls(blocks)
-        counterfactual[k] = m1 + float(g @ (blocks.y0_post[:, k] - m0))
-    att = blocks.y1_post - counterfactual
-
-    if isinstance(model, RidgeModel):
-        weights = augment_weights(scm_w, blocks, model.lam)
-        gap_pre = blocks.x1 - blocks.x0.T @ weights.values
-    elif isinstance(model, UnitMeanModel):
-        weights = scm_w if isinstance(scm_w, DonorWeights) else DonorWeights(values=g)
-        x1_raw = blocks.x1 + blocks.centering
-        x0_raw = blocks.x0 + blocks.centering
-        gap_pre = (x1_raw - x1_raw.mean()) - (x0_raw - x0_raw.mean(axis=1)[:, None]).T @ g
-    else:
-        weights = scm_w if isinstance(scm_w, DonorWeights) else DonorWeights(values=g)
-        gap_pre = blocks.x1 - blocks.x0.T @ g
-    return AugEstimate(
-        counterfactual=counterfactual, att=att, gap_pre=gap_pre, weights=weights
     )
 
 

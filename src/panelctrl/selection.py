@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TreatmentTimeError
-from .panel import PanelBlocks, PanelData
+from .panel import PanelBlocks, PanelData, periods_preceding
 from .ridge import ControlSVD
 from .scm import ScmConfig, solve_scm
 
@@ -179,13 +179,7 @@ def in_time_placebo(p, placebo_time, spec, cov=None):
     """
     from .estimators import estimate  # local import to avoid a cycle
 
-    from .panel import parse_time_label
-
-    keys = [parse_time_label(v) for v in p.time_ids]
-    placebo_key = parse_time_label(placebo_time)
-    if isinstance(keys[0], str) != isinstance(placebo_key, str):
-        placebo_key = str(placebo_time)
-    new_t0 = sum(1 for k in keys[: p.t0] if k < placebo_key)
+    new_t0 = periods_preceding(p.time_ids, placebo_time)
     if new_t0 >= p.t0:
         raise TreatmentTimeError(
             f"placebo time {placebo_time!r} is not strictly before the true treatment time"

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -379,7 +378,6 @@ def run_monte_carlo(
     estimand_period=None,
     lam="cv-min",
     stratify_by_fit=False,
-    threads=1,
     rep_log=None,
 ):
     """Replicate draw-and-estimate and aggregate bias / RMSE per estimator.
@@ -410,14 +408,7 @@ def run_monte_carlo(
         (family, params, n, t, t0, seeds[r], estimators, lam_rule, estimand_period)
         for r in range(replications)
     ]
-    results = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for r, outcome in enumerate(pool.map(_safe_replication, jobs)):
-                results.append(outcome)
-    else:
-        for job in jobs:
-            results.append(_safe_replication(job))
+    results = [_safe_replication(job) for job in jobs]
 
     kept = [(est, fit) for est, fit in results if est is not None]
     n_dropped = len(results) - len(kept)

@@ -143,6 +143,38 @@ class TestEstimate:
         ])
         assert rc == 3
 
+    def test_non_numeric_treatment_time_exit_code(self, panel_csv, tmp_path):
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "q1", "--lambda", "1.0", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+
+    def test_covariates_without_lambda_exit_code(self, panel_csv, tmp_path):
+        # the cross-validation that would pick lambda ignores covariates
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--covariates", "gdp", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 3
+
+    def test_cv_lambda_uses_zeta(self, panel_csv, tmp_path):
+        from panelctrl.panel import load_panel, split_and_center
+        from panelctrl.scm import ScmConfig
+        from panelctrl.selection import loo_cv, select_lambda
+
+        out = tmp_path / "est"
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--select", "min", "--zeta", "1.0", "--out", str(out),
+        ])
+        assert rc == 0
+        blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
+        expected = select_lambda(loo_cv(blocks, cfg=ScmConfig(zeta=1.0)), "min")
+        assert expected != select_lambda(loo_cv(blocks), "min")
+        manifest = json.loads(open(out / "manifest.json").read())
+        assert manifest["config"]["lambda"] == expected
+
     def test_ridge_alone_method(self, panel_csv, tmp_path):
         out = tmp_path / "est"
         rc = main([
@@ -206,6 +238,23 @@ class TestPlacebo:
         rows = read_rows(out / "placebo_gap_8.csv")
         assert rows[0] == ["time", "observed", "counterfactual", "gap", "placebo_time"]
         assert len(rows) == 11  # header + true-pre periods only
+
+
+    def test_non_numeric_placebo_time_exit_code(self, panel_csv, tmp_path):
+        rc = main([
+            "placebo", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0",
+            "--placebo-times", "q1", "--out", str(tmp_path / "pl"),
+        ])
+        assert rc == 2
+
+    def test_covariates_without_lambda_exit_code(self, panel_csv, tmp_path):
+        rc = main([
+            "placebo", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--covariates", "gdp",
+            "--placebo-times", "8", "--out", str(tmp_path / "pl"),
+        ])
+        assert rc == 3
 
 
 class TestSimulate:

@@ -91,9 +91,9 @@ class TestJointAugment:
         blocks = make_blocks(rng, 6, 4)
         cov = CovariatePanel(z1=np.zeros(0), z0=np.zeros((6, 0)))
         w = solve_scm(blocks)
-        est = joint_augment(w, blocks, cov, 1.5)
+        aug = joint_augment(w, blocks, cov, 1.5)
         plain = augment_weights(w, blocks, 1.5)
-        assert np.abs(est.weights.values - plain.values).max() < 1e-12
+        assert np.abs(aug.values - plain.values).max() < 1e-12
 
     def test_exact_stacked_fit_no_op(self, rng):
         n0 = 6
@@ -110,8 +110,8 @@ class TestJointAugment:
         cov = CovariatePanel(z1=z0.T @ g, z0=z0)
         from panelctrl.scm import DonorWeights
 
-        est = joint_augment(DonorWeights(values=g), blocks, cov, 2.0)
-        assert np.abs(est.weights.values - g).max() < 1e-10
+        aug = joint_augment(DonorWeights(values=g), blocks, cov, 2.0)
+        assert np.abs(aug.values - g).max() < 1e-10
 
     def test_stacked_penalized_form_check(self, rng):
         for _ in range(10):
@@ -121,9 +121,9 @@ class TestJointAugment:
             scaled, _ = standardize_to_outcomes(cov, blocks)
             w = joint_solve(blocks, scaled, ScmConfig())
             lam = float(10 ** rng.uniform(-1, 3))
-            est = joint_augment(w, blocks, scaled, lam)
+            aug = joint_augment(w, blocks, scaled, lam)
             stacked = stacked_blocks(blocks, scaled, theta=False)
-            rep = verify_penalized_form(est.weights, w, stacked, lam)
+            rep = verify_penalized_form(aug, w, stacked, lam)
             assert rep.passed
 
     def test_scale_consistency(self, rng):
@@ -141,14 +141,14 @@ class TestJointAugment:
         w2 = joint_solve(blocks, cov_scaled, cfg)
         assert np.abs(w1.values - w2.values).max() < 1e-8
         lam = 2.0
-        est1 = joint_augment(w1, blocks,
+        aug1 = joint_augment(w1, blocks,
                              CovariatePanel(z1=cov.z1, z0=cov.z0, lambda_x=lam, lambda_z=lam),
                              lam)
-        est2 = joint_augment(w1, blocks,
+        aug2 = joint_augment(w1, blocks,
                              CovariatePanel(z1=cov.z1 * c, z0=cov.z0 * c,
                                             lambda_x=lam, lambda_z=lam * c**2),
                              lam)
-        assert np.abs(est1.weights.values - est2.weights.values).max() < 1e-8
+        assert np.abs(aug1.values - aug2.values).max() < 1e-8
 
 
 class TestResidualize:

@@ -116,7 +116,7 @@ class TestConformalInterval:
         p = make_panel(rng, 6, 10, 8)
         accepted = {-1.0, 0.0, 1.0, 3.0}  # gap at 2.0
 
-        def fake_p(blocks, tau0, spec, post_period):
+        def fake_p(blocks, tau0, spec, post_period, cov=None):
             return 0.5 if float(tau0) in accepted else 0.0
 
         monkeypatch.setattr(inf_mod, "_conformal_p_blocks", fake_p)

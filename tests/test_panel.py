@@ -1,5 +1,4 @@
 import io
-import json
 
 import numpy as np
 import pytest
@@ -15,10 +14,8 @@ from panelctrl.panel import (
     PanelBlocks,
     PanelData,
     load_panel,
-    panel_manifest,
+    periods_preceding,
     split_and_center,
-    to_long_rows,
-    write_panel,
 )
 
 from conftest import make_panel
@@ -121,18 +118,25 @@ class TestLoadPanel:
         assert p.time_ids == ("2", "q1", "q3")  # lexicographic fallback
         assert p.t0 == 2
 
-    def test_round_trip_long_rows(self):
-        units = ["a", "b", "c"]
-        times = [1, 2, 3, 4]
-        src = _grid_csv(units, times)
-        original = sorted(
-            (r.split(",")[0], r.split(",")[1], float(r.split(",")[2]))
-            for r in src.getvalue().strip().split("\n")[1:]
-        )
-        src.seek(0)
-        p = load_panel(src, "a", 3)
-        rebuilt = sorted((u, str(t), v) for u, t, v in to_long_rows(p))
-        assert rebuilt == original
+    def test_non_numeric_treatment_time_on_numeric_axis(self):
+        rows = [f"{u},{t},{v}" for u in ("a", "b") for t, v in ((1, 1.0), (2, 2.0), (3, 3.0))]
+        with pytest.raises(TreatmentTimeError, match="not numeric"):
+            load_panel(_csv(rows), "a", "q1")
+
+
+class TestPeriodsPreceding:
+    def test_numeric_axis(self):
+        assert periods_preceding(("1", "2", "10", "11"), "10") == 2
+        assert periods_preceding((1, 2, 10, 11), 10.5) == 3
+
+    def test_string_axis_compares_strings(self):
+        assert periods_preceding(("2012Q1", "2012Q2", "2012Q3"), "2012Q3") == 2
+        # mixed labels order as strings, so a numeric label does too
+        assert periods_preceding(("2", "q1", "q3"), "3") == 1
+
+    def test_label_kind_mismatch(self):
+        with pytest.raises(TreatmentTimeError):
+            periods_preceding((1, 2, 3), "q1")
 
 
 class TestPanelData:
@@ -213,22 +217,3 @@ class TestSplitAndCenter:
             PanelBlocks(
                 x1=np.ones(3), x0=x0, y0_post=np.ones((4, 1)), y1_post=np.ones(1)
             )
-
-
-class TestSerialization:
-    def test_manifest_fields(self, rng):
-        p = make_panel(rng, 4, 6, 4, treated_index=1)
-        m = panel_manifest(p)
-        assert m["t0"] == 4
-        assert m["treated_unit"] == "u1"
-        assert m["unit_ids"] == ["u0", "u1", "u2", "u3"]
-
-    def test_write_panel_round_trip(self, rng, tmp_path):
-        p = make_panel(rng, 4, 6, 4)
-        manifest_path, matrix_path = write_panel(p, tmp_path)
-        manifest = json.loads(open(manifest_path).read())
-        assert manifest["t0"] == p.t0
-        lines = open(matrix_path).read().strip().split("\n")
-        assert len(lines) == 1 + p.n_units
-        values = [float(v) for v in lines[1].split(",")[1:]]
-        assert np.allclose(values, p.outcomes[0], rtol=0, atol=0)

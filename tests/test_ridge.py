@@ -3,13 +3,10 @@ import pytest
 
 from panelctrl.errors import ConfigError, SingularityError
 from panelctrl.panel import PanelBlocks
+from panelctrl.estimators import EstimatorSpec, estimate_on_blocks
 from panelctrl.ridge import (
-    ConstantModel,
     ControlSVD,
-    RidgeModel,
-    UnitMeanModel,
     augment_weights,
-    augment_with_model,
     bound_sketch,
     demeaned_estimate,
     fit_ridge,
@@ -277,50 +274,43 @@ class TestWeightNormBound:
 
 
 class TestAugmentWithModel:
-    def test_constant_model_is_plain_scm(self, rng):
-        blocks = make_blocks(rng, 6, 4, n_post=3)
-        w = solve_scm(blocks)
-        est = augment_with_model(w, ConstantModel(), blocks)
-        expected = w.values @ blocks.y0_post
-        assert np.abs(est.counterfactual - expected).max() < 1e-12
+    """Bias correction by an outcome model, m(X1) + sum_i g_i (Y_i - m(X_i))."""
 
     def test_fixed_effects_identity(self, rng):
+        spec = EstimatorSpec(method="demeaned")
         for _ in range(20):
             blocks = make_blocks(rng, int(rng.integers(3, 10)), int(rng.integers(2, 8)), n_post=2)
-            w = solve_scm(blocks)
-            level, averaged = demeaned_estimate(w, blocks)
+            est = estimate_on_blocks(blocks, spec)
+            level, averaged = demeaned_estimate(est.weights, blocks)
             assert np.abs(level - averaged).max() < 1e-12
-            est = augment_with_model(w, UnitMeanModel(), blocks)
             assert np.abs(est.att - level).max() < 1e-12
 
     def test_ridge_model_matches_closed_form(self, rng):
+        # correcting SCM by the ridge outcome model is re-weighting by the
+        # closed-form augmented weights
         for _ in range(20):
             blocks = make_blocks(rng, int(rng.integers(4, 10)), int(rng.integers(2, 6)), n_post=2)
             w = solve_scm(blocks)
             lam = float(10 ** rng.uniform(-1, 3))
-            est = augment_with_model(w, RidgeModel(lam), blocks)
             aug = augment_weights(w, blocks, lam)
-            direct = aug.values @ blocks.y0_post
-            assert np.abs(est.counterfactual - direct).max() < 1e-10
-            assert est.weights.provenance == "augmented"
-
-    def test_unfitted_model_errors(self, rng):
-        blocks = make_blocks(rng, 5, 3)
-        model = RidgeModel(1.0)
-        with pytest.raises(ConfigError):
-            model.predict_treated(blocks)
+            for k in range(blocks.n_post):
+                fit = fit_ridge(blocks, lam, k)
+                corrected = fit.predict(blocks.x1) + w.values @ (
+                    blocks.y0_post[:, k] - fit.predict(blocks.x0)
+                )
+                assert abs(corrected - aug.values @ blocks.y0_post[:, k]) < 1e-10
+            assert aug.provenance == "augmented"
 
     def test_estimate_serialization(self, rng):
         import json
 
         blocks = make_blocks(rng, 5, 3, n_post=2)
-        w = solve_scm(blocks)
-        est = augment_with_model(w, ConstantModel(), blocks)
+        est = estimate_on_blocks(blocks, EstimatorSpec(method="scm"))
         observed = np.concatenate([blocks.x1, blocks.y1_post])
         rows = est.to_rows(observed=observed)
         assert len(rows) == 5
-        # post rows reconstruct the observed series exactly
-        assert np.isclose(rows[-1][1], blocks.y1_post[-1])
+        # post rows carry the given observed series
+        assert rows[-1][1] == blocks.y1_post[-1]
         json.dumps(est.to_dict(observed=observed))
 
 

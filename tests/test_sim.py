@@ -186,18 +186,6 @@ class TestRunMonteCarlo:
         quartiles = {row[0] for row in rep.fit_quartiles}
         assert quartiles == {1, 2, 3, 4}
 
-    def test_thread_pool_matches_serial(self):
-        params = default_dgp("factor")
-        bank = {
-            "scm": EstimatorSpec(method="scm"),
-            "ridge_ascm": EstimatorSpec(method="ridge_ascm", lam=10.0),
-        }
-        serial = run_monte_carlo("factor", params, estimators=bank, replications=8,
-                                 seed=2, n=8, t=16, t0=12, lam=10.0, threads=1)
-        pooled = run_monte_carlo("factor", params, estimators=bank, replications=8,
-                                 seed=2, n=8, t=16, t0=12, lam=10.0, threads=4)
-        assert serial.rows == pooled.rows
-
     def test_rep_log_written(self, tmp_path):
         params = default_dgp("factor")
         log = tmp_path / "reps.csv"
