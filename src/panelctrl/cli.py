@@ -36,7 +36,7 @@ from .ridge import (
     weight_norm_bound,
 )
 from .scm import ScmConfig
-from .selection import default_lambda_grid, in_time_placebo, loo_cv, select_lambda
+from .selection import default_lambda_grid, loo_cv, placebo_panel, select_lambda
 from .sim import default_dgp, run_monte_carlo
 
 logger = logging.getLogger(__name__)
@@ -194,11 +194,13 @@ def _cmd_estimate(args):
     header = ["time", "observed", "counterfactual", "gap"]
     rows = est.to_rows(p.time_ids, p.outcomes[p.treated_index])
     if args.inference != "none":
-        interval = conformal_interval if args.inference == "conformal" else jackknife_plus
-        cis = [
-            interval(p, args.alpha, spec, post_period=k, target="effect", cov=cov)
-            for k in range(p.n_periods - p.t0)
-        ]
+        if args.inference == "jackknife+":
+            cis = jackknife_plus(p, args.alpha, spec, target="effect", cov=cov)
+        else:
+            cis = [
+                conformal_interval(p, args.alpha, spec, post_period=k, target="effect", cov=cov)
+                for k in range(p.n_periods - p.t0)
+            ]
         header += ["ci_lower", "ci_upper", "method"]
         cells = [("", "", "")] * p.t0 + [(ci.lower, ci.upper, ci.method) for ci in cis]
         rows = [row + cell for row, cell in zip(rows, cells)]
@@ -265,7 +267,12 @@ def _cmd_placebo(args):
         raise ConfigError("no placebo times given")
     os.makedirs(args.out, exist_ok=True)
     for time_label in times:
-        est = in_time_placebo(p, time_label, spec, cov=cov)
+        placebo_p = placebo_panel(p, time_label)
+        # covariates are averaged over the periods before the placebo time only
+        placebo_cov = (
+            None if cov is None else covariates_from_long(args.input, placebo_p, cov.names)
+        )
+        est = estimate(placebo_p, spec, cov=placebo_cov)
         new_t0 = len(est.gap_pre)
         rows = []
         for j, label in enumerate(p.time_ids[: p.t0]):

@@ -4,8 +4,8 @@ Full conformal inference enforces a candidate effect tau0, appends the
 adjusted post-treatment observation to the pre-period design as one more
 column, refits the weights, and ranks the adjusted post residual among
 the pre-period residuals. The jackknife+ alternative needs only the T0
-leave-one-period-out refits and builds the interval from order statistics
-of shifted leave-one-out predictions.
+leave-one-period-out refits, shared by all post periods, and builds each
+interval from order statistics of shifted leave-one-out predictions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, GridError
 from .estimators import estimate_on_blocks, weights_for_design
-from .panel import PanelBlocks, split_and_center
+from .panel import PanelBlocks, period_folds, split_and_center
 
 logger = logging.getLogger(__name__)
 
@@ -218,64 +218,47 @@ def _order_statistic(values, k):
     return float(values[k - 1])
 
 
-def jackknife_plus(p, alpha, spec, post_period=0, target="counterfactual", cov=None):
-    """Leave-one-period-out prediction interval for the counterfactual.
+def jackknife_plus(p, alpha, spec, target="counterfactual", cov=None):
+    """Leave-one-period-out prediction intervals, one per post period.
 
     For each pre period t the estimator (with ``cov`` when given) is refit
-    without that period; the interval combines the leave-one-out post
-    predictions shifted by the absolute held-out residuals through
-    lower/upper order statistics at level alpha/2 on each side.
+    once without that period; the fold predicts the held-out period along
+    with the post periods (see :func:`panel.period_folds`). Each post
+    period's interval combines the leave-one-out post predictions shifted
+    by the absolute held-out residuals through lower/upper order statistics
+    at level alpha/2 on each side. Returns a tuple of
+    :class:`PredictionInterval` in post-period order.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
+    if target not in ("counterfactual", "effect"):
+        raise ConfigError(f"unknown interval target {target!r}")
     blocks = split_and_center(p, center=True)
     if blocks.t0 < 3:
         raise ConfigError("jackknife+ needs at least 3 pre periods")
-    if not 0 <= post_period < blocks.n_post:
-        raise ConfigError(f"post_period {post_period} out of range")
 
-    lows, highs = [], []
-    for t in range(blocks.t0):
-        keep = np.array([s for s in range(blocks.t0) if s != t])
-        x0r = blocks.x0[:, keep]
-        shift = x0r.mean(axis=0)
-        x0r = x0r - shift
-        fold = PanelBlocks(
-            x1=blocks.x1[keep] - shift,
-            x0=x0r,
-            y0_post=blocks.y0_post,
-            y1_post=blocks.y1_post,
-            centering=np.zeros(keep.size),
-        )
+    preds, resids = [], []
+    for _, fold in period_folds(blocks):
         est = estimate_on_blocks(fold, spec, cov=cov)
-        y_hat_post = float(est.counterfactual[post_period])
-        pre_pred = _loo_pre_prediction(fold, blocks, est, spec, t)
-        r = abs(float(blocks.x1[t]) - pre_pred)
-        lows.append(y_hat_post - r)
-        highs.append(y_hat_post + r)
+        preds.append(est.counterfactual[:-1])
+        resids.append(abs(float(est.att[-1])))
+    preds = np.array(preds)
+    resids = np.array(resids)[:, None]
+    lows, highs = preds - resids, preds + resids
 
     t_total = blocks.t0 + 1
     k_lo = int(np.floor(alpha / 2.0 * t_total))
     k_hi = int(np.ceil((1.0 - alpha / 2.0) * t_total))
-    interval = PredictionInterval(
-        lower=_order_statistic(lows, k_lo),
-        upper=_order_statistic(highs, k_hi),
-        level=1.0 - alpha,
-        method="jackknife-plus",
-        target="counterfactual",
-    )
-    if target == "effect":
-        interval = convert_target(interval, float(blocks.y1_post[post_period]))
-    elif target != "counterfactual":
-        raise ConfigError(f"unknown interval target {target!r}")
-    return interval
-
-
-def _loo_pre_prediction(fold, blocks, est, spec, t):
-    """Prediction of the held-out pre outcome under the fold's estimator."""
-    g = est.weights.values
-    if spec.method in ("demeaned", "fixed_effects"):
-        x1_raw = fold.x1 + fold.centering
-        x0_raw = fold.x0 + fold.centering
-        return float(x1_raw.mean() + g @ (blocks.x0[:, t] - x0_raw.mean(axis=1)))
-    return float(g @ blocks.x0[:, t])
+    intervals = []
+    for k in range(blocks.n_post):
+        interval = PredictionInterval(
+            lower=_order_statistic(lows[:, k], k_lo),
+            upper=_order_statistic(highs[:, k], k_hi),
+            level=1.0 - alpha,
+            method="jackknife-plus",
+            target="counterfactual",
+        )
+        if target == "effect":
+            interval = convert_target(interval, float(blocks.y1_post[k]))
+        intervals.append(interval)
+    return tuple(intervals)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DuplicateCellError,
     MissingCellError,
     PanelFormatError,
@@ -31,6 +32,7 @@ __all__ = [
     "split_and_center",
     "parse_time_label",
     "periods_preceding",
+    "period_folds",
 ]
 
 
@@ -341,3 +343,30 @@ def split_and_center(p, center=True):
     else:
         shift = np.zeros(p.t0)
     return PanelBlocks(x1=x1, x0=x0, y0_post=y0_post, y1_post=y1_post, centering=shift)
+
+
+def period_folds(blocks, mode="leave-one"):
+    """Yield ``(t, fold)`` for every pre period t held out of ``blocks``.
+
+    ``mode`` "leave-one" keeps every other pre period; "leave-future" keeps
+    only the periods before t, so each fold is a forecast (its first folds
+    keep fewer than two periods and callers decide whether to skip them).
+    The kept pre columns are re-centred on their control means. The held-out
+    period becomes the fold's last post column: ``y0_post[:, -1]`` is
+    ``blocks.x0[:, t]`` and ``y1_post[-1]`` is ``blocks.x1[t]``, so an
+    estimate on the fold predicts it like any other post period.
+    """
+    if mode not in ("leave-one", "leave-future"):
+        raise ConfigError(f"unknown fold mode {mode!r}")
+    periods = np.arange(blocks.t0)
+    for t in range(blocks.t0):
+        keep = np.delete(periods, t) if mode == "leave-one" else periods[:t]
+        x0 = blocks.x0[:, keep]
+        shift = x0.mean(axis=0)
+        yield t, PanelBlocks(
+            x1=blocks.x1[keep] - shift,
+            x0=x0 - shift,
+            y0_post=np.hstack([blocks.y0_post, blocks.x0[:, t : t + 1]]),
+            y1_post=np.append(blocks.y1_post, blocks.x1[t]),
+            centering=np.zeros(keep.size),
+        )

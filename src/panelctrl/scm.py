@@ -5,12 +5,10 @@ Solves
     min_g  ||V^{1/2}(x1 - x0' g)||^2 + zeta * sum_i f(g_i)
     s.t.   sum_i g_i = 1,  g_i >= 0
 
-with f the squared-L2 dispersion penalty (default) or the entropy penalty.
-The squared-L2 path runs accelerated projected gradient descent with exact
-Euclidean projection onto the simplex, restarting momentum on non-monotone
-steps, followed by an active-set refinement that drives the KKT residual
-to round-off. The entropy path uses a mirror-descent (exponentiated
-gradient) variant on the same interface.
+with f the squared-L2 dispersion penalty f(g) = g^2. The solver runs
+accelerated projected gradient descent with exact Euclidean projection onto
+the simplex, restarting momentum on non-monotone steps, followed by an
+active-set refinement that drives the KKT residual to round-off.
 """
 
 from __future__ import annotations
@@ -35,9 +33,6 @@ __all__ = [
     "scm_objective",
 ]
 
-_ENTROPY_FLOOR = 1e-300
-
-
 @dataclass(frozen=True)
 class ScmConfig:
     """Solver configuration.
@@ -50,8 +45,6 @@ class ScmConfig:
         Dispersion penalty strength. None selects the canonical default
         ``1e-8 * tr(x0' V x0) / N0``, which breaks ties between otherwise
         non-unique un-penalized solutions; an explicit 0.0 is honored.
-    penalty : str
-        "l2" (squared-L2, default) or "entropy".
     max_iter : int
         Iteration cap for the gradient loop.
     tol : float
@@ -60,13 +53,10 @@ class ScmConfig:
 
     importance: np.ndarray | None = None
     zeta: float | None = None
-    penalty: str = "l2"
     max_iter: int = 20_000
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.penalty not in ("l2", "entropy"):
-            raise ConfigError(f"unknown penalty {self.penalty!r}")
         if self.zeta is not None and self.zeta < 0:
             raise ConfigError("zeta must be nonnegative")
         if self.tol <= 0:
@@ -169,20 +159,14 @@ def scm_objective(blocks, w, cfg=None):
     fit = float(np.sum(v * gap**2))
     if zeta == 0.0:
         return fit
-    if cfg.penalty == "l2":
-        return fit + zeta * float(np.sum(g**2))
-    safe = np.maximum(g, _ENTROPY_FLOOR)
-    return fit + zeta * float(np.sum(np.where(g > 0, g * np.log(safe), 0.0)))
+    return fit + zeta * float(np.sum(g**2))
 
 
-def _gradient(blocks, v, zeta, penalty, g):
+def _gradient(blocks, v, zeta, g):
     gap = blocks.x1 - blocks.x0.T @ g
     grad = -2.0 * (blocks.x0 @ (v * gap))
     if zeta != 0.0:
-        if penalty == "l2":
-            grad = grad + 2.0 * zeta * g
-        else:
-            grad = grad + zeta * (np.log(np.maximum(g, _ENTROPY_FLOOR)) + 1.0)
+        grad = grad + 2.0 * zeta * g
     return grad
 
 
@@ -195,7 +179,7 @@ def kkt_residual(blocks, w, cfg=None):
     cfg = cfg or ScmConfig()
     v, zeta = cfg.resolve(blocks)
     g = np.asarray(w.values if isinstance(w, DonorWeights) else w, dtype=float)
-    grad = _gradient(blocks, v, zeta, cfg.penalty, g)
+    grad = _gradient(blocks, v, zeta, g)
     return float(np.linalg.norm(g - project_simplex(g - grad)))
 
 
@@ -231,10 +215,7 @@ def solve_scm(blocks, cfg=None, start=None, trace=None):
     else:
         g = project_simplex(np.asarray(start, dtype=float))
 
-    if cfg.penalty == "l2":
-        g, res = _solve_l2(blocks, v, zeta, g, cfg, trace)
-    else:
-        g, res = _solve_entropy(blocks, v, zeta, g, cfg, trace)
+    g, res = _solve_l2(blocks, v, zeta, g, cfg, trace)
 
     if res > cfg.tol:
         raise ConvergenceError(
@@ -343,7 +324,7 @@ def _active_set_polish(blocks, v, zeta, g, rounds=None):
                 return None
             full /= s
             # grow the support if an off-support coordinate violates optimality
-            grad = _gradient(blocks, v, zeta, "l2", full)
+            grad = _gradient(blocks, v, zeta, full)
             mu = float(np.mean(grad[support]))
             off = np.setdiff1d(np.arange(n0), support, assume_unique=False)
             if off.size and np.any(grad[off] < mu - 1e-12 * max(1.0, abs(mu))):
@@ -356,114 +337,6 @@ def _active_set_polish(blocks, v, zeta, g, rounds=None):
         if support.size == 0:
             return None
     return None
-
-
-def _solve_entropy(blocks, v, zeta, g, cfg, trace):
-    """Exponentiated-gradient descent, then an interior Newton polish.
-
-    The entropy penalty keeps the optimum strictly inside the simplex, so
-    once mirror descent is close the equality-constrained Newton system is
-    well-posed and converges quadratically.
-    """
-    g = np.maximum(g, 1e-12)
-    g = g / g.sum()
-    b = blocks.x0 * np.sqrt(v)
-    lips = 2.0 * float(np.linalg.norm(b, 2)) ** 2 + zeta
-    step0 = 1.0 / max(lips, 1e-12)
-
-    def fval(x):
-        gap = blocks.x1 - blocks.x0.T @ x
-        safe = np.maximum(x, _ENTROPY_FLOOR)
-        return float(np.sum(v * gap**2) + zeta * np.sum(x * np.log(safe)))
-
-    f_cur = fval(g)
-    if trace is not None:
-        trace.append(f_cur)
-    res = np.inf
-    for it in range(cfg.max_iter):
-        grad = _gradient(blocks, v, zeta, "entropy", g)
-        res = float(np.linalg.norm(g - project_simplex(g - grad)))
-        if res <= cfg.tol:
-            break
-        step = step0 * 2.0
-        improved = False
-        for _ in range(60):
-            z = grad - grad.max()
-            cand = g * np.exp(-step * z)
-            cand = cand / cand.sum()
-            f_cand = fval(cand)
-            if f_cand <= f_cur - 1e-14 * abs(f_cur):
-                improved = True
-                break
-            step *= 0.5
-        if improved:
-            g, f_cur = cand, f_cand
-            if trace is not None:
-                trace.append(f_cur)
-            continue
-        polished = _entropy_newton_polish(blocks, v, zeta, g)
-        if polished is not None:
-            f_pol = fval(polished)
-            res_pol = float(
-                np.linalg.norm(
-                    polished
-                    - project_simplex(
-                        polished - _gradient(blocks, v, zeta, "entropy", polished)
-                    )
-                )
-            )
-            if res_pol < res and f_pol <= f_cur + 1e-12 * max(1.0, abs(f_cur)):
-                g, f_cur, res = polished, f_pol, res_pol
-                if trace is not None and f_pol <= trace[-1]:
-                    trace.append(f_pol)
-        break
-    else:
-        # iteration budget exhausted: report the residual of the final iterate
-        grad = _gradient(blocks, v, zeta, "entropy", g)
-        res = float(np.linalg.norm(g - project_simplex(g - grad)))
-    logger.debug("scm entropy solve: residual %.3e", res)
-    return g, res
-
-
-def _entropy_newton_polish(blocks, v, zeta, g, iters=60):
-    """Newton's method on the interior KKT system of the entropy problem."""
-    if zeta <= 0:
-        return None
-    g = np.maximum(g.copy(), 1e-12)
-    g = g / g.sum()
-    n0 = g.shape[0]
-    h_quad = 2.0 * (blocks.x0 * v) @ blocks.x0.T
-    best = None
-    best_norm = np.inf
-    for _ in range(iters):
-        grad = _gradient(blocks, v, zeta, "entropy", g)
-        mu = float(np.mean(grad))
-        kkt_vec = np.concatenate([grad - mu, [g.sum() - 1.0]])
-        norm = float(np.linalg.norm(kkt_vec))
-        if norm < best_norm:
-            best, best_norm = g.copy(), norm
-        if norm < 1e-14:
-            break
-        h = h_quad + np.diag(zeta / g)
-        sys = np.zeros((n0 + 1, n0 + 1))
-        sys[:n0, :n0] = h
-        sys[:n0, n0] = -1.0
-        sys[n0, :n0] = 1.0
-        try:
-            delta = np.linalg.solve(sys, -np.concatenate([grad - mu, [g.sum() - 1.0]]))
-        except np.linalg.LinAlgError:
-            break
-        dg = delta[:n0]
-        # fraction-to-boundary: keep iterates strictly interior
-        neg = dg < 0
-        alpha = 1.0
-        if neg.any():
-            alpha = min(1.0, 0.995 * float(np.min(-g[neg] / dg[neg])))
-        if alpha <= 0:
-            break
-        g = g + alpha * dg
-        g = np.maximum(g, _ENTROPY_FLOOR)
-    return best
 
 
 def imbalance(blocks, w, importance=None):

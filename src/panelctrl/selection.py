@@ -15,13 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TreatmentTimeError
-from .panel import PanelBlocks, PanelData, periods_preceding
+from .panel import PanelData, period_folds, periods_preceding
 from .ridge import ControlSVD
 from .scm import ScmConfig, solve_scm
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["CvResult", "loo_cv", "select_lambda", "in_time_placebo", "default_lambda_grid"]
+__all__ = [
+    "CvResult",
+    "loo_cv",
+    "select_lambda",
+    "placebo_panel",
+    "in_time_placebo",
+    "default_lambda_grid",
+]
 
 _MIN_FOLD_PERIODS = 2
 
@@ -74,19 +81,6 @@ def default_lambda_grid(blocks, size=20):
     return np.logspace(np.log10(1e3 * s), np.log10(1e-3 * s), size)
 
 
-def _fold_indices(t0, mode):
-    if mode == "leave-one":
-        for t in range(t0):
-            keep = np.array([s for s in range(t0) if s != t])
-            yield t, keep
-    elif mode == "leave-future":
-        for t in range(t0):
-            keep = np.arange(t)
-            yield t, keep
-    else:
-        raise ConfigError(f"unknown cv mode {mode!r}")
-
-
 def loo_cv(blocks, lambda_grid=None, mode="leave-one", cfg=None):
     """Cross-validated MSE of the ridge-augmented estimator over penalties.
 
@@ -107,29 +101,18 @@ def loo_cv(blocks, lambda_grid=None, mode="leave-one", cfg=None):
 
     sq_residuals = {li: [] for li in range(grid.size)}
     skipped = []
-    for t, keep in _fold_indices(blocks.t0, mode):
-        if keep.size < _MIN_FOLD_PERIODS:
+    for t, fold in period_folds(blocks, mode):
+        if fold.t0 < _MIN_FOLD_PERIODS:
             skipped.append(t)
-            logger.warning("cv fold %d skipped: only %d periods remain", t, keep.size)
+            logger.warning("cv fold %d skipped: only %d periods remain", t, fold.t0)
             continue
-        x0r = blocks.x0[:, keep]
-        shift = x0r.mean(axis=0)
-        x0r = x0r - shift
-        x1r = blocks.x1[keep] - shift
-        fold = PanelBlocks(
-            x1=x1r,
-            x0=x0r,
-            y0_post=blocks.y0_post,
-            y1_post=blocks.y1_post,
-            centering=np.zeros(keep.size),
-        )
         w = solve_scm(fold, cfg)
-        svd = ControlSVD.compute(x0r)
-        gap = x1r - x0r.T @ w.values
-        target = float(blocks.x1[t])
-        donors_at_t = blocks.x0[:, t]
+        svd = ControlSVD.compute(fold.x0)
+        gap = fold.x1 - fold.x0.T @ w.values
+        target = float(fold.y1_post[-1])
+        donors_at_t = fold.y0_post[:, -1]
         for li, lam in enumerate(grid):
-            adj = x0r @ svd.gram_inverse_apply(gap, lam)
+            adj = fold.x0 @ svd.gram_inverse_apply(gap, lam)
             pred = float((w.values + adj) @ donors_at_t)
             sq_residuals[li].append((target - pred) ** 2)
 
@@ -169,16 +152,13 @@ def select_lambda(cv, rule="min"):
     raise ConfigError(f"unknown selection rule {rule!r}")
 
 
-def in_time_placebo(p, placebo_time, spec, cov=None):
-    """Re-run the estimator pretending treatment happened at an earlier time.
+def placebo_panel(p, placebo_time):
+    """The panel an in-time placebo runs on.
 
-    The panel is truncated at the true treatment time (post periods are
-    discarded), the pre-period count is re-designated at ``placebo_time``,
-    and the full estimator runs on the shortened panel; post-placebo
-    "effects" are the placebo gaps.
+    Post periods are discarded and the pre-period count is re-designated
+    at ``placebo_time``, which must leave at least 3 pre periods and lie
+    strictly before the true treatment time.
     """
-    from .estimators import estimate  # local import to avoid a cycle
-
     new_t0 = periods_preceding(p.time_ids, placebo_time)
     if new_t0 >= p.t0:
         raise TreatmentTimeError(
@@ -188,11 +168,23 @@ def in_time_placebo(p, placebo_time, spec, cov=None):
         raise TreatmentTimeError(
             f"placebo time {placebo_time!r} leaves only {new_t0} pre period(s); need at least 3"
         )
-    truncated = PanelData(
+    return PanelData(
         outcomes=p.outcomes[:, : p.t0],
         unit_ids=p.unit_ids,
         time_ids=p.time_ids[: p.t0],
         treated_index=p.treated_index,
         t0=new_t0,
     )
-    return estimate(truncated, spec, cov=cov)
+
+
+def in_time_placebo(p, placebo_time, spec, cov=None):
+    """Re-run the estimator pretending treatment happened at an earlier time.
+
+    The full estimator runs on :func:`placebo_panel`; post-placebo
+    "effects" are the placebo gaps. ``cov`` should summarize only the
+    periods before ``placebo_time``, or the placebo fit sees its own
+    post period.
+    """
+    from .estimators import estimate  # local import to avoid a cycle
+
+    return estimate(placebo_panel(p, placebo_time), spec, cov=cov)

@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from panelctrl.panel import PanelBlocks, PanelData, split_and_center
+
+# every run draws the same examples, so a property failure reproduces
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def make_blocks(rng, n0, t0, n_post=1, center=True, scale=1.0):

@@ -3,7 +3,9 @@
 Everything here is deliberately brute-force or first-order so it shares
 no code with the implementations under test: exhaustive simplex grids,
 projected gradient descent on the sum-to-one affine set, dense
-normal-equation solves, and from-scratch refit loops.
+normal-equation solves, and from-scratch refit loops. The one exception is
+the jackknife+ rebuild, which checks the fold bookkeeping rather than the
+estimator and so fits each fold with the library's ``estimate_on_blocks``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import itertools
 
 import numpy as np
 
+from panelctrl.estimators import estimate_on_blocks
+from panelctrl.panel import PanelBlocks, split_and_center
 
-def simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.0, importance=None, penalty="l2"):
+
+def simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.0, importance=None):
     """Minimum objective over an exhaustive simplex lattice.
 
     Enumerates all weight vectors whose entries are integer multiples of
@@ -29,10 +34,7 @@ def simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.0, importance=None, p
         fit = np.sum(v * gap**2, axis=-1)
         if zeta == 0.0:
             return fit
-        if penalty == "l2":
-            return fit + zeta * np.sum(gamma**2, axis=-1)
-        safe = np.where(gamma > 0, gamma, 1.0)
-        return fit + zeta * np.sum(gamma * np.log(safe), axis=-1)
+        return fit + zeta * np.sum(gamma**2, axis=-1)
 
     if n0 == 2:
         k = np.arange(steps + 1)
@@ -185,3 +187,39 @@ def conformal_p_rebuild(panel_outcomes, treated_index, t0, tau0, lam, post_perio
     pre = np.abs(resid[:-1])
     post = abs(resid[-1])
     return (int(np.sum(post <= pre)) + 1) / (t0 + 1)
+
+
+def jackknife_plus_rebuild(p, alpha, spec, post_period, cov=None):
+    """Jackknife+ counterfactual interval for one post period, fold by fold.
+
+    Every fold is rebuilt by hand for this post period alone: drop pre
+    period t, re-centre, fit with ``estimate_on_blocks`` on the true post
+    block, and predict the held-out period separately (the unit-mean
+    methods add their outcome model by hand). Returns (lower, upper).
+    """
+    blocks = split_and_center(p, center=True)
+    t0 = blocks.t0
+    lows, highs = [], []
+    for t in range(t0):
+        keep = np.array([s for s in range(t0) if s != t])
+        shift = blocks.x0[:, keep].mean(axis=0)
+        fold = PanelBlocks(
+            x1=blocks.x1[keep] - shift,
+            x0=blocks.x0[:, keep] - shift,
+            y0_post=blocks.y0_post,
+            y1_post=blocks.y1_post,
+            centering=np.zeros(keep.size),
+        )
+        est = estimate_on_blocks(fold, spec, cov=cov)
+        g = est.weights.values
+        if spec.method in ("demeaned", "fixed_effects"):
+            pre_pred = fold.x1.mean() + g @ (blocks.x0[:, t] - fold.x0.mean(axis=1))
+        else:
+            pre_pred = g @ blocks.x0[:, t]
+        r = abs(float(blocks.x1[t]) - float(pre_pred))
+        y_hat = float(est.counterfactual[post_period])
+        lows.append(y_hat - r)
+        highs.append(y_hat + r)
+    k_lo = min(max(int(np.floor(alpha / 2.0 * (t0 + 1))), 1), t0)
+    k_hi = min(max(int(np.ceil((1.0 - alpha / 2.0) * (t0 + 1))), 1), t0)
+    return float(np.sort(lows)[k_lo - 1]), float(np.sort(highs)[k_hi - 1])

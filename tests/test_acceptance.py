@@ -217,7 +217,7 @@ def test_criterion_08_conformal_coverage():
         # sharp null: the observed post outcome IS the counterfactual, so
         # full-conformal coverage is the acceptance rate of tau0 = 0
         hits_conf += conformal_p(p, 0.0, spec) >= alpha
-        ci = jackknife_plus(p, alpha, spec)
+        ci = jackknife_plus(p, alpha, spec)[0]
         y0 = p.outcomes[p.treated_index, 25]
         hits_jk += ci.lower <= y0 <= ci.upper
     conf = hits_conf / reps

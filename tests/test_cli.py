@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from panelctrl.cli import main
+from panelctrl.estimators import EstimatorSpec
+from panelctrl.inference import jackknife_plus
+from panelctrl.panel import load_panel
 
 
 @pytest.fixture
@@ -104,6 +107,23 @@ class TestEstimate:
         post = gap[-1]
         assert post[-1] == "jackknife-plus"
         assert float(post[-3]) <= float(post[-2])
+
+    def test_jackknife_rows_are_the_per_period_intervals(self, panel_csv, tmp_path):
+        out = tmp_path / "est"
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0",
+            "--inference", "jackknife+", "--alpha", "0.1", "--out", str(out),
+        ])
+        assert rc == 0
+        p = load_panel(panel_csv, "u0", "11")
+        cis = jackknife_plus(
+            p, 0.1, EstimatorSpec(method="ridge_ascm", lam=1.0), target="effect"
+        )
+        post = read_rows(out / "gap.csv")[1 + p.t0 :]
+        assert len(post) == len(cis) == 4
+        for row, ci in zip(post, cis):
+            assert (float(row[-3]), float(row[-2]), row[-1]) == (ci.lower, ci.upper, ci.method)
 
     def test_conformal_inference_columns(self, panel_csv, tmp_path):
         out = tmp_path / "est"
@@ -239,6 +259,29 @@ class TestPlacebo:
         assert rows[0] == ["time", "observed", "counterfactual", "gap", "placebo_time"]
         assert len(rows) == 11  # header + true-pre periods only
 
+
+    @pytest.mark.parametrize("period, changes", [(10, False), (13, False), (5, True)])
+    def test_covariates_averaged_before_placebo_time(self, panel_csv, tmp_path, period, changes):
+        def run(source, out):
+            rc = main([
+                "placebo", "--input", source, "--treated", "u0",
+                "--treatment-time", "11", "--lambda", "1.0", "--covariates", "gdp",
+                "--placebo-times", "8", "--out", str(out),
+            ])
+            assert rc == 0
+            with open(out / "placebo_gap_8.csv", "rb") as fh:
+                return fh.read()
+
+        rows = read_rows(panel_csv)
+        for row in rows[1:]:
+            if row[0] == "u0" and row[1] == str(period):
+                row[3] = format(float(row[3]) + 5.0, ".17g")
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        before = run(panel_csv, tmp_path / "orig")
+        after = run(str(edited), tmp_path / "edited")
+        assert (before != after) == changes
 
     def test_non_numeric_placebo_time_exit_code(self, panel_csv, tmp_path):
         rc = main([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from panelctrl.covariates import CovariatePanel
 from panelctrl.errors import ConfigError, GridError
 from panelctrl.estimators import EstimatorSpec
 from panelctrl.inference import (
@@ -13,7 +14,7 @@ from panelctrl.inference import (
 from panelctrl.panel import PanelData
 
 from conftest import make_panel
-from oracles import conformal_p_rebuild
+from oracles import conformal_p_rebuild, jackknife_plus_rebuild
 
 SPEC = EstimatorSpec(method="ridge_ascm", lam=1.0, zeta=1e-10)
 
@@ -135,7 +136,7 @@ class TestJackknifePlus:
         out = rng.normal(size=(n, t)).cumsum(axis=1)
         out[0] = out[3]
         p = PanelData(out, tuple(f"u{i}" for i in range(n)), tuple(range(1, t + 1)), 0, t0)
-        ci = jackknife_plus(p, 0.1, EstimatorSpec(method="ridge_ascm", lam=1e-6, zeta=1e-12))
+        ci = jackknife_plus(p, 0.1, EstimatorSpec(method="ridge_ascm", lam=1e-6, zeta=1e-12))[0]
         c = out[3, t0]
         assert abs(ci.lower - c) < 1e-4
         assert abs(ci.upper - c) < 1e-4
@@ -154,22 +155,56 @@ class TestJackknifePlus:
         p = make_panel(rng, 8, 16, 13)
         widths = []
         for alpha in (0.5, 0.2, 0.1, 0.05):
-            ci = jackknife_plus(p, alpha, SPEC)
+            ci = jackknife_plus(p, alpha, SPEC)[0]
             widths.append(ci.upper - ci.lower)
         assert all(a <= b + 1e-12 for a, b in zip(widths, widths[1:]))
 
     def test_target_conversion(self, rng):
         p = make_panel(rng, 6, 12, 9)
-        ci_y = jackknife_plus(p, 0.1, SPEC, target="counterfactual")
-        ci_tau = jackknife_plus(p, 0.1, SPEC, target="effect")
+        ci_y = jackknife_plus(p, 0.1, SPEC, target="counterfactual")[0]
+        ci_tau = jackknife_plus(p, 0.1, SPEC, target="effect")[0]
         y_obs = p.outcomes[p.treated_index, p.t0]
         assert abs(ci_tau.lower - (y_obs - ci_y.upper)) < 1e-12
         assert abs(ci_tau.upper - (y_obs - ci_y.lower)) < 1e-12
 
     def test_works_with_demeaned(self, rng):
         p = make_panel(rng, 6, 12, 9)
-        ci = jackknife_plus(p, 0.1, EstimatorSpec(method="demeaned"))
+        ci = jackknife_plus(p, 0.1, EstimatorSpec(method="demeaned"))[0]
         assert ci.lower <= ci.upper
+
+
+ONE_PASS_CASES = [
+    ("scm", None),
+    ("ridge", None),
+    ("ridge_ascm", None),
+    ("demeaned", None),
+    ("fixed_effects", None),
+    ("ridge_ascm", "joint"),
+    ("ridge_ascm", "residualize"),
+]
+
+
+class TestJackknifePlusOnePass:
+    @pytest.mark.parametrize("method, mode", ONE_PASS_CASES)
+    def test_matches_per_period_rebuild(self, rng, method, mode):
+        # one pass over the folds gives every post period the interval that
+        # refitting all folds for that period alone gives
+        p = make_panel(rng, 8, 14, 10)
+        spec = EstimatorSpec(
+            method=method,
+            lam=0.5 if method in ("ridge", "ridge_ascm") else None,
+            covariate_mode=mode or "joint",
+        )
+        cov = None
+        if mode is not None:
+            cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(p.n_donors, 2)))
+        cis = jackknife_plus(p, 0.2, spec, cov=cov)
+        assert len(cis) == p.n_periods - p.t0 == 4
+        for k, ci in enumerate(cis):
+            lower, upper = jackknife_plus_rebuild(p, 0.2, spec, k, cov=cov)
+            got = np.array([ci.lower, ci.upper])
+            want = np.array([lower, upper])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
 
 
 class TestPredictionInterval:

@@ -7,6 +7,7 @@ covariate-adjusted estimator.
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -16,9 +17,14 @@ from hypothesis import strategies as st
 from panelctrl.cli import main
 from panelctrl.covariates import CovariatePanel, covariates_from_long
 from panelctrl.errors import ConfigError
-from panelctrl.estimators import EstimatorSpec, estimate, weights_for_design
+from panelctrl.estimators import (
+    EstimatorSpec,
+    estimate,
+    estimate_on_blocks,
+    weights_for_design,
+)
 from panelctrl.inference import conformal_interval, conformal_p, jackknife_plus
-from panelctrl.panel import PanelBlocks, load_panel
+from panelctrl.panel import PanelBlocks, PanelData, load_panel, split_and_center
 
 from conftest import make_blocks
 
@@ -73,7 +79,7 @@ ENTRY_POINTS = {
         conformal_interval(p, ALPHA, spec, cov=cov)
     ),
     "jackknife_plus": lambda p, spec, cov: _interval(
-        jackknife_plus(p, ALPHA, spec, cov=cov)
+        jackknife_plus(p, ALPHA, spec, cov=cov)[0]
     ),
 }
 
@@ -103,7 +109,14 @@ def test_covariates_without_lambda_refused(data, mode, entry):
         ENTRY_POINTS[entry](p, _spec("ridge_ascm", mode, lam=None), cov)
 
 
-CLI_INFERENCE = {"jackknife+": jackknife_plus, "conformal": conformal_interval}
+CLI_INFERENCE = {
+    "jackknife+": lambda p, spec, k, cov: jackknife_plus(
+        p, ALPHA, spec, target="effect", cov=cov
+    )[k],
+    "conformal": lambda p, spec, k, cov: conformal_interval(
+        p, ALPHA, spec, post_period=k, target="effect", cov=cov
+    ),
+}
 
 
 @pytest.mark.parametrize("inference", sorted(CLI_INFERENCE))
@@ -130,8 +143,8 @@ def test_cli_cell_uses_covariates_or_refuses(
     interval = CLI_INFERENCE[inference]
     for k, row in enumerate(rows[p.t0 :]):
         written = np.array([float(row["ci_lower"]), float(row["ci_upper"])])
-        direct = interval(p, ALPHA, spec, post_period=k, target="effect", cov=cov)
-        plain = interval(p, ALPHA, spec, post_period=k, target="effect")
+        direct = interval(p, spec, k, cov)
+        plain = interval(p, spec, k, None)
         assert np.abs(written - _interval(direct)).max() <= 1e-12
         assert not np.array_equal(written, _interval(plain))
 
@@ -146,7 +159,7 @@ def _permuted(blocks, perm):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     seed=st.integers(0, 2**32 - 1),
     method=st.sampled_from(METHODS),
@@ -170,3 +183,78 @@ def test_weights_for_design_donor_permutation_equivariant(seed, method, mode):
     w = weights_for_design(blocks, spec, cov)
     w_perm = weights_for_design(_permuted(blocks, perm), spec, cov_perm)
     assert np.abs(w_perm.values - w.values[perm]).max() < 1e-7
+
+
+# Aim-3 invariants as properties of weights_for_design, for every method and
+# both covariate modes.
+CASES = [(method, None) for method in METHODS] + [("ridge_ascm", mode) for mode in MODES]
+N_POST = 2
+
+
+def _draw(seed, method, mode):
+    """Random-walk outcomes (treated unit first), a spec and optional covariates."""
+    rng = np.random.default_rng(seed)
+    n0, t0 = int(rng.integers(4, 9)), int(rng.integers(3, 7))
+    outcomes = rng.normal(size=(n0 + 1, t0 + N_POST)).cumsum(axis=1)
+    spec = EstimatorSpec(
+        method=method,
+        lam=float(10 ** rng.uniform(-1, 2)) if method in ("ridge", "ridge_ascm") else None,
+        covariate_mode=mode or "joint",
+    )
+    cov = None
+    if mode is not None:
+        cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(n0, 2)))
+    return rng, outcomes, spec, cov
+
+
+def _fit(outcomes, spec, cov):
+    n, t = outcomes.shape
+    p = PanelData(outcomes, tuple(f"u{i}" for i in range(n)), tuple(range(t)), 0, t - N_POST)
+    blocks = split_and_center(p, center=True)
+    return weights_for_design(blocks, spec, cov).values, estimate_on_blocks(blocks, spec, cov).att
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("method, mode", CASES)
+def test_weights_sum_to_one_exactly(seed, method, mode):
+    _, outcomes, spec, cov = _draw(seed, method, mode)
+    w, _ = _fit(outcomes, spec, cov)
+    assert abs(math.fsum(w) - 1.0) <= 1e-12
+
+
+_DEMEANED_SHIFT = pytest.mark.xfail(
+    strict=True,
+    reason="the default zeta is computed on the de-meaned design, whose columns "
+    "are not centred, so a per-period shift changes the penalty",
+)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize(
+    "method, mode",
+    [pytest.param(*case, marks=_DEMEANED_SHIFT) if case[0] == "demeaned" else case
+     for case in CASES],
+)  # fmt: skip
+def test_per_period_shift_leaves_weights_and_att_unchanged(seed, method, mode):
+    rng, outcomes, spec, cov = _draw(seed, method, mode)
+    shift = rng.normal(scale=10.0, size=outcomes.shape[1])
+    w, att = _fit(outcomes, spec, cov)
+    w_shift, att_shift = _fit(outcomes + shift, spec, cov)
+    assert np.abs(w_shift - w).max() <= 1e-7
+    assert np.abs(att_shift - att).max() <= 1e-7 * np.abs(outcomes).max()
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("method, mode", CASES)
+def test_scaled_outcomes_and_lambda_scale_att(seed, method, mode):
+    """c * Y with c**2 * lambda gives the same weights and c times the ATT."""
+    rng, outcomes, spec, cov = _draw(seed, method, mode)
+    c = float(10 ** rng.uniform(-1, 1))
+    scaled_spec = spec if spec.lam is None else spec.with_lambda(spec.lam * c**2)
+    w, att = _fit(outcomes, spec, cov)
+    w_scaled, att_scaled = _fit(c * outcomes, scaled_spec, cov)
+    assert np.abs(w_scaled - w).max() <= 1e-7
+    assert np.abs(att_scaled - c * att).max() <= 1e-7 * c * np.abs(outcomes).max()

@@ -78,15 +78,6 @@ class TestSolveScm:
         best, _ = simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.3)
         assert scm_objective(blocks, w, cfg) <= best + 1e-5
 
-    def test_entropy_grid_oracle(self, rng):
-        x0 = rng.normal(size=(3, 3))
-        x1 = rng.normal(size=3)
-        blocks = blocks_from(x1, x0)
-        cfg = ScmConfig(zeta=0.2, penalty="entropy", tol=1e-7)
-        w = solve_scm(blocks, cfg)
-        best, _ = simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.2, penalty="entropy")
-        assert scm_objective(blocks, w, cfg) <= best + 1e-5
-
     def test_kkt_residual_on_random_instances(self, rng):
         for _ in range(20):
             n0 = int(rng.integers(4, 20))
@@ -203,10 +194,6 @@ class TestDonorWeights:
 
 
 class TestConfigValidation:
-    def test_bad_penalty(self):
-        with pytest.raises(ConfigError):
-            ScmConfig(penalty="l1")
-
     def test_negative_zeta(self):
         with pytest.raises(ConfigError):
             ScmConfig(zeta=-1.0)
@@ -230,7 +217,7 @@ class TestConvergenceDiagnostic:
         from panelctrl.errors import ConvergenceError
 
         blocks = make_blocks(rng, 10, 6)
-        cfg = ScmConfig(max_iter=1, tol=1e-300, penalty="entropy", zeta=1e-4)
+        cfg = ScmConfig(max_iter=1, tol=1e-300, zeta=1e-4)
         with pytest.raises(ConvergenceError) as err:
             solve_scm(blocks, cfg)
         assert err.value.residual is not None
