@@ -261,17 +261,20 @@ def _cmd_cv(args):
 
 def _cmd_placebo(args):
     p, cov = _load_inputs(args)
-    spec = _resolve_spec(args, p, cov)
     times = [s.strip() for s in args.placebo_times.split(",") if s.strip()]
     if not times:
         raise ConfigError("no placebo times given")
     os.makedirs(args.out, exist_ok=True)
+    lambdas = []
     for time_label in times:
         placebo_p = placebo_panel(p, time_label)
-        # covariates are averaged over the periods before the placebo time only
+        # covariates and an auto-selected lambda see only the periods before
+        # the placebo time
         placebo_cov = (
             None if cov is None else covariates_from_long(args.input, placebo_p, cov.names)
         )
+        spec = _resolve_spec(args, placebo_p, placebo_cov)
+        lambdas.append(spec.lam)
         est = estimate(placebo_p, spec, cov=placebo_cov)
         new_t0 = len(est.gap_pre)
         rows = []
@@ -295,8 +298,8 @@ def _cmd_placebo(args):
             "input": os.path.basename(args.input),
             "treated": args.treated,
             "treatment_time": str(args.treatment_time),
-            "method": spec.method,
-            "lambda": spec.lam,
+            "method": args.method,
+            "lambda": lambdas,
             "placebo_times": times,
         },
         seed=args.seed,

@@ -82,15 +82,18 @@ def demean_rows(blocks):
     """Blocks with each unit's pre-period mean removed from its pre outcomes.
 
     Used to fit SCM weights for the de-meaned estimator, which balances
-    residual outcomes rather than levels.
+    residual outcomes rather than levels. The de-meaned columns are then
+    centred over donors, so the default dispersion penalty, computed from
+    this design, does not move when a constant is added to a period.
     """
     x1_raw = blocks.x1 + blocks.centering
     x0_raw = blocks.x0 + blocks.centering
     x1 = x1_raw - x1_raw.mean()
     x0 = x0_raw - x0_raw.mean(axis=1)[:, None]
+    shift = x0.mean(axis=0)
     return PanelBlocks(
-        x1=x1,
-        x0=x0,
+        x1=x1 - shift,
+        x0=x0 - shift,
         y0_post=blocks.y0_post,
         y1_post=blocks.y1_post,
         centering=np.zeros(blocks.t0),

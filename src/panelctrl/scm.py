@@ -2,13 +2,20 @@
 
 Solves
 
-    min_g  ||V^{1/2}(x1 - x0' g)||^2 + zeta * sum_i f(g_i)
+    min_g  ||V^{1/2}(x1 - x0' g)||^2 + zeta * sum_i g_i^2
     s.t.   sum_i g_i = 1,  g_i >= 0
 
-with f the squared-L2 dispersion penalty f(g) = g^2. The solver runs
-accelerated projected gradient descent with exact Euclidean projection onto
-the simplex, restarting momentum on non-monotone steps, followed by an
-active-set refinement that drives the KKT residual to round-off.
+a convex quadratic program whose Hessian H = 2(x0 V x0' + zeta I) is formed
+once per solve. The solver is a primal active-set method in the style of
+Lawson and Hanson. It starts at the best single-donor vertex (or a
+projected start and its support) and keeps a working set of donors. Each
+iteration solves the equality-constrained problem on that set as a Newton
+step from the current weights. If some weights come out nonpositive, it
+steps to the feasibility boundary and drops every donor that reaches zero.
+Otherwise it adds the off-set donor whose gradient lies furthest below the
+multiplier, and stops when none does. Optimal supports are small, so a
+solve costs a few small dense KKT systems; the result is checked against
+the unit-step projected-gradient KKT residual.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ class ScmConfig:
         ``1e-8 * tr(x0' V x0) / N0``, which breaks ties between otherwise
         non-unique un-penalized solutions; an explicit 0.0 is honored.
     max_iter : int
-        Iteration cap for the gradient loop.
+        Cap on active-set iterations (one KKT solve each).
     tol : float
         KKT residual target (unit-step projected-gradient fixed-point norm).
     """
@@ -155,6 +162,10 @@ def scm_objective(blocks, w, cfg=None):
     cfg = cfg or ScmConfig()
     v, zeta = cfg.resolve(blocks)
     g = np.asarray(w.values if isinstance(w, DonorWeights) else w, dtype=float)
+    return _objective(blocks, v, zeta, g)
+
+
+def _objective(blocks, v, zeta, g):
     gap = blocks.x1 - blocks.x0.T @ g
     fit = float(np.sum(v * gap**2))
     if zeta == 0.0:
@@ -193,150 +204,129 @@ def solve_scm(blocks, cfg=None, start=None, trace=None):
         one, the solution is invariant to column centering.
     cfg : ScmConfig
     start : array or None
-        Feasible starting point; uniform weights when None.
+        Starting point, projected onto the simplex; its support is the
+        first working set. None starts at the best single-donor vertex.
     trace : list or None
-        When given, objective values of accepted iterates are appended
-        (non-increasing by construction).
+        When given, the objective value of every accepted iterate is
+        appended (non-increasing by construction).
 
     Raises
     ------
     ConvergenceError
-        If the KKT residual target is not met within ``max_iter``; the
-        exception carries the final residual.
+        If the KKT residual target is not met within ``max_iter``
+        active-set iterations; the exception carries the final residual.
     """
     cfg = cfg or ScmConfig()
     n0 = blocks.x0.shape[0]
     if n0 < 2:
         raise ConfigError("need at least 2 donor units")
     v, zeta = cfg.resolve(blocks)
+    xv = blocks.x0 * v
+    hess = 2.0 * (xv @ blocks.x0.T)
+    hess[np.diag_indices(n0)] += 2.0 * zeta
+    # H is positive semidefinite, so its largest entry is on the diagonal
+    scale = max(1.0, float(hess.diagonal().max()))
 
     if start is None:
-        g = np.full(n0, 1.0 / n0)
+        g = np.zeros(n0)
+        g[int(np.argmin(np.sum(v * (blocks.x1 - blocks.x0) ** 2, axis=1)))] = 1.0
     else:
         g = project_simplex(np.asarray(start, dtype=float))
+        # weights below the resolution of a unit sum are round-off that the
+        # projection spreads over every zero of an already feasible start
+        g[g < np.finfo(float).eps] = 0.0
+    active = g > 0.0
+    support = np.flatnonzero(active)
+    grad = _gradient(blocks, v, zeta, g)
+    if trace is not None:
+        trace.append(_objective(blocks, v, zeta, g))
+    stationary = np.ptp(grad[support]) <= _tiny(grad[support].sum() / support.size)
+    # the objective strictly decreases from one stationary working set to the
+    # next, so meeting one again means round-off is cycling the method
+    seen = set()
 
-    g, res = _solve_l2(blocks, v, zeta, g, cfg, trace)
+    for it in range(1, cfg.max_iter + 1):
+        if stationary:
+            key = active.tobytes()
+            if key in seen:
+                break
+            seen.add(key)
+            mu = float(grad[support].sum()) / support.size
+            j = int(np.argmin(np.where(active, np.inf, grad)))
+            if grad[j] >= mu - _tiny(mu):
+                break
+            active[j] = True
+            support = np.flatnonzero(active)
+        gs = g[support]
+        z = gs + _newton_step(hess, scale, grad, support, gs)
+        blocked = z <= 0.0
+        stationary = not blocked.any()
+        if not stationary:
+            if np.any(blocked & (gs == 0.0)):
+                # only a just-added donor starts at zero; its weight came out
+                # nonpositive by round-off, so adding it cannot make progress
+                break
+            # step towards z until the first weight reaches zero; drop every
+            # weight that gets there
+            ratio = np.full(support.size, np.inf)
+            ratio[blocked] = gs[blocked] / (gs[blocked] - z[blocked])
+            alpha = ratio.min()
+            z = np.maximum(gs + alpha * (z - gs), 0.0)
+            z[ratio <= alpha] = 0.0
+        g[support] = z
+        if not stationary:
+            active = g > 0.0
+            support = np.flatnonzero(active)
+        grad = _gradient(blocks, v, zeta, g)
+        if trace is not None:
+            trace.append(_objective(blocks, v, zeta, g))
 
+    g = g / g.sum()  # strip round-off in the sum
+    res = float(np.linalg.norm(g - project_simplex(g - _gradient(blocks, v, zeta, g))))
+    logger.debug(
+        "scm active-set solve: %d donors, %d iterations, support %d, KKT residual %.3e",
+        n0, it, int(np.count_nonzero(g)), res,
+    )
     if res > cfg.tol:
         raise ConvergenceError(
-            f"SCM solver stopped after {cfg.max_iter} iterations with KKT residual "
+            f"SCM solver stopped after {it} active-set iterations with KKT residual "
             f"{res:.3e} > tol {cfg.tol:.3e}",
             residual=res,
         )
-    g = project_simplex(g)
-    g = g / g.sum()  # strip projection round-off at large data scales
     return DonorWeights(values=g, provenance="scm", sum_constrained=True, simplex=True)
 
 
-def _solve_l2(blocks, v, zeta, g, cfg, trace):
-    """Monotone FISTA with restarts, then active-set polish."""
-    b = blocks.x0 * np.sqrt(v)
-    lips = 2.0 * (float(np.linalg.norm(b, 2)) ** 2 + zeta)
-    if lips <= 0.0:
-        return g, 0.0
-    step = 1.0 / lips
-
-    def fval(x):
-        gap = blocks.x1 - blocks.x0.T @ x
-        return float(np.sum(v * gap**2) + zeta * np.sum(x**2))
-
-    def grad(x):
-        gap = blocks.x1 - blocks.x0.T @ x
-        return -2.0 * (blocks.x0 @ (v * gap)) + 2.0 * zeta * x
-
-    f_cur = fval(g)
-    if trace is not None:
-        trace.append(f_cur)
-    y = g.copy()
-    t_mom = 1.0
-    res = np.inf
-    check_every = 10
-    for it in range(cfg.max_iter):
-        cand = project_simplex(y - step * grad(y))
-        f_cand = fval(cand)
-        if f_cand > f_cur:
-            # restart momentum; a plain projected step from g is a descent step
-            y = g.copy()
-            t_mom = 1.0
-            cand = project_simplex(g - step * grad(g))
-            f_cand = fval(cand)
-            if f_cand > f_cur:
-                cand, f_cand = g, f_cur
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
-        y = cand + ((t_mom - 1.0) / t_next) * (cand - g)
-        g, f_cur, t_mom = cand, f_cand, t_next
-        if trace is not None:
-            trace.append(f_cur)
-        if it % check_every == 0 or it == cfg.max_iter - 1:
-            gr = grad(g)
-            res = float(np.linalg.norm(g - project_simplex(g - gr)))
-            if res <= cfg.tol:
-                break
-            polished = _active_set_polish(blocks, v, zeta, g)
-            if polished is not None:
-                fp = fval(polished)
-                if fp <= f_cur + 1e-15 * max(1.0, abs(f_cur)):
-                    rp = float(
-                        np.linalg.norm(polished - project_simplex(polished - grad(polished)))
-                    )
-                    if rp < res:
-                        g, f_cur, res = polished, fp, rp
-                        if trace is not None:
-                            trace.append(f_cur)
-                        if res <= cfg.tol:
-                            break
-                        y, t_mom = g.copy(), 1.0
-    logger.debug("scm l2 solve: %d donors, residual %.3e", len(g), res)
-    return g, res
+def _tiny(mu):
+    """Gradient differences below this are round-off, not optimality gaps."""
+    return 1e-12 * max(1.0, abs(float(mu)))
 
 
-def _active_set_polish(blocks, v, zeta, g, rounds=None):
-    """Solve the equality-constrained QP restricted to the active support.
+def _newton_step(hess, scale, grad, support, gs):
+    """Step from gs to the minimizer on the support subject to sum(g) = 1.
 
-    Returns a candidate weight vector on the simplex or None when the
-    restricted solve fails to produce one.
+    The right-hand side is the gradient formed from the fit gap, which keeps
+    full accuracy when x0'g nearly matches x1 at a large data scale.
     """
-    n0 = g.shape[0]
-    support = np.nonzero(g > 1e-12)[0]
-    if support.size == 0:
-        return None
-    xv = blocks.x0 * np.sqrt(v)
-    rounds = rounds if rounds is not None else n0 + 2
-    for _ in range(rounds):
-        k = support.size
-        a = 2.0 * (xv[support] @ xv[support].T + zeta * np.eye(k))
-        rhs = 2.0 * (blocks.x0[support] @ (v * blocks.x1))
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = a
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        vec = np.append(rhs, 1.0)
-        try:
-            sol = np.linalg.solve(kkt, vec)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, vec, rcond=None)
-        ws = sol[:k]
-        if np.all(ws >= -1e-14):
-            full = np.zeros(n0)
-            full[support] = np.maximum(ws, 0.0)
-            s = full.sum()
-            if s <= 0:
-                return None
-            full /= s
-            # grow the support if an off-support coordinate violates optimality
-            grad = _gradient(blocks, v, zeta, full)
-            mu = float(np.mean(grad[support]))
-            off = np.setdiff1d(np.arange(n0), support, assume_unique=False)
-            if off.size and np.any(grad[off] < mu - 1e-12 * max(1.0, abs(mu))):
-                worst = off[int(np.argmin(grad[off]))]
-                support = np.sort(np.append(support, worst))
-                continue
-            return full
-        drop = support[int(np.argmin(ws))]
-        support = support[support != drop]
-        if support.size == 0:
-            return None
-    return None
+    k = support.size
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = hess[support[:, None], support]
+    kkt[:k, k] = 1.0
+    kkt[k, :k] = 1.0
+    rhs = np.empty(k + 1)
+    np.negative(grad[support], out=rhs[:k])
+    rhs[k] = 1.0 - gs.sum()
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+        # a numerically singular system (zeta = 0 with duplicate donors, or a
+        # start whose support outnumbers the periods) can return a huge,
+        # inaccurate step instead of raising
+        err = np.abs(kkt @ sol - rhs).max()
+        singular = not err <= 1e-8 * (scale + np.abs(rhs).max())
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    return sol[:k]
 
 
 def imbalance(blocks, w, importance=None):

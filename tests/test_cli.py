@@ -258,6 +258,8 @@ class TestPlacebo:
         rows = read_rows(out / "placebo_gap_8.csv")
         assert rows[0] == ["time", "observed", "counterfactual", "gap", "placebo_time"]
         assert len(rows) == 11  # header + true-pre periods only
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["lambda"] == [1.0, 1.0]  # one per placebo time
 
 
     @pytest.mark.parametrize("period, changes", [(10, False), (13, False), (5, True)])
@@ -282,6 +284,34 @@ class TestPlacebo:
         before = run(panel_csv, tmp_path / "orig")
         after = run(str(edited), tmp_path / "edited")
         assert (before != after) == changes
+
+    def test_auto_lambda_selected_before_placebo_time(self, panel_csv, tmp_path):
+        # the period-10 row is a placebo effect computed from donor outcomes
+        # at period 10, so only the rows before it must stay byte-identical
+        def run(source, out):
+            rc = main([
+                "placebo", "--input", source, "--treated", "u0",
+                "--treatment-time", "11", "--placebo-times", "8", "--out", str(out),
+            ])
+            assert rc == 0
+            with open(out / "manifest.json") as fh:
+                lambdas = json.load(fh)["config"]["lambda"]
+            with open(out / "placebo_gap_8.csv", "rb") as fh:
+                lines = fh.read().splitlines()
+            assert lines[-1].startswith(b"10,")
+            return lines[:-1], lambdas
+
+        rows = read_rows(panel_csv)
+        for row in rows[1:]:
+            if row[0] == "u3" and row[1] == "10":
+                row[2] = format(float(row[2]) + 3.0, ".17g")
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        before, lam_before = run(panel_csv, tmp_path / "orig")
+        after, lam_after = run(str(edited), tmp_path / "edited")
+        assert before == after
+        assert len(lam_before) == 1 and lam_before == lam_after
 
     def test_non_numeric_placebo_time_exit_code(self, panel_csv, tmp_path):
         rc = main([

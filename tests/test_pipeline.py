@@ -223,20 +223,9 @@ def test_weights_sum_to_one_exactly(seed, method, mode):
     assert abs(math.fsum(w) - 1.0) <= 1e-12
 
 
-_DEMEANED_SHIFT = pytest.mark.xfail(
-    strict=True,
-    reason="the default zeta is computed on the de-meaned design, whose columns "
-    "are not centred, so a per-period shift changes the penalty",
-)
-
-
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
-@pytest.mark.parametrize(
-    "method, mode",
-    [pytest.param(*case, marks=_DEMEANED_SHIFT) if case[0] == "demeaned" else case
-     for case in CASES],
-)  # fmt: skip
+@pytest.mark.parametrize("method, mode", CASES)
 def test_per_period_shift_leaves_weights_and_att_unchanged(seed, method, mode):
     rng, outcomes, spec, cov = _draw(seed, method, mode)
     shift = rng.normal(scale=10.0, size=outcomes.shape[1])

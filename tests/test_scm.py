@@ -1,7 +1,12 @@
+import logging
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from panelctrl.errors import ConfigError
+from panelctrl.errors import ConfigError, ConvergenceError
 from panelctrl.panel import PanelBlocks
 from panelctrl.scm import (
     DonorWeights,
@@ -90,9 +95,37 @@ class TestSolveScm:
         for _ in range(10):
             blocks = make_blocks(rng, 8, 5)
             trace = []
-            solve_scm(blocks, trace=trace)
+            w = solve_scm(blocks, trace=trace)
+            # the start is the first accepted iterate; only a solution at the
+            # starting vertex itself needs no move
+            assert len(trace) >= (2 if np.count_nonzero(w.values) > 1 else 1)
             diffs = np.diff(np.asarray(trace))
             assert np.all(diffs <= 1e-12)
+
+    def test_warm_start_at_solution_accepts_one_iterate(self, rng):
+        for _ in range(10):
+            blocks = make_blocks(rng, 12, 6)
+            w = solve_scm(blocks)
+            trace = []
+            again = solve_scm(blocks, start=w.values, trace=trace)
+            assert len(trace) == 1
+            assert np.abs(again.values - w.values).max() < 1e-12
+
+    def test_near_duplicate_donors_do_not_cycle(self):
+        # with zeta = 0 a just-added near twin of a support donor can come out
+        # with a nonpositive weight by round-off; the solver must stop there,
+        # not drop and re-add it until max_iter (convergence on such designs
+        # is not guaranteed, so a ConvergenceError is allowed)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x0 = rng.normal(size=(20, 6))
+            x0 = np.vstack([x0, x0 + rng.normal(size=x0.shape) * 1e-9])
+            trace = []
+            try:
+                solve_scm(blocks_from(rng.normal(size=6), x0), ScmConfig(zeta=0.0), trace=trace)
+            except ConvergenceError:
+                pass
+            assert len(trace) < 50
 
     def test_unique_solution_from_different_starts(self, rng):
         for _ in range(10):
@@ -149,6 +182,38 @@ class TestSolveScm:
         )
         with pytest.raises(ConfigError):
             solve_scm(one)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    duplicates=st.booleans(),
+    wide=st.booleans(),
+    inside_hull=st.booleans(),
+    negative_start=st.booleans(),
+    zero_zeta=st.booleans(),
+)
+def test_solution_is_a_kkt_point_on_the_simplex(
+    seed, duplicates, wide, inside_hull, negative_start, zero_zeta
+):
+    """Duplicate donors (zeta = 0), more donors than periods, an exactly
+    reachable treated unit and infeasible starts all end at a KKT point."""
+    rng = np.random.default_rng(seed)
+    if wide:
+        n0, t0 = 120, 10
+    else:
+        n0, t0 = int(rng.integers(2, 15)), int(rng.integers(2, 12))
+    x0 = rng.normal(size=(n0, t0))
+    if duplicates:
+        x0 = np.vstack([x0, x0[rng.integers(n0, size=int(rng.integers(1, n0 + 1)))]])
+    x1 = x0.T @ rng.dirichlet(np.ones(x0.shape[0])) if inside_hull else rng.normal(size=t0)
+    cfg = ScmConfig(zeta=0.0 if duplicates or zero_zeta else None)
+    start = rng.normal(size=x0.shape[0]) if negative_start else None
+    blocks = blocks_from(x1, x0)
+    w = solve_scm(blocks, cfg, start=start)
+    assert kkt_residual(blocks, w, cfg) <= 1e-8
+    assert w.values.min() >= 0.0
+    assert abs(math.fsum(w.values) - 1.0) <= 1e-12
 
 
 class TestImbalance:
@@ -214,11 +279,19 @@ class TestConfigValidation:
 
 class TestConvergenceDiagnostic:
     def test_non_convergence_carries_residual(self, rng):
-        from panelctrl.errors import ConvergenceError
-
         blocks = make_blocks(rng, 10, 6)
         cfg = ScmConfig(max_iter=1, tol=1e-300, zeta=1e-4)
         with pytest.raises(ConvergenceError) as err:
             solve_scm(blocks, cfg)
         assert err.value.residual is not None
         assert err.value.residual > 0
+        assert "after 1 active-set iterations" in str(err.value)
+
+    def test_debug_log_reports_iterations_support_and_residual(self, rng, caplog):
+        blocks = make_blocks(rng, 10, 6)
+        with caplog.at_level(logging.DEBUG, logger="panelctrl.scm"):
+            w = solve_scm(blocks)
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "panelctrl.scm"]
+        support = int(np.count_nonzero(w.values))
+        assert f"support {support}," in message
+        assert " iterations" in message and "KKT residual" in message
