@@ -9,14 +9,12 @@ Carlo harness for calibrated evaluation.
 
 from .covariates import (
     CovariatePanel,
-    ResidualizedPanel,
+    balance_covariates,
     balance_table,
     covariates_from_long,
-    joint_augment,
-    joint_solve,
     residualize,
+    stacked_blocks,
     standardize_to_outcomes,
-    two_step_weights,
 )
 from .errors import (
     ConfigError,
@@ -44,10 +42,10 @@ from .ridge import (
     BoundSketch,
     ControlSVD,
     RidgeFit,
+    augment_path,
     augment_weights,
     bound_sketch,
     fit_ridge,
-    ridge_weights,
     svd_imbalance,
     verify_penalized_form,
     weight_norm_bound,
@@ -84,17 +82,15 @@ __all__ = [
     "BoundSketch",
     "fit_ridge",
     "augment_weights",
-    "ridge_weights",
+    "augment_path",
     "verify_penalized_form",
     "svd_imbalance",
     "weight_norm_bound",
     "bound_sketch",
     "CovariatePanel",
-    "ResidualizedPanel",
-    "joint_solve",
-    "joint_augment",
+    "stacked_blocks",
     "residualize",
-    "two_step_weights",
+    "balance_covariates",
     "standardize_to_outcomes",
     "balance_table",
     "covariates_from_long",

@@ -35,7 +35,6 @@ from .ridge import (
     verify_penalized_form,
     weight_norm_bound,
 )
-from .scm import ScmConfig
 from .selection import default_lambda_grid, loo_cv, placebo_panel, select_lambda
 from .sim import default_dgp, run_monte_carlo
 
@@ -159,24 +158,20 @@ def _load_inputs(args):
 
 
 def _resolve_spec(args, p, cov):
-    lam = args.lam
-    if lam is None and args.method in ("ridge", "ridge_ascm"):
-        if cov is not None:
-            raise ConfigError(
-                "--covariates with a ridge method needs --lambda: "
-                "cross-validation does not use covariates"
-            )
-        rule = args.select or "one-se"
-        blocks = split_and_center(p, center=True)
-        cv = loo_cv(blocks, cfg=ScmConfig(zeta=args.zeta))
-        lam = select_lambda(cv, rule)
-        logger.info("selected lambda %.6g by rule %s", lam, rule)
-    return EstimatorSpec(
+    """The spec of the command line; a ridge method without ``--lambda`` gets
+    the penalty chosen by cross-validating that same method and covariates."""
+    spec = EstimatorSpec(
         method=args.method,
-        lam=lam,
+        lam=args.lam,
         zeta=args.zeta,
         covariate_mode=args.covariate_mode,
     )
+    if spec.lam is None and spec.needs_lambda():
+        rule = args.select or "one-se"
+        cv = loo_cv(split_and_center(p, center=True), spec, cov)
+        spec = spec.with_lambda(select_lambda(cv, rule))
+        logger.info("selected lambda %.6g by rule %s", spec.lam, rule)
+    return spec
 
 
 def _cmd_estimate(args):
@@ -236,7 +231,7 @@ def _cmd_estimate(args):
 def _cmd_cv(args):
     p, _ = _load_inputs(args)
     blocks = split_and_center(p, center=True)
-    cv = loo_cv(blocks, mode=args.mode, cfg=ScmConfig(zeta=args.zeta))
+    cv = loo_cv(blocks, EstimatorSpec(zeta=args.zeta), mode=args.mode)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "cv.csv"), ["lambda", "cv_mse", "cv_se"], cv.rows())
     selected = select_lambda(cv, args.select)

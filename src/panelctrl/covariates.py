@@ -1,12 +1,15 @@
-"""Auxiliary covariates: joint balancing and two-step residualization.
+"""Auxiliary covariates: the stacked and the residualized designs.
 
-Two routes are supported. The joint route stacks (scaled) covariates next
-to the lagged outcomes and runs the usual machinery on the longer feature
-vector. The two-step route regresses pre- and post-treatment outcomes on
-the control covariates, fits the augmented estimator on the residualized
-series, and corrects with an unregularized covariate term; the resulting
-weights balance the covariates exactly no matter how well the synthetic
-control fits.
+Covariates reach an estimator by changing the design its weights balance;
+the weights themselves come from the estimator pipeline in
+:mod:`panelctrl.estimators`. The joint route stacks standardized
+covariates next to the lagged outcomes (:func:`stacked_blocks`), so the
+anchor weights and the ridge adjustment both balance the longer feature
+vector. The two-step route removes the control-fitted covariate projection
+from the lagged outcomes (:func:`residualize`), fits the anchor and the
+adjustment there, and shifts the anchor by the unregularized covariate
+correction (:func:`balance_covariates`); the resulting weights balance the
+covariates exactly no matter how well the synthetic control fits.
 """
 
 from __future__ import annotations
@@ -21,20 +24,15 @@ import numpy as np
 
 from .errors import ConfigError, PanelFormatError, SingularityError
 from .panel import PanelBlocks
-from .ridge import ControlSVD, _exact_sum_to_one, augment_weights
-from .scm import DonorWeights, solve_scm
+from .scm import DonorWeights
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "CovariatePanel",
-    "ResidualizedPanel",
-    "joint_solve",
-    "joint_augment",
-    "residualize",
-    "two_step_weights",
     "stacked_blocks",
-    "residualized_blocks",
+    "residualize",
+    "balance_covariates",
     "standardize_to_outcomes",
     "balance_table",
     "covariates_from_long",
@@ -43,19 +41,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovariatePanel:
-    """Treated and control covariates, centered to control column means.
-
-    ``theta_x`` / ``theta_z`` weight the two balance terms in the joint
-    objective; ``lambda_x`` / ``lambda_z`` are the per-block regression
-    penalties (None means "use the penalty passed at call time").
-    """
+    """Treated and control covariates, centered to control column means."""
 
     z1: np.ndarray
     z0: np.ndarray
-    theta_x: float = 1.0
-    theta_z: float = 1.0
-    lambda_x: float | None = None
-    lambda_z: float | None = None
     names: tuple = None
 
     def __post_init__(self):
@@ -74,13 +63,6 @@ class CovariatePanel:
                 raise ConfigError(
                     f"z0 columns must be centered to control means (max |mean| {worst:.3e})"
                 )
-        for name in ("theta_x", "theta_z"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        for name in ("lambda_x", "lambda_z"):
-            val = getattr(self, name)
-            if val is not None and val < 0:
-                raise ConfigError(f"{name} must be nonnegative")
         if self.names is None:
             object.__setattr__(
                 self, "names", tuple(f"z{i + 1}" for i in range(self.k))
@@ -111,21 +93,6 @@ class CovariatePanel:
         return cls(z1=z1 - means, z0=z0c, **kwargs)
 
 
-@dataclass(frozen=True)
-class ResidualizedPanel:
-    """Pre-period outcomes with the control-fitted covariate projection removed."""
-
-    x1_check: np.ndarray
-    x0_check: np.ndarray
-    projection: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x1_check", "x0_check", "projection"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
 def standardize_to_outcomes(cov, blocks):
     """Scale covariate columns to the pooled dispersion of the lagged outcomes.
 
@@ -141,73 +108,26 @@ def standardize_to_outcomes(cov, blocks):
         idx = [cov.names[i] for i in np.nonzero(sds == 0)[0]]
         raise ConfigError(f"constant covariate column(s) {idx} cannot be standardized")
     factors = x_pool / sds
-    scaled = CovariatePanel(
-        z1=cov.z1 * factors,
-        z0=cov.z0 * factors,
-        theta_x=cov.theta_x,
-        theta_z=cov.theta_z,
-        lambda_x=cov.lambda_x,
-        lambda_z=cov.lambda_z,
-        names=cov.names,
-    )
+    scaled = CovariatePanel(z1=cov.z1 * factors, z0=cov.z0 * factors, names=cov.names)
     return scaled, factors
 
 
-def stacked_blocks(blocks, cov, theta=True, z_scale=1.0):
-    """Blocks whose design stacks lagged outcomes and covariates.
+def stacked_blocks(blocks, cov):
+    """Blocks whose design stacks the lagged outcomes and the covariates.
 
-    When ``theta`` is true the two feature groups are multiplied by
-    sqrt(theta_x) and sqrt(theta_z); ``z_scale`` applies an extra factor to
-    the covariate block (used to fold differing regression penalties into
-    a single one).
+    Weights fit to it balance ||x1 - x0'g||^2 + ||z1 - z0'g||^2, so
+    standardize the covariates first to give both groups comparable scale.
     """
-    sx = np.sqrt(cov.theta_x) if theta else 1.0
-    sz = (np.sqrt(cov.theta_z) if theta else 1.0) * z_scale
-    x1 = np.concatenate([sx * blocks.x1, sz * cov.z1])
-    x0 = np.hstack([sx * blocks.x0, sz * cov.z0])
+    if cov.n_donors != blocks.n_donors:
+        raise ConfigError("covariate rows must match the donor count")
+    x1 = np.concatenate([blocks.x1, cov.z1])
+    x0 = np.hstack([blocks.x0, cov.z0])
     return PanelBlocks(
         x1=x1,
         x0=x0,
         y0_post=blocks.y0_post,
         y1_post=blocks.y1_post,
         centering=np.zeros(x1.shape[0]),
-    )
-
-
-def joint_solve(blocks, cov, cfg=None):
-    """Simplex weights balancing lagged outcomes and covariates together.
-
-    Minimizes theta_x ||x1 - x0'g||^2 + theta_z ||z1 - z0'g||^2 plus the
-    dispersion penalty, by running the SCM solver on the stacked, scaled
-    feature matrix. Standardize the covariates first when using the
-    default theta_x = theta_z = 1.
-    """
-    if cov.n_donors != blocks.n_donors:
-        raise ConfigError("covariate rows must match the donor count")
-    return solve_scm(stacked_blocks(blocks, cov, theta=True), cfg)
-
-
-def joint_augment(scm_w, blocks, cov, lam):
-    """Ridge-augmented weights on the stacked (outcomes, covariates) features.
-
-    With a common penalty this is the closed-form augmentation applied to
-    the (T0+K)-dimensional design; differing ``lambda_x`` / ``lambda_z``
-    are folded in by rescaling the covariate block. All the augmentation
-    identities hold on the stacked system. K=0 reduces exactly to the
-    covariate-free path.
-    """
-    lam_x = cov.lambda_x if cov.lambda_x is not None else lam
-    lam_z = cov.lambda_z if cov.lambda_z is not None else lam
-    if lam_x <= 0 or lam_z <= 0:
-        raise ConfigError("joint augmentation requires positive penalties")
-    z_scale = float(np.sqrt(lam_x / lam_z)) if cov.k else 1.0
-    stacked = stacked_blocks(blocks, cov, theta=False, z_scale=z_scale)
-    weights = augment_weights(scm_w, stacked, lam_x)
-    return DonorWeights(
-        values=weights.values,
-        provenance="covariate-adjusted",
-        sum_constrained=True,
-        simplex=False,
     )
 
 
@@ -226,74 +146,41 @@ def _z_gram_solve(cov, rhs):
 
 
 def residualize(blocks, cov):
-    """Remove the control-fitted covariate projection from both treated and
-    control pre-period outcomes."""
+    """Blocks whose pre outcomes have the control-fitted covariate projection
+    removed, for treated and controls alike (post outcomes stay raw).
+
+    The residualized control columns are orthogonal to every covariate, so
+    shifting weights along the covariates leaves their pre-period fit alone.
+    """
     if cov.k == 0:
-        return ResidualizedPanel(
-            x1_check=blocks.x1.copy(),
-            x0_check=blocks.x0.copy(),
-            projection=np.zeros((0, blocks.t0)),
-        )
+        return blocks
     if cov.k >= cov.n_donors:
         raise ConfigError(
             f"two-step residualization needs K < N0 (got K={cov.k}, N0={cov.n_donors})"
         )
     projection = _z_gram_solve(cov, cov.z0.T @ blocks.x0)
-    return ResidualizedPanel(
-        x1_check=blocks.x1 - projection.T @ cov.z1,
-        x0_check=blocks.x0 - cov.z0 @ projection,
-        projection=projection,
-    )
-
-
-def residualized_blocks(blocks, cov):
-    """Blocks carrying the residualized pre outcomes (post outcomes raw)."""
-    rp = residualize(blocks, cov)
     return PanelBlocks(
-        x1=rp.x1_check,
-        x0=rp.x0_check,
+        x1=blocks.x1 - projection.T @ cov.z1,
+        x0=blocks.x0 - cov.z0 @ projection,
         y0_post=blocks.y0_post,
         y1_post=blocks.y1_post,
         centering=np.zeros(blocks.t0),
     )
 
 
-def two_step_weights(scm_w_on_resid, blocks, cov, lam):
-    """Covariate-exact weights from the two-step procedure.
+def balance_covariates(weights, cov):
+    """Weights shifted by the unregularized covariate correction.
 
-    Takes SCM weights fit on the residualized outcomes, augments them in
-    the residualized space with penalty ``lam``, and adds the
-    unregularized covariate correction. The result balances the covariates
-    exactly; the lagged-outcome imbalance shrinks the residualized-space
-    imbalance by at least lam / (lam + s_min(x0_check)^2).
+    Adds z0 (z0'z0)^{-1} (z1 - z0'g), the smallest shift after which the
+    weights balance the covariates exactly; it sums to zero because z0 is
+    centered, so the result is still sum-constrained but leaves the simplex.
     """
     g = np.asarray(
-        scm_w_on_resid.values
-        if isinstance(scm_w_on_resid, DonorWeights)
-        else scm_w_on_resid,
-        dtype=float,
+        weights.values if isinstance(weights, DonorWeights) else weights, dtype=float
     )
-    if cov.k == 0:
-        base = augment_weights(scm_w_on_resid, blocks, lam)
-        return DonorWeights(
-            values=base.values,
-            provenance="covariate-adjusted",
-            sum_constrained=True,
-            simplex=False,
-        )
-    rp = residualize(blocks, cov)
-    svd = ControlSVD.compute(rp.x0_check)
-    resid_gap = rp.x1_check - rp.x0_check.T @ g
-    x_adj = rp.x0_check @ svd.gram_inverse_apply(resid_gap, lam)
-    x_adj -= x_adj.mean()  # zero-sum in exact arithmetic (centered columns)
-    z_adj = cov.z0 @ _z_gram_solve(cov, cov.z1 - cov.z0.T @ g)
-    z_adj -= z_adj.mean()
-    return DonorWeights(
-        values=_exact_sum_to_one(g + x_adj + z_adj),
-        provenance="covariate-adjusted",
-        sum_constrained=True,
-        simplex=False,
-    )
+    shift = cov.z0 @ _z_gram_solve(cov, cov.z1 - cov.z0.T @ g)
+    shift -= shift.mean()  # zero-sum in exact arithmetic (centered columns)
+    return DonorWeights(values=g + shift, sum_constrained=True, simplex=False)
 
 
 def balance_table(cov, weights):

@@ -30,6 +30,7 @@ __all__ = [
     "PanelBlocks",
     "load_panel",
     "split_and_center",
+    "demean_rows",
     "parse_time_label",
     "periods_preceding",
     "period_folds",
@@ -343,6 +344,33 @@ def split_and_center(p, center=True):
     else:
         shift = np.zeros(p.t0)
     return PanelBlocks(x1=x1, x0=x0, y0_post=y0_post, y1_post=y1_post, centering=shift)
+
+
+def demean_rows(blocks):
+    """Blocks under the unit-mean outcome model m(X_i), unit i's pre-period mean.
+
+    Every outcome, pre and post, loses its unit's raw (uncentred) pre-period
+    mean, so weighting the post blocks gives the weighted
+    difference-in-differences effect (Y_1 - m_1) - sum_i g_i (Y_i - m_i).
+    The de-meaned pre columns are then centred over donors, so the default
+    dispersion penalty of an SCM fit to them does not move when a constant
+    is added to a period; with weights summing to one the centring leaves
+    every fit residual unchanged.
+    """
+    x1 = blocks.x1 + blocks.centering
+    x0 = blocks.x0 + blocks.centering
+    m1 = x1.mean()
+    m0 = x0.mean(axis=1)
+    x1 = x1 - m1
+    x0 = x0 - m0[:, None]
+    shift = x0.mean(axis=0)
+    return PanelBlocks(
+        x1=x1 - shift,
+        x0=x0 - shift,
+        y0_post=blocks.y0_post - m0[:, None],
+        y1_post=blocks.y1_post - m1,
+        centering=np.zeros(blocks.t0),
+    )
 
 
 def period_folds(blocks, mode="leave-one"):

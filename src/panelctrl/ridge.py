@@ -1,19 +1,21 @@
 """Ridge outcome model and ridge-augmented synthetic control.
 
-The augmentation has a closed form: starting from SCM weights g, the
+The augmentation has a closed form: starting from anchor weights g, the
 augmented weights are
 
     g_aug_i = g_i + (x1 - x0' g)' (x0' x0 + lam I)^{-1} x_i,
 
 equivalently the minimizer of (1/(2 lam)) ||x1 - x0' w||^2 + (1/2)||w - g||^2
-over sum(w) = 1. Plain ridge regression of post on pre outcomes is the
-same construction anchored at uniform weights. All linear solves go
-through one shared SVD of the scaled control block, with singular values
-below 1e-10 of the largest treated as zero; the same decomposition powers
-the imbalance identities, the weight-norm bound, and the error-bound
-sketch. The public hyper-parameter is always lam = lam_ridge; diagnostics
-that need the scaled convention divide by the donor count internally and
-report both values.
+over sum(w) = 1. It is the only ridge adjustment in the package: ridge ASCM
+anchors it at the SCM weights, plain ridge regression of post on pre
+outcomes at uniform weights, and the covariate estimators apply it on a
+stacked or residualized design. All linear solves go through one shared
+SVD of the scaled control block, with singular values below 1e-10 of the
+largest treated as zero; the same decomposition powers the imbalance
+identities, the weight-norm bound, and the error-bound sketch. The public
+hyper-parameter is always lam = lam_ridge; diagnostics that need the
+scaled convention divide by the donor count internally and report both
+values.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularityError
+from .panel import demean_rows
 from .scm import DonorWeights
 
 logger = logging.getLogger(__name__)
@@ -39,7 +42,7 @@ __all__ = [
     "WeightNormReport",
     "fit_ridge",
     "augment_weights",
-    "ridge_weights",
+    "augment_path",
     "verify_penalized_form",
     "svd_imbalance",
     "weight_norm_bound",
@@ -114,22 +117,23 @@ class ControlSVD:
         """Coordinates of x along the right singular vectors (length m)."""
         return self.v.T @ np.asarray(x, dtype=float)
 
-    def gram_inverse_apply(self, vec, lam):
-        """(x0' x0 + lam I)^{-1} vec via the decomposition.
+    def gram_inverse_apply(self, vec, lams):
+        """(x0' x0 + lam I)^{-1} vec for every lam in ``lams``: a T0 x L matrix.
 
         lam is on the lam_ridge scale. Requires full column rank at lam=0.
         """
         vec = np.asarray(vec, dtype=float)
+        lams = np.asarray(lams, dtype=float)
+        if np.any(lams == 0.0) and not self.full_column_rank:
+            raise SingularityError(
+                f"x0'x0 is singular (rank {self.rank} < {self.t0}); lambda=0 not allowed"
+            )
         coef = self.v.T @ vec
-        if lam == 0.0:
-            if not self.full_column_rank:
-                raise SingularityError(
-                    f"x0'x0 is singular (rank {self.rank} < {self.t0}); lambda=0 not allowed"
-                )
-            return self.v @ (coef / (self.n0 * self.d**2))
-        out = self.v @ (coef / (self.n0 * self.d**2 + lam))
-        out = out + (vec - self.v @ coef) / lam
-        return out
+        out = self.v @ (coef[:, None] / (self.n0 * self.d[:, None] ** 2 + lams))
+        # the part of vec outside the row space is scaled by 1/lam; at lam=0
+        # full column rank leaves no such part
+        inv = np.divide(1.0, lams, out=np.zeros_like(lams), where=lams != 0.0)
+        return out + np.outer(vec - self.v @ coef, inv)
 
 
 @dataclass(frozen=True)
@@ -171,16 +175,6 @@ class AugEstimate:
                 gap = float(self.att[j - t0])
             rows.append((time_ids[j], obs, cf, gap))
         return rows
-
-    def to_dict(self, time_ids=None, observed=None, unit_ids=None):
-        """JSON-ready mapping of the estimate and its weights."""
-        return {
-            "rows": [
-                {"time": str(t), "observed": o, "counterfactual": c, "gap": g}
-                for t, o, c, g in self.to_rows(time_ids, observed)
-            ],
-            "weights": self.weights.to_dict(unit_ids),
-        }
 
 
 @dataclass(frozen=True)
@@ -261,50 +255,34 @@ def fit_ridge(blocks, lam, post_period=0):
     return RidgeFit(intercept=intercept, coefs=coefs, lam=float(lam))
 
 
-def augment_weights(scm_w, blocks, lam, svd=None):
-    """Closed-form ridge-augmented weights anchored at the SCM solution.
+def augment_path(anchor, blocks, lambdas, svd=None):
+    """Ridge-augmented weights for every penalty in ``lambdas`` from one SVD.
 
-    Requires centered blocks and sum-constrained anchor weights. The result
-    is sum-constrained but generally leaves the simplex.
+    Column l is anchor + x0 (x0'x0 + lam_l I)^{-1} (x1 - x0' anchor): an
+    N0 x L matrix whose columns sum to one up to round-off. Requires
+    centered blocks and sum-constrained anchor weights.
     """
-    g = _values(scm_w)
-    if isinstance(scm_w, DonorWeights) and not scm_w.sum_constrained:
+    g = _values(anchor)
+    if isinstance(anchor, DonorWeights) and not anchor.sum_constrained:
         raise ConfigError("anchor weights must be sum-constrained")
-    if lam < 0:
+    lambdas = np.asarray(lambdas, dtype=float)
+    if np.any(lambdas < 0):
         raise ConfigError("lambda must be nonnegative")
     _require_centered(blocks.x0, "augment_weights")
     svd = svd or ControlSVD.compute(blocks.x0)
-    r = blocks.x1 - blocks.x0.T @ g
-    adj = blocks.x0 @ svd.gram_inverse_apply(r, lam)
-    adj -= adj.mean()  # exactly zero-sum in exact arithmetic; strip round-off
-    return DonorWeights(
-        values=_exact_sum_to_one(g + adj),
-        provenance="augmented",
-        sum_constrained=True,
-        simplex=False,
-    )
+    adj = blocks.x0 @ svd.gram_inverse_apply(blocks.x1 - blocks.x0.T @ g, lambdas)
+    adj -= adj.mean(axis=0)  # exactly zero-sum in exact arithmetic; strip round-off
+    return g[:, None] + adj
 
 
-def ridge_weights(blocks, lam, svd=None):
-    """Donor weights realizing the ridge regression prediction.
+def augment_weights(anchor, blocks, lam, svd=None):
+    """Closed-form ridge-augmented weights at one penalty.
 
-    Anchored at uniform 1/N0; the weighted control post outcome equals
-    eta0 + x1' eta from :func:`fit_ridge` on the same design.
+    The single column of :func:`augment_path`, summing to one exactly. The
+    result generally leaves the simplex.
     """
-    if lam < 0:
-        raise ConfigError("lambda must be nonnegative")
-    _require_centered(blocks.x0, "ridge_weights")
-    n0 = blocks.x0.shape[0]
-    svd = svd or ControlSVD.compute(blocks.x0)
-    xbar = blocks.x0.mean(axis=0)
-    adj = blocks.x0 @ svd.gram_inverse_apply(blocks.x1 - xbar, lam)
-    adj -= adj.mean()
-    return DonorWeights(
-        values=_exact_sum_to_one(np.full(n0, 1.0 / n0) + adj),
-        provenance="ridge",
-        sum_constrained=True,
-        simplex=False,
-    )
+    values = augment_path(anchor, blocks, [lam], svd=svd)[:, 0]
+    return DonorWeights(values=_exact_sum_to_one(values), sum_constrained=True, simplex=False)
 
 
 def verify_penalized_form(w, anchor, blocks, lam, threshold=1e-8):
@@ -393,19 +371,16 @@ def demeaned_estimate(scm_w, blocks):
     per-lag form); the two are algebraically identical.
     """
     g = _values(scm_w)
+    demeaned = demean_rows(blocks)
+    level = demeaned.y1_post - g @ demeaned.y0_post
     x1_raw = blocks.x1 + blocks.centering
     x0_raw = blocks.x0 + blocks.centering
-    xbar1 = float(x1_raw.mean())
-    xbar0 = x0_raw.mean(axis=1)
-    level = np.empty(blocks.n_post)
     averaged = np.empty(blocks.n_post)
-    t0 = blocks.t0
     for k in range(blocks.n_post):
         y1 = blocks.y1_post[k]
         y0 = blocks.y0_post[:, k]
-        level[k] = (y1 - xbar1) - float(g @ (y0 - xbar0))
         diffs = [
-            (y1 - x1_raw[t]) - float(g @ (y0 - x0_raw[:, t])) for t in range(t0)
+            (y1 - x1_raw[t]) - float(g @ (y0 - x0_raw[:, t])) for t in range(blocks.t0)
         ]
         averaged[k] = float(np.mean(diffs))
     return level, averaged

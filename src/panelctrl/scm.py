@@ -55,7 +55,11 @@ class ScmConfig:
     max_iter : int
         Cap on active-set iterations (one KKT solve each).
     tol : float
-        KKT residual target (unit-step projected-gradient fixed-point norm).
+        KKT residual target (unit-step projected-gradient fixed-point norm)
+        per unit of curvature: a solve must reach ``tol * max(1, H_max)``,
+        with H_max the largest diagonal entry of the Hessian. The gradient
+        and its round-off grow with the square of the data scale, so the
+        target does too, and a rescaled design gets the same weights.
     """
 
     importance: np.ndarray | None = None
@@ -97,14 +101,13 @@ class ScmConfig:
 
 @dataclass(frozen=True)
 class DonorWeights:
-    """Weight vector over donor units with provenance.
+    """Weight vector over donor units.
 
     ``sum_constrained`` asserts sum(values) == 1 up to 1e-10 and ``simplex``
     additionally asserts nonnegativity up to -1e-12.
     """
 
     values: np.ndarray
-    provenance: str = "scm"
     sum_constrained: bool = True
     simplex: bool = True
 
@@ -112,8 +115,6 @@ class DonorWeights:
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.provenance not in ("scm", "ridge", "augmented", "covariate-adjusted"):
-            raise ConfigError(f"unknown provenance {self.provenance!r}")
         if not np.all(np.isfinite(vals)):
             raise ConfigError("weights must be finite")
         # exact summation: the check must not fail from cancellation when
@@ -126,23 +127,6 @@ class DonorWeights:
 
     def __len__(self):
         return self.values.shape[0]
-
-    def to_rows(self, unit_ids=None):
-        """(unit, weight) pairs for CSV serialization."""
-        if unit_ids is None:
-            unit_ids = [f"unit{i}" for i in range(len(self))]
-        if len(unit_ids) != len(self):
-            raise ConfigError("unit_ids length must match the number of weights")
-        return list(zip(unit_ids, (float(v) for v in self.values)))
-
-    def to_dict(self, unit_ids=None):
-        """JSON-ready mapping with provenance and constraint flags."""
-        return {
-            "weights": {u: w for u, w in self.to_rows(unit_ids)},
-            "provenance": self.provenance,
-            "sum_constrained": self.sum_constrained,
-            "simplex": self.simplex,
-        }
 
 
 def project_simplex(v):
@@ -287,13 +271,14 @@ def solve_scm(blocks, cfg=None, start=None, trace=None):
         "scm active-set solve: %d donors, %d iterations, support %d, KKT residual %.3e",
         n0, it, int(np.count_nonzero(g)), res,
     )
-    if res > cfg.tol:
+    target = cfg.tol * scale
+    if res > target:
         raise ConvergenceError(
             f"SCM solver stopped after {it} active-set iterations with KKT residual "
-            f"{res:.3e} > tol {cfg.tol:.3e}",
+            f"{res:.3e} > target {target:.3e}",
             residual=res,
         )
-    return DonorWeights(values=g, provenance="scm", sum_constrained=True, simplex=True)
+    return DonorWeights(values=g, sum_constrained=True, simplex=True)
 
 
 def _tiny(mu):

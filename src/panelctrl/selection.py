@@ -1,10 +1,11 @@
 """Penalty selection by leave-one-out cross-validation and in-time placebos.
 
 The cross-validation criterion holds out one pre-treatment period at a
-time, refits the SCM weights and the ridge augmentation on the remaining
-periods, and scores the held-out treated outcome against the weighted
-donor outcomes. The "leave-future" variant drops all periods at or after
-the held-out one instead, turning every fold into a forecast.
+time, refits the caller's ridge estimator (its method, covariates and
+dispersion penalty) on the remaining periods, and scores the held-out
+treated outcome against the weighted donor outcomes. The "leave-future"
+variant drops all periods at or after the held-out one instead, turning
+every fold into a forecast.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TreatmentTimeError
+from .estimators import EstimatorSpec, design_and_anchor, estimate
 from .panel import PanelData, period_folds, periods_preceding
-from .ridge import ControlSVD
-from .scm import ScmConfig, solve_scm
+from .ridge import ControlSVD, augment_path
 
 logger = logging.getLogger(__name__)
 
@@ -81,53 +82,50 @@ def default_lambda_grid(blocks, size=20):
     return np.logspace(np.log10(1e3 * s), np.log10(1e-3 * s), size)
 
 
-def loo_cv(blocks, lambda_grid=None, mode="leave-one", cfg=None):
-    """Cross-validated MSE of the ridge-augmented estimator over penalties.
+def loo_cv(blocks, spec=None, cov=None, lambda_grid=None, mode="leave-one"):
+    """Cross-validated MSE of a ridge estimator over penalties.
 
-    For each held-out period t the SCM weights are refit from scratch on
-    the remaining pre periods (they do not depend on the penalty), the
-    augmentation is applied for every grid value, and the held-out treated
-    outcome is predicted as the weighted donor outcome at t. Folds with
-    fewer than two remaining periods are skipped and recorded.
+    ``spec`` names the estimator (default: ridge ASCM with the default
+    dispersion penalty) and ``cov`` its covariates, as for
+    :func:`estimators.estimate`; the spec's own ``lam`` is replaced by each
+    grid value, and a method without a ridge penalty raises ConfigError.
+    For each held-out period t the penalty-free anchor is fit once on the
+    remaining pre periods, the ridge adjustment is applied for the whole
+    grid from one SVD, and the held-out treated outcome is predicted as the
+    weighted donor outcome at t. Folds with fewer than two remaining
+    periods are skipped and recorded.
     """
+    spec = spec or EstimatorSpec()
+    if not spec.needs_lambda():
+        raise ConfigError(f"cross-validation needs a ridge method (got {spec.method!r})")
     if blocks.t0 < 3:
         raise ConfigError("cross-validation needs at least 3 pre periods")
-    cfg = cfg or ScmConfig()
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(blocks)
     grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
     if grid.size == 0 or np.any(grid <= 0):
         raise ConfigError("lambda grid must be nonempty and positive")
 
-    sq_residuals = {li: [] for li in range(grid.size)}
+    sq_residuals = []
     skipped = []
     for t, fold in period_folds(blocks, mode):
         if fold.t0 < _MIN_FOLD_PERIODS:
             skipped.append(t)
             logger.warning("cv fold %d skipped: only %d periods remain", t, fold.t0)
             continue
-        w = solve_scm(fold, cfg)
-        svd = ControlSVD.compute(fold.x0)
-        gap = fold.x1 - fold.x0.T @ w.values
-        target = float(fold.y1_post[-1])
-        donors_at_t = fold.y0_post[:, -1]
-        for li, lam in enumerate(grid):
-            adj = fold.x0 @ svd.gram_inverse_apply(gap, lam)
-            pred = float((w.values + adj) @ donors_at_t)
-            sq_residuals[li].append((target - pred) ** 2)
+        design, anchor = design_and_anchor(fold, spec, cov)
+        preds = fold.y0_post[:, -1] @ augment_path(anchor, design, grid)
+        sq_residuals.append((fold.y1_post[-1] - preds) ** 2)
 
-    n_used = blocks.t0 - len(skipped)
+    n_used = len(sq_residuals)
     if n_used == 0:
         raise ConfigError("all cross-validation folds were skipped")
-    cv_mse = np.array([np.mean(sq_residuals[li]) for li in range(grid.size)])
-    cv_se = np.array(
-        [
-            np.std(sq_residuals[li], ddof=1) / np.sqrt(len(sq_residuals[li]))
-            if len(sq_residuals[li]) > 1
-            else 0.0
-            for li in range(grid.size)
-        ]
-    )
+    sq_residuals = np.array(sq_residuals)
+    cv_mse = sq_residuals.mean(axis=0)
+    if n_used > 1:
+        cv_se = sq_residuals.std(axis=0, ddof=1) / np.sqrt(n_used)
+    else:
+        cv_se = np.zeros(grid.size)
     best = int(np.argmin(cv_mse))
     threshold = cv_mse[best] + cv_se[best]
     within = np.nonzero(cv_mse <= threshold)[0]
@@ -185,6 +183,4 @@ def in_time_placebo(p, placebo_time, spec, cov=None):
     periods before ``placebo_time``, or the placebo fit sees its own
     post period.
     """
-    from .estimators import estimate  # local import to avoid a cycle
-
     return estimate(placebo_panel(p, placebo_time), spec, cov=cov)

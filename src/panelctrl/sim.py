@@ -325,7 +325,10 @@ def default_estimator_bank(lam="cv-min"):
 
     ``lam`` may be a number (fixed penalty for the two ridge entries) or
     one of "cv-min" / "cv-1se", in which case the penalty is selected per
-    replication inside the Monte Carlo loop.
+    replication inside the Monte Carlo loop. That selection cross-validates
+    ``ridge_ascm`` once per replication and both ridge entries share its
+    penalty; a second cross-validation for ``ridge`` alone would double the
+    cost of a replication.
     """
     fixed = None if isinstance(lam, str) else lam
     return {

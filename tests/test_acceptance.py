@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from panelctrl.covariates import CovariatePanel, residualized_blocks, two_step_weights
-from panelctrl.estimators import EstimatorSpec
+from panelctrl.covariates import CovariatePanel, residualize
+from panelctrl.estimators import EstimatorSpec, weights_for_design
 from panelctrl.inference import conformal_p, jackknife_plus
 from panelctrl.panel import PanelBlocks, PanelData, split_and_center
 from panelctrl.ridge import (
@@ -23,7 +23,6 @@ from panelctrl.ridge import (
     bound_sketch,
     demeaned_estimate,
     fit_ridge,
-    ridge_weights,
     svd_imbalance,
     verify_penalized_form,
     weight_norm_bound,
@@ -81,6 +80,9 @@ def test_criterion_01_closed_form_equivalence(instances):
 
 
 def test_criterion_02_ridge_weighting_identity(instances):
+    def ridge_weights(blocks, lam):
+        return weights_for_design(blocks, EstimatorSpec(method="ridge", lam=lam))
+
     worst = 0.0
     for blocks, _, lam in instances:
         w = ridge_weights(blocks, lam)
@@ -142,9 +144,11 @@ def test_criterion_05_two_step_covariates():
         )
         cov = CovariatePanel.from_raw(z1=rng.normal(size=k), z0=rng.normal(size=(n0, k)))
         lam = float(10 ** rng.uniform(-1, 3))
-        resid = residualized_blocks(blocks, cov)
+        resid = residualize(blocks, cov)
         w = solve_scm(resid)
-        tw = two_step_weights(w, blocks, cov, lam)
+        tw = weights_for_design(
+            blocks, EstimatorSpec(lam=lam, covariate_mode="residualize"), cov
+        )
         worst_z = max(worst_z, float(np.abs(cov.z1 - cov.z0.T @ tw.values).max()))
         svd = ControlSVD.compute(resid.x0)
         factor = (

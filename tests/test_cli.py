@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from panelctrl.cli import main
+from panelctrl.covariates import covariates_from_long
 from panelctrl.estimators import EstimatorSpec
 from panelctrl.inference import jackknife_plus
-from panelctrl.panel import load_panel
+from panelctrl.panel import load_panel, split_and_center
+from panelctrl.selection import loo_cv, placebo_panel, select_lambda
 
 
 @pytest.fixture
@@ -171,18 +173,36 @@ class TestEstimate:
         assert rc == 2
 
     def test_covariates_without_lambda_exit_code(self, panel_csv, tmp_path):
-        # the cross-validation that would pick lambda ignores covariates
+        # lambda comes from cross-validating the covariate-adjusted estimator
+        p = load_panel(panel_csv, "u0", "11")
+        cov = covariates_from_long(panel_csv, p, ["gdp"])
+        for mode in ("joint", "residualize"):
+            out = tmp_path / mode
+            rc = main([
+                "estimate", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+                "--covariates", "gdp", "--covariate-mode", mode, "--out", str(out),
+            ])
+            assert rc == 0
+            spec = EstimatorSpec(covariate_mode=mode)
+            expected = select_lambda(loo_cv(split_and_center(p), spec, cov), "one-se")
+            assert expected != select_lambda(loo_cv(split_and_center(p), spec), "one-se")
+            manifest = json.loads(open(out / "manifest.json").read())
+            assert manifest["config"]["lambda"] == expected
+
+    def test_ridge_lambda_chosen_by_ridge_cv(self, panel_csv, tmp_path):
+        out = tmp_path / "est"
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0",
-            "--treatment-time", "11", "--covariates", "gdp", "--out", str(tmp_path / "x"),
+            "--treatment-time", "11", "--method", "ridge", "--select", "min", "--out", str(out),
         ])
-        assert rc == 3
+        assert rc == 0
+        blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
+        expected = select_lambda(loo_cv(blocks, EstimatorSpec(method="ridge")), "min")
+        assert expected != select_lambda(loo_cv(blocks), "min")
+        manifest = json.loads(open(out / "manifest.json").read())
+        assert manifest["config"]["lambda"] == expected
 
     def test_cv_lambda_uses_zeta(self, panel_csv, tmp_path):
-        from panelctrl.panel import load_panel, split_and_center
-        from panelctrl.scm import ScmConfig
-        from panelctrl.selection import loo_cv, select_lambda
-
         out = tmp_path / "est"
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0",
@@ -190,7 +210,7 @@ class TestEstimate:
         ])
         assert rc == 0
         blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
-        expected = select_lambda(loo_cv(blocks, cfg=ScmConfig(zeta=1.0)), "min")
+        expected = select_lambda(loo_cv(blocks, EstimatorSpec(zeta=1.0)), "min")
         assert expected != select_lambda(loo_cv(blocks), "min")
         manifest = json.loads(open(out / "manifest.json").read())
         assert manifest["config"]["lambda"] == expected
@@ -322,12 +342,20 @@ class TestPlacebo:
         assert rc == 2
 
     def test_covariates_without_lambda_exit_code(self, panel_csv, tmp_path):
+        # each placebo lambda cross-validates the covariate-adjusted estimator
+        # on the periods before its placebo time
+        out = tmp_path / "pl"
         rc = main([
             "placebo", "--input", panel_csv, "--treated", "u0",
             "--treatment-time", "11", "--covariates", "gdp",
-            "--placebo-times", "8", "--out", str(tmp_path / "pl"),
+            "--placebo-times", "8", "--out", str(out),
         ])
-        assert rc == 3
+        assert rc == 0
+        placebo_p = placebo_panel(load_panel(panel_csv, "u0", "11"), "8")
+        cov = covariates_from_long(panel_csv, placebo_p, ["gdp"])
+        cv = loo_cv(split_and_center(placebo_p), EstimatorSpec(), cov)
+        manifest = json.loads(open(out / "manifest.json").read())
+        assert manifest["config"]["lambda"] == [select_lambda(cv, "one-se")]
 
 
 class TestSimulate:

@@ -7,18 +7,15 @@ from panelctrl.covariates import (
     CovariatePanel,
     balance_table,
     covariates_from_long,
-    joint_augment,
-    joint_solve,
     residualize,
-    residualized_blocks,
     stacked_blocks,
     standardize_to_outcomes,
-    two_step_weights,
 )
 from panelctrl.errors import ConfigError, SingularityError
+from panelctrl.estimators import EstimatorSpec, weights_for_design
 from panelctrl.panel import load_panel
 from panelctrl.ridge import ControlSVD, augment_weights, verify_penalized_form
-from panelctrl.scm import ScmConfig, imbalance, solve_scm
+from panelctrl.scm import DonorWeights, ScmConfig, imbalance, solve_scm
 
 from conftest import make_blocks
 
@@ -27,6 +24,11 @@ def make_cov(rng, n0, k, **kwargs):
     z0 = rng.normal(size=(n0, k))
     z1 = rng.normal(size=k)
     return CovariatePanel.from_raw(z1=z1, z0=z0, **kwargs)
+
+
+def covariate_weights(blocks, cov, lam, mode):
+    spec = EstimatorSpec(lam=lam, covariate_mode=mode)
+    return weights_for_design(blocks, spec, cov)
 
 
 class TestCovariatePanel:
@@ -46,10 +48,12 @@ class TestCovariatePanel:
 
 class TestJointSolve:
     def test_theta_z_zero_matches_plain_scm(self, rng):
+        # covariates scaled to zero add nothing to the stacked objective
         blocks = make_blocks(rng, 6, 4)
-        cov = make_cov(rng, 6, 2, theta_z=0.0)
+        cov = make_cov(rng, 6, 2)
+        cov = CovariatePanel(z1=0.0 * cov.z1, z0=0.0 * cov.z0)
         cfg = ScmConfig(zeta=1e-4)
-        w_joint = joint_solve(blocks, cov, cfg)
+        w_joint = solve_scm(stacked_blocks(blocks, cov), cfg)
         w_plain = solve_scm(blocks, cfg)
         assert np.abs(w_joint.values - w_plain.values).max() < 1e-6
 
@@ -59,9 +63,9 @@ class TestJointSolve:
         from panelctrl.panel import PanelBlocks
 
         blocks = make_blocks(rng, 5, 3)
-        cov = CovariatePanel(z1=blocks.x1.copy(), z0=blocks.x0.copy(), theta_z=1.0)
+        cov = CovariatePanel(z1=blocks.x1.copy(), z0=blocks.x0.copy())
         cfg = ScmConfig(zeta=1e-5)
-        w_dup = joint_solve(blocks, cov, cfg)
+        w_dup = solve_scm(stacked_blocks(blocks, cov), cfg)
         doubled = PanelBlocks(
             x1=np.sqrt(2.0) * blocks.x1,
             x0=np.sqrt(2.0) * blocks.x0,
@@ -73,15 +77,17 @@ class TestJointSolve:
         assert np.abs(w_dup.values - w_two.values).max() < 1e-6
 
     def test_dominant_theta_z_balances_z(self, rng):
+        # covariates scaled by 1e3 weigh 1e6 times the lagged outcomes
         n0 = 6
         x0 = rng.normal(size=(n0, 4))
         x0 = x0 - x0.mean(axis=0)
         g_true = rng.dirichlet(np.ones(n0))
         z0 = rng.normal(size=(n0, 1))
         z0 = z0 - z0.mean(axis=0)
-        cov = CovariatePanel(z1=z0.T @ g_true, z0=z0, theta_z=1e6)
+        cov = CovariatePanel(z1=z0.T @ g_true, z0=z0)
         blocks = make_blocks(rng, n0, 4)
-        w = joint_solve(blocks, cov, ScmConfig(zeta=0.0, tol=1e-10))
+        scaled = CovariatePanel(z1=1e3 * cov.z1, z0=1e3 * cov.z0)
+        w = solve_scm(stacked_blocks(blocks, scaled), ScmConfig(zeta=0.0, tol=1e-10))
         z_gap = float(np.abs(cov.z1 - cov.z0.T @ w.values).max())
         assert z_gap < 1e-4
 
@@ -90,9 +96,8 @@ class TestJointAugment:
     def test_k_zero_matches_plain_augment(self, rng):
         blocks = make_blocks(rng, 6, 4)
         cov = CovariatePanel(z1=np.zeros(0), z0=np.zeros((6, 0)))
-        w = solve_scm(blocks)
-        aug = joint_augment(w, blocks, cov, 1.5)
-        plain = augment_weights(w, blocks, 1.5)
+        aug = covariate_weights(blocks, cov, 1.5, "joint")
+        plain = augment_weights(solve_scm(blocks), blocks, 1.5)
         assert np.abs(aug.values - plain.values).max() < 1e-12
 
     def test_exact_stacked_fit_no_op(self, rng):
@@ -108,47 +113,34 @@ class TestJointAugment:
             centering=np.zeros(3),
         )
         cov = CovariatePanel(z1=z0.T @ g, z0=z0)
-        from panelctrl.scm import DonorWeights
-
-        aug = joint_augment(DonorWeights(values=g), blocks, cov, 2.0)
+        aug = augment_weights(DonorWeights(values=g), stacked_blocks(blocks, cov), 2.0)
         assert np.abs(aug.values - g).max() < 1e-10
 
     def test_stacked_penalized_form_check(self, rng):
-        for _ in range(10):
+        # the joint estimator is its anchor (SCM or uniform) on the stacked,
+        # standardized design plus the ridge adjustment on that design
+        for method in ("ridge_ascm", "ridge") * 5:
             n0 = int(rng.integers(5, 12))
             blocks = make_blocks(rng, n0, 4)
             cov = make_cov(rng, n0, 2)
-            scaled, _ = standardize_to_outcomes(cov, blocks)
-            w = joint_solve(blocks, scaled, ScmConfig())
             lam = float(10 ** rng.uniform(-1, 3))
-            aug = joint_augment(w, blocks, scaled, lam)
-            stacked = stacked_blocks(blocks, scaled, theta=False)
-            rep = verify_penalized_form(aug, w, stacked, lam)
+            aug = weights_for_design(blocks, EstimatorSpec(method=method, lam=lam), cov)
+            stacked = stacked_blocks(blocks, standardize_to_outcomes(cov, blocks)[0])
+            anchor = solve_scm(stacked) if method == "ridge_ascm" else "uniform"
+            rep = verify_penalized_form(aug, anchor, stacked, lam)
             assert rep.passed
 
     def test_scale_consistency(self, rng):
-        # multiplying Z by c and rescaling theta_z, lambda_z accordingly
-        # leaves the weights unchanged
+        # covariates measured in other units give the same weights
         n0 = 7
         blocks = make_blocks(rng, n0, 4)
         cov = make_cov(rng, n0, 2)
         c = 3.7
-        cov_scaled = CovariatePanel(
-            z1=cov.z1 * c, z0=cov.z0 * c, theta_z=cov.theta_z / c**2
-        )
-        cfg = ScmConfig(zeta=1e-6)
-        w1 = joint_solve(blocks, cov, cfg)
-        w2 = joint_solve(blocks, cov_scaled, cfg)
-        assert np.abs(w1.values - w2.values).max() < 1e-8
-        lam = 2.0
-        aug1 = joint_augment(w1, blocks,
-                             CovariatePanel(z1=cov.z1, z0=cov.z0, lambda_x=lam, lambda_z=lam),
-                             lam)
-        aug2 = joint_augment(w1, blocks,
-                             CovariatePanel(z1=cov.z1 * c, z0=cov.z0 * c,
-                                            lambda_x=lam, lambda_z=lam * c**2),
-                             lam)
-        assert np.abs(aug1.values - aug2.values).max() < 1e-8
+        cov_scaled = CovariatePanel(z1=cov.z1 * c, z0=cov.z0 * c)
+        for mode in ("joint", "residualize"):
+            w1 = covariate_weights(blocks, cov, 2.0, mode)
+            w2 = covariate_weights(blocks, cov_scaled, 2.0, mode)
+            assert np.abs(w1.values - w2.values).max() < 1e-8
 
 
 class TestResidualize:
@@ -169,7 +161,7 @@ class TestResidualize:
         )
         cov = CovariatePanel(z1=rng.normal(size=2), z0=z0)
         rp = residualize(blocks, cov)
-        assert np.abs(rp.x0_check - x0).max() < 1e-10
+        assert np.abs(rp.x0 - x0).max() < 1e-10
 
     def test_linear_x_gives_zero(self, rng):
         n0 = 8
@@ -184,27 +176,22 @@ class TestResidualize:
         )
         cov = CovariatePanel(z1=rng.normal(size=2), z0=z0)
         rp = residualize(blocks, cov)
-        assert np.abs(rp.x0_check).max() < 1e-10
+        assert np.abs(rp.x0).max() < 1e-10
 
     def test_orthogonality_invariant(self, rng):
         for _ in range(10):
             blocks = make_blocks(rng, 8, 5)
             cov = make_cov(rng, 8, 2)
             rp = residualize(blocks, cov)
-            assert np.abs(cov.z0.T @ rp.x0_check).max() < 1e-8
+            assert np.abs(cov.z0.T @ rp.x0).max() < 1e-8
 
     def test_idempotent(self, rng):
         blocks = make_blocks(rng, 9, 4)
         cov = make_cov(rng, 9, 3)
         rp1 = residualize(blocks, cov)
-        again = type(blocks)(
-            x1=rp1.x1_check, x0=rp1.x0_check,
-            y0_post=blocks.y0_post, y1_post=blocks.y1_post,
-            centering=np.zeros(blocks.t0),
-        )
-        rp2 = residualize(again, cov)
-        assert np.abs(rp2.x0_check - rp1.x0_check).max() < 1e-10
-        assert np.abs(rp2.x1_check - rp1.x1_check).max() < 1e-10
+        rp2 = residualize(rp1, cov)
+        assert np.abs(rp2.x0 - rp1.x0).max() < 1e-10
+        assert np.abs(rp2.x1 - rp1.x1).max() < 1e-10
 
     def test_rank_deficient_z_errors(self, rng):
         z0 = rng.normal(size=(8, 1))
@@ -226,20 +213,20 @@ class TestTwoStepWeights:
     def test_k_zero_reduces_to_augment(self, rng):
         blocks = make_blocks(rng, 6, 4)
         cov = CovariatePanel(z1=np.zeros(0), z0=np.zeros((6, 0)))
-        w = solve_scm(blocks)
-        tw = two_step_weights(w, blocks, cov, 1.0)
-        plain = augment_weights(w, blocks, 1.0)
+        tw = covariate_weights(blocks, cov, 1.0, "residualize")
+        plain = augment_weights(solve_scm(blocks), blocks, 1.0)
         assert np.abs(tw.values - plain.values).max() < 1e-12
-        assert tw.provenance == "covariate-adjusted"
 
     def test_exact_z_balance(self, rng):
-        for _ in range(20):
+        for method in ("ridge_ascm", "ridge") * 10:
             n0 = int(rng.integers(6, 14))
             k = int(rng.integers(1, 4))
             blocks = make_blocks(rng, n0, int(rng.integers(3, 7)))
             cov = make_cov(rng, n0, k)
-            w = solve_scm(residualized_blocks(blocks, cov))
-            tw = two_step_weights(w, blocks, cov, float(10 ** rng.uniform(-1, 3)))
+            spec = EstimatorSpec(
+                method=method, lam=float(10 ** rng.uniform(-1, 3)), covariate_mode="residualize"
+            )
+            tw = weights_for_design(blocks, spec, cov)
             assert np.abs(cov.z1 - cov.z0.T @ tw.values).max() <= 1e-8
 
     def test_imbalance_bound(self, rng):
@@ -248,10 +235,10 @@ class TestTwoStepWeights:
             k = int(rng.integers(1, 4))
             blocks = make_blocks(rng, n0, int(rng.integers(3, 7)))
             cov = make_cov(rng, n0, k)
-            resid = residualized_blocks(blocks, cov)
+            resid = residualize(blocks, cov)
             w = solve_scm(resid)
             lam = float(10 ** rng.uniform(-1, 3))
-            tw = two_step_weights(w, blocks, cov, lam)
+            tw = covariate_weights(blocks, cov, lam, "residualize")
             lhs = np.linalg.norm(blocks.x1 - blocks.x0.T @ tw.values)
             svd = ControlSVD.compute(resid.x0)
             resid_imb = imbalance(resid, w)

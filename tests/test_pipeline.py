@@ -29,6 +29,7 @@ from panelctrl.panel import PanelBlocks, PanelData, load_panel, split_and_center
 from conftest import make_blocks
 
 METHODS = ("scm", "ridge", "ridge_ascm", "demeaned", "fixed_effects")
+RIDGE_METHODS = ("ridge", "ridge_ascm")
 MODES = ("joint", "residualize")
 ALPHA = 0.2
 TAUS = np.linspace(-2.0, 2.0, 41)
@@ -91,7 +92,7 @@ def test_library_cell_uses_covariates_or_refuses(data, method, mode, entry):
     p, cov = data
     run = ENTRY_POINTS[entry]
     spec = _spec(method, mode)
-    if method != "ridge_ascm":
+    if method not in RIDGE_METHODS:
         with pytest.raises(ConfigError):
             run(p, spec, cov)
         return
@@ -132,7 +133,7 @@ def test_cli_cell_uses_covariates_or_refuses(
         "--covariate-mode", mode, "--inference", inference, "--alpha", str(ALPHA),
         "--out", str(out),
     ])  # fmt: skip
-    if method != "ridge_ascm":
+    if method not in RIDGE_METHODS:
         assert rc == 3
         return
     assert rc == 0
@@ -177,7 +178,7 @@ def test_weights_for_design_donor_permutation_equivariant(seed, method, mode):
         covariate_mode=mode or "joint",
     )
     cov = cov_perm = None
-    if mode is not None and method == "ridge_ascm":
+    if mode is not None and method in RIDGE_METHODS:
         cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(n0, 2)))
         cov_perm = CovariatePanel(z1=cov.z1, z0=cov.z0[perm])
     w = weights_for_design(blocks, spec, cov)
@@ -187,7 +188,9 @@ def test_weights_for_design_donor_permutation_equivariant(seed, method, mode):
 
 # Aim-3 invariants as properties of weights_for_design, for every method and
 # both covariate modes.
-CASES = [(method, None) for method in METHODS] + [("ridge_ascm", mode) for mode in MODES]
+CASES = [(method, None) for method in METHODS] + [
+    (method, mode) for method in RIDGE_METHODS for mode in MODES
+]
 N_POST = 2
 
 

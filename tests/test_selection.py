@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from panelctrl.covariates import CovariatePanel
 from panelctrl.errors import ConfigError, TreatmentTimeError
-from panelctrl.estimators import EstimatorSpec
-from panelctrl.panel import PanelBlocks, PanelData, split_and_center
+from panelctrl.estimators import EstimatorSpec, estimate_on_blocks
+from panelctrl.panel import PanelBlocks, PanelData, period_folds, split_and_center
 from panelctrl.selection import (
     CvResult,
     default_lambda_grid,
@@ -37,11 +38,9 @@ class TestLooCv:
         assert cv.lambda_1se == 3.0
 
     def test_matches_independent_rebuild(self, rng):
-        from panelctrl.scm import ScmConfig
-
         blocks = make_blocks(rng, 5, 6)
         lam = 1.7
-        cv = loo_cv(blocks, lambda_grid=[lam], cfg=ScmConfig(zeta=1e-9))
+        cv = loo_cv(blocks, EstimatorSpec(zeta=1e-9), lambda_grid=[lam])
         expected = loo_cv_rebuild(blocks.x1, blocks.x0, lam, zeta=1e-9, tol=1e-11)
         assert abs(cv.cv_mse[0] - expected.mean()) < 1e-6
 
@@ -89,6 +88,34 @@ class TestLooCv:
         fold_resids = loo_cv_rebuild_future(blocks, lam)
         assert np.isclose(fold_resids[-1], resid**2, atol=1e-10)
         assert np.isclose(cv.cv_mse[0], np.mean(fold_resids), atol=1e-8)
+
+    @pytest.mark.parametrize("mode", ["leave-one", "leave-future"])
+    @pytest.mark.parametrize("cov_mode", [None, "joint", "residualize"])
+    @pytest.mark.parametrize("method", ["ridge", "ridge_ascm"])
+    def test_scores_the_callers_estimator(self, rng, method, cov_mode, mode):
+        # every grid value scores exactly what the full estimator, with the
+        # same spec and covariates, predicts for each held-out period
+        blocks = make_blocks(rng, 9, 8)
+        spec = EstimatorSpec(method=method, covariate_mode=cov_mode or "joint", zeta=1e-6)
+        cov = None
+        if cov_mode is not None:
+            cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(9, 2)))
+        grid = np.logspace(3, -2, 6)
+        cv = loo_cv(blocks, spec, cov, lambda_grid=grid, mode=mode)
+        for i, lam in enumerate(grid):
+            sq = []
+            for t, fold in period_folds(blocks, mode):
+                if t in cv.skipped:
+                    continue
+                est = estimate_on_blocks(fold, spec.with_lambda(lam), cov)
+                sq.append((fold.y1_post[-1] - est.counterfactual[-1]) ** 2)
+            assert abs(cv.cv_mse[i] - np.mean(sq)) <= 1e-10 * np.mean(sq)
+
+    @pytest.mark.parametrize("method", ["scm", "demeaned", "fixed_effects"])
+    def test_non_ridge_spec_rejected(self, rng, method):
+        blocks = make_blocks(rng, 5, 6)
+        with pytest.raises(ConfigError):
+            loo_cv(blocks, EstimatorSpec(method=method), lambda_grid=[1.0])
 
     def test_too_few_periods_rejected(self, rng):
         blocks = make_blocks(rng, 4, 2)
