@@ -17,14 +17,15 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .covariates import balance_table, covariates_from_long
 from .errors import ConfigError, PanelCtrlError
-from .estimators import EstimatorSpec, estimate, weights_for_design
-from .inference import conformal_interval, jackknife_plus
+from .estimators import EstimatorSpec, estimate_on_blocks, fold_predictions, weights_for_design
+from .inference import conformal_interval, jackknife_intervals
 from .panel import load_panel, split_and_center
 from .ridge import (
     augment_weights,
@@ -35,7 +36,7 @@ from .ridge import (
     verify_penalized_form,
     weight_norm_bound,
 )
-from .selection import default_lambda_grid, loo_cv, placebo_panel, select_lambda
+from .selection import cv_from_folds, default_lambda_grid, loo_cv, placebo_panel, select_lambda
 from .sim import default_dgp, run_monte_carlo
 
 logger = logging.getLogger(__name__)
@@ -157,27 +158,41 @@ def _load_inputs(args):
     return p, cov
 
 
-def _resolve_spec(args, p, cov):
-    """The spec of the command line; a ridge method without ``--lambda`` gets
-    the penalty chosen by cross-validating that same method and covariates."""
+def _resolve_spec(args, blocks, cov, jackknife=False):
+    """``(spec, cv_facts, folds)`` of the command line.
+
+    A ridge method without ``--lambda`` gets the penalty chosen by
+    cross-validating that same method and covariates. ``folds`` is that
+    fold pass, also run for ``jackknife``, as ``(truth, predictions)`` at
+    the spec's penalty, or None.
+    """
     spec = EstimatorSpec(
         method=args.method,
         lam=args.lam,
         zeta=args.zeta,
         covariate_mode=args.covariate_mode,
     )
-    if spec.lam is None and spec.needs_lambda():
+    select = spec.lam is None and spec.needs_lambda()
+    if not (select or jackknife):
+        return spec, {}, None
+    grid = default_lambda_grid(blocks) if select else None
+    truth, predictions, skipped = fold_predictions(blocks, spec, cov, grid)
+    at, cv_facts = 0, {}
+    if select:
         rule = args.select or "one-se"
-        cv = loo_cv(split_and_center(p, center=True), spec, cov)
+        cv = cv_from_folds(grid, (truth, predictions, skipped))
         spec = spec.with_lambda(select_lambda(cv, rule))
+        at = int(np.flatnonzero(grid == spec.lam)[0])
+        cv_facts = {"lambda_rule": rule, "lambda_min": cv.lambda_min, "lambda_1se": cv.lambda_1se}
         logger.info("selected lambda %.6g by rule %s", spec.lam, rule)
-    return spec
+    return spec, cv_facts, (truth, predictions[:, at])
 
 
 def _cmd_estimate(args):
     p, cov = _load_inputs(args)
-    spec = _resolve_spec(args, p, cov)
-    est = estimate(p, spec, cov=cov)
+    blocks = split_and_center(p, center=True)
+    spec, cv_facts, folds = _resolve_spec(args, blocks, cov, args.inference == "jackknife+")
+    est = estimate_on_blocks(blocks, spec, cov=cov)
     os.makedirs(args.out, exist_ok=True)
 
     _write_csv(
@@ -190,7 +205,7 @@ def _cmd_estimate(args):
     rows = est.to_rows(p.time_ids, p.outcomes[p.treated_index])
     if args.inference != "none":
         if args.inference == "jackknife+":
-            cis = jackknife_plus(p, args.alpha, spec, target="effect", cov=cov)
+            cis = jackknife_intervals(*folds, blocks.y1_post, args.alpha, target="effect")
         else:
             cis = [
                 conformal_interval(p, args.alpha, spec, post_period=k, target="effect", cov=cov)
@@ -222,6 +237,7 @@ def _cmd_estimate(args):
             "covariate_mode": args.covariate_mode,
             "inference": args.inference,
             "alpha": args.alpha,
+            **cv_facts,
         },
         seed=args.seed,
     )
@@ -268,18 +284,12 @@ def _cmd_placebo(args):
         placebo_cov = (
             None if cov is None else covariates_from_long(args.input, placebo_p, cov.names)
         )
-        spec = _resolve_spec(args, placebo_p, placebo_cov)
+        placebo_blocks = split_and_center(placebo_p, center=True)
+        spec = _resolve_spec(args, placebo_blocks, placebo_cov)[0]
         lambdas.append(spec.lam)
-        est = estimate(placebo_p, spec, cov=placebo_cov)
-        new_t0 = len(est.gap_pre)
-        rows = []
-        for j, label in enumerate(p.time_ids[: p.t0]):
-            observed = p.outcomes[p.treated_index, j]
-            if j < new_t0:
-                gap = est.gap_pre[j]
-            else:
-                gap = est.att[j - new_t0]
-            rows.append((label, observed, observed - gap, gap, time_label))
+        est = estimate_on_blocks(placebo_blocks, spec, cov=placebo_cov)
+        observed = placebo_p.outcomes[placebo_p.treated_index]
+        rows = [row + (time_label,) for row in est.to_rows(placebo_p.time_ids, observed)]
         safe = str(time_label).replace(os.sep, "_")
         _write_csv(
             os.path.join(args.out, f"placebo_gap_{safe}.csv"),
@@ -305,8 +315,6 @@ def _cmd_placebo(args):
 def _cmd_simulate(args):
     params = default_dgp(args.dgp)
     if args.sigma_scale != 1.0:
-        from dataclasses import replace
-
         params = replace(params, sigma_multiplier=args.sigma_scale)
     lam = args.lam if args.lam is not None else ("cv-min" if args.select == "min" else "cv-1se")
     report = run_monte_carlo(

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PanelFormatError, SingularityError
-from .panel import PanelBlocks
-from .scm import DonorWeights
+from .panel import PanelBlocks, readonly_array
+from .scm import DonorWeights, weight_values
 
 logger = logging.getLogger(__name__)
 
@@ -48,10 +48,7 @@ class CovariatePanel:
     names: tuple = None
 
     def __post_init__(self):
-        z1 = np.ascontiguousarray(np.asarray(self.z1, dtype=float))
-        z0 = np.ascontiguousarray(np.asarray(self.z0, dtype=float))
-        z1.setflags(write=False)
-        z0.setflags(write=False)
+        z1, z0 = readonly_array(self.z1), readonly_array(self.z0)
         object.__setattr__(self, "z1", z1)
         object.__setattr__(self, "z0", z0)
         if z0.ndim != 2 or z1.shape != (z0.shape[1],):
@@ -175,9 +172,7 @@ def balance_covariates(weights, cov):
     weights balance the covariates exactly; it sums to zero because z0 is
     centered, so the result is still sum-constrained but leaves the simplex.
     """
-    g = np.asarray(
-        weights.values if isinstance(weights, DonorWeights) else weights, dtype=float
-    )
+    g = weight_values(weights)
     shift = cov.z0 @ _z_gram_solve(cov, cov.z1 - cov.z0.T @ g)
     shift -= shift.mean()  # zero-sum in exact arithmetic (centered columns)
     return DonorWeights(values=g + shift, sum_constrained=True, simplex=False)
@@ -190,9 +185,7 @@ def balance_table(cov, weights):
     gap compares the treated unit with the unweighted donor mean, the
     weighted gap with the synthetic control.
     """
-    g = np.asarray(
-        weights.values if isinstance(weights, DonorWeights) else weights, dtype=float
-    )
+    g = weight_values(weights)
     rows = []
     for k in range(cov.k):
         sd = float(cov.z0[:, k].std())

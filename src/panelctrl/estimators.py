@@ -18,8 +18,8 @@ their projection from the lagged outcomes and shifts the anchor by the
 exact covariate correction. :func:`design_and_anchor` is the penalty-free
 half and :func:`weights_for_design` the whole; they are the only place a
 spec (plus optional covariates) becomes weights, so the point estimate,
-the cross-validation folds, the conformal refits and the jackknife+ folds
-all fit the same estimator.
+the conformal refits and the folds of :func:`fold_predictions`, shared by
+cross-validation and jackknife+, all fit the same estimator.
 """
 
 from __future__ import annotations
@@ -36,13 +36,19 @@ from .covariates import (
     standardize_to_outcomes,
 )
 from .errors import ConfigError
-from .panel import demean_rows, split_and_center
-from .ridge import AugEstimate, augment_weights
+from .panel import demean_rows, period_folds, split_and_center
+from .ridge import AugEstimate, augment_path, augment_weights
 from .scm import DonorWeights, ScmConfig, solve_scm
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["EstimatorSpec", "estimate", "design_and_anchor", "weights_for_design"]
+__all__ = [
+    "EstimatorSpec",
+    "estimate",
+    "design_and_anchor",
+    "weights_for_design",
+    "fold_predictions",
+]
 
 _METHODS = ("scm", "ridge", "ridge_ascm", "demeaned", "fixed_effects")
 
@@ -146,18 +152,50 @@ def estimate(p, spec, cov=None):
 
 
 def estimate_on_blocks(blocks, spec, cov=None):
-    """Like :func:`estimate` but starting from already-built blocks.
-
-    ``demeaned`` and ``fixed_effects`` weight the unit-demeaned outcomes:
-    per post period the counterfactual is m(X_1) + sum_i g_i (Y_i - m(X_i)).
-    """
+    """Like :func:`estimate` but starting from already-built blocks."""
     weights = weights_for_design(blocks, spec, cov)
     g = weights.values
-    fitted = demean_rows(blocks) if spec.method in ("demeaned", "fixed_effects") else blocks
-    att = fitted.y1_post - g @ fitted.y0_post
+    counterfactual, fitted = _counterfactual(blocks, spec, g)
     return AugEstimate(
-        counterfactual=blocks.y1_post - att,
-        att=att,
+        counterfactual=counterfactual,
+        att=blocks.y1_post - counterfactual,
         gap_pre=fitted.x1 - fitted.x0.T @ g,
         weights=weights,
     )
+
+
+def _counterfactual(blocks, spec, weights):
+    """Post counterfactuals of ``weights`` (N0, or N0 x L) and the blocks the
+    method fits: m(X_1) + sum_i g_i (Y_i - m(X_i)) per period, m being the unit
+    pre-period mean for ``demeaned`` and ``fixed_effects`` and zero otherwise."""
+    fitted = demean_rows(blocks) if spec.method in ("demeaned", "fixed_effects") else blocks
+    return blocks.y1_post - fitted.y1_post + weights.T @ fitted.y0_post, fitted
+
+
+def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one"):
+    """One pass over the folds of :func:`panel.period_folds`.
+
+    Each fold fits its anchor once; a ridge method adjusts it for every
+    penalty in ``lambdas`` (default ``[spec.lam]``) from one SVD, the others
+    give one column. Returns ``(truth, predictions, skipped)``: each kept
+    fold's held-out treated outcome, the folds x L x (n_post + 1)
+    counterfactuals (held-out period last) and the periods whose folds kept
+    fewer than two periods.
+    """
+    if blocks.t0 < 3:
+        raise ConfigError("leave-one-period-out folds need at least 3 pre periods")
+    if spec.needs_lambda() and lambdas is None:
+        if spec.lam is None:
+            raise ConfigError(f"method {spec.method!r} requires a lambda value")
+        lambdas = [spec.lam]
+    truth, predictions, skipped = [], [], []
+    for t, fold in period_folds(blocks, mode):
+        if fold.t0 < 2:
+            skipped.append(t)
+            logger.warning("fold %d skipped: only %d periods remain", t, fold.t0)
+            continue
+        design, anchor = design_and_anchor(fold, spec, cov)
+        g = augment_path(anchor, design, lambdas) if spec.needs_lambda() else anchor.values[:, None]
+        truth.append(fold.y1_post[-1])
+        predictions.append(_counterfactual(fold, spec, g)[0])
+    return np.array(truth), np.array(predictions), tuple(skipped)

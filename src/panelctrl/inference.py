@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridError
-from .estimators import estimate_on_blocks, weights_for_design
-from .panel import PanelBlocks, period_folds, split_and_center
+from .estimators import estimate_on_blocks, fold_predictions, weights_for_design
+from .panel import PanelBlocks, split_and_center
 
 logger = logging.getLogger(__name__)
 
@@ -26,6 +26,7 @@ __all__ = [
     "conformal_p",
     "conformal_interval",
     "jackknife_plus",
+    "jackknife_intervals",
     "convert_target",
 ]
 
@@ -221,36 +222,37 @@ def _order_statistic(values, k):
 def jackknife_plus(p, alpha, spec, target="counterfactual", cov=None):
     """Leave-one-period-out prediction intervals, one per post period.
 
-    For each pre period t the estimator (with ``cov`` when given) is refit
-    once without that period; the fold predicts the held-out period along
-    with the post periods (see :func:`panel.period_folds`). Each post
-    period's interval combines the leave-one-out post predictions shifted
-    by the absolute held-out residuals through lower/upper order statistics
-    at level alpha/2 on each side. Returns a tuple of
+    The estimator (with ``cov`` when given) is refit once per held-out pre
+    period by :func:`estimators.fold_predictions`, and
+    :func:`jackknife_intervals` turns that one pass into a tuple of
     :class:`PredictionInterval` in post-period order.
+    """
+    blocks = split_and_center(p, center=True)
+    truth, predictions, _ = fold_predictions(blocks, spec, cov)
+    return jackknife_intervals(truth, predictions[:, 0], blocks.y1_post, alpha, target)
+
+
+def jackknife_intervals(truth, predictions, y1_post, alpha, target="counterfactual"):
+    """Jackknife+ intervals from a fold pass at one penalty.
+
+    ``truth`` holds each fold's held-out treated outcome and ``predictions``
+    (folds x (n_post + 1)) its counterfactuals, the held-out period last.
+    Each post period's interval combines the leave-one-out post predictions
+    shifted by the absolute held-out residuals through lower/upper order
+    statistics at level alpha/2 on each side.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
     if target not in ("counterfactual", "effect"):
         raise ConfigError(f"unknown interval target {target!r}")
-    blocks = split_and_center(p, center=True)
-    if blocks.t0 < 3:
-        raise ConfigError("jackknife+ needs at least 3 pre periods")
+    resids = np.abs(truth - predictions[:, -1])[:, None]
+    lows, highs = predictions[:, :-1] - resids, predictions[:, :-1] + resids
 
-    preds, resids = [], []
-    for _, fold in period_folds(blocks):
-        est = estimate_on_blocks(fold, spec, cov=cov)
-        preds.append(est.counterfactual[:-1])
-        resids.append(abs(float(est.att[-1])))
-    preds = np.array(preds)
-    resids = np.array(resids)[:, None]
-    lows, highs = preds - resids, preds + resids
-
-    t_total = blocks.t0 + 1
+    t_total = truth.size + 1
     k_lo = int(np.floor(alpha / 2.0 * t_total))
     k_hi = int(np.ceil((1.0 - alpha / 2.0) * t_total))
     intervals = []
-    for k in range(blocks.n_post):
+    for k in range(lows.shape[1]):
         interval = PredictionInterval(
             lower=_order_statistic(lows[:, k], k_lo),
             upper=_order_statistic(highs[:, k], k_hi),
@@ -259,6 +261,6 @@ def jackknife_plus(p, alpha, spec, target="counterfactual", cov=None):
             target="counterfactual",
         )
         if target == "effect":
-            interval = convert_target(interval, float(blocks.y1_post[k]))
+            interval = convert_target(interval, float(y1_post[k]))
         intervals.append(interval)
     return tuple(intervals)

@@ -80,7 +80,8 @@ def periods_preceding(time_ids, label):
     return sum(1 for k in keys if k < key)
 
 
-def _readonly(a):
+def readonly_array(a):
+    """``a`` as a C-contiguous float array that cannot be written through."""
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.setflags(write=False)
     return a
@@ -112,7 +113,7 @@ class PanelData:
     t0: int
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", _readonly(self.outcomes))
+        object.__setattr__(self, "outcomes", readonly_array(self.outcomes))
         object.__setattr__(self, "unit_ids", tuple(self.unit_ids))
         object.__setattr__(self, "time_ids", tuple(self.time_ids))
         n, t = self.outcomes.shape
@@ -172,14 +173,14 @@ class PanelBlocks:
     centering: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", _readonly(self.x1))
-        object.__setattr__(self, "x0", _readonly(self.x0))
-        object.__setattr__(self, "y0_post", _readonly(self.y0_post))
-        object.__setattr__(self, "y1_post", _readonly(self.y1_post))
+        object.__setattr__(self, "x1", readonly_array(self.x1))
+        object.__setattr__(self, "x0", readonly_array(self.x0))
+        object.__setattr__(self, "y0_post", readonly_array(self.y0_post))
+        object.__setattr__(self, "y1_post", readonly_array(self.y1_post))
         centering = self.centering
         if centering is None:
             centering = np.zeros(self.x1.shape[0])
-        object.__setattr__(self, "centering", _readonly(centering))
+        object.__setattr__(self, "centering", readonly_array(centering))
         n0, t0 = self.x0.shape
         for name in ("x1", "x0", "y0_post", "y1_post"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -210,10 +211,6 @@ class PanelBlocks:
     @property
     def n_post(self):
         return self.y0_post.shape[1]
-
-    @property
-    def is_centered(self):
-        return bool(np.any(self.centering != 0.0))
 
 
 def load_panel(source, treated_label, treatment_time):

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularityError
-from .panel import demean_rows
-from .scm import DonorWeights
+from .panel import demean_rows, readonly_array
+from .scm import DonorWeights, weight_values
 
 logger = logging.getLogger(__name__)
 
@@ -62,8 +62,7 @@ class RidgeFit:
     lam: float
 
     def __post_init__(self):
-        coefs = np.ascontiguousarray(np.asarray(self.coefs, dtype=float))
-        coefs.setflags(write=False)
+        coefs = readonly_array(self.coefs)
         object.__setattr__(self, "coefs", coefs)
         if not np.all(np.isfinite(coefs)) or not np.isfinite(self.intercept):
             raise SingularityError("ridge fit produced non-finite coefficients")
@@ -147,9 +146,7 @@ class AugEstimate:
 
     def __post_init__(self):
         for name in ("counterfactual", "att", "gap_pre"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly_array(getattr(self, name)))
         if self.counterfactual.shape != self.att.shape:
             raise ConfigError("counterfactual and att must have equal length")
 
@@ -199,10 +196,6 @@ class WeightNormReport:
     bound: float
     lambda_ridge: float
     lambda_scaled: float
-
-
-def _values(w):
-    return np.asarray(w.values if isinstance(w, DonorWeights) else w, dtype=float)
 
 
 def _exact_sum_to_one(values):
@@ -262,7 +255,7 @@ def augment_path(anchor, blocks, lambdas, svd=None):
     N0 x L matrix whose columns sum to one up to round-off. Requires
     centered blocks and sum-constrained anchor weights.
     """
-    g = _values(anchor)
+    g = weight_values(anchor)
     if isinstance(anchor, DonorWeights) and not anchor.sum_constrained:
         raise ConfigError("anchor weights must be sum-constrained")
     lambdas = np.asarray(lambdas, dtype=float)
@@ -295,13 +288,13 @@ def verify_penalized_form(w, anchor, blocks, lam, threshold=1e-8):
     """
     if lam <= 0:
         raise ConfigError("penalized-form check requires lambda > 0")
-    g = _values(w)
+    g = weight_values(w)
     if isinstance(anchor, str):
         if anchor != "uniform":
             raise ConfigError(f"unknown anchor {anchor!r}")
         a = np.full(g.shape[0], 1.0 / g.shape[0])
     else:
-        a = _values(anchor)
+        a = weight_values(anchor)
     grad = -(1.0 / lam) * (blocks.x0 @ (blocks.x1 - blocks.x0.T @ g)) + (g - a)
     proj = grad - grad.mean()
     residual = float(np.linalg.norm(proj))
@@ -321,7 +314,7 @@ def svd_imbalance(scm_w, blocks, lam, svd=None):
     effective zero smallest singular value.
     """
     svd = svd or ControlSVD.compute(blocks.x0)
-    g = _values(scm_w)
+    g = weight_values(scm_w)
     lam_scaled = lam / svd.n0
     aug = augment_weights(scm_w, blocks, lam, svd=svd)
     direct = float(np.linalg.norm(blocks.x1 - blocks.x0.T @ aug.values))
@@ -348,7 +341,7 @@ def svd_imbalance(scm_w, blocks, lam, svd=None):
 def weight_norm_bound(scm_w, blocks, lam, svd=None):
     """L2 norm of the augmented weights and its deterministic bound."""
     svd = svd or ControlSVD.compute(blocks.x0)
-    g = _values(scm_w)
+    g = weight_values(scm_w)
     lam_scaled = lam / svd.n0
     aug = augment_weights(scm_w, blocks, lam, svd=svd)
     rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)
@@ -370,7 +363,7 @@ def demeaned_estimate(scm_w, blocks):
     Returns (per-period estimates via the level form, via the averaged
     per-lag form); the two are algebraically identical.
     """
-    g = _values(scm_w)
+    g = weight_values(scm_w)
     demeaned = demean_rows(blocks)
     level = demeaned.y1_post - g @ demeaned.y0_post
     x1_raw = blocks.x1 + blocks.centering
@@ -455,7 +448,7 @@ def bound_sketch(
     if np.any(lambda_grid <= 0) or np.any(sigma_grid < 0):
         raise ConfigError("lambda grid must be positive and sigma grid nonnegative")
     svd = svd or ControlSVD.compute(blocks.x0)
-    g = _values(scm_w)
+    g = weight_values(scm_w)
     rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)
     if beta_norm is not None:
         if beta_norm < 0:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
+from .panel import readonly_array
 
 logger = logging.getLogger(__name__)
 
@@ -112,8 +113,7 @@ class DonorWeights:
     simplex: bool = True
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        vals.setflags(write=False)
+        vals = readonly_array(self.values)
         object.__setattr__(self, "values", vals)
         if not np.all(np.isfinite(vals)):
             raise ConfigError("weights must be finite")
@@ -127,6 +127,11 @@ class DonorWeights:
 
     def __len__(self):
         return self.values.shape[0]
+
+
+def weight_values(w):
+    """The weight vector of a :class:`DonorWeights` or of a plain array."""
+    return np.asarray(w.values if isinstance(w, DonorWeights) else w, dtype=float)
 
 
 def project_simplex(v):
@@ -145,7 +150,7 @@ def scm_objective(blocks, w, cfg=None):
     """Objective value at a weight vector (penalty included)."""
     cfg = cfg or ScmConfig()
     v, zeta = cfg.resolve(blocks)
-    g = np.asarray(w.values if isinstance(w, DonorWeights) else w, dtype=float)
+    g = weight_values(w)
     return _objective(blocks, v, zeta, g)
 
 
@@ -173,7 +178,7 @@ def kkt_residual(blocks, w, cfg=None):
     """
     cfg = cfg or ScmConfig()
     v, zeta = cfg.resolve(blocks)
-    g = np.asarray(w.values if isinstance(w, DonorWeights) else w, dtype=float)
+    g = weight_values(w)
     grad = _gradient(blocks, v, zeta, g)
     return float(np.linalg.norm(g - project_simplex(g - grad)))
 
@@ -316,7 +321,7 @@ def _newton_step(hess, scale, grad, support, gs):
 
 def imbalance(blocks, w, importance=None):
     """Weighted L2 norm of the pre-period gap, ||V^{1/2}(x1 - x0' g)||."""
-    g = np.asarray(w.values if isinstance(w, DonorWeights) else w, dtype=float)
+    g = weight_values(w)
     gap = blocks.x1 - blocks.x0.T @ g
     if importance is None:
         return float(np.linalg.norm(gap))

@@ -10,28 +10,24 @@ every fold into a forecast.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, TreatmentTimeError
-from .estimators import EstimatorSpec, design_and_anchor, estimate
-from .panel import PanelData, period_folds, periods_preceding
-from .ridge import ControlSVD, augment_path
-
-logger = logging.getLogger(__name__)
+from .estimators import EstimatorSpec, estimate, fold_predictions
+from .panel import PanelData, periods_preceding, readonly_array
+from .ridge import ControlSVD
 
 __all__ = [
     "CvResult",
     "loo_cv",
+    "cv_from_folds",
     "select_lambda",
     "placebo_panel",
     "in_time_placebo",
     "default_lambda_grid",
 ]
-
-_MIN_FOLD_PERIODS = 2
 
 
 @dataclass(frozen=True)
@@ -53,9 +49,7 @@ class CvResult:
 
     def __post_init__(self):
         for name in ("lambda_grid", "cv_mse", "cv_se"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly_array(getattr(self, name)))
         object.__setattr__(self, "skipped", tuple(self.skipped))
         if np.any(self.cv_mse < 0):
             raise ConfigError("cv_mse must be nonnegative")
@@ -89,38 +83,25 @@ def loo_cv(blocks, spec=None, cov=None, lambda_grid=None, mode="leave-one"):
     dispersion penalty) and ``cov`` its covariates, as for
     :func:`estimators.estimate`; the spec's own ``lam`` is replaced by each
     grid value, and a method without a ridge penalty raises ConfigError.
-    For each held-out period t the penalty-free anchor is fit once on the
-    remaining pre periods, the ridge adjustment is applied for the whole
-    grid from one SVD, and the held-out treated outcome is predicted as the
-    weighted donor outcome at t. Folds with fewer than two remaining
-    periods are skipped and recorded.
+    One :func:`estimators.fold_predictions` pass covers the whole grid.
     """
     spec = spec or EstimatorSpec()
     if not spec.needs_lambda():
         raise ConfigError(f"cross-validation needs a ridge method (got {spec.method!r})")
-    if blocks.t0 < 3:
-        raise ConfigError("cross-validation needs at least 3 pre periods")
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(blocks)
     grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
     if grid.size == 0 or np.any(grid <= 0):
         raise ConfigError("lambda grid must be nonempty and positive")
+    return cv_from_folds(grid, fold_predictions(blocks, spec, cov, grid, mode), mode)
 
-    sq_residuals = []
-    skipped = []
-    for t, fold in period_folds(blocks, mode):
-        if fold.t0 < _MIN_FOLD_PERIODS:
-            skipped.append(t)
-            logger.warning("cv fold %d skipped: only %d periods remain", t, fold.t0)
-            continue
-        design, anchor = design_and_anchor(fold, spec, cov)
-        preds = fold.y0_post[:, -1] @ augment_path(anchor, design, grid)
-        sq_residuals.append((fold.y1_post[-1] - preds) ** 2)
 
-    n_used = len(sq_residuals)
-    if n_used == 0:
-        raise ConfigError("all cross-validation folds were skipped")
-    sq_residuals = np.array(sq_residuals)
+def cv_from_folds(grid, folds, mode="leave-one"):
+    """The CV curve of a :func:`estimators.fold_predictions` pass over the
+    descending ``grid``: held-out truth against the last prediction column."""
+    truth, predictions, skipped = folds
+    sq_residuals = (truth[:, None] - predictions[:, :, -1]) ** 2
+    n_used = truth.size
     cv_mse = sq_residuals.mean(axis=0)
     if n_used > 1:
         cv_se = sq_residuals.std(axis=0, ddof=1) / np.sqrt(n_used)

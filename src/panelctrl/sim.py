@@ -16,14 +16,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import EstimatorSpec, estimate
-from .panel import PanelData, split_and_center
+from .estimators import EstimatorSpec, estimate_on_blocks
+from .panel import PanelData, readonly_array, split_and_center
 from .scm import imbalance
 from .selection import default_lambda_grid, loo_cv, select_lambda
 
@@ -81,11 +81,8 @@ class FactorDgp:
     theta: float = 0.5
 
     def __post_init__(self):
-        mu = np.ascontiguousarray(np.asarray(self.mu, dtype=float))
-        nu = np.ascontiguousarray(np.asarray(self.nu, dtype=float))
-        phi_cov = np.ascontiguousarray(np.asarray(self.phi_cov, dtype=float))
-        for arr in (mu, nu, phi_cov):
-            arr.setflags(write=False)
+        mu, nu = readonly_array(self.mu), readonly_array(self.nu)
+        phi_cov = readonly_array(self.phi_cov)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "phi_cov", phi_cov)
@@ -125,9 +122,7 @@ class FixedEffectsDgp:
     theta: float = 1.5
 
     def __post_init__(self):
-        nu = np.ascontiguousarray(np.asarray(self.nu, dtype=float))
-        nu.setflags(write=False)
-        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nu", readonly_array(self.nu))
         if self.sigma_eps < 0 or self.sigma_multiplier < 0:
             raise ConfigError("noise scales must be nonnegative")
 
@@ -302,22 +297,7 @@ class McReport:
         raise KeyError(name)
 
     def csv_rows(self):
-        out = []
-        for r in self.rows:
-            out.append(
-                (
-                    r.name,
-                    r.bias,
-                    r.bias_se,
-                    r.abs_bias_pct_of_scm,
-                    r.rmse,
-                    r.rmse_se,
-                    r.rmse_pct_of_scm,
-                    r.n_used,
-                    r.n_dropped,
-                )
-            )
-        return out
+        return [astuple(r) for r in self.rows]
 
 
 def default_estimator_bank(lam="cv-min"):
@@ -340,19 +320,18 @@ def default_estimator_bank(lam="cv-min"):
     }
 
 
-def _resolve_lambda(panel, rule):
-    blocks = split_and_center(panel, center=True)
+def _resolve_lambda(blocks, rule):
     cv = loo_cv(blocks, lambda_grid=default_lambda_grid(blocks, size=12))
     return select_lambda(cv, "min" if rule == "cv-min" else "one-se")
 
 
 def _one_replication(args):
     family, params, n, t, t0, rep_seed, estimators, lam_rule, estimand_period = args
-    panel = draw_panel(family, params, n, t, t0, rep_seed)
+    blocks = split_and_center(draw_panel(family, params, n, t, t0, rep_seed), center=True)
     lam = None
     needs_cv = any(s.needs_lambda() and s.lam is None for s in estimators.values())
     if lam_rule is not None and needs_cv:
-        lam = _resolve_lambda(panel, lam_rule)
+        lam = _resolve_lambda(blocks, lam_rule)
     estimates = {}
     scm_fit = None
     for name, spec in estimators.items():
@@ -362,10 +341,10 @@ def _one_replication(args):
                     f"estimator {name!r} needs a lambda but no rule or value was given"
                 )
             spec = spec.with_lambda(lam)
-        est = estimate(panel, spec)
+        est = estimate_on_blocks(blocks, spec)
         estimates[name] = float(est.att[estimand_period])
         if name == "scm":
-            scm_fit = imbalance(split_and_center(panel, center=True), est.weights)
+            scm_fit = imbalance(blocks, est.weights)
     return estimates, scm_fit
 
 
@@ -413,7 +392,7 @@ def run_monte_carlo(
     ]
     results = [_safe_replication(job) for job in jobs]
 
-    kept = [(est, fit) for est, fit in results if est is not None]
+    kept = [(est, fit) for est, fit, _ in results if est is not None]
     n_dropped = len(results) - len(kept)
     if not kept:
         raise ConfigError("every replication failed; nothing to aggregate")
@@ -482,23 +461,25 @@ def run_monte_carlo(
 
 
 def _safe_replication(job):
+    """``(estimates, scm_fit, error)``; a dropped replication keeps only its
+    exception, as ``ExceptionClass: message``."""
     try:
-        return _one_replication(job)
+        return (*_one_replication(job), "")
     except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
         logger.warning("replication dropped: %s", exc)
-        return None, None
+        return None, None, f"{type(exc).__name__}: {exc}"
 
 
 def _write_rep_log(path, results, names):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["replication", "status"] + names + ["scm_fit"])
-        for r, (est, fit) in enumerate(results):
+        writer.writerow(["replication", "status"] + names + ["scm_fit", "error"])
+        for r, (est, fit, error) in enumerate(results):
             if est is None:
-                writer.writerow([r, "dropped"] + [""] * (len(names) + 1))
+                writer.writerow([r, "dropped"] + [""] * (len(names) + 1) + [error])
             else:
                 writer.writerow(
                     [r, "ok"]
                     + [format(est[n], ".17g") for n in names]
-                    + [format(fit, ".17g")]
+                    + [format(fit, ".17g"), ""]
                 )

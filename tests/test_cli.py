@@ -127,6 +127,61 @@ class TestEstimate:
         for row, ci in zip(post, cis):
             assert (float(row[-3]), float(row[-2]), row[-1]) == (ci.lower, ci.upper, ci.method)
 
+    def test_auto_lambda_folds_fitted_once(self, panel_csv, tmp_path, monkeypatch):
+        # CV and jackknife+ share one fold pass: T0 fold anchors plus the full fit
+        import panelctrl.estimators as estimators_mod
+
+        calls = []
+        solve = estimators_mod.solve_scm
+        monkeypatch.setattr(
+            estimators_mod, "solve_scm", lambda *a, **k: calls.append(1) or solve(*a, **k)
+        )
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--inference", "jackknife+", "--out", str(tmp_path / "est"),
+        ])
+        assert rc == 0
+        assert len(calls) == load_panel(panel_csv, "u0", "11").t0 + 1
+
+    @pytest.mark.parametrize("method", ["ridge", "ridge_ascm"])
+    def test_auto_lambda_jackknife_rows_match_the_library(self, panel_csv, tmp_path, method):
+        out = tmp_path / "est"
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            "--method", method, "--inference", "jackknife+", "--alpha", "0.2", "--out", str(out),
+        ])
+        assert rc == 0
+        lam = json.loads(open(out / "manifest.json").read())["config"]["lambda"]
+        p = load_panel(panel_csv, "u0", "11")
+        cis = jackknife_plus(p, 0.2, EstimatorSpec(method=method, lam=lam), target="effect")
+        post = read_rows(out / "gap.csv")[1 + p.t0 :]
+        got = np.array([[float(row[-3]), float(row[-2])] for row in post])
+        want = np.array([[ci.lower, ci.upper] for ci in cis])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
+
+    def test_manifest_records_the_cv_facts(self, panel_csv, tmp_path):
+        out = tmp_path / "est"
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--select", "min", "--out", str(out),
+        ])
+        assert rc == 0
+        config = json.loads(open(out / "manifest.json").read())["config"]
+        cv = loo_cv(split_and_center(load_panel(panel_csv, "u0", "11")), EstimatorSpec())
+        assert config["lambda_rule"] == "min"
+        assert (config["lambda_min"], config["lambda_1se"]) == (cv.lambda_min, cv.lambda_1se)
+        assert config["lambda"] == cv.lambda_min
+
+    def test_fixed_lambda_manifest_has_no_cv_facts(self, panel_csv, tmp_path):
+        out = tmp_path / "est"
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0", "--select", "min", "--out", str(out),
+        ])
+        assert rc == 0
+        config = json.loads(open(out / "manifest.json").read())["config"]
+        assert not {"lambda_rule", "lambda_min", "lambda_1se"} & set(config)
+
     def test_conformal_inference_columns(self, panel_csv, tmp_path):
         out = tmp_path / "est"
         rc = main([

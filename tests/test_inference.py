@@ -3,7 +3,7 @@ import pytest
 
 from panelctrl.covariates import CovariatePanel
 from panelctrl.errors import ConfigError, GridError
-from panelctrl.estimators import EstimatorSpec
+from panelctrl.estimators import EstimatorSpec, estimate_on_blocks, fold_predictions
 from panelctrl.inference import (
     PredictionInterval,
     conformal_interval,
@@ -11,7 +11,7 @@ from panelctrl.inference import (
     convert_target,
     jackknife_plus,
 )
-from panelctrl.panel import PanelData
+from panelctrl.panel import PanelData, period_folds, split_and_center
 
 from conftest import make_panel
 from oracles import conformal_p_rebuild, jackknife_plus_rebuild
@@ -205,6 +205,29 @@ class TestJackknifePlusOnePass:
             got = np.array([ci.lower, ci.upper])
             want = np.array([lower, upper])
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
+
+
+class TestFoldPredictions:
+    @pytest.mark.parametrize("method, mode", ONE_PASS_CASES)
+    def test_every_fold_matches_its_own_fit(self, rng, method, mode):
+        # the fold pass predicts, at every penalty, what the full estimator
+        # fitted on that fold predicts
+        blocks = split_and_center(make_panel(rng, 8, 14, 10))
+        spec = EstimatorSpec(method=method, covariate_mode=mode or "joint")
+        cov = None
+        if mode is not None:
+            cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(7, 2)))
+        ridge = spec.needs_lambda()
+        lambdas = [1e3, 2.0, 0.5, 1e-2] if ridge else None
+        truth, predictions, skipped = fold_predictions(blocks, spec, cov, lambdas)
+        assert predictions.shape == (10, len(lambdas) if ridge else 1, 5)
+        assert skipped == ()
+        for (t, fold), held_out, fold_preds in zip(period_folds(blocks), truth, predictions):
+            assert held_out == blocks.x1[t]
+            for lam, got in zip(lambdas or [None], fold_preds):
+                fit = estimate_on_blocks(fold, spec.with_lambda(lam) if ridge else spec, cov)
+                want = fit.counterfactual
+                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(got), np.abs(want)))
 
 
 class TestPredictionInterval:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,23 @@ class TestRunMonteCarlo:
         lines = log.read_text().strip().split("\n")
         assert len(lines) == 5
         assert lines[0].startswith("replication,status,")
+
+    def test_rep_log_records_why_a_replication_was_dropped(self, tmp_path, monkeypatch):
+        import panelctrl.sim as sim_mod
+
+        original = sim_mod._one_replication
+
+        def fail_third(args):
+            if args[5].spawn_key[-1] == 2:
+                raise RuntimeError("synthetic failure, for the log")
+            return original(args)
+
+        monkeypatch.setattr(sim_mod, "_one_replication", fail_third)
+        log = tmp_path / "reps.csv"
+        run_monte_carlo("factor", default_dgp("factor"), replications=4, seed=0,
+                        n=8, t=16, t0=12, lam=5.0, rep_log=str(log))
+        with open(log, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["ok", "ok", "dropped", "ok"]
+        assert rows[2]["error"] == "RuntimeError: synthetic failure, for the log"
+        assert [r["error"] for r in rows if r["status"] == "ok"] == ["", "", ""]
