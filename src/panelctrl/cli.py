@@ -24,7 +24,13 @@ import numpy as np
 from . import __version__
 from .covariates import balance_table, covariates_from_long
 from .errors import ConfigError, PanelCtrlError
-from .estimators import EstimatorSpec, estimate_on_blocks, fold_predictions, weights_for_design
+from .estimators import (
+    EstimatorSpec,
+    design_and_anchor,
+    estimate_on_blocks,
+    fold_predictions,
+    weights_for_design,
+)
 from .inference import conformal_interval, jackknife_intervals
 from .panel import load_panel, split_and_center
 from .ridge import (
@@ -84,19 +90,22 @@ def _build_parser():
         sp.add_argument("--treated", required=True, help="label of the treated unit")
         sp.add_argument("--treatment-time", required=True, help="first treated period")
 
-    def add_estimator_args(sp):
+    def add_method_args(sp):
         sp.add_argument(
             "--method",
             default="ridge_ascm",
             choices=["scm", "ridge", "ridge_ascm", "demeaned", "fixed_effects"],
         )
-        sp.add_argument("--lambda", dest="lam", type=float, default=None)
-        sp.add_argument("--select", choices=["min", "one-se"], default=None)
         sp.add_argument("--zeta", type=float, default=None)
         sp.add_argument("--covariates", default=None, help="comma-separated column names")
         sp.add_argument(
             "--covariate-mode", choices=["joint", "residualize"], default="joint"
         )
+
+    def add_estimator_args(sp):
+        add_method_args(sp)
+        sp.add_argument("--lambda", dest="lam", type=float, default=None)
+        sp.add_argument("--select", choices=["min", "one-se"], default=None)
 
     sp = sub.add_parser("estimate", help="fit the estimator and write weight/gap files")
     add_panel_args(sp)
@@ -110,9 +119,9 @@ def _build_parser():
 
     sp = sub.add_parser("cv", help="cross-validate the ridge penalty")
     add_panel_args(sp)
+    add_method_args(sp)
     sp.add_argument("--select", choices=["min", "one-se"], default="min")
     sp.add_argument("--mode", choices=["leave-one", "leave-future"], default="leave-one")
-    sp.add_argument("--zeta", type=float, default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
 
@@ -158,25 +167,37 @@ def _load_inputs(args):
     return p, cov
 
 
-def _resolve_spec(args, blocks, cov, jackknife=False):
-    """``(spec, cv_facts, folds)`` of the command line.
-
-    A ridge method without ``--lambda`` gets the penalty chosen by
-    cross-validating that same method and covariates. ``folds`` is that
-    fold pass, also run for ``jackknife``, as ``(truth, predictions)`` at
-    the spec's penalty, or None.
-    """
-    spec = EstimatorSpec(
+def _method_spec(args, lam=None):
+    return EstimatorSpec(
         method=args.method,
-        lam=args.lam,
+        lam=lam,
         zeta=args.zeta,
         covariate_mode=args.covariate_mode,
     )
+
+
+def _resolve_spec(args, blocks, cov, jackknife=False):
+    """``(spec, fit, cv_facts, folds)`` of the command line.
+
+    ``fit`` is the full-sample :class:`estimators.AnchorFit`, solved once
+    for the estimate and as the start of every fold. A ridge method without
+    ``--lambda`` gets the penalty chosen by cross-validating that same
+    method and covariates. ``folds`` is that fold pass, also run for
+    ``jackknife``, as ``(truth, predictions)`` at the spec's penalty, or
+    None.
+    """
+    spec = _method_spec(args, args.lam)
     select = spec.lam is None and spec.needs_lambda()
+    if args.select is not None and not select:
+        raise ConfigError(
+            "--select chooses a cross-validated lambda; it needs a ridge method "
+            "and no --lambda"
+        )
+    fit = design_and_anchor(blocks, spec, cov)
     if not (select or jackknife):
-        return spec, {}, None
+        return spec, fit, {}, None
     grid = default_lambda_grid(blocks) if select else None
-    truth, predictions, skipped = fold_predictions(blocks, spec, cov, grid)
+    truth, predictions, skipped = fold_predictions(blocks, spec, cov, grid, fit=fit)
     at, cv_facts = 0, {}
     if select:
         rule = args.select or "one-se"
@@ -185,14 +206,16 @@ def _resolve_spec(args, blocks, cov, jackknife=False):
         at = int(np.flatnonzero(grid == spec.lam)[0])
         cv_facts = {"lambda_rule": rule, "lambda_min": cv.lambda_min, "lambda_1se": cv.lambda_1se}
         logger.info("selected lambda %.6g by rule %s", spec.lam, rule)
-    return spec, cv_facts, (truth, predictions[:, at])
+    return spec, fit, cv_facts, (truth, predictions[:, at])
 
 
 def _cmd_estimate(args):
     p, cov = _load_inputs(args)
     blocks = split_and_center(p, center=True)
-    spec, cv_facts, folds = _resolve_spec(args, blocks, cov, args.inference == "jackknife+")
-    est = estimate_on_blocks(blocks, spec, cov=cov)
+    spec, fit, cv_facts, folds = _resolve_spec(
+        args, blocks, cov, args.inference == "jackknife+"
+    )
+    est = estimate_on_blocks(blocks, spec, cov=cov, fit=fit)
     os.makedirs(args.out, exist_ok=True)
 
     _write_csv(
@@ -245,9 +268,9 @@ def _cmd_estimate(args):
 
 
 def _cmd_cv(args):
-    p, _ = _load_inputs(args)
+    p, cov = _load_inputs(args)
     blocks = split_and_center(p, center=True)
-    cv = loo_cv(blocks, EstimatorSpec(zeta=args.zeta), mode=args.mode)
+    cv = loo_cv(blocks, _method_spec(args), cov, mode=args.mode)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "cv.csv"), ["lambda", "cv_mse", "cv_se"], cv.rows())
     selected = select_lambda(cv, args.select)
@@ -258,6 +281,10 @@ def _cmd_cv(args):
             "input": os.path.basename(args.input),
             "treated": args.treated,
             "treatment_time": str(args.treatment_time),
+            "method": args.method,
+            "zeta": args.zeta,
+            "covariates": args.covariates,
+            "covariate_mode": args.covariate_mode,
             "mode": args.mode,
             "rule": args.select,
             "selected_lambda": selected,
@@ -285,9 +312,9 @@ def _cmd_placebo(args):
             None if cov is None else covariates_from_long(args.input, placebo_p, cov.names)
         )
         placebo_blocks = split_and_center(placebo_p, center=True)
-        spec = _resolve_spec(args, placebo_blocks, placebo_cov)[0]
+        spec, fit, _, _ = _resolve_spec(args, placebo_blocks, placebo_cov)
         lambdas.append(spec.lam)
-        est = estimate_on_blocks(placebo_blocks, spec, cov=placebo_cov)
+        est = estimate_on_blocks(placebo_blocks, spec, cov=placebo_cov, fit=fit)
         observed = placebo_p.outcomes[placebo_p.treated_index]
         rows = [row + (time_label,) for row in est.to_rows(placebo_p.time_ids, observed)]
         safe = str(time_label).replace(os.sep, "_")

@@ -19,13 +19,17 @@ exact covariate correction. :func:`design_and_anchor` is the penalty-free
 half and :func:`weights_for_design` the whole; they are the only place a
 spec (plus optional covariates) becomes weights, so the point estimate,
 the conformal refits and the folds of :func:`fold_predictions`, shared by
-cross-validation and jackknife+, all fit the same estimator.
+cross-validation and jackknife+, all fit the same estimator. A fold drops
+one pre period, so its SCM solution is nearly the full sample's: every
+fold's solve starts from the full-sample :class:`AnchorFit`, which a
+caller that also wants the point estimate passes as ``fit`` to reuse.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .covariates import (
     standardize_to_outcomes,
 )
 from .errors import ConfigError
-from .panel import demean_rows, period_folds, split_and_center
+from .panel import PanelBlocks, demean_rows, period_folds, split_and_center
 from .ridge import AugEstimate, augment_path, augment_weights
 from .scm import DonorWeights, ScmConfig, solve_scm
 
@@ -44,6 +48,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "EstimatorSpec",
+    "AnchorFit",
     "estimate",
     "design_and_anchor",
     "weights_for_design",
@@ -93,15 +98,29 @@ class EstimatorSpec:
         return replace(self, lam=float(lam))
 
 
-def design_and_anchor(blocks, spec, cov=None):
-    """The penalty-free half of an estimator on (centered) blocks.
+class AnchorFit(NamedTuple):
+    """The penalty-free half of an estimator on one set of blocks.
 
-    Returns the design the method balances and its anchor weights there;
-    for the ridge methods the weights are the anchor plus the ridge
-    adjustment on that design at ``spec.lam``, which is not read here. When
+    ``design`` is what the method balances and ``anchor`` its weights
+    there. ``scm`` is the SCM solution the anchor comes from, None for
+    ``ridge`` and ``fixed_effects``, which solve none; it differs from the
+    anchor only under ``residualize``, whose covariate shift it precedes.
+    """
+
+    design: PanelBlocks
+    anchor: DonorWeights
+    scm: DonorWeights | None
+
+
+def design_and_anchor(blocks, spec, cov=None, start=None):
+    """The :class:`AnchorFit` of an estimator on (centered) blocks.
+
+    For the ridge methods the weights are the anchor plus the ridge
+    adjustment on the design at ``spec.lam``, which is not read here. When
     ``cov`` (a CovariatePanel with at least one column) is given, the
     covariates enter per ``spec.covariate_mode``; they are only supported
     for the ridge methods, and any other method raises ConfigError.
+    ``start`` is the SCM solver's starting point (see :func:`solve_scm`).
     """
     with_cov = cov is not None and cov.k > 0
     if with_cov:
@@ -119,23 +138,25 @@ def design_and_anchor(blocks, spec, cov=None):
         design = blocks
     if spec.method in ("ridge", "fixed_effects"):
         n0 = blocks.n_donors
-        anchor = DonorWeights(values=np.full(n0, 1.0 / n0))
+        scm, anchor = None, DonorWeights(values=np.full(n0, 1.0 / n0))
     else:
-        anchor = solve_scm(design, ScmConfig(zeta=spec.zeta))
+        scm = anchor = solve_scm(design, ScmConfig(zeta=spec.zeta), start=start)
     if with_cov and spec.covariate_mode == "residualize":
         anchor = balance_covariates(anchor, cov)
-    return design, anchor
+    return AnchorFit(design, anchor, scm)
 
 
-def weights_for_design(blocks, spec, cov=None):
+def weights_for_design(blocks, spec, cov=None, fit=None):
     """Donor weights for the configured method on an arbitrary (centered) design.
 
     The anchor of :func:`design_and_anchor`, plus for the two ridge
     methods the ridge adjustment at ``spec.lam``, which must be set.
+    ``fit``, when given, is that :class:`AnchorFit`, already solved for
+    ``blocks``, ``spec`` and ``cov``.
     """
     if spec.needs_lambda() and spec.lam is None:
         raise ConfigError(f"method {spec.method!r} requires a lambda value")
-    design, anchor = design_and_anchor(blocks, spec, cov)
+    design, anchor, _ = design_and_anchor(blocks, spec, cov) if fit is None else fit
     if not spec.needs_lambda():
         return anchor
     return augment_weights(anchor, design, spec.lam)
@@ -151,9 +172,10 @@ def estimate(p, spec, cov=None):
     return estimate_on_blocks(blocks, spec, cov=cov)
 
 
-def estimate_on_blocks(blocks, spec, cov=None):
-    """Like :func:`estimate` but starting from already-built blocks."""
-    weights = weights_for_design(blocks, spec, cov)
+def estimate_on_blocks(blocks, spec, cov=None, fit=None):
+    """Like :func:`estimate` but starting from already-built blocks (and
+    optionally their :class:`AnchorFit`, as for :func:`weights_for_design`)."""
+    weights = weights_for_design(blocks, spec, cov, fit)
     g = weights.values
     counterfactual, fitted = _counterfactual(blocks, spec, g)
     return AugEstimate(
@@ -172,13 +194,15 @@ def _counterfactual(blocks, spec, weights):
     return blocks.y1_post - fitted.y1_post + weights.T @ fitted.y0_post, fitted
 
 
-def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one"):
+def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit=None):
     """One pass over the folds of :func:`panel.period_folds`.
 
     Each fold fits its anchor once; a ridge method adjusts it for every
     penalty in ``lambdas`` (default ``[spec.lam]``) from one SVD, the others
-    give one column. Returns ``(truth, predictions, skipped)``: each kept
-    fold's held-out treated outcome, the folds x L x (n_post + 1)
+    give one column. Every fold's SCM solve starts from the full-sample
+    solution ``fit.scm``, with ``fit`` the :class:`AnchorFit` of ``blocks``
+    (solved here when not given). Returns ``(truth, predictions, skipped)``:
+    each kept fold's held-out treated outcome, the folds x L x (n_post + 1)
     counterfactuals (held-out period last) and the periods whose folds kept
     fewer than two periods.
     """
@@ -188,13 +212,16 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one"):
         if spec.lam is None:
             raise ConfigError(f"method {spec.method!r} requires a lambda value")
         lambdas = [spec.lam]
+    if fit is None:
+        fit = design_and_anchor(blocks, spec, cov)
+    start = None if fit.scm is None else fit.scm.values
     truth, predictions, skipped = [], [], []
     for t, fold in period_folds(blocks, mode):
         if fold.t0 < 2:
             skipped.append(t)
             logger.warning("fold %d skipped: only %d periods remain", t, fold.t0)
             continue
-        design, anchor = design_and_anchor(fold, spec, cov)
+        design, anchor, _ = design_and_anchor(fold, spec, cov, start)
         g = augment_path(anchor, design, lambdas) if spec.needs_lambda() else anchor.values[:, None]
         truth.append(fold.y1_post[-1])
         predictions.append(_counterfactual(fold, spec, g)[0])

@@ -22,10 +22,10 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import EstimatorSpec, estimate_on_blocks
+from .estimators import EstimatorSpec, design_and_anchor, estimate_on_blocks, fold_predictions
 from .panel import PanelData, readonly_array, split_and_center
 from .scm import imbalance
-from .selection import default_lambda_grid, loo_cv, select_lambda
+from .selection import cv_from_folds, default_lambda_grid, select_lambda
 
 logger = logging.getLogger(__name__)
 
@@ -307,8 +307,9 @@ def default_estimator_bank(lam="cv-min"):
     one of "cv-min" / "cv-1se", in which case the penalty is selected per
     replication inside the Monte Carlo loop. That selection cross-validates
     ``ridge_ascm`` once per replication and both ridge entries share its
-    penalty; a second cross-validation for ``ridge`` alone would double the
-    cost of a replication.
+    penalty; ``ridge`` is not cross-validated on its own. In a replication
+    the ``scm`` and ``ridge_ascm`` entries share one SCM solve, which also
+    starts every fold of the cross-validation.
     """
     fixed = None if isinstance(lam, str) else lam
     return {
@@ -320,18 +321,26 @@ def default_estimator_bank(lam="cv-min"):
     }
 
 
-def _resolve_lambda(blocks, rule):
-    cv = loo_cv(blocks, lambda_grid=default_lambda_grid(blocks, size=12))
+# the estimator whose penalty a replication cross-validates
+_CV_SPEC = EstimatorSpec()
+
+
+def _resolve_lambda(blocks, rule, fit):
+    grid = default_lambda_grid(blocks, size=12)
+    cv = cv_from_folds(grid, fold_predictions(blocks, _CV_SPEC, lambdas=grid, fit=fit))
     return select_lambda(cv, "min" if rule == "cv-min" else "one-se")
 
 
 def _one_replication(args):
     family, params, n, t, t0, rep_seed, estimators, lam_rule, estimand_period = args
     blocks = split_and_center(draw_panel(family, params, n, t, t0, rep_seed), center=True)
+    # one SCM solve: the start of every CV fold, the scm entry's weights and
+    # the ridge_ascm anchor (for specs with the cross-validated zeta)
+    shared = design_and_anchor(blocks, _CV_SPEC)
     lam = None
     needs_cv = any(s.needs_lambda() and s.lam is None for s in estimators.values())
     if lam_rule is not None and needs_cv:
-        lam = _resolve_lambda(blocks, lam_rule)
+        lam = _resolve_lambda(blocks, lam_rule, shared)
     estimates = {}
     scm_fit = None
     for name, spec in estimators.items():
@@ -341,7 +350,8 @@ def _one_replication(args):
                     f"estimator {name!r} needs a lambda but no rule or value was given"
                 )
             spec = spec.with_lambda(lam)
-        est = estimate_on_blocks(blocks, spec)
+        shares = spec.method in ("scm", "ridge_ascm") and spec.zeta == _CV_SPEC.zeta
+        est = estimate_on_blocks(blocks, spec, fit=shared if shares else None)
         estimates[name] = float(est.att[estimand_period])
         if name == "scm":
             scm_fit = imbalance(blocks, est.weights)

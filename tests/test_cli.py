@@ -10,6 +10,7 @@ from panelctrl.covariates import covariates_from_long
 from panelctrl.estimators import EstimatorSpec
 from panelctrl.inference import jackknife_plus
 from panelctrl.panel import load_panel, split_and_center
+from panelctrl.ridge import augment_weights
 from panelctrl.selection import loo_cv, placebo_panel, select_lambda
 
 
@@ -143,6 +144,58 @@ class TestEstimate:
         assert rc == 0
         assert len(calls) == load_panel(panel_csv, "u0", "11").t0 + 1
 
+    @pytest.mark.parametrize("mode", [None, "joint", "residualize"])
+    def test_every_fold_starts_from_the_full_sample_solve(
+        self, panel_csv, tmp_path, monkeypatch, mode
+    ):
+        # the first solve is the full sample's, cold; each fold starts from
+        # its weights (under residualize, the weights before the covariate shift)
+        import panelctrl.estimators as estimators_mod
+
+        starts, results = [], []
+        solve = estimators_mod.solve_scm
+
+        def record(*args, start=None, **kwargs):
+            starts.append(start)
+            results.append(solve(*args, start=start, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(estimators_mod, "solve_scm", record)
+        covariates = [] if mode is None else ["--covariates", "gdp", "--covariate-mode", mode]
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            "--inference", "jackknife+", *covariates, "--out", str(tmp_path / "est"),
+        ])
+        assert rc == 0
+        assert len(starts) == load_panel(panel_csv, "u0", "11").t0 + 1
+        assert starts[0] is None
+        for start in starts[1:]:
+            assert start is not None and np.array_equal(start, results[0].values)
+        if mode is None:
+            # the estimate's anchor is that same solve, not a second one
+            rows = read_rows(tmp_path / "est" / "weights.csv")[1:]
+            lam = json.loads(open(tmp_path / "est" / "manifest.json").read())["config"]["lambda"]
+            blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
+            expected = augment_weights(results[0], blocks, lam).values
+            assert np.array_equal([float(r[1]) for r in rows], expected)
+
+    @pytest.mark.parametrize("command", ["estimate", "placebo"])
+    @pytest.mark.parametrize("args", [
+        ["--lambda", "1.0", "--select", "min"],
+        ["--method", "scm", "--select", "one-se"],
+        ["--method", "demeaned", "--select", "min"],
+        ["--method", "fixed_effects", "--select", "min"],
+    ], ids=["lambda", "scm", "demeaned", "fixed_effects"])
+    def test_select_without_cv_exit_code(self, panel_csv, tmp_path, command, args):
+        # --select only picks a cross-validated lambda; anywhere else it is refused
+        extra = ["--placebo-times", "8"] if command == "placebo" else []
+        rc = main([
+            command, "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            *args, *extra, "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 3
+        assert not os.path.exists(tmp_path / "x" / "manifest.json")
+
     @pytest.mark.parametrize("method", ["ridge", "ridge_ascm"])
     def test_auto_lambda_jackknife_rows_match_the_library(self, panel_csv, tmp_path, method):
         out = tmp_path / "est"
@@ -176,7 +229,7 @@ class TestEstimate:
         out = tmp_path / "est"
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0",
-            "--treatment-time", "11", "--lambda", "1.0", "--select", "min", "--out", str(out),
+            "--treatment-time", "11", "--lambda", "1.0", "--out", str(out),
         ])
         assert rc == 0
         config = json.loads(open(out / "manifest.json").read())["config"]
@@ -317,6 +370,38 @@ class TestCv:
         manifest = json.loads(open(out / "manifest.json").read())
         assert manifest["config"]["selected_lambda"] == manifest["config"]["lambda_1se"]
         assert manifest["config"]["lambda_1se"] >= manifest["config"]["lambda_min"]
+
+    @pytest.mark.parametrize("args", [
+        ["--method", "ridge"],
+        ["--covariates", "gdp"],
+        ["--covariates", "gdp", "--covariate-mode", "residualize"],
+    ], ids=["ridge", "joint", "residualize"])
+    def test_scores_the_estimator_estimate_runs(self, panel_csv, tmp_path, args):
+        # cv.csv explains the lambda that estimate picks with the same arguments
+        rc = main([
+            "cv", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            "--select", "one-se", *args, "--out", str(tmp_path / "cv"),
+        ])
+        assert rc == 0
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            *args, "--out", str(tmp_path / "est"),
+        ])
+        assert rc == 0
+        cv = json.loads(open(tmp_path / "cv" / "manifest.json").read())["config"]
+        est = json.loads(open(tmp_path / "est" / "manifest.json").read())["config"]
+        assert cv["selected_lambda"] == est["lambda"] == est["lambda_1se"]
+        assert (cv["lambda_min"], cv["lambda_1se"]) == (est["lambda_min"], est["lambda_1se"])
+        blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
+        assert cv["selected_lambda"] != select_lambda(loo_cv(blocks), "one-se")
+
+    @pytest.mark.parametrize("method", ["scm", "demeaned", "fixed_effects"])
+    def test_method_without_penalty_exit_code(self, panel_csv, tmp_path, method):
+        rc = main([
+            "cv", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            "--method", method, "--out", str(tmp_path / "cv"),
+        ])
+        assert rc == 3
 
 
 class TestPlacebo:

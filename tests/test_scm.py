@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelctrl.errors import ConfigError, ConvergenceError
-from panelctrl.panel import PanelBlocks
+from panelctrl.panel import PanelBlocks, period_folds
 from panelctrl.scm import (
     DonorWeights,
     ScmConfig,
@@ -225,6 +225,55 @@ def test_solution_is_a_kkt_point_on_the_simplex(
     assert kkt_residual(blocks, w, cfg) <= 1e-8
     assert w.values.min() >= 0.0
     assert abs(math.fsum(w.values) - 1.0) <= 1e-12
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    near_duplicates=st.booleans(),
+    wide=st.booleans(),
+    zero_zeta=st.booleans(),
+)
+def test_warm_fold_solve_matches_the_cold_one(seed, near_duplicates, wide, zero_zeta):
+    """A leave-one-period-out fold solved from the full-sample weights ends
+    where a cold solve of the fold ends, and passes the same KKT gate.
+
+    At zeta = 0 the weights need not be unique, the synthetic control
+    x0'g and the objective are, so those are compared. Near-duplicate
+    donors at zeta = 0 stop at the gate's accuracy whether warm or cold
+    (KKT near 1e-9, see test_near_duplicate_donors_do_not_cycle), so that
+    case is compared at the 1e-8 of test_solution_is_a_kkt_point_on_the_simplex
+    and may raise ConvergenceError.
+    """
+    rng = np.random.default_rng(seed)
+    if wide:
+        n0, t0 = 120, 10
+    else:
+        n0, t0 = int(rng.integers(2, 15)), int(rng.integers(3, 12))
+    x0 = rng.normal(size=(n0, t0))
+    if near_duplicates:
+        x0 = np.vstack([x0, x0 + rng.normal(size=x0.shape) * 1e-9])
+    cfg = ScmConfig(zeta=0.0 if near_duplicates or zero_zeta else None)
+    blocks = blocks_from(rng.normal(size=t0), x0)
+    _, fold = list(period_folds(blocks))[int(rng.integers(t0))]
+    try:
+        full = solve_scm(blocks, cfg)
+        warm = solve_scm(fold, cfg, start=full.values)
+        cold = solve_scm(fold, cfg)
+    except ConvergenceError:
+        if near_duplicates:
+            return
+        raise
+    _, zeta = cfg.resolve(fold)
+    scale = max(1.0, 2.0 * float((fold.x0**2).sum(axis=1).max()) + 2.0 * zeta)
+    tol = 1e-8 if near_duplicates else 1e-10
+    for w in (warm, cold):
+        assert kkt_residual(fold, w, cfg) <= cfg.tol * scale
+        assert w.values.min() >= 0.0
+    fit_gap = np.abs(fold.x0.T @ (warm.values - cold.values)).max()
+    assert fit_gap <= tol * max(1.0, np.abs(fold.x1).max())
+    objective = scm_objective(fold, cold, cfg)
+    assert abs(scm_objective(fold, warm, cfg) - objective) <= tol * max(1.0, objective)
 
 
 class TestImbalance:

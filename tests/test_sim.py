@@ -179,6 +179,40 @@ class TestRunMonteCarlo:
         assert rep.rows[0].n_dropped == 1
         assert rep.rows[0].n_used == 5
 
+    def test_one_replication_shares_its_scm_solve(self, monkeypatch):
+        # one cold SCM solve is the scm entry, the ridge_ascm anchor and the
+        # start of every CV fold; only demeaned_scm solves on its own design
+        import panelctrl.estimators as estimators_mod
+        import panelctrl.sim as sim_mod
+
+        solves, anchors, estimates = [], [], {}
+        solve, augment = estimators_mod.solve_scm, estimators_mod.augment_weights
+        estimate = sim_mod.estimate_on_blocks
+
+        def record_solve(*args, **kwargs):
+            solves.append((kwargs.get("start"), solve(*args, **kwargs)))
+            return solves[-1][1]
+
+        def record_anchor(anchor, *args):
+            anchors.append(anchor)
+            return augment(anchor, *args)
+
+        def record_estimate(blocks, spec, **kwargs):
+            estimates[spec.method] = estimate(blocks, spec, **kwargs)
+            return estimates[spec.method]
+
+        monkeypatch.setattr(estimators_mod, "solve_scm", record_solve)
+        monkeypatch.setattr(estimators_mod, "augment_weights", record_anchor)
+        monkeypatch.setattr(sim_mod, "estimate_on_blocks", record_estimate)
+        run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
+                        n=10, t=20, t0=16, lam="cv-min")
+        assert len(solves) == 16 + 2
+        shared = solves[0][1]
+        assert solves[0][0] is None
+        assert all(np.array_equal(start, shared.values) for start, _ in solves[1:17])
+        assert estimates["scm"].weights is shared
+        assert [a for a in anchors if a is shared] == [shared]  # the ridge_ascm entry's
+
     def test_stratification_partitions(self):
         params = default_dgp("factor")
         rep = run_monte_carlo("factor", params, replications=24, seed=9,
