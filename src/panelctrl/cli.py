@@ -234,8 +234,10 @@ def _cmd_estimate(args):
                 conformal_interval(p, args.alpha, spec, post_period=k, target="effect", cov=cov)
                 for k in range(p.n_periods - p.t0)
             ]
-        header += ["ci_lower", "ci_upper", "method"]
-        cells = [("", "", "")] * p.t0 + [(ci.lower, ci.upper, ci.method) for ci in cis]
+        header += ["ci_lower", "ci_upper", "method", "open_ended", "disconnected"]
+        cells = [("",) * 5] * p.t0 + [
+            (ci.lower, ci.upper, ci.method, ci.open_ended, ci.disconnected) for ci in cis
+        ]
         rows = [row + cell for row, cell in zip(rows, cells)]
     _write_csv(os.path.join(args.out, "gap.csv"), header, rows)
 

@@ -22,7 +22,10 @@ the conformal refits and the folds of :func:`fold_predictions`, shared by
 cross-validation and jackknife+, all fit the same estimator. A fold drops
 one pre period, so its SCM solution is nearly the full sample's: every
 fold's solve starts from the full-sample :class:`AnchorFit`, which a
-caller that also wants the point estimate passes as ``fit`` to reuse.
+caller that also wants the point estimate passes as ``fit`` to reuse. For
+the same reason the ridge adjustments of all leave-one folds come from one
+SVD of the full design, unless joint covariates, re-standardized per fold,
+make every fold's design its own.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .covariates import (
 )
 from .errors import ConfigError
 from .panel import PanelBlocks, demean_rows, period_folds, split_and_center
-from .ridge import AugEstimate, augment_path, augment_weights
+from .ridge import AugEstimate, ControlSVD, augment_path, augment_weights, fold_adjustments
 from .scm import DonorWeights, ScmConfig, solve_scm
 
 logger = logging.getLogger(__name__)
@@ -198,13 +201,17 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
     """One pass over the folds of :func:`panel.period_folds`.
 
     Each fold fits its anchor once; a ridge method adjusts it for every
-    penalty in ``lambdas`` (default ``[spec.lam]``) from one SVD, the others
-    give one column. Every fold's SCM solve starts from the full-sample
-    solution ``fit.scm``, with ``fit`` the :class:`AnchorFit` of ``blocks``
-    (solved here when not given). Returns ``(truth, predictions, skipped)``:
-    each kept fold's held-out treated outcome, the folds x L x (n_post + 1)
-    counterfactuals (held-out period last) and the periods whose folds kept
-    fewer than two periods.
+    penalty in ``lambdas`` (default ``[spec.lam]``), the others give one
+    column. Every fold's SCM solve starts from the full-sample solution
+    ``fit.scm``, with ``fit`` the :class:`AnchorFit` of ``blocks`` (solved
+    here when not given). When every fold's design is the full design
+    without one column ("leave-one" folds, no covariates or residualized
+    ones), all folds' adjustments come from one SVD of the full design
+    (:func:`ridge.fold_adjustments`); otherwise each fold adjusts on its own
+    design (:func:`ridge.augment_path`). Returns ``(truth, predictions,
+    skipped)``: each kept fold's held-out treated outcome, the folds x L x
+    (n_post + 1) counterfactuals (held-out period last) and the periods
+    whose folds kept fewer than two periods.
     """
     if blocks.t0 < 3:
         raise ConfigError("leave-one-period-out folds need at least 3 pre periods")
@@ -215,14 +222,36 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
     if fit is None:
         fit = design_and_anchor(blocks, spec, cov)
     start = None if fit.scm is None else fit.scm.values
-    truth, predictions, skipped = [], [], []
+    one_svd = (
+        spec.needs_lambda()
+        and mode == "leave-one"
+        and (cov is None or cov.k == 0 or spec.covariate_mode == "residualize")
+    )
+    truth, anchors, predictions, skipped = [], [], [], []
     for t, fold in period_folds(blocks, mode):
         if fold.t0 < 2:
             skipped.append(t)
             logger.warning("fold %d skipped: only %d periods remain", t, fold.t0)
             continue
         design, anchor, _ = design_and_anchor(fold, spec, cov, start)
-        g = augment_path(anchor, design, lambdas) if spec.needs_lambda() else anchor.values[:, None]
         truth.append(fold.y1_post[-1])
+        if one_svd:
+            anchors.append(anchor.values)
+            continue
+        g = augment_path(anchor, design, lambdas) if spec.needs_lambda() else anchor.values[:, None]
         predictions.append(_counterfactual(fold, spec, g)[0])
+    if one_svd:
+        predictions = _one_svd_predictions(blocks, fit.design, np.array(anchors).T, lambdas)
     return np.array(truth), np.array(predictions), tuple(skipped)
+
+
+def _one_svd_predictions(blocks, design, anchors, lambdas):
+    """The leave-one fold predictions of a ridge method whose fold designs are
+    column subsets of ``design``; column t of ``anchors`` is fold t's anchor."""
+    residuals = design.x1[:, None] - design.x0.T @ anchors
+    np.fill_diagonal(residuals, 0.0)
+    svd = ControlSVD.compute(design.x0 - design.x0.mean(axis=0))
+    adjustments = fold_adjustments(svd, residuals, blocks.y0_post, blocks.x0, lambdas)
+    held_out = np.einsum("it,it->t", anchors, blocks.x0)
+    base = np.hstack([anchors.T @ blocks.y0_post, held_out[:, None]])
+    return base[:, None, :] + adjustments

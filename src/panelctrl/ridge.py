@@ -12,7 +12,11 @@ outcomes at uniform weights, and the covariate estimators apply it on a
 stacked or residualized design. All linear solves go through one shared
 SVD of the scaled control block, with singular values below 1e-10 of the
 largest treated as zero; the same decomposition powers the imbalance
-identities, the weight-norm bound, and the error-bound sketch. The public
+identities, the weight-norm bound, and the error-bound sketch. A
+leave-one-period-out fold only deletes one column of the design, so
+:func:`fold_adjustments` gives every fold's adjustment from the one SVD
+of the full design by the bordered-inverse deletion identity, and the fold
+pass of cross-validation and jackknife+ takes one SVD in all. The public
 hyper-parameter is always lam = lam_ridge; diagnostics that need the
 scaled convention divide by the donor count internally and report both
 values.
@@ -43,6 +47,7 @@ __all__ = [
     "fit_ridge",
     "augment_weights",
     "augment_path",
+    "fold_adjustments",
     "verify_penalized_form",
     "svd_imbalance",
     "weight_norm_bound",
@@ -115,24 +120,6 @@ class ControlSVD:
     def rotate(self, x):
         """Coordinates of x along the right singular vectors (length m)."""
         return self.v.T @ np.asarray(x, dtype=float)
-
-    def gram_inverse_apply(self, vec, lams):
-        """(x0' x0 + lam I)^{-1} vec for every lam in ``lams``: a T0 x L matrix.
-
-        lam is on the lam_ridge scale. Requires full column rank at lam=0.
-        """
-        vec = np.asarray(vec, dtype=float)
-        lams = np.asarray(lams, dtype=float)
-        if np.any(lams == 0.0) and not self.full_column_rank:
-            raise SingularityError(
-                f"x0'x0 is singular (rank {self.rank} < {self.t0}); lambda=0 not allowed"
-            )
-        coef = self.v.T @ vec
-        out = self.v @ (coef[:, None] / (self.n0 * self.d[:, None] ** 2 + lams))
-        # the part of vec outside the row space is scaled by 1/lam; at lam=0
-        # full column rank leaves no such part
-        inv = np.divide(1.0, lams, out=np.zeros_like(lams), where=lams != 0.0)
-        return out + np.outer(vec - self.v @ coef, inv)
 
 
 @dataclass(frozen=True)
@@ -248,24 +235,85 @@ def fit_ridge(blocks, lam, post_period=0):
     return RidgeFit(intercept=intercept, coefs=coefs, lam=float(lam))
 
 
+def _require_invertible(svd, lambdas):
+    """Refuse lam=0 unless the design's Gram matrix x0'x0 is invertible."""
+    if np.any(lambdas < 0):
+        raise ConfigError("lambda must be nonnegative")
+    if np.any(lambdas == 0.0) and not svd.full_column_rank:
+        raise SingularityError(
+            f"x0'x0 is singular (rank {svd.rank} < {svd.t0}); lambda=0 not allowed"
+        )
+
+
 def augment_path(anchor, blocks, lambdas, svd=None):
     """Ridge-augmented weights for every penalty in ``lambdas`` from one SVD.
 
-    Column l is anchor + x0 (x0'x0 + lam_l I)^{-1} (x1 - x0' anchor): an
+    Column l is anchor + x0 (x0'x0 + lam_l I)^{-1} r with r = x1 - x0'
+    anchor, computed as sqrt(N0) U (d s V'r), s = 1 / (N0 d^2 + lam_l): an
     N0 x L matrix whose columns sum to one up to round-off. Requires
-    centered blocks and sum-constrained anchor weights.
+    centered blocks and sum-constrained anchor weights; lam = 0 requires
+    full column rank.
     """
     g = weight_values(anchor)
     if isinstance(anchor, DonorWeights) and not anchor.sum_constrained:
         raise ConfigError("anchor weights must be sum-constrained")
     lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0):
-        raise ConfigError("lambda must be nonnegative")
     _require_centered(blocks.x0, "augment_weights")
     svd = svd or ControlSVD.compute(blocks.x0)
-    adj = blocks.x0 @ svd.gram_inverse_apply(blocks.x1 - blocks.x0.T @ g, lambdas)
+    _require_invertible(svd, lambdas)
+    rotated = svd.rotate(blocks.x1 - blocks.x0.T @ g)
+    scale = np.sqrt(svd.n0) * svd.d[:, None] / (svd.n0 * svd.d[:, None] ** 2 + lambdas)
+    adj = svd.u @ (scale * rotated[:, None])
     adj -= adj.mean(axis=0)  # exactly zero-sum in exact arithmetic; strip round-off
     return g[:, None] + adj
+
+
+def fold_adjustments(svd, residuals, post, held_out, lambdas):
+    """Every leave-one-period-out fold's ridge adjustment from one SVD.
+
+    ``svd`` is the :class:`ControlSVD` of the column-centred full design
+    C = sqrt(N0) U diag(d) V' (N0 x T0). Fold t's design is C without
+    column t, and column t of the T0 x T0 ``residuals`` is its residual
+    r_t: x1 - x0' g_t on the kept periods, 0 in row t. Deleting column t
+    takes c_t c_t' off C C' + lam I, so the bordered-inverse identity gives
+    fold t's adjustment C_t (C_t'C_t + lam I)^{-1} r_t as sqrt(N0) U (d z_t),
+
+        z_t = s V'r_t + (s V_t) q_t / delta_t,    s = 1 / (N0 d^2 + lam),
+        q_t = V_t . (N0 d^2 s V'r_t),   delta_t = lam V_t . (s V_t) + 1 - |V_t|^2,
+
+    with V_t row t of V. When C has full column rank, V_t . V'r_t = r_t[t]
+    = 0 and |V_t| = 1, so lam cancels from the ratio and
+    q_t / delta_t = -V_t . (s V'r_t) / V_t . (s V_t); that form is used
+    there, and lam = 0 requires it.
+
+    Returns the T0 x L x (P + 1) products of each fold's adjustment with
+    the donor outcomes: the N0 x P ``post`` block, shared by every fold,
+    then column t of the N0 x T0 ``held_out`` block for fold t. The loop
+    runs over penalties, so extra memory stays O(T0 m).
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    _require_invertible(svd, lambdas)
+    v, n0d2 = svd.v, svd.n0 * svd.d**2
+    v_sq = v**2
+    outside = 1.0 - v_sq.sum(axis=1)  # 1 - |V_t|^2, zero at full column rank
+    rotated = v.T @ residuals
+    outcomes = np.hstack([post, held_out])
+    # adjustments sum to zero, so centring the outcomes only strips round-off
+    outcomes = outcomes - outcomes.mean(axis=0)
+    coords = (np.sqrt(svd.n0) * svd.d)[:, None] * (svd.u.T @ outcomes)
+    n_post = post.shape[1]
+    out = np.empty((svd.t0, lambdas.size, n_post + 1))
+    for li, lam in enumerate(lambdas):
+        s = 1.0 / (n0d2 + lam)
+        z = s[:, None] * rotated
+        if svd.full_column_rank:
+            ratio = -np.einsum("tj,jt->t", v, z) / (v_sq @ s)
+        else:
+            ratio = np.einsum("tj,jt->t", v * n0d2, z) / (lam * (v_sq @ s) + outside)
+        z += s[:, None] * v.T * ratio
+        out[:, li, :n_post] = z.T @ coords[:, :n_post]
+        out[:, li, n_post] = np.einsum("jt,jt->t", z, coords[:, n_post:])
+    return out
 
 
 def augment_weights(anchor, blocks, lam, svd=None):

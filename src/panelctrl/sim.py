@@ -306,10 +306,12 @@ def default_estimator_bank(lam="cv-min"):
     ``lam`` may be a number (fixed penalty for the two ridge entries) or
     one of "cv-min" / "cv-1se", in which case the penalty is selected per
     replication inside the Monte Carlo loop. That selection cross-validates
-    ``ridge_ascm`` once per replication and both ridge entries share its
-    penalty; ``ridge`` is not cross-validated on its own. In a replication
-    the ``scm`` and ``ridge_ascm`` entries share one SCM solve, which also
-    starts every fold of the cross-validation.
+    the bank's ``ridge_ascm`` entry (its zeta included) once per
+    replication, or the default :class:`EstimatorSpec` when the bank has
+    none, and every ridge entry without a fixed penalty shares its penalty;
+    ``ridge`` is not cross-validated on its own. In a replication the
+    ``scm`` and ``ridge_ascm`` entries share that estimator's one SCM solve,
+    which also starts every fold of the cross-validation.
     """
     fixed = None if isinstance(lam, str) else lam
     return {
@@ -321,26 +323,24 @@ def default_estimator_bank(lam="cv-min"):
     }
 
 
-# the estimator whose penalty a replication cross-validates
-_CV_SPEC = EstimatorSpec()
-
-
-def _resolve_lambda(blocks, rule, fit):
+def _resolve_lambda(blocks, rule, spec, fit):
     grid = default_lambda_grid(blocks, size=12)
-    cv = cv_from_folds(grid, fold_predictions(blocks, _CV_SPEC, lambdas=grid, fit=fit))
+    cv = cv_from_folds(grid, fold_predictions(blocks, spec, lambdas=grid, fit=fit))
     return select_lambda(cv, "min" if rule == "cv-min" else "one-se")
 
 
 def _one_replication(args):
     family, params, n, t, t0, rep_seed, estimators, lam_rule, estimand_period = args
     blocks = split_and_center(draw_panel(family, params, n, t, t0, rep_seed), center=True)
-    # one SCM solve: the start of every CV fold, the scm entry's weights and
-    # the ridge_ascm anchor (for specs with the cross-validated zeta)
-    shared = design_and_anchor(blocks, _CV_SPEC)
+    # the bank's ridge_ascm entry is the estimator whose penalty is
+    # cross-validated; its one SCM solve starts every CV fold and is the
+    # scm entry's weights and the ridge_ascm anchor (for specs with its zeta)
+    cv_spec = estimators.get("ridge_ascm", EstimatorSpec())
+    shared = design_and_anchor(blocks, cv_spec)
     lam = None
     needs_cv = any(s.needs_lambda() and s.lam is None for s in estimators.values())
     if lam_rule is not None and needs_cv:
-        lam = _resolve_lambda(blocks, lam_rule, shared)
+        lam = _resolve_lambda(blocks, lam_rule, cv_spec, shared)
     estimates = {}
     scm_fit = None
     for name, spec in estimators.items():
@@ -350,7 +350,8 @@ def _one_replication(args):
                     f"estimator {name!r} needs a lambda but no rule or value was given"
                 )
             spec = spec.with_lambda(lam)
-        shares = spec.method in ("scm", "ridge_ascm") and spec.zeta == _CV_SPEC.zeta
+        scm_anchored = {spec.method, cv_spec.method} <= {"scm", "ridge_ascm"}
+        shares = scm_anchored and spec.zeta == cv_spec.zeta
         est = estimate_on_blocks(blocks, spec, fit=shared if shares else None)
         estimates[name] = float(est.att[estimand_period])
         if name == "scm":

@@ -3,14 +3,16 @@
 Everything here is deliberately brute-force or first-order so it shares
 no code with the implementations under test: exhaustive simplex grids,
 projected gradient descent on the sum-to-one affine set, dense
-normal-equation solves, and from-scratch refit loops. The one exception is
-the jackknife+ rebuild, which checks the fold bookkeeping rather than the
-estimator and so fits each fold with the library's ``estimate_on_blocks``.
+normal-equation solves, rational-arithmetic solves, and from-scratch refit
+loops. The one exception is the jackknife+ rebuild, which checks the fold
+bookkeeping rather than the estimator and so fits each fold with the
+library's ``estimate_on_blocks``.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,6 +117,44 @@ def dense_ridge_solve(x0, y, lam):
     t0 = x0.shape[1]
     yc = y - y.mean()
     return np.linalg.solve(x0.T @ x0 + lam * np.eye(t0), x0.T @ yc)
+
+
+def exact_ridge_adjustment(x0, r, lam):
+    """The ridge adjustment a solving (x0 x0' + lam I) a = x0 r, exactly.
+
+    Every float is read at its exact binary value and the donor-space
+    normal equations are solved by Gauss-Jordan elimination in
+    ``fractions.Fraction`` arithmetic, so the only rounding is the caller's
+    final conversion. Returns the N0 Fractions; for small designs only
+    (N0 up to about a dozen) and lam > 0.
+    """
+    x0 = [[Fraction(float(v)) for v in row] for row in np.asarray(x0, dtype=float)]
+    r = [Fraction(float(v)) for v in np.asarray(r, dtype=float)]
+    lam = Fraction(float(lam))
+    n0 = len(x0)
+    rows = [
+        [sum((a * b for a, b in zip(x0[i], x0[j])), Fraction(0)) + (lam if i == j else 0)
+         for j in range(n0)]
+        + [sum((a * b for a, b in zip(x0[i], r)), Fraction(0))]
+        for i in range(n0)
+    ]
+    for col in range(n0):
+        pivot = next(i for i in range(col, n0) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        inv = 1 / head[col]
+        head[:] = [v * inv for v in head]
+        for i in range(n0):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], head)]
+    return [row[-1] for row in rows]
+
+
+def exact_weighted_sum(weights, values):
+    """sum_i weights_i values_i in Fraction arithmetic, rounded once to float."""
+    terms = (Fraction(w) * Fraction(float(v)) for w, v in zip(weights, values))
+    return float(sum(terms, Fraction(0)))
 
 
 def loo_cv_rebuild(x1, x0, lam, zeta=1e-10, tol=1e-9):

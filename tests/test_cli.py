@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,10 +107,10 @@ class TestEstimate:
         ])
         assert rc == 0
         gap = read_rows(out / "gap.csv")
-        assert gap[0][-3:] == ["ci_lower", "ci_upper", "method"]
+        assert gap[0][4:] == ["ci_lower", "ci_upper", "method", "open_ended", "disconnected"]
         post = gap[-1]
-        assert post[-1] == "jackknife-plus"
-        assert float(post[-3]) <= float(post[-2])
+        assert post[6:] == ["jackknife-plus", "false", "false"]
+        assert float(post[4]) <= float(post[5])
 
     def test_jackknife_rows_are_the_per_period_intervals(self, panel_csv, tmp_path):
         out = tmp_path / "est"
@@ -126,7 +127,7 @@ class TestEstimate:
         post = read_rows(out / "gap.csv")[1 + p.t0 :]
         assert len(post) == len(cis) == 4
         for row, ci in zip(post, cis):
-            assert (float(row[-3]), float(row[-2]), row[-1]) == (ci.lower, ci.upper, ci.method)
+            assert (float(row[4]), float(row[5]), row[6]) == (ci.lower, ci.upper, ci.method)
 
     def test_auto_lambda_folds_fitted_once(self, panel_csv, tmp_path, monkeypatch):
         # CV and jackknife+ share one fold pass: T0 fold anchors plus the full fit
@@ -208,7 +209,7 @@ class TestEstimate:
         p = load_panel(panel_csv, "u0", "11")
         cis = jackknife_plus(p, 0.2, EstimatorSpec(method=method, lam=lam), target="effect")
         post = read_rows(out / "gap.csv")[1 + p.t0 :]
-        got = np.array([[float(row[-3]), float(row[-2])] for row in post])
+        got = np.array([[float(row[4]), float(row[5])] for row in post])
         want = np.array([[ci.lower, ci.upper] for ci in cis])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
 
@@ -245,8 +246,43 @@ class TestEstimate:
         assert rc == 0
         gap = read_rows(out / "gap.csv")
         post = gap[-1]
-        assert post[-1] == "full-conformal"
-        assert float(post[-3]) <= float(post[3]) <= float(post[-2])
+        assert post[6] == "full-conformal"
+        assert float(post[4]) <= float(post[3]) <= float(post[5])
+
+    def test_interval_flag_columns(self, panel_csv, tmp_path, monkeypatch):
+        # each post row carries its interval's open_ended and disconnected
+        # flags; pre rows leave them empty and jackknife+ writes false
+        import panelctrl.cli as cli_mod
+
+        conformal = cli_mod.conformal_interval
+        flagged = []
+
+        def flag_some(*args, post_period, **kwargs):
+            ci = conformal(*args, post_period=post_period, **kwargs)
+            ci = replace(ci, open_ended=post_period == 0, disconnected=post_period == 2)
+            flagged.append(ci)
+            return ci
+
+        monkeypatch.setattr(cli_mod, "conformal_interval", flag_some)
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            "--lambda", "1.0", "--inference", "conformal", "--out", str(tmp_path / "cf"),
+        ])
+        assert rc == 0
+        gap = read_rows(tmp_path / "cf" / "gap.csv")
+        assert gap[0][7:] == ["open_ended", "disconnected"]
+        assert all(row[4:] == [""] * 5 for row in gap[1:11])
+        assert [row[7:] for row in gap[11:]] == [
+            ["true", "false"], ["false", "false"], ["false", "true"], ["false", "false"]
+        ]
+        assert [float(row[4]) for row in gap[11:]] == [ci.lower for ci in flagged]
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            "--lambda", "1.0", "--inference", "jackknife+", "--out", str(tmp_path / "jk"),
+        ])
+        assert rc == 0
+        gap = read_rows(tmp_path / "jk" / "gap.csv")
+        assert [row[7:] for row in gap[11:]] == [["false", "false"]] * 4
 
     def test_lambda_selected_by_cv_when_missing(self, panel_csv, tmp_path):
         out = tmp_path / "est"

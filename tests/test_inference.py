@@ -1,9 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from panelctrl.covariates import CovariatePanel
-from panelctrl.errors import ConfigError, GridError
-from panelctrl.estimators import EstimatorSpec, estimate_on_blocks, fold_predictions
+from panelctrl.errors import ConfigError, GridError, SingularityError
+from panelctrl.estimators import (
+    EstimatorSpec,
+    design_and_anchor,
+    estimate_on_blocks,
+    fold_predictions,
+)
 from panelctrl.inference import (
     PredictionInterval,
     conformal_interval,
@@ -12,9 +19,15 @@ from panelctrl.inference import (
     jackknife_plus,
 )
 from panelctrl.panel import PanelData, period_folds, split_and_center
+from panelctrl.ridge import augment_path
 
 from conftest import make_panel
-from oracles import conformal_p_rebuild, jackknife_plus_rebuild
+from oracles import (
+    conformal_p_rebuild,
+    exact_ridge_adjustment,
+    exact_weighted_sum,
+    jackknife_plus_rebuild,
+)
 
 SPEC = EstimatorSpec(method="ridge_ascm", lam=1.0, zeta=1e-10)
 
@@ -207,27 +220,80 @@ class TestJackknifePlusOnePass:
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
 
 
+# (units, periods, pre periods, centred blocks, fold mode, penalties); the
+# leave-one inputs of the ridge methods without joint covariates take the
+# one-SVD route of fold_predictions, the others fit fold by fold
+FOLD_INPUTS = [
+    (8, 14, 10, True, "leave-one", [1e3, 2.0, 0.5, 1e-2]),
+    (16, 12, 8, True, "leave-one", [1e3, 2.0, 0.5, 1e-2]),  # wide: N0 > T0
+    (8, 14, 10, False, "leave-one", [1e3, 2.0, 0.5, 1e-2]),
+    (8, 14, 10, True, "leave-future", [1e3, 2.0, 0.5, 1e-2]),
+    (16, 12, 8, True, "leave-one", [2.0, 0.0]),  # full column rank at lambda 0
+]
+
+
 class TestFoldPredictions:
     @pytest.mark.parametrize("method, mode", ONE_PASS_CASES)
     def test_every_fold_matches_its_own_fit(self, rng, method, mode):
         # the fold pass predicts, at every penalty, what the full estimator
-        # fitted on that fold predicts
-        blocks = split_and_center(make_panel(rng, 8, 14, 10))
+        # fitted on that fold predicts. Its SCM solve starts where the pass
+        # starts it: the early leave-future folds keep 2-3 periods for 7
+        # donors, where a cold and a warm solve differ by about 1e-9
         spec = EstimatorSpec(method=method, covariate_mode=mode or "joint")
-        cov = None
-        if mode is not None:
-            cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(7, 2)))
         ridge = spec.needs_lambda()
-        lambdas = [1e3, 2.0, 0.5, 1e-2] if ridge else None
-        truth, predictions, skipped = fold_predictions(blocks, spec, cov, lambdas)
-        assert predictions.shape == (10, len(lambdas) if ridge else 1, 5)
-        assert skipped == ()
-        for (t, fold), held_out, fold_preds in zip(period_folds(blocks), truth, predictions):
-            assert held_out == blocks.x1[t]
-            for lam, got in zip(lambdas or [None], fold_preds):
-                fit = estimate_on_blocks(fold, spec.with_lambda(lam) if ridge else spec, cov)
-                want = fit.counterfactual
-                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(got), np.abs(want)))
+        for n, t, t0, centred, fold_mode, penalties in FOLD_INPUTS:
+            blocks = split_and_center(make_panel(rng, n, t, t0), center=centred)
+            cov = None
+            if mode is not None:
+                cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(n - 1, 2)))
+            lambdas = penalties if ridge else None
+            truth, predictions, skipped = fold_predictions(blocks, spec, cov, lambdas, fold_mode)
+            scm = design_and_anchor(blocks, spec, cov).scm
+            start = None if scm is None else scm.values
+            folds = [(k, fold) for k, fold in period_folds(blocks, fold_mode) if k not in skipped]
+            assert skipped == (() if fold_mode == "leave-one" else (0, 1))
+            assert predictions.shape == (len(folds), len(lambdas) if ridge else 1, t - t0 + 1)
+            for (k, fold), held_out, fold_preds in zip(folds, truth, predictions):
+                assert held_out == blocks.x1[k]
+                anchor = design_and_anchor(fold, spec, cov, start)
+                for lam, got in zip(lambdas or [None], fold_preds):
+                    lam_spec = spec.with_lambda(lam) if ridge else spec
+                    want = estimate_on_blocks(fold, lam_spec, cov, anchor).counterfactual
+                    bound = 1e-10 * np.maximum(np.abs(got), np.abs(want))
+                    assert np.all(np.abs(got - want) <= bound)
+
+    def test_lambda_zero_needs_a_full_rank_full_design(self, rng):
+        # with T0 = N0 every leave-one fold has full column rank but the
+        # centred full design does not, and the one-SVD route refuses
+        # lambda 0 as augment_weights does on the full sample
+        blocks = split_and_center(make_panel(rng, 9, 12, 8))
+        spec = EstimatorSpec(method="ridge", lam=0.0)
+        fold = next(period_folds(blocks))[1]
+        assert np.isfinite(estimate_on_blocks(fold, spec).counterfactual).all()
+        with pytest.raises(SingularityError):
+            fold_predictions(blocks, spec)
+        with pytest.raises(SingularityError):
+            estimate_on_blocks(blocks, spec)
+
+    @pytest.mark.parametrize("method", ["ridge", "ridge_ascm"])
+    def test_adjustments_match_the_exact_solve(self, rng, method):
+        # augment_path and the fold pass against the ridge adjustment solved
+        # in rational arithmetic, on a rank-deficient design at small lambda
+        blocks = split_and_center(make_panel(rng, 8, 14, 10))
+        spec = EstimatorSpec(method=method)
+        lambdas = [2.0, 1e-2]
+        _, predictions, _ = fold_predictions(blocks, spec, lambdas=lambdas)
+        for (_, fold), fold_preds in zip(period_folds(blocks), predictions):
+            design, anchor, _ = design_and_anchor(fold, spec)
+            g = anchor.values
+            paths = augment_path(anchor, design, lambdas)
+            for lam, path, got in zip(lambdas, paths.T, fold_preds):
+                exact = exact_ridge_adjustment(fold.x0, fold.x1 - fold.x0.T @ g, lam)
+                weights = [Fraction(float(gi)) + ai for gi, ai in zip(g, exact)]
+                want = np.array([float(w) for w in weights])
+                assert np.all(np.abs(path - want) <= 1e-11 * np.abs(want))
+                want = np.array([exact_weighted_sum(weights, col) for col in fold.y0_post.T])
+                assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
 
 class TestPredictionInterval:

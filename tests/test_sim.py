@@ -213,6 +213,34 @@ class TestRunMonteCarlo:
         assert estimates["scm"].weights is shared
         assert [a for a in anchors if a is shared] == [shared]  # the ridge_ascm entry's
 
+    def test_cross_validates_the_banks_own_ridge_ascm(self, monkeypatch):
+        # the CV folds fit the bank's ridge_ascm spec, zeta included, and its
+        # one SCM solve is also the scm entry's weights at that zeta
+        import panelctrl.sim as sim_mod
+
+        received, fits = [], {}
+        folds, estimate = sim_mod.fold_predictions, sim_mod.estimate_on_blocks
+
+        def record_folds(blocks, spec, *args, **kwargs):
+            received.append((spec.method, spec.zeta, kwargs["fit"]))
+            return folds(blocks, spec, *args, **kwargs)
+
+        def record_estimate(blocks, spec, **kwargs):
+            fits[spec.method] = kwargs["fit"]
+            return estimate(blocks, spec, **kwargs)
+
+        monkeypatch.setattr(sim_mod, "fold_predictions", record_folds)
+        monkeypatch.setattr(sim_mod, "estimate_on_blocks", record_estimate)
+        bank = {
+            "scm": EstimatorSpec(method="scm", zeta=1.0),
+            "ridge_ascm": EstimatorSpec(method="ridge_ascm", zeta=1.0),
+        }
+        rep = run_monte_carlo("factor", default_dgp("factor"), estimators=bank,
+                              replications=2, seed=3, n=10, t=20, t0=16, lam="cv-min")
+        assert [(method, zeta) for method, zeta, _ in received] == [("ridge_ascm", 1.0)] * 2
+        assert rep.row("scm").n_used == 2
+        assert fits["scm"] is not None and fits["scm"] is fits["ridge_ascm"] is received[-1][2]
+
     def test_stratification_partitions(self):
         params = default_dgp("factor")
         rep = run_monte_carlo("factor", params, replications=24, seed=9,
