@@ -44,7 +44,14 @@ from .covariates import (
 )
 from .errors import ConfigError
 from .panel import PanelBlocks, demean_rows, period_folds, split_and_center
-from .ridge import AugEstimate, ControlSVD, augment_path, augment_weights, fold_adjustments
+from .ridge import (
+    AugEstimate,
+    ControlSVD,
+    _require_invertible,
+    augment_path,
+    augment_weights,
+    fold_adjustments,
+)
 from .scm import DonorWeights, ScmConfig, solve_scm
 
 logger = logging.getLogger(__name__)
@@ -227,6 +234,10 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
         and mode == "leave-one"
         and (cov is None or cov.k == 0 or spec.covariate_mode == "residualize")
     )
+    if one_svd:
+        # refuse lambda 0 on a rank-deficient full design before any fold solve
+        svd = ControlSVD.compute(fit.design.x0 - fit.design.x0.mean(axis=0))
+        _require_invertible(svd, np.asarray(lambdas, dtype=float))
     truth, anchors, predictions, skipped = [], [], [], []
     for t, fold in period_folds(blocks, mode):
         if fold.t0 < 2:
@@ -241,16 +252,16 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
         g = augment_path(anchor, design, lambdas) if spec.needs_lambda() else anchor.values[:, None]
         predictions.append(_counterfactual(fold, spec, g)[0])
     if one_svd:
-        predictions = _one_svd_predictions(blocks, fit.design, np.array(anchors).T, lambdas)
+        predictions = _one_svd_predictions(blocks, fit.design, svd, np.array(anchors).T, lambdas)
     return np.array(truth), np.array(predictions), tuple(skipped)
 
 
-def _one_svd_predictions(blocks, design, anchors, lambdas):
+def _one_svd_predictions(blocks, design, svd, anchors, lambdas):
     """The leave-one fold predictions of a ridge method whose fold designs are
-    column subsets of ``design``; column t of ``anchors`` is fold t's anchor."""
+    column subsets of ``design``, ``svd`` being that of its column-centred
+    x0; column t of ``anchors`` is fold t's anchor."""
     residuals = design.x1[:, None] - design.x0.T @ anchors
     np.fill_diagonal(residuals, 0.0)
-    svd = ControlSVD.compute(design.x0 - design.x0.mean(axis=0))
     adjustments = fold_adjustments(svd, residuals, blocks.y0_post, blocks.x0, lambdas)
     held_out = np.einsum("it,it->t", anchors, blocks.x0)
     base = np.hstack([anchors.T @ blocks.y0_post, held_out[:, None]])

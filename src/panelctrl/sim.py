@@ -306,9 +306,10 @@ def default_estimator_bank(lam="cv-min"):
     ``lam`` may be a number (fixed penalty for the two ridge entries) or
     one of "cv-min" / "cv-1se", in which case the penalty is selected per
     replication inside the Monte Carlo loop. That selection cross-validates
-    the bank's ``ridge_ascm`` entry (its zeta included) once per
-    replication, or the default :class:`EstimatorSpec` when the bank has
-    none, and every ridge entry without a fixed penalty shares its penalty;
+    the bank's first spec of method ``ridge_ascm``, whatever its name (its
+    zeta included), once per replication, or the default
+    :class:`EstimatorSpec` when the bank has none, and every ridge entry
+    without a fixed penalty shares its penalty;
     ``ridge`` is not cross-validated on its own. In a replication the
     ``scm`` and ``ridge_ascm`` entries share that estimator's one SCM solve,
     which also starts every fold of the cross-validation.
@@ -332,10 +333,12 @@ def _resolve_lambda(blocks, rule, spec, fit):
 def _one_replication(args):
     family, params, n, t, t0, rep_seed, estimators, lam_rule, estimand_period = args
     blocks = split_and_center(draw_panel(family, params, n, t, t0, rep_seed), center=True)
-    # the bank's ridge_ascm entry is the estimator whose penalty is
-    # cross-validated; its one SCM solve starts every CV fold and is the
+    # the bank's first ridge_ascm-method spec is the estimator whose penalty
+    # is cross-validated; its one SCM solve starts every CV fold and is the
     # scm entry's weights and the ridge_ascm anchor (for specs with its zeta)
-    cv_spec = estimators.get("ridge_ascm", EstimatorSpec())
+    cv_spec = next(
+        (s for s in estimators.values() if s.method == "ridge_ascm"), EstimatorSpec()
+    )
     shared = design_and_anchor(blocks, cv_spec)
     lam = None
     needs_cv = any(s.needs_lambda() and s.lam is None for s in estimators.values())

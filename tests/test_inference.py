@@ -236,9 +236,10 @@ class TestFoldPredictions:
     @pytest.mark.parametrize("method, mode", ONE_PASS_CASES)
     def test_every_fold_matches_its_own_fit(self, rng, method, mode):
         # the fold pass predicts, at every penalty, what the full estimator
-        # fitted on that fold predicts. Its SCM solve starts where the pass
-        # starts it: the early leave-future folds keep 2-3 periods for 7
-        # donors, where a cold and a warm solve differ by about 1e-9
+        # fitted cold on that fold predicts. The early leave-future folds
+        # keep 2-3 periods for 7 donors, where the SCM solve is accurate only
+        # to about 1e-9 cold or warm, so there the reference solve starts
+        # where the pass starts it
         spec = EstimatorSpec(method=method, covariate_mode=mode or "joint")
         ridge = spec.needs_lambda()
         for n, t, t0, centred, fold_mode, penalties in FOLD_INPUTS:
@@ -249,23 +250,26 @@ class TestFoldPredictions:
             lambdas = penalties if ridge else None
             truth, predictions, skipped = fold_predictions(blocks, spec, cov, lambdas, fold_mode)
             scm = design_and_anchor(blocks, spec, cov).scm
-            start = None if scm is None else scm.values
+            warm = fold_mode == "leave-future" and scm is not None
             folds = [(k, fold) for k, fold in period_folds(blocks, fold_mode) if k not in skipped]
             assert skipped == (() if fold_mode == "leave-one" else (0, 1))
             assert predictions.shape == (len(folds), len(lambdas) if ridge else 1, t - t0 + 1)
             for (k, fold), held_out, fold_preds in zip(folds, truth, predictions):
                 assert held_out == blocks.x1[k]
-                anchor = design_and_anchor(fold, spec, cov, start)
+                anchor = design_and_anchor(fold, spec, cov, scm.values) if warm else None
                 for lam, got in zip(lambdas or [None], fold_preds):
                     lam_spec = spec.with_lambda(lam) if ridge else spec
                     want = estimate_on_blocks(fold, lam_spec, cov, anchor).counterfactual
                     bound = 1e-10 * np.maximum(np.abs(got), np.abs(want))
                     assert np.all(np.abs(got - want) <= bound)
 
-    def test_lambda_zero_needs_a_full_rank_full_design(self, rng):
+    def test_lambda_zero_needs_a_full_rank_full_design(self, rng, monkeypatch):
         # with T0 = N0 every leave-one fold has full column rank but the
         # centred full design does not, and the one-SVD route refuses
-        # lambda 0 as augment_weights does on the full sample
+        # lambda 0 as augment_weights does on the full sample, before any
+        # fold's SCM anchor is solved
+        import panelctrl.estimators as estimators_mod
+
         blocks = split_and_center(make_panel(rng, 9, 12, 8))
         spec = EstimatorSpec(method="ridge", lam=0.0)
         fold = next(period_folds(blocks))[1]
@@ -274,6 +278,17 @@ class TestFoldPredictions:
             fold_predictions(blocks, spec)
         with pytest.raises(SingularityError):
             estimate_on_blocks(blocks, spec)
+        starts = []
+        solve = estimators_mod.solve_scm
+
+        def record(*args, start=None, **kwargs):
+            starts.append(start)
+            return solve(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(estimators_mod, "solve_scm", record)
+        with pytest.raises(SingularityError):
+            fold_predictions(blocks, EstimatorSpec(method="ridge_ascm", lam=0.0))
+        assert starts == [None]  # the full sample's cold solve only
 
     @pytest.mark.parametrize("method", ["ridge", "ridge_ascm"])
     def test_adjustments_match_the_exact_solve(self, rng, method):

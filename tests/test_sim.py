@@ -213,9 +213,11 @@ class TestRunMonteCarlo:
         assert estimates["scm"].weights is shared
         assert [a for a in anchors if a is shared] == [shared]  # the ridge_ascm entry's
 
-    def test_cross_validates_the_banks_own_ridge_ascm(self, monkeypatch):
-        # the CV folds fit the bank's ridge_ascm spec, zeta included, and its
-        # one SCM solve is also the scm entry's weights at that zeta
+    @pytest.mark.parametrize("name", ["ridge_ascm", "ascm_zeta_1"])
+    def test_cross_validates_the_banks_own_ridge_ascm(self, monkeypatch, name):
+        # the CV folds fit the bank's ridge_ascm-method spec, whatever its
+        # name, zeta included, and its one SCM solve is also the scm entry's
+        # weights at that zeta
         import panelctrl.sim as sim_mod
 
         received, fits = [], {}
@@ -233,7 +235,7 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(sim_mod, "estimate_on_blocks", record_estimate)
         bank = {
             "scm": EstimatorSpec(method="scm", zeta=1.0),
-            "ridge_ascm": EstimatorSpec(method="ridge_ascm", zeta=1.0),
+            name: EstimatorSpec(method="ridge_ascm", zeta=1.0),
         }
         rep = run_monte_carlo("factor", default_dgp("factor"), estimators=bank,
                               replications=2, seed=3, n=10, t=20, t0=16, lam="cv-min")
