@@ -50,7 +50,7 @@ from .ridge import (
     verify_penalized_form,
     weight_norm_bound,
 )
-from .scm import DonorWeights, ScmConfig, imbalance, kkt_residual, solve_scm
+from .scm import DonorWeights, imbalance, kkt_residual, solve_scm
 from .selection import CvResult, default_lambda_grid, in_time_placebo, loo_cv, select_lambda
 from .sim import (
     Ar3Dgp,
@@ -71,7 +71,6 @@ __all__ = [
     "PanelBlocks",
     "load_panel",
     "split_and_center",
-    "ScmConfig",
     "DonorWeights",
     "solve_scm",
     "imbalance",

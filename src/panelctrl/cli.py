@@ -314,7 +314,7 @@ def _cmd_placebo(args):
             None if cov is None else covariates_from_long(args.input, placebo_p, cov.names)
         )
         placebo_blocks = split_and_center(placebo_p, center=True)
-        spec, fit, _, _ = _resolve_spec(args, placebo_blocks, placebo_cov)
+        spec, fit, facts, _ = _resolve_spec(args, placebo_blocks, placebo_cov)
         lambdas.append(spec.lam)
         est = estimate_on_blocks(placebo_blocks, spec, cov=placebo_cov, fit=fit)
         observed = placebo_p.outcomes[placebo_p.treated_index]
@@ -325,6 +325,8 @@ def _cmd_placebo(args):
             ["time", "observed", "counterfactual", "gap", "placebo_time"],
             rows,
         )
+    # every placebo time selects lambda by the same rule, or none does
+    rule = {"lambda_rule": facts["lambda_rule"]} if facts else {}
     _write_manifest(
         args.out,
         "placebo",
@@ -334,7 +336,11 @@ def _cmd_placebo(args):
             "treatment_time": str(args.treatment_time),
             "method": args.method,
             "lambda": lambdas,
+            "zeta": args.zeta,
+            "covariates": args.covariates,
+            "covariate_mode": args.covariate_mode,
             "placebo_times": times,
+            **rule,
         },
         seed=args.seed,
     )
@@ -449,6 +455,7 @@ def _cmd_diagnose(args):
             "treated": args.treated,
             "treatment_time": str(args.treatment_time),
             "lambda": lam,
+            "zeta": args.zeta,
             "all_pass": all(val <= thr for _, val, thr in checks),
         },
         seed=args.seed,

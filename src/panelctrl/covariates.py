@@ -175,7 +175,7 @@ def balance_covariates(weights, cov):
     g = weight_values(weights)
     shift = cov.z0 @ _z_gram_solve(cov, cov.z1 - cov.z0.T @ g)
     shift -= shift.mean()  # zero-sum in exact arithmetic (centered columns)
-    return DonorWeights(values=g + shift, sum_constrained=True, simplex=False)
+    return DonorWeights(values=g + shift, simplex=False)
 
 
 def balance_table(cov, weights):

@@ -31,6 +31,7 @@ make every fold's design its own.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -52,7 +53,7 @@ from .ridge import (
     augment_weights,
     fold_adjustments,
 )
-from .scm import DonorWeights, ScmConfig, solve_scm
+from .scm import DonorWeights, solve_scm
 
 logger = logging.getLogger(__name__)
 
@@ -83,9 +84,10 @@ class EstimatorSpec:
       (plain difference-in-differences against the donor average).
 
     ``lam`` is the ridge penalty on the public scale; required for the two
-    ridge methods. ``zeta`` is the SCM dispersion penalty (None selects the
-    solver default). ``covariate_mode`` selects how covariates enter when a
-    covariate panel is supplied ("joint" or "residualize").
+    ridge methods. ``zeta`` is the SCM dispersion penalty, finite and
+    nonnegative (None selects the solver default). ``covariate_mode``
+    selects how covariates enter when a covariate panel is supplied
+    ("joint" or "residualize").
     """
 
     method: str = "ridge_ascm"
@@ -98,8 +100,10 @@ class EstimatorSpec:
             raise ConfigError(f"unknown estimator method {self.method!r}")
         if self.covariate_mode not in ("joint", "residualize"):
             raise ConfigError(f"unknown covariate mode {self.covariate_mode!r}")
-        if self.lam is not None and self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
+        if self.lam is not None and not self.lam >= 0:
+            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
+        if self.zeta is not None and not 0 <= self.zeta < math.inf:
+            raise ConfigError(f"zeta must be finite and nonnegative, got {self.zeta}")
 
     def needs_lambda(self):
         return self.method in ("ridge", "ridge_ascm")
@@ -150,7 +154,7 @@ def design_and_anchor(blocks, spec, cov=None, start=None):
         n0 = blocks.n_donors
         scm, anchor = None, DonorWeights(values=np.full(n0, 1.0 / n0))
     else:
-        scm = anchor = solve_scm(design, ScmConfig(zeta=spec.zeta), start=start)
+        scm = anchor = solve_scm(design, spec.zeta, start=start)
     if with_cov and spec.covariate_mode == "residualize":
         anchor = balance_covariates(anchor, cov)
     return AnchorFit(design, anchor, scm)

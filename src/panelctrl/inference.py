@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 _WEIGHTING_METHODS = ("scm", "ridge", "ridge_ascm")
+_TARGETS = ("counterfactual", "effect")
+# the default conformal tau grid: points per grid, and how often its
+# half-width may double while an endpoint stays accepted
+_GRID_POINTS = 101
+_MAX_WIDENINGS = 8
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class PredictionInterval:
             raise ConfigError("level must be strictly between 0 and 1")
         if self.method not in ("full-conformal", "jackknife-plus"):
             raise ConfigError(f"unknown interval method {self.method!r}")
-        if self.target not in ("counterfactual", "effect"):
+        if self.target not in _TARGETS:
             raise ConfigError(f"unknown interval target {self.target!r}")
 
 
@@ -136,20 +141,27 @@ def conformal_interval(
     tau_grid=None,
     post_period=0,
     target="effect",
-    grid_points=101,
-    max_widenings=8,
     cov=None,
 ):
     """Level 1-alpha interval by inverting the conformal test over a tau grid.
 
     With no explicit grid, 101 points spanning the point estimate plus or
     minus five pre-period residual RMS are used and widened (doubling the
-    half-width) while an endpoint stays accepted. The reported interval is
-    the hull of the accepted set; disconnected acceptance is flagged.
-    ``cov`` enters every refit and the point estimate that centres the grid.
+    half-width, at most eight times) while an endpoint stays accepted. The
+    reported interval is the hull of the accepted set; disconnected
+    acceptance is flagged. ``cov`` enters every refit and the point
+    estimate that centres the grid. ``target`` and an explicit
+    ``tau_grid`` (non-empty, 1-d, finite) are checked before any refit.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
+    if target not in _TARGETS:
+        raise ConfigError(f"unknown interval target {target!r}")
+    if tau_grid is not None:
+        tau_grid = np.asarray(tau_grid, dtype=float)
+        if tau_grid.ndim != 1 or tau_grid.size == 0 or not np.isfinite(tau_grid).all():
+            raise ConfigError("tau_grid must be a non-empty 1-d grid of finite values")
+        tau_grid = np.sort(tau_grid)
     blocks = split_and_center(p, center=True)
     if not 0 <= post_period < blocks.n_post:
         raise ConfigError(f"post_period {post_period} out of range")
@@ -165,7 +177,7 @@ def conformal_interval(
 
     min_p = 1.0 / (blocks.t0 + 1)
     if tau_grid is not None:
-        grid = np.sort(np.asarray(tau_grid, dtype=float))
+        grid = tau_grid
         mask = accepted_mask(grid)
         open_ended = bool(mask[0] or mask[-1])
     else:
@@ -175,10 +187,10 @@ def conformal_interval(
         half = 5.0 * max(rms, 1e-12)
         widenings = 0
         while True:
-            grid = np.linspace(center - half, center + half, grid_points)
+            grid = np.linspace(center - half, center + half, _GRID_POINTS)
             mask = accepted_mask(grid)
             open_ended = bool(mask[0] or mask[-1])
-            if not open_ended or widenings >= max_widenings or alpha <= min_p:
+            if not open_ended or widenings >= _MAX_WIDENINGS or alpha <= min_p:
                 break
             half *= 2.0
             widenings += 1
@@ -207,8 +219,6 @@ def conformal_interval(
     )
     if target == "counterfactual":
         interval = convert_target(interval, float(blocks.y1_post[post_period]))
-    elif target != "effect":
-        raise ConfigError(f"unknown interval target {target!r}")
     return interval
 
 
@@ -243,7 +253,7 @@ def jackknife_intervals(truth, predictions, y1_post, alpha, target="counterfactu
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
-    if target not in ("counterfactual", "effect"):
+    if target not in _TARGETS:
         raise ConfigError(f"unknown interval target {target!r}")
     resids = np.abs(truth - predictions[:, -1])[:, None]
     lows, highs = predictions[:, :-1] - resids, predictions[:, :-1] + resids

@@ -255,8 +255,6 @@ def augment_path(anchor, blocks, lambdas, svd=None):
     full column rank.
     """
     g = weight_values(anchor)
-    if isinstance(anchor, DonorWeights) and not anchor.sum_constrained:
-        raise ConfigError("anchor weights must be sum-constrained")
     lambdas = np.asarray(lambdas, dtype=float)
     _require_centered(blocks.x0, "augment_weights")
     svd = svd or ControlSVD.compute(blocks.x0)
@@ -323,7 +321,7 @@ def augment_weights(anchor, blocks, lam, svd=None):
     result generally leaves the simplex.
     """
     values = augment_path(anchor, blocks, [lam], svd=svd)[:, 0]
-    return DonorWeights(values=_exact_sum_to_one(values), sum_constrained=True, simplex=False)
+    return DonorWeights(values=_exact_sum_to_one(values), simplex=False)
 
 
 def verify_penalized_form(w, anchor, blocks, lam, threshold=1e-8):

@@ -2,10 +2,10 @@
 
 Solves
 
-    min_g  ||V^{1/2}(x1 - x0' g)||^2 + zeta * sum_i g_i^2
+    min_g  ||x1 - x0' g||^2 + zeta * sum_i g_i^2
     s.t.   sum_i g_i = 1,  g_i >= 0
 
-a convex quadratic program whose Hessian H = 2(x0 V x0' + zeta I) is formed
+a convex quadratic program whose Hessian H = 2(x0 x0' + zeta I) is formed
 once per solve. The solver is a primal active-set method in the style of
 Lawson and Hanson. It starts at the best single-donor vertex (or a
 projected start and its support) and keeps a working set of donors. Each
@@ -32,7 +32,6 @@ from .panel import readonly_array
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ScmConfig",
     "DonorWeights",
     "solve_scm",
     "imbalance",
@@ -41,75 +40,34 @@ __all__ = [
     "scm_objective",
 ]
 
-@dataclass(frozen=True)
-class ScmConfig:
-    """Solver configuration.
+# Cap on active-set iterations (one KKT solve each).
+ITERATION_CAP = 20_000
+# KKT residual target per unit of curvature: a solve must reach KKT_TOL *
+# max(1, H_max), H_max the Hessian's largest diagonal entry. The gradient's
+# round-off grows with the data scale squared, and so does the target.
+KKT_TOL = 1e-9
 
-    Attributes
-    ----------
-    importance : array or None
-        Nonnegative diagonal of the period importance matrix; ones when None.
-    zeta : float or None
-        Dispersion penalty strength. None selects the canonical default
-        ``1e-8 * tr(x0' V x0) / N0``, which breaks ties between otherwise
-        non-unique un-penalized solutions; an explicit 0.0 is honored.
-    max_iter : int
-        Cap on active-set iterations (one KKT solve each).
-    tol : float
-        KKT residual target (unit-step projected-gradient fixed-point norm)
-        per unit of curvature: a solve must reach ``tol * max(1, H_max)``,
-        with H_max the largest diagonal entry of the Hessian. The gradient
-        and its round-off grow with the square of the data scale, so the
-        target does too, and a rescaled design gets the same weights.
-    """
 
-    importance: np.ndarray | None = None
-    zeta: float | None = None
-    max_iter: int = 20_000
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.zeta is not None and self.zeta < 0:
-            raise ConfigError("zeta must be nonnegative")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be positive")
-        if self.importance is not None:
-            imp = np.asarray(self.importance, dtype=float)
-            if imp.ndim != 1 or np.any(imp < 0) or not np.all(np.isfinite(imp)):
-                raise ConfigError("importance must be a nonnegative 1-d vector")
-            object.__setattr__(self, "importance", imp)
-
-    def resolve(self, blocks):
-        """Concrete (importance vector, zeta) for a given design."""
-        t0 = blocks.x0.shape[1]
-        if self.importance is None:
-            v = np.ones(t0)
-        else:
-            if self.importance.shape != (t0,):
-                raise ConfigError(
-                    f"importance has length {self.importance.shape[0]}, design has {t0} columns"
-                )
-            v = self.importance
-        if self.zeta is None:
-            n0 = blocks.x0.shape[0]
-            zeta = 1e-8 * float(np.sum(v * np.sum(blocks.x0**2, axis=0))) / n0
-        else:
-            zeta = float(self.zeta)
-        return v, zeta
+def _zeta(blocks, zeta):
+    """The dispersion penalty in force for a design (see :func:`solve_scm`)."""
+    if zeta is None:
+        # column sums, then their total: the order fixes the weights' last digits
+        return 1e-8 * float(np.sum(np.sum(blocks.x0**2, axis=0))) / blocks.n_donors
+    zeta = float(zeta)
+    if not 0.0 <= zeta < math.inf:
+        raise ConfigError(f"zeta must be finite and nonnegative, got {zeta}")
+    return zeta
 
 
 @dataclass(frozen=True)
 class DonorWeights:
     """Weight vector over donor units.
 
-    ``sum_constrained`` asserts sum(values) == 1 up to 1e-10 and ``simplex``
-    additionally asserts nonnegativity up to -1e-12.
+    The values always sum to one up to 1e-10; ``simplex`` additionally
+    asserts nonnegativity up to -1e-12.
     """
 
     values: np.ndarray
-    sum_constrained: bool = True
     simplex: bool = True
 
     def __post_init__(self):
@@ -120,7 +78,7 @@ class DonorWeights:
         # exact summation: the check must not fail from cancellation when
         # individual weights are large (far-out conformal refits)
         total = math.fsum(vals)
-        if self.sum_constrained and abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > 1e-10:
             raise ConfigError(f"weights sum to {total:.12g}, expected 1")
         if self.simplex and vals.min(initial=0.0) < -1e-12:
             raise ConfigError(f"simplex weights have min {vals.min():.3e} < -1e-12")
@@ -146,44 +104,41 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
-def scm_objective(blocks, w, cfg=None):
+def scm_objective(blocks, w, zeta=None):
     """Objective value at a weight vector (penalty included)."""
-    cfg = cfg or ScmConfig()
-    v, zeta = cfg.resolve(blocks)
-    g = weight_values(w)
-    return _objective(blocks, v, zeta, g)
+    return _objective(blocks, _zeta(blocks, zeta), weight_values(w))
 
 
-def _objective(blocks, v, zeta, g):
+def _objective(blocks, zeta, g):
     gap = blocks.x1 - blocks.x0.T @ g
-    fit = float(np.sum(v * gap**2))
+    fit = float(np.sum(gap**2))
     if zeta == 0.0:
         return fit
     return fit + zeta * float(np.sum(g**2))
 
 
-def _gradient(blocks, v, zeta, g):
+def _gradient(blocks, zeta, g):
     gap = blocks.x1 - blocks.x0.T @ g
-    grad = -2.0 * (blocks.x0 @ (v * gap))
+    grad = -2.0 * (blocks.x0 @ gap)
     if zeta != 0.0:
         grad = grad + 2.0 * zeta * g
     return grad
 
 
-def kkt_residual(blocks, w, cfg=None):
+def _residual(blocks, zeta, g):
+    return float(np.linalg.norm(g - project_simplex(g - _gradient(blocks, zeta, g))))
+
+
+def kkt_residual(blocks, w, zeta=None):
     """Unit-step projected-gradient fixed-point residual.
 
     Zero exactly at any solution of the constrained problem; used both as
     the solver stopping rule and as the reported stationarity diagnostic.
     """
-    cfg = cfg or ScmConfig()
-    v, zeta = cfg.resolve(blocks)
-    g = weight_values(w)
-    grad = _gradient(blocks, v, zeta, g)
-    return float(np.linalg.norm(g - project_simplex(g - grad)))
+    return _residual(blocks, _zeta(blocks, zeta), weight_values(w))
 
 
-def solve_scm(blocks, cfg=None, start=None, trace=None):
+def solve_scm(blocks, zeta=None, start=None, trace=None):
     """Solve the penalized SCM problem; returns simplex :class:`DonorWeights`.
 
     Parameters
@@ -191,7 +146,10 @@ def solve_scm(blocks, cfg=None, start=None, trace=None):
     blocks : PanelBlocks
         Design; only ``x1`` and ``x0`` are used. Because the weights sum to
         one, the solution is invariant to column centering.
-    cfg : ScmConfig
+    zeta : float or None
+        Dispersion penalty, finite and nonnegative. None selects
+        ``1e-8 * ||x0||_F^2 / N0``, which breaks ties between otherwise
+        non-unique un-penalized solutions; an explicit 0.0 is honored.
     start : array or None
         Starting point, projected onto the simplex; its support is the
         first working set. None starts at the best single-donor vertex.
@@ -201,24 +159,25 @@ def solve_scm(blocks, cfg=None, start=None, trace=None):
 
     Raises
     ------
+    ConfigError
+        With fewer than two donors, or a negative or non-finite ``zeta``.
     ConvergenceError
-        If the KKT residual target is not met within ``max_iter``
+        If the KKT residual target is not met within ``ITERATION_CAP``
         active-set iterations; the exception carries the final residual.
     """
-    cfg = cfg or ScmConfig()
     n0 = blocks.x0.shape[0]
     if n0 < 2:
         raise ConfigError("need at least 2 donor units")
-    v, zeta = cfg.resolve(blocks)
-    xv = blocks.x0 * v
-    hess = 2.0 * (xv @ blocks.x0.T)
+    zeta = _zeta(blocks, zeta)
+    # a copy: NumPy's symmetric kernel for x0 @ x0.T rounds differently
+    hess = 2.0 * (blocks.x0.copy() @ blocks.x0.T)
     hess[np.diag_indices(n0)] += 2.0 * zeta
     # H is positive semidefinite, so its largest entry is on the diagonal
     scale = max(1.0, float(hess.diagonal().max()))
 
     if start is None:
         g = np.zeros(n0)
-        g[int(np.argmin(np.sum(v * (blocks.x1 - blocks.x0) ** 2, axis=1)))] = 1.0
+        g[int(np.argmin(np.sum((blocks.x1 - blocks.x0) ** 2, axis=1)))] = 1.0
     else:
         g = project_simplex(np.asarray(start, dtype=float))
         # weights below the resolution of a unit sum are round-off that the
@@ -226,15 +185,15 @@ def solve_scm(blocks, cfg=None, start=None, trace=None):
         g[g < np.finfo(float).eps] = 0.0
     active = g > 0.0
     support = np.flatnonzero(active)
-    grad = _gradient(blocks, v, zeta, g)
+    grad = _gradient(blocks, zeta, g)
     if trace is not None:
-        trace.append(_objective(blocks, v, zeta, g))
+        trace.append(_objective(blocks, zeta, g))
     stationary = np.ptp(grad[support]) <= _tiny(grad[support].sum() / support.size)
     # the objective strictly decreases from one stationary working set to the
     # next, so meeting one again means round-off is cycling the method
     seen = set()
 
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, ITERATION_CAP + 1):
         if stationary:
             key = active.tobytes()
             if key in seen:
@@ -266,24 +225,24 @@ def solve_scm(blocks, cfg=None, start=None, trace=None):
         if not stationary:
             active = g > 0.0
             support = np.flatnonzero(active)
-        grad = _gradient(blocks, v, zeta, g)
+        grad = _gradient(blocks, zeta, g)
         if trace is not None:
-            trace.append(_objective(blocks, v, zeta, g))
+            trace.append(_objective(blocks, zeta, g))
 
     g = g / g.sum()  # strip round-off in the sum
-    res = float(np.linalg.norm(g - project_simplex(g - _gradient(blocks, v, zeta, g))))
+    res = _residual(blocks, zeta, g)
     logger.debug(
         "scm active-set solve: %d donors, %d iterations, support %d, KKT residual %.3e",
         n0, it, int(np.count_nonzero(g)), res,
     )
-    target = cfg.tol * scale
+    target = KKT_TOL * scale
     if res > target:
         raise ConvergenceError(
             f"SCM solver stopped after {it} active-set iterations with KKT residual "
             f"{res:.3e} > target {target:.3e}",
             residual=res,
         )
-    return DonorWeights(values=g, sum_constrained=True, simplex=True)
+    return DonorWeights(values=g)
 
 
 def _tiny(mu):
@@ -319,13 +278,6 @@ def _newton_step(hess, scale, grad, support, gs):
     return sol[:k]
 
 
-def imbalance(blocks, w, importance=None):
-    """Weighted L2 norm of the pre-period gap, ||V^{1/2}(x1 - x0' g)||."""
-    g = weight_values(w)
-    gap = blocks.x1 - blocks.x0.T @ g
-    if importance is None:
-        return float(np.linalg.norm(gap))
-    v = np.asarray(importance, dtype=float)
-    if v.shape != gap.shape:
-        raise ConfigError("importance length must match the number of pre periods")
-    return float(np.sqrt(np.sum(v * gap**2)))
+def imbalance(blocks, w):
+    """L2 norm of the pre-period gap, ||x1 - x0' g||."""
+    return float(np.linalg.norm(blocks.x1 - blocks.x0.T @ weight_values(w)))

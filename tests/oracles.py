@@ -20,7 +20,7 @@ from panelctrl.estimators import estimate_on_blocks
 from panelctrl.panel import PanelBlocks, split_and_center
 
 
-def simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.0, importance=None):
+def simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.0):
     """Minimum objective over an exhaustive simplex lattice.
 
     Enumerates all weight vectors whose entries are integer multiples of
@@ -29,11 +29,10 @@ def simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.0, importance=None):
     """
     n0 = x0.shape[0]
     steps = int(round(1.0 / resolution))
-    v = np.ones(x0.shape[1]) if importance is None else np.asarray(importance, float)
 
     def objective(gamma):
         gap = x1 - gamma @ x0  # works for single vectors and row batches
-        fit = np.sum(v * gap**2, axis=-1)
+        fit = np.sum(gap**2, axis=-1)
         if zeta == 0.0:
             return fit
         return fit + zeta * np.sum(gamma**2, axis=-1)

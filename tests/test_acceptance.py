@@ -27,7 +27,7 @@ from panelctrl.ridge import (
     verify_penalized_form,
     weight_norm_bound,
 )
-from panelctrl.scm import ScmConfig, imbalance, kkt_residual, scm_objective, solve_scm
+from panelctrl.scm import imbalance, kkt_residual, scm_objective, solve_scm
 from panelctrl.selection import default_lambda_grid, loo_cv, select_lambda
 from panelctrl.sim import default_dgp, draw_panel, run_monte_carlo
 
@@ -186,10 +186,9 @@ def test_criterion_07_scm_solver():
         blocks = PanelBlocks(
             x1=x1, x0=x0, y0_post=np.zeros((n0, 1)), y1_post=np.zeros(1)
         )
-        cfg = ScmConfig(zeta=0.0)
-        w = solve_scm(blocks, cfg)
+        w = solve_scm(blocks, zeta=0.0)
         oracle, _ = simplex_grid_objective(x1, x0, resolution=1e-3)
-        worst_gap = max(worst_gap, scm_objective(blocks, w, cfg) - oracle)
+        worst_gap = max(worst_gap, scm_objective(blocks, w, zeta=0.0) - oracle)
     worst_kkt = 0.0
     for _ in range(30):
         n0 = int(rng.integers(5, 30))

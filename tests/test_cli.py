@@ -309,6 +309,22 @@ class TestEstimate:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "ridge", "--lambda", "1", "--zeta", "-5"],
+            ["--method", "scm", "--zeta", "nan"],
+        ],
+    )
+    def test_bad_zeta_exit_code(self, panel_csv, tmp_path, args):
+        out = tmp_path / "x"
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", *args, "--out", str(out),
+        ])
+        assert rc == 3
+        assert not out.exists()
+
     def test_non_numeric_treatment_time_exit_code(self, panel_csv, tmp_path):
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0",
@@ -509,6 +525,26 @@ class TestPlacebo:
         assert before == after
         assert len(lam_before) == 1 and lam_before == lam_after
 
+    @pytest.mark.parametrize("select", [None, "min"])
+    def test_manifest_records_the_estimator(self, panel_csv, tmp_path, select):
+        out = tmp_path / "pl"
+        rc = main([
+            "placebo", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--zeta", "0.05", "--covariates", "gdp",
+            "--covariate-mode", "residualize", "--placebo-times", "8",
+            *(["--select", select] if select else ["--lambda", "1.0"]),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["zeta"] == 0.05
+        assert config["covariates"] == "gdp"
+        assert config["covariate_mode"] == "residualize"
+        if select:
+            assert config["lambda_rule"] == select
+        else:
+            assert "lambda_rule" not in config
+
     def test_non_numeric_placebo_time_exit_code(self, panel_csv, tmp_path):
         rc = main([
             "placebo", "--input", panel_csv, "--treated", "u0",
@@ -575,6 +611,15 @@ class TestDiagnose:
         assert all(r[3] == "true" for r in rows[1:])
         sketch = read_rows(out / "bound_sketch.csv")
         assert sketch[0] == ["lambda", "sigma", "imbalance", "excess", "scm_approx", "total_pct"]
+
+    def test_manifest_records_zeta(self, panel_csv, tmp_path):
+        out = tmp_path / "diag"
+        rc = main([
+            "diagnose", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--zeta", "0.05", "--out", str(out),
+        ])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["zeta"] == 0.05
 
 
 class TestManifest:

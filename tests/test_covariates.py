@@ -15,7 +15,7 @@ from panelctrl.errors import ConfigError, SingularityError
 from panelctrl.estimators import EstimatorSpec, weights_for_design
 from panelctrl.panel import load_panel
 from panelctrl.ridge import ControlSVD, augment_weights, verify_penalized_form
-from panelctrl.scm import DonorWeights, ScmConfig, imbalance, solve_scm
+from panelctrl.scm import DonorWeights, imbalance, solve_scm
 
 from conftest import make_blocks
 
@@ -52,9 +52,8 @@ class TestJointSolve:
         blocks = make_blocks(rng, 6, 4)
         cov = make_cov(rng, 6, 2)
         cov = CovariatePanel(z1=0.0 * cov.z1, z0=0.0 * cov.z0)
-        cfg = ScmConfig(zeta=1e-4)
-        w_joint = solve_scm(stacked_blocks(blocks, cov), cfg)
-        w_plain = solve_scm(blocks, cfg)
+        w_joint = solve_scm(stacked_blocks(blocks, cov), zeta=1e-4)
+        w_plain = solve_scm(blocks, zeta=1e-4)
         assert np.abs(w_joint.values - w_plain.values).max() < 1e-6
 
     def test_duplicated_x_equals_double_theta(self, rng):
@@ -64,8 +63,7 @@ class TestJointSolve:
 
         blocks = make_blocks(rng, 5, 3)
         cov = CovariatePanel(z1=blocks.x1.copy(), z0=blocks.x0.copy())
-        cfg = ScmConfig(zeta=1e-5)
-        w_dup = solve_scm(stacked_blocks(blocks, cov), cfg)
+        w_dup = solve_scm(stacked_blocks(blocks, cov), zeta=1e-5)
         doubled = PanelBlocks(
             x1=np.sqrt(2.0) * blocks.x1,
             x0=np.sqrt(2.0) * blocks.x0,
@@ -73,7 +71,7 @@ class TestJointSolve:
             y1_post=blocks.y1_post,
             centering=np.zeros(blocks.t0),
         )
-        w_two = solve_scm(doubled, cfg)
+        w_two = solve_scm(doubled, zeta=1e-5)
         assert np.abs(w_dup.values - w_two.values).max() < 1e-6
 
     def test_dominant_theta_z_balances_z(self, rng):
@@ -87,7 +85,7 @@ class TestJointSolve:
         cov = CovariatePanel(z1=z0.T @ g_true, z0=z0)
         blocks = make_blocks(rng, n0, 4)
         scaled = CovariatePanel(z1=1e3 * cov.z1, z0=1e3 * cov.z0)
-        w = solve_scm(stacked_blocks(blocks, scaled), ScmConfig(zeta=0.0, tol=1e-10))
+        w = solve_scm(stacked_blocks(blocks, scaled), zeta=0.0)
         z_gap = float(np.abs(cov.z1 - cov.z0.T @ w.values).max())
         assert z_gap < 1e-4
 

@@ -124,6 +124,28 @@ class TestConformalInterval:
             pytest.skip("nothing accepted on this draw")
         assert np.isclose(ci.grid_step, 0.4)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tau_grid": []},
+            {"tau_grid": [np.nan, 0.0]},
+            {"tau_grid": [np.inf]},
+            {"tau_grid": 0.5},
+            {"target": "bogus"},
+        ],
+    )
+    def test_bad_grid_or_target_refused_before_any_refit(self, rng, monkeypatch, kwargs):
+        import panelctrl.inference as inf_mod
+
+        def no_refit(*args, **kw):
+            raise AssertionError("refit before the inputs were checked")
+
+        monkeypatch.setattr(inf_mod, "_conformal_p_blocks", no_refit)
+        monkeypatch.setattr(inf_mod, "estimate_on_blocks", no_refit)
+        p = make_panel(rng, 6, 10, 8)
+        with pytest.raises(ConfigError):
+            conformal_interval(p, 0.1, SPEC, **kwargs)
+
     def test_disconnected_acceptance_flagged(self, rng, monkeypatch):
         import panelctrl.inference as inf_mod
 

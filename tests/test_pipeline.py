@@ -110,6 +110,15 @@ def test_covariates_without_lambda_refused(data, mode, entry):
         ENTRY_POINTS[entry](p, _spec("ridge_ascm", mode, lam=None), cov)
 
 
+@pytest.mark.parametrize(
+    "bad", [{"zeta": -5.0}, {"zeta": math.nan}, {"zeta": math.inf}, {"lam": math.nan}]
+)
+@pytest.mark.parametrize("method", METHODS)
+def test_spec_refuses_a_bad_penalty_for_every_method(method, bad):
+    with pytest.raises(ConfigError):
+        EstimatorSpec(method=method, **bad)
+
+
 CLI_INFERENCE = {
     "jackknife+": lambda p, spec, k, cov: jackknife_plus(
         p, ALPHA, spec, target="effect", cov=cov

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panelctrl import scm
 from panelctrl.errors import ConfigError, ConvergenceError
 from panelctrl.panel import PanelBlocks, period_folds
 from panelctrl.scm import (
     DonorWeights,
-    ScmConfig,
     imbalance,
     kkt_residual,
     project_simplex,
@@ -52,14 +52,14 @@ class TestProjectSimplex:
 class TestSolveScm:
     def test_symmetric_midpoint(self):
         blocks = blocks_from([1.0, 1.0], [[0.0, 0.0], [2.0, 2.0]])
-        w = solve_scm(blocks, ScmConfig(zeta=0.0))
+        w = solve_scm(blocks, zeta=0.0)
         assert np.allclose(w.values, [0.5, 0.5], atol=1e-8)
         assert imbalance(blocks, w) < 1e-8
 
     def test_exact_vertex_fit(self, rng):
         x0 = rng.normal(size=(5, 4))
         blocks = blocks_from(x0[0], x0)
-        w = solve_scm(blocks, ScmConfig(zeta=1e-6))
+        w = solve_scm(blocks, zeta=1e-6)
         expected = np.zeros(5)
         expected[0] = 1.0
         assert np.abs(w.values - expected).max() < 1e-6
@@ -69,19 +69,17 @@ class TestSolveScm:
             x0 = rng.normal(size=(3, 2))
             x1 = rng.normal(size=2)
             blocks = blocks_from(x1, x0)
-            cfg = ScmConfig(zeta=0.0)
-            w = solve_scm(blocks, cfg)
+            w = solve_scm(blocks, zeta=0.0)
             best, _ = simplex_grid_objective(x1, x0, resolution=1e-3)
-            assert scm_objective(blocks, w, cfg) <= best + 1e-5
+            assert scm_objective(blocks, w, zeta=0.0) <= best + 1e-5
 
     def test_grid_oracle_with_penalty(self, rng):
         x0 = rng.normal(size=(3, 3))
         x1 = rng.normal(size=3)
         blocks = blocks_from(x1, x0)
-        cfg = ScmConfig(zeta=0.3)
-        w = solve_scm(blocks, cfg)
+        w = solve_scm(blocks, zeta=0.3)
         best, _ = simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.3)
-        assert scm_objective(blocks, w, cfg) <= best + 1e-5
+        assert scm_objective(blocks, w, zeta=0.3) <= best + 1e-5
 
     def test_kkt_residual_on_random_instances(self, rng):
         for _ in range(20):
@@ -114,15 +112,15 @@ class TestSolveScm:
     def test_near_duplicate_donors_do_not_cycle(self):
         # with zeta = 0 a just-added near twin of a support donor can come out
         # with a nonpositive weight by round-off; the solver must stop there,
-        # not drop and re-add it until max_iter (convergence on such designs
-        # is not guaranteed, so a ConvergenceError is allowed)
+        # not drop and re-add it until the iteration cap (convergence on such
+        # designs is not guaranteed, so a ConvergenceError is allowed)
         for seed in range(40):
             rng = np.random.default_rng(seed)
             x0 = rng.normal(size=(20, 6))
             x0 = np.vstack([x0, x0 + rng.normal(size=x0.shape) * 1e-9])
             trace = []
             try:
-                solve_scm(blocks_from(rng.normal(size=6), x0), ScmConfig(zeta=0.0), trace=trace)
+                solve_scm(blocks_from(rng.normal(size=6), x0), zeta=0.0, trace=trace)
             except ConvergenceError:
                 pass
             assert len(trace) < 50
@@ -131,10 +129,9 @@ class TestSolveScm:
         for _ in range(10):
             n0 = int(rng.integers(4, 12))
             blocks = make_blocks(rng, n0, 4)
-            cfg = ScmConfig(zeta=1e-3)
-            w1 = solve_scm(blocks, cfg)
+            w1 = solve_scm(blocks, zeta=1e-3)
             start = rng.dirichlet(np.ones(n0))
-            w2 = solve_scm(blocks, cfg, start=start)
+            w2 = solve_scm(blocks, zeta=1e-3, start=start)
             assert np.abs(w1.values - w2.values).max() < 1e-6
 
     def test_convex_hull_interior_fit(self, rng):
@@ -145,7 +142,7 @@ class TestSolveScm:
             g_true = rng.dirichlet(np.ones(n0))
             x1 = x0.T @ g_true
             blocks = blocks_from(x1, x0)
-            w = solve_scm(blocks, ScmConfig(zeta=0.0, tol=1e-10))
+            w = solve_scm(blocks, zeta=0.0)
             assert imbalance(blocks, w) <= 1e-6
 
     def test_determinism(self, rng):
@@ -167,20 +164,11 @@ class TestSolveScm:
 
     def test_default_zeta_honors_explicit_zero(self, rng):
         blocks = make_blocks(rng, 6, 4)
-        v, zeta_auto = ScmConfig().resolve(blocks)
+        zeta_auto = scm._zeta(blocks, None)
         assert zeta_auto > 0
-        _, zeta_zero = ScmConfig(zeta=0.0).resolve(blocks)
-        assert zeta_zero == 0.0
+        assert scm._zeta(blocks, 0.0) == 0.0
         expected = 1e-8 * np.sum(blocks.x0**2) / blocks.n_donors
         assert np.isclose(zeta_auto, expected)
-
-    def test_importance_weighting_changes_solution(self, rng):
-        blocks = make_blocks(rng, 5, 3)
-        w_flat = solve_scm(blocks, ScmConfig(zeta=0.0))
-        w_skew = solve_scm(blocks, ScmConfig(importance=np.array([100.0, 1.0, 1.0]), zeta=0.0))
-        gap_flat = blocks.x1 - blocks.x0.T @ w_flat.values
-        gap_skew = blocks.x1 - blocks.x0.T @ w_skew.values
-        assert abs(gap_skew[0]) <= abs(gap_flat[0]) + 1e-9
 
     def test_needs_two_donors(self, rng):
         blocks = make_blocks(rng, 2, 3)
@@ -218,11 +206,11 @@ def test_solution_is_a_kkt_point_on_the_simplex(
     if duplicates:
         x0 = np.vstack([x0, x0[rng.integers(n0, size=int(rng.integers(1, n0 + 1)))]])
     x1 = x0.T @ rng.dirichlet(np.ones(x0.shape[0])) if inside_hull else rng.normal(size=t0)
-    cfg = ScmConfig(zeta=0.0 if duplicates or zero_zeta else None)
+    zeta = 0.0 if duplicates or zero_zeta else None
     start = rng.normal(size=x0.shape[0]) if negative_start else None
     blocks = blocks_from(x1, x0)
-    w = solve_scm(blocks, cfg, start=start)
-    assert kkt_residual(blocks, w, cfg) <= 1e-8
+    w = solve_scm(blocks, zeta, start=start)
+    assert kkt_residual(blocks, w, zeta) <= 1e-8
     assert w.values.min() >= 0.0
     assert abs(math.fsum(w.values) - 1.0) <= 1e-12
 
@@ -253,27 +241,27 @@ def test_warm_fold_solve_matches_the_cold_one(seed, near_duplicates, wide, zero_
     x0 = rng.normal(size=(n0, t0))
     if near_duplicates:
         x0 = np.vstack([x0, x0 + rng.normal(size=x0.shape) * 1e-9])
-    cfg = ScmConfig(zeta=0.0 if near_duplicates or zero_zeta else None)
+    zeta = 0.0 if near_duplicates or zero_zeta else None
     blocks = blocks_from(rng.normal(size=t0), x0)
     _, fold = list(period_folds(blocks))[int(rng.integers(t0))]
     try:
-        full = solve_scm(blocks, cfg)
-        warm = solve_scm(fold, cfg, start=full.values)
-        cold = solve_scm(fold, cfg)
+        full = solve_scm(blocks, zeta)
+        warm = solve_scm(fold, zeta, start=full.values)
+        cold = solve_scm(fold, zeta)
     except ConvergenceError:
         if near_duplicates:
             return
         raise
-    _, zeta = cfg.resolve(fold)
-    scale = max(1.0, 2.0 * float((fold.x0**2).sum(axis=1).max()) + 2.0 * zeta)
+    fold_zeta = scm._zeta(fold, zeta)
+    scale = max(1.0, 2.0 * float((fold.x0**2).sum(axis=1).max()) + 2.0 * fold_zeta)
     tol = 1e-8 if near_duplicates else 1e-10
     for w in (warm, cold):
-        assert kkt_residual(fold, w, cfg) <= cfg.tol * scale
+        assert kkt_residual(fold, w, zeta) <= scm.KKT_TOL * scale
         assert w.values.min() >= 0.0
     fit_gap = np.abs(fold.x0.T @ (warm.values - cold.values)).max()
     assert fit_gap <= tol * max(1.0, np.abs(fold.x1).max())
-    objective = scm_objective(fold, cold, cfg)
-    assert abs(scm_objective(fold, warm, cfg) - objective) <= tol * max(1.0, objective)
+    objective = scm_objective(fold, cold, zeta)
+    assert abs(scm_objective(fold, warm, zeta) - objective) <= tol * max(1.0, objective)
 
 
 class TestImbalance:
@@ -285,15 +273,6 @@ class TestImbalance:
         blocks = blocks_from([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]])
         value = imbalance(blocks, np.array([0.5, 0.5]))
         assert np.isclose(value, np.sqrt(2.0))
-
-    def test_scaled_importance_quadratic_form(self, rng):
-        for _ in range(10):
-            blocks = make_blocks(rng, 4, 2, center=False)
-            g = rng.dirichlet(np.ones(4))
-            v = np.array([4.0, 1.0])
-            direct = imbalance(blocks, g, importance=v)
-            gap = blocks.x1 - blocks.x0.T @ g
-            assert np.isclose(direct, np.sqrt(gap @ (v * gap)))
 
 
 class TestDonorWeights:
@@ -308,30 +287,27 @@ class TestDonorWeights:
 
 
 class TestConfigValidation:
-    def test_negative_zeta(self):
-        with pytest.raises(ConfigError):
-            ScmConfig(zeta=-1.0)
-
-    def test_nonpositive_tol(self):
-        with pytest.raises(ConfigError):
-            ScmConfig(tol=0.0)
-
-    def test_negative_importance(self):
-        with pytest.raises(ConfigError):
-            ScmConfig(importance=np.array([1.0, -1.0]))
-
-    def test_importance_length_mismatch(self, rng):
+    def test_negative_zeta(self, rng):
         blocks = make_blocks(rng, 4, 3)
         with pytest.raises(ConfigError):
-            solve_scm(blocks, ScmConfig(importance=np.ones(5)))
+            solve_scm(blocks, zeta=-1.0)
+
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf])
+    def test_non_finite_zeta(self, rng, zeta):
+        blocks = make_blocks(rng, 4, 3)
+        with pytest.raises(ConfigError, match="zeta"):
+            solve_scm(blocks, zeta)
+        with pytest.raises(ConfigError, match="zeta"):
+            kkt_residual(blocks, np.full(4, 0.25), zeta)
 
 
 class TestConvergenceDiagnostic:
-    def test_non_convergence_carries_residual(self, rng):
+    def test_non_convergence_carries_residual(self, rng, monkeypatch):
         blocks = make_blocks(rng, 10, 6)
-        cfg = ScmConfig(max_iter=1, tol=1e-300, zeta=1e-4)
+        monkeypatch.setattr(scm, "ITERATION_CAP", 1)
+        monkeypatch.setattr(scm, "KKT_TOL", 1e-300)
         with pytest.raises(ConvergenceError) as err:
-            solve_scm(blocks, cfg)
+            solve_scm(blocks, zeta=1e-4)
         assert err.value.residual is not None
         assert err.value.residual > 0
         assert "after 1 active-set iterations" in str(err.value)
