@@ -58,7 +58,6 @@ from .sim import (
     FixedEffectsDgp,
     McReport,
     default_dgp,
-    default_estimator_bank,
     draw_panel,
     run_monte_carlo,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "draw_panel",
     "run_monte_carlo",
     "default_dgp",
-    "default_estimator_bank",
     "PanelCtrlError",
     "PanelFormatError",
     "DuplicateCellError",

@@ -2,10 +2,11 @@
 
 Sub-commands: ``estimate``, ``cv``, ``placebo``, ``simulate``, and
 ``diagnose``. Every run writes plot-ready CSV artifacts plus a
-``manifest.json`` recording the configuration, library version, and seed,
-so each artifact is reproducible from its manifest. Floats are serialized
-with 17 significant digits for bit-faithful round trips; column orders
-are documented in docs/schemas.md. The ``PANELCTRL_LOG`` environment
+``manifest.json`` recording the configuration, library version, and seed
+(``simulate`` only; the other commands are deterministic), so each
+artifact is reproducible from its manifest. Floats are serialized with 17
+significant digits for bit-faithful round trips; column orders are
+documented in docs/schemas.md. The ``PANELCTRL_LOG`` environment
 variable sets the log level.
 """
 
@@ -73,9 +74,10 @@ def _write_manifest(out_dir, command, config, seed=None):
         "version": __version__,
         "seed": seed,
     }
+    # strict JSON: a NaN or infinite value raises before the file is opened
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _build_parser():
@@ -115,7 +117,6 @@ def _build_parser():
     )
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("cv", help="cross-validate the ridge penalty")
     add_panel_args(sp)
@@ -123,7 +124,6 @@ def _build_parser():
     sp.add_argument("--select", choices=["min", "one-se"], default="min")
     sp.add_argument("--mode", choices=["leave-one", "leave-future"], default="leave-one")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("placebo", help="in-time placebo estimates")
     add_panel_args(sp)
@@ -132,7 +132,6 @@ def _build_parser():
         "--placebo-times", required=True, help="comma-separated placebo treatment times"
     )
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("simulate", help="run the Monte Carlo study")
     sp.add_argument("--dgp", choices=["factor", "fixed-effects", "ar3"], default="factor")
@@ -153,7 +152,6 @@ def _build_parser():
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     sp.add_argument("--zeta", type=float, default=None)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -210,6 +208,8 @@ def _resolve_spec(args, blocks, cov, jackknife=False):
 
 
 def _cmd_estimate(args):
+    if not 0 < args.alpha < 1:
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     p, cov = _load_inputs(args)
     blocks = split_and_center(p, center=True)
     spec, fit, cv_facts, folds = _resolve_spec(
@@ -264,7 +264,6 @@ def _cmd_estimate(args):
             "alpha": args.alpha,
             **cv_facts,
         },
-        seed=args.seed,
     )
     return 0
 
@@ -294,7 +293,6 @@ def _cmd_cv(args):
             "lambda_1se": cv.lambda_1se,
             "skipped_folds": list(cv.skipped),
         },
-        seed=args.seed,
     )
     return 0
 
@@ -342,7 +340,6 @@ def _cmd_placebo(args):
             "placebo_times": times,
             **rule,
         },
-        seed=args.seed,
     )
     return 0
 
@@ -411,12 +408,13 @@ def _cmd_diagnose(args):
     w = weights_for_design(blocks, EstimatorSpec(method="scm", zeta=args.zeta))
     grid = default_lambda_grid(blocks)
     lam = args.lam if args.lam is not None else float(np.median(grid))
+    ridge = EstimatorSpec(method="ridge", lam=lam)  # refuses a bad lambda before any check
 
     checks = []
     aug = augment_weights(w, blocks, lam)
     rep = verify_penalized_form(aug, w, blocks, lam)
     checks.append(("augmented_weights_stationarity", rep.residual, rep.threshold))
-    rw = weights_for_design(blocks, EstimatorSpec(method="ridge", lam=lam))
+    rw = weights_for_design(blocks, ridge)
     fr = fit_ridge(blocks, lam, 0)
     gap2 = abs(float(rw.values @ blocks.y0_post[:, 0]) - fr.predict(blocks.x1))
     checks.append(("ridge_weighting_equals_regression", gap2, 1e-10))
@@ -458,7 +456,6 @@ def _cmd_diagnose(args):
             "zeta": args.zeta,
             "all_pass": all(val <= thr for _, val, thr in checks),
         },
-        seed=args.seed,
     )
     if not all(val <= thr for _, val, thr in checks):
         raise ConfigError("one or more identity checks failed; see identity_checks.csv")

@@ -83,11 +83,11 @@ class EstimatorSpec:
     - ``fixed_effects``: the same outcome model with uniform weights
       (plain difference-in-differences against the donor average).
 
-    ``lam`` is the ridge penalty on the public scale; required for the two
-    ridge methods. ``zeta`` is the SCM dispersion penalty, finite and
-    nonnegative (None selects the solver default). ``covariate_mode``
-    selects how covariates enter when a covariate panel is supplied
-    ("joint" or "residualize").
+    ``lam`` is the ridge penalty on the public scale, finite and
+    nonnegative; required for the two ridge methods. ``zeta`` is the SCM
+    dispersion penalty, finite and nonnegative (None selects the solver
+    default). ``covariate_mode`` selects how covariates enter when a
+    covariate panel is supplied ("joint" or "residualize").
     """
 
     method: str = "ridge_ascm"
@@ -100,8 +100,8 @@ class EstimatorSpec:
             raise ConfigError(f"unknown estimator method {self.method!r}")
         if self.covariate_mode not in ("joint", "residualize"):
             raise ConfigError(f"unknown covariate mode {self.covariate_mode!r}")
-        if self.lam is not None and not self.lam >= 0:
-            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
+        if self.lam is not None and not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.zeta is not None and not 0 <= self.zeta < math.inf:
             raise ConfigError(f"zeta must be finite and nonnegative, got {self.zeta}")
 

@@ -10,7 +10,6 @@ here (the covariate loader picks them up separately).
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -218,9 +217,8 @@ def load_panel(source, treated_label, treatment_time):
 
     Parameters
     ----------
-    source : str | os.PathLike | file-like | iterable of dict
-        CSV with header containing ``unit``, ``time``, ``outcome`` columns,
-        or an iterable of mappings with those keys.
+    source : str | os.PathLike | file-like
+        CSV with header containing ``unit``, ``time``, ``outcome`` columns.
     treated_label
         Unit label of the treated unit.
     treatment_time
@@ -292,31 +290,29 @@ def load_panel(source, treated_label, treatment_time):
 
 
 def _read_rows(source):
-    """Yield (unit, time, outcome) triples from CSV or record iterables."""
+    """Yield (unit, time, outcome) triples from a CSV path or file object."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", newline="") as fh:
             yield from _read_rows(fh)
         return
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        reader = csv.reader(source)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError("empty input: no header row") from None
-        cols = {name.strip().lower(): i for i, name in enumerate(header)}
-        for required in ("unit", "time", "outcome"):
-            if required not in cols:
-                raise PanelFormatError(
-                    f"input header must contain {required!r}; got {header}"
-                )
-        iu, it, iy = cols["unit"], cols["time"], cols["outcome"]
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            yield row[iu].strip(), row[it].strip(), row[iy]
-        return
-    for record in source:
-        yield record["unit"], record["time"], record["outcome"]
+    if not hasattr(source, "read"):
+        raise PanelFormatError(
+            f"panel source must be a CSV path or file object, got {type(source).__name__}"
+        )
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelFormatError("empty input: no header row") from None
+    cols = {name.strip().lower(): i for i, name in enumerate(header)}
+    for required in ("unit", "time", "outcome"):
+        if required not in cols:
+            raise PanelFormatError(f"input header must contain {required!r}; got {header}")
+    iu, it, iy = cols["unit"], cols["time"], cols["outcome"]
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        yield row[iu].strip(), row[it].strip(), row[iy]
 
 
 def split_and_center(p, center=True):

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 RANK_CUTOFF = 1e-10
+STATIONARITY_TOL = 1e-8  # passing residual of verify_penalized_form
+BOUND_FACTORS = 3  # J, the factor count of bound_sketch's model
+BOUND_M = 1.0  # M, the bound on its latent factor values
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ def _require_invertible(svd, lambdas):
         )
 
 
-def augment_path(anchor, blocks, lambdas, svd=None):
+def augment_path(anchor, blocks, lambdas):
     """Ridge-augmented weights for every penalty in ``lambdas`` from one SVD.
 
     Column l is anchor + x0 (x0'x0 + lam_l I)^{-1} r with r = x1 - x0'
@@ -257,7 +260,7 @@ def augment_path(anchor, blocks, lambdas, svd=None):
     g = weight_values(anchor)
     lambdas = np.asarray(lambdas, dtype=float)
     _require_centered(blocks.x0, "augment_weights")
-    svd = svd or ControlSVD.compute(blocks.x0)
+    svd = ControlSVD.compute(blocks.x0)
     _require_invertible(svd, lambdas)
     rotated = svd.rotate(blocks.x1 - blocks.x0.T @ g)
     scale = np.sqrt(svd.n0) * svd.d[:, None] / (svd.n0 * svd.d[:, None] ** 2 + lambdas)
@@ -314,42 +317,36 @@ def fold_adjustments(svd, residuals, post, held_out, lambdas):
     return out
 
 
-def augment_weights(anchor, blocks, lam, svd=None):
+def augment_weights(anchor, blocks, lam):
     """Closed-form ridge-augmented weights at one penalty.
 
     The single column of :func:`augment_path`, summing to one exactly. The
     result generally leaves the simplex.
     """
-    values = augment_path(anchor, blocks, [lam], svd=svd)[:, 0]
+    values = augment_path(anchor, blocks, [lam])[:, 0]
     return DonorWeights(values=_exact_sum_to_one(values), simplex=False)
 
 
-def verify_penalized_form(w, anchor, blocks, lam, threshold=1e-8):
+def verify_penalized_form(w, anchor, blocks, lam):
     """Stationarity check of w for the sum-constrained penalized problem.
 
     The problem is (1/(2 lam)) ||x1 - x0' w||^2 + (1/2) ||w - anchor||^2
-    over sum(w) = 1; the report carries the norm of the gradient projected
-    onto the sum-zero direction. ``anchor`` is a weight vector or the
-    string "uniform".
+    over sum(w) = 1, ``anchor`` a weight vector; the report carries the
+    norm of the gradient projected onto the sum-zero direction, which
+    passes at :data:`STATIONARITY_TOL`.
     """
     if lam <= 0:
         raise ConfigError("penalized-form check requires lambda > 0")
     g = weight_values(w)
-    if isinstance(anchor, str):
-        if anchor != "uniform":
-            raise ConfigError(f"unknown anchor {anchor!r}")
-        a = np.full(g.shape[0], 1.0 / g.shape[0])
-    else:
-        a = weight_values(anchor)
+    a = weight_values(anchor)
     grad = -(1.0 / lam) * (blocks.x0 @ (blocks.x1 - blocks.x0.T @ g)) + (g - a)
-    proj = grad - grad.mean()
-    residual = float(np.linalg.norm(proj))
+    residual = float(np.linalg.norm(grad - grad.mean()))
     return PenalizedFormReport(
-        residual=residual, threshold=threshold, passed=residual <= threshold
+        residual=residual, threshold=STATIONARITY_TOL, passed=residual <= STATIONARITY_TOL
     )
 
 
-def svd_imbalance(scm_w, blocks, lam, svd=None):
+def svd_imbalance(scm_w, blocks, lam):
     """Post-augmentation pre-period fit: direct norm, spectral form, bound.
 
     ``lam`` is lam_ridge; the spectral factors use the scaled convention
@@ -359,10 +356,10 @@ def svd_imbalance(scm_w, blocks, lam, svd=None):
     with factor one and the worst-case bound factor is taken at an
     effective zero smallest singular value.
     """
-    svd = svd or ControlSVD.compute(blocks.x0)
+    svd = ControlSVD.compute(blocks.x0)
     g = weight_values(scm_w)
     lam_scaled = lam / svd.n0
-    aug = augment_weights(scm_w, blocks, lam, svd=svd)
+    aug = augment_weights(scm_w, blocks, lam)
     direct = float(np.linalg.norm(blocks.x1 - blocks.x0.T @ aug.values))
     r = blocks.x1 - blocks.x0.T @ g
     rt = svd.rotate(r)
@@ -384,12 +381,12 @@ def svd_imbalance(scm_w, blocks, lam, svd=None):
     )
 
 
-def weight_norm_bound(scm_w, blocks, lam, svd=None):
+def weight_norm_bound(scm_w, blocks, lam):
     """L2 norm of the augmented weights and its deterministic bound."""
-    svd = svd or ControlSVD.compute(blocks.x0)
+    svd = ControlSVD.compute(blocks.x0)
     g = weight_values(scm_w)
     lam_scaled = lam / svd.n0
-    aug = augment_weights(scm_w, blocks, lam, svd=svd)
+    aug = augment_weights(scm_w, blocks, lam)
     rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)
     factors = svd.d / (svd.d**2 + lam_scaled)
     bound = float(
@@ -430,7 +427,8 @@ class BoundSketch:
     """Error-bound terms on a (lambda, sigma) grid, normalized at large lambda.
 
     ``imbalance``, ``excess`` and ``scm_approx`` are already scaled by the
-    common factor J * M^2 / sqrt(T0) so ``total = imbalance + excess +
+    common factor J M^2 / sqrt(T0) (:data:`BOUND_FACTORS` = J,
+    :data:`BOUND_M` = M) so ``total = imbalance + excess +
     scm_approx`` entrywise; ``total_pct`` rescales each noise level so its
     largest-lambda entry is 100.
     """
@@ -442,8 +440,6 @@ class BoundSketch:
     scm_approx: float
     total: np.ndarray
     total_pct: np.ndarray
-    j_factors: int
-    m_bound: float
     t0: int
 
     def rows(self):
@@ -464,16 +460,7 @@ class BoundSketch:
         return out
 
 
-def bound_sketch(
-    scm_w,
-    blocks,
-    lambda_grid,
-    sigma_grid,
-    j_factors=3,
-    m_bound=1.0,
-    beta_norm=None,
-    svd=None,
-):
+def bound_sketch(scm_w, blocks, lambda_grid, sigma_grid):
     """Evaluate the factor-model error-bound terms over a hyper-parameter grid.
 
     For each (lambda, sigma) the sketch sums an imbalance term
@@ -484,37 +471,24 @@ def bound_sketch(
     rotated onto the singular directions of the scaled control block.
     Totals are reported as percentages of each noise level's largest-lambda
     entry, so values below 100 mark improvement over unadjusted weights.
-
-    ``beta_norm`` switches to the plain linear-outcome-model bound: the
-    imbalance term is scaled by the supplied coefficient norm instead and
-    the excess and baseline terms are dropped.
     """
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     if np.any(lambda_grid <= 0) or np.any(sigma_grid < 0):
         raise ConfigError("lambda grid must be positive and sigma grid nonnegative")
-    svd = svd or ControlSVD.compute(blocks.x0)
+    svd = ControlSVD.compute(blocks.x0)
     g = weight_values(scm_w)
     rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)
-    if beta_norm is not None:
-        if beta_norm < 0:
-            raise ConfigError("beta_norm must be nonnegative")
-        scale = float(beta_norm)
-        scm_term = 0.0
-    else:
-        scale = j_factors * m_bound**2 / np.sqrt(blocks.t0)
-        scm_term = float(scale * 2.0 * np.sqrt(np.log(2.0 * svd.n0)))
+    scale = BOUND_FACTORS * BOUND_M**2 / np.sqrt(blocks.t0)
+    scm_term = float(scale * 2.0 * np.sqrt(np.log(2.0 * svd.n0)))
     n_lam, n_sig = lambda_grid.shape[0], sigma_grid.shape[0]
     imb = np.empty(n_lam)
     excess = np.empty((n_lam, n_sig))
     for li, lam in enumerate(lambda_grid):
         lam_scaled = lam / svd.n0
         imb[li] = scale * np.linalg.norm(lam_scaled / (svd.d**2 + lam_scaled) * rt)
-        if beta_norm is not None:
-            excess[li] = 0.0
-        else:
-            base = np.linalg.norm(svd.d / (svd.d**2 + lam_scaled) * rt)
-            excess[li] = scale * 4.0 * sigma_grid * base
+        base = np.linalg.norm(svd.d / (svd.d**2 + lam_scaled) * rt)
+        excess[li] = scale * 4.0 * sigma_grid * base
     total = imb[:, None] + excess + scm_term
     anchor = total[-1, :]
     total_pct = 100.0 * total / anchor
@@ -526,7 +500,5 @@ def bound_sketch(
         scm_approx=scm_term,
         total=total,
         total_pct=total_pct,
-        j_factors=int(j_factors),
-        m_bound=float(m_bound),
         t0=int(blocks.t0),
     )

@@ -37,7 +37,6 @@ __all__ = [
     "draw_panel",
     "run_monte_carlo",
     "default_dgp",
-    "default_estimator_bank",
     "load_factor_fixture",
 ]
 
@@ -300,108 +299,85 @@ class McReport:
         return [astuple(r) for r in self.rows]
 
 
-def default_estimator_bank(lam="cv-min"):
-    """SCM baseline plus the standard comparison estimators.
-
-    ``lam`` may be a number (fixed penalty for the two ridge entries) or
-    one of "cv-min" / "cv-1se", in which case the penalty is selected per
-    replication inside the Monte Carlo loop. That selection cross-validates
-    the bank's first spec of method ``ridge_ascm``, whatever its name (its
-    zeta included), once per replication, or the default
-    :class:`EstimatorSpec` when the bank has none, and every ridge entry
-    without a fixed penalty shares its penalty;
-    ``ridge`` is not cross-validated on its own. In a replication the
-    ``scm`` and ``ridge_ascm`` entries share that estimator's one SCM solve,
-    which also starts every fold of the cross-validation.
-    """
-    fixed = None if isinstance(lam, str) else lam
-    return {
-        "scm": EstimatorSpec(method="scm"),
-        "ridge": EstimatorSpec(method="ridge", lam=fixed),
-        "ridge_ascm": EstimatorSpec(method="ridge_ascm", lam=fixed),
-        "fixed_effects": EstimatorSpec(method="fixed_effects"),
-        "demeaned_scm": EstimatorSpec(method="demeaned"),
-    }
-
-
-def _resolve_lambda(blocks, rule, spec, fit):
-    grid = default_lambda_grid(blocks, size=12)
-    cv = cv_from_folds(grid, fold_predictions(blocks, spec, lambdas=grid, fit=fit))
-    return select_lambda(cv, "min" if rule == "cv-min" else "one-se")
+# the simulation study's estimators, in report order, by method
+_BANK = {
+    "scm": "scm",
+    "ridge": "ridge",
+    "ridge_ascm": "ridge_ascm",
+    "fixed_effects": "fixed_effects",
+    "demeaned_scm": "demeaned",
+}
+_LAMBDA_RULES = {"cv-min": "min", "cv-1se": "one-se"}
 
 
 def _one_replication(args):
-    family, params, n, t, t0, rep_seed, estimators, lam_rule, estimand_period = args
+    family, params, n, t, t0, rep_seed, lam, estimand_period = args
     blocks = split_and_center(draw_panel(family, params, n, t, t0, rep_seed), center=True)
-    # the bank's first ridge_ascm-method spec is the estimator whose penalty
-    # is cross-validated; its one SCM solve starts every CV fold and is the
-    # scm entry's weights and the ridge_ascm anchor (for specs with its zeta)
-    cv_spec = next(
-        (s for s in estimators.values() if s.method == "ridge_ascm"), EstimatorSpec()
+    ascm = EstimatorSpec()  # ridge ASCM, whose penalty is cross-validated
+    # one SCM solve: the scm entry, the ridge_ascm anchor and every CV fold's start
+    shared = design_and_anchor(blocks, ascm)
+    if isinstance(lam, str):
+        grid = default_lambda_grid(blocks, size=12)
+        folds = fold_predictions(blocks, ascm, lambdas=grid, fit=shared)
+        lam = select_lambda(cv_from_folds(grid, folds), _LAMBDA_RULES[lam])
+    estimates = {
+        name: estimate_on_blocks(
+            blocks,
+            EstimatorSpec(method=method, lam=lam),
+            fit=shared if method in ("scm", "ridge_ascm") else None,
+        )
+        for name, method in _BANK.items()
+    }
+    return (
+        {name: float(est.att[estimand_period]) for name, est in estimates.items()},
+        imbalance(blocks, shared.scm),
     )
-    shared = design_and_anchor(blocks, cv_spec)
-    lam = None
-    needs_cv = any(s.needs_lambda() and s.lam is None for s in estimators.values())
-    if lam_rule is not None and needs_cv:
-        lam = _resolve_lambda(blocks, lam_rule, cv_spec, shared)
-    estimates = {}
-    scm_fit = None
-    for name, spec in estimators.items():
-        if spec.needs_lambda() and spec.lam is None:
-            if lam is None:
-                raise ConfigError(
-                    f"estimator {name!r} needs a lambda but no rule or value was given"
-                )
-            spec = spec.with_lambda(lam)
-        scm_anchored = {spec.method, cv_spec.method} <= {"scm", "ridge_ascm"}
-        shares = scm_anchored and spec.zeta == cv_spec.zeta
-        est = estimate_on_blocks(blocks, spec, fit=shared if shares else None)
-        estimates[name] = float(est.att[estimand_period])
-        if name == "scm":
-            scm_fit = imbalance(blocks, est.weights)
-    return estimates, scm_fit
 
 
 def run_monte_carlo(
     family,
     params,
-    estimators=None,
     replications=200,
     seed=0,
     n=20,
     t=30,
     t0=25,
-    estimand_period=None,
     lam="cv-min",
     stratify_by_fit=False,
     rep_log=None,
 ):
     """Replicate draw-and-estimate and aggregate bias / RMSE per estimator.
 
-    The SCM entry is the normalization baseline and must be present.
-    Under the sharp null the per-replication true effect is zero, so bias
-    equals the mean estimate. A replication in which any estimator fails
-    is dropped from every aggregate (and counted). Per-replication seeds
-    come from spawning one seed sequence, so results do not depend on
-    execution order; aggregation uses compensated summation.
+    The estimators are those of the simulation study, in report order:
+    ``scm`` (the normalization baseline), ``ridge``, ``ridge_ascm``,
+    ``fixed_effects`` and ``demeaned_scm``. ``lam`` is the penalty of the
+    two ridge entries: a finite nonnegative number, or "cv-min" / "cv-1se"
+    to cross-validate ridge ASCM per replication by that rule and give both
+    entries its penalty. In a replication one SCM solve is the ``scm``
+    entry, the ``ridge_ascm`` anchor and the start of every CV fold.
 
-    ``estimand_period`` indexes the post periods; None picks the family
-    convention (final period for factor and fixed-effects, first post
-    period for AR).
+    Under the sharp null the per-replication true effect is zero, so bias
+    equals the mean estimate, taken at the final post period for the factor
+    and fixed-effects families and the first for AR. A replication in which
+    any estimator fails is dropped from every aggregate (and counted).
+    Per-replication seeds come from spawning one seed sequence, so results
+    do not depend on execution order; aggregation uses compensated
+    summation.
     """
-    if estimators is None:
-        estimators = default_estimator_bank(lam)
-    lam_rule = lam if isinstance(lam, str) else None
-    if "scm" not in estimators:
-        raise ConfigError("the estimator bank must include the 'scm' baseline")
-    if estimand_period is None:
-        estimand_period = (t - t0 - 1) if family in ("factor", "fixed-effects") else 0
+    if not (isinstance(replications, (int, np.integer)) and replications >= 1):
+        raise ConfigError(f"need at least 1 replication, got {replications!r}")
+    if isinstance(lam, str):
+        if lam not in _LAMBDA_RULES:
+            raise ConfigError(f"lam must be a number, 'cv-min' or 'cv-1se', got {lam!r}")
+    else:
+        EstimatorSpec(lam=lam)  # refuses a negative or non-finite penalty
+    estimand_period = (t - t0 - 1) if family in ("factor", "fixed-effects") else 0
     if not 0 <= estimand_period < t - t0:
         raise ConfigError(f"estimand period {estimand_period} out of range")
 
     seeds = np.random.SeedSequence(seed).spawn(replications)
     jobs = [
-        (family, params, n, t, t0, seeds[r], estimators, lam_rule, estimand_period)
+        (family, params, n, t, t0, seeds[r], lam, estimand_period)
         for r in range(replications)
     ]
     results = [_safe_replication(job) for job in jobs]
@@ -411,9 +387,9 @@ def run_monte_carlo(
     if not kept:
         raise ConfigError("every replication failed; nothing to aggregate")
     if rep_log is not None:
-        _write_rep_log(rep_log, results, list(estimators))
+        _write_rep_log(rep_log, results, list(_BANK))
 
-    names = list(estimators)
+    names = list(_BANK)
     taus = {name: [est[name] for est, _ in kept] for name in names}
     fits = np.array([fit for _, fit in kept])
 

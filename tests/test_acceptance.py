@@ -307,13 +307,11 @@ def test_criterion_11_cli_determinism(tmp_path):
         "estimate": [
             "estimate", "--input", str(src), "--treated", "u0", "--treatment-time", "11",
             "--lambda", "1.0", "--inference", "jackknife+", "--covariates", "gdp",
-            "--seed", "7",
         ],
-        "cv": ["cv", "--input", str(src), "--treated", "u0", "--treatment-time", "11",
-               "--seed", "7"],
+        "cv": ["cv", "--input", str(src), "--treated", "u0", "--treatment-time", "11"],
         "placebo": [
             "placebo", "--input", str(src), "--treated", "u0", "--treatment-time", "11",
-            "--lambda", "1.0", "--placebo-times", "8", "--seed", "7",
+            "--lambda", "1.0", "--placebo-times", "8",
         ],
         "simulate": [
             "simulate", "--dgp", "factor", "--reps", "6", "--seed", "7", "--n", "8",
@@ -321,7 +319,6 @@ def test_criterion_11_cli_determinism(tmp_path):
         ],
         "diagnose": [
             "diagnose", "--input", str(src), "--treated", "u0", "--treatment-time", "11",
-            "--seed", "7",
         ],
     }
     mismatches = []

@@ -325,6 +325,25 @@ class TestEstimate:
         assert rc == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--lambda", "inf"],
+            ["--alpha", "nan"],
+            ["--alpha", "7"],
+            ["--alpha", "0", "--inference", "jackknife+"],
+        ],
+    )
+    def test_non_finite_or_out_of_range_option_exit_code(self, panel_csv, tmp_path, args):
+        # refused before any artifact, so no manifest records Infinity or NaN
+        out = tmp_path / "x"
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", *args, "--out", str(out),
+        ])
+        assert rc == 3
+        assert not out.exists()
+
     def test_non_numeric_treatment_time_exit_code(self, panel_csv, tmp_path):
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0",
@@ -597,6 +616,18 @@ class TestSimulate:
             outs.append(open(out / "mc_report.csv", "rb").read())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "args", [["--reps", "0"], ["--reps", "-1"], ["--lambda", "inf"]]
+    )
+    def test_bad_option_exit_code(self, tmp_path, args):
+        out = tmp_path / "mc"
+        rc = main([
+            "simulate", "--n", "8", "--t", "14", "--t0", "10", "--lambda", "1", *args,
+            "--out", str(out),
+        ])
+        assert rc == 3
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_identity_checks_all_pass(self, panel_csv, tmp_path):
@@ -622,18 +653,50 @@ class TestDiagnose:
         assert json.loads((out / "manifest.json").read_text())["config"]["zeta"] == 0.05
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_lambda_exit_code(self, panel_csv, tmp_path):
+        out = tmp_path / "diag"
+        rc = main([
+            "diagnose", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "inf", "--out", str(out),
+        ])
+        assert rc == 3
+        assert not out.exists()
+
+
 class TestManifest:
     def test_manifest_records_config_version_seed(self, panel_csv, tmp_path):
         out = tmp_path / "est"
         main([
             "estimate", "--input", panel_csv, "--treated", "u0",
-            "--treatment-time", "11", "--lambda", "2.5", "--seed", "3",
-            "--out", str(out),
+            "--treatment-time", "11", "--lambda", "2.5", "--out", str(out),
         ])
         manifest = json.loads(open(out / "manifest.json").read())
         assert manifest["command"] == "estimate"
-        assert manifest["seed"] == 3
+        assert manifest["seed"] is None  # deterministic: no seed to record
         assert manifest["config"]["lambda"] == 2.5
         from panelctrl import __version__
 
         assert manifest["version"] == __version__
+        sim = tmp_path / "sim"
+        main(["simulate", "--reps", "2", "--seed", "3", "--n", "8", "--t", "14", "--t0", "10",
+              "--lambda", "1", "--out", str(sim)])
+        assert json.loads(open(sim / "manifest.json").read())["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate"],
+            ["cv"],
+            ["placebo", "--placebo-times", "8"],
+            ["diagnose"],
+        ],
+    )
+    def test_deterministic_commands_take_no_seed(self, panel_csv, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                *argv, "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+                "--seed", "1", "--out", str(tmp_path / "x"),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

@@ -44,3 +44,18 @@ def test_reports_numeric_drift_new_keys_and_exit_codes(tmp_path, capsys):
     (weights,) = [line for line in out.splitlines() if "weights.csv" in line]
     assert float(weights.split("max_rel=")[1]) == pytest.approx(2e-10, rel=1e-3)
     assert "only in B: ['config.zeta']" in out
+
+
+def test_manifests_must_be_strict_json(tmp_path, capsys):
+    root = tmp_path / "run"
+    for case, text in {"ok": '{"seed": null}', "inf": '{"lambda": Infinity}',
+                       "nan": '{"alpha": NaN}'}.items():
+        (root / case).mkdir(parents=True)
+        (root / case / "manifest.json").write_text(text)
+    assert cli_matrix.check_manifests(str(root)) == 1
+    out = capsys.readouterr().out
+    assert "BAD JSON inf/manifest.json" in out and "BAD JSON nan/manifest.json" in out
+    assert "ok/" not in out
+    (root / "inf" / "manifest.json").unlink()
+    (root / "nan" / "manifest.json").unlink()
+    assert cli_matrix.check_manifests(str(root)) == 0

@@ -124,7 +124,7 @@ class TestJointAugment:
             lam = float(10 ** rng.uniform(-1, 3))
             aug = weights_for_design(blocks, EstimatorSpec(method=method, lam=lam), cov)
             stacked = stacked_blocks(blocks, standardize_to_outcomes(cov, blocks)[0])
-            anchor = solve_scm(stacked) if method == "ridge_ascm" else "uniform"
+            anchor = solve_scm(stacked) if method == "ridge_ascm" else np.full(n0, 1.0 / n0)
             rep = verify_penalized_form(aug, anchor, stacked, lam)
             assert rep.passed
 

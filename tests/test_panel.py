@@ -87,6 +87,13 @@ class TestLoadPanel:
         with pytest.raises(TreatmentTimeError):
             load_panel(_grid_csv(["a", "b"], [1, 2, 3, 4]), "a", 99)
 
+    @pytest.mark.parametrize(
+        "source", [42, ["unit,time,outcome", "a,1,1.0"], [{"unit": "a", "time": 1, "outcome": 1.0}]]
+    )
+    def test_source_neither_path_nor_file_rejected(self, source):
+        with pytest.raises(PanelFormatError, match="CSV path or file object"):
+            load_panel(source, "a", 2)
+
     def test_single_pre_period_rejected(self):
         with pytest.raises(TreatmentTimeError):
             load_panel(_grid_csv(["a", "b"], [1, 2, 3]), "a", 2)

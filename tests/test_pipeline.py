@@ -111,7 +111,8 @@ def test_covariates_without_lambda_refused(data, mode, entry):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"zeta": -5.0}, {"zeta": math.nan}, {"zeta": math.inf}, {"lam": math.nan}]
+    "bad",
+    [{"zeta": -5.0}, {"zeta": math.nan}, {"zeta": math.inf}, {"lam": math.nan}, {"lam": math.inf}],
 )
 @pytest.mark.parametrize("method", METHODS)
 def test_spec_refuses_a_bad_penalty_for_every_method(method, bad):

@@ -186,7 +186,8 @@ class TestVerifyPenalizedForm:
             blocks = make_blocks(rng, int(rng.integers(3, 12)), int(rng.integers(2, 8)))
             lam = float(10 ** rng.uniform(-2, 4))
             w = ridge_weights(blocks, lam)
-            rep = verify_penalized_form(w, "uniform", blocks, lam)
+            uniform = np.full(blocks.n_donors, 1.0 / blocks.n_donors)
+            rep = verify_penalized_form(w, uniform, blocks, lam)
             assert rep.passed and rep.residual <= 1e-8
 
     def test_wrong_weights_fail(self, rng):
@@ -347,16 +348,3 @@ class TestBoundSketch:
         assert len(rows) == 30
         assert len(rows[0]) == 6
 
-    def test_linear_model_variant(self, rng):
-        # supplying a coefficient norm drops the over-fitting and baseline
-        # terms and rescales the imbalance term
-        blocks = make_blocks(rng, 8, 5)
-        w = solve_scm(blocks)
-        lams = np.logspace(-2, 4, 10)
-        plain = bound_sketch(w, blocks, lams, np.array([1.0]))
-        linear = bound_sketch(w, blocks, lams, np.array([1.0]), beta_norm=2.5)
-        assert linear.scm_approx == 0.0
-        assert np.all(linear.excess == 0.0)
-        scale_plain = 3 * 1.0**2 / np.sqrt(blocks.t0)
-        assert np.allclose(linear.imbalance, plain.imbalance * 2.5 / scale_plain)
-        assert np.all(np.diff(linear.total[:, 0]) >= -1e-12)  # pure shrinkage term

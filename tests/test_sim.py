@@ -1,10 +1,10 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from panelctrl.errors import ConfigError
-from panelctrl.estimators import EstimatorSpec
 from panelctrl.panel import split_and_center
 from panelctrl.scm import imbalance, solve_scm
 from panelctrl.sim import (
@@ -105,43 +105,43 @@ class TestRunMonteCarlo:
         params = FactorDgp(
             mu=mu, nu=nu, alpha_sd=0.0, phi_cov=np.zeros((3, 3)), sigma_eps=0.0
         )
-        bank = {
-            "scm": EstimatorSpec(method="scm"),
-            "ridge_ascm": EstimatorSpec(method="ridge_ascm", lam=1.0),
-            "demeaned_scm": EstimatorSpec(method="demeaned"),
-        }
         rep = run_monte_carlo(
-            "factor", params, estimators=bank, replications=10, seed=1, n=8, t=20, t0=16
+            "factor", params, replications=10, seed=1, n=8, t=20, t0=16, lam=1.0
         )
+        assert [row.name for row in rep.rows] == [
+            "scm", "ridge", "ridge_ascm", "fixed_effects", "demeaned_scm"
+        ]
         for row in rep.rows:
             assert abs(row.bias) < 1e-8
             assert row.rmse < 1e-8
 
     def test_reproducible(self):
         params = default_dgp("factor")
-        bank = {
-            "scm": EstimatorSpec(method="scm"),
-            "ridge_ascm": EstimatorSpec(method="ridge_ascm", lam=10.0),
-        }
-        r1 = run_monte_carlo("factor", params, estimators=bank, replications=12,
+        r1 = run_monte_carlo("factor", params, replications=12,
                              seed=7, n=10, t=20, t0=16, lam=10.0)
-        r2 = run_monte_carlo("factor", params, estimators=bank, replications=12,
+        r2 = run_monte_carlo("factor", params, replications=12,
                              seed=7, n=10, t=20, t0=16, lam=10.0)
         assert r1.rows == r2.rows
 
-    def test_scm_baseline_required(self):
-        params = default_dgp("factor")
-        with pytest.raises(ConfigError):
-            run_monte_carlo(
-                "factor",
-                params,
-                estimators={"ridge_ascm": EstimatorSpec(method="ridge_ascm", lam=1.0)},
-                replications=2,
-                seed=0,
-                n=8,
-                t=16,
-                t0=12,
-            )
+    @pytest.mark.parametrize(
+        "bad, cause",
+        [
+            ({"lam": "bogus"}, "cv-1se"),
+            ({"lam": math.inf}, "finite"),
+            ({"replications": 0}, "at least 1 replication"),
+            ({"replications": -1}, "at least 1 replication"),
+            ({"replications": 2.5}, "at least 1 replication"),
+        ],
+    )
+    def test_refuses_bad_input_before_any_replication(self, monkeypatch, bad, cause):
+        import panelctrl.sim as sim_mod
+
+        started = []
+        monkeypatch.setattr(sim_mod, "_one_replication", started.append)
+        kwargs = {"replications": 2, "seed": 0, "n": 8, "t": 16, "t0": 12, "lam": 1.0, **bad}
+        with pytest.raises(ConfigError, match=cause):
+            run_monte_carlo("factor", default_dgp("factor"), **kwargs)
+        assert started == []
 
     def test_scm_row_normalizes_to_100(self):
         params = default_dgp("factor")
@@ -212,36 +212,6 @@ class TestRunMonteCarlo:
         assert all(np.array_equal(start, shared.values) for start, _ in solves[1:17])
         assert estimates["scm"].weights is shared
         assert [a for a in anchors if a is shared] == [shared]  # the ridge_ascm entry's
-
-    @pytest.mark.parametrize("name", ["ridge_ascm", "ascm_zeta_1"])
-    def test_cross_validates_the_banks_own_ridge_ascm(self, monkeypatch, name):
-        # the CV folds fit the bank's ridge_ascm-method spec, whatever its
-        # name, zeta included, and its one SCM solve is also the scm entry's
-        # weights at that zeta
-        import panelctrl.sim as sim_mod
-
-        received, fits = [], {}
-        folds, estimate = sim_mod.fold_predictions, sim_mod.estimate_on_blocks
-
-        def record_folds(blocks, spec, *args, **kwargs):
-            received.append((spec.method, spec.zeta, kwargs["fit"]))
-            return folds(blocks, spec, *args, **kwargs)
-
-        def record_estimate(blocks, spec, **kwargs):
-            fits[spec.method] = kwargs["fit"]
-            return estimate(blocks, spec, **kwargs)
-
-        monkeypatch.setattr(sim_mod, "fold_predictions", record_folds)
-        monkeypatch.setattr(sim_mod, "estimate_on_blocks", record_estimate)
-        bank = {
-            "scm": EstimatorSpec(method="scm", zeta=1.0),
-            name: EstimatorSpec(method="ridge_ascm", zeta=1.0),
-        }
-        rep = run_monte_carlo("factor", default_dgp("factor"), estimators=bank,
-                              replications=2, seed=3, n=10, t=20, t0=16, lam="cv-min")
-        assert [(method, zeta) for method, zeta, _ in received] == [("ridge_ascm", 1.0)] * 2
-        assert rep.row("scm").n_used == 2
-        assert fits["scm"] is not None and fits["scm"] is fits["ridge_ascm"] is received[-1][2]
 
     def test_stratification_partitions(self):
         params = default_dgp("factor")

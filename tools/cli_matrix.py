@@ -8,9 +8,12 @@ generated panels into OUT, one directory per case, plus ``exit_codes.json``
 
 The matrix covers every ``estimate`` method with each inference mode, the
 covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
-``simulate --rep-log``. Compare mode reads two such directories, made for
-instance from two checkouts, and prints for every file whether it is
-byte-identical and otherwise its largest relative numeric difference::
+``simulate --rep-log``, plus cells that must fail (an infinite penalty, a NaN
+``--alpha``, zero replications) so their exit codes are compared too. Run
+mode then parses every ``manifest.json`` as strict JSON and exits 1 if any
+holds ``NaN`` or ``Infinity``. Compare mode reads two such directories,
+made for instance from two checkouts, and prints for every file whether it
+is byte-identical and otherwise its largest relative numeric difference::
 
     python tools/cli_matrix.py --compare A B
 
@@ -87,10 +90,15 @@ def cases(inputs):
             "--covariate-mode", "residualize", *placebo]
         yield f"{panel}-diagnose", ["diagnose", *data]
         yield f"{panel}-diagnose-lam-zeta", ["diagnose", *data, "--lambda", "2", "--zeta", "0.01"]
+        yield f"{panel}-estimate-lam-inf", ["estimate", *data, "--lambda", "inf"]
+        yield f"{panel}-estimate-alpha-nan", ["estimate", *data, "--lambda", "1", "--alpha", "nan"]
     for tag, penalty in (("lam5", ["--lambda", "5"]), ("cv", ["--select", "min"])):
         yield f"simulate-{tag}", [
             "simulate", "--reps", "6", "--seed", "7", "--n", "10", "--t", "16", "--t0", "12",
             "--stratify", *penalty]
+    small = ["simulate", "--n", "8", "--t", "14", "--t0", "10"]
+    yield "simulate-reps0", [*small, "--reps", "0", "--lambda", "1"]
+    yield "simulate-lam-inf", [*small, "--reps", "2", "--lambda", "inf"]
 
 
 def run_matrix(out):
@@ -117,7 +125,27 @@ def run_matrix(out):
     with open(os.path.join(out, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 0
+    return check_manifests(out)
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def check_manifests(root):
+    """Parse every ``manifest.json`` under root as strict JSON (RFC 8259, so
+    no ``NaN`` or ``Infinity``); print each that fails, and return 1 if any."""
+    bad = 0
+    for rel in sorted(_files(root)):
+        if os.path.basename(rel) != "manifest.json":
+            continue
+        try:
+            with open(os.path.join(root, rel)) as fh:
+                json.load(fh, parse_constant=_refuse)
+        except ValueError as exc:
+            bad += 1
+            print(f"BAD JSON {rel}: {exc}")
+    return 1 if bad else 0
 
 
 def _files(root):
