@@ -11,7 +11,7 @@ from .covariates import (
     CovariatePanel,
     balance_covariates,
     balance_table,
-    covariates_from_long,
+    pre_period_covariates,
     residualize,
     stacked_blocks,
     standardize_to_outcomes,
@@ -51,7 +51,7 @@ from .ridge import (
     weight_norm_bound,
 )
 from .scm import DonorWeights, imbalance, kkt_residual, solve_scm
-from .selection import CvResult, default_lambda_grid, in_time_placebo, loo_cv, select_lambda
+from .selection import CvResult, default_lambda_grid, loo_cv, select_lambda
 from .sim import (
     Ar3Dgp,
     FactorDgp,
@@ -91,11 +91,10 @@ __all__ = [
     "balance_covariates",
     "standardize_to_outcomes",
     "balance_table",
-    "covariates_from_long",
+    "pre_period_covariates",
     "CvResult",
     "loo_cv",
     "select_lambda",
-    "in_time_placebo",
     "default_lambda_grid",
     "PredictionInterval",
     "conformal_p",

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .covariates import balance_table, covariates_from_long
+from .covariates import balance_table, pre_period_covariates
 from .errors import ConfigError, PanelCtrlError
 from .estimators import (
     EstimatorSpec,
@@ -156,13 +156,10 @@ def _build_parser():
 
 
 def _load_inputs(args):
-    p = load_panel(args.input, args.treated, args.treatment_time)
-    cov = None
-    if getattr(args, "covariates", None):
-        columns = [c.strip() for c in args.covariates.split(",") if c.strip()]
-        if columns:
-            cov = covariates_from_long(args.input, p, columns)
-    return p, cov
+    columns = [c.strip() for c in (getattr(args, "covariates", None) or "").split(",")]
+    columns = [c for c in columns if c]
+    p = load_panel(args.input, args.treated, args.treatment_time, columns)
+    return p, (pre_period_covariates(p) if columns else None)
 
 
 def _method_spec(args, lam=None):
@@ -211,7 +208,7 @@ def _cmd_estimate(args):
     if not 0 < args.alpha < 1:
         raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     p, cov = _load_inputs(args)
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     spec, fit, cv_facts, folds = _resolve_spec(
         args, blocks, cov, args.inference == "jackknife+"
     )
@@ -270,7 +267,7 @@ def _cmd_estimate(args):
 
 def _cmd_cv(args):
     p, cov = _load_inputs(args)
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     cv = loo_cv(blocks, _method_spec(args), cov, mode=args.mode)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "cv.csv"), ["lambda", "cv_mse", "cv_se"], cv.rows())
@@ -308,10 +305,8 @@ def _cmd_placebo(args):
         placebo_p = placebo_panel(p, time_label)
         # covariates and an auto-selected lambda see only the periods before
         # the placebo time
-        placebo_cov = (
-            None if cov is None else covariates_from_long(args.input, placebo_p, cov.names)
-        )
-        placebo_blocks = split_and_center(placebo_p, center=True)
+        placebo_cov = None if cov is None else pre_period_covariates(placebo_p)
+        placebo_blocks = split_and_center(placebo_p)
         spec, fit, facts, _ = _resolve_spec(args, placebo_blocks, placebo_cov)
         lambdas.append(spec.lam)
         est = estimate_on_blocks(placebo_blocks, spec, cov=placebo_cov, fit=fit)
@@ -404,7 +399,7 @@ def _cmd_simulate(args):
 
 def _cmd_diagnose(args):
     p, _ = _load_inputs(args)
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     w = weights_for_design(blocks, EstimatorSpec(method="scm", zeta=args.zeta))
     grid = default_lambda_grid(blocks)
     lam = args.lam if args.lam is not None else float(np.median(grid))

@@ -14,15 +14,12 @@ covariates exactly no matter how well the synthetic control fits.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PanelFormatError, SingularityError
+from .errors import ConfigError, SingularityError
 from .panel import PanelBlocks, readonly_array
 from .scm import DonorWeights, weight_values
 
@@ -35,7 +32,7 @@ __all__ = [
     "balance_covariates",
     "standardize_to_outcomes",
     "balance_table",
-    "covariates_from_long",
+    "pre_period_covariates",
 ]
 
 
@@ -197,52 +194,17 @@ def balance_table(cov, weights):
     return rows
 
 
-def covariates_from_long(source, p, columns):
-    """Per-unit pre-treatment means of extra CSV columns as covariates.
+def pre_period_covariates(p):
+    """Per-unit pre-treatment means of a panel's covariate columns,
+    centered to control means.
 
-    ``source`` is the same long-format CSV used for the panel; ``columns``
-    names the covariate columns. Values are averaged over each unit's
-    pre-treatment rows and centered to control means.
+    Each mean is summed period by period in time order, so it does not
+    depend on the order of the input rows.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="") as fh:
-            return covariates_from_long(fh, p, columns)
-    if not (isinstance(source, io.TextIOBase) or hasattr(source, "read")):
-        raise ConfigError("covariate loading requires a CSV path or file object")
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        raise PanelFormatError("empty input: no header row")
-    idx = {name.strip().lower(): i for i, name in enumerate(header)}
-    for required in ("unit", "time"):
-        if required not in idx:
-            raise PanelFormatError(f"input header must contain {required!r}")
-    for col in columns:
-        if col.strip().lower() not in idx:
-            raise PanelFormatError(f"covariate column {col!r} not found in header")
-    pre_times = {str(t) for t in p.time_ids[: p.t0]}
-    sums = {unit: np.zeros(len(columns)) for unit in p.unit_ids}
-    counts = {unit: 0 for unit in p.unit_ids}
-    for row in reader:
-        if not row or all(not c.strip() for c in row):
-            continue
-        unit = row[idx["unit"]].strip()
-        time_label = row[idx["time"]].strip()
-        if unit not in sums or time_label not in pre_times:
-            continue
-        try:
-            vals = [float(row[idx[c.strip().lower()]]) for c in columns]
-        except (ValueError, IndexError) as exc:
-            raise PanelFormatError(
-                f"non-numeric covariate value for unit {unit!r} at time {time_label!r}"
-            ) from exc
-        sums[unit] += np.asarray(vals)
-        counts[unit] += 1
-    z = np.empty((p.n_units, len(columns)))
-    for i, unit in enumerate(p.unit_ids):
-        if counts[unit] == 0:
-            raise PanelFormatError(f"no pre-treatment covariate rows for unit {unit!r}")
-        z[i] = sums[unit] / counts[unit]
+    z = np.zeros((p.n_units, len(p.covariate_names)))
+    for j in range(p.t0):
+        z += p.covariates[:, j]
+    z /= p.t0
     return CovariatePanel.from_raw(
-        z1=z[p.treated_index], z0=z[p.donor_indices], names=tuple(columns)
+        z1=z[p.treated_index], z0=z[p.donor_indices], names=p.covariate_names
     )

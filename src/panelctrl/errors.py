@@ -24,12 +24,13 @@ class DuplicateCellError(PanelFormatError):
 
 
 class MissingCellError(PanelFormatError):
-    """A (unit, time) combination is absent or has a missing outcome."""
+    """A (unit, time) combination is absent or has a missing value in a column."""
 
-    def __init__(self, unit, time):
-        super().__init__(f"missing outcome for unit {unit!r} at time {time!r}")
+    def __init__(self, unit, time, column):
+        super().__init__(f"missing {column} for unit {unit!r} at time {time!r}")
         self.unit = unit
         self.time = time
+        self.column = column
 
 
 class UnknownUnitError(PanelFormatError):

@@ -182,7 +182,7 @@ def estimate(p, spec, cov=None):
     ``cov`` (a CovariatePanel) enters the weights as described in
     :func:`design_and_anchor`.
     """
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     return estimate_on_blocks(blocks, spec, cov=cov)
 
 

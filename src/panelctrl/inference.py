@@ -128,7 +128,7 @@ def conformal_p(p, tau0, spec, post_period=0, cov=None):
     covariate pipeline when one is configured), so the weights depend on
     tau0. Values live on the grid {1/(T0+1), ..., 1}.
     """
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     if not 0 <= post_period < blocks.n_post:
         raise ConfigError(f"post_period {post_period} out of range")
     return _conformal_p_blocks(blocks, tau0, spec, post_period, cov=cov)
@@ -162,7 +162,7 @@ def conformal_interval(
         if tau_grid.ndim != 1 or tau_grid.size == 0 or not np.isfinite(tau_grid).all():
             raise ConfigError("tau_grid must be a non-empty 1-d grid of finite values")
         tau_grid = np.sort(tau_grid)
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     if not 0 <= post_period < blocks.n_post:
         raise ConfigError(f"post_period {post_period} out of range")
 
@@ -237,7 +237,7 @@ def jackknife_plus(p, alpha, spec, target="counterfactual", cov=None):
     :func:`jackknife_intervals` turns that one pass into a tuple of
     :class:`PredictionInterval` in post-period order.
     """
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     truth, predictions, _ = fold_predictions(blocks, spec, cov)
     return jackknife_intervals(truth, predictions[:, 0], blocks.y1_post, alpha, target)
 

@@ -2,14 +2,16 @@
 
 A panel is a complete N x T outcome matrix with a single treated unit and
 a treatment time splitting the columns into T0 pre-treatment periods and
-T - T0 post-treatment periods. Long-format CSV with header
-``unit,time,outcome`` is the canonical input; extra columns are ignored
-here (the covariate loader picks them up separately).
+T - T0 post-treatment periods, plus an N x T x K table of auxiliary
+covariates (empty by default). Long-format CSV with header
+``unit,time,outcome`` is the canonical input; :func:`load_panel` reads it
+in one pass, together with any extra columns requested as covariates.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -103,6 +105,9 @@ class PanelData:
         Row index of the single treated unit.
     t0 : int
         Number of pre-treatment periods, 2 <= t0 < T.
+    covariates : np.ndarray
+        N x T x K auxiliary covariates laid out like ``outcomes`` (K = 0 by
+        default), column k named ``covariate_names[k]``.
     """
 
     outcomes: np.ndarray
@@ -110,12 +115,20 @@ class PanelData:
     time_ids: tuple
     treated_index: int
     t0: int
+    covariates: np.ndarray = None
+    covariate_names: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", readonly_array(self.outcomes))
         object.__setattr__(self, "unit_ids", tuple(self.unit_ids))
         object.__setattr__(self, "time_ids", tuple(self.time_ids))
+        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         n, t = self.outcomes.shape
+        k = len(self.covariate_names)
+        covariates = np.empty((n, t, 0)) if self.covariates is None else self.covariates
+        object.__setattr__(self, "covariates", readonly_array(covariates))
+        if self.covariates.shape != (n, t, k):
+            raise PanelFormatError(f"covariates must be N x T x K = {(n, t, k)}")
         if len(self.unit_ids) != n:
             raise PanelFormatError("unit_ids length does not match outcome rows")
         if len(self.time_ids) != t:
@@ -128,9 +141,11 @@ class PanelData:
             raise TreatmentTimeError(
                 f"need 2 <= T0 < T, got T0={self.t0} with T={t}"
             )
-        if np.isnan(self.outcomes).any():
-            i, j = np.argwhere(np.isnan(self.outcomes))[0]
-            raise MissingCellError(self.unit_ids[i], self.time_ids[j])
+        cells = np.concatenate([self.outcomes[:, :, None], self.covariates], axis=2)
+        if np.isnan(cells).any():
+            i, j, c = np.argwhere(np.isnan(cells))[0]
+            column = ("outcome", *self.covariate_names)[c]
+            raise MissingCellError(self.unit_ids[i], self.time_ids[j], column)
         keys = _time_keys(self.time_ids)
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise PanelFormatError("time_ids must be strictly increasing")
@@ -212,89 +227,19 @@ class PanelBlocks:
         return self.y0_post.shape[1]
 
 
-def load_panel(source, treated_label, treatment_time):
-    """Read a long-format stream into a validated :class:`PanelData`.
+def load_panel(source, treated_label, treatment_time, covariates=()):
+    """Read a long-format CSV into a validated :class:`PanelData`, in one pass.
 
-    Parameters
-    ----------
-    source : str | os.PathLike | file-like
-        CSV with header containing ``unit``, ``time``, ``outcome`` columns.
-    treated_label
-        Unit label of the treated unit.
-    treatment_time
-        First treated period; T0 counts the periods strictly before it.
+    ``source`` is a CSV path or file object whose header names ``unit``,
+    ``time``, ``outcome`` and every column in ``covariates`` (matched
+    case-insensitively); those columns fill ``PanelData.covariates``.
+    ``treatment_time`` is the first treated period: T0 counts the periods
+    strictly before it. Every (unit, time) pair appears once, and each of its
+    requested cells holds a number; docs/schemas.md ("Input") lists the errors.
     """
-    rows = _read_rows(source)
-    cells = {}
-    units = []
-    seen_units = set()
-    times = set()
-    for unit, time_label, raw in rows:
-        if unit not in seen_units:
-            seen_units.add(unit)
-            units.append(unit)
-        times.add(time_label)
-        key = (unit, time_label)
-        if key in cells:
-            raise DuplicateCellError(
-                f"duplicate observation for unit {unit!r} at time {time_label!r}"
-            )
-        if raw is None or str(raw).strip() == "" or str(raw).strip().lower() == "nan":
-            raise MissingCellError(unit, time_label)
-        try:
-            cells[key] = float(raw)
-        except ValueError as exc:
-            raise PanelFormatError(
-                f"non-numeric outcome {raw!r} for unit {unit!r} at time {time_label!r}"
-            ) from exc
-
-    if not units:
-        raise PanelFormatError("empty input: no observations found")
-    if treated_label not in seen_units:
-        raise UnknownUnitError(f"treated unit {treated_label!r} not found in data")
-
-    unsorted_labels = list(times)
-    unsorted_keys = _time_keys(unsorted_labels)
-    order = sorted(range(len(unsorted_labels)), key=lambda i: unsorted_keys[i])
-    time_list = [unsorted_labels[i] for i in order]
-    n, t = len(units), len(time_list)
-    outcomes = np.empty((n, t))
-    for i, unit in enumerate(units):
-        for j, time_label in enumerate(time_list):
-            try:
-                outcomes[i, j] = cells[(unit, time_label)]
-            except KeyError:
-                raise MissingCellError(unit, time_label) from None
-
-    t0 = periods_preceding(time_list, treatment_time)
-    if t0 == 0:
-        raise TreatmentTimeError(
-            f"treatment time {treatment_time!r} is at or before the first period"
-        )
-    if t0 >= t:
-        raise TreatmentTimeError(
-            f"treatment time {treatment_time!r} is after the last observed period"
-        )
-    if t0 < 2:
-        raise TreatmentTimeError(
-            f"treatment time {treatment_time!r} leaves only {t0} pre period(s); need at least 2"
-        )
-
-    return PanelData(
-        outcomes=outcomes,
-        unit_ids=tuple(units),
-        time_ids=tuple(time_list),
-        treated_index=units.index(treated_label),
-        t0=t0,
-    )
-
-
-def _read_rows(source):
-    """Yield (unit, time, outcome) triples from a CSV path or file object."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", newline="") as fh:
-            yield from _read_rows(fh)
-        return
+            return load_panel(fh, treated_label, treatment_time, covariates)
     if not hasattr(source, "read"):
         raise PanelFormatError(
             f"panel source must be a CSV path or file object, got {type(source).__name__}"
@@ -305,19 +250,93 @@ def _read_rows(source):
     except StopIteration:
         raise PanelFormatError("empty input: no header row") from None
     cols = {name.strip().lower(): i for i, name in enumerate(header)}
-    for required in ("unit", "time", "outcome"):
-        if required not in cols:
+    names = ("outcome", *covariates)
+    for required in ("unit", "time", *names):
+        if required.strip().lower() not in cols:
             raise PanelFormatError(f"input header must contain {required!r}; got {header}")
-    iu, it, iy = cols["unit"], cols["time"], cols["outcome"]
+    picked = [cols[name.strip().lower()] for name in ("unit", "time", *names)]
+    pick = operator.itemgetter(*picked)
+    rows = {}  # (unit, time) -> the row's raw value cells, in file order
     for row in reader:
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():
             continue
-        yield row[iu].strip(), row[it].strip(), row[iy]
+        try:
+            unit, time_label, *cells = pick(row)
+        except IndexError:
+            raise PanelFormatError(
+                f"line {reader.line_num} has {len(row)} field(s); "
+                f"the requested columns need {max(picked) + 1}"
+            ) from None
+        key = (unit.strip(), time_label.strip())
+        if key in rows:
+            raise DuplicateCellError(
+                f"duplicate observation for unit {key[0]!r} at time {key[1]!r}"
+            )
+        rows[key] = cells
+
+    if not rows:
+        raise PanelFormatError("empty input: no observations found")
+    values = np.column_stack([_column(rows, raw, n) for raw, n in zip(zip(*rows.values()), names)])
+    units = list(dict.fromkeys(unit for unit, _ in rows))
+    if treated_label not in units:
+        raise UnknownUnitError(f"treated unit {treated_label!r} not found in data")
+    labels = list(dict.fromkeys(time_label for _, time_label in rows))
+    time_list = [label for _, label in sorted(zip(_time_keys(labels), labels))]
+    unit_at = {unit: i for i, unit in enumerate(units)}
+    time_at = {time_label: j for j, time_label in enumerate(time_list)}
+    row_of = np.full((len(units), len(time_list)), -1)  # file row of each cell
+    row_of[[unit_at[u] for u, _ in rows], [time_at[s] for _, s in rows]] = np.arange(len(rows))
+    if (row_of < 0).any():
+        i, j = np.argwhere(row_of < 0)[0]
+        raise MissingCellError(units[i], time_list[j], "outcome")
+
+    t0 = periods_preceding(time_list, treatment_time)
+    if t0 == 0:
+        raise TreatmentTimeError(
+            f"treatment time {treatment_time!r} is at or before the first period"
+        )
+    if t0 >= len(time_list):
+        raise TreatmentTimeError(
+            f"treatment time {treatment_time!r} is after the last observed period"
+        )
+    if t0 < 2:
+        raise TreatmentTimeError(
+            f"treatment time {treatment_time!r} leaves only {t0} pre period(s); need at least 2"
+        )
+
+    table = values[row_of]  # a nan cell raises MissingCellError in PanelData
+    return PanelData(
+        outcomes=table[:, :, 0],
+        unit_ids=tuple(units),
+        time_ids=tuple(time_list),
+        treated_index=units.index(treated_label),
+        t0=t0,
+        covariates=table[:, :, 1:],
+        covariate_names=tuple(covariates),
+    )
 
 
-def split_and_center(p, center=True):
-    """Extract :class:`PanelBlocks`, optionally shifting the pre blocks by
-    control column means.
+def _column(rows, raw, name):
+    """One column's raw cells, in file order, as floats; a blank cell raises
+    MissingCellError and any other non-number PanelFormatError."""
+    try:
+        return np.array(raw, dtype=float)
+    except ValueError:
+        for (unit, time_label), text in zip(rows, raw):
+            if not text.strip():
+                raise MissingCellError(unit, time_label, name) from None
+            try:
+                float(text)
+            except ValueError:
+                raise PanelFormatError(
+                    f"non-numeric {name} {text!r} for unit {unit!r} at time {time_label!r}"
+                ) from None
+        raise
+
+
+def split_and_center(p):
+    """Extract :class:`PanelBlocks`, shifting the pre blocks by control
+    column means.
 
     Centering is required by the ridge paths; the shift is recorded so the
     original scale can be reconstructed. Post-period outcomes are never
@@ -328,14 +347,11 @@ def split_and_center(p, center=True):
     x0 = p.outcomes[donors, : p.t0].copy()
     y1_post = p.outcomes[p.treated_index, p.t0 :].copy()
     y0_post = p.outcomes[donors, p.t0 :].copy()
-    if center:
-        shift = x0.mean(axis=0)
-        x0 = x0 - shift
-        x1 = x1 - shift
-        # kill residual round-off so downstream mean checks are exact
-        x0 = x0 - x0.mean(axis=0)
-    else:
-        shift = np.zeros(p.t0)
+    shift = x0.mean(axis=0)
+    x0 = x0 - shift
+    x1 = x1 - shift
+    # kill residual round-off so downstream mean checks are exact
+    x0 = x0 - x0.mean(axis=0)
     return PanelBlocks(x1=x1, x0=x0, y0_post=y0_post, y1_post=y1_post, centering=shift)
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "imbalance",
     "kkt_residual",
     "project_simplex",
-    "scm_objective",
 ]
 
 # Cap on active-set iterations (one KKT solve each).
@@ -102,11 +101,6 @@ def project_simplex(v):
     rho = int(np.nonzero(rho_candidates)[0][-1])
     theta = css[rho] / (rho + 1)
     return np.maximum(v - theta, 0.0)
-
-
-def scm_objective(blocks, w, zeta=None):
-    """Objective value at a weight vector (penalty included)."""
-    return _objective(blocks, _zeta(blocks, zeta), weight_values(w))
 
 
 def _objective(blocks, zeta, g):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TreatmentTimeError
-from .estimators import EstimatorSpec, estimate, fold_predictions
+from .estimators import EstimatorSpec, fold_predictions
 from .panel import PanelData, periods_preceding, readonly_array
 from .ridge import ControlSVD
 
@@ -25,7 +25,6 @@ __all__ = [
     "cv_from_folds",
     "select_lambda",
     "placebo_panel",
-    "in_time_placebo",
     "default_lambda_grid",
 ]
 
@@ -134,9 +133,10 @@ def select_lambda(cv, rule="min"):
 def placebo_panel(p, placebo_time):
     """The panel an in-time placebo runs on.
 
-    Post periods are discarded and the pre-period count is re-designated
-    at ``placebo_time``, which must leave at least 3 pre periods and lie
-    strictly before the true treatment time.
+    Post periods are discarded, from the outcomes and the covariates alike,
+    and the pre-period count is re-designated at ``placebo_time``, which
+    must leave at least 3 pre periods and lie strictly before the true
+    treatment time. Run the estimator on it for the placebo gaps.
     """
     new_t0 = periods_preceding(p.time_ids, placebo_time)
     if new_t0 >= p.t0:
@@ -153,15 +153,7 @@ def placebo_panel(p, placebo_time):
         time_ids=p.time_ids[: p.t0],
         treated_index=p.treated_index,
         t0=new_t0,
+        covariates=p.covariates[:, : p.t0],
+        covariate_names=p.covariate_names,
     )
 
-
-def in_time_placebo(p, placebo_time, spec, cov=None):
-    """Re-run the estimator pretending treatment happened at an earlier time.
-
-    The full estimator runs on :func:`placebo_panel`; post-placebo
-    "effects" are the placebo gaps. ``cov`` should summarize only the
-    periods before ``placebo_time``, or the placebo fit sees its own
-    post period.
-    """
-    return estimate(placebo_panel(p, placebo_time), spec, cov=cov)

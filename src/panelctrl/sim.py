@@ -48,14 +48,20 @@ def load_factor_fixture():
     """
     ref = resources.files("panelctrl") / "_fixtures" / "factors.csv"
     with ref.open("r") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     cols = {name: i for i, name in enumerate(header)}
     nu = data[:, cols["nu"]]
     mu = data[:, [cols["mu1"], cols["mu2"], cols["mu3"]]]
     return nu, mu
+
+
+def _check_noise(params):
+    """Refuse a NaN, infinite or negative noise scale."""
+    for name in ("sigma_eps", "sigma_multiplier"):
+        value = getattr(params, name)
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,7 @@ class FactorDgp:
         eigs = np.linalg.eigvalsh(phi_cov)
         if eigs.min() < -1e-10:
             raise ConfigError("phi_cov must be positive semidefinite")
-        if self.sigma_eps < 0 or self.sigma_multiplier < 0:
-            raise ConfigError("noise scales must be nonnegative")
+        _check_noise(self)
 
     @property
     def n_factors(self):
@@ -122,8 +127,7 @@ class FixedEffectsDgp:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", readonly_array(self.nu))
-        if self.sigma_eps < 0 or self.sigma_multiplier < 0:
-            raise ConfigError("noise scales must be nonnegative")
+        _check_noise(self)
 
     @property
     def noise_sd(self):
@@ -160,8 +164,7 @@ class Ar3Dgp:
             raise ConfigError(
                 f"AR coefficients are non-stationary (companion spectral radius {radius:.4f})"
             )
-        if self.sigma_eps < 0 or self.sigma_multiplier < 0:
-            raise ConfigError("noise scales must be nonnegative")
+        _check_noise(self)
 
     @property
     def noise_sd(self):
@@ -194,6 +197,25 @@ def _pick_treated(rng, score, theta):
     return int(rng.choice(score.shape[0], p=probs))
 
 
+_PARAMS = {"factor": FactorDgp, "fixed-effects": FixedEffectsDgp, "ar3": Ar3Dgp}
+
+
+def _check_design(family, params, n, t, t0):
+    """Refuse a design no replication could draw: fewer than 3 units, a
+    split outside 2 <= t0 < t, params of another family, or more periods
+    than the family's fixture provides."""
+    if not (isinstance(n, (int, np.integer)) and n >= 3):
+        raise ConfigError(f"need at least 3 units, got n={n!r}")
+    if not 2 <= t0 < t:
+        raise ConfigError(f"need 2 <= t0 < t, got t0={t0}, t={t}")
+    if family not in _PARAMS:
+        raise ConfigError(f"unknown DGP family {family!r}")
+    if not isinstance(params, _PARAMS[family]):
+        raise ConfigError(f"{family} family expects {_PARAMS[family].__name__} params")
+    if family != "ar3" and t > params.nu.shape[0]:
+        raise ConfigError(f"fixture provides {params.nu.shape[0]} periods, requested {t}")
+
+
 def draw_panel(family, params, n, t, t0, seed):
     """Draw one panel from the named family under the sharp null.
 
@@ -201,19 +223,10 @@ def draw_panel(family, params, n, t, t0, seed):
     heterogeneity (standardized to unit variance), normalized so exactly
     one unit is treated.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise ConfigError("need at least 3 units")
-    if not 2 <= t0 < t:
-        raise ConfigError(f"need 2 <= t0 < t, got t0={t0}, t={t}")
+    _check_design(family, params, n, t, t0)
     rng = np.random.default_rng(seed)
 
     if family == "factor":
-        if not isinstance(params, FactorDgp):
-            raise ConfigError("factor family expects FactorDgp params")
-        if t > params.mu.shape[0]:
-            raise ConfigError(
-                f"fixture provides {params.mu.shape[0]} periods, requested {t}"
-            )
         mu = params.mu[:t]
         nu = params.nu[:t]
         alpha = rng.normal(params.alpha_mean, params.alpha_sd, size=n)
@@ -225,20 +238,12 @@ def draw_panel(family, params, n, t, t0, seed):
         score = _standardize(alpha) + _standardize(phi.sum(axis=1))
         treated = _pick_treated(rng, score, params.theta)
     elif family == "fixed-effects":
-        if not isinstance(params, FixedEffectsDgp):
-            raise ConfigError("fixed-effects family expects FixedEffectsDgp params")
-        if t > params.nu.shape[0]:
-            raise ConfigError(
-                f"fixture provides {params.nu.shape[0]} periods, requested {t}"
-            )
         nu = params.nu[:t]
         alpha = rng.normal(params.alpha_mean, params.alpha_sd, size=n)
         eps = rng.normal(0.0, params.noise_sd, size=(n, t))
         outcomes = alpha[:, None] + nu[None, :] + eps
         treated = _pick_treated(rng, _standardize(alpha), params.theta)
-    elif family == "ar3":
-        if not isinstance(params, Ar3Dgp):
-            raise ConfigError("ar3 family expects Ar3Dgp params")
+    else:
         total = params.burn_in + t
         eps = rng.normal(0.0, params.noise_sd, size=(n, total))
         path = np.zeros((n, total))
@@ -251,8 +256,6 @@ def draw_panel(family, params, n, t, t0, seed):
         outcomes = path[:, params.burn_in :]
         recent = outcomes[:, max(t0 - 4, 0) : t0].sum(axis=1)
         treated = _pick_treated(rng, _standardize(recent), params.theta)
-    else:
-        raise ConfigError(f"unknown DGP family {family!r}")
 
     return PanelData(
         outcomes=outcomes,
@@ -312,7 +315,7 @@ _LAMBDA_RULES = {"cv-min": "min", "cv-1se": "one-se"}
 
 def _one_replication(args):
     family, params, n, t, t0, rep_seed, lam, estimand_period = args
-    blocks = split_and_center(draw_panel(family, params, n, t, t0, rep_seed), center=True)
+    blocks = split_and_center(draw_panel(family, params, n, t, t0, rep_seed))
     ascm = EstimatorSpec()  # ridge ASCM, whose penalty is cross-validated
     # one SCM solve: the scm entry, the ridge_ascm anchor and every CV fold's start
     shared = design_and_anchor(blocks, ascm)
@@ -371,9 +374,8 @@ def run_monte_carlo(
             raise ConfigError(f"lam must be a number, 'cv-min' or 'cv-1se', got {lam!r}")
     else:
         EstimatorSpec(lam=lam)  # refuses a negative or non-finite penalty
+    _check_design(family, params, n, t, t0)
     estimand_period = (t - t0 - 1) if family in ("factor", "fixed-effects") else 0
-    if not 0 <= estimand_period < t - t0:
-        raise ConfigError(f"estimand period {estimand_period} out of range")
 
     seeds = np.random.SeedSequence(seed).spawn(replications)
     jobs = [

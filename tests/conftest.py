@@ -30,6 +30,14 @@ def make_blocks(rng, n0, t0, n_post=1, center=True, scale=1.0):
     return PanelBlocks(x1=x1, x0=x0, y0_post=y0, y1_post=y1, centering=shift)
 
 
+def raw_blocks(p):
+    """The panel's treated/control pre/post blocks, not centred."""
+    treated, donors, t0 = p.outcomes[p.treated_index], p.outcomes[p.donor_indices], p.t0
+    return PanelBlocks(
+        x1=treated[:t0], x0=donors[:, :t0], y0_post=donors[:, t0:], y1_post=treated[t0:]
+    )
+
+
 def make_panel(rng, n, t, t0, treated_index=0):
     """Random panel with mildly persistent outcome paths."""
     base = rng.normal(size=(n, 1))
@@ -49,4 +57,4 @@ def rng():
     return np.random.default_rng(20240612)
 
 
-__all__ = ["make_blocks", "make_panel", "split_and_center"]
+__all__ = ["make_blocks", "make_panel", "raw_blocks", "split_and_center"]

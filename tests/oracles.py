@@ -20,6 +20,12 @@ from panelctrl.estimators import estimate_on_blocks
 from panelctrl.panel import PanelBlocks, split_and_center
 
 
+def scm_objective(blocks, w, zeta):
+    """The SCM objective ||x1 - x0'w||^2 + zeta ||w||^2 at a weight vector."""
+    g = np.asarray(getattr(w, "values", w), dtype=float)
+    return float(np.sum((blocks.x1 - blocks.x0.T @ g) ** 2) + zeta * np.sum(g**2))
+
+
 def simplex_grid_objective(x1, x0, resolution=1e-3, zeta=0.0):
     """Minimum objective over an exhaustive simplex lattice.
 
@@ -236,7 +242,7 @@ def jackknife_plus_rebuild(p, alpha, spec, post_period, cov=None):
     block, and predict the held-out period separately (the unit-mean
     methods add their outcome model by hand). Returns (lower, upper).
     """
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     t0 = blocks.t0
     lows, highs = [], []
     for t in range(t0):

@@ -27,11 +27,11 @@ from panelctrl.ridge import (
     verify_penalized_form,
     weight_norm_bound,
 )
-from panelctrl.scm import imbalance, kkt_residual, scm_objective, solve_scm
+from panelctrl.scm import imbalance, kkt_residual, solve_scm
 from panelctrl.selection import default_lambda_grid, loo_cv, select_lambda
 from panelctrl.sim import default_dgp, draw_panel, run_monte_carlo
 
-from oracles import simplex_grid_objective
+from oracles import scm_objective, simplex_grid_objective
 
 
 def report(criterion, passed, detail=""):
@@ -214,7 +214,7 @@ def test_criterion_08_conformal_coverage():
     hits_conf = hits_jk = 0
     for r in range(reps):
         p = draw_panel("factor", params, 20, 26, 25, seeds[r])
-        blocks = split_and_center(p, center=True)
+        blocks = split_and_center(p)
         cv = loo_cv(blocks, lambda_grid=default_lambda_grid(blocks, size=12))
         spec = EstimatorSpec(method="ridge_ascm", lam=select_lambda(cv, "min"))
         # sharp null: the observed post outcome IS the counterfactual, so
@@ -267,7 +267,7 @@ def test_criterion_10_bound_sketch_shape():
     levels = out[donors, :89].mean(axis=1)
     out[base.treated_index] = out[donors].mean(axis=0) + (levels.max() - levels.mean()) + 1.0
     p = PanelData(out, base.unit_ids, base.time_ids, base.treated_index, 89)
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     w = solve_scm(blocks)
     svd = ControlSVD.compute(blocks.x0)
     sd1 = float(np.std(out[base.treated_index, :89]))

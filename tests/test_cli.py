@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from panelctrl.cli import main
-from panelctrl.covariates import covariates_from_long
+from panelctrl.covariates import pre_period_covariates
 from panelctrl.estimators import EstimatorSpec
 from panelctrl.inference import jackknife_plus
 from panelctrl.panel import load_panel, split_and_center
@@ -37,6 +37,12 @@ def panel_csv(tmp_path, rng):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
 
 
 class TestEstimate:
@@ -344,6 +350,42 @@ class TestEstimate:
         assert rc == 3
         assert not out.exists()
 
+    def test_ragged_row_exit_code(self, panel_csv, tmp_path, capsys):
+        rows = read_rows(panel_csv)
+        rows[5] = rows[5][:2]
+        rc = main([
+            "estimate", "--input", write_rows(tmp_path / "ragged.csv", rows), "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert "line 6 has 2 field(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["joint", "residualize"])
+    @pytest.mark.parametrize("cell", ["nan", ""])
+    def test_missing_covariate_cell_exit_code(self, panel_csv, tmp_path, capsys, mode, cell):
+        rows = read_rows(panel_csv)
+        assert rows[47][:2] == ["u3", "5"]
+        rows[47][3] = cell
+        rc = main([
+            "estimate", "--input", write_rows(tmp_path / "gap.csv", rows), "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0", "--covariates", "gdp",
+            "--covariate-mode", mode, "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert "missing gdp for unit 'u3' at time '5'" in capsys.readouterr().err
+
+    def test_non_numeric_post_period_covariate_exit_code(self, panel_csv, tmp_path, capsys):
+        rows = read_rows(panel_csv)
+        assert rows[12][:2] == ["u0", "12"]
+        rows[12][3] = "n/a"
+        rc = main([
+            "estimate", "--input", write_rows(tmp_path / "bad.csv", rows), "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0", "--covariates", "gdp",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert "non-numeric gdp 'n/a' for unit 'u0' at time '12'" in capsys.readouterr().err
+
     def test_non_numeric_treatment_time_exit_code(self, panel_csv, tmp_path):
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0",
@@ -353,8 +395,8 @@ class TestEstimate:
 
     def test_covariates_without_lambda_exit_code(self, panel_csv, tmp_path):
         # lambda comes from cross-validating the covariate-adjusted estimator
-        p = load_panel(panel_csv, "u0", "11")
-        cov = covariates_from_long(panel_csv, p, ["gdp"])
+        p = load_panel(panel_csv, "u0", "11", ["gdp"])
+        cov = pre_period_covariates(p)
         for mode in ("joint", "residualize"):
             out = tmp_path / mode
             rc = main([
@@ -572,6 +614,26 @@ class TestPlacebo:
         ])
         assert rc == 2
 
+    def test_covariates_read_with_the_panel_in_one_open(self, panel_csv, tmp_path, monkeypatch):
+        import builtins
+
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == panel_csv:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        rc = main([
+            "placebo", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            "--method", "ridge", "--lambda", "1", "--covariates", "gdp",
+            "--covariate-mode", "residualize", "--placebo-times", "8,9",
+            "--out", str(tmp_path / "pl"),
+        ])
+        assert rc == 0
+        assert len(opened) == 1
+
     def test_covariates_without_lambda_exit_code(self, panel_csv, tmp_path):
         # each placebo lambda cross-validates the covariate-adjusted estimator
         # on the periods before its placebo time
@@ -582,8 +644,8 @@ class TestPlacebo:
             "--placebo-times", "8", "--out", str(out),
         ])
         assert rc == 0
-        placebo_p = placebo_panel(load_panel(panel_csv, "u0", "11"), "8")
-        cov = covariates_from_long(panel_csv, placebo_p, ["gdp"])
+        placebo_p = placebo_panel(load_panel(panel_csv, "u0", "11", ["gdp"]), "8")
+        cov = pre_period_covariates(placebo_p)
         cv = loo_cv(split_and_center(placebo_p), EstimatorSpec(), cov)
         manifest = json.loads(open(out / "manifest.json").read())
         assert manifest["config"]["lambda"] == [select_lambda(cv, "one-se")]
@@ -626,6 +688,26 @@ class TestSimulate:
             "--out", str(out),
         ])
         assert rc == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, cause",
+        [
+            (["--n", "2"], "need at least 3 units, got n=2"),
+            (["--t", "200", "--t0", "190"], "fixture provides 105 periods, requested 200"),
+            (["--sigma-scale", "nan"], "sigma_multiplier must be finite and nonnegative"),
+            (["--t0", "14", "--t", "14"], "need 2 <= t0 < t, got t0=14, t=14"),
+        ],
+    )
+    def test_undrawable_design_exit_code(self, tmp_path, capsys, caplog, args, cause):
+        out = tmp_path / "mc"
+        rc = main([
+            "simulate", "--n", "8", "--t", "14", "--t0", "10", "--reps", "2", "--lambda", "1",
+            *args, "--out", str(out),
+        ])
+        assert rc == 3
+        assert cause in capsys.readouterr().err
+        assert "replication dropped" not in caplog.text
         assert not out.exists()
 
 

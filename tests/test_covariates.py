@@ -6,7 +6,7 @@ import pytest
 from panelctrl.covariates import (
     CovariatePanel,
     balance_table,
-    covariates_from_long,
+    pre_period_covariates,
     residualize,
     stacked_blocks,
     standardize_to_outcomes,
@@ -265,11 +265,41 @@ class TestCovariatesFromLong:
         for unit, base in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
             for t in range(1, 5):
                 rows.append(f"{unit},{t},{base + 0.1 * t},{base * 10 + t}")
-        src = io.StringIO("\n".join(rows) + "\n")
-        p = load_panel(io.StringIO("\n".join(rows) + "\n"), "a", 3)
-        cov = covariates_from_long(src, p, ["gdp"])
+        p = load_panel(io.StringIO("\n".join(rows) + "\n"), "a", 3, ["gdp"])
+        cov = pre_period_covariates(p)
         # pre periods are t=1,2: unit means 10+1.5, 20+1.5, 30+1.5
         assert cov.k == 1
         donors_mean = np.array([21.5, 31.5]).mean()
         assert np.isclose(cov.z1[0], 11.5 - donors_mean)
         assert np.abs(cov.z0.mean(axis=0)).max() < 1e-12
+
+    def test_row_order_within_units_changes_nothing(self):
+        # the pre-period means are summed in time order, not in file order
+        rng = np.random.default_rng(5)
+        n, t = 6, 12
+        scales = 10.0 ** rng.integers(-3, 4, size=(n, t, 2))
+        values = (rng.normal(size=(n, t, 2)) * scales).tolist()
+        lines = [f"u{i},{j + 1},{values[i][j][0]!r},{values[i][j][1]!r}"
+                 for i in range(n) for j in range(t)]
+
+        def load(rows):
+            p = load_panel(io.StringIO("unit,time,outcome,gdp\n" + "\n".join(rows)), "u0", 10,
+                           ["gdp"])
+            cov = pre_period_covariates(p)
+            return p.outcomes.tobytes(), cov.z1.tobytes(), cov.z0.tobytes()
+
+        expected = load(lines)
+        # reference: Python floats, each unit's pre-period sum taken in time order
+        means = []
+        for i in range(n):
+            total = 0.0
+            for j in range(9):
+                total += values[i][j][1]
+            means.append([total / 9])
+        ref = CovariatePanel.from_raw(z1=means[0], z0=means[1:])
+        outcomes = np.array([[cell[0] for cell in unit] for unit in values])
+        assert expected == (outcomes.tobytes(), ref.z1.tobytes(), ref.z0.tobytes())
+        for _ in range(20):
+            units = [rng.permutation(lines[i * t : (i + 1) * t]) for i in range(n)]
+            shuffled = [line for unit in units for line in unit]
+            assert load(shuffled) == expected

@@ -21,7 +21,7 @@ from panelctrl.inference import (
 from panelctrl.panel import PanelData, period_folds, split_and_center
 from panelctrl.ridge import augment_path
 
-from conftest import make_panel
+from conftest import make_panel, raw_blocks
 from oracles import (
     conformal_p_rebuild,
     exact_ridge_adjustment,
@@ -265,7 +265,8 @@ class TestFoldPredictions:
         spec = EstimatorSpec(method=method, covariate_mode=mode or "joint")
         ridge = spec.needs_lambda()
         for n, t, t0, centred, fold_mode, penalties in FOLD_INPUTS:
-            blocks = split_and_center(make_panel(rng, n, t, t0), center=centred)
+            p = make_panel(rng, n, t, t0)
+            blocks = split_and_center(p) if centred else raw_blocks(p)
             cov = None
             if mode is not None:
                 cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(n - 1, 2)))

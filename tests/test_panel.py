@@ -130,6 +130,47 @@ class TestLoadPanel:
         with pytest.raises(TreatmentTimeError, match="not numeric"):
             load_panel(_csv(rows), "a", "q1")
 
+    def test_ragged_row_names_its_line(self):
+        rows = ["a,1,1.0", "a,2", "b,1,2.0", "b,2,2.1"]
+        with pytest.raises(PanelFormatError, match="line 3 has 2 field"):
+            load_panel(_csv(rows), "a", 2)
+
+    def test_ragged_row_counts_only_the_requested_columns(self):
+        rows = [f"{u},{t},{t}.5,{t}" for u in ("a", "b", "c") for t in (1, 2, 3)]
+        rows[4] = "b,2,2.5"
+        header = "unit,time,outcome,gdp"
+        assert load_panel(_csv(rows, header), "a", 3).n_periods == 3
+        with pytest.raises(PanelFormatError, match="line 6 has 3 field"):
+            load_panel(_csv(rows, header), "a", 3, ["gdp"])
+
+    def test_covariate_columns_read_in_the_same_pass(self):
+        rows = [f"{u},{t},{i + 0.1 * t},{10 * i + t},{-t}" for i, u in enumerate("abc")
+                for t in (3, 1, 2)]
+        p = load_panel(_csv(rows, "Unit,Time,Outcome,GDP,pop"), "b", 3, ["gdp", "pop"])
+        assert p.covariate_names == ("gdp", "pop")
+        assert p.covariates.shape == (3, 3, 2)
+        assert np.array_equal(p.covariates[:, :, 0], [[1, 2, 3], [11, 12, 13], [21, 22, 23]])
+        assert np.array_equal(p.covariates[:, :, 1], [[-1, -2, -3]] * 3)
+        assert not p.covariates.flags.writeable
+
+    def test_unknown_covariate_column(self):
+        with pytest.raises(PanelFormatError, match="must contain 'gdp'"):
+            load_panel(_grid_csv(["a", "b"], [1, 2, 3]), "a", 3, ["gdp"])
+
+    @pytest.mark.parametrize("cell", ["", " ", "nan", " NaN "])
+    def test_missing_covariate_cell(self, cell):
+        rows = [f"{u},{t},1.0,{t}" for u in ("a", "b", "c") for t in (1, 2, 3)]
+        rows[7] = f"c,2,1.0,{cell}"
+        with pytest.raises(MissingCellError, match="missing gdp") as err:
+            load_panel(_csv(rows, "unit,time,outcome,gdp"), "a", 3, ["gdp"])
+        assert (err.value.unit, err.value.time, err.value.column) == ("c", "2", "gdp")
+
+    def test_non_numeric_covariate_in_a_post_period_row(self):
+        rows = [f"{u},{t},1.0,{t}" for u in ("a", "b", "c") for t in (1, 2, 3)]
+        rows[2] = "a,3,1.0,n/a"
+        with pytest.raises(PanelFormatError, match="non-numeric gdp 'n/a' for unit 'a' at time"):
+            load_panel(_csv(rows, "unit,time,outcome,gdp"), "a", 3, ["gdp"])
+
 
 class TestPeriodsPreceding:
     def test_numeric_axis(self):
@@ -153,6 +194,19 @@ class TestPanelData:
         with pytest.raises(MissingCellError):
             PanelData(out, ("a", "b", "c"), (1, 2, 3, 4), 0, 2)
 
+    def test_covariates_empty_by_default(self, rng):
+        p = make_panel(rng, 4, 6, 4)
+        assert p.covariates.shape == (4, 6, 0)
+        assert p.covariate_names == ()
+
+    def test_covariates_follow_the_outcome_rules(self):
+        z = np.ones((3, 4, 2))
+        with pytest.raises(PanelFormatError, match="N x T x K"):
+            PanelData(np.ones((3, 4)), ("a", "b", "c"), (1, 2, 3, 4), 0, 2, z.copy(), ("gdp",))
+        z[2, 1, 1] = np.nan
+        with pytest.raises(MissingCellError, match="missing pop for unit 'c' at time 2"):
+            PanelData(np.ones((3, 4)), ("a", "b", "c"), (1, 2, 3, 4), 0, 2, z, ("gdp", "pop"))
+
     def test_t0_bounds(self):
         out = np.ones((3, 4))
         with pytest.raises(TreatmentTimeError):
@@ -174,38 +228,33 @@ class TestSplitAndCenter:
     def test_hand_arithmetic(self):
         out = np.array([[5.0, 5.0, 9.0], [1.0, 3.0, 7.0], [3.0, 5.0, 8.0]])
         p = PanelData(out, ("t", "d1", "d2"), (1, 2, 3), 0, 2)
-        blocks = split_and_center(p, center=True)
+        blocks = split_and_center(p)
         assert np.allclose(blocks.centering, [2.0, 4.0])
         assert np.allclose(blocks.x0, [[-1.0, -1.0], [1.0, 1.0]])
         assert np.allclose(blocks.x1, [3.0, 1.0])
         assert np.allclose(blocks.y0_post[:, 0], [7.0, 8.0])
         assert blocks.y1_post[0] == 9.0
 
-    def test_uncentered_zero_shift(self, rng):
-        p = make_panel(rng, 5, 8, 5)
-        blocks = split_and_center(p, center=False)
-        assert np.all(blocks.centering == 0.0)
-        assert np.allclose(blocks.x0, p.outcomes[1:, :5])
-
     def test_centering_inverse(self, rng):
         p = make_panel(rng, 6, 9, 6)
-        blocks = split_and_center(p, center=True)
+        blocks = split_and_center(p)
         restored = blocks.x0 + blocks.centering
         assert np.abs(restored - p.outcomes[1:, :6]).max() < 1e-14
 
     def test_column_means_tiny(self, rng):
         for _ in range(20):
             p = make_panel(rng, 7, 10, 7)
-            blocks = split_and_center(p, center=True)
+            blocks = split_and_center(p)
             assert np.abs(blocks.x0.mean(axis=0)).max() < 1e-12
 
     def test_stacking_reconstructs_panel(self, rng):
         p = make_panel(rng, 6, 9, 6, treated_index=2)
-        blocks = split_and_center(p, center=False)
+        blocks = split_and_center(p)
         full = np.empty_like(p.outcomes)
-        full[p.treated_index] = np.concatenate([blocks.x1, blocks.y1_post])
-        full[p.donor_indices] = np.hstack([blocks.x0, blocks.y0_post])
-        assert np.array_equal(full, p.outcomes)
+        full[p.treated_index] = np.concatenate([blocks.x1 + blocks.centering, blocks.y1_post])
+        full[p.donor_indices] = np.hstack([blocks.x0 + blocks.centering, blocks.y0_post])
+        assert np.array_equal(full[:, p.t0 :], p.outcomes[:, p.t0 :])
+        assert np.abs(full - p.outcomes).max() < 1e-14
 
     def test_blocks_validation(self):
         with pytest.raises(PanelFormatError):

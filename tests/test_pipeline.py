@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelctrl.cli import main
-from panelctrl.covariates import CovariatePanel, covariates_from_long
+from panelctrl.covariates import CovariatePanel, pre_period_covariates
 from panelctrl.errors import ConfigError
 from panelctrl.estimators import (
     EstimatorSpec,
@@ -55,8 +55,8 @@ def panel_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def data(panel_path):
-    p = load_panel(panel_path, "u0", "12")
-    return p, covariates_from_long(panel_path, p, ["gdp"])
+    p = load_panel(panel_path, "u0", "12", ["gdp"])
+    return p, pre_period_covariates(p)
 
 
 def _spec(method, mode, lam=1.0):
@@ -223,7 +223,7 @@ def _draw(seed, method, mode):
 def _fit(outcomes, spec, cov):
     n, t = outcomes.shape
     p = PanelData(outcomes, tuple(f"u{i}" for i in range(n)), tuple(range(t)), 0, t - N_POST)
-    blocks = split_and_center(p, center=True)
+    blocks = split_and_center(p)
     return weights_for_design(blocks, spec, cov).values, estimate_on_blocks(blocks, spec, cov).att
 
 

@@ -14,12 +14,11 @@ from panelctrl.scm import (
     imbalance,
     kkt_residual,
     project_simplex,
-    scm_objective,
     solve_scm,
 )
 
 from conftest import make_blocks
-from oracles import simplex_grid_objective
+from oracles import scm_objective, simplex_grid_objective
 
 
 def blocks_from(x1, x0):
@@ -260,8 +259,8 @@ def test_warm_fold_solve_matches_the_cold_one(seed, near_duplicates, wide, zero_
         assert w.values.min() >= 0.0
     fit_gap = np.abs(fold.x0.T @ (warm.values - cold.values)).max()
     assert fit_gap <= tol * max(1.0, np.abs(fold.x1).max())
-    objective = scm_objective(fold, cold, zeta)
-    assert abs(scm_objective(fold, warm, zeta) - objective) <= tol * max(1.0, objective)
+    objective = scm_objective(fold, cold, fold_zeta)
+    assert abs(scm_objective(fold, warm, fold_zeta) - objective) <= tol * max(1.0, objective)
 
 
 class TestImbalance:

@@ -3,13 +3,13 @@ import pytest
 
 from panelctrl.covariates import CovariatePanel
 from panelctrl.errors import ConfigError, TreatmentTimeError
-from panelctrl.estimators import EstimatorSpec, estimate_on_blocks
+from panelctrl.estimators import EstimatorSpec, estimate, estimate_on_blocks
 from panelctrl.panel import PanelBlocks, PanelData, period_folds, split_and_center
 from panelctrl.selection import (
     CvResult,
     default_lambda_grid,
-    in_time_placebo,
     loo_cv,
+    placebo_panel,
     select_lambda,
 )
 
@@ -195,7 +195,7 @@ class TestApplicationScaleOrdering:
         from panelctrl.sim import default_dgp, draw_panel
 
         p = draw_panel("factor", default_dgp("factor"), 51, 105, 89, 12)
-        blocks = split_and_center(p, center=True)
+        blocks = split_and_center(p)
         cv = loo_cv(blocks, lambda_grid=default_lambda_grid(blocks, size=12))
         assert select_lambda(cv, "one-se") > select_lambda(cv, "min")
 
@@ -213,7 +213,7 @@ class TestPlaceboNull:
         gaps = []
         for r in range(reps):
             p = draw_panel("factor", params, 12, 20, 16, seeds[r])
-            est = in_time_placebo(p, 13, spec)
+            est = estimate(placebo_panel(p, 13), spec)
             gaps.append(float(est.att[0]))
         gaps = np.asarray(gaps)
         se = gaps.std(ddof=1) / np.sqrt(reps)
@@ -226,32 +226,41 @@ class TestInTimePlacebo:
         out = rng.normal(size=(n, t)).cumsum(axis=1)
         out[0] = out[3]  # treated equals a donor everywhere
         p = PanelData(out, tuple(f"u{i}" for i in range(n)), tuple(range(1, t + 1)), 0, t0)
-        est = in_time_placebo(p, 6, EstimatorSpec(method="scm", zeta=1e-10))
+        est = estimate(placebo_panel(p, 6), EstimatorSpec(method="scm", zeta=1e-10))
         assert np.abs(est.att).max() < 1e-5
 
     def test_boundary_single_placebo_period(self, rng):
         p = make_panel(rng, 6, 10, 8)
-        est = in_time_placebo(p, 8, EstimatorSpec(method="ridge_ascm", lam=1.0))
+        est = estimate(placebo_panel(p, 8), EstimatorSpec(method="ridge_ascm", lam=1.0))
         assert est.att.shape == (1,)
         assert est.gap_pre.shape == (7,)
 
     def test_placebo_must_precede_treatment(self, rng):
         p = make_panel(rng, 5, 10, 7)
         with pytest.raises(TreatmentTimeError):
-            in_time_placebo(p, 9, EstimatorSpec(method="scm"))
+            estimate(placebo_panel(p, 9), EstimatorSpec(method="scm"))
+
+    def test_placebo_panel_slices_the_covariates(self, rng):
+        p = make_panel(rng, 5, 10, 7)
+        z = rng.normal(size=(5, 10, 2))
+        p = PanelData(p.outcomes, p.unit_ids, p.time_ids, 0, 7, z, ("gdp", "pop"))
+        placebo = placebo_panel(p, 6)
+        assert placebo.t0 == 5
+        assert placebo.covariate_names == ("gdp", "pop")
+        assert np.array_equal(placebo.covariates, z[:, :7])
 
     def test_placebo_needs_three_pre_periods(self, rng):
         p = make_panel(rng, 5, 10, 7)
         with pytest.raises(TreatmentTimeError):
-            in_time_placebo(p, 3, EstimatorSpec(method="scm"))
+            estimate(placebo_panel(p, 3), EstimatorSpec(method="scm"))
 
     def test_truncates_at_true_treatment(self, rng):
         # post-treatment data must not influence placebo estimates
         p = make_panel(rng, 5, 10, 7)
         spec = EstimatorSpec(method="ridge_ascm", lam=2.0)
-        est1 = in_time_placebo(p, 6, spec)
+        est1 = estimate(placebo_panel(p, 6), spec)
         tampered = p.outcomes.copy()
         tampered[:, 7:] += 100.0
         p2 = PanelData(tampered, p.unit_ids, p.time_ids, p.treated_index, p.t0)
-        est2 = in_time_placebo(p2, 6, spec)
+        est2 = estimate(placebo_panel(p2, 6), spec)
         assert np.array_equal(est1.att, est2.att)

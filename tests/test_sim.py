@@ -40,7 +40,7 @@ class TestDrawPanel:
             mu=mu, nu=nu, alpha_sd=0.0, phi_cov=np.zeros((3, 3)), sigma_eps=0.0
         )
         p = draw_panel("factor", params, 8, 20, 15, 3)
-        blocks = split_and_center(p, center=True)
+        blocks = split_and_center(p)
         w = solve_scm(blocks)
         assert imbalance(blocks, w) < 1e-10
 
@@ -131,6 +131,12 @@ class TestRunMonteCarlo:
             ({"replications": 0}, "at least 1 replication"),
             ({"replications": -1}, "at least 1 replication"),
             ({"replications": 2.5}, "at least 1 replication"),
+            ({"n": 2}, "at least 3 units"),
+            ({"t": 200, "t0": 190}, "fixture provides 105 periods"),
+            ({"t0": 1}, "got t0=1, t=16"),
+            ({"t0": 16}, "got t0=16, t=16"),
+            ({"params": default_dgp("ar3")}, "factor family expects FactorDgp params"),
+            ({"family": "bogus"}, "unknown DGP family"),
         ],
     )
     def test_refuses_bad_input_before_any_replication(self, monkeypatch, bad, cause):
@@ -138,10 +144,20 @@ class TestRunMonteCarlo:
 
         started = []
         monkeypatch.setattr(sim_mod, "_one_replication", started.append)
-        kwargs = {"replications": 2, "seed": 0, "n": 8, "t": 16, "t0": 12, "lam": 1.0, **bad}
+        kwargs = {"family": "factor", "params": default_dgp("factor"), "replications": 2,
+                  "seed": 0, "n": 8, "t": 16, "t0": 12, "lam": 1.0, **bad}
         with pytest.raises(ConfigError, match=cause):
-            run_monte_carlo("factor", default_dgp("factor"), **kwargs)
+            run_monte_carlo(**kwargs)
         assert started == []
+
+    @pytest.mark.parametrize("family", ["factor", "fixed-effects", "ar3"])
+    @pytest.mark.parametrize("field", ["sigma_eps", "sigma_multiplier"])
+    @pytest.mark.parametrize("value", [math.nan, -0.5, math.inf])
+    def test_noise_scale_must_be_finite_and_nonnegative(self, family, field, value):
+        from dataclasses import replace
+
+        with pytest.raises(ConfigError, match=f"{field} must be finite and nonnegative"):
+            replace(default_dgp(family), **{field: value})
 
     def test_scm_row_normalizes_to_100(self):
         params = default_dgp("factor")

@@ -9,11 +9,13 @@ generated panels into OUT, one directory per case, plus ``exit_codes.json``
 The matrix covers every ``estimate`` method with each inference mode, the
 covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log``, plus cells that must fail (an infinite penalty, a NaN
-``--alpha``, zero replications) so their exit codes are compared too. Run
-mode then parses every ``manifest.json`` as strict JSON and exits 1 if any
-holds ``NaN`` or ``Infinity``. Compare mode reads two such directories,
-made for instance from two checkouts, and prints for every file whether it
-is byte-identical and otherwise its largest relative numeric difference::
+``--alpha``, zero replications, a ragged CSV row, a ``nan`` covariate cell,
+and ``simulate`` designs no replication can draw) so their exit codes are
+compared too. Run mode then parses every ``manifest.json`` as strict JSON and
+exits 1 if any holds ``NaN`` or ``Infinity``. Compare mode reads two such
+directories, made for instance from two checkouts, and prints for every file
+whether it is byte-identical and otherwise its largest relative numeric
+difference::
 
     python tools/cli_matrix.py --compare A B
 
@@ -52,6 +54,21 @@ def write_panel(path, n_units, n_periods, seed):
         for i in range(n_units):
             for j in range(n_periods):
                 writer.writerow([f"u{i}", j + 1, repr(outcome[i, j].item()), repr(gdp[i, j].item())])
+
+
+def write_bad_panels(path):
+    """Copies of the panel CSV at ``path`` with one broken row (its fifth,
+    a pre-period row of the treated unit): cut short after the time cell
+    ("ragged") or with a ``nan`` gdp cell ("nan-gdp"). Returns {name: path}."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    broken = {"ragged": rows[5][:2], "nan-gdp": [*rows[5][:3], "nan"]}
+    paths = {}
+    for name, row in broken.items():
+        paths[name] = os.path.join(os.path.dirname(path), f"{name}.csv")
+        with open(paths[name], "w", newline="") as fh:
+            csv.writer(fh).writerows([*rows[:5], row, *rows[6:]])
+    return paths
 
 
 def cases(inputs):
@@ -99,6 +116,14 @@ def cases(inputs):
     small = ["simulate", "--n", "8", "--t", "14", "--t0", "10"]
     yield "simulate-reps0", [*small, "--reps", "0", "--lambda", "1"]
     yield "simulate-lam-inf", [*small, "--reps", "2", "--lambda", "inf"]
+    for tag, design in (("n2", ["--n", "2"]), ("t200", ["--t", "200", "--t0", "190"]),
+                        ("sigma-nan", ["--sigma-scale", "nan"]), ("t-eq-t0", ["--t0", "14"])):
+        yield f"simulate-{tag}", [*small, "--reps", "2", "--lambda", "1", *design]
+    data = ["--treated", "u0", "--treatment-time", "11", "--lambda", "1"]
+    yield "ragged-estimate", ["estimate", "--input", inputs["ragged"], *data]
+    for mode in ("joint", "residualize"):
+        yield f"nan-gdp-estimate-{mode}", ["estimate", "--input", inputs["nan-gdp"], *data,
+                                           "--covariates", "gdp", "--covariate-mode", mode]
 
 
 def run_matrix(out):
@@ -109,6 +134,7 @@ def run_matrix(out):
     for name, n_units, n_periods, _, seed in PANELS:
         inputs[name] = os.path.join(out, "inputs", f"{name}.csv")
         write_panel(inputs[name], n_units, n_periods, seed)
+    inputs.update(write_bad_panels(inputs["small"]))
     codes = {}
     for name, argv in cases(inputs):
         case_dir = os.path.join(out, name)
