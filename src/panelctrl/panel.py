@@ -82,9 +82,16 @@ def periods_preceding(time_ids, label):
 
 
 def readonly_array(a):
-    """``a`` as a C-contiguous float array that cannot be written through."""
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
-    a.setflags(write=False)
+    """``a`` as a C-contiguous float array that cannot be written through.
+
+    An array that is already one is returned as is. Anything else is copied
+    first, so the caller's own array keeps its flags and later writes to it
+    do not reach the result.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
+        a.setflags(write=False)
     return a
 
 
@@ -142,10 +149,16 @@ class PanelData:
                 f"need 2 <= T0 < T, got T0={self.t0} with T={t}"
             )
         cells = np.concatenate([self.outcomes[:, :, None], self.covariates], axis=2)
-        if np.isnan(cells).any():
-            i, j, c = np.argwhere(np.isnan(cells))[0]
+        bad = ~np.isfinite(cells)
+        if bad.any():
+            i, j, c = np.argwhere(bad)[0]
             column = ("outcome", *self.covariate_names)[c]
-            raise MissingCellError(self.unit_ids[i], self.time_ids[j], column)
+            if np.isnan(cells[i, j, c]):
+                raise MissingCellError(self.unit_ids[i], self.time_ids[j], column)
+            raise PanelFormatError(
+                f"non-finite {column} {cells[i, j, c]} for unit {self.unit_ids[i]!r} "
+                f"at time {self.time_ids[j]!r}"
+            )
         keys = _time_keys(self.time_ids)
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise PanelFormatError("time_ids must be strictly increasing")
@@ -395,15 +408,20 @@ def period_folds(blocks, mode="leave-one"):
     """
     if mode not in ("leave-one", "leave-future"):
         raise ConfigError(f"unknown fold mode {mode!r}")
-    periods = np.arange(blocks.t0)
     for t in range(blocks.t0):
-        keep = np.delete(periods, t) if mode == "leave-one" else periods[:t]
-        x0 = blocks.x0[:, keep]
-        shift = x0.mean(axis=0)
-        yield t, PanelBlocks(
-            x1=blocks.x1[keep] - shift,
-            x0=x0 - shift,
-            y0_post=np.hstack([blocks.y0_post, blocks.x0[:, t : t + 1]]),
-            y1_post=np.append(blocks.y1_post, blocks.x1[t]),
-            centering=np.zeros(keep.size),
-        )
+        yield t, period_fold(blocks, t, mode)
+
+
+def period_fold(blocks, t, mode):
+    """The fold of :func:`period_folds` that holds out pre period ``t``."""
+    periods = np.arange(blocks.t0)
+    keep = np.delete(periods, t) if mode == "leave-one" else periods[:t]
+    x0 = blocks.x0[:, keep]
+    shift = x0.mean(axis=0)
+    return PanelBlocks(
+        x1=blocks.x1[keep] - shift,
+        x0=x0 - shift,
+        y0_post=np.hstack([blocks.y0_post, blocks.x0[:, t : t + 1]]),
+        y1_post=np.append(blocks.y1_post, blocks.x1[t]),
+        centering=np.zeros(keep.size),
+    )

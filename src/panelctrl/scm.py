@@ -45,13 +45,15 @@ ITERATION_CAP = 20_000
 # max(1, H_max), H_max the Hessian's largest diagonal entry. The gradient's
 # round-off grows with the data scale squared, and so does the target.
 KKT_TOL = 1e-9
+# The default dispersion penalty per unit of ||x0||_F^2 / N0.
+ZETA_SCALE = 1e-8
 
 
 def _zeta(blocks, zeta):
     """The dispersion penalty in force for a design (see :func:`solve_scm`)."""
     if zeta is None:
         # column sums, then their total: the order fixes the weights' last digits
-        return 1e-8 * float(np.sum(np.sum(blocks.x0**2, axis=0))) / blocks.n_donors
+        return ZETA_SCALE * float(np.sum(np.sum(blocks.x0**2, axis=0))) / blocks.n_donors
     zeta = float(zeta)
     if not 0.0 <= zeta < math.inf:
         raise ConfigError(f"zeta must be finite and nonnegative, got {zeta}")
@@ -92,14 +94,15 @@ def weight_values(w):
 
 
 def project_simplex(v):
-    """Exact Euclidean projection onto the probability simplex."""
+    """Exact Euclidean projection onto the probability simplex, of a vector or
+    of every row of a matrix."""
     v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
     rho_candidates = u - css / np.arange(1, n + 1) > 0
-    rho = int(np.nonzero(rho_candidates)[0][-1])
-    theta = css[rho] / (rho + 1)
+    rho = n - 1 - np.argmax(rho_candidates[..., ::-1], axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1)
     return np.maximum(v - theta, 0.0)
 
 
@@ -240,8 +243,9 @@ def solve_scm(blocks, zeta=None, start=None, trace=None):
 
 
 def _tiny(mu):
-    """Gradient differences below this are round-off, not optimality gaps."""
-    return 1e-12 * max(1.0, abs(float(mu)))
+    """Gradient differences below this are round-off, not optimality gaps
+    (elementwise for an array of multipliers)."""
+    return 1e-12 * np.maximum(1.0, np.abs(mu))
 
 
 def _newton_step(hess, scale, grad, support, gs):

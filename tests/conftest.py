@@ -7,7 +7,8 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from panelctrl.panel import PanelBlocks, PanelData, split_and_center
+from panelctrl.estimators import design_and_anchor
+from panelctrl.panel import PanelBlocks, PanelData, period_folds, split_and_center
 
 # every run draws the same examples, so a property failure reproduces
 settings.register_profile("reproducible", derandomize=True, deadline=None)
@@ -52,9 +53,26 @@ def make_panel(rng, n, t, t0, treated_index=0):
     )
 
 
+def folds_off_the_full_support(blocks, spec, cov=None):
+    """The leave-one folds whose own SCM solution, started at the full
+    sample's, has another support than it: the folds a fold pass solves."""
+    full = design_and_anchor(blocks, spec, cov).scm.values
+    return [
+        t
+        for t, fold in period_folds(blocks)
+        if not np.array_equal(design_and_anchor(fold, spec, cov, full).scm.values > 0, full > 0)
+    ]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240612)
 
 
-__all__ = ["make_blocks", "make_panel", "raw_blocks", "split_and_center"]
+__all__ = [
+    "folds_off_the_full_support",
+    "make_blocks",
+    "make_panel",
+    "raw_blocks",
+    "split_and_center",
+]

@@ -14,6 +14,8 @@ from panelctrl.panel import load_panel, split_and_center
 from panelctrl.ridge import augment_weights
 from panelctrl.selection import loo_cv, placebo_panel, select_lambda
 
+from conftest import folds_off_the_full_support
+
 
 @pytest.fixture
 def panel_csv(tmp_path, rng):
@@ -136,9 +138,13 @@ class TestEstimate:
             assert (float(row[4]), float(row[5]), row[6]) == (ci.lower, ci.upper, ci.method)
 
     def test_auto_lambda_folds_fitted_once(self, panel_csv, tmp_path, monkeypatch):
-        # CV and jackknife+ share one fold pass: T0 fold anchors plus the full fit
+        # CV and jackknife+ share one fold pass: the full fit, whose support
+        # gives the batched fold anchors, plus one solve per fold that leaves it
         import panelctrl.estimators as estimators_mod
 
+        blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
+        resolved = folds_off_the_full_support(blocks, EstimatorSpec())
+        assert 0 < len(resolved) < blocks.t0
         calls = []
         solve = estimators_mod.solve_scm
         monkeypatch.setattr(
@@ -149,16 +155,25 @@ class TestEstimate:
             "--treatment-time", "11", "--inference", "jackknife+", "--out", str(tmp_path / "est"),
         ])
         assert rc == 0
-        assert len(calls) == load_panel(panel_csv, "u0", "11").t0 + 1
+        assert len(calls) == 1 + len(resolved)
 
     @pytest.mark.parametrize("mode", [None, "joint", "residualize"])
     def test_every_fold_starts_from_the_full_sample_solve(
         self, panel_csv, tmp_path, monkeypatch, mode
     ):
-        # the first solve is the full sample's, cold; each fold starts from
-        # its weights (under residualize, the weights before the covariate shift)
+        # the first solve is the full sample's, cold; each fold solved on its
+        # own starts from its weights (under residualize, the weights before
+        # the covariate shift). Joint covariates solve every fold, the other
+        # designs only the folds that leave the full sample's support
         import panelctrl.estimators as estimators_mod
 
+        p = load_panel(panel_csv, "u0", "11", ["gdp"])
+        if mode == "joint":
+            resolved = range(p.t0)
+        else:
+            cov = None if mode is None else pre_period_covariates(p)
+            spec = EstimatorSpec(covariate_mode=mode or "joint")
+            resolved = folds_off_the_full_support(split_and_center(p), spec, cov)
         starts, results = [], []
         solve = estimators_mod.solve_scm
 
@@ -174,7 +189,7 @@ class TestEstimate:
             "--inference", "jackknife+", *covariates, "--out", str(tmp_path / "est"),
         ])
         assert rc == 0
-        assert len(starts) == load_panel(panel_csv, "u0", "11").t0 + 1
+        assert len(starts) == 1 + len(resolved)
         assert starts[0] is None
         for start in starts[1:]:
             assert start is not None and np.array_equal(start, results[0].values)
@@ -373,6 +388,32 @@ class TestEstimate:
         ])
         assert rc == 2
         assert "missing gdp for unit 'u3' at time '5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_outcome_cell_exit_code(self, panel_csv, tmp_path, capsys, cell):
+        rows = read_rows(panel_csv)
+        assert rows[47][:2] == ["u3", "5"]
+        rows[47][2] = cell
+        rc = main([
+            "estimate", "--input", write_rows(tmp_path / "inf.csv", rows), "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert f"non-finite outcome {cell} for unit 'u3' at time '5'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("mode", ["joint", "residualize"])
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_covariate_cell_exit_code(self, panel_csv, tmp_path, capsys, mode, cell):
+        rows = read_rows(panel_csv)
+        rows[47][3] = cell
+        rc = main([
+            "estimate", "--input", write_rows(tmp_path / "inf.csv", rows), "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0", "--covariates", "gdp",
+            "--covariate-mode", mode, "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert f"non-finite gdp {cell} for unit 'u3' at time '5'" in capsys.readouterr().err
 
     def test_non_numeric_post_period_covariate_exit_code(self, panel_csv, tmp_path, capsys):
         rows = read_rows(panel_csv)

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from panelctrl.covariates import CovariatePanel
 from panelctrl.errors import ConfigError, GridError, SingularityError
@@ -18,10 +22,10 @@ from panelctrl.inference import (
     convert_target,
     jackknife_plus,
 )
-from panelctrl.panel import PanelData, period_folds, split_and_center
+from panelctrl.panel import PanelBlocks, PanelData, period_folds, split_and_center
 from panelctrl.ridge import augment_path
 
-from conftest import make_panel, raw_blocks
+from conftest import folds_off_the_full_support, make_panel, raw_blocks
 from oracles import (
     conformal_p_rebuild,
     exact_ridge_adjustment,
@@ -332,6 +336,127 @@ class TestFoldPredictions:
                 assert np.all(np.abs(path - want) <= 1e-11 * np.abs(want))
                 want = np.array([exact_weighted_sum(weights, col) for col in fold.y0_post.T])
                 assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+
+def _cold_fold_fits_agree(blocks, spec, cov, lambdas, predictions):
+    """Every fold prediction equals the estimator fitted cold on that fold."""
+    ridge = spec.needs_lambda()
+    for (_, fold), fold_preds in zip(period_folds(blocks), predictions, strict=True):
+        for lam, got in zip(lambdas or [None], fold_preds, strict=True):
+            lam_spec = spec.with_lambda(lam) if ridge else spec
+            want = estimate_on_blocks(fold, lam_spec, cov).counterfactual
+            bound = 1e-10 * np.maximum(np.abs(got), np.abs(want))
+            assert np.all(np.abs(got - want) <= bound)
+
+
+def _support_change_blocks():
+    """Blocks whose full-sample SCM solution uses donors 1 and 2 while fold 0
+    adds donor 0 and drops donor 2, and fold 1 adds donor 0."""
+    rng = np.random.default_rng(7)
+    x0 = rng.normal(size=(4, 6))
+    x0[2, 0] = 10.0
+    x1 = 0.6 * x0[0] + 0.6 * x0[1] - 0.2 * x0[2]
+    x1[0] = 4.0
+    return PanelBlocks(x1=x1, x0=x0, y0_post=rng.normal(size=(4, 2)), y1_post=rng.normal(size=2))
+
+
+class TestBatchedFoldAnchors:
+    # leave-one folds of scm and ridge_ascm (no covariates or residualized)
+    # take their SCM anchors from one batched solve on the full sample's
+    # support; a fold whose candidate fails the solver's gate is solved alone
+
+    # at least 5 periods per fold: with fewer periods than donors, cold and
+    # warm solves of one fold already differ by up to about 2e-9
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n0=st.integers(2, 9),
+        t0=st.integers(6, 12),
+        n_post=st.integers(1, 2),
+        zeta=st.sampled_from([None, 0.0, 1e-3, 0.5]),
+        centred=st.booleans(),
+        case=st.sampled_from([("scm", None), ("ridge_ascm", None), ("ridge_ascm", "residualize")]),
+    )
+    def test_every_fold_matches_its_cold_fit(self, seed, n0, t0, n_post, zeta, centred, case):
+        method, mode = case
+        # an explicit zero penalty has a unique solution in every fold only
+        # when the donors are affinely independent there
+        assume(zeta != 0.0 or (mode is None and n0 + 2 <= t0))
+        assume(mode is None or n0 >= 3)
+        rng = np.random.default_rng(seed)
+        p = make_panel(rng, n0 + 1, t0 + n_post, t0)
+        blocks = split_and_center(p) if centred else raw_blocks(p)
+        cov = None
+        if mode is not None:
+            cov = CovariatePanel.from_raw(rng.normal(size=1), rng.normal(size=(n0, 1)))
+        spec = EstimatorSpec(method=method, zeta=zeta, covariate_mode=mode or "joint")
+        lambdas = [2.0, 1e-2] if spec.needs_lambda() else None
+        truth, predictions, skipped = fold_predictions(blocks, spec, cov, lambdas)
+        assert skipped == ()
+        assert np.array_equal(truth, blocks.x1)
+        _cold_fold_fits_agree(blocks, spec, cov, lambdas, predictions)
+
+    @pytest.mark.parametrize("zeta", [None, 0.0])
+    def test_folds_off_the_full_support_are_solved_alone(self, zeta, monkeypatch):
+        import panelctrl.estimators as estimators_mod
+
+        blocks = _support_change_blocks()
+        spec = EstimatorSpec(method="scm", zeta=zeta)
+        fit = design_and_anchor(blocks, spec)
+        assert np.flatnonzero(fit.scm.values).tolist() == [1, 2]
+        assert folds_off_the_full_support(blocks, spec) == [0, 1]
+        _, accepted = estimators_mod._fold_scm_batch(fit.design, fit.scm, zeta)
+        assert np.flatnonzero(~accepted).tolist() == [0, 1]
+        starts = []
+        solve = estimators_mod.solve_scm
+
+        def record(*args, start=None, **kwargs):
+            starts.append(start)
+            return solve(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(estimators_mod, "solve_scm", record)
+        _, predictions, _ = fold_predictions(blocks, spec, fit=fit)
+        assert len(starts) == 2 and all(s is fit.scm.values for s in starts)
+        monkeypatch.undo()
+        _cold_fold_fits_agree(blocks, spec, None, None, predictions)
+
+    @pytest.mark.parametrize("method, mode", [
+        ("scm", None), ("ridge_ascm", None), ("ridge_ascm", "residualize"),
+    ])
+    def test_solves_the_full_sample_and_the_rejected_folds(self, rng, monkeypatch, method, mode):
+        import panelctrl.estimators as estimators_mod
+
+        p = make_panel(rng, 12, 30, 26)
+        blocks = split_and_center(p)
+        cov = None
+        if mode is not None:
+            cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(11, 2)))
+        spec = EstimatorSpec(method=method, lam=1.0, covariate_mode=mode or "joint")
+        resolved = folds_off_the_full_support(blocks, spec, cov)
+        assert 0 < len(resolved) < blocks.t0
+        fit = design_and_anchor(blocks, spec, cov)
+        calls = []
+        solve = estimators_mod.solve_scm
+        monkeypatch.setattr(
+            estimators_mod, "solve_scm", lambda *a, **k: calls.append(1) or solve(*a, **k)
+        )
+        fold_predictions(blocks, spec, cov)
+        assert len(calls) == 1 + len(resolved)
+        fold_predictions(blocks, spec, cov, fit=fit)
+        assert len(calls) == 1 + 2 * len(resolved)
+
+    def test_one_debug_line_per_pass(self, caplog):
+        blocks = _support_change_blocks()
+        with caplog.at_level(logging.DEBUG, logger="panelctrl.estimators"):
+            fold_predictions(blocks, EstimatorSpec(method="scm"))
+            fold_predictions(blocks, EstimatorSpec(method="demeaned"))
+            fold_predictions(blocks, EstimatorSpec(method="scm"), mode="leave-future")
+        passes = [r.getMessage() for r in caplog.records if "fold pass" in r.getMessage()]
+        assert passes == [
+            "leave-one fold pass: 4 anchors batched, 2 folds fitted one by one",
+            "leave-one fold pass: 0 anchors batched, 6 folds fitted one by one",
+            "leave-future fold pass: 0 anchors batched, 4 folds fitted one by one",
+        ]
 
 
 class TestPredictionInterval:

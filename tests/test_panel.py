@@ -165,6 +165,23 @@ class TestLoadPanel:
             load_panel(_csv(rows, "unit,time,outcome,gdp"), "a", 3, ["gdp"])
         assert (err.value.unit, err.value.time, err.value.column) == ("c", "2", "gdp")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", " -INF ", "Infinity", "1e400"])
+    def test_infinite_outcome_cell(self, cell):
+        rows = [f"{u},{t},1.{t}" for u in ("a", "b", "c") for t in (1, 2, 3)]
+        rows[4] = f"b,2,{cell}"
+        sign = "-" if "-" in cell else ""
+        with pytest.raises(PanelFormatError, match=f"non-finite outcome {sign}inf for unit 'b' at time '2'"):
+            load_panel(_csv(rows), "a", 3)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_covariate_cell(self, cell):
+        rows = [f"{u},{t},1.0,{t}" for u in ("a", "b", "c") for t in (1, 2, 3)]
+        rows[2] = f"a,3,1.0,{cell}"  # a post period: every requested cell is read
+        header = "unit,time,outcome,gdp"
+        with pytest.raises(PanelFormatError, match=f"non-finite gdp {cell} for unit 'a' at time '3'"):
+            load_panel(_csv(rows, header), "a", 3, ["gdp"])
+        assert load_panel(_csv(rows, header), "a", 3).n_periods == 3  # gdp not requested
+
     def test_non_numeric_covariate_in_a_post_period_row(self):
         rows = [f"{u},{t},1.0,{t}" for u in ("a", "b", "c") for t in (1, 2, 3)]
         rows[2] = "a,3,1.0,n/a"
@@ -206,6 +223,32 @@ class TestPanelData:
         z[2, 1, 1] = np.nan
         with pytest.raises(MissingCellError, match="missing pop for unit 'c' at time 2"):
             PanelData(np.ones((3, 4)), ("a", "b", "c"), (1, 2, 3, 4), 0, 2, z, ("gdp", "pop"))
+
+    def test_infinite_cell_rejected(self):
+        out = np.ones((3, 4))
+        out[2, 3] = -np.inf
+        with pytest.raises(PanelFormatError, match="non-finite outcome -inf for unit 'c' at time 4"):
+            PanelData(out, ("a", "b", "c"), (1, 2, 3, 4), 0, 2)
+
+    def test_failed_construction_leaves_the_callers_array_writable(self):
+        z = np.ones((3, 4, 2))
+        with pytest.raises(PanelFormatError, match="N x T x K"):
+            PanelData(np.ones((3, 4)), ("a", "b", "c"), (1, 2, 3, 4), 0, 2, z, ("gdp",))
+        assert z.flags.writeable
+        z[2, 1, 1] = np.nan
+
+    def test_later_writes_to_the_callers_array_do_not_reach_the_panel(self):
+        out, z = np.ones((3, 4)), np.ones((3, 4, 1))
+        p = PanelData(out, ("a", "b", "c"), (1, 2, 3, 4), 0, 2, z, ("gdp",))
+        out[0, 0], z[0, 0, 0] = 99.0, 99.0
+        assert p.outcomes[0, 0] == 1.0 and p.covariates[0, 0, 0] == 1.0
+        assert not p.outcomes.flags.writeable
+
+    def test_read_only_input_is_kept(self):
+        out = np.ones((3, 4))
+        out.setflags(write=False)
+        p = PanelData(out, ("a", "b", "c"), (1, 2, 3, 4), 0, 2)
+        assert p.outcomes is out
 
     def test_t0_bounds(self):
         out = np.ones((3, 4))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from panelctrl.errors import ConfigError
+from panelctrl.estimators import EstimatorSpec
 from panelctrl.panel import split_and_center
 from panelctrl.scm import imbalance, solve_scm
 from panelctrl.sim import (
@@ -16,6 +17,8 @@ from panelctrl.sim import (
     load_factor_fixture,
     run_monte_carlo,
 )
+
+from conftest import folds_off_the_full_support
 
 
 class TestFixture:
@@ -196,8 +199,10 @@ class TestRunMonteCarlo:
         assert rep.rows[0].n_used == 5
 
     def test_one_replication_shares_its_scm_solve(self, monkeypatch):
-        # one cold SCM solve is the scm entry, the ridge_ascm anchor and the
-        # start of every CV fold; only demeaned_scm solves on its own design
+        # one cold SCM solve is the scm entry, the ridge_ascm anchor, the
+        # support of the batched CV fold anchors and the start of every CV
+        # fold that leaves that support; only demeaned_scm solves on its own
+        # design besides
         import panelctrl.estimators as estimators_mod
         import panelctrl.sim as sim_mod
 
@@ -214,6 +219,7 @@ class TestRunMonteCarlo:
             return augment(anchor, *args)
 
         def record_estimate(blocks, spec, **kwargs):
+            estimates["blocks"] = blocks
             estimates[spec.method] = estimate(blocks, spec, **kwargs)
             return estimates[spec.method]
 
@@ -222,10 +228,14 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(sim_mod, "estimate_on_blocks", record_estimate)
         run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
                         n=10, t=20, t0=16, lam="cv-min")
-        assert len(solves) == 16 + 2
-        shared = solves[0][1]
-        assert solves[0][0] is None
-        assert all(np.array_equal(start, shared.values) for start, _ in solves[1:17])
+        run = solves[:]  # the reference solves below record too
+        resolved = folds_off_the_full_support(estimates["blocks"], EstimatorSpec())
+        assert 0 < len(resolved) < 16
+        assert len(run) == 1 + len(resolved) + 1
+        shared = run[0][1]
+        assert run[0][0] is None
+        assert all(np.array_equal(start, shared.values) for start, _ in run[1:-1])
+        assert run[-1][0] is None  # demeaned_scm, cold on its own design
         assert estimates["scm"].weights is shared
         assert [a for a in anchors if a is shared] == [shared]  # the ridge_ascm entry's
 

@@ -9,8 +9,9 @@ generated panels into OUT, one directory per case, plus ``exit_codes.json``
 The matrix covers every ``estimate`` method with each inference mode, the
 covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log``, plus cells that must fail (an infinite penalty, a NaN
-``--alpha``, zero replications, a ragged CSV row, a ``nan`` covariate cell,
-and ``simulate`` designs no replication can draw) so their exit codes are
+``--alpha``, zero replications, a ragged CSV row, a ``nan`` or ``inf``
+covariate cell, a ``-inf`` outcome cell, and ``simulate`` designs no
+replication can draw) so their exit codes are
 compared too. Run mode then parses every ``manifest.json`` as strict JSON and
 exits 1 if any holds ``NaN`` or ``Infinity``. Compare mode reads two such
 directories, made for instance from two checkouts, and prints for every file
@@ -59,10 +60,16 @@ def write_panel(path, n_units, n_periods, seed):
 def write_bad_panels(path):
     """Copies of the panel CSV at ``path`` with one broken row (its fifth,
     a pre-period row of the treated unit): cut short after the time cell
-    ("ragged") or with a ``nan`` gdp cell ("nan-gdp"). Returns {name: path}."""
+    ("ragged"), with a ``nan`` or an ``inf`` gdp cell ("nan-gdp", "inf-gdp")
+    or with a ``-inf`` outcome cell ("inf-outcome"). Returns {name: path}."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    broken = {"ragged": rows[5][:2], "nan-gdp": [*rows[5][:3], "nan"]}
+    broken = {
+        "ragged": rows[5][:2],
+        "nan-gdp": [*rows[5][:3], "nan"],
+        "inf-gdp": [*rows[5][:3], "inf"],
+        "inf-outcome": [*rows[5][:2], "-inf", rows[5][3]],
+    }
     paths = {}
     for name, row in broken.items():
         paths[name] = os.path.join(os.path.dirname(path), f"{name}.csv")
@@ -121,9 +128,11 @@ def cases(inputs):
         yield f"simulate-{tag}", [*small, "--reps", "2", "--lambda", "1", *design]
     data = ["--treated", "u0", "--treatment-time", "11", "--lambda", "1"]
     yield "ragged-estimate", ["estimate", "--input", inputs["ragged"], *data]
-    for mode in ("joint", "residualize"):
-        yield f"nan-gdp-estimate-{mode}", ["estimate", "--input", inputs["nan-gdp"], *data,
-                                           "--covariates", "gdp", "--covariate-mode", mode]
+    yield "inf-outcome-estimate", ["estimate", "--input", inputs["inf-outcome"], *data]
+    for bad in ("nan-gdp", "inf-gdp"):
+        for mode in ("joint", "residualize"):
+            yield f"{bad}-estimate-{mode}", ["estimate", "--input", inputs[bad], *data,
+                                             "--covariates", "gdp", "--covariate-mode", mode]
 
 
 def run_matrix(out):
