@@ -277,7 +277,7 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
         # refuse lambda 0 on a rank-deficient full design before any fold solve
         svd = ControlSVD.compute(design.x0 - design.x0.mean(axis=0))
         _require_invertible(svd, np.asarray(lambdas, dtype=float))
-    if fit.scm is None:  # ridge: every fold keeps the uniform anchor
+    if fit.scm is None:  # ridge solves no SCM: every fold keeps the full sample's anchor
         anchors = np.repeat(fit.anchor.values[:, None], blocks.t0, axis=1)
         rejected = ()
     else:
@@ -309,9 +309,9 @@ def _fold_scm_batch(design, scm, zeta):
     re-centring is per column. On the support S, its bordered KKT matrix is
     the full one less a rank-one term, 2(C_S C_S' - c_t c_t' + zeta_t I),
     zeta_t being ``zeta`` or the default ``ZETA_SCALE`` (||C||_F^2 -
-    ||c_t||^2) / N0 of :func:`scm.solve_scm`. Each fold takes the Newton step that
-    ``solve_scm`` takes from ``scm``: its gradient is formed from the fit
-    gap with the held-out entry zeroed. A fold's candidate is its solution
+    ||c_t||^2) / N0 of :func:`scm.solve_scm`. Each fold takes the Newton
+    step that ``solve_scm`` takes from ``scm``: its gradient is formed from
+    the fit gap with the held-out entry zeroed. A fold's candidate is its solution
     when it passes ``solve_scm``'s own tests: every support weight is
     positive, no off-support gradient lies below the multiplier by more
     than round-off, and the unit-step projected-gradient residual of the
