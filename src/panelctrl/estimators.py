@@ -25,14 +25,11 @@ A fold drops one pre period, so its SCM solution is nearly the full
 sample's, the :class:`AnchorFit` that a caller wanting the point estimate
 too passes as ``fit`` to reuse. For ``scm``, ``ridge`` and ``ridge_ascm``
 (no covariates, or residualized ones) a leave-one fold's design is the full
-design without one column. Then the SCM anchors of all folds come from one
-stacked solve on the full-sample support, each accepted only if it passes
-the solver's own stopping rule and KKT gate; a rejected fold is built and
-solved alone, warm from the full-sample weights. The ridge adjustments of
-all these folds come from one SVD of the full design. ``demeaned``,
-``fixed_effects``, joint covariates (re-standardized per fold) and
-leave-future folds build and solve every fold, each warm from the
-full-sample weights.
+design without one column. Then :func:`scm.solve_leave_one` gives the SCM
+anchors of all folds, and the ridge adjustments of all folds come from one
+SVD of the full design. ``demeaned``, ``fixed_effects``, joint covariates
+(re-standardized per fold) and leave-future folds build and solve every
+fold, each warm from the full-sample weights.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .covariates import (
     standardize_to_outcomes,
 )
 from .errors import ConfigError
-from .panel import PanelBlocks, demean_rows, period_fold, period_folds, split_and_center
+from .panel import PanelBlocks, demean_rows, period_folds, split_and_center
 from .ridge import (
     AugEstimate,
     ControlSVD,
@@ -60,7 +57,7 @@ from .ridge import (
     augment_weights,
     fold_adjustments,
 )
-from .scm import KKT_TOL, ZETA_SCALE, DonorWeights, _tiny, project_simplex, solve_scm
+from .scm import DonorWeights, solve_leave_one, solve_scm
 
 logger = logging.getLogger(__name__)
 
@@ -225,12 +222,9 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
 
     When every fold's design is the full design without one column
     ("leave-one" folds of ``scm``, ``ridge`` and ``ridge_ascm``, with no
-    covariates or residualized ones), the pass never builds a fold on its
-    own. The SCM anchors of all folds come from one batched solve on the
-    support of ``fit.scm`` (:func:`_fold_scm_batch`); a fold whose
-    candidate fails :func:`scm.solve_scm`'s own stopping rule and KKT gate
-    falls back to ``solve_scm`` on its own blocks, started at ``fit.scm``.
-    The ridge adjustments of all folds come from one SVD of the full design
+    covariates or residualized ones), the SCM anchors of all folds come
+    from :func:`scm.solve_leave_one`, started at ``fit.scm``, and their
+    ridge adjustments from one SVD of the full design
     (:func:`ridge.fold_adjustments`). Otherwise (``demeaned``,
     ``fixed_effects``, joint covariates, re-standardized per fold, and
     "leave-future" folds) every fold is built, solved from ``fit.scm`` and
@@ -279,19 +273,13 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
         _require_invertible(svd, np.asarray(lambdas, dtype=float))
     if fit.scm is None:  # ridge solves no SCM: every fold keeps the full sample's anchor
         anchors = np.repeat(fit.anchor.values[:, None], blocks.t0, axis=1)
-        rejected = ()
+        logger.debug(
+            "leave-one fold pass: %d anchors batched, 0 folds fitted one by one", blocks.t0
+        )
     else:
-        anchors, accepted = _fold_scm_batch(design, fit.scm, spec.zeta)
-        rejected = np.flatnonzero(~accepted)
-        for t in rejected:
-            fold = period_fold(blocks, t, "leave-one")
-            anchors[:, t] = design_and_anchor(fold, spec, cov, fit.scm.values).scm.values
+        anchors = solve_leave_one(design, fit.scm, spec.zeta)
         if cov is not None and cov.k > 0:  # residualized: shift every anchor
             anchors = np.column_stack([balance_covariates(g, cov).values for g in anchors.T])
-    logger.debug(
-        "leave-one fold pass: %d anchors batched, %d folds fitted one by one",
-        blocks.t0 - len(rejected), len(rejected),
-    )
     held_out = np.einsum("it,it->t", anchors, blocks.x0)
     base = np.hstack([anchors.T @ blocks.y0_post, held_out[:, None]])[:, None, :]
     if svd is None:
@@ -299,63 +287,3 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
     residuals = design.x1[:, None] - design.x0.T @ anchors
     np.fill_diagonal(residuals, 0.0)
     return base + fold_adjustments(svd, residuals, blocks.y0_post, blocks.x0, lambdas)
-
-
-def _fold_scm_batch(design, scm, zeta):
-    """Every leave-one fold's SCM solution on the support of ``scm``, the
-    full-sample solution on ``design``, from one stacked solve.
-
-    Fold t's design is the column-centred full design C without column t:
-    re-centring is per column. On the support S, its bordered KKT matrix is
-    the full one less a rank-one term, 2(C_S C_S' - c_t c_t' + zeta_t I),
-    zeta_t being ``zeta`` or the default ``ZETA_SCALE`` (||C||_F^2 -
-    ||c_t||^2) / N0 of :func:`scm.solve_scm`. Each fold takes the Newton
-    step that ``solve_scm`` takes from ``scm``: its gradient is formed from
-    the fit gap with the held-out entry zeroed. A fold's candidate is its solution
-    when it passes ``solve_scm``'s own tests: every support weight is
-    positive, no off-support gradient lies below the multiplier by more
-    than round-off, and the unit-step projected-gradient residual of the
-    normalised weights is at most ``KKT_TOL`` times the fold Hessian's
-    largest diagonal entry (at least 1). Returns the N0 x T0 candidates,
-    column t for fold t, and which of them passed.
-    """
-    means = design.x0.mean(axis=0)
-    c, c1 = design.x0 - means, design.x1 - means
-    n0, t0 = c.shape
-    col_sq = np.sum(c**2, axis=0)
-    if zeta is None:
-        zetas = ZETA_SCALE * (col_sq.sum() - col_sq) / n0
-    else:
-        zetas = np.full(t0, float(zeta))
-    support = np.flatnonzero(scm.values > 0.0)
-    k, cs, gs = support.size, c[support], scm.values[support]
-    candidates = np.zeros((n0, t0))
-    # each fold's fit gap at the full solution, its held-out entry zeroed
-    gaps = np.repeat((c1 - c.T @ scm.values)[:, None], t0, axis=1)
-    np.fill_diagonal(gaps, 0.0)
-    kkt = np.ones((t0, k + 1, k + 1))
-    kkt[:, :k, :k] = 2.0 * (cs @ cs.T - np.einsum("it,jt->tij", cs, cs))
-    kkt[:, range(k), range(k)] += 2.0 * zetas[:, None]
-    kkt[:, k, k] = 0.0
-    rhs = np.empty((t0, k + 1))
-    rhs[:, :k] = (2.0 * (cs @ gaps - zetas * gs[:, None])).T  # minus the gradient
-    rhs[:, k] = 1.0 - gs.sum()
-    try:
-        step = np.linalg.solve(kkt, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # an exactly singular fold: solve every fold alone
-        return candidates, np.zeros(t0, dtype=bool)
-    candidates[support] = gs[:, None] + step[:, :k].T
-    accepted = np.all(candidates[support] > 0.0, axis=0)
-    folds = np.flatnonzero(accepted)
-    g = candidates[:, folds] / candidates[:, folds].sum(axis=0)
-    candidates[:, folds] = g
-    gaps = c1[:, None] - c.T @ g
-    gaps[folds, np.arange(folds.size)] = 0.0
-    grad = 2.0 * (zetas[folds] * g - c @ gaps)
-    mu = grad[support].mean(axis=0)
-    off_support = np.delete(grad, support, axis=0).min(axis=0, initial=np.inf)
-    stops = off_support >= mu - _tiny(mu)
-    residual = np.linalg.norm(g - project_simplex((g - grad).T).T, axis=0)
-    hess_max = 2.0 * (np.sum(c**2, axis=1)[:, None] - c[:, folds] ** 2 + zetas[folds]).max(axis=0)
-    accepted[folds] = stops & (residual <= KKT_TOL * np.maximum(1.0, hess_max))
-    return candidates, accepted

@@ -32,8 +32,8 @@ __all__ = [
 
 _WEIGHTING_METHODS = ("scm", "ridge", "ridge_ascm")
 _TARGETS = ("counterfactual", "effect")
-# the default conformal tau grid: points per grid, and how often its
-# half-width may double while an endpoint stays accepted
+# the conformal tau grid: points per grid, and how often its half-width may
+# double while an endpoint stays accepted
 _GRID_POINTS = 101
 _MAX_WIDENINGS = 8
 
@@ -134,79 +134,52 @@ def conformal_p(p, tau0, spec, post_period=0, cov=None):
     return _conformal_p_blocks(blocks, tau0, spec, post_period, cov=cov)
 
 
-def conformal_interval(
-    p,
-    alpha,
-    spec,
-    tau_grid=None,
-    post_period=0,
-    target="effect",
-    cov=None,
-):
+def conformal_interval(p, alpha, spec, post_period=0, target="effect", cov=None):
     """Level 1-alpha interval by inverting the conformal test over a tau grid.
 
-    With no explicit grid, 101 points spanning the point estimate plus or
-    minus five pre-period residual RMS are used and widened (doubling the
-    half-width, at most eight times) while an endpoint stays accepted. The
-    reported interval is the hull of the accepted set; disconnected
-    acceptance is flagged. ``cov`` enters every refit and the point
-    estimate that centres the grid. ``target`` and an explicit
-    ``tau_grid`` (non-empty, 1-d, finite) are checked before any refit.
+    The grid has 101 points spanning the point estimate plus or minus five
+    pre-period residual RMS, widened (doubling the half-width, at most eight
+    times) while an endpoint stays accepted. The reported interval is the
+    hull of the accepted set; disconnected acceptance is flagged. ``cov``
+    enters every refit and the point estimate that centres the grid.
+    ``target`` is checked before any refit.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
     if target not in _TARGETS:
         raise ConfigError(f"unknown interval target {target!r}")
-    if tau_grid is not None:
-        tau_grid = np.asarray(tau_grid, dtype=float)
-        if tau_grid.ndim != 1 or tau_grid.size == 0 or not np.isfinite(tau_grid).all():
-            raise ConfigError("tau_grid must be a non-empty 1-d grid of finite values")
-        tau_grid = np.sort(tau_grid)
     blocks = split_and_center(p)
     if not 0 <= post_period < blocks.n_post:
         raise ConfigError(f"post_period {post_period} out of range")
 
-    def accepted_mask(grid):
-        return np.array(
+    min_p = 1.0 / (blocks.t0 + 1)
+    point = estimate_on_blocks(blocks, spec, cov=cov)
+    center = float(point.att[post_period])
+    rms = float(np.sqrt(np.mean(point.gap_pre**2)))
+    half = 5.0 * max(rms, 1e-12)
+    widenings = 0
+    while True:
+        grid = np.linspace(center - half, center + half, _GRID_POINTS)
+        mask = np.array(
             [
-                _conformal_p_blocks(blocks, t0_val, spec, post_period, cov=cov)
-                >= alpha - 1e-12
-                for t0_val in grid
+                _conformal_p_blocks(blocks, tau0, spec, post_period, cov=cov) >= alpha - 1e-12
+                for tau0 in grid
             ]
         )
-
-    min_p = 1.0 / (blocks.t0 + 1)
-    if tau_grid is not None:
-        grid = tau_grid
-        mask = accepted_mask(grid)
         open_ended = bool(mask[0] or mask[-1])
-    else:
-        point = estimate_on_blocks(blocks, spec, cov=cov)
-        center = float(point.att[post_period])
-        rms = float(np.sqrt(np.mean(point.gap_pre**2)))
-        half = 5.0 * max(rms, 1e-12)
-        widenings = 0
-        while True:
-            grid = np.linspace(center - half, center + half, _GRID_POINTS)
-            mask = accepted_mask(grid)
-            open_ended = bool(mask[0] or mask[-1])
-            if not open_ended or widenings >= _MAX_WIDENINGS or alpha <= min_p:
-                break
-            half *= 2.0
-            widenings += 1
-        if open_ended and alpha > min_p:
-            logger.warning(
-                "conformal grid endpoints still accepted after %d widenings", widenings
-            )
+        if not open_ended or widenings >= _MAX_WIDENINGS or alpha <= min_p:
+            break
+        half *= 2.0
+        widenings += 1
+    if open_ended and alpha > min_p:
+        logger.warning("conformal grid endpoints still accepted after %d widenings", widenings)
 
     if not mask.any():
-        raise GridError(
-            "no tau value in the grid was accepted; widen the grid or refine its spacing"
-        )
+        raise GridError("no tau value on the conformal grid was accepted")
     idx = np.nonzero(mask)[0]
     disconnected = bool(np.any(np.diff(idx) > 1))
     lower, upper = float(grid[idx[0]]), float(grid[idx[-1]])
-    step = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
+    step = float(grid[1] - grid[0])
     interval = PredictionInterval(
         lower=lower,
         upper=upper,

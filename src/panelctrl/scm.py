@@ -16,6 +16,15 @@ Otherwise it adds the off-set donor whose gradient lies furthest below the
 multiplier, and stops when none does. Optimal supports are small, so a
 solve costs a few small dense KKT systems; the result is checked against
 the unit-step projected-gradient KKT residual.
+
+Dropping one pre period from the design leaves the solution nearly
+unchanged. :func:`solve_leave_one` solves all leave-one-period-out folds
+at once: on the full solution's support each fold's KKT matrix is the
+full one less a rank-one term, so one stacked solve takes every fold's
+first step from the full solution. A fold keeps that step only when it
+passes the stopping rule and KKT gate of :func:`solve_scm`; every other
+fold is solved alone, started at the full solution. Both paths build
+their KKT systems with one helper and test the same residual.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .panel import readonly_array
+from .panel import period_fold, readonly_array
 
 logger = logging.getLogger(__name__)
 
@@ -106,14 +115,6 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
-def _objective(blocks, zeta, g):
-    gap = blocks.x1 - blocks.x0.T @ g
-    fit = float(np.sum(gap**2))
-    if zeta == 0.0:
-        return fit
-    return fit + zeta * float(np.sum(g**2))
-
-
 def _gradient(blocks, zeta, g):
     gap = blocks.x1 - blocks.x0.T @ g
     grad = -2.0 * (blocks.x0 @ gap)
@@ -122,8 +123,10 @@ def _gradient(blocks, zeta, g):
     return grad
 
 
-def _residual(blocks, zeta, g):
-    return float(np.linalg.norm(g - project_simplex(g - _gradient(blocks, zeta, g))))
+def _residual(g, grad):
+    """Unit-step projected-gradient residual ||g - P(g - grad)||, P the simplex
+    projection, of a solution or of each column of N0 x m solutions."""
+    return np.linalg.norm(g - project_simplex((g - grad).T).T, axis=0)
 
 
 def kkt_residual(blocks, w, zeta=None):
@@ -132,10 +135,11 @@ def kkt_residual(blocks, w, zeta=None):
     Zero exactly at any solution of the constrained problem; used both as
     the solver stopping rule and as the reported stationarity diagnostic.
     """
-    return _residual(blocks, _zeta(blocks, zeta), weight_values(w))
+    g = weight_values(w)
+    return float(_residual(g, _gradient(blocks, _zeta(blocks, zeta), g)))
 
 
-def solve_scm(blocks, zeta=None, start=None, trace=None):
+def solve_scm(blocks, zeta=None, start=None):
     """Solve the penalized SCM problem; returns simplex :class:`DonorWeights`.
 
     Parameters
@@ -150,9 +154,6 @@ def solve_scm(blocks, zeta=None, start=None, trace=None):
     start : array or None
         Starting point, projected onto the simplex; its support is the
         first working set. None starts at the best single-donor vertex.
-    trace : list or None
-        When given, the objective value of every accepted iterate is
-        appended (non-increasing by construction).
 
     Raises
     ------
@@ -183,8 +184,6 @@ def solve_scm(blocks, zeta=None, start=None, trace=None):
     active = g > 0.0
     support = np.flatnonzero(active)
     grad = _gradient(blocks, zeta, g)
-    if trace is not None:
-        trace.append(_objective(blocks, zeta, g))
     stationary = np.ptp(grad[support]) <= _tiny(grad[support].sum() / support.size)
     # the objective strictly decreases from one stationary working set to the
     # next, so meeting one again means round-off is cycling the method
@@ -223,11 +222,9 @@ def solve_scm(blocks, zeta=None, start=None, trace=None):
             active = g > 0.0
             support = np.flatnonzero(active)
         grad = _gradient(blocks, zeta, g)
-        if trace is not None:
-            trace.append(_objective(blocks, zeta, g))
 
     g = g / g.sum()  # strip round-off in the sum
-    res = _residual(blocks, zeta, g)
+    res = float(_residual(g, _gradient(blocks, zeta, g)))
     logger.debug(
         "scm active-set solve: %d donors, %d iterations, support %d, KKT residual %.3e",
         n0, it, int(np.count_nonzero(g)), res,
@@ -248,6 +245,21 @@ def _tiny(mu):
     return 1e-12 * np.maximum(1.0, np.abs(mu))
 
 
+def _bordered(hess, neg_grad, gs):
+    """The bordered KKT system of a step from gs on its support: the matrix
+    [[H_S, 1], [1', 0]] and the right-hand side [-grad_S, 1 - sum(gs)], for
+    one support Hessian H_S (k x k) or a stack of them (m x k x k, with m x k
+    minus-gradients)."""
+    k = gs.size
+    kkt = np.ones(hess.shape[:-2] + (k + 1, k + 1))
+    kkt[..., :k, :k] = hess
+    kkt[..., k, k] = 0.0
+    rhs = np.empty(neg_grad.shape[:-1] + (k + 1,))
+    rhs[..., :k] = neg_grad
+    rhs[..., k] = 1.0 - gs.sum()
+    return kkt, rhs
+
+
 def _newton_step(hess, scale, grad, support, gs):
     """Step from gs to the minimizer on the support subject to sum(g) = 1.
 
@@ -255,13 +267,7 @@ def _newton_step(hess, scale, grad, support, gs):
     full accuracy when x0'g nearly matches x1 at a large data scale.
     """
     k = support.size
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = hess[support[:, None], support]
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.empty(k + 1)
-    np.negative(grad[support], out=rhs[:k])
-    rhs[k] = 1.0 - gs.sum()
+    kkt, rhs = _bordered(hess[support[:, None], support], -grad[support], gs)
     try:
         sol = np.linalg.solve(kkt, rhs)
         # a numerically singular system (zeta = 0 with duplicate donors, or a
@@ -274,6 +280,73 @@ def _newton_step(hess, scale, grad, support, gs):
     if singular:
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return sol[:k]
+
+
+def solve_leave_one(design, full, zeta):
+    """Every leave-one-period-out fold's solution, from ``full``, the
+    solution of :func:`solve_scm` on ``design`` at penalty ``zeta``.
+
+    Fold t is ``panel.period_fold(design, t, "leave-one")``: the
+    column-centred design C without column t, as re-centring is per column.
+    On the support S of ``full`` its bordered KKT matrix is the full one less
+    a rank-one term, 2(C_S C_S' - c_t c_t' + zeta_t I), zeta_t being
+    ``zeta`` or the default ``ZETA_SCALE`` (||C||_F^2 - ||c_t||^2) / N0. So
+    one stacked solve takes, for every fold, the step ``solve_scm`` takes
+    from ``full``, its gradient formed from the fit gap with the held-out
+    entry zeroed. A fold's candidate is its solution when it passes
+    ``solve_scm``'s own tests: every support weight is positive, no
+    off-support gradient lies below the multiplier by more than round-off,
+    and the projected-gradient residual of the normalised weights is at most
+    ``KKT_TOL`` times the fold Hessian's largest diagonal entry (at least 1).
+    Every other fold, and every fold when the stack is exactly singular, is
+    solved alone by ``solve_scm`` started at ``full``. Returns the N0 x T0
+    solutions, column t for fold t.
+    """
+    means = design.x0.mean(axis=0)
+    c, c1 = design.x0 - means, design.x1 - means
+    n0, t0 = c.shape
+    col_sq = np.sum(c**2, axis=0)
+    if zeta is None:
+        zetas = ZETA_SCALE * (col_sq.sum() - col_sq) / n0
+    else:
+        zetas = np.full(t0, _zeta(design, zeta))
+    support = np.flatnonzero(full.values > 0.0)
+    k, cs, gs = support.size, c[support], full.values[support]
+    solutions = np.zeros((n0, t0))
+    # each fold's fit gap at the full solution, its held-out entry zeroed
+    gaps = np.repeat((c1 - c.T @ full.values)[:, None], t0, axis=1)
+    np.fill_diagonal(gaps, 0.0)
+    hess = 2.0 * (cs @ cs.T - np.einsum("it,jt->tij", cs, cs))
+    hess[:, range(k), range(k)] += 2.0 * zetas[:, None]
+    kkt, rhs = _bordered(hess, (2.0 * (cs @ gaps - zetas * gs[:, None])).T, gs)
+    try:
+        step = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular fold: solve every fold alone
+        rejected = range(t0)
+    else:
+        solutions[support] = gs[:, None] + step[:, :k].T
+        accepted = np.all(solutions[support] > 0.0, axis=0)
+        folds = np.flatnonzero(accepted)
+        g = solutions[:, folds] / solutions[:, folds].sum(axis=0)
+        solutions[:, folds] = g
+        gaps = c1[:, None] - c.T @ g
+        gaps[folds, np.arange(folds.size)] = 0.0
+        grad = 2.0 * (zetas[folds] * g - c @ gaps)
+        mu = grad[support].mean(axis=0)
+        off_support = np.delete(grad, support, axis=0).min(axis=0, initial=np.inf)
+        stops = off_support >= mu - _tiny(mu)
+        diagonal = 2.0 * (np.sum(c**2, axis=1)[:, None] - c[:, folds] ** 2 + zetas[folds])
+        target = KKT_TOL * np.maximum(1.0, diagonal.max(axis=0))  # per fold Hessian
+        accepted[folds] = stops & (_residual(g, grad) <= target)
+        rejected = np.flatnonzero(~accepted)
+    for t in rejected:
+        fold = period_fold(design, t, "leave-one")
+        solutions[:, t] = solve_scm(fold, zeta, start=full.values).values
+    logger.debug(
+        "leave-one fold pass: %d anchors batched, %d folds fitted one by one",
+        t0 - len(rejected), len(rejected),
+    )
+    return solutions
 
 
 def imbalance(blocks, w):

@@ -64,6 +64,26 @@ def folds_off_the_full_support(blocks, spec, cov=None):
     ]
 
 
+def record_scm_solves(monkeypatch):
+    """Record every SCM solve at both places that call it: ``estimators``
+    (full samples and the per-fold loops) and ``scm`` (the leave-one folds
+    off the full support). Returns the list that each call appends
+    ``(blocks, start, weights)`` to, in call order."""
+    import panelctrl.estimators as estimators_mod
+    import panelctrl.scm as scm_mod
+
+    solves = []
+    solve = scm_mod.solve_scm
+
+    def record(blocks, *args, start=None, **kwargs):
+        solves.append((blocks, start, solve(blocks, *args, start=start, **kwargs)))
+        return solves[-1][2]
+
+    for module in (estimators_mod, scm_mod):
+        monkeypatch.setattr(module, "solve_scm", record)
+    return solves
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240612)
@@ -74,5 +94,6 @@ __all__ = [
     "make_blocks",
     "make_panel",
     "raw_blocks",
+    "record_scm_solves",
     "split_and_center",
 ]

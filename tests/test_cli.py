@@ -14,7 +14,7 @@ from panelctrl.panel import load_panel, split_and_center
 from panelctrl.ridge import augment_weights
 from panelctrl.selection import loo_cv, placebo_panel, select_lambda
 
-from conftest import folds_off_the_full_support
+from conftest import folds_off_the_full_support, record_scm_solves
 
 
 @pytest.fixture
@@ -140,22 +140,16 @@ class TestEstimate:
     def test_auto_lambda_folds_fitted_once(self, panel_csv, tmp_path, monkeypatch):
         # CV and jackknife+ share one fold pass: the full fit, whose support
         # gives the batched fold anchors, plus one solve per fold that leaves it
-        import panelctrl.estimators as estimators_mod
-
         blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
         resolved = folds_off_the_full_support(blocks, EstimatorSpec())
         assert 0 < len(resolved) < blocks.t0
-        calls = []
-        solve = estimators_mod.solve_scm
-        monkeypatch.setattr(
-            estimators_mod, "solve_scm", lambda *a, **k: calls.append(1) or solve(*a, **k)
-        )
+        solves = record_scm_solves(monkeypatch)
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0",
             "--treatment-time", "11", "--inference", "jackknife+", "--out", str(tmp_path / "est"),
         ])
         assert rc == 0
-        assert len(calls) == 1 + len(resolved)
+        assert len(solves) == 1 + len(resolved)
 
     @pytest.mark.parametrize("mode", [None, "joint", "residualize"])
     def test_every_fold_starts_from_the_full_sample_solve(
@@ -165,8 +159,6 @@ class TestEstimate:
         # own starts from its weights (under residualize, the weights before
         # the covariate shift). Joint covariates solve every fold, the other
         # designs only the folds that leave the full sample's support
-        import panelctrl.estimators as estimators_mod
-
         p = load_panel(panel_csv, "u0", "11", ["gdp"])
         if mode == "joint":
             resolved = range(p.t0)
@@ -174,31 +166,24 @@ class TestEstimate:
             cov = None if mode is None else pre_period_covariates(p)
             spec = EstimatorSpec(covariate_mode=mode or "joint")
             resolved = folds_off_the_full_support(split_and_center(p), spec, cov)
-        starts, results = [], []
-        solve = estimators_mod.solve_scm
-
-        def record(*args, start=None, **kwargs):
-            starts.append(start)
-            results.append(solve(*args, start=start, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(estimators_mod, "solve_scm", record)
+        solves = record_scm_solves(monkeypatch)
         covariates = [] if mode is None else ["--covariates", "gdp", "--covariate-mode", mode]
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
             "--inference", "jackknife+", *covariates, "--out", str(tmp_path / "est"),
         ])
         assert rc == 0
-        assert len(starts) == 1 + len(resolved)
-        assert starts[0] is None
-        for start in starts[1:]:
-            assert start is not None and np.array_equal(start, results[0].values)
+        assert len(solves) == 1 + len(resolved)
+        (_, first, full), *folds = solves
+        assert first is None
+        for _, start, _ in folds:
+            assert start is not None and np.array_equal(start, full.values)
         if mode is None:
             # the estimate's anchor is that same solve, not a second one
             rows = read_rows(tmp_path / "est" / "weights.csv")[1:]
             lam = json.loads(open(tmp_path / "est" / "manifest.json").read())["config"]["lambda"]
             blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
-            expected = augment_weights(results[0], blocks, lam).values
+            expected = augment_weights(full, blocks, lam).values
             assert np.array_equal([float(r[1]) for r in rows], expected)
 
     @pytest.mark.parametrize("command", ["estimate", "placebo"])

@@ -24,13 +24,15 @@ from panelctrl.inference import (
 )
 from panelctrl.panel import PanelBlocks, PanelData, period_folds, split_and_center
 from panelctrl.ridge import augment_path
+from panelctrl.scm import solve_leave_one, solve_scm
 
-from conftest import folds_off_the_full_support, make_panel, raw_blocks
+from conftest import folds_off_the_full_support, make_panel, raw_blocks, record_scm_solves
 from oracles import (
     conformal_p_rebuild,
     exact_ridge_adjustment,
     exact_weighted_sum,
     jackknife_plus_rebuild,
+    scm_objective,
 )
 
 SPEC = EstimatorSpec(method="ridge_ascm", lam=1.0, zeta=1e-10)
@@ -84,12 +86,33 @@ class TestConformalP:
             conformal_p(p, 0.0, EstimatorSpec(method="demeaned"))
 
 
+def _default_grid(p):
+    """The first tau grid of conformal_interval: 101 points around the point
+    estimate, plus or minus five pre-period residual RMS."""
+    point = estimate_on_blocks(split_and_center(p), SPEC)
+    center = float(point.att[0])
+    half = 5.0 * float(np.sqrt(np.mean(point.gap_pre**2)))
+    return np.linspace(center - half, center + half, 101)
+
+
+def _accept_on_grid(monkeypatch, accepted):
+    """Make the conformal test accept exactly the tau values in ``accepted``."""
+    import panelctrl.inference as inf_mod
+
+    def fake_p(blocks, tau0, spec, post_period, cov=None):
+        return 0.5 if float(tau0) in accepted else 0.0
+
+    monkeypatch.setattr(inf_mod, "_conformal_p_blocks", fake_p)
+
+
 class TestConformalInterval:
     def test_alpha_at_floor_accepts_everything(self, rng):
+        # every p-value is at least 1/(T0+1), so the whole first grid is
+        # accepted and not widened
         p = make_panel(rng, 6, 10, 8)
-        grid = np.linspace(-50, 50, 21)
+        grid = _default_grid(p)
         alpha = 1.0 / (p.t0 + 1)
-        ci = conformal_interval(p, alpha, SPEC, tau_grid=grid)
+        ci = conformal_interval(p, alpha, SPEC)
         assert ci.lower == grid[0]
         assert ci.upper == grid[-1]
         assert ci.open_ended
@@ -102,14 +125,11 @@ class TestConformalInterval:
         ci = conformal_interval(p, 0.05, SPEC)
         assert ci.lower <= est.att[0] <= ci.upper
 
-    def test_narrow_grid_raises(self, rng):
+    def test_narrow_grid_raises(self, rng, monkeypatch):
         p = make_panel(rng, 6, 12, 10)
-        from panelctrl.estimators import estimate
-
-        tau_hat = float(estimate(p, SPEC).att[0])
-        far = tau_hat + 1e7
+        _accept_on_grid(monkeypatch, set())
         with pytest.raises(GridError):
-            conformal_interval(p, 0.5, SPEC, tau_grid=np.linspace(far, far + 1, 5))
+            conformal_interval(p, 0.5, SPEC)
 
     def test_target_conversion_exact(self, rng):
         p = make_panel(rng, 7, 12, 9)
@@ -119,26 +139,16 @@ class TestConformalInterval:
         assert abs(ci_y.lower - (y_obs - ci_tau.upper)) < 1e-12
         assert abs(ci_y.upper - (y_obs - ci_tau.lower)) < 1e-12
 
-    def test_grid_step_documented(self, rng):
+    def test_grid_step_documented(self, rng, monkeypatch):
         p = make_panel(rng, 6, 10, 8)
-        grid = np.linspace(-2, 2, 11)
-        try:
-            ci = conformal_interval(p, 0.2, SPEC, tau_grid=grid)
-        except GridError:
-            pytest.skip("nothing accepted on this draw")
-        assert np.isclose(ci.grid_step, 0.4)
+        grid = _default_grid(p)
+        _accept_on_grid(monkeypatch, set(grid[40:61]))
+        ci = conformal_interval(p, 0.2, SPEC)
+        assert (ci.lower, ci.upper) == (grid[40], grid[60])
+        assert not ci.open_ended
+        assert ci.grid_step == grid[1] - grid[0]
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"tau_grid": []},
-            {"tau_grid": [np.nan, 0.0]},
-            {"tau_grid": [np.inf]},
-            {"tau_grid": 0.5},
-            {"target": "bogus"},
-        ],
-    )
-    def test_bad_grid_or_target_refused_before_any_refit(self, rng, monkeypatch, kwargs):
+    def test_bad_target_refused_before_any_refit(self, rng, monkeypatch):
         import panelctrl.inference as inf_mod
 
         def no_refit(*args, **kw):
@@ -148,23 +158,15 @@ class TestConformalInterval:
         monkeypatch.setattr(inf_mod, "estimate_on_blocks", no_refit)
         p = make_panel(rng, 6, 10, 8)
         with pytest.raises(ConfigError):
-            conformal_interval(p, 0.1, SPEC, **kwargs)
+            conformal_interval(p, 0.1, SPEC, target="bogus")
 
     def test_disconnected_acceptance_flagged(self, rng, monkeypatch):
-        import panelctrl.inference as inf_mod
-
         p = make_panel(rng, 6, 10, 8)
-        accepted = {-1.0, 0.0, 1.0, 3.0}  # gap at 2.0
-
-        def fake_p(blocks, tau0, spec, post_period, cov=None):
-            return 0.5 if float(tau0) in accepted else 0.0
-
-        monkeypatch.setattr(inf_mod, "_conformal_p_blocks", fake_p)
-        ci = conformal_interval(
-            p, 0.1, SPEC, tau_grid=np.array([-1.0, 0.0, 1.0, 2.0, 3.0])
-        )
+        grid = _default_grid(p)
+        _accept_on_grid(monkeypatch, {grid[47], grid[48], grid[49], grid[51]})  # gap at 50
+        ci = conformal_interval(p, 0.1, SPEC)
         assert ci.disconnected
-        assert ci.lower == -1.0 and ci.upper == 3.0
+        assert ci.lower == grid[47] and ci.upper == grid[51]
 
 
 class TestJackknifePlus:
@@ -295,8 +297,6 @@ class TestFoldPredictions:
         # centred full design does not, and the one-SVD route refuses
         # lambda 0 as augment_weights does on the full sample, before any
         # fold's SCM anchor is solved
-        import panelctrl.estimators as estimators_mod
-
         blocks = split_and_center(make_panel(rng, 9, 12, 8))
         spec = EstimatorSpec(method="ridge", lam=0.0)
         fold = next(period_folds(blocks))[1]
@@ -305,17 +305,10 @@ class TestFoldPredictions:
             fold_predictions(blocks, spec)
         with pytest.raises(SingularityError):
             estimate_on_blocks(blocks, spec)
-        starts = []
-        solve = estimators_mod.solve_scm
-
-        def record(*args, start=None, **kwargs):
-            starts.append(start)
-            return solve(*args, start=start, **kwargs)
-
-        monkeypatch.setattr(estimators_mod, "solve_scm", record)
+        solves = record_scm_solves(monkeypatch)
         with pytest.raises(SingularityError):
             fold_predictions(blocks, EstimatorSpec(method="ridge_ascm", lam=0.0))
-        assert starts == [None]  # the full sample's cold solve only
+        assert [start for _, start, _ in solves] == [None]  # the full sample's cold solve only
 
     @pytest.mark.parametrize("method", ["ridge", "ridge_ascm"])
     def test_adjustments_match_the_exact_solve(self, rng, method):
@@ -398,34 +391,55 @@ class TestBatchedFoldAnchors:
 
     @pytest.mark.parametrize("zeta", [None, 0.0])
     def test_folds_off_the_full_support_are_solved_alone(self, zeta, monkeypatch):
-        import panelctrl.estimators as estimators_mod
-
         blocks = _support_change_blocks()
         spec = EstimatorSpec(method="scm", zeta=zeta)
         fit = design_and_anchor(blocks, spec)
         assert np.flatnonzero(fit.scm.values).tolist() == [1, 2]
         assert folds_off_the_full_support(blocks, spec) == [0, 1]
-        _, accepted = estimators_mod._fold_scm_batch(fit.design, fit.scm, zeta)
-        assert np.flatnonzero(~accepted).tolist() == [0, 1]
-        starts = []
-        solve = estimators_mod.solve_scm
-
-        def record(*args, start=None, **kwargs):
-            starts.append(start)
-            return solve(*args, start=start, **kwargs)
-
-        monkeypatch.setattr(estimators_mod, "solve_scm", record)
+        solves = record_scm_solves(monkeypatch)
+        solutions = solve_leave_one(fit.design, fit.scm, zeta)
+        # each fold solved alone holds its period out as its last post period
+        assert [fold.y1_post[-1] for fold, _, _ in solves] == blocks.x1[:2].tolist()
+        assert all(start is fit.scm.values for _, start, _ in solves)
+        for t in (0, 1):
+            assert np.array_equal(solutions[:, t], solves[t][2].values)
+        del solves[:]
         _, predictions, _ = fold_predictions(blocks, spec, fit=fit)
-        assert len(starts) == 2 and all(s is fit.scm.values for s in starts)
+        assert len(solves) == 2
         monkeypatch.undo()
         _cold_fold_fits_agree(blocks, spec, None, None, predictions)
+
+    def test_exactly_singular_stack_solves_every_fold_alone(self, caplog):
+        # donors 0 and 1 differ only in period 2, so with zeta = 0 fold 2's
+        # stacked KKT matrix is exactly singular, and every fold goes to
+        # solve_scm. Fold 2's minimiser is not unique there: it reaches the
+        # cold fold's objective, every other fold its cold solution
+        rng = np.random.default_rng(2)
+        x0 = rng.normal(size=(4, 5))
+        x0[1] = x0[0]
+        x0[1, 2] += 1.0
+        x1 = 0.4 * x0[0] + 0.4 * x0[1] + 0.2 * x0[2] + 0.01 * rng.normal(size=5)
+        shift = x0.mean(axis=0)
+        blocks = PanelBlocks(
+            x1=x1 - shift, x0=x0 - shift, y0_post=np.zeros((4, 1)), y1_post=np.zeros(1)
+        )
+        full = solve_scm(blocks, 0.0)
+        with caplog.at_level(logging.DEBUG, logger="panelctrl.scm"):
+            solutions = solve_leave_one(blocks, full, 0.0)
+        passes = [r.getMessage() for r in caplog.records if "fold pass" in r.getMessage()]
+        assert passes == ["leave-one fold pass: 0 anchors batched, 5 folds fitted one by one"]
+        for t, fold in period_folds(blocks):
+            cold = solve_scm(fold, 0.0).values
+            if t == 2:
+                objective = scm_objective(fold, cold, 0.0)
+                assert scm_objective(fold, solutions[:, t], 0.0) <= objective + 1e-12
+            else:
+                assert np.abs(solutions[:, t] - cold).max() <= 1e-10
 
     @pytest.mark.parametrize("method, mode", [
         ("scm", None), ("ridge_ascm", None), ("ridge_ascm", "residualize"),
     ])
     def test_solves_the_full_sample_and_the_rejected_folds(self, rng, monkeypatch, method, mode):
-        import panelctrl.estimators as estimators_mod
-
         p = make_panel(rng, 12, 30, 26)
         blocks = split_and_center(p)
         cov = None
@@ -435,25 +449,23 @@ class TestBatchedFoldAnchors:
         resolved = folds_off_the_full_support(blocks, spec, cov)
         assert 0 < len(resolved) < blocks.t0
         fit = design_and_anchor(blocks, spec, cov)
-        calls = []
-        solve = estimators_mod.solve_scm
-        monkeypatch.setattr(
-            estimators_mod, "solve_scm", lambda *a, **k: calls.append(1) or solve(*a, **k)
-        )
+        solves = record_scm_solves(monkeypatch)
         fold_predictions(blocks, spec, cov)
-        assert len(calls) == 1 + len(resolved)
+        assert len(solves) == 1 + len(resolved)
         fold_predictions(blocks, spec, cov, fit=fit)
-        assert len(calls) == 1 + 2 * len(resolved)
+        assert len(solves) == 1 + 2 * len(resolved)
 
     def test_one_debug_line_per_pass(self, caplog):
         blocks = _support_change_blocks()
-        with caplog.at_level(logging.DEBUG, logger="panelctrl.estimators"):
+        with caplog.at_level(logging.DEBUG, logger="panelctrl"):
             fold_predictions(blocks, EstimatorSpec(method="scm"))
+            fold_predictions(blocks, EstimatorSpec(method="ridge", lam=1.0))
             fold_predictions(blocks, EstimatorSpec(method="demeaned"))
             fold_predictions(blocks, EstimatorSpec(method="scm"), mode="leave-future")
         passes = [r.getMessage() for r in caplog.records if "fold pass" in r.getMessage()]
         assert passes == [
             "leave-one fold pass: 4 anchors batched, 2 folds fitted one by one",
+            "leave-one fold pass: 6 anchors batched, 0 folds fitted one by one",
             "leave-one fold pass: 0 anchors batched, 6 folds fitted one by one",
             "leave-future fold pass: 0 anchors batched, 4 folds fitted one by one",
         ]

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,12 @@ from panelctrl.scm import (
 
 from conftest import make_blocks
 from oracles import scm_objective, simplex_grid_objective
+
+
+def _iterations(caplog):
+    """The iteration count of the one solve logged in ``caplog``."""
+    (line,) = [r.getMessage() for r in caplog.records if "active-set solve" in r.getMessage()]
+    return int(re.search(r"(\d+) iterations", line).group(1))
 
 
 def blocks_from(x1, x0):
@@ -88,27 +95,17 @@ class TestSolveScm:
             w = solve_scm(blocks)
             assert kkt_residual(blocks, w) <= 1e-8
 
-    def test_objective_monotone_along_trace(self, rng):
-        for _ in range(10):
-            blocks = make_blocks(rng, 8, 5)
-            trace = []
-            w = solve_scm(blocks, trace=trace)
-            # the start is the first accepted iterate; only a solution at the
-            # starting vertex itself needs no move
-            assert len(trace) >= (2 if np.count_nonzero(w.values) > 1 else 1)
-            diffs = np.diff(np.asarray(trace))
-            assert np.all(diffs <= 1e-12)
-
-    def test_warm_start_at_solution_accepts_one_iterate(self, rng):
+    def test_warm_start_at_solution_accepts_one_iterate(self, rng, caplog):
         for _ in range(10):
             blocks = make_blocks(rng, 12, 6)
             w = solve_scm(blocks)
-            trace = []
-            again = solve_scm(blocks, start=w.values, trace=trace)
-            assert len(trace) == 1
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="panelctrl.scm"):
+                again = solve_scm(blocks, start=w.values)
+            assert _iterations(caplog) == 1
             assert np.abs(again.values - w.values).max() < 1e-12
 
-    def test_near_duplicate_donors_do_not_cycle(self):
+    def test_near_duplicate_donors_do_not_cycle(self, caplog):
         # with zeta = 0 a just-added near twin of a support donor can come out
         # with a nonpositive weight by round-off; the solver must stop there,
         # not drop and re-add it until the iteration cap (convergence on such
@@ -117,12 +114,13 @@ class TestSolveScm:
             rng = np.random.default_rng(seed)
             x0 = rng.normal(size=(20, 6))
             x0 = np.vstack([x0, x0 + rng.normal(size=x0.shape) * 1e-9])
-            trace = []
-            try:
-                solve_scm(blocks_from(rng.normal(size=6), x0), zeta=0.0, trace=trace)
-            except ConvergenceError:
-                pass
-            assert len(trace) < 50
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="panelctrl.scm"):
+                try:
+                    solve_scm(blocks_from(rng.normal(size=6), x0), zeta=0.0)
+                except ConvergenceError:
+                    pass
+            assert _iterations(caplog) < 50
 
     def test_unique_solution_from_different_starts(self, rng):
         for _ in range(10):

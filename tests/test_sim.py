@@ -18,7 +18,7 @@ from panelctrl.sim import (
     run_monte_carlo,
 )
 
-from conftest import folds_off_the_full_support
+from conftest import folds_off_the_full_support, record_scm_solves
 
 
 class TestFixture:
@@ -206,13 +206,9 @@ class TestRunMonteCarlo:
         import panelctrl.estimators as estimators_mod
         import panelctrl.sim as sim_mod
 
-        solves, anchors, estimates = [], [], {}
-        solve, augment = estimators_mod.solve_scm, estimators_mod.augment_weights
+        anchors, estimates = [], {}
+        augment = estimators_mod.augment_weights
         estimate = sim_mod.estimate_on_blocks
-
-        def record_solve(*args, **kwargs):
-            solves.append((kwargs.get("start"), solve(*args, **kwargs)))
-            return solves[-1][1]
 
         def record_anchor(anchor, *args):
             anchors.append(anchor)
@@ -223,12 +219,12 @@ class TestRunMonteCarlo:
             estimates[spec.method] = estimate(blocks, spec, **kwargs)
             return estimates[spec.method]
 
-        monkeypatch.setattr(estimators_mod, "solve_scm", record_solve)
+        solves = record_scm_solves(monkeypatch)
         monkeypatch.setattr(estimators_mod, "augment_weights", record_anchor)
         monkeypatch.setattr(sim_mod, "estimate_on_blocks", record_estimate)
         run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
                         n=10, t=20, t0=16, lam="cv-min")
-        run = solves[:]  # the reference solves below record too
+        run = [(start, w) for _, start, w in solves]  # the reference solves below record too
         resolved = folds_off_the_full_support(estimates["blocks"], EstimatorSpec())
         assert 0 < len(resolved) < 16
         assert len(run) == 1 + len(resolved) + 1

@@ -92,6 +92,8 @@ def cases(inputs):
                     yield name, ["estimate", *data, "--method", method, *penalty,
                                  "--inference", inference]
         yield f"{panel}-estimate-scm-zeta0", ["estimate", *data, "--method", "scm", "--zeta", "0"]
+        yield f"{panel}-estimate-scm-zeta0-jackknife+", [
+            "estimate", *data, "--method", "scm", "--zeta", "0", "--inference", "jackknife+"]
         yield f"{panel}-estimate-ridge_ascm-min-zeta", [
             "estimate", *data, "--select", "min", "--zeta", "0.05", "--inference", "jackknife+"]
         for method in RIDGE_METHODS:
