@@ -25,11 +25,12 @@ A fold drops one pre period, so its SCM solution is nearly the full
 sample's, the :class:`AnchorFit` that a caller wanting the point estimate
 too passes as ``fit`` to reuse. For ``scm``, ``ridge`` and ``ridge_ascm``
 (no covariates, or residualized ones) a leave-one fold's design is the full
-design without one column. Then :func:`scm.solve_leave_one` gives the SCM
-anchors of all folds, and the ridge adjustments of all folds come from one
-SVD of the full design. ``demeaned``, ``fixed_effects``, joint covariates
-(re-standardized per fold) and leave-future folds build and solve every
-fold, each warm from the full-sample weights.
+design without one column. Then :func:`scm.solve_leave_one` runs every
+fold's SCM solve in lockstep, one stacked system per round, and the ridge
+adjustments of all folds come from one SVD of the full design.
+``demeaned``, ``fixed_effects``, joint covariates (re-standardized per
+fold) and leave-future folds build and solve every fold, each warm from
+the full-sample weights.
 """
 
 from __future__ import annotations
@@ -223,9 +224,10 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
     When every fold's design is the full design without one column
     ("leave-one" folds of ``scm``, ``ridge`` and ``ridge_ascm``, with no
     covariates or residualized ones), the SCM anchors of all folds come
-    from :func:`scm.solve_leave_one`, started at ``fit.scm``, and their
-    ridge adjustments from one SVD of the full design
-    (:func:`ridge.fold_adjustments`). Otherwise (``demeaned``,
+    from one lockstep active-set solve started at ``fit.scm``
+    (:func:`scm.solve_leave_one`; a fold it cannot finish, which is rare,
+    is solved alone), and their ridge adjustments from one SVD of the full
+    design (:func:`ridge.fold_adjustments`). Otherwise (``demeaned``,
     ``fixed_effects``, joint covariates, re-standardized per fold, and
     "leave-future" folds) every fold is built, solved from ``fit.scm`` and
     adjusted on its own design (:func:`ridge.augment_path`).
@@ -257,7 +259,8 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
         g = augment_path(anchor, design, lambdas) if spec.needs_lambda() else anchor.values[:, None]
         predictions.append(_counterfactual(fold, spec, g)[0])
     logger.debug(
-        "%s fold pass: 0 anchors batched, %d folds fitted one by one", mode, len(truth)
+        "%s fold pass: %d folds in 0 batched rounds, %d fitted one by one",
+        mode, len(truth), len(truth),
     )
     return np.array(truth), np.array(predictions), tuple(skipped)
 
@@ -274,7 +277,7 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
     if fit.scm is None:  # ridge solves no SCM: every fold keeps the full sample's anchor
         anchors = np.repeat(fit.anchor.values[:, None], blocks.t0, axis=1)
         logger.debug(
-            "leave-one fold pass: %d anchors batched, 0 folds fitted one by one", blocks.t0
+            "leave-one fold pass: %d folds in 0 batched rounds, 0 fitted one by one", blocks.t0
         )
     else:
         anchors = solve_leave_one(design, fit.scm, spec.zeta)

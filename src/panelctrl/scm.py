@@ -18,13 +18,13 @@ solve costs a few small dense KKT systems; the result is checked against
 the unit-step projected-gradient KKT residual.
 
 Dropping one pre period from the design leaves the solution nearly
-unchanged. :func:`solve_leave_one` solves all leave-one-period-out folds
-at once: on the full solution's support each fold's KKT matrix is the
-full one less a rank-one term, so one stacked solve takes every fold's
-first step from the full solution. A fold keeps that step only when it
-passes the stopping rule and KKT gate of :func:`solve_scm`; every other
-fold is solved alone, started at the full solution. Both paths build
-their KKT systems with one helper and test the same residual.
+unchanged. :func:`solve_leave_one` runs this active-set method for all
+leave-one-period-out folds at once, in lockstep from the full solution.
+Each fold's Hessian is the full one less a rank-one term, so each round
+is one stacked solve on the union of the live folds' working sets, a
+fold's rows outside its own set held at zero. A fold whose result fails
+the KKT gate of :func:`solve_scm`, which is rare, is solved alone. Both
+paths build their KKT systems with one helper and test the same residual.
 """
 
 from __future__ import annotations
@@ -245,18 +245,23 @@ def _tiny(mu):
     return 1e-12 * np.maximum(1.0, np.abs(mu))
 
 
-def _bordered(hess, neg_grad, gs):
+def _bordered(hess, neg_grad, gs, mask=None):
     """The bordered KKT system of a step from gs on its support: the matrix
     [[H_S, 1], [1', 0]] and the right-hand side [-grad_S, 1 - sum(gs)], for
     one support Hessian H_S (k x k) or a stack of them (m x k x k, with m x k
-    minus-gradients)."""
-    k = gs.size
+    minus-gradients). Donors outside ``mask`` (m x k, default none) are held
+    at zero: identity rows with a zero border and right-hand side."""
+    k = gs.shape[-1]
     kkt = np.ones(hess.shape[:-2] + (k + 1, k + 1))
     kkt[..., :k, :k] = hess
     kkt[..., k, k] = 0.0
     rhs = np.empty(neg_grad.shape[:-1] + (k + 1,))
     rhs[..., :k] = neg_grad
-    rhs[..., k] = 1.0 - gs.sum()
+    rhs[..., k] = 1.0 - gs.sum(axis=-1)
+    if mask is not None:
+        kkt[..., :k, :k] = np.where(mask[..., None] & mask[..., None, :], hess, np.eye(k))
+        kkt[..., :k, k] = kkt[..., k, :k] = mask
+        rhs[..., :k] = np.where(mask, neg_grad, 0.0)
     return kkt, rhs
 
 
@@ -287,19 +292,19 @@ def solve_leave_one(design, full, zeta):
     solution of :func:`solve_scm` on ``design`` at penalty ``zeta``.
 
     Fold t is ``panel.period_fold(design, t, "leave-one")``: the
-    column-centred design C without column t, as re-centring is per column.
-    On the support S of ``full`` its bordered KKT matrix is the full one less
-    a rank-one term, 2(C_S C_S' - c_t c_t' + zeta_t I), zeta_t being
-    ``zeta`` or the default ``ZETA_SCALE`` (||C||_F^2 - ||c_t||^2) / N0. So
-    one stacked solve takes, for every fold, the step ``solve_scm`` takes
-    from ``full``, its gradient formed from the fit gap with the held-out
-    entry zeroed. A fold's candidate is its solution when it passes
-    ``solve_scm``'s own tests: every support weight is positive, no
-    off-support gradient lies below the multiplier by more than round-off,
-    and the projected-gradient residual of the normalised weights is at most
-    ``KKT_TOL`` times the fold Hessian's largest diagonal entry (at least 1).
-    Every other fold, and every fold when the stack is exactly singular, is
-    solved alone by ``solve_scm`` started at ``full``. Returns the N0 x T0
+    column-centred design C without column t. Its Hessian is 2(C C' -
+    c_t c_t' + zeta_t I), zeta_t being ``zeta`` or the default
+    ``ZETA_SCALE`` (||C||_F^2 - ||c_t||^2) / N0, and its gradient is formed
+    from the fit gap with entry t zeroed. Every fold starts at ``full`` and
+    keeps its own weights and working set under ``solve_scm``'s rules. The
+    live folds move in lockstep: a round is one stacked solve on the union
+    U of their working sets, each fold's rows of U outside its own set held
+    at zero, so round 1 is every fold's step on the support of ``full``.
+    A fold is solved alone by ``solve_scm``, started at ``full``, when it
+    stops on a blocked just-added donor, is still live at ``ITERATION_CAP``
+    or fails the gate (normalised, a projected-gradient residual above
+    ``KKT_TOL`` times its Hessian's largest diagonal entry, at least 1);
+    every fold is, when a stack is exactly singular. Returns the N0 x T0
     solutions, column t for fold t.
     """
     means = design.x0.mean(axis=0)
@@ -310,43 +315,72 @@ def solve_leave_one(design, full, zeta):
         zetas = ZETA_SCALE * (col_sq.sum() - col_sq) / n0
     else:
         zetas = np.full(t0, _zeta(design, zeta))
-    support = np.flatnonzero(full.values > 0.0)
-    k, cs, gs = support.size, c[support], full.values[support]
-    solutions = np.zeros((n0, t0))
-    # each fold's fit gap at the full solution, its held-out entry zeroed
-    gaps = np.repeat((c1 - c.T @ full.values)[:, None], t0, axis=1)
-    np.fill_diagonal(gaps, 0.0)
-    hess = 2.0 * (cs @ cs.T - np.einsum("it,jt->tij", cs, cs))
-    hess[:, range(k), range(k)] += 2.0 * zetas[:, None]
-    kkt, rhs = _bordered(hess, (2.0 * (cs @ gaps - zetas * gs[:, None])).T, gs)
-    try:
-        step = np.linalg.solve(kkt, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # an exactly singular fold: solve every fold alone
-        rejected = range(t0)
-    else:
-        solutions[support] = gs[:, None] + step[:, :k].T
-        accepted = np.all(solutions[support] > 0.0, axis=0)
-        folds = np.flatnonzero(accepted)
-        g = solutions[:, folds] / solutions[:, folds].sum(axis=0)
-        solutions[:, folds] = g
-        gaps = c1[:, None] - c.T @ g
-        gaps[folds, np.arange(folds.size)] = 0.0
-        grad = 2.0 * (zetas[folds] * g - c @ gaps)
-        mu = grad[support].mean(axis=0)
-        off_support = np.delete(grad, support, axis=0).min(axis=0, initial=np.inf)
-        stops = off_support >= mu - _tiny(mu)
-        diagonal = 2.0 * (np.sum(c**2, axis=1)[:, None] - c[:, folds] ** 2 + zetas[folds])
-        target = KKT_TOL * np.maximum(1.0, diagonal.max(axis=0))  # per fold Hessian
-        accepted[folds] = stops & (_residual(g, grad) <= target)
-        rejected = np.flatnonzero(~accepted)
+
+    def gradients(folds):
+        gaps = c1[:, None] - c.T @ g[:, folds]
+        gaps[folds, np.arange(folds.size)] = 0.0  # the held-out entries
+        return 2.0 * (zetas[folds] * g[:, folds] - c @ gaps)
+
+    g = np.repeat(full.values[:, None], t0, axis=1)
+    active = g > 0.0
+    grad = gradients(np.arange(t0))
+    on_support = grad[active[:, 0]]
+    stationary = np.ptp(on_support, axis=0) <= _tiny(on_support.mean(axis=0))
+    live, fallback, rounds, seen = np.ones(t0, dtype=bool), np.zeros(t0, dtype=bool), 0, []
+    for _ in range(ITERATION_CAP):
+        adding = live & stationary
+        mu = np.where(active, grad, 0.0).sum(axis=0) / active.sum(axis=0)
+        j = np.argmin(np.where(active, np.inf, grad), axis=0)
+        cycled = np.any([was & np.all(past == active, axis=0) for past, was in seen], axis=0)
+        seen.append((active.copy(), adding))
+        live &= ~(adding & (cycled | (grad[j, range(t0)] >= mu - _tiny(mu))))
+        adding &= live
+        active[j[adding], adding] = True
+        folds = np.flatnonzero(live)
+        if folds.size == 0:
+            break
+        union = np.flatnonzero(active[:, folds].any(axis=1))
+        mask, gs = active[np.ix_(union, folds)].T, g[np.ix_(union, folds)].T
+        cu = c[union]
+        hess = 2.0 * (cu @ cu.T - np.einsum("it,jt->tij", cu[:, folds], cu[:, folds]))
+        hess[:, range(union.size), range(union.size)] += 2.0 * zetas[folds, None]
+        kkt, rhs = _bordered(hess, -grad[np.ix_(union, folds)].T, gs, mask)
+        try:
+            z = gs + np.linalg.solve(kkt, rhs[..., None])[:, :-1, 0]
+        except np.linalg.LinAlgError:  # an exactly singular fold: solve every fold alone
+            fallback[:] = True
+            break
+        rounds += 1
+        blocked = mask & (z <= 0.0)
+        stationary[folds] = ~blocked.any(axis=1)
+        # a blocked just-added donor is round-off, which stops solve_scm; the
+        # batch's round-off differs, so such a fold is left to solve_scm
+        moves = ~np.any(blocked & (gs == 0.0), axis=1)
+        live[folds[~moves]] = False
+        fallback[folds[~moves]] = True
+        # step towards z until the first weight reaches zero; drop every
+        # weight that gets there
+        dropping = (moves & ~stationary[folds])[:, None]
+        ratio = np.divide(gs, gs - z, out=np.full(z.shape, np.inf), where=blocked & dropping)
+        alpha = np.where(dropping, ratio.min(axis=1, keepdims=True), 1.0)
+        z = np.where(dropping, np.maximum(gs + alpha * (z - gs), 0.0), z)
+        z[ratio <= alpha] = 0.0
+        folds, z = folds[moves], z[moves]
+        g[np.ix_(union, folds)] = z.T
+        active[:, folds] = g[:, folds] > 0.0
+        grad[:, folds] = gradients(folds)
+    g /= g.sum(axis=0)  # strip round-off in the sums
+    diagonal = 2.0 * (np.sum(c**2, axis=1)[:, None] - c**2 + zetas)  # of each fold's Hessian
+    target = KKT_TOL * np.maximum(1.0, diagonal.max(axis=0))
+    rejected = np.flatnonzero(live | fallback | (_residual(g, gradients(np.arange(t0))) > target))
     for t in rejected:
         fold = period_fold(design, t, "leave-one")
-        solutions[:, t] = solve_scm(fold, zeta, start=full.values).values
+        g[:, t] = solve_scm(fold, zeta, start=full.values).values
     logger.debug(
-        "leave-one fold pass: %d anchors batched, %d folds fitted one by one",
-        t0 - len(rejected), len(rejected),
+        "leave-one fold pass: %d folds in %d batched rounds, %d fitted one by one",
+        t0, rounds, len(rejected),
     )
-    return solutions
+    return g
 
 
 def imbalance(blocks, w):

@@ -55,7 +55,7 @@ def make_panel(rng, n, t, t0, treated_index=0):
 
 def folds_off_the_full_support(blocks, spec, cov=None):
     """The leave-one folds whose own SCM solution, started at the full
-    sample's, has another support than it: the folds a fold pass solves."""
+    sample's, has another support than it."""
     full = design_and_anchor(blocks, spec, cov).scm.values
     return [
         t
@@ -67,7 +67,7 @@ def folds_off_the_full_support(blocks, spec, cov=None):
 def record_scm_solves(monkeypatch):
     """Record every SCM solve at both places that call it: ``estimators``
     (full samples and the per-fold loops) and ``scm`` (the leave-one folds
-    off the full support). Returns the list that each call appends
+    that the batch leaves to it). Returns the list that each call appends
     ``(blocks, start, weights)`` to, in call order."""
     import panelctrl.estimators as estimators_mod
     import panelctrl.scm as scm_mod

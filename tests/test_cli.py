@@ -138,8 +138,9 @@ class TestEstimate:
             assert (float(row[4]), float(row[5]), row[6]) == (ci.lower, ci.upper, ci.method)
 
     def test_auto_lambda_folds_fitted_once(self, panel_csv, tmp_path, monkeypatch):
-        # CV and jackknife+ share one fold pass: the full fit, whose support
-        # gives the batched fold anchors, plus one solve per fold that leaves it
+        # CV and jackknife+ share one fold pass, whose fold anchors all come
+        # from the batch started at the full fit, the folds that leave its
+        # support included: the full fit is the one SCM solve
         blocks = split_and_center(load_panel(panel_csv, "u0", "11"))
         resolved = folds_off_the_full_support(blocks, EstimatorSpec())
         assert 0 < len(resolved) < blocks.t0
@@ -149,7 +150,7 @@ class TestEstimate:
             "--treatment-time", "11", "--inference", "jackknife+", "--out", str(tmp_path / "est"),
         ])
         assert rc == 0
-        assert len(solves) == 1 + len(resolved)
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("mode", [None, "joint", "residualize"])
     def test_every_fold_starts_from_the_full_sample_solve(
@@ -157,15 +158,10 @@ class TestEstimate:
     ):
         # the first solve is the full sample's, cold; each fold solved on its
         # own starts from its weights (under residualize, the weights before
-        # the covariate shift). Joint covariates solve every fold, the other
-        # designs only the folds that leave the full sample's support
+        # the covariate shift). Joint covariates solve every fold; the other
+        # designs finish every fold in the batch, which starts there too
         p = load_panel(panel_csv, "u0", "11", ["gdp"])
-        if mode == "joint":
-            resolved = range(p.t0)
-        else:
-            cov = None if mode is None else pre_period_covariates(p)
-            spec = EstimatorSpec(covariate_mode=mode or "joint")
-            resolved = folds_off_the_full_support(split_and_center(p), spec, cov)
+        resolved = range(p.t0) if mode == "joint" else ()
         solves = record_scm_solves(monkeypatch)
         covariates = [] if mode is None else ["--covariates", "gdp", "--covariate-mode", mode]
         rc = main([

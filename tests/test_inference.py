@@ -355,8 +355,9 @@ def _support_change_blocks():
 
 class TestBatchedFoldAnchors:
     # leave-one folds of scm and ridge_ascm (no covariates or residualized)
-    # take their SCM anchors from one batched solve on the full sample's
-    # support; a fold whose candidate fails the solver's gate is solved alone
+    # take their SCM anchors from one lockstep active-set solve started at the
+    # full sample's weights; a fold whose result fails the solver's gate is
+    # solved alone
 
     # at least 5 periods per fold: with fewer periods than donors, cold and
     # warm solves of one fold already differ by up to about 2e-9
@@ -390,7 +391,7 @@ class TestBatchedFoldAnchors:
         _cold_fold_fits_agree(blocks, spec, cov, lambdas, predictions)
 
     @pytest.mark.parametrize("zeta", [None, 0.0])
-    def test_folds_off_the_full_support_are_solved_alone(self, zeta, monkeypatch):
+    def test_folds_off_the_full_support_stay_in_the_batch(self, zeta, monkeypatch):
         blocks = _support_change_blocks()
         spec = EstimatorSpec(method="scm", zeta=zeta)
         fit = design_and_anchor(blocks, spec)
@@ -398,22 +399,25 @@ class TestBatchedFoldAnchors:
         assert folds_off_the_full_support(blocks, spec) == [0, 1]
         solves = record_scm_solves(monkeypatch)
         solutions = solve_leave_one(fit.design, fit.scm, zeta)
-        # each fold solved alone holds its period out as its last post period
-        assert [fold.y1_post[-1] for fold, _, _ in solves] == blocks.x1[:2].tolist()
-        assert all(start is fit.scm.values for _, start, _ in solves)
-        for t in (0, 1):
-            assert np.array_equal(solutions[:, t], solves[t][2].values)
-        del solves[:]
         _, predictions, _ = fold_predictions(blocks, spec, fit=fit)
-        assert len(solves) == 2
+        assert solves == []
         monkeypatch.undo()
+        # folds 0 and 1 add donor 0, and fold 0 drops donor 2, in the batch
+        assert [np.flatnonzero(solutions[:, t]).tolist() for t in (0, 1)] == [[0, 1], [0, 1, 2]]
+        for t, fold in period_folds(blocks):
+            warm = solve_scm(fold, zeta, start=fit.scm.values).values
+            assert np.abs(solutions[:, t] - warm).max() <= 1e-12
+            assert np.abs(solutions[:, t] - solve_scm(fold, zeta).values).max() <= 1e-10
         _cold_fold_fits_agree(blocks, spec, None, None, predictions)
 
-    def test_exactly_singular_stack_solves_every_fold_alone(self, caplog):
+    def test_exactly_singular_stack_solves_every_fold_alone(self, caplog, monkeypatch):
         # donors 0 and 1 differ only in period 2, so with zeta = 0 fold 2's
-        # stacked KKT matrix is exactly singular, and every fold goes to
-        # solve_scm. Fold 2's minimiser is not unique there: it reaches the
-        # cold fold's objective, every other fold its cold solution
+        # KKT matrix on the full support is singular. At the full solution
+        # fold 2's gap in period 2 is zero, so the fold starts stationary and
+        # joins no stack; here the stacked solve raises as an exactly singular
+        # one does, and every fold goes to solve_scm. Fold 2's minimiser is
+        # not unique: it reaches the cold fold's objective, every other fold
+        # its cold solution
         rng = np.random.default_rng(2)
         x0 = rng.normal(size=(4, 5))
         x0[1] = x0[0]
@@ -424,10 +428,21 @@ class TestBatchedFoldAnchors:
             x1=x1 - shift, x0=x0 - shift, y0_post=np.zeros((4, 1)), y1_post=np.zeros(1)
         )
         full = solve_scm(blocks, 0.0)
+        solve = np.linalg.solve
+
+        def singular(a, b):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        solves = record_scm_solves(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="panelctrl.scm"):
             solutions = solve_leave_one(blocks, full, 0.0)
+        monkeypatch.undo()
         passes = [r.getMessage() for r in caplog.records if "fold pass" in r.getMessage()]
-        assert passes == ["leave-one fold pass: 0 anchors batched, 5 folds fitted one by one"]
+        assert passes == ["leave-one fold pass: 5 folds in 0 batched rounds, 5 fitted one by one"]
+        assert [start is full.values for _, start, _ in solves] == [True] * 5
         for t, fold in period_folds(blocks):
             cold = solve_scm(fold, 0.0).values
             if t == 2:
@@ -440,6 +455,8 @@ class TestBatchedFoldAnchors:
         ("scm", None), ("ridge_ascm", None), ("ridge_ascm", "residualize"),
     ])
     def test_solves_the_full_sample_and_the_rejected_folds(self, rng, monkeypatch, method, mode):
+        # some folds leave the full sample's support, and none is rejected:
+        # the full sample's is the one solve_scm call of a pass
         p = make_panel(rng, 12, 30, 26)
         blocks = split_and_center(p)
         cov = None
@@ -451,9 +468,9 @@ class TestBatchedFoldAnchors:
         fit = design_and_anchor(blocks, spec, cov)
         solves = record_scm_solves(monkeypatch)
         fold_predictions(blocks, spec, cov)
-        assert len(solves) == 1 + len(resolved)
+        assert [start for _, start, _ in solves] == [None]
         fold_predictions(blocks, spec, cov, fit=fit)
-        assert len(solves) == 1 + 2 * len(resolved)
+        assert len(solves) == 1
 
     def test_one_debug_line_per_pass(self, caplog):
         blocks = _support_change_blocks()
@@ -464,10 +481,10 @@ class TestBatchedFoldAnchors:
             fold_predictions(blocks, EstimatorSpec(method="scm"), mode="leave-future")
         passes = [r.getMessage() for r in caplog.records if "fold pass" in r.getMessage()]
         assert passes == [
-            "leave-one fold pass: 4 anchors batched, 2 folds fitted one by one",
-            "leave-one fold pass: 6 anchors batched, 0 folds fitted one by one",
-            "leave-one fold pass: 0 anchors batched, 6 folds fitted one by one",
-            "leave-future fold pass: 0 anchors batched, 4 folds fitted one by one",
+            "leave-one fold pass: 6 folds in 3 batched rounds, 0 fitted one by one",
+            "leave-one fold pass: 6 folds in 0 batched rounds, 0 fitted one by one",
+            "leave-one fold pass: 6 folds in 0 batched rounds, 6 fitted one by one",
+            "leave-future fold pass: 4 folds in 0 batched rounds, 4 fitted one by one",
         ]
 
 
