@@ -22,9 +22,10 @@ unchanged. :func:`solve_leave_one` runs this active-set method for all
 leave-one-period-out folds at once, in lockstep from the full solution.
 Each fold's Hessian is the full one less a rank-one term, so each round
 is one stacked solve on the union of the live folds' working sets, a
-fold's rows outside its own set held at zero. A fold whose result fails
-the KKT gate of :func:`solve_scm`, which is rare, is solved alone. Both
-paths build their KKT systems with one helper and test the same residual.
+fold's rows outside its own set held at zero. A fold the batch cannot
+finish within the KKT gate of :func:`solve_scm`, which is rare, is solved
+alone. Both paths build their KKT systems with one helper and test the
+same residual.
 """
 
 from __future__ import annotations
@@ -315,13 +316,13 @@ def solve_leave_one(design, full, zeta):
         zetas = ZETA_SCALE * (col_sq.sum() - col_sq) / n0
     else:
         zetas = np.full(t0, _zeta(design, zeta))
+    g = np.repeat(full.values[:, None], t0, axis=1)
 
     def gradients(folds):
         gaps = c1[:, None] - c.T @ g[:, folds]
         gaps[folds, np.arange(folds.size)] = 0.0  # the held-out entries
         return 2.0 * (zetas[folds] * g[:, folds] - c @ gaps)
 
-    g = np.repeat(full.values[:, None], t0, axis=1)
     active = g > 0.0
     grad = gradients(np.arange(t0))
     on_support = grad[active[:, 0]]
