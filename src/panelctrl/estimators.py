@@ -52,7 +52,6 @@ from .errors import ConfigError
 from .panel import PanelBlocks, demean_rows, period_folds, split_and_center
 from .ridge import (
     AugEstimate,
-    ControlSVD,
     _require_invertible,
     augment_path,
     augment_weights,
@@ -272,7 +271,7 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
     svd = None
     if spec.needs_lambda():
         # refuse lambda 0 on a rank-deficient full design before any fold solve
-        svd = ControlSVD.compute(design.x0 - design.x0.mean(axis=0))
+        svd = design.control_svd
         _require_invertible(svd, np.asarray(lambdas, dtype=float))
     if fit.scm is None:  # ridge solves no SCM: every fold keeps the full sample's anchor
         anchors = np.repeat(fit.anchor.values[:, None], blocks.t0, axis=1)

@@ -5,15 +5,17 @@ a treatment time splitting the columns into T0 pre-treatment periods and
 T - T0 post-treatment periods, plus an N x T x K table of auxiliary
 covariates (empty by default). Long-format CSV with header
 ``unit,time,outcome`` is the canonical input; :func:`load_panel` reads it
-in one pass, together with any extra columns requested as covariates.
+by whole columns, together with any extra columns requested as covariates.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import operator
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -235,13 +237,19 @@ class PanelBlocks:
     def t0(self):
         return self.x0.shape[1]
 
+    @cached_property
+    def control_svd(self):
+        """The :class:`ridge.ControlSVD` of the column-centred ``x0``, computed once."""
+        from .ridge import ControlSVD  # ridge imports this module
+        return ControlSVD.compute(self.x0 - self.x0.mean(axis=0))
+
     @property
     def n_post(self):
         return self.y0_post.shape[1]
 
 
 def load_panel(source, treated_label, treatment_time, covariates=()):
-    """Read a long-format CSV into a validated :class:`PanelData`, in one pass.
+    """Read a long-format CSV into a validated :class:`PanelData`.
 
     ``source`` is a CSV path or file object whose header names ``unit``,
     ``time``, ``outcome`` and every column in ``covariates`` (matched
@@ -249,6 +257,7 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
     ``treatment_time`` is the first treated period: T0 counts the periods
     strictly before it. Every (unit, time) pair appears once, and each of its
     requested cells holds a number; docs/schemas.md ("Input") lists the errors.
+    After ``csv.reader`` the rows are checked and converted as whole columns.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", newline="") as fh:
@@ -257,6 +266,7 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         raise PanelFormatError(
             f"panel source must be a CSV path or file object, got {type(source).__name__}"
         )
+    source, lines = itertools.tee(source)  # lines: kept to name a short row's line
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -268,39 +278,55 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         if required.strip().lower() not in cols:
             raise PanelFormatError(f"input header must contain {required!r}; got {header}")
     picked = [cols[name.strip().lower()] for name in ("unit", "time", *names)]
-    pick = operator.itemgetter(*picked)
-    rows = {}  # (unit, time) -> the row's raw value cells, in file order
-    for row in reader:
-        if not "".join(row).strip():
-            continue
-        try:
-            unit, time_label, *cells = pick(row)
-        except IndexError:
-            raise PanelFormatError(
-                f"line {reader.line_num} has {len(row)} field(s); "
-                f"the requested columns need {max(picked) + 1}"
-            ) from None
-        key = (unit.strip(), time_label.strip())
-        if key in rows:
-            raise DuplicateCellError(
-                f"duplicate observation for unit {key[0]!r} at time {key[1]!r}"
-            )
-        rows[key] = cells
-
-    if not rows:
-        raise PanelFormatError("empty input: no observations found")
-    values = np.column_stack([_column(rows, raw, n) for raw, n in zip(zip(*rows.values()), names)])
-    units = list(dict.fromkeys(unit for unit, _ in rows))
-    if treated_label not in units:
-        raise UnknownUnitError(f"treated unit {treated_label!r} not found in data")
-    labels = list(dict.fromkeys(time_label for _, time_label in rows))
+    rows, failure = [], None
+    try:
+        rows.extend(reader)
+    except Exception as exc:  # raised once the rows read before it pass their checks
+        failure = exc
+    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))  # drop blank rows
+    need = max(picked) + 1
+    end = next(itertools.compress(itertools.count(), map(need.__gt__, map(len, rows))), len(rows))
+    width = len(rows[end]) if end < len(rows) else None  # of the first short row
+    columns = list(zip(*map(operator.itemgetter(*picked), rows[:end]))) or [()] * len(picked)
+    del rows
+    unit_col, time_col = (list(map(str.strip, column)) for column in columns[:2])
+    units = list(dict.fromkeys(unit_col))
+    labels = list(dict.fromkeys(time_col))
     time_list = [label for _, label in sorted(zip(_time_keys(labels), labels))]
     unit_at = {unit: i for i, unit in enumerate(units)}
     time_at = {time_label: j for j, time_label in enumerate(time_list)}
-    row_of = np.full((len(units), len(time_list)), -1)  # file row of each cell
-    row_of[[unit_at[u] for u, _ in rows], [time_at[s] for _, s in rows]] = np.arange(len(rows))
-    if (row_of < 0).any():
-        i, j = np.argwhere(row_of < 0)[0]
+    n = len(unit_col)
+    cell = np.fromiter(map(unit_at.__getitem__, unit_col), np.intp, n) * len(time_list)
+    cell += np.fromiter(map(time_at.__getitem__, time_col), np.intp, n)
+    order = np.arange(n)
+    row_of = np.full((len(units), len(time_list)), n)  # first file row of each cell
+    np.minimum.at(row_of.reshape(-1), cell, order)
+    repeats = row_of.flat[cell] != order
+    if repeats.any():  # the first row that repeats a pair, as a row loop meets it
+        r = int(repeats.argmax())
+        raise DuplicateCellError(
+            f"duplicate observation for unit {unit_col[r]!r} at time {time_col[r]!r}"
+        )
+    if width is not None:  # read the lines again, to the short row (the header is row 0)
+        reader = csv.reader(lines)
+        ends = (reader.line_num for row in reader if "".join(row).strip())
+        raise PanelFormatError(
+            f"line {next(itertools.islice(ends, end + 1, None))} has {width} field(s); "
+            f"the requested columns need {need}"
+        )
+    del lines
+    if failure is not None:
+        raise failure
+
+    if not n:
+        raise PanelFormatError("empty input: no observations found")
+    values = np.column_stack(
+        [_column(unit_col, time_col, raw, name) for raw, name in zip(columns[2:], names)]
+    )
+    if treated_label not in units:
+        raise UnknownUnitError(f"treated unit {treated_label!r} not found in data")
+    if (row_of == n).any():
+        i, j = np.argwhere(row_of == n)[0]
         raise MissingCellError(units[i], time_list[j], "outcome")
 
     t0 = periods_preceding(time_list, treatment_time)
@@ -329,13 +355,13 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
     )
 
 
-def _column(rows, raw, name):
+def _column(unit_col, time_col, raw, name):
     """One column's raw cells, in file order, as floats; a blank cell raises
     MissingCellError and any other non-number PanelFormatError."""
     try:
         return np.array(raw, dtype=float)
     except ValueError:
-        for (unit, time_label), text in zip(rows, raw):
+        for unit, time_label, text in zip(unit_col, time_col, raw):
             if not text.strip():
                 raise MissingCellError(unit, time_label, name) from None
             try:

@@ -10,7 +10,8 @@ over sum(w) = 1. It is the only ridge adjustment in the package: ridge ASCM
 anchors it at the SCM weights, plain ridge regression of post on pre
 outcomes at uniform weights, and the covariate estimators apply it on a
 stacked or residualized design. All linear solves go through one shared
-SVD of the scaled control block, with singular values below 1e-10 of the
+SVD of the scaled, column-centred control block, computed once per design
+(``PanelBlocks.control_svd``), with singular values below 1e-10 of the
 largest treated as zero; the same decomposition powers the imbalance
 identities, the weight-norm bound, and the error-bound sketch. A
 leave-one-period-out fold only deletes one column of the design, so
@@ -260,7 +261,7 @@ def augment_path(anchor, blocks, lambdas):
     g = weight_values(anchor)
     lambdas = np.asarray(lambdas, dtype=float)
     _require_centered(blocks.x0, "augment_weights")
-    svd = ControlSVD.compute(blocks.x0)
+    svd = blocks.control_svd
     _require_invertible(svd, lambdas)
     rotated = svd.rotate(blocks.x1 - blocks.x0.T @ g)
     scale = np.sqrt(svd.n0) * svd.d[:, None] / (svd.n0 * svd.d[:, None] ** 2 + lambdas)

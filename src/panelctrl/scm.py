@@ -304,9 +304,9 @@ def solve_leave_one(design, full, zeta):
     A fold is solved alone by ``solve_scm``, started at ``full``, when it
     stops on a blocked just-added donor, is still live at ``ITERATION_CAP``
     or fails the gate (normalised, a projected-gradient residual above
-    ``KKT_TOL`` times its Hessian's largest diagonal entry, at least 1);
-    every fold is, when a stack is exactly singular. Returns the N0 x T0
-    solutions, column t for fold t.
+    ``KKT_TOL`` times its Hessian's largest diagonal entry, at least 1),
+    and when its own system in a round is exactly singular. Returns the
+    N0 x T0 solutions, column t for fold t.
     """
     means = design.x0.mean(axis=0)
     c, c1 = design.x0 - means, design.x1 - means
@@ -346,17 +346,21 @@ def solve_leave_one(design, full, zeta):
         hess = 2.0 * (cu @ cu.T - np.einsum("it,jt->tij", cu[:, folds], cu[:, folds]))
         hess[:, range(union.size), range(union.size)] += 2.0 * zetas[folds, None]
         kkt, rhs = _bordered(hess, -grad[np.ix_(union, folds)].T, gs, mask)
+        solved = np.ones(folds.size, dtype=bool)
         try:
-            z = gs + np.linalg.solve(kkt, rhs[..., None])[:, :-1, 0]
-        except np.linalg.LinAlgError:  # an exactly singular fold: solve every fold alone
-            fallback[:] = True
-            break
+            step = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # solve the systems that are not exactly singular
+            solved = np.linalg.slogdet(kkt)[0] != 0.0  # the same LU as solve's
+            step = np.zeros(rhs.shape)
+            step[solved] = np.linalg.solve(kkt[solved], rhs[solved, :, None])[..., 0]
+        z = gs + step[:, :-1]
         rounds += 1
         blocked = mask & (z <= 0.0)
         stationary[folds] = ~blocked.any(axis=1)
-        # a blocked just-added donor is round-off, which stops solve_scm; the
-        # batch's round-off differs, so such a fold is left to solve_scm
-        moves = ~np.any(blocked & (gs == 0.0), axis=1)
+        # a singular fold is left to solve_scm, and so is a blocked just-added
+        # donor: it is round-off, which stops solve_scm, and the batch's
+        # round-off differs
+        moves = solved & ~np.any(blocked & (gs == 0.0), axis=1)
         live[folds[~moves]] = False
         fallback[folds[~moves]] = True
         # step towards z until the first weight reaches zero; drop every

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, TreatmentTimeError
 from .estimators import EstimatorSpec, fold_predictions
 from .panel import PanelData, periods_preceding, readonly_array
-from .ridge import ControlSVD
 
 __all__ = [
     "CvResult",
@@ -68,7 +67,7 @@ def default_lambda_grid(blocks, size=20):
     Spans 1e-3 s to 1e3 s with s the squared top singular value of the
     scaled control block, descending.
     """
-    svd = ControlSVD.compute(blocks.x0 - blocks.x0.mean(axis=0))
+    svd = blocks.control_svd
     if svd.rank == 0:
         raise ConfigError("control block is identically zero; no sensible grid")
     s = float(svd.d[0] ** 2)

@@ -6,18 +6,35 @@ projected gradient descent on the sum-to-one affine set, dense
 normal-equation solves, rational-arithmetic solves, and from-scratch refit
 loops. The one exception is the jackknife+ rebuild, which checks the fold
 bookkeeping rather than the estimator and so fits each fold with the
-library's ``estimate_on_blocks``.
+library's ``estimate_on_blocks``. The row-at-a-time CSV reader checks the
+library's whole-column reader and shares with it only the time ordering and
+``PanelData``'s validation.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
 
+from panelctrl.errors import (
+    DuplicateCellError,
+    MissingCellError,
+    PanelFormatError,
+    TreatmentTimeError,
+    UnknownUnitError,
+)
 from panelctrl.estimators import estimate_on_blocks
-from panelctrl.panel import PanelBlocks, split_and_center
+from panelctrl.panel import (
+    PanelBlocks,
+    PanelData,
+    _time_keys,
+    periods_preceding,
+    split_and_center,
+)
 
 
 def scm_objective(blocks, w, zeta):
@@ -268,3 +285,95 @@ def jackknife_plus_rebuild(p, alpha, spec, post_period, cov=None):
     k_lo = min(max(int(np.floor(alpha / 2.0 * (t0 + 1))), 1), t0)
     k_hi = min(max(int(np.ceil((1.0 - alpha / 2.0) * (t0 + 1))), 1), t0)
     return float(np.sort(lows)[k_lo - 1]), float(np.sort(highs)[k_hi - 1])
+
+
+def load_panel_by_rows(source, treated_label, treatment_time, covariates=()):
+    """``load_panel`` on a file object, one row at a time.
+
+    Each row is tested for blankness and length, its labels stripped and its
+    (unit, time) pair checked against the pairs before it as it is read, so
+    the first offending row raises, naming ``reader.line_num``. The same
+    errors, in the same order, as docs/schemas.md ("Input") lists.
+    """
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelFormatError("empty input: no header row") from None
+    cols = {name.strip().lower(): i for i, name in enumerate(header)}
+    names = ("outcome", *covariates)
+    for required in ("unit", "time", *names):
+        if required.strip().lower() not in cols:
+            raise PanelFormatError(f"input header must contain {required!r}; got {header}")
+    picked = [cols[name.strip().lower()] for name in ("unit", "time", *names)]
+    pick = operator.itemgetter(*picked)
+    rows = {}  # (unit, time) -> the row's raw value cells, in file order
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        try:
+            unit, time_label, *cells = pick(row)
+        except IndexError:
+            raise PanelFormatError(
+                f"line {reader.line_num} has {len(row)} field(s); "
+                f"the requested columns need {max(picked) + 1}"
+            ) from None
+        key = (unit.strip(), time_label.strip())
+        if key in rows:
+            raise DuplicateCellError(
+                f"duplicate observation for unit {key[0]!r} at time {key[1]!r}"
+            )
+        rows[key] = cells
+    if not rows:
+        raise PanelFormatError("empty input: no observations found")
+
+    columns = []
+    for raw, name in zip(zip(*rows.values()), names):
+        try:
+            columns.append(np.array(raw, dtype=float))
+        except ValueError:
+            for (unit, time_label), text in zip(rows, raw):
+                if not text.strip():
+                    raise MissingCellError(unit, time_label, name) from None
+                try:
+                    float(text)
+                except ValueError:
+                    raise PanelFormatError(
+                        f"non-numeric {name} {text!r} for unit {unit!r} at time {time_label!r}"
+                    ) from None
+            raise
+    units = list(dict.fromkeys(unit for unit, _ in rows))
+    if treated_label not in units:
+        raise UnknownUnitError(f"treated unit {treated_label!r} not found in data")
+    labels = list(dict.fromkeys(time_label for _, time_label in rows))
+    time_list = [label for _, label in sorted(zip(_time_keys(labels), labels))]
+    table = np.full((len(units), len(time_list), len(names)), np.inf)
+    for (unit, time_label), cells in zip(rows, zip(*columns)):
+        table[units.index(unit), time_list.index(time_label)] = cells
+    for i, unit in enumerate(units):
+        for j, time_label in enumerate(time_list):
+            if (unit, time_label) not in rows:
+                raise MissingCellError(unit, time_label, "outcome")
+
+    t0 = periods_preceding(time_list, treatment_time)
+    if t0 == 0:
+        raise TreatmentTimeError(
+            f"treatment time {treatment_time!r} is at or before the first period"
+        )
+    if t0 >= len(time_list):
+        raise TreatmentTimeError(
+            f"treatment time {treatment_time!r} is after the last observed period"
+        )
+    if t0 < 2:
+        raise TreatmentTimeError(
+            f"treatment time {treatment_time!r} leaves only {t0} pre period(s); need at least 2"
+        )
+    return PanelData(
+        outcomes=table[:, :, 0],
+        unit_ids=tuple(units),
+        time_ids=tuple(time_list),
+        treated_index=units.index(treated_label),
+        t0=t0,
+        covariates=table[:, :, 1:],
+        covariate_names=tuple(covariates),
+    )

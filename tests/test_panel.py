@@ -19,6 +19,7 @@ from panelctrl.panel import (
 )
 
 from conftest import make_panel
+from oracles import load_panel_by_rows
 
 
 def _csv(rows, header="unit,time,outcome"):
@@ -187,6 +188,116 @@ class TestLoadPanel:
         rows[2] = "a,3,1.0,n/a"
         with pytest.raises(PanelFormatError, match="non-numeric gdp 'n/a' for unit 'a' at time"):
             load_panel(_csv(rows, "unit,time,outcome,gdp"), "a", 3, ["gdp"])
+
+
+def _parity_case(rng):
+    """One small long CSV text and the arguments to read it with.
+
+    The rows are a full unit x time grid in random order, then mutated at
+    random: blank, whitespace-only, comma-only and quoted whitespace-and-
+    newline rows, short rows, duplicate and missing pairs, bad cells, quoted
+    commas and line breaks, padded labels, an upper-case header and extra
+    columns, so most texts are read and many raise.
+    """
+    pick = lambda options: options[rng.integers(len(options))]  # noqa: E731
+    units = [str(u) for u in rng.permutation(["a", "b", "10", "2", "x,y", "p\nq"])]
+    units = units[: rng.integers(2, 5)]
+    times = pick([["1", "2", "3", "4", "10"], ["2001", "2001.5", "2002", "2003"],
+                  ["q1", "q2", "q3", "q4"], ["1", "2", "q3", "q4"], ["1", "2", "1.0", "3"]])
+    times = times[: rng.integers(3, len(times) + 1)]
+    header = [str(h) for h in rng.permutation(
+        ["unit", "time", "outcome"] + [c for c in ("gdp", "note") if rng.random() < 0.5])]
+    covariates = ["gdp"] if rng.random() < (0.7 if "gdp" in header else 0.05) else []
+
+    def pad(label):
+        return pick(["", " ", "  "]) + label + pick(["", " "]) if rng.random() < 0.2 else label
+
+    def field(name, unit, time_label):
+        return {
+            "unit": pad(unit),
+            "time": pad(time_label),
+            "outcome": f"{rng.normal():.3f}",
+            "gdp": f"{rng.normal() * 10:.2f}",
+            "note": pick(["n", "one, two", "line\nbreak", ""]),
+        }[name]
+
+    rows = [[field(h, u, t) for h in header] for u in units for t in times]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    values = [header.index(h) for h in ("outcome", "gdp") if h in header]
+    for _ in range(rng.integers(0, 4)):
+        at = int(rng.integers(len(rows) + 1))
+        kind = rng.random()
+        if kind < 0.13 and rows:  # a short row: first, middle or last
+            row = rows[pick([0, len(rows) - 1, at % len(rows)])]
+            del row[max(1, rng.integers(len(row) + 1)) :]
+        elif kind < 0.26 and rows:  # a duplicate pair, before or after the other rows
+            rows.insert(at, list(rows[at % len(rows)]))
+        elif kind < 0.36 and rows:
+            del rows[at % len(rows)]
+        elif kind < 0.52 and rows:
+            row, col = rows[at % len(rows)], pick(values)
+            if col < len(row):
+                row[col] = pick(["", " ", "nan", "-inf", "1e999", "abc", "1_0"])
+        else:  # a blank row
+            rows.insert(at, list(pick([[], ["  "], ["", "", ""], [" ", " ", ""], [" \n "], ["\t"]])))
+    header = [h.upper() if rng.random() < 0.2 else h for h in header]
+    if rng.random() < 0.03:
+        header[int(rng.integers(len(header)))] = "outcme"
+
+    def line(row):
+        return ",".join(
+            '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\n') or rng.random() < 0.1
+            else f
+            for f in row
+        )
+
+    eol = pick(["\n", "\r\n"])
+    text = eol.join(map(line, [header, *rows])) + pick([eol, ""])
+    treated = pick([*units * 3, "zz"])
+    treatment_time = pick([times[len(times) // 2]] * 4 + [times[-1], times[0], "99", "q9"])
+    return text, pick(["\n", ""]), treated, treatment_time, covariates
+
+
+def _read_outcome(read, text, newline, *args):
+    try:
+        p = read(io.StringIO(text, newline=newline), *args)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return (p.outcomes.shape, p.outcomes.tobytes(), p.covariates.shape, p.covariates.tobytes(),
+            p.unit_ids, p.time_ids, p.treated_index, p.t0, p.covariate_names)
+
+
+def test_reader_matches_the_row_at_a_time_oracle():
+    """On 1,000 generated texts ``load_panel`` returns the same PanelData bytes
+    as the row-at-a-time reader, or raises the same class and message."""
+    rng = np.random.default_rng(20150)
+    seen = {}
+    for _ in range(1000):
+        text, newline, *args = _parity_case(rng)
+        got = _read_outcome(load_panel, text, newline, *args)
+        assert got == _read_outcome(load_panel_by_rows, text, newline, *args), repr(text)
+        kind = got[0] if isinstance(got[0], type) else PanelData
+        seen[kind] = seen.get(kind, 0) + 1
+    # every outcome the reader can give is drawn often enough to matter
+    for kind in (PanelData, PanelFormatError, DuplicateCellError, MissingCellError,
+                 UnknownUnitError, TreatmentTimeError):
+        assert seen.get(kind, 0) >= 20, seen
+
+
+def test_short_row_line_counts_quoted_breaks():
+    # the blank row's one field spans lines 3-4; the short row ends on line 5
+    text = 'unit,time,outcome\na,1,1.0\n" \n "\na,2\nb,1,2.0\n'
+    with pytest.raises(PanelFormatError, match="line 5 has 2 field"):
+        load_panel(io.StringIO(text), "a", 2)
+
+
+def test_first_offending_row_decides():
+    dup_first = ["a,1,1.0", "a,1,1.5", "a,2", "b,1,2.0"]
+    with pytest.raises(DuplicateCellError, match="unit 'a' at time '1'"):
+        load_panel(_csv(dup_first), "a", 2)
+    short_first = ["a,1,1.0", "a,2", "a,1,1.5", "b,1,2.0"]
+    with pytest.raises(PanelFormatError, match="line 3 has 2 field"):
+        load_panel(_csv(short_first), "a", 2)
 
 
 class TestPeriodsPreceding:

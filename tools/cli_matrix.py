@@ -9,10 +9,12 @@ generated panels into OUT, one directory per case, plus ``exit_codes.json``
 The matrix covers every ``estimate`` method with each inference mode, the
 covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log``, plus cells that must fail (an infinite penalty, a NaN
-``--alpha``, zero replications, a ragged CSV row, a ``nan`` or ``inf``
-covariate cell, a ``-inf`` outcome cell, and ``simulate`` designs no
-replication can draw) so their exit codes are
-compared too. Run mode then parses every ``manifest.json`` as strict JSON and
+``--alpha``, zero replications, ``simulate`` designs no replication can
+draw, and a CSV for every input error of docs/schemas.md) so their exit
+codes are compared too, and two CSVs that must read like the original
+(blank rows, a quoted unit label with a comma). A case's ``error: ...``
+lines go to its ``stderr.txt``, so compare mode compares the messages as
+well. Run mode then parses every ``manifest.json`` as strict JSON and
 exits 1 if any holds ``NaN`` or ``Infinity``. Compare mode reads two such
 directories, made for instance from two checkouts, and prints for every file
 whether it is byte-identical and otherwise its largest relative numeric
@@ -26,7 +28,9 @@ It exits 0 when every file and exit code is identical, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -58,23 +62,41 @@ def write_panel(path, n_units, n_periods, seed):
 
 
 def write_bad_panels(path):
-    """Copies of the panel CSV at ``path`` with one broken row (its fifth,
-    a pre-period row of the treated unit): cut short after the time cell
-    ("ragged"), with a ``nan`` or an ``inf`` gdp cell ("nan-gdp", "inf-gdp")
-    or with a ``-inf`` outcome cell ("inf-outcome"). Returns {name: path}."""
+    """Variants of the panel CSV at ``path``. Most break its fifth row, a
+    pre-period row of the treated unit: cut short after the time cell
+    ("ragged"), with a ``nan`` or an ``inf`` gdp cell ("nan-gdp", "inf-gdp"),
+    a ``-inf`` or blank outcome cell ("inf-outcome", "blank-outcome"), written
+    twice ("duplicate") or left out ("missing"). "text-gdp-post" has an
+    ``n/a`` gdp cell in a post-period row of the treated unit and "no-outcome"
+    a header without ``outcome``. Two must read like the original: "blank-rows"
+    adds a blank, a whitespace-only and a comma-only row around the fifth, and
+    "comma-unit" renames donor u3 to the quoted label "u3, x".
+    Returns {name: path}."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    broken = {
-        "ragged": rows[5][:2],
-        "nan-gdp": [*rows[5][:3], "nan"],
-        "inf-gdp": [*rows[5][:3], "inf"],
-        "inf-outcome": [*rows[5][:2], "-inf", rows[5][3]],
+        header, *rows = csv.reader(fh)
+    row, post = rows[4], rows[11]  # u0 at times 5 and 12
+
+    def replacing(i, *new):
+        return [header, *rows[:i], *new, *rows[i + 1 :]]
+
+    variants = {
+        "ragged": replacing(4, row[:2]),
+        "nan-gdp": replacing(4, [*row[:3], "nan"]),
+        "inf-gdp": replacing(4, [*row[:3], "inf"]),
+        "inf-outcome": replacing(4, [*row[:2], "-inf", row[3]]),
+        "blank-outcome": replacing(4, [*row[:2], "", row[3]]),
+        "duplicate": replacing(4, row, row),
+        "missing": replacing(4),
+        "text-gdp-post": replacing(11, [*post[:3], "n/a"]),
+        "no-outcome": [["unit", "time", "value", "gdp"], *rows],
+        "blank-rows": replacing(4, [], row, ["  ", " "], ["", "", "", ""]),
+        "comma-unit": [header, *([("u3, x" if r[0] == "u3" else r[0]), *r[1:]] for r in rows)],
     }
     paths = {}
-    for name, row in broken.items():
+    for name, lines in variants.items():
         paths[name] = os.path.join(os.path.dirname(path), f"{name}.csv")
         with open(paths[name], "w", newline="") as fh:
-            csv.writer(fh).writerows([*rows[:5], row, *rows[6:]])
+            csv.writer(fh).writerows(lines)
     return paths
 
 
@@ -129,8 +151,11 @@ def cases(inputs):
                         ("sigma-nan", ["--sigma-scale", "nan"]), ("t-eq-t0", ["--t0", "14"])):
         yield f"simulate-{tag}", [*small, "--reps", "2", "--lambda", "1", *design]
     data = ["--treated", "u0", "--treatment-time", "11", "--lambda", "1"]
-    yield "ragged-estimate", ["estimate", "--input", inputs["ragged"], *data]
-    yield "inf-outcome-estimate", ["estimate", "--input", inputs["inf-outcome"], *data]
+    for variant in ("ragged", "inf-outcome", "blank-outcome", "duplicate", "missing",
+                    "no-outcome", "blank-rows", "comma-unit"):
+        yield f"{variant}-estimate", ["estimate", "--input", inputs[variant], *data]
+    yield "text-gdp-post-estimate", ["estimate", "--input", inputs["text-gdp-post"], *data,
+                                     "--covariates", "gdp"]
     for bad in ("nan-gdp", "inf-gdp"):
         for mode in ("joint", "residualize"):
             yield f"{bad}-estimate-{mode}", ["estimate", "--input", inputs[bad], *data,
@@ -153,12 +178,19 @@ def run_matrix(out):
         if argv[0] == "simulate":
             os.makedirs(case_dir, exist_ok=True)
             argv += ["--rep-log", os.path.join(case_dir, "rep_log.csv")]
+        stderr = io.StringIO()
         try:
-            codes[name] = main(argv)
+            with contextlib.redirect_stderr(stderr):
+                codes[name] = main(argv)
         except Exception:  # an uncaught error exits the real CLI with 1
             print(f"{name}:", file=sys.stderr)
             traceback.print_exc()
             codes[name] = 1
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
+        if errors:
+            os.makedirs(case_dir, exist_ok=True)
+            with open(os.path.join(case_dir, "stderr.txt"), "w") as fh:
+                fh.write("\n".join(errors) + "\n")
     with open(os.path.join(out, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
