@@ -232,9 +232,9 @@ def _parity_case(rng):
             del row[max(1, rng.integers(len(row) + 1)) :]
         elif kind < 0.26 and rows:  # a duplicate pair, before or after the other rows
             rows.insert(at, list(rows[at % len(rows)]))
-        elif kind < 0.36 and rows:
+        elif kind < 0.36 and rows:  # a missing pair
             del rows[at % len(rows)]
-        elif kind < 0.52 and rows:
+        elif kind < 0.52 and rows:  # a bad cell
             row, col = rows[at % len(rows)], pick(values)
             if col < len(row):
                 row[col] = pick(["", " ", "nan", "-inf", "1e999", "abc", "1_0"])
