@@ -80,6 +80,23 @@ def _write_manifest(out_dir, command, config, seed=None):
         fh.write(text + "\n")
 
 
+def _run_config(args, entries):
+    """A manifest's ``config``: the panel arguments, ``zeta``, the method and
+    covariate arguments of a command that takes ``--method``, then the
+    command's own ``entries``."""
+    config = {
+        "input": os.path.basename(args.input),
+        "treated": args.treated,
+        "treatment_time": str(args.treatment_time),
+        "zeta": args.zeta,
+    }
+    if "method" in args:
+        config.update(
+            method=args.method, covariates=args.covariates, covariate_mode=args.covariate_mode
+        )
+    return {**config, **entries}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="panelctrl",
@@ -248,19 +265,10 @@ def _cmd_estimate(args):
     _write_manifest(
         args.out,
         "estimate",
-        {
-            "input": os.path.basename(args.input),
-            "treated": args.treated,
-            "treatment_time": str(args.treatment_time),
-            "method": spec.method,
-            "lambda": spec.lam,
-            "zeta": spec.zeta,
-            "covariates": args.covariates,
-            "covariate_mode": args.covariate_mode,
-            "inference": args.inference,
-            "alpha": args.alpha,
-            **cv_facts,
-        },
+        _run_config(
+            args,
+            {"lambda": spec.lam, "inference": args.inference, "alpha": args.alpha, **cv_facts},
+        ),
     )
     return 0
 
@@ -275,21 +283,17 @@ def _cmd_cv(args):
     _write_manifest(
         args.out,
         "cv",
-        {
-            "input": os.path.basename(args.input),
-            "treated": args.treated,
-            "treatment_time": str(args.treatment_time),
-            "method": args.method,
-            "zeta": args.zeta,
-            "covariates": args.covariates,
-            "covariate_mode": args.covariate_mode,
-            "mode": args.mode,
-            "rule": args.select,
-            "selected_lambda": selected,
-            "lambda_min": cv.lambda_min,
-            "lambda_1se": cv.lambda_1se,
-            "skipped_folds": list(cv.skipped),
-        },
+        _run_config(
+            args,
+            {
+                "mode": args.mode,
+                "rule": args.select,
+                "selected_lambda": selected,
+                "lambda_min": cv.lambda_min,
+                "lambda_1se": cv.lambda_1se,
+                "skipped_folds": list(cv.skipped),
+            },
+        ),
     )
     return 0
 
@@ -323,18 +327,7 @@ def _cmd_placebo(args):
     _write_manifest(
         args.out,
         "placebo",
-        {
-            "input": os.path.basename(args.input),
-            "treated": args.treated,
-            "treatment_time": str(args.treatment_time),
-            "method": args.method,
-            "lambda": lambdas,
-            "zeta": args.zeta,
-            "covariates": args.covariates,
-            "covariate_mode": args.covariate_mode,
-            "placebo_times": times,
-            **rule,
-        },
+        _run_config(args, {"lambda": lambdas, "placebo_times": times, **rule}),
     )
     return 0
 
@@ -443,14 +436,7 @@ def _cmd_diagnose(args):
     _write_manifest(
         args.out,
         "diagnose",
-        {
-            "input": os.path.basename(args.input),
-            "treated": args.treated,
-            "treatment_time": str(args.treatment_time),
-            "lambda": lam,
-            "zeta": args.zeta,
-            "all_pass": all(val <= thr for _, val, thr in checks),
-        },
+        _run_config(args, {"lambda": lam, "all_pass": all(val <= thr for _, val, thr in checks)}),
     )
     if not all(val <= thr for _, val, thr in checks):
         raise ConfigError("one or more identity checks failed; see identity_checks.csv")

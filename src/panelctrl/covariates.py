@@ -96,7 +96,7 @@ def standardize_to_outcomes(cov, blocks):
     """
     if cov.k == 0:
         return cov, np.zeros(0)
-    x_pool = float(np.std(blocks.x0 - blocks.x0.mean(axis=0)))
+    x_pool = float(np.std(blocks.x0))
     sds = cov.z0.std(axis=0)
     if np.any(sds == 0):
         idx = [cov.names[i] for i in np.nonzero(sds == 0)[0]]
@@ -121,7 +121,6 @@ def stacked_blocks(blocks, cov):
         x0=x0,
         y0_post=blocks.y0_post,
         y1_post=blocks.y1_post,
-        centering=np.zeros(x1.shape[0]),
     )
 
 
@@ -158,7 +157,6 @@ def residualize(blocks, cov):
         x0=blocks.x0 - cov.z0 @ projection,
         y0_post=blocks.y0_post,
         y1_post=blocks.y1_post,
-        centering=np.zeros(blocks.t0),
     )
 
 

@@ -131,7 +131,7 @@ class AnchorFit(NamedTuple):
 
 
 def design_and_anchor(blocks, spec, cov=None, start=None):
-    """The :class:`AnchorFit` of an estimator on (centered) blocks.
+    """The :class:`AnchorFit` of an estimator on blocks.
 
     For the ridge methods the weights are the anchor plus the ridge
     adjustment on the design at ``spec.lam``, which is not read here. When
@@ -165,7 +165,7 @@ def design_and_anchor(blocks, spec, cov=None, start=None):
 
 
 def weights_for_design(blocks, spec, cov=None, fit=None):
-    """Donor weights for the configured method on an arbitrary (centered) design.
+    """Donor weights for the configured method on an arbitrary design.
 
     The anchor of :func:`design_and_anchor`, plus for the two ridge
     methods the ridge adjustment at ``spec.lam``, which must be set.

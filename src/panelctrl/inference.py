@@ -89,19 +89,11 @@ def convert_target(interval, y1_post_value):
 
 def _augmented_design(blocks, tau0, post_period):
     """Append the tau0-adjusted post observation as one more design column."""
-    y0_col = blocks.y0_post[:, post_period]
-    shift = float(y0_col.mean())
-    y0c = y0_col - shift
-    y1_adj = blocks.y1_post[post_period] - tau0 - shift
-    x1 = np.concatenate([blocks.x1, [y1_adj]])
-    x0 = np.hstack([blocks.x0, y0c[:, None]])
-    x0 = x0 - x0.mean(axis=0)
     return PanelBlocks(
-        x1=x1,
-        x0=x0,
+        x1=np.append(blocks.x1, blocks.y1_post[post_period] - tau0),
+        x0=np.hstack([blocks.x0, blocks.y0_post[:, post_period, None]]),
         y0_post=blocks.y0_post,
         y1_post=blocks.y1_post,
-        centering=np.zeros(x1.shape[0]),
     )
 
 

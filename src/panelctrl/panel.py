@@ -71,7 +71,11 @@ def periods_preceding(time_ids, label):
     number when it is numeric. A non-numeric label on a numeric axis has no
     place in that ordering and raises :class:`TreatmentTimeError`.
     """
-    keys = _time_keys(time_ids)
+    return _preceding(_time_keys(time_ids), label)
+
+
+def _preceding(keys, label):
+    """:func:`periods_preceding` on the parsed keys of the time axis."""
     if isinstance(keys[0], str):
         key = str(label)
     else:
@@ -190,9 +194,11 @@ class PanelData:
 class PanelBlocks:
     """Treated/control pre/post blocks extracted from a panel.
 
-    ``x1`` and ``x0`` hold pre-period outcomes (optionally shifted by the
-    control column means recorded in ``centering``); the y blocks hold raw
-    post-period outcomes and are never centered.
+    ``x1`` and ``x0`` hold pre-period outcomes, always centred on the
+    donor column means: construction subtracts the means of the given
+    ``x0`` from both and adds them to ``centering``, so ``x0 + centering``
+    is the given ``x0`` plus the given ``centering`` (zero by default). The
+    y blocks hold raw post-period outcomes and are never centred.
     """
 
     x1: np.ndarray
@@ -202,32 +208,24 @@ class PanelBlocks:
     centering: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", readonly_array(self.x1))
-        object.__setattr__(self, "x0", readonly_array(self.x0))
-        object.__setattr__(self, "y0_post", readonly_array(self.y0_post))
-        object.__setattr__(self, "y1_post", readonly_array(self.y1_post))
-        centering = self.centering
-        if centering is None:
-            centering = np.zeros(self.x1.shape[0])
-        object.__setattr__(self, "centering", readonly_array(centering))
-        n0, t0 = self.x0.shape
         for name in ("x1", "x0", "y0_post", "y1_post"):
+            object.__setattr__(self, name, readonly_array(getattr(self, name)))
             if not np.all(np.isfinite(getattr(self, name))):
                 raise PanelFormatError(f"{name} contains non-finite values")
+        n0, t0 = self.x0.shape
+        centering = np.zeros(t0) if self.centering is None else self.centering
         if self.x1.shape != (t0,):
             raise PanelFormatError("x1 length must match x0 columns")
-        if self.centering.shape != (t0,):
+        if np.shape(centering) != (t0,):
             raise PanelFormatError("centering length must match x0 columns")
         if self.y0_post.shape[0] != n0:
             raise PanelFormatError("y0_post rows must match x0 rows")
         if self.y1_post.shape != (self.y0_post.shape[1],):
             raise PanelFormatError("y1_post length must match y0_post columns")
-        if np.any(self.centering != 0.0):
-            worst = np.abs(self.x0.mean(axis=0)).max()
-            if worst >= 1e-12:
-                raise PanelFormatError(
-                    f"centered x0 has column mean {worst:.3e} above 1e-12"
-                )
+        means = self.x0.mean(axis=0)
+        object.__setattr__(self, "x1", readonly_array(self.x1 - means))
+        object.__setattr__(self, "x0", readonly_array(self.x0 - means))
+        object.__setattr__(self, "centering", readonly_array(centering + means))
 
     @property
     def n_donors(self):
@@ -239,9 +237,9 @@ class PanelBlocks:
 
     @cached_property
     def control_svd(self):
-        """The :class:`ridge.ControlSVD` of the column-centred ``x0``, computed once."""
+        """The :class:`ridge.ControlSVD` of ``x0``, computed once."""
         from .ridge import ControlSVD  # ridge imports this module
-        return ControlSVD.compute(self.x0 - self.x0.mean(axis=0))
+        return ControlSVD.compute(self.x0)
 
     @property
     def n_post(self):
@@ -292,7 +290,8 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
     unit_col, time_col = (list(map(str.strip, column)) for column in columns[:2])
     units = list(dict.fromkeys(unit_col))
     labels = list(dict.fromkeys(time_col))
-    time_list = [label for _, label in sorted(zip(_time_keys(labels), labels))]
+    ordered = sorted(zip(_time_keys(labels), labels))  # each label parsed once
+    time_list = [label for _, label in ordered]
     unit_at = {unit: i for i, unit in enumerate(units)}
     time_at = {time_label: j for j, time_label in enumerate(time_list)}
     n = len(unit_col)
@@ -329,7 +328,7 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         i, j = np.argwhere(row_of == n)[0]
         raise MissingCellError(units[i], time_list[j], "outcome")
 
-    t0 = periods_preceding(time_list, treatment_time)
+    t0 = _preceding([key for key, _ in ordered], treatment_time)
     if t0 == 0:
         raise TreatmentTimeError(
             f"treatment time {treatment_time!r} is at or before the first period"
@@ -374,24 +373,15 @@ def _column(unit_col, time_col, raw, name):
 
 
 def split_and_center(p):
-    """Extract :class:`PanelBlocks`, shifting the pre blocks by control
-    column means.
-
-    Centering is required by the ridge paths; the shift is recorded so the
-    original scale can be reconstructed. Post-period outcomes are never
-    centered.
-    """
+    """The panel's :class:`PanelBlocks`; the pre blocks come out centred on
+    the donor column means, recorded in ``centering``."""
     donors = p.donor_indices
-    x1 = p.outcomes[p.treated_index, : p.t0].copy()
-    x0 = p.outcomes[donors, : p.t0].copy()
-    y1_post = p.outcomes[p.treated_index, p.t0 :].copy()
-    y0_post = p.outcomes[donors, p.t0 :].copy()
-    shift = x0.mean(axis=0)
-    x0 = x0 - shift
-    x1 = x1 - shift
-    # kill residual round-off so downstream mean checks are exact
-    x0 = x0 - x0.mean(axis=0)
-    return PanelBlocks(x1=x1, x0=x0, y0_post=y0_post, y1_post=y1_post, centering=shift)
+    return PanelBlocks(
+        x1=p.outcomes[p.treated_index, : p.t0],
+        x0=p.outcomes[donors, : p.t0],
+        y0_post=p.outcomes[donors, p.t0 :],
+        y1_post=p.outcomes[p.treated_index, p.t0 :],
+    )
 
 
 def demean_rows(blocks):
@@ -400,24 +390,20 @@ def demean_rows(blocks):
     Every outcome, pre and post, loses its unit's raw (uncentred) pre-period
     mean, so weighting the post blocks gives the weighted
     difference-in-differences effect (Y_1 - m_1) - sum_i g_i (Y_i - m_i).
-    The de-meaned pre columns are then centred over donors, so the default
-    dispersion penalty of an SCM fit to them does not move when a constant
-    is added to a period; with weights summing to one the centring leaves
-    every fit residual unchanged.
+    Like every design, the de-meaned pre columns are centred over donors, so
+    the default dispersion penalty of an SCM fit to them does not move when
+    a constant is added to a period; with weights summing to one the
+    centring leaves every fit residual unchanged.
     """
     x1 = blocks.x1 + blocks.centering
     x0 = blocks.x0 + blocks.centering
     m1 = x1.mean()
     m0 = x0.mean(axis=1)
-    x1 = x1 - m1
-    x0 = x0 - m0[:, None]
-    shift = x0.mean(axis=0)
     return PanelBlocks(
-        x1=x1 - shift,
-        x0=x0 - shift,
+        x1=x1 - m1,
+        x0=x0 - m0[:, None],
         y0_post=blocks.y0_post - m0[:, None],
         y1_post=blocks.y1_post - m1,
-        centering=np.zeros(blocks.t0),
     )
 
 
@@ -427,10 +413,10 @@ def period_folds(blocks, mode="leave-one"):
     ``mode`` "leave-one" keeps every other pre period; "leave-future" keeps
     only the periods before t, so each fold is a forecast (its first folds
     keep fewer than two periods and callers decide whether to skip them).
-    The kept pre columns are re-centred on their control means. The held-out
-    period becomes the fold's last post column: ``y0_post[:, -1]`` is
-    ``blocks.x0[:, t]`` and ``y1_post[-1]`` is ``blocks.x1[t]``, so an
-    estimate on the fold predicts it like any other post period.
+    The held-out period becomes the fold's last post column:
+    ``y0_post[:, -1]`` is ``blocks.x0[:, t]`` and ``y1_post[-1]`` is
+    ``blocks.x1[t]``, so an estimate on the fold predicts it like any other
+    post period.
     """
     if mode not in ("leave-one", "leave-future"):
         raise ConfigError(f"unknown fold mode {mode!r}")
@@ -442,12 +428,9 @@ def period_fold(blocks, t, mode):
     """The fold of :func:`period_folds` that holds out pre period ``t``."""
     periods = np.arange(blocks.t0)
     keep = np.delete(periods, t) if mode == "leave-one" else periods[:t]
-    x0 = blocks.x0[:, keep]
-    shift = x0.mean(axis=0)
     return PanelBlocks(
-        x1=blocks.x1[keep] - shift,
-        x0=x0 - shift,
+        x1=blocks.x1[keep],
+        x0=blocks.x0[:, keep],
         y0_post=np.hstack([blocks.y0_post, blocks.x0[:, t : t + 1]]),
         y1_post=np.append(blocks.y1_post, blocks.x1[t]),
-        centering=np.zeros(keep.size),
     )

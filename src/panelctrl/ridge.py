@@ -9,11 +9,13 @@ equivalently the minimizer of (1/(2 lam)) ||x1 - x0' w||^2 + (1/2)||w - g||^2
 over sum(w) = 1. It is the only ridge adjustment in the package: ridge ASCM
 anchors it at the SCM weights, plain ridge regression of post on pre
 outcomes at uniform weights, and the covariate estimators apply it on a
-stacked or residualized design. All linear solves go through one shared
-SVD of the scaled, column-centred control block, computed once per design
-(``PanelBlocks.control_svd``), with singular values below 1e-10 of the
-largest treated as zero; the same decomposition powers the imbalance
-identities, the weight-norm bound, and the error-bound sketch. A
+stacked or residualized design. The outcome model is a ridge regression
+with an intercept, so it needs donor-centred pre outcomes, which every
+:class:`panel.PanelBlocks` holds by construction. All linear solves go
+through one shared SVD of the scaled control block, computed once per
+design (``PanelBlocks.control_svd``), with singular values below 1e-10 of
+the largest treated as zero; the ridge fit, the imbalance identities, the
+weight-norm bound and the error-bound sketch read the same decomposition. A
 leave-one-period-out fold only deletes one column of the design, so
 :func:`fold_adjustments` gives every fold's adjustment from the one SVD
 of the full design by the bordered-inverse deletion identity, and the fold
@@ -197,46 +199,32 @@ def _exact_sum_to_one(values):
     return values
 
 
-def _require_centered(x0, where):
-    worst = float(np.abs(x0.mean(axis=0)).max(initial=0.0))
-    scale = 1.0 + float(np.abs(x0).max(initial=0.0))
-    if worst > 1e-8 * scale:
-        raise ConfigError(
-            f"{where} requires column-centered control outcomes "
-            f"(max |column mean| = {worst:.3e}); center the blocks first"
-        )
-
-
 def fit_ridge(blocks, lam, post_period=0):
     """Ridge regression of a control post-period outcome on pre outcomes.
 
     Minimizes 0.5 * sum (y_i - eta0 - x_i' eta)^2 subject to a penalty
     whose stationary point is eta = (x0'x0 + lam I)^{-1} x0' (y - ybar);
-    with centered pre outcomes the intercept is the control post mean.
-    At lam=0 the solve uses the rank-truncated pseudo-inverse; designs that
-    are rank-deficient beyond the deficiency induced by column centering
-    are rejected.
+    the pre outcomes of blocks are centred, so the intercept is the control
+    post mean. At lam=0 the solve uses the rank-truncated pseudo-inverse;
+    designs that are rank-deficient beyond the deficiency induced by column
+    centering are rejected.
     """
     if lam < 0:
         raise ConfigError("lambda must be nonnegative")
     if not 0 <= post_period < blocks.n_post:
         raise ConfigError(f"post_period {post_period} out of range")
     y = blocks.y0_post[:, post_period]
-    xbar = blocks.x0.mean(axis=0)
-    xc = blocks.x0 - xbar
     ybar = float(y.mean())
-    yc = y - ybar
-    svd = ControlSVD.compute(xc)
-    n0, t0 = xc.shape
+    svd = blocks.control_svd
+    n0, t0 = blocks.x0.shape
     if lam == 0.0 and svd.rank < min(n0 - 1, t0):
         raise SingularityError(
             f"normal equations are singular at lambda=0 (rank {svd.rank} < "
             f"{min(n0 - 1, t0)})"
         )
     scale = np.sqrt(n0) * svd.d / (n0 * svd.d**2 + lam)
-    coefs = svd.v @ (scale * (svd.u.T @ yc))
-    intercept = ybar - float(xbar @ coefs)
-    return RidgeFit(intercept=intercept, coefs=coefs, lam=float(lam))
+    coefs = svd.v @ (scale * (svd.u.T @ (y - ybar)))
+    return RidgeFit(intercept=ybar, coefs=coefs, lam=float(lam))
 
 
 def _require_invertible(svd, lambdas):
@@ -255,12 +243,10 @@ def augment_path(anchor, blocks, lambdas):
     Column l is anchor + x0 (x0'x0 + lam_l I)^{-1} r with r = x1 - x0'
     anchor, computed as sqrt(N0) U (d s V'r), s = 1 / (N0 d^2 + lam_l): an
     N0 x L matrix whose columns sum to one up to round-off. Requires
-    centered blocks and sum-constrained anchor weights; lam = 0 requires
-    full column rank.
+    sum-constrained anchor weights; lam = 0 requires full column rank.
     """
     g = weight_values(anchor)
     lambdas = np.asarray(lambdas, dtype=float)
-    _require_centered(blocks.x0, "augment_weights")
     svd = blocks.control_svd
     _require_invertible(svd, lambdas)
     rotated = svd.rotate(blocks.x1 - blocks.x0.T @ g)
@@ -357,7 +343,7 @@ def svd_imbalance(scm_w, blocks, lam):
     with factor one and the worst-case bound factor is taken at an
     effective zero smallest singular value.
     """
-    svd = ControlSVD.compute(blocks.x0)
+    svd = blocks.control_svd
     g = weight_values(scm_w)
     lam_scaled = lam / svd.n0
     aug = augment_weights(scm_w, blocks, lam)
@@ -384,7 +370,7 @@ def svd_imbalance(scm_w, blocks, lam):
 
 def weight_norm_bound(scm_w, blocks, lam):
     """L2 norm of the augmented weights and its deterministic bound."""
-    svd = ControlSVD.compute(blocks.x0)
+    svd = blocks.control_svd
     g = weight_values(scm_w)
     lam_scaled = lam / svd.n0
     aug = augment_weights(scm_w, blocks, lam)
@@ -477,7 +463,7 @@ def bound_sketch(scm_w, blocks, lambda_grid, sigma_grid):
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     if np.any(lambda_grid <= 0) or np.any(sigma_grid < 0):
         raise ConfigError("lambda grid must be positive and sigma grid nonnegative")
-    svd = ControlSVD.compute(blocks.x0)
+    svd = blocks.control_svd
     g = weight_values(scm_w)
     rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)
     scale = BOUND_FACTORS * BOUND_M**2 / np.sqrt(blocks.t0)

@@ -308,8 +308,7 @@ def solve_leave_one(design, full, zeta):
     and when its own system in a round is exactly singular. Returns the
     N0 x T0 solutions, column t for fold t.
     """
-    means = design.x0.mean(axis=0)
-    c, c1 = design.x0 - means, design.x1 - means
+    c, c1 = design.x0, design.x1
     n0, t0 = c.shape
     col_sq = np.sum(c**2, axis=0)
     if zeta is None:

@@ -15,20 +15,13 @@ settings.register_profile("reproducible", derandomize=True, deadline=None)
 settings.load_profile("reproducible")
 
 
-def make_blocks(rng, n0, t0, n_post=1, center=True, scale=1.0):
-    """Random centered blocks with donors drawn iid normal."""
+def make_blocks(rng, n0, t0, n_post=1, scale=1.0):
+    """Random blocks with donors drawn iid normal (centred on construction)."""
     x0 = rng.normal(size=(n0, t0)) * scale
     x1 = rng.normal(size=t0) * scale
     y0 = rng.normal(size=(n0, n_post)) * scale
     y1 = rng.normal(size=n_post) * scale
-    if center:
-        shift = x0.mean(axis=0)
-        x0 = x0 - shift
-        x0 = x0 - x0.mean(axis=0)
-        x1 = x1 - shift
-    else:
-        shift = np.zeros(t0)
-    return PanelBlocks(x1=x1, x0=x0, y0_post=y0, y1_post=y1, centering=shift)
+    return PanelBlocks(x1=x1, x0=x0, y0_post=y0, y1_post=y1)
 
 
 def raw_blocks(p):

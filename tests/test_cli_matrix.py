@@ -46,6 +46,19 @@ def test_reports_numeric_drift_new_keys_and_exit_codes(tmp_path, capsys):
     assert "only in B: ['config.zeta']" in out
 
 
+def test_reports_absolute_drift_and_ignores_round_off_values(tmp_path, capsys):
+    # a zero residual that moves by round-off has a relative difference of 1,
+    # which the max_rel(|v|>=1e-13) column leaves out
+    a = _tree(tmp_path / "a", {"case": 0}, {"case/checks.csv": "check,value\nc,0\nd,1000\n"})
+    b = _tree(tmp_path / "b", {"case": 0}, {"case/checks.csv": "check,value\nc,1e-16\nd,1000.5\n"})
+    assert cli_matrix.compare(a, b) == 1
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "checks.csv" in line]
+    fields = {key: value for key, _, value in (f.rpartition("=") for f in line.split()[2:])}
+    assert float(fields["max_abs"]) == 0.5
+    assert float(fields["max_rel(|v|>=1e-13)"]) == pytest.approx(0.5 / 1000.5, rel=1e-3)
+    assert float(fields["max_rel"]) == 1.0
+
+
 def test_manifests_must_be_strict_json(tmp_path, capsys):
     root = tmp_path / "run"
     for case, text in {"ok": '{"seed": null}', "inf": '{"lambda": Infinity}',

@@ -69,7 +69,6 @@ class TestJointSolve:
             x0=np.sqrt(2.0) * blocks.x0,
             y0_post=blocks.y0_post,
             y1_post=blocks.y1_post,
-            centering=np.zeros(blocks.t0),
         )
         w_two = solve_scm(doubled, zeta=1e-5)
         assert np.abs(w_dup.values - w_two.values).max() < 1e-6
@@ -108,7 +107,6 @@ class TestJointAugment:
         blocks = make_blocks(rng, n0, 3)
         blocks = type(blocks)(
             x1=x0.T @ g, x0=x0, y0_post=blocks.y0_post, y1_post=blocks.y1_post,
-            centering=np.zeros(3),
         )
         cov = CovariatePanel(z1=z0.T @ g, z0=z0)
         aug = augment_weights(DonorWeights(values=g), stacked_blocks(blocks, cov), 2.0)
@@ -155,7 +153,6 @@ class TestResidualize:
         blocks = make_blocks(rng, n0, 3)
         blocks = type(blocks)(
             x1=blocks.x1, x0=x0, y0_post=blocks.y0_post, y1_post=blocks.y1_post,
-            centering=np.zeros(3),
         )
         cov = CovariatePanel(z1=rng.normal(size=2), z0=z0)
         rp = residualize(blocks, cov)
@@ -170,7 +167,6 @@ class TestResidualize:
         blocks = make_blocks(rng, n0, 4)
         blocks = type(blocks)(
             x1=blocks.x1, x0=x0, y0_post=blocks.y0_post, y1_post=blocks.y1_post,
-            centering=np.zeros(4),
         )
         cov = CovariatePanel(z1=rng.normal(size=2), z0=z0)
         rp = residualize(blocks, cov)

@@ -412,7 +412,8 @@ class TestBatchedFoldAnchors:
 
     def test_exactly_singular_fold_is_solved_alone(self, caplog, monkeypatch):
         # donors 0 and 1 differ only in period 2, so with zeta = 0 fold 2's
-        # KKT matrix on the full support is singular. Scaled by 100, round-off
+        # KKT matrix on the full support is singular. Scaled by 100 and shifted
+        # by its column means before the blocks centre it once more, round-off
         # leaves fold 2 off stationary at the full solution, so it joins the
         # first stack, whose solve raises; the round's systems are then solved
         # one by one and only fold 2 goes to solve_scm. Fold 2's minimiser is
@@ -447,7 +448,7 @@ class TestBatchedFoldAnchors:
         # step, which takes a least-squares step instead
         assert stacks == [3, 2]
         passes = [r.getMessage() for r in caplog.records if "fold pass" in r.getMessage()]
-        assert passes == ["leave-one fold pass: 5 folds in 2 batched rounds, 1 fitted one by one"]
+        assert passes == ["leave-one fold pass: 5 folds in 3 batched rounds, 1 fitted one by one"]
         [(fold, start, _)] = solves
         assert start is full.values and fold.y1_post[-1] == blocks.x1[2]
         for t, fold in period_folds(blocks):

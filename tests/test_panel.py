@@ -1,7 +1,10 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelctrl.errors import (
     DuplicateCellError,
@@ -10,6 +13,8 @@ from panelctrl.errors import (
     TreatmentTimeError,
     UnknownUnitError,
 )
+from panelctrl.estimators import EstimatorSpec, estimate_on_blocks
+from panelctrl import panel
 from panelctrl.panel import (
     PanelBlocks,
     PanelData,
@@ -17,6 +22,7 @@ from panelctrl.panel import (
     periods_preceding,
     split_and_center,
 )
+from panelctrl.panel import parse_time_label as parse
 
 from conftest import make_panel
 from oracles import load_panel_by_rows
@@ -54,6 +60,16 @@ class TestLoadPanel:
         assert p.t0 == 89
         assert p.n_donors == 50
         assert p.n_periods == 105
+
+    def test_time_labels_parsed_at_most_twice(self, monkeypatch):
+        # once to sort and count the pre periods, once in PanelData's
+        # ordering check, plus the treatment time
+        calls = []
+        monkeypatch.setattr(panel, "parse_time_label", lambda v: calls.append(v) or parse(v))
+        times = list(range(1, 92))
+        p = load_panel(_grid_csv(["a", "b", "c"], times), "a", 80)
+        assert p.t0 == 79
+        assert len(calls) <= 2 * len(times) + 1
 
     def test_missing_cell_names_unit_and_time(self):
         rows = [
@@ -410,6 +426,34 @@ class TestSplitAndCenter:
         assert np.array_equal(full[:, p.t0 :], p.outcomes[:, p.t0 :])
         assert np.abs(full - p.outcomes).max() < 1e-14
 
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-2, 1e4),
+        shift=st.floats(0.0, 100.0),
+    )
+    def test_centring_is_an_invariant(self, seed, scale, shift):
+        # blocks are centred whatever the input, x0 + centering gives the
+        # input back, and a per-period shift of every unit moves no estimate
+        rng = np.random.default_rng(seed)
+        p = make_panel(rng, 8, 14, 10)
+        outcomes = scale * p.outcomes
+        shifted = outcomes + scale * shift * rng.uniform(-1.0, 1.0, size=p.n_periods)
+        atts = {}
+        for values in (outcomes, shifted):
+            blocks = split_and_center(replace(p, outcomes=values))
+            raw = values[p.donor_indices, : p.t0]
+            assert np.abs(blocks.x0.mean(axis=0)).max() <= 1e-12 * scale
+            assert np.abs(blocks.x0 + blocks.centering - raw).max() <= 1e-15 * np.abs(raw).max()
+            for spec in (
+                EstimatorSpec(method="scm"),
+                EstimatorSpec(method="ridge_ascm", lam=scale**2),
+                EstimatorSpec(method="demeaned"),
+            ):
+                atts.setdefault(spec.method, []).append(estimate_on_blocks(blocks, spec).att)
+        for a, b in atts.values():
+            assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(np.abs(a), np.abs(b)))
+
     def test_blocks_validation(self):
         with pytest.raises(PanelFormatError):
             PanelBlocks(
@@ -417,7 +461,7 @@ class TestSplitAndCenter:
                 x0=np.ones((4, 3)),
                 y0_post=np.ones((4, 1)),
                 y1_post=np.ones(1),
-                centering=np.ones(3),  # claims centered but means are 1.0
+                centering=np.ones(2),  # one entry per pre period
             )
 
     def test_blocks_reject_non_finite(self):

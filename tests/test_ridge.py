@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from panelctrl.errors import ConfigError, SingularityError
-from panelctrl.panel import PanelBlocks
+from panelctrl.panel import PanelBlocks, split_and_center
 from panelctrl.estimators import EstimatorSpec, estimate_on_blocks, weights_for_design
 from panelctrl.ridge import (
     ControlSVD,
@@ -16,9 +16,9 @@ from panelctrl.ridge import (
     verify_penalized_form,
     weight_norm_bound,
 )
-from panelctrl.scm import DonorWeights, imbalance, solve_scm
+from panelctrl.scm import DonorWeights, imbalance, kkt_residual, solve_scm
 
-from conftest import make_blocks
+from conftest import make_blocks, make_panel, raw_blocks
 from oracles import affine_qp_descent, dense_ridge_solve
 
 
@@ -137,11 +137,16 @@ class TestAugmentWeights:
         with pytest.raises(SingularityError):
             augment_weights(w, blocks, 0.0)
 
-    def test_uncentered_blocks_rejected(self, rng):
-        blocks = make_blocks(rng, 6, 4, center=False)
-        w = solve_scm(blocks)
-        with pytest.raises(ConfigError):
-            augment_weights(w, blocks, 1.0)
+    def test_uncentered_blocks_match_centred(self, rng):
+        # blocks built from raw arrays centre themselves, so the solver, its
+        # residual and the augmentation act on them as on split_and_center's
+        p = make_panel(rng, 7, 9, 6)
+        raw, blocks = raw_blocks(p), split_and_center(p)
+        w_raw, w = solve_scm(raw), solve_scm(blocks)
+        assert np.abs(w_raw.values - w.values).max() <= 1e-12
+        assert abs(kkt_residual(raw, w_raw) - kkt_residual(blocks, w)) <= 1e-12
+        aug_raw, aug = augment_weights(w_raw, raw, 1.0), augment_weights(w, blocks, 1.0)
+        assert np.abs(aug_raw.values - aug.values).max() <= 1e-12
 
 
 class TestRidgeWeights:

@@ -76,7 +76,6 @@ class TestLooCv:
         x1r = blocks.x1[:t] - shift
         fold = PanelBlocks(
             x1=x1r, x0=x0r, y0_post=blocks.y0_post, y1_post=blocks.y1_post,
-            centering=np.zeros(t),
         )
         from panelctrl.ridge import augment_weights
         from panelctrl.scm import solve_scm
@@ -143,7 +142,6 @@ def loo_cv_rebuild_future(blocks, lam):
         fold = PanelBlocks(
             x1=blocks.x1[:t] - shift, x0=x0r,
             y0_post=blocks.y0_post, y1_post=blocks.y1_post,
-            centering=np.zeros(t),
         )
         w = solve_scm(fold)
         aug = augment_weights(w, fold, lam)

@@ -17,8 +17,10 @@ lines go to its ``stderr.txt``, so compare mode compares the messages as
 well. Run mode then parses every ``manifest.json`` as strict JSON and
 exits 1 if any holds ``NaN`` or ``Infinity``. Compare mode reads two such
 directories, made for instance from two checkouts, and prints for every file
-whether it is byte-identical and otherwise its largest relative numeric
-difference::
+whether it is byte-identical and otherwise its largest absolute numeric
+difference, its largest relative one among values of magnitude at least
+1e-13 (smaller values are round-off, such as a check's zero residual, whose
+relative differences mean nothing) and its largest relative one overall::
 
     python tools/cli_matrix.py --compare A B
 
@@ -257,10 +259,17 @@ def _cells(path):
         return {(r, c): v for r, row in enumerate(csv.reader(fh)) for c, v in enumerate(row)}
 
 
+# values below this magnitude are round-off, left out of a file's max_rel(|v|>=...)
+SMALLEST_COMPARED = 1e-13
+
+
 def compare_files(a, b):
-    """(largest relative numeric difference, notes) of two differing files."""
+    """(largest absolute, largest relative among values of magnitude at least
+    SMALLEST_COMPARED, largest relative numeric difference, notes) of two
+    differing files."""
     cells_a, cells_b = _cells(a), _cells(b)
-    worst, notes = 0.0, []
+    worst_abs = worst_big = worst = 0.0
+    notes = []
     only_a, only_b = cells_a.keys() - cells_b.keys(), cells_b.keys() - cells_a.keys()
     if only_a or only_b:
         notes.append(
@@ -274,8 +283,13 @@ def compare_files(a, b):
         if na is None or nb is None or isinstance(va, bool) or isinstance(vb, bool):
             notes.append(f"{key}: {va!r} != {vb!r}")
         else:
-            worst = max(worst, _relative(na, nb))
-    return worst, notes
+            relative = _relative(na, nb)
+            worst = max(worst, relative)
+            if max(abs(na), abs(nb)) >= SMALLEST_COMPARED:
+                worst_big = max(worst_big, relative)
+            if relative:
+                worst_abs = max(worst_abs, abs(na - nb))
+    return worst_abs, worst_big, worst, notes
 
 
 def compare(a, b):
@@ -300,8 +314,10 @@ def compare(a, b):
                 print(f"same    {rel}")
                 continue
         same = False
-        worst, notes = compare_files(pa, pb)
-        print(f"DIFFERS {rel} max_rel={worst:.3g}" + "".join(f"\n          {n}" for n in notes))
+        worst_abs, worst_big, worst, notes = compare_files(pa, pb)
+        print(f"DIFFERS {rel} max_abs={worst_abs:.3g} "
+              f"max_rel(|v|>={SMALLEST_COMPARED:g})={worst_big:.3g} "
+              f"max_rel={worst:.3g}" + "".join(f"\n          {n}" for n in notes))
     print(f"{identical} of {len(files)} files byte-identical; "
           f"{len(codes_a)} cases, exit codes {'equal' if codes_a == codes_b else 'differ'}")
     return 0 if same else 1
