@@ -5,14 +5,14 @@ a treatment time splitting the columns into T0 pre-treatment periods and
 T - T0 post-treatment periods, plus an N x T x K table of auxiliary
 covariates (empty by default). Long-format CSV with header
 ``unit,time,outcome`` is the canonical input; :func:`load_panel` reads it
-by whole columns, together with any extra columns requested as covariates.
+in blocks of a few hundred csv rows into whole columns, together with any
+extra columns requested as covariates.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,6 +27,10 @@ from .errors import (
     TreatmentTimeError,
     UnknownUnitError,
 )
+
+# csv rows held at once by load_panel: a block's row lists are freed before
+# the next block is read, so they never build up into a garbage collection
+_BLOCK_ROWS = 256
 
 __all__ = [
     "PanelData",
@@ -255,7 +259,14 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
     ``treatment_time`` is the first treated period: T0 counts the periods
     strictly before it. Every (unit, time) pair appears once, and each of its
     requested cells holds a number; docs/schemas.md ("Input") lists the errors.
-    After ``csv.reader`` the rows are checked and converted as whole columns.
+
+    The source's lines are read into a list first. ``csv.reader`` then parses
+    them _BLOCK_ROWS rows at a time: each block loses its blank rows, stops at
+    the first short row and is transposed onto the requested columns, so no
+    row's list outlives its block. The columns are then checked and converted
+    whole. The errors and their order are those of a row-at-a-time reader: a
+    failure of the source or of ``csv`` is raised only after the rows read
+    before it pass the short-row and duplicate checks.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", newline="") as fh:
@@ -264,8 +275,13 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         raise PanelFormatError(
             f"panel source must be a CSV path or file object, got {type(source).__name__}"
         )
-    source, lines = itertools.tee(source)  # lines: kept to name a short row's line
-    reader = csv.reader(source)
+    lines, rest = [], ()  # lines: kept to name a short row's line
+    source = iter(source)
+    try:
+        lines.extend(source)
+    except Exception as exc:  # the reader meets it after the lines read before it
+        rest = _raising(exc)
+    reader = csv.reader(itertools.chain(lines, rest))
     try:
         header = next(reader)
     except StopIteration:
@@ -276,17 +292,26 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         if required.strip().lower() not in cols:
             raise PanelFormatError(f"input header must contain {required!r}; got {header}")
     picked = [cols[name.strip().lower()] for name in ("unit", "time", *names)]
-    rows, failure = [], None
-    try:
-        rows.extend(reader)
-    except Exception as exc:  # raised once the rows read before it pass their checks
-        failure = exc
-    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))  # drop blank rows
     need = max(picked) + 1
-    end = next(itertools.compress(itertools.count(), map(need.__gt__, map(len, rows))), len(rows))
-    width = len(rows[end]) if end < len(rows) else None  # of the first short row
-    columns = list(zip(*map(operator.itemgetter(*picked), rows[:end]))) or [()] * len(picked)
-    del rows
+    columns = [[] for _ in picked]  # the picked cells of the rows before the first short row
+    short = failure = None
+    full = True
+    while full and short is None and failure is None:
+        block = []  # at most _BLOCK_ROWS rows are alive at once
+        try:
+            block.extend(itertools.islice(reader, _BLOCK_ROWS))
+        except Exception as exc:  # raised once the rows read before it pass their checks
+            failure = exc
+        full = len(block) == _BLOCK_ROWS
+        block = list(itertools.compress(block, map(str.strip, map("".join, block))))  # drop blank rows
+        end = next(itertools.compress(itertools.count(), map(need.__gt__, map(len, block))), None)
+        if end is not None:  # the first short row
+            short, width = len(columns[0]) + end, len(block[end])
+            del block[end:]
+        if block:
+            fields = list(zip(*block))
+            for column, i in zip(columns, picked):
+                column.extend(fields[i])
     unit_col, time_col = (list(map(str.strip, column)) for column in columns[:2])
     units = list(dict.fromkeys(unit_col))
     labels = list(dict.fromkeys(time_col))
@@ -306,14 +331,13 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         raise DuplicateCellError(
             f"duplicate observation for unit {unit_col[r]!r} at time {time_col[r]!r}"
         )
-    if width is not None:  # read the lines again, to the short row (the header is row 0)
+    if short is not None:  # parse the lines again, to the short row (the header is row 0)
         reader = csv.reader(lines)
         ends = (reader.line_num for row in reader if "".join(row).strip())
         raise PanelFormatError(
-            f"line {next(itertools.islice(ends, end + 1, None))} has {width} field(s); "
+            f"line {next(itertools.islice(ends, short + 1, None))} has {width} field(s); "
             f"the requested columns need {need}"
         )
-    del lines
     if failure is not None:
         raise failure
 
@@ -352,6 +376,12 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         covariates=table[:, :, 1:],
         covariate_names=tuple(covariates),
     )
+
+
+def _raising(exc):
+    """An iterator that raises ``exc`` when it is first advanced."""
+    raise exc
+    yield
 
 
 def _column(unit_col, time_col, raw, name):

@@ -26,7 +26,7 @@ from panelctrl.panel import PanelBlocks, PanelData, period_folds, split_and_cent
 from panelctrl.ridge import augment_path
 from panelctrl.scm import solve_leave_one, solve_scm
 
-from conftest import folds_off_the_full_support, make_panel, raw_blocks, record_scm_solves
+from conftest import folds_off_the_full_support, make_panel, record_scm_solves
 from oracles import (
     conformal_p_rebuild,
     exact_ridge_adjustment,
@@ -248,15 +248,14 @@ class TestJackknifePlusOnePass:
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
 
 
-# (units, periods, pre periods, centred blocks, fold mode, penalties); the
-# leave-one inputs of the ridge methods without joint covariates take the
-# one-SVD route of fold_predictions, the others fit fold by fold
+# (units, periods, pre periods, fold mode, penalties); the leave-one inputs
+# of the ridge methods without joint covariates take the one-SVD route of
+# fold_predictions, the others fit fold by fold
 FOLD_INPUTS = [
-    (8, 14, 10, True, "leave-one", [1e3, 2.0, 0.5, 1e-2]),
-    (16, 12, 8, True, "leave-one", [1e3, 2.0, 0.5, 1e-2]),  # wide: N0 > T0
-    (8, 14, 10, False, "leave-one", [1e3, 2.0, 0.5, 1e-2]),
-    (8, 14, 10, True, "leave-future", [1e3, 2.0, 0.5, 1e-2]),
-    (16, 12, 8, True, "leave-one", [2.0, 0.0]),  # full column rank at lambda 0
+    (8, 14, 10, "leave-one", [1e3, 2.0, 0.5, 1e-2]),
+    (16, 12, 8, "leave-one", [1e3, 2.0, 0.5, 1e-2]),  # wide: N0 > T0
+    (8, 14, 10, "leave-future", [1e3, 2.0, 0.5, 1e-2]),
+    (16, 12, 8, "leave-one", [2.0, 0.0]),  # full column rank at lambda 0
 ]
 
 
@@ -270,9 +269,9 @@ class TestFoldPredictions:
         # where the pass starts it
         spec = EstimatorSpec(method=method, covariate_mode=mode or "joint")
         ridge = spec.needs_lambda()
-        for n, t, t0, centred, fold_mode, penalties in FOLD_INPUTS:
+        for n, t, t0, fold_mode, penalties in FOLD_INPUTS:
             p = make_panel(rng, n, t, t0)
-            blocks = split_and_center(p) if centred else raw_blocks(p)
+            blocks = split_and_center(p)
             cov = None
             if mode is not None:
                 cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(n - 1, 2)))
@@ -368,10 +367,9 @@ class TestBatchedFoldAnchors:
         t0=st.integers(6, 12),
         n_post=st.integers(1, 2),
         zeta=st.sampled_from([None, 0.0, 1e-3, 0.5]),
-        centred=st.booleans(),
         case=st.sampled_from([("scm", None), ("ridge_ascm", None), ("ridge_ascm", "residualize")]),
     )
-    def test_every_fold_matches_its_cold_fit(self, seed, n0, t0, n_post, zeta, centred, case):
+    def test_every_fold_matches_its_cold_fit(self, seed, n0, t0, n_post, zeta, case):
         method, mode = case
         # an explicit zero penalty has a unique solution in every fold only
         # when the donors are affinely independent there
@@ -379,7 +377,7 @@ class TestBatchedFoldAnchors:
         assume(mode is None or n0 >= 3)
         rng = np.random.default_rng(seed)
         p = make_panel(rng, n0 + 1, t0 + n_post, t0)
-        blocks = split_and_center(p) if centred else raw_blocks(p)
+        blocks = split_and_center(p)
         cov = None
         if mode is not None:
             cov = CovariatePanel.from_raw(rng.normal(size=1), rng.normal(size=(n0, 1)))

@@ -1,3 +1,5 @@
+import csv
+import gc
 import io
 from dataclasses import replace
 
@@ -274,13 +276,34 @@ def _parity_case(rng):
     return text, pick(["\n", ""]), treated, treatment_time, covariates
 
 
-def _read_outcome(read, text, newline, *args):
+def _read_outcome(read, text, newline, *args, fail_after=None):
+    """What ``read`` makes of ``text``: the PanelData's parts, or the class and
+    message of what it raised. With ``fail_after`` the source raises OSError
+    once it has given that many lines."""
+    if fail_after is None:
+        source = io.StringIO(text, newline=newline)
+    else:
+        source = _FailingSource(text, newline=newline, lines=fail_after)
     try:
-        p = read(io.StringIO(text, newline=newline), *args)
+        p = read(source, *args)
     except Exception as exc:  # the class and message are compared
         return type(exc), str(exc)
     return (p.outcomes.shape, p.outcomes.tobytes(), p.covariates.shape, p.covariates.tobytes(),
             p.unit_ids, p.time_ids, p.treated_index, p.t0, p.covariate_names)
+
+
+class _FailingSource(io.StringIO):
+    """A text file whose line iteration raises OSError after ``lines`` lines."""
+
+    def __init__(self, text, newline, lines):
+        super().__init__(text, newline=newline)
+        self.left = lines
+
+    def __next__(self):
+        if not self.left:
+            raise OSError("read failed")
+        self.left -= 1
+        return super().__next__()
 
 
 def test_reader_matches_the_row_at_a_time_oracle():
@@ -314,6 +337,173 @@ def test_first_offending_row_decides():
     short_first = ["a,1,1.0", "a,2", "a,1,1.5", "b,1,2.0"]
     with pytest.raises(PanelFormatError, match="line 3 has 2 field"):
         load_panel(_csv(short_first), "a", 2)
+
+
+def _block_case(rng):
+    """A long CSV text of 300-2,000 rows whose offending rows sit before, at
+    and after the reader's block boundaries, the arguments to read it with,
+    and, for about half the texts, a number of lines after which the source
+    fails: within two lines of an offending row, so that row is read on
+    either side of the failure.
+
+    The rows are a full unit x time grid, unit by unit, then mutated near a
+    boundary: blank rows (among them a quoted field of spaces and line breaks
+    that spans several lines), duplicate and missing pairs, short rows, bad
+    cells and, rarely, a field over the csv size limit, which makes ``csv``
+    itself fail.
+    """
+    size = panel._BLOCK_ROWS
+    pick = lambda options: options[rng.integers(len(options))]  # noqa: E731
+    n_units = int(rng.integers(6, 41))
+    n_periods = int(rng.integers(-(-300 // n_units), 2000 // n_units + 1))
+    header = ["unit", "time", "outcome", "gdp"] if rng.random() < 0.5 else ["unit", "time", "outcome"]
+    covariates = ["gdp"] if len(header) == 4 and rng.random() < 0.7 else []
+    rows = [[f"u{i}", str(t), f"{rng.normal():.3f}", f"{rng.normal():.2f}"][: len(header)]
+            for i in range(n_units) for t in range(1, n_periods + 1)]
+
+    def near():  # a data row index within two rows of a block boundary
+        at = size * int(rng.integers(1, len(rows) // size + 1)) + int(rng.integers(-2, 3))
+        return min(max(at - 1, 0), len(rows) - 1)  # the header is the reader's row 0
+
+    offending = []
+    for _ in range(rng.integers(0, 4)):
+        at, kind = near(), rng.random()
+        if kind < 0.3:  # a blank row
+            row = list(pick([[], ["  "], ["", "", ""], [" \n \n "], [" \r\n  \n"]]))
+            rows.insert(at, row)
+        elif kind < 0.5:  # a duplicate pair, after the row it repeats
+            row = list(rows[int(rng.integers(at + 1))])
+            rows.insert(at, row)
+        elif kind < 0.65:  # a missing pair
+            del rows[at]
+            continue
+        elif len(rows[at]) < 3:  # already blank or short
+            continue
+        elif kind < 0.8:  # a short row
+            row = rows[at]
+            del row[int(rng.integers(1, 3)) :]
+        elif kind < 0.97:  # a bad cell
+            row = rows[at]
+            row[int(rng.integers(2, len(row)))] = pick(["", " ", "abc", "1_0", "nan", "inf"])
+        else:  # a field csv refuses
+            row = rows[at]
+            row[0] = "x" * (csv.field_size_limit() + 1)
+        offending.append(row)
+
+    def line(row):
+        return ",".join('"' + f + '"' if any(c in f for c in ',"\r\n') else f for f in row)
+
+    eol = pick(["\n", "\r\n"])
+    texts = [line(header), *map(line, rows)]
+    text = eol.join(texts) + eol
+    fail_after = None
+    if rng.random() < 0.5:  # the source fails within two lines of an offending row
+        marked = {id(row) for row in offending}
+        starts = [1 + sum(t.count("\n") + 1 for t in texts[: i + 1])
+                  for i, row in enumerate(rows) if id(row) in marked]
+        if starts:
+            fail_after = max(0, pick(starts) + int(rng.integers(-2, 2)))
+    treated = pick(["u0"] * 4 + [f"u{n_units - 1}", "zz"])
+    treatment_time = pick([str(n_periods // 2)] * 4 + [str(n_periods + 1), "1"])
+    return text, pick(["\n", ""]), fail_after, treated, treatment_time, covariates
+
+
+def test_reader_matches_the_oracle_across_block_boundaries():
+    """On 150 generated texts of 300-2,000 rows, with offending rows near the
+    block boundaries and sources that fail beside them, ``load_panel`` returns
+    the same PanelData bytes as the row-at-a-time reader, or raises the same
+    class and message."""
+    rng = np.random.default_rng(20170)
+    seen = {}
+    for _ in range(150):
+        text, newline, fail_after, *args = _block_case(rng)
+        got = _read_outcome(load_panel, text, newline, *args, fail_after=fail_after)
+        want = _read_outcome(load_panel_by_rows, text, newline, *args, fail_after=fail_after)
+        assert got == want, (fail_after, args)
+        kind = got[0] if isinstance(got[0], type) else PanelData
+        seen[kind] = seen.get(kind, 0) + 1
+    for kind in (PanelData, PanelFormatError, DuplicateCellError, MissingCellError, OSError):
+        assert seen.get(kind, 0) >= 10, seen
+    assert seen.get(csv.Error, 0) >= 1, seen
+
+
+def _long_rows(n_units=4, n_periods=100):
+    return [f"u{i},{t},{i + 0.01 * t}" for i in range(n_units) for t in range(1, n_periods + 1)]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "offence, fails_first, expected",
+    [
+        ("duplicate", False, (DuplicateCellError, "unit 'u0' at time '1'")),
+        ("duplicate", True, (OSError, "read failed")),
+        ("short", False, (PanelFormatError, "has 2 field")),
+        ("short", True, (OSError, "read failed")),
+        ("quoted short", False, (PanelFormatError, "has 2 field")),
+        ("quoted short", True, (OSError, "read failed")),
+    ],
+)
+def test_a_read_failure_is_raised_after_the_rows_before_it(offset, offence, fails_first, expected):
+    """The source fails on a block boundary with an offending row on one side
+    of it: the earlier of the two in file order is raised, as the oracle does.
+    A short row whose quoted field the failure cuts is never read."""
+    rows = _long_rows()
+    at = panel._BLOCK_ROWS + offset  # the data row index of the offending row
+    row = {"duplicate": "u0,1,5.0", "short": "u0,999", "quoted short": 'u0,"99\n9"'}[offence]
+    rows.insert(at, row)
+    text = "unit,time,outcome\n" + "\n".join(rows) + "\n"
+    first_line = at + 2  # the header is line 1
+    fail_after = first_line - 1 if fails_first else first_line + row.count("\n")
+    if offence == "quoted short" and fails_first:
+        fail_after = first_line  # inside the quoted field
+    got = _read_outcome(load_panel, text, "", "u0", 50, fail_after=fail_after)
+    assert got == _read_outcome(load_panel_by_rows, text, "", "u0", 50, fail_after=fail_after)
+    error, message = expected
+    assert got[0] is error and message in got[1], got
+
+
+def test_a_csv_failure_is_raised_after_the_rows_before_it():
+    rows = _long_rows()
+    huge = "x" * (csv.field_size_limit() + 1)
+    at = panel._BLOCK_ROWS
+    for offending, error in ((["u0,1,5.0", f"{huge},1,1"], DuplicateCellError),
+                             ([f"{huge},1,1", "u0,1"], csv.Error)):
+        text = "unit,time,outcome\n" + "\n".join([*rows[:at], *offending, *rows[at:]]) + "\n"
+        with pytest.raises(error):
+            load_panel(io.StringIO(text), "u0", 50)
+
+
+def test_short_row_after_a_multi_line_blank_row_on_a_boundary():
+    # the blank row is the last of the first block and spans lines 257-259
+    rows = _long_rows()
+    rows[panel._BLOCK_ROWS - 1 : panel._BLOCK_ROWS - 1] = ['" \n \n "', "u0,500"]
+    text = "unit,time,outcome\n" + "\n".join(rows) + "\n"
+    with pytest.raises(PanelFormatError, match=r"^line 260 has 2 field"):
+        load_panel(io.StringIO(text), "u0", 50)
+
+
+def test_reading_holds_few_rows_at_once():
+    """csv rows are freed block by block, so even at a young-generation
+    threshold of 1,000 objects a 20,000-row read starts no collection."""
+    text = "unit,time,outcome\n" + "".join(
+        f"u{i},{t},{i + 0.001 * t}\n" for i in range(200) for t in range(1, 101))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(1000)
+    gc.callbacks.append(count)
+    try:
+        p = load_panel(io.StringIO(text), "u0", 51)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+    assert p.outcomes.shape == (200, 100)
+    assert collections == []
 
 
 class TestPeriodsPreceding:

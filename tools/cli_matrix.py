@@ -12,9 +12,11 @@ covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
 ``--alpha``, zero replications, ``simulate`` designs no replication can
 draw, and a CSV for every input error of docs/schemas.md) so their exit
 codes are compared too, and two CSVs that must read like the original
-(blank rows, a quoted unit label with a comma). A case's ``error: ...``
-lines go to its ``stderr.txt``, so compare mode compares the messages as
-well. Run mode then parses every ``manifest.json`` as strict JSON and
+(blank rows, a quoted unit label with a comma). An 800-row panel repeats the
+ragged, duplicate and blank-row CSVs with the changed row past the reader's
+first blocks of rows, so line numbers are compared there too. A case's
+``error: ...`` lines go to its ``stderr.txt``, so compare mode compares the
+messages as well. Run mode then parses every ``manifest.json`` as strict JSON and
 exits 1 if any holds ``NaN`` or ``Infinity``. Compare mode reads two such
 directories, made for instance from two checkouts, and prints for every file
 whether it is byte-identical and otherwise its largest absolute numeric
@@ -41,6 +43,10 @@ import traceback
 
 # (name, n_units, n_periods, treatment_time, seed) of each generated panel
 PANELS = [("small", 8, 14, 11, 11), ("wide", 24, 18, 15, 12)]
+# an 800-row panel read only through its late variants, whose broken row
+# LATE_ROW lies past the reader's first blocks of a few hundred rows
+LONG_PANEL = ("long", 40, 20, 15, 13)
+LATE_ROW = 600
 METHODS = ("scm", "ridge", "ridge_ascm", "demeaned", "fixed_effects")
 RIDGE_METHODS = ("ridge", "ridge_ascm")
 
@@ -74,14 +80,13 @@ def write_bad_panels(path):
     adds a blank, a whitespace-only and a comma-only row around the fifth, and
     "comma-unit" renames donor u3 to the quoted label "u3, x".
     Returns {name: path}."""
-    with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
+    header, rows = _read_rows(path)
     row, post = rows[4], rows[11]  # u0 at times 5 and 12
 
     def replacing(i, *new):
         return [header, *rows[:i], *new, *rows[i + 1 :]]
 
-    variants = {
+    return _write_variants(path, {
         "ragged": replacing(4, row[:2]),
         "nan-gdp": replacing(4, [*row[:3], "nan"]),
         "inf-gdp": replacing(4, [*row[:3], "inf"]),
@@ -93,7 +98,36 @@ def write_bad_panels(path):
         "no-outcome": [["unit", "time", "value", "gdp"], *rows],
         "blank-rows": replacing(4, [], row, ["  ", " "], ["", "", "", ""]),
         "comma-unit": [header, *([("u3, x" if r[0] == "u3" else r[0]), *r[1:]] for r in rows)],
-    }
+    })
+
+
+def write_late_panels(path):
+    """Variants of the long panel CSV at ``path`` that change its row
+    LATE_ROW as "ragged", "duplicate" and "blank-rows" change the fifth, so
+    their errors and line numbers come from a row past the reader's first
+    blocks: "long-ragged", "long-duplicate" and "long-blank-rows", which must
+    read like the original. Returns {name: path}."""
+    header, rows = _read_rows(path)
+    row = rows[LATE_ROW]
+
+    def replacing(*new):
+        return [header, *rows[:LATE_ROW], *new, *rows[LATE_ROW + 1 :]]
+
+    return _write_variants(path, {
+        "long-ragged": replacing(row[:2]),
+        "long-duplicate": replacing(row, row),
+        "long-blank-rows": replacing([], row, ["  ", " "], ["", "", "", ""]),
+    })
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def _write_variants(path, variants):
+    """Write each {name: rows} beside ``path`` as name.csv; {name: path}."""
     paths = {}
     for name, lines in variants.items():
         paths[name] = os.path.join(os.path.dirname(path), f"{name}.csv")
@@ -162,6 +196,9 @@ def cases(inputs):
         for mode in ("joint", "residualize"):
             yield f"{bad}-estimate-{mode}", ["estimate", "--input", inputs[bad], *data,
                                              "--covariates", "gdp", "--covariate-mode", mode]
+    late = ["--treated", "u0", "--treatment-time", str(LONG_PANEL[3]), "--lambda", "1"]
+    for variant in ("long-ragged", "long-duplicate", "long-blank-rows"):
+        yield f"{variant}-estimate", ["estimate", "--input", inputs[variant], *late]
 
 
 def run_matrix(out):
@@ -169,10 +206,11 @@ def run_matrix(out):
 
     os.makedirs(os.path.join(out, "inputs"), exist_ok=True)
     inputs = {}
-    for name, n_units, n_periods, _, seed in PANELS:
+    for name, n_units, n_periods, _, seed in [*PANELS, LONG_PANEL]:
         inputs[name] = os.path.join(out, "inputs", f"{name}.csv")
         write_panel(inputs[name], n_units, n_periods, seed)
     inputs.update(write_bad_panels(inputs["small"]))
+    inputs.update(write_late_panels(inputs["long"]))
     codes = {}
     for name, argv in cases(inputs):
         case_dir = os.path.join(out, name)
