@@ -275,7 +275,7 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         raise PanelFormatError(
             f"panel source must be a CSV path or file object, got {type(source).__name__}"
         )
-    lines, rest = [], ()  # lines: kept to name a short row's line
+    lines, rest = [], ()  # lines: parsed in blocks, and again to name a short row's line
     source = iter(source)
     try:
         lines.extend(source)
@@ -303,9 +303,10 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         except Exception as exc:  # raised once the rows read before it pass their checks
             failure = exc
         full = len(block) == _BLOCK_ROWS
-        block = list(itertools.compress(block, map(str.strip, map("".join, block))))  # drop blank rows
+        # drop blank rows, then cut the block at its first short row
+        block = list(itertools.compress(block, map(str.strip, map("".join, block))))
         end = next(itertools.compress(itertools.count(), map(need.__gt__, map(len, block))), None)
-        if end is not None:  # the first short row
+        if end is not None:
             short, width = len(columns[0]) + end, len(block[end])
             del block[end:]
         if block:

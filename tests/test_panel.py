@@ -356,7 +356,7 @@ def _block_case(rng):
     pick = lambda options: options[rng.integers(len(options))]  # noqa: E731
     n_units = int(rng.integers(6, 41))
     n_periods = int(rng.integers(-(-300 // n_units), 2000 // n_units + 1))
-    header = ["unit", "time", "outcome", "gdp"] if rng.random() < 0.5 else ["unit", "time", "outcome"]
+    header = ["unit", "time", "outcome", "gdp"][: 3 + (rng.random() < 0.5)]
     covariates = ["gdp"] if len(header) == 4 and rng.random() < 0.7 else []
     rows = [[f"u{i}", str(t), f"{rng.normal():.3f}", f"{rng.normal():.2f}"][: len(header)]
             for i in range(n_units) for t in range(1, n_periods + 1)]

@@ -16,8 +16,8 @@ codes are compared too, and two CSVs that must read like the original
 ragged, duplicate and blank-row CSVs with the changed row past the reader's
 first blocks of rows, so line numbers are compared there too. A case's
 ``error: ...`` lines go to its ``stderr.txt``, so compare mode compares the
-messages as well. Run mode then parses every ``manifest.json`` as strict JSON and
-exits 1 if any holds ``NaN`` or ``Infinity``. Compare mode reads two such
+messages as well. Run mode then parses every ``manifest.json`` as strict
+JSON and exits 1 if any holds ``NaN`` or ``Infinity``. Compare mode reads two such
 directories, made for instance from two checkouts, and prints for every file
 whether it is byte-identical and otherwise its largest absolute numeric
 difference, its largest relative one among values of magnitude at least
