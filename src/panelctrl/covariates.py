@@ -38,25 +38,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovariatePanel:
-    """Treated and control covariates, centered to control column means."""
+    """Treated and control covariates, always centred on the control column
+    means: construction subtracts the means of the given ``z0`` from both."""
 
     z1: np.ndarray
     z0: np.ndarray
     names: tuple = None
 
     def __post_init__(self):
-        z1, z0 = readonly_array(self.z1), readonly_array(self.z0)
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z0", z0)
+        z1, z0 = np.asarray(self.z1, dtype=float), np.asarray(self.z0, dtype=float)
         if z0.ndim != 2 or z1.shape != (z0.shape[1],):
             raise ConfigError("z1 must be a K-vector and z0 an N0 x K matrix")
-        if self.k > 0:
-            worst = float(np.abs(z0.mean(axis=0)).max())
-            scale = 1.0 + float(np.abs(z0).max(initial=0.0))
-            if worst > 1e-12 * max(1.0, scale):
-                raise ConfigError(
-                    f"z0 columns must be centered to control means (max |mean| {worst:.3e})"
-                )
+        means = z0.mean(axis=0) if z0.shape[1] else np.zeros(0)
+        object.__setattr__(self, "z1", readonly_array(z1 - means))
+        object.__setattr__(self, "z0", readonly_array(z0 - means))
         if self.names is None:
             object.__setattr__(
                 self, "names", tuple(f"z{i + 1}" for i in range(self.k))
@@ -76,15 +71,8 @@ class CovariatePanel:
 
     @classmethod
     def from_raw(cls, z1, z0, **kwargs):
-        """Center raw covariates by the control column means."""
-        z0 = np.asarray(z0, dtype=float)
-        z1 = np.asarray(z1, dtype=float)
-        if z0.ndim != 2:
-            raise ConfigError("z0 must be an N0 x K matrix")
-        means = z0.mean(axis=0) if z0.shape[1] else np.zeros(0)
-        z0c = z0 - means
-        z0c = z0c - z0c.mean(axis=0) if z0.shape[1] else z0c
-        return cls(z1=z1 - means, z0=z0c, **kwargs)
+        """Raw covariates, centred on construction like any others."""
+        return cls(z1=z1, z0=z0, **kwargs)
 
 
 def standardize_to_outcomes(cov, blocks):

@@ -57,7 +57,7 @@ from .ridge import (
     augment_weights,
     fold_adjustments,
 )
-from .scm import DonorWeights, solve_leave_one, solve_scm
+from .scm import DonorWeights, _solve_rejected, solve_leave_one, solve_scm
 
 logger = logging.getLogger(__name__)
 
@@ -235,6 +235,14 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
     treated outcome, the folds x L x (n_post + 1) counterfactuals (held-out
     period last) and the periods whose folds kept fewer than two periods.
     """
+    return _fold_predictions(blocks, spec, cov, lambdas, mode, fit)
+
+
+def _fold_predictions(blocks, spec, cov, lambdas, mode, fit, stacked=None):
+    """:func:`fold_predictions`, whose lockstep leave-one fold solve may have
+    run already in a stack of designs: ``stacked`` is then this design's
+    folds from :func:`scm._leave_one_stack`, their solutions and the mask of
+    those to solve alone."""
     if blocks.t0 < 3:
         raise ConfigError("leave-one-period-out folds need at least 3 pre periods")
     if spec.needs_lambda() and lambdas is None:
@@ -245,7 +253,8 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
         fit = design_and_anchor(blocks, spec, cov)
     joint = cov is not None and cov.k > 0 and spec.covariate_mode == "joint"
     if mode == "leave-one" and spec.method in ("scm", "ridge", "ridge_ascm") and not joint:
-        return blocks.x1.copy(), _column_subset_predictions(blocks, spec, cov, lambdas, fit), ()
+        predictions = _column_subset_predictions(blocks, spec, cov, lambdas, fit, stacked)
+        return blocks.x1.copy(), predictions, ()
     start = None if fit.scm is None else fit.scm.values
     truth, predictions, skipped = [], [], []
     for t, fold in period_folds(blocks, mode):
@@ -264,9 +273,10 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
     return np.array(truth), np.array(predictions), tuple(skipped)
 
 
-def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
+def _column_subset_predictions(blocks, spec, cov, lambdas, fit, stacked):
     """The leave-one fold predictions of a method whose fold designs are
-    column subsets of ``fit.design`` (see :func:`fold_predictions`)."""
+    column subsets of ``fit.design`` (see :func:`fold_predictions`), their
+    SCM solutions from ``stacked`` when given (see :func:`_fold_predictions`)."""
     design = fit.design
     svd = None
     if spec.needs_lambda():
@@ -278,10 +288,12 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
         logger.debug(
             "leave-one fold pass: %d folds in 0 batched rounds, 0 fitted one by one", blocks.t0
         )
-    else:
+    elif stacked is None:
         anchors = solve_leave_one(design, fit.scm, spec.zeta)
-        if cov is not None and cov.k > 0:  # residualized: shift every anchor
-            anchors = np.column_stack([balance_covariates(g, cov).values for g in anchors.T])
+    else:
+        anchors = _solve_rejected(design, fit.scm, spec.zeta, *stacked)
+    if fit.scm is not None and cov is not None and cov.k > 0:  # residualized: shift every anchor
+        anchors = np.column_stack([balance_covariates(g, cov).values for g in anchors.T])
     held_out = np.einsum("it,it->t", anchors, blocks.x0)
     base = np.hstack([anchors.T @ blocks.y0_post, held_out[:, None]])[:, None, :]
     if svd is None:

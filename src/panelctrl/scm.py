@@ -17,15 +17,20 @@ multiplier, and stops when none does. Optimal supports are small, so a
 solve costs a few small dense KKT systems; the result is checked against
 the unit-step projected-gradient KKT residual.
 
-Dropping one pre period from the design leaves the solution nearly
-unchanged. :func:`solve_leave_one` runs this active-set method for all
-leave-one-period-out folds at once, in lockstep from the full solution.
-Each fold's Hessian is the full one less a rank-one term, so each round
-is one stacked solve on the union of the live folds' working sets, a
-fold's rows outside its own set held at zero. A fold the batch cannot
-finish within the KKT gate of :func:`solve_scm`, which is rare, is solved
-alone. Both paths build their KKT systems with one helper and test the
-same residual.
+Many small problems of one shape cost little more in lockstep than one
+alone, so one private kernel runs this active-set method for M problems on
+each of R designs at once: problem (r, m) is design r with one pre period
+left out, or whole. Each problem keeps its own weights and working set; a
+round is one stacked solve, each design's problems on the union of their
+working sets, a problem's rows outside its own set held at zero. Leaving
+one period out subtracts a rank-one term from the design's Hessian, so one
+Gram per design serves all its problems. :func:`solve_leave_one` is the
+kernel on one design's leave-one-period-out folds, all started at the full
+solution; the Monte Carlo harness also runs it over a stack of
+replications' designs, cold from the best vertex, and over all their
+folds. A problem the kernel cannot finish within the KKT gate of
+:func:`solve_scm`, which is rare, is handed back and solved alone. Both
+paths build their KKT systems with one helper and test the same residual.
 """
 
 from __future__ import annotations
@@ -253,16 +258,17 @@ def _bordered(hess, neg_grad, gs, mask=None):
     minus-gradients). Donors outside ``mask`` (m x k, default none) are held
     at zero: identity rows with a zero border and right-hand side."""
     k = gs.shape[-1]
+    if mask is not None:
+        hess = np.where(mask[..., None] & mask[..., None, :], hess, np.eye(k))
+        neg_grad = np.where(mask, neg_grad, 0.0)
     kkt = np.ones(hess.shape[:-2] + (k + 1, k + 1))
     kkt[..., :k, :k] = hess
     kkt[..., k, k] = 0.0
+    if mask is not None:
+        kkt[..., :k, k] = kkt[..., k, :k] = mask
     rhs = np.empty(neg_grad.shape[:-1] + (k + 1,))
     rhs[..., :k] = neg_grad
     rhs[..., k] = 1.0 - gs.sum(axis=-1)
-    if mask is not None:
-        kkt[..., :k, :k] = np.where(mask[..., None] & mask[..., None, :], hess, np.eye(k))
-        kkt[..., :k, k] = kkt[..., k, :k] = mask
-        rhs[..., :k] = np.where(mask, neg_grad, 0.0)
     return kkt, rhs
 
 
@@ -296,55 +302,153 @@ def solve_leave_one(design, full, zeta):
     column-centred design C without column t. Its Hessian is 2(C C' -
     c_t c_t' + zeta_t I), zeta_t being ``zeta`` or the default
     ``ZETA_SCALE`` (||C||_F^2 - ||c_t||^2) / N0, and its gradient is formed
-    from the fit gap with entry t zeroed. Every fold starts at ``full`` and
-    keeps its own weights and working set under ``solve_scm``'s rules. The
-    live folds move in lockstep: a round is one stacked solve on the union
-    U of their working sets, each fold's rows of U outside its own set held
-    at zero, so round 1 is every fold's step on the support of ``full``.
-    A fold is solved alone by ``solve_scm``, started at ``full``, when it
-    stops on a blocked just-added donor, is still live at ``ITERATION_CAP``
-    or fails the gate (normalised, a projected-gradient residual above
-    ``KKT_TOL`` times its Hessian's largest diagonal entry, at least 1),
-    and when its own system in a round is exactly singular. Returns the
-    N0 x T0 solutions, column t for fold t.
+    from the fit gap with entry t zeroed. Every fold starts at ``full``, and
+    the folds move in lockstep (:func:`_lockstep` on one design), so round 1
+    is every fold's step on the support of ``full``. A fold that the
+    lockstep pass hands back is solved alone by ``solve_scm``, started at
+    ``full``. Returns the N0 x T0 solutions, column t for fold t.
     """
-    c, c1 = design.x0, design.x1
-    n0, t0 = c.shape
-    col_sq = np.sum(c**2, axis=0)
-    if zeta is None:
-        zetas = ZETA_SCALE * (col_sq.sum() - col_sq) / n0
-    else:
-        zetas = np.full(t0, _zeta(design, zeta))
+    t0 = design.t0
+    zeta = None if zeta is None else _zeta(design, zeta)
     g = np.repeat(full.values[:, None], t0, axis=1)
+    g, rejected = _lockstep(
+        design.x0[None], design.x1[None], np.arange(t0), zeta, g, "leave-one fold"
+    )
+    return _solve_rejected(design, full, zeta, g, rejected)
 
-    def gradients(folds):
-        gaps = c1[:, None] - c.T @ g[:, folds]
-        gaps[folds, np.arange(folds.size)] = 0.0  # the held-out entries
-        return 2.0 * (zetas[folds] * g[:, folds] - c @ gaps)
 
+def _solve_rejected(design, full, zeta, g, rejected):
+    """``g``, the N0 x T0 leave-one fold solutions of a lockstep pass, with
+    each fold in ``rejected`` solved alone by ``solve_scm``, started at
+    ``full``."""
+    for t in np.flatnonzero(rejected):
+        fold = period_fold(design, t, "leave-one")
+        g[:, t] = solve_scm(fold, zeta, start=full.values).values
+    return g
+
+
+def _cold_stack(designs):
+    """What ``solve_scm`` solves for each design of a list of one shape, at
+    the default penalty and from the best single-donor vertex, as one
+    lockstep pass. Returns the N0 x R solutions, column r for design r, and
+    the R-mask of those handed back to be solved alone."""
+    x0, x1 = np.stack([d.x0 for d in designs]), np.stack([d.x1 for d in designs])
+    g = np.zeros((x0.shape[1], len(designs)))
+    g[np.argmin(np.sum((x1[:, None] - x0) ** 2, axis=2), axis=1), np.arange(len(designs))] = 1.0
+    return _lockstep(x0, x1, np.array([-1]), None, g, "cold solve")
+
+
+def _leave_one_stack(designs, fulls):
+    """The leave-one fold solutions of each design of a list of one shape,
+    from its full-sample solution in ``fulls``, at the default penalty, as
+    one lockstep pass. Returns the R x N0 x T0 solutions and the R x T0 mask
+    of folds handed back (see :func:`_solve_rejected`)."""
+    x0, x1 = np.stack([d.x0 for d in designs]), np.stack([d.x1 for d in designs])
+    n_designs, n0, t0 = x0.shape
+    g = np.repeat(np.column_stack(fulls), t0, axis=1)
+    g, rejected = _lockstep(x0, x1, np.arange(t0), None, g, "leave-one fold")
+    return g.reshape(n0, n_designs, t0).transpose(1, 0, 2).copy(), rejected.reshape(n_designs, t0)
+
+
+def _lockstep(x0, x1, held, zeta, g, kind):
+    """Solve M problems on each of R designs of one shape in lockstep.
+
+    ``x0`` (R x N0 x T0) and ``x1`` (R x T0) hold the designs' centred
+    blocks. Problem (r, m) is design r without column ``held[m]``, or whole
+    where ``held[m]`` is -1, at penalty ``zeta`` (None: each problem's
+    default, ``ZETA_SCALE`` times the squared norm of its columns over N0).
+    Column r M + m of ``g`` (N0 x RM) is its starting point, on the simplex,
+    and receives its solution.
+
+    Every problem keeps its own weights and working set under
+    ``solve_scm``'s rules, and the live problems move together: a round is
+    one stacked solve, each design's problems on the union of their working
+    sets, which its other donors pad to the largest union. A problem's rows
+    outside its own set are held at zero. A problem is handed back, to be
+    solved alone, when it stops on a blocked just-added donor, is still
+    live at ``ITERATION_CAP``, fails the gate (normalised, a
+    projected-gradient residual above ``KKT_TOL`` times its Hessian's
+    largest diagonal entry, at least 1) or when its own system in a round
+    is exactly singular. Returns ``g`` and the RM-mask of problems handed
+    back.
+    """
+    n_designs, n0, t0 = x0.shape
+    designs = np.arange(n_designs)[:, None]
+    first = designs * held.size  # each design's first problem
+    design = np.repeat(designs[:, 0], held.size)  # each problem's
+    held = np.tile(held, n_designs)
+    cut = held >= 0
+    kept = (~cut).astype(float)  # 0 for a problem that holds a period out
+    col_sq = np.sum(x0**2, axis=1)
+    if zeta is None:
+        held_sq = np.where(cut, col_sq[design, held], 0.0)
+        zetas = ZETA_SCALE * (col_sq.sum(axis=1)[design] - held_sq) / n0
+    else:
+        zetas = np.full(design.size, zeta)
+
+    def gradients(cols):
+        """The N0 x cols.size gradients of the problems ``cols`` (ascending),
+        each design's in one product: its chosen problems first, padded with
+        its others to the most chosen of any design."""
+        if n_designs == 1:
+            pc = cols[None]
+        else:
+            chosen = np.zeros(design.size, dtype=bool)
+            chosen[cols] = True
+            chosen = chosen.reshape(n_designs, -1)
+            counts = chosen.sum(axis=1)
+            width = np.arange(counts.max())
+            pc = np.argsort(~chosen, axis=1, kind="stable")[:, : width.size] + first
+        gs = g[:, pc].transpose(1, 0, 2)
+        gaps = x1[:, :, None] - x0.transpose(0, 2, 1) @ gs
+        gaps[designs, held[pc], np.arange(pc.shape[1])] *= kept[pc]  # held out: 0
+        grads = 2.0 * (zetas[pc][:, None, :] * gs - x0 @ gaps)
+        if n_designs == 1:
+            return grads[0]
+        valid = (width < counts[:, None]).ravel()
+        return grads.transpose(1, 0, 2).reshape(n0, -1).compress(valid, axis=1)
+
+    every = np.arange(design.size)
     active = g > 0.0
-    grad = gradients(np.arange(t0))
-    on_support = grad[active[:, 0]]
-    stationary = np.ptp(on_support, axis=0) <= _tiny(on_support.mean(axis=0))
-    live, fallback, rounds, seen = np.ones(t0, dtype=bool), np.zeros(t0, dtype=bool), 0, []
+    grad = gradients(every)
+    spread = np.where(active, grad, -np.inf).max(axis=0)
+    spread -= np.where(active, grad, np.inf).min(axis=0)
+    stationary = spread <= _tiny(np.where(active, grad, 0.0).sum(axis=0) / active.sum(axis=0))
+    live, fallback = np.ones(design.size, dtype=bool), np.zeros(design.size, dtype=bool)
+    rounds, seen, ever = 0, [], np.zeros(design.size, dtype=bool)
     for _ in range(ITERATION_CAP):
         adding = live & stationary
         mu = np.where(active, grad, 0.0).sum(axis=0) / active.sum(axis=0)
         j = np.argmin(np.where(active, np.inf, grad), axis=0)
-        cycled = np.any([was & np.all(past == active, axis=0) for past, was in seen], axis=0)
+        again = np.flatnonzero(adding & ever)  # cycling needs an earlier addition
+        cycled = np.zeros(adding.shape, dtype=bool)
+        if again.size:
+            now = active[:, again]
+            cycled[again] = np.any(
+                [was[again] & np.all(past[:, again] == now, axis=0) for past, was in seen], axis=0
+            )
         seen.append((active.copy(), adding))
-        live &= ~(adding & (cycled | (grad[j, range(t0)] >= mu - _tiny(mu))))
+        ever |= adding
+        live &= ~(adding & (cycled | (grad[j, every] >= mu - _tiny(mu))))
         adding &= live
         active[j[adding], adding] = True
         folds = np.flatnonzero(live)
         if folds.size == 0:
             break
-        union = np.flatnonzero(active[:, folds].any(axis=1))
-        mask, gs = active[np.ix_(union, folds)].T, g[np.ix_(union, folds)].T
-        cu = c[union]
-        hess = 2.0 * (cu @ cu.T - np.einsum("it,jt->tij", cu[:, folds], cu[:, folds]))
-        hess[:, range(union.size), range(union.size)] += 2.0 * zetas[folds, None]
-        kkt, rhs = _bordered(hess, -grad[np.ix_(union, folds)].T, gs, mask)
+        # each design's union of its live problems' working sets comes first
+        # in its rows, then its other donors, which pad it to the largest
+        at = design[folds]
+        union = (active & live).reshape(n0, n_designs, -1).any(axis=2).T
+        rows = np.argsort(~union, axis=1, kind="stable")[:, : union.sum(axis=1).max()]
+        idx, k = rows[at], rows.shape[1]
+        # column by column, so that _bordered sums each problem's weights in order
+        mask, gs = active[idx, folds[:, None]], np.ascontiguousarray(g[idx.T, folds]).T
+        cu = x0[designs, rows]
+        v = np.where(cut[folds, None], cu[at, :, held[folds]], 0.0)  # held-out columns
+        gram = cu @ cu.transpose(0, 2, 1)
+        hess = 2.0 * ((gram if n_designs == 1 else gram[at]) - v[:, :, None] * v[:, None, :])
+        hess[:, range(k), range(k)] += 2.0 * zetas[folds, None]
+        kkt, rhs = _bordered(hess, -grad[idx, folds[:, None]], gs, mask)
         solved = np.ones(folds.size, dtype=bool)
         try:
             step = np.linalg.solve(kkt, rhs[..., None])[..., 0]
@@ -356,9 +460,9 @@ def solve_leave_one(design, full, zeta):
         rounds += 1
         blocked = mask & (z <= 0.0)
         stationary[folds] = ~blocked.any(axis=1)
-        # a singular fold is left to solve_scm, and so is a blocked just-added
-        # donor: it is round-off, which stops solve_scm, and the batch's
-        # round-off differs
+        # a singular problem is left to solve_scm, and so is a blocked
+        # just-added donor: it is round-off, which stops solve_scm, and the
+        # batch's round-off differs
         moves = solved & ~np.any(blocked & (gs == 0.0), axis=1)
         live[folds[~moves]] = False
         fallback[folds[~moves]] = True
@@ -369,22 +473,22 @@ def solve_leave_one(design, full, zeta):
         alpha = np.where(dropping, ratio.min(axis=1, keepdims=True), 1.0)
         z = np.where(dropping, np.maximum(gs + alpha * (z - gs), 0.0), z)
         z[ratio <= alpha] = 0.0
-        folds, z = folds[moves], z[moves]
-        g[np.ix_(union, folds)] = z.T
+        folds = folds[moves]
+        g[idx[moves], folds[:, None]] = z[moves]
         active[:, folds] = g[:, folds] > 0.0
-        grad[:, folds] = gradients(folds)
+        if folds.size:
+            grad[:, folds] = gradients(folds)
     g /= g.sum(axis=0)  # strip round-off in the sums
-    diagonal = 2.0 * (np.sum(c**2, axis=1)[:, None] - c**2 + zetas)  # of each fold's Hessian
+    held_out = np.where(cut, x0[design, :, held].T, 0.0)
+    diagonal = 2.0 * (np.sum(x0**2, axis=2)[design].T - held_out**2 + zetas)  # of each Hessian
     target = KKT_TOL * np.maximum(1.0, diagonal.max(axis=0))
-    rejected = np.flatnonzero(live | fallback | (_residual(g, gradients(np.arange(t0))) > target))
-    for t in rejected:
-        fold = period_fold(design, t, "leave-one")
-        g[:, t] = solve_scm(fold, zeta, start=full.values).values
+    rejected = live | fallback | ~(_residual(g, gradients(every)) <= target)
     logger.debug(
-        "leave-one fold pass: %d folds in %d batched rounds, %d fitted one by one",
-        t0, rounds, len(rejected),
+        "%s pass: %d %s of %d design(s) in %d batched rounds, %d fitted one by one",
+        kind, design.size, "folds" if cut.any() else "problems", n_designs, rounds,
+        int(rejected.sum()),
     )
-    return g
+    return g, rejected
 
 
 def imbalance(blocks, w):

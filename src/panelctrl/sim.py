@@ -9,6 +9,12 @@ evaluation asserts relative rather than absolute numbers). A sharp null
 of zero treatment effect holds in every family: the designated treated
 unit's outcomes are untouched, so each replication's estimate is pure
 error.
+
+The Monte Carlo harness solves its replications in stacks: the SCM problems
+of a stack's replications (full-sample and de-meaned designs, then the
+leave-one CV folds) go through one lockstep pass each
+(:func:`scm.solve_leave_one`'s kernel), and the rest of every replication
+runs on its own.
 """
 
 from __future__ import annotations
@@ -22,9 +28,15 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import EstimatorSpec, design_and_anchor, estimate_on_blocks, fold_predictions
-from .panel import PanelData, readonly_array, split_and_center
-from .scm import imbalance
+from .estimators import (
+    AnchorFit,
+    EstimatorSpec,
+    _fold_predictions,
+    design_and_anchor,
+    estimate_on_blocks,
+)
+from .panel import PanelBlocks, PanelData, demean_rows, readonly_array, split_and_center
+from .scm import DonorWeights, _cold_stack, _leave_one_stack, imbalance
 from .selection import cv_from_folds, default_lambda_grid, select_lambda
 
 logger = logging.getLogger(__name__)
@@ -313,28 +325,93 @@ _BANK = {
 _LAMBDA_RULES = {"cv-min": "min", "cv-1se": "one-se"}
 
 
-def _one_replication(args):
-    family, params, n, t, t0, rep_seed, lam, estimand_period = args
-    blocks = split_and_center(draw_panel(family, params, n, t, t0, rep_seed))
+# replications drawn and solved together: a stack's arrays grow with it
+_STACK = 20
+
+
+def _replication(family, params, n, t, t0, seed, lam, estimand_period):
+    """One replication, step by step: the draw, its blocks, the full-sample
+    SCM solve, the penalty grid, the leave-one fold pass, the penalty
+    choice, the estimates of ``_BANK`` in order and the SCM fit's imbalance.
+
+    A generator run by :func:`_replication_stack`, which solves its SCM
+    problems in stacks. It yields its blocks and its de-meaned design (or
+    the exception that building it raised) and is sent their cold SCM
+    solutions; under a cross-validated ``lam`` it then yields its blocks and
+    full-sample solution and is sent its leave-one fold solutions and the
+    mask of folds to solve alone. A solution the stack hands back as None
+    is solved alone at its step, by the same call as for a lone
+    replication, so each step raises what it would raise alone. Returns
+    the estimates at ``estimand_period`` and the imbalance.
+    """
+    blocks = split_and_center(draw_panel(family, params, n, t, t0, seed))
+    try:
+        demeaned = demean_rows(blocks)  # demeaned_scm's design, solved in the stack
+    except Exception as exc:  # noqa: BLE001 - raised again at the demeaned_scm step
+        demeaned = exc
+    full, dm = yield blocks, demeaned
     ascm = EstimatorSpec()  # ridge ASCM, whose penalty is cross-validated
     # one SCM solve: the scm entry, the ridge_ascm anchor and every CV fold's start
-    shared = design_and_anchor(blocks, ascm)
+    shared = design_and_anchor(blocks, ascm) if full is None else _anchor_fit(blocks, full)
     if isinstance(lam, str):
         grid = default_lambda_grid(blocks, size=12)
-        folds = fold_predictions(blocks, ascm, lambdas=grid, fit=shared)
+        stacked = yield blocks, shared.scm.values
+        folds = _fold_predictions(blocks, ascm, None, grid, "leave-one", shared, stacked)
         lam = select_lambda(cv_from_folds(grid, folds), _LAMBDA_RULES[lam])
-    estimates = {
-        name: estimate_on_blocks(
-            blocks,
-            EstimatorSpec(method=method, lam=lam),
-            fit=shared if method in ("scm", "ridge_ascm") else None,
-        )
-        for name, method in _BANK.items()
-    }
+    estimates = {}
+    for name, method in _BANK.items():
+        spec = EstimatorSpec(method=method, lam=lam)
+        fit = shared if method in ("scm", "ridge_ascm") else None
+        if method == "demeaned" and dm is not None:
+            fit = _anchor_fit(demeaned, dm)
+        estimates[name] = estimate_on_blocks(blocks, spec, fit=fit)
     return (
         {name: float(est.att[estimand_period]) for name, est in estimates.items()},
         imbalance(blocks, shared.scm),
     )
+
+
+def _anchor_fit(design, values):
+    """The :class:`AnchorFit` of an SCM solution on its design."""
+    weights = DonorWeights(values=values)
+    return AnchorFit(design, weights, weights)
+
+
+def _replication_stack(jobs):
+    """``(estimates, scm_fit, error)`` of each replication in ``jobs``
+    (argument tuples of :func:`_replication`), their SCM problems solved
+    together: one lockstep pass over every full-sample and de-meaned design,
+    cold, then one over every leave-one fold, each warm from its design's
+    full solution. A dropped replication keeps only its exception, as
+    ``ExceptionClass: message``."""
+    reps = [_replication(*job) for job in jobs]
+    results, asks = [None] * len(reps), {}
+
+    def advance(r, answer):
+        try:
+            asks[r] = reps[r].send(answer)
+        except StopIteration as done:
+            results[r] = (*done.value, "")
+        except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
+            logger.warning("replication dropped: %s", exc)
+            results[r] = (None, None, f"{type(exc).__name__}: {exc}")
+
+    for r in range(len(reps)):
+        advance(r, None)
+    cold = dict(asks)
+    asks.clear()
+    if cold:
+        designs = [d for pair in cold.values() for d in pair if isinstance(d, PanelBlocks)]
+        g, alone = _cold_stack(designs)
+        solutions = iter([None if a else w for w, a in zip(g.T, alone)])
+        for r, pair in cold.items():
+            advance(r, [next(solutions) if isinstance(d, PanelBlocks) else None for d in pair])
+    folds = dict(asks)
+    if folds:
+        stacked = _leave_one_stack(*zip(*folds.values()))
+        for r, g, alone in zip(folds, *stacked):
+            advance(r, (g, alone))
+    return results
 
 
 def run_monte_carlo(
@@ -359,6 +436,16 @@ def run_monte_carlo(
     entries its penalty. In a replication one SCM solve is the ``scm``
     entry, the ``ridge_ascm`` anchor and the start of every CV fold.
 
+    The replications run in stacks of ``_STACK``, in four stages: every
+    panel is drawn and split; one lockstep pass solves every full-sample
+    and de-meaned SCM problem, cold from the best vertex as
+    :func:`scm.solve_scm` does; under a cross-validated ``lam`` one more
+    solves every leave-one fold, each warm from its replication's full
+    solution; then each replication takes its penalty and its five
+    estimates from those solutions. A problem a pass hands back is solved
+    alone at the step that uses it, so every replication reports what it
+    would alone, up to round-off, and drops with the same error.
+
     Under the sharp null the per-replication true effect is zero, so bias
     equals the mean estimate, taken at the final post period for the factor
     and fixed-effects families and the first for AR. A replication in which
@@ -377,12 +464,13 @@ def run_monte_carlo(
     _check_design(family, params, n, t, t0)
     estimand_period = (t - t0 - 1) if family in ("factor", "fixed-effects") else 0
 
-    seeds = np.random.SeedSequence(seed).spawn(replications)
     jobs = [
-        (family, params, n, t, t0, seeds[r], lam, estimand_period)
-        for r in range(replications)
+        (family, params, n, t, t0, s, lam, estimand_period)
+        for s in np.random.SeedSequence(seed).spawn(replications)
     ]
-    results = [_safe_replication(job) for job in jobs]
+    results = []
+    for first in range(0, replications, _STACK):
+        results += _replication_stack(jobs[first : first + _STACK])
 
     kept = [(est, fit) for est, fit, _ in results if est is not None]
     n_dropped = len(results) - len(kept)
@@ -450,16 +538,6 @@ def run_monte_carlo(
         estimand_period=estimand_period,
         fit_quartiles=quartile_rows,
     )
-
-
-def _safe_replication(job):
-    """``(estimates, scm_fit, error)``; a dropped replication keeps only its
-    exception, as ``ExceptionClass: message``."""
-    try:
-        return (*_one_replication(job), "")
-    except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
-        logger.warning("replication dropped: %s", exc)
-        return None, None, f"{type(exc).__name__}: {exc}"
 
 
 def _write_rep_log(path, results, names):

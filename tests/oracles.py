@@ -6,7 +6,10 @@ projected gradient descent on the sum-to-one affine set, dense
 normal-equation solves, rational-arithmetic solves, and from-scratch refit
 loops. The one exception is the jackknife+ rebuild, which checks the fold
 bookkeeping rather than the estimator and so fits each fold with the
-library's ``estimate_on_blocks``. The row-at-a-time CSV reader checks the
+library's ``estimate_on_blocks``, and the lone Monte Carlo replication,
+which checks the stacking of replications in ``sim`` and so runs each
+replication's steps with the library's estimators, one replication at a
+time. The row-at-a-time CSV reader checks the
 library's whole-column reader and shares with it only the time ordering and
 ``PanelData``'s validation.
 """
@@ -27,7 +30,12 @@ from panelctrl.errors import (
     TreatmentTimeError,
     UnknownUnitError,
 )
-from panelctrl.estimators import estimate_on_blocks
+from panelctrl.estimators import (
+    EstimatorSpec,
+    design_and_anchor,
+    estimate_on_blocks,
+    fold_predictions,
+)
 from panelctrl.panel import (
     PanelBlocks,
     PanelData,
@@ -35,6 +43,9 @@ from panelctrl.panel import (
     periods_preceding,
     split_and_center,
 )
+from panelctrl.scm import imbalance
+from panelctrl.selection import cv_from_folds, default_lambda_grid, select_lambda
+from panelctrl.sim import draw_panel
 
 
 def scm_objective(blocks, w, zeta):
@@ -376,4 +387,46 @@ def load_panel_by_rows(source, treated_label, treatment_time, covariates=()):
         t0=t0,
         covariates=table[:, :, 1:],
         covariate_names=tuple(covariates),
+    )
+
+
+# the simulation study's estimators, in report order, by method
+MC_BANK = {
+    "scm": "scm",
+    "ridge": "ridge",
+    "ridge_ascm": "ridge_ascm",
+    "fixed_effects": "fixed_effects",
+    "demeaned_scm": "demeaned",
+}
+
+
+def one_replication(family, params, n, t, t0, seed, lam, estimand_period):
+    """One Monte Carlo replication of ``sim.run_monte_carlo``, solved on its
+    own: ``(estimates, scm_fit, error)``, where a dropped replication has
+    only its exception, as ``ExceptionClass: message``. One cold SCM solve
+    is the scm entry, the ridge_ascm anchor and the start of the leave-one
+    CV folds; demeaned_scm solves its own design."""
+    try:
+        blocks = split_and_center(draw_panel(family, params, n, t, t0, seed))
+        ascm = EstimatorSpec()
+        shared = design_and_anchor(blocks, ascm)
+        if isinstance(lam, str):
+            grid = default_lambda_grid(blocks, size=12)
+            folds = fold_predictions(blocks, ascm, lambdas=grid, fit=shared)
+            rule = {"cv-min": "min", "cv-1se": "one-se"}[lam]
+            lam = select_lambda(cv_from_folds(grid, folds), rule)
+        estimates = {
+            name: estimate_on_blocks(
+                blocks,
+                EstimatorSpec(method=method, lam=lam),
+                fit=shared if method in ("scm", "ridge_ascm") else None,
+            )
+            for name, method in MC_BANK.items()
+        }
+    except Exception as exc:  # noqa: BLE001 - the error a dropped replication logs
+        return None, None, f"{type(exc).__name__}: {exc}"
+    return (
+        {name: float(est.att[estimand_period]) for name, est in estimates.items()},
+        imbalance(blocks, shared.scm),
+        "",
     )

@@ -36,10 +36,18 @@ class TestCovariatePanel:
         cov = make_cov(rng, 8, 3)
         assert np.abs(cov.z0.mean(axis=0)).max() < 1e-12
 
-    def test_uncentered_rejected(self, rng):
-        z0 = rng.normal(size=(6, 2)) + 5.0
-        with pytest.raises(ConfigError):
-            CovariatePanel(z1=np.zeros(2), z0=z0)
+    def test_uncentred_input_is_centred_on_construction(self, rng):
+        z0, z1 = rng.normal(size=(6, 2)) + 5.0, rng.normal(size=2)
+        given = z0.copy()
+        cov = CovariatePanel(z1=z1, z0=z0)
+        means = given.mean(axis=0)
+        assert np.array_equal(cov.z0, given - means)
+        assert np.array_equal(cov.z1, z1 - means)
+        assert np.array_equal(z0, given) and z0.flags.writeable  # the caller's array
+        assert np.abs(cov.z0.mean(axis=0)).max() < 1e-15
+        # the raw route builds the same panel
+        raw = CovariatePanel.from_raw(z1=z1, z0=given)
+        assert np.array_equal(raw.z0, cov.z0) and np.array_equal(raw.z1, cov.z1)
 
     def test_default_names(self, rng):
         cov = make_cov(rng, 5, 2)

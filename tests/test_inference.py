@@ -446,7 +446,9 @@ class TestBatchedFoldAnchors:
         # step, which takes a least-squares step instead
         assert stacks == [3, 2]
         passes = [r.getMessage() for r in caplog.records if "fold pass" in r.getMessage()]
-        assert passes == ["leave-one fold pass: 5 folds in 3 batched rounds, 1 fitted one by one"]
+        assert passes == [
+            "leave-one fold pass: 5 folds of 1 design(s) in 3 batched rounds, 1 fitted one by one"
+        ]
         [(fold, start, _)] = solves
         assert start is full.values and fold.y1_post[-1] == blocks.x1[2]
         for t, fold in period_folds(blocks):
@@ -487,7 +489,7 @@ class TestBatchedFoldAnchors:
             fold_predictions(blocks, EstimatorSpec(method="scm"), mode="leave-future")
         passes = [r.getMessage() for r in caplog.records if "fold pass" in r.getMessage()]
         assert passes == [
-            "leave-one fold pass: 6 folds in 3 batched rounds, 0 fitted one by one",
+            "leave-one fold pass: 6 folds of 1 design(s) in 3 batched rounds, 0 fitted one by one",
             "leave-one fold pass: 6 folds in 0 batched rounds, 0 fitted one by one",
             "leave-one fold pass: 6 folds in 0 batched rounds, 6 fitted one by one",
             "leave-future fold pass: 4 folds in 0 batched rounds, 4 fitted one by one",

@@ -310,6 +310,43 @@ def test_leave_one_folds_of_near_duplicate_twins():
                 assert scm_objective(fold, g, 0.0) <= scm_objective(fold, w, 0.0) + 1e-12 * scale
 
 
+def _stack_of_designs(seed, count, n0=9, t0=12):
+    """Designs of one shape whose supports differ in size: some targets lie
+    near a single donor, others among many."""
+    rng = np.random.default_rng(seed)
+    designs = []
+    for i in range(count):
+        x0 = rng.normal(size=(n0, t0)).cumsum(axis=1)
+        w = rng.dirichlet(np.ones(1 + i % n0))
+        x1 = x0[: w.size].T @ w + 0.3 * rng.normal(size=t0)
+        designs.append(blocks_from(x1, x0))
+    return designs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_cold_solves_match_solve_scm(seed):
+    # one lockstep pass over a stack of designs, each from its best vertex,
+    # is each design's own solve_scm up to round-off
+    designs = _stack_of_designs(seed, 17)
+    g, rejected = scm._cold_stack(designs)
+    assert g.shape == (9, 17) and not rejected.any()
+    for design, w in zip(designs, g.T):
+        assert np.abs(w - solve_scm(design).values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_folds_match_solve_leave_one(seed):
+    # every design's folds in one stack, padded to the largest union of
+    # working sets, are the folds of its own lockstep pass
+    designs = _stack_of_designs(seed, 7)
+    fulls = [solve_scm(d).values for d in designs]
+    g, rejected = scm._leave_one_stack(designs, fulls)
+    assert g.shape == (7, 9, 12) and not rejected.any()
+    for design, full, folds in zip(designs, fulls, g):
+        alone = solve_leave_one(design, DonorWeights(values=full), None)
+        assert np.abs(folds - alone).max() <= 1e-12
+
+
 class TestImbalance:
     def test_perfect_fit_zero(self):
         blocks = blocks_from([1.0, 1.0], [[0.0, 0.0], [2.0, 2.0]])

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from panelctrl.errors import ConfigError
+from panelctrl.errors import ConfigError, ConvergenceError
 from panelctrl.estimators import EstimatorSpec
-from panelctrl.panel import split_and_center
+from panelctrl.panel import demean_rows, split_and_center
 from panelctrl.scm import imbalance, solve_scm
 from panelctrl.sim import (
     Ar3Dgp,
@@ -19,6 +19,7 @@ from panelctrl.sim import (
 )
 
 from conftest import folds_off_the_full_support, record_scm_solves
+from oracles import MC_BANK, one_replication
 
 
 class TestFixture:
@@ -146,7 +147,7 @@ class TestRunMonteCarlo:
         import panelctrl.sim as sim_mod
 
         started = []
-        monkeypatch.setattr(sim_mod, "_one_replication", started.append)
+        monkeypatch.setattr(sim_mod, "_replication", lambda *job: started.append(job))
         kwargs = {"family": "factor", "params": default_dgp("factor"), "replications": 2,
                   "seed": 0, "n": 8, "t": 16, "t0": 12, "lam": 1.0, **bad}
         with pytest.raises(ConfigError, match=cause):
@@ -180,35 +181,38 @@ class TestRunMonteCarlo:
         assert rep_ar.estimand_period == 0  # first post period
 
     def test_dropped_replications_counted(self, monkeypatch):
+        # the second and the twenty-second draws fail, one in each stack
         import panelctrl.sim as sim_mod
 
         params = default_dgp("factor")
-        original = sim_mod._one_replication
-        calls = {"n": 0}
+        draw, calls = sim_mod.draw_panel, []
 
-        def flaky(args):
-            calls["n"] += 1
-            if calls["n"] == 2:
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) in (2, sim_mod._STACK + 2):
                 raise RuntimeError("synthetic failure")
-            return original(args)
+            return draw(*args)
 
-        monkeypatch.setattr(sim_mod, "_one_replication", flaky)
-        rep = run_monte_carlo("factor", params, replications=6, seed=5,
+        monkeypatch.setattr(sim_mod, "draw_panel", flaky)
+        rep = run_monte_carlo("factor", params, replications=sim_mod._STACK + 5, seed=5,
                               n=8, t=20, t0=16, lam=5.0)
-        assert rep.rows[0].n_dropped == 1
-        assert rep.rows[0].n_used == 5
+        assert len(calls) == sim_mod._STACK + 5
+        assert rep.rows[0].n_dropped == 2
+        assert rep.rows[0].n_used == sim_mod._STACK + 3
 
     def test_one_replication_shares_its_scm_solve(self, monkeypatch):
-        # one cold SCM solve is the scm entry, the ridge_ascm anchor and the
-        # start of the batched CV fold anchors, which finish in the batch even
-        # where they leave its support; only demeaned_scm solves on its own
-        # design besides
+        # one cold SCM solve, in the stack of cold solves, is the scm entry,
+        # the ridge_ascm anchor and the start of the stacked CV fold anchors,
+        # which finish in the stack even where they leave its support;
+        # demeaned_scm's design is solved in the same cold stack. No SCM
+        # problem is solved alone
         import panelctrl.estimators as estimators_mod
         import panelctrl.sim as sim_mod
 
-        anchors, estimates = [], {}
+        anchors, estimates, stacks = [], {}, []
         augment = estimators_mod.augment_weights
         estimate = sim_mod.estimate_on_blocks
+        cold, folds = sim_mod._cold_stack, sim_mod._leave_one_stack
 
         def record_anchor(anchor, *args):
             anchors.append(anchor)
@@ -219,20 +223,30 @@ class TestRunMonteCarlo:
             estimates[spec.method] = estimate(blocks, spec, **kwargs)
             return estimates[spec.method]
 
-        solves = record_scm_solves(monkeypatch)
+        def record_cold(designs):
+            stacks.append(("cold", len(designs)))
+            return cold(designs)
+
+        def record_folds(designs, fulls):
+            stacks.append(("folds", len(designs)))
+            return folds(designs, fulls)
+
         monkeypatch.setattr(estimators_mod, "augment_weights", record_anchor)
         monkeypatch.setattr(sim_mod, "estimate_on_blocks", record_estimate)
+        monkeypatch.setattr(sim_mod, "_cold_stack", record_cold)
+        monkeypatch.setattr(sim_mod, "_leave_one_stack", record_folds)
+        solves = record_scm_solves(monkeypatch)
         run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
                         n=10, t=20, t0=16, lam="cv-min")
-        run = [(start, w) for _, start, w in solves]  # the reference solves below record too
-        resolved = folds_off_the_full_support(estimates["blocks"], EstimatorSpec())
+        assert solves == [] and stacks == [("cold", 2), ("folds", 1)]
+        blocks = estimates["blocks"]
+        resolved = folds_off_the_full_support(blocks, EstimatorSpec())
         assert 0 < len(resolved) < 16
-        assert len(run) == 2
-        shared = run[0][1]
-        assert run[0][0] is None
-        assert run[-1][0] is None  # demeaned_scm, cold on its own design
-        assert estimates["scm"].weights is shared
+        shared = estimates["scm"].weights
+        assert np.abs(shared.values - solve_scm(blocks).values).max() <= 1e-12
         assert [a for a in anchors if a is shared] == [shared]  # the ridge_ascm entry's
+        demeaned = solve_scm(demean_rows(blocks)).values
+        assert np.abs(estimates["demeaned"].weights.values - demeaned).max() <= 1e-12
 
     def test_stratification_partitions(self):
         params = default_dgp("factor")
@@ -253,21 +267,74 @@ class TestRunMonteCarlo:
         assert lines[0].startswith("replication,status,")
 
     def test_rep_log_records_why_a_replication_was_dropped(self, tmp_path, monkeypatch):
+        # replication 2's draw fails, and the cold stack hands replication
+        # 1's de-meaned design back to be solved alone, which fails too
+        import panelctrl.estimators as estimators_mod
         import panelctrl.sim as sim_mod
 
-        original = sim_mod._one_replication
+        draw, cold, alone = sim_mod.draw_panel, sim_mod._cold_stack, []
 
-        def fail_third(args):
-            if args[5].spawn_key[-1] == 2:
+        def fail_third(family, params, n, t, t0, seed):
+            if seed.spawn_key[-1] == 2:
                 raise RuntimeError("synthetic failure, for the log")
-            return original(args)
+            return draw(family, params, n, t, t0, seed)
 
-        monkeypatch.setattr(sim_mod, "_one_replication", fail_third)
+        def hand_back(designs):
+            g, rejected = cold(designs)
+            rejected[3] = True  # the full and de-meaned designs of replications 0, 1 and 3
+            return g, rejected
+
+        def not_converging(blocks, *args, **kwargs):
+            alone.append(blocks)
+            raise ConvergenceError("SCM solver stopped, for the log", residual=1.0)
+
+        monkeypatch.setattr(sim_mod, "draw_panel", fail_third)
+        monkeypatch.setattr(sim_mod, "_cold_stack", hand_back)
+        monkeypatch.setattr(estimators_mod, "solve_scm", not_converging)
         log = tmp_path / "reps.csv"
         run_monte_carlo("factor", default_dgp("factor"), replications=4, seed=0,
                         n=8, t=16, t0=12, lam=5.0, rep_log=str(log))
         with open(log, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["status"] for r in rows] == ["ok", "ok", "dropped", "ok"]
+        assert [r["status"] for r in rows] == ["ok", "dropped", "dropped", "ok"]
+        assert rows[1]["error"] == "ConvergenceError: SCM solver stopped, for the log"
         assert rows[2]["error"] == "RuntimeError: synthetic failure, for the log"
-        assert [r["error"] for r in rows if r["status"] == "ok"] == ["", "", ""]
+        assert [r["error"] for r in rows if r["status"] == "ok"] == ["", ""]
+        # the lone solve was demeaned_scm's, on replication 1's de-meaned design
+        seed = np.random.SeedSequence(0).spawn(4)[1]
+        blocks = split_and_center(draw("factor", default_dgp("factor"), 8, 16, 12, seed))
+        (design,) = alone
+        assert np.array_equal(design.x0, demean_rows(blocks).x0)
+
+
+@pytest.mark.parametrize(
+    "family, lam, n, t, t0, seed",
+    [
+        ("factor", "cv-min", 10, 20, 16, 1),
+        ("factor", "cv-1se", 10, 20, 16, 2),
+        ("factor", 5.0, 8, 16, 12, 3),
+        ("fixed-effects", "cv-min", 10, 20, 16, 4),
+        ("ar3", "cv-min", 10, 20, 15, 5),
+    ],
+)
+def test_stacked_replications_match_lone_ones(tmp_path, family, lam, n, t, t0, seed):
+    """Every replication of a run over several stacks reports what it
+    reports solved on its own (``oracles.one_replication``)."""
+    import panelctrl.sim as sim_mod
+
+    params, reps, log = default_dgp(family), 2 * sim_mod._STACK + 5, tmp_path / "reps.csv"
+    report = run_monte_carlo(family, params, replications=reps, seed=seed, n=n, t=t, t0=t0,
+                             lam=lam, rep_log=str(log))
+    seeds = np.random.SeedSequence(seed).spawn(reps)
+    alone = [one_replication(family, params, n, t, t0, s, lam, report.estimand_period)
+             for s in seeds]
+    with open(log, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["dropped" if e is None else "ok" for e, _, _ in alone]
+    assert [r["error"] for r in rows] == [error for _, _, error in alone]
+    for row, (estimates, fit, _) in zip(rows, alone):
+        if estimates is not None:
+            got = [float(row[name]) for name in MC_BANK] + [float(row["scm_fit"])]
+            assert np.allclose(got, [*estimates.values(), fit], rtol=1e-12, atol=0.0)
+    kept = sum(e is not None for e, _, _ in alone)
+    assert [(r.n_used, r.n_dropped) for r in report.rows] == [(kept, reps - kept)] * 5

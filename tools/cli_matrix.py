@@ -8,7 +8,8 @@ generated panels into OUT, one directory per case, plus ``exit_codes.json``
 
 The matrix covers every ``estimate`` method with each inference mode, the
 covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
-``simulate --rep-log``, plus cells that must fail (an infinite penalty, a NaN
+``simulate --rep-log`` (the factor, fixed-effects and AR(3) families over
+more replications than one stack of lockstep solves holds), plus cells that must fail (an infinite penalty, a NaN
 ``--alpha``, zero replications, ``simulate`` designs no replication can
 draw, and a CSV for every input error of docs/schemas.md) so their exit
 codes are compared too, and two CSVs that must read like the original
@@ -180,6 +181,11 @@ def cases(inputs):
         yield f"simulate-{tag}", [
             "simulate", "--reps", "6", "--seed", "7", "--n", "10", "--t", "16", "--t0", "12",
             "--stratify", *penalty]
+    # more replications than one stack of simulate's lockstep solves holds
+    for dgp, select in (("factor", "one-se"), ("fixed-effects", "min"), ("ar3", "one-se")):
+        yield f"simulate-{dgp}-{select}-stacks", [
+            "simulate", "--dgp", dgp, "--reps", "45", "--seed", "19", "--n", "10", "--t", "20",
+            "--t0", "15", "--select", select]
     small = ["simulate", "--n", "8", "--t", "14", "--t0", "10"]
     yield "simulate-reps0", [*small, "--reps", "0", "--lambda", "1"]
     yield "simulate-lam-inf", [*small, "--reps", "2", "--lambda", "inf"]
