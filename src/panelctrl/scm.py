@@ -387,24 +387,25 @@ def _lockstep(x0, x1, held, zeta, g, kind):
         zetas = np.full(design.size, zeta)
 
     def gradients(cols):
-        """The N0 x cols.size gradients of the problems ``cols`` (ascending),
-        each design's in one product: its chosen problems first, padded with
-        its others to the most chosen of any design."""
+        """The N0 x cols.size gradients of the problems ``cols`` (ascending).
+        Several designs take one batched product, each design's chosen
+        problems first, padded with its others to the most chosen of any
+        design; one design takes plain products, which cost less."""
         if n_designs == 1:
-            pc = cols[None]
-        else:
-            chosen = np.zeros(design.size, dtype=bool)
-            chosen[cols] = True
-            chosen = chosen.reshape(n_designs, -1)
-            counts = chosen.sum(axis=1)
-            width = np.arange(counts.max())
-            pc = np.argsort(~chosen, axis=1, kind="stable")[:, : width.size] + first
+            gs = g[:, cols]
+            gaps = x1[0][:, None] - x0[0].T @ gs
+            gaps[held[cols], np.arange(cols.size)] *= kept[cols]  # held out: 0
+            return 2.0 * (zetas[cols] * gs - x0[0] @ gaps)
+        chosen = np.zeros(design.size, dtype=bool)
+        chosen[cols] = True
+        chosen = chosen.reshape(n_designs, -1)
+        counts = chosen.sum(axis=1)
+        width = np.arange(counts.max())
+        pc = np.argsort(~chosen, axis=1, kind="stable")[:, : width.size] + first
         gs = g[:, pc].transpose(1, 0, 2)
         gaps = x1[:, :, None] - x0.transpose(0, 2, 1) @ gs
-        gaps[designs, held[pc], np.arange(pc.shape[1])] *= kept[pc]  # held out: 0
+        gaps[designs, held[pc], width] *= kept[pc]  # held out: 0
         grads = 2.0 * (zetas[pc][:, None, :] * gs - x0 @ gaps)
-        if n_designs == 1:
-            return grads[0]
         valid = (width < counts[:, None]).ravel()
         return grads.transpose(1, 0, 2).reshape(n0, -1).compress(valid, axis=1)
 
@@ -438,8 +439,11 @@ def _lockstep(x0, x1, held, zeta, g, kind):
         # each design's union of its live problems' working sets comes first
         # in its rows, then its other donors, which pad it to the largest
         at = design[folds]
-        union = (active & live).reshape(n0, n_designs, -1).any(axis=2).T
-        rows = np.argsort(~union, axis=1, kind="stable")[:, : union.sum(axis=1).max()]
+        if n_designs == 1:
+            rows = np.flatnonzero(active[:, folds].any(axis=1))[None]
+        else:
+            union = (active & live).reshape(n0, n_designs, -1).any(axis=2).T
+            rows = np.argsort(~union, axis=1, kind="stable")[:, : union.sum(axis=1).max()]
         idx, k = rows[at], rows.shape[1]
         # column by column, so that _bordered sums each problem's weights in order
         mask, gs = active[idx, folds[:, None]], np.ascontiguousarray(g[idx.T, folds]).T
