@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -97,6 +98,7 @@ def _run_config(args, entries):
     return {**config, **entries}
 
 
+@functools.cache  # built on the first call, then shared by every call in the process
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="panelctrl",

@@ -120,9 +120,11 @@ class AnchorFit(NamedTuple):
     """The penalty-free half of an estimator on one set of blocks.
 
     ``design`` is what the method balances and ``anchor`` its weights
-    there. ``scm`` is the SCM solution the anchor comes from, None for
-    ``ridge`` and ``fixed_effects``, which solve none; it differs from the
-    anchor only under ``residualize``, whose covariate shift it precedes.
+    there; for ``demeaned`` and ``fixed_effects`` it is the de-meaned
+    blocks, which the counterfactual reads too. ``scm`` is the SCM solution
+    the anchor comes from, None for ``ridge`` and ``fixed_effects``, which
+    solve none; it differs from the anchor only under ``residualize``,
+    whose covariate shift it precedes.
     """
 
     design: PanelBlocks
@@ -150,7 +152,7 @@ def design_and_anchor(blocks, spec, cov=None, start=None):
             design = stacked_blocks(blocks, standardize_to_outcomes(cov, blocks)[0])
         else:
             design = residualize(blocks, cov)
-    elif spec.method == "demeaned":
+    elif spec.method in ("demeaned", "fixed_effects"):
         design = demean_rows(blocks)
     else:
         design = blocks
@@ -164,6 +166,12 @@ def design_and_anchor(blocks, spec, cov=None, start=None):
     return AnchorFit(design, anchor, scm)
 
 
+def _require_lambda(spec):
+    """Refuse a ridge method without a penalty."""
+    if spec.needs_lambda() and spec.lam is None:
+        raise ConfigError(f"method {spec.method!r} requires a lambda value")
+
+
 def weights_for_design(blocks, spec, cov=None, fit=None):
     """Donor weights for the configured method on an arbitrary design.
 
@@ -172,8 +180,7 @@ def weights_for_design(blocks, spec, cov=None, fit=None):
     ``fit``, when given, is that :class:`AnchorFit`, already solved for
     ``blocks``, ``spec`` and ``cov``.
     """
-    if spec.needs_lambda() and spec.lam is None:
-        raise ConfigError(f"method {spec.method!r} requires a lambda value")
+    _require_lambda(spec)
     design, anchor, _ = design_and_anchor(blocks, spec, cov) if fit is None else fit
     if not spec.needs_lambda():
         return anchor
@@ -193,9 +200,12 @@ def estimate(p, spec, cov=None):
 def estimate_on_blocks(blocks, spec, cov=None, fit=None):
     """Like :func:`estimate` but starting from already-built blocks (and
     optionally their :class:`AnchorFit`, as for :func:`weights_for_design`)."""
+    _require_lambda(spec)
+    fit = design_and_anchor(blocks, spec, cov) if fit is None else fit
     weights = weights_for_design(blocks, spec, cov, fit)
     g = weights.values
-    counterfactual, fitted = _counterfactual(blocks, spec, g)
+    fitted = _fitted(blocks, spec, fit.design)
+    counterfactual = _counterfactual(blocks, fitted, g)
     return AugEstimate(
         counterfactual=counterfactual,
         att=blocks.y1_post - counterfactual,
@@ -204,12 +214,18 @@ def estimate_on_blocks(blocks, spec, cov=None, fit=None):
     )
 
 
-def _counterfactual(blocks, spec, weights):
-    """Post counterfactuals of ``weights`` (N0, or N0 x L) and the blocks the
-    method fits: m(X_1) + sum_i g_i (Y_i - m(X_i)) per period, m being the unit
-    pre-period mean for ``demeaned`` and ``fixed_effects`` and zero otherwise."""
-    fitted = demean_rows(blocks) if spec.method in ("demeaned", "fixed_effects") else blocks
-    return blocks.y1_post - fitted.y1_post + weights.T @ fitted.y0_post, fitted
+def _fitted(blocks, spec, design):
+    """The blocks a method's weights fit: its de-meaned ``design`` for
+    ``demeaned`` and ``fixed_effects``, ``blocks`` otherwise."""
+    return design if spec.method in ("demeaned", "fixed_effects") else blocks
+
+
+def _counterfactual(blocks, fitted, weights):
+    """Post counterfactuals of ``weights`` (N0, or N0 x L) on the ``fitted``
+    blocks of :func:`_fitted`: m(X_1) + sum_i g_i (Y_i - m(X_i)) per period,
+    m being the unit pre-period mean for ``demeaned`` and ``fixed_effects``
+    and zero otherwise."""
+    return blocks.y1_post - fitted.y1_post + weights.T @ fitted.y0_post
 
 
 def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit=None):
@@ -238,13 +254,18 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
     return _fold_predictions(blocks, spec, cov, lambdas, mode, fit)
 
 
+def _check_fold_count(t0):
+    """Refuse a fold pass over fewer than 3 pre periods."""
+    if t0 < 3:
+        raise ConfigError("leave-one-period-out folds need at least 3 pre periods")
+
+
 def _fold_predictions(blocks, spec, cov, lambdas, mode, fit, stacked=None):
     """:func:`fold_predictions`, whose lockstep leave-one fold solve may have
     run already in a stack of designs: ``stacked`` is then this design's
     folds from :func:`scm._leave_one_stack`, their solutions and the mask of
     those to solve alone."""
-    if blocks.t0 < 3:
-        raise ConfigError("leave-one-period-out folds need at least 3 pre periods")
+    _check_fold_count(blocks.t0)
     if spec.needs_lambda() and lambdas is None:
         if spec.lam is None:
             raise ConfigError(f"method {spec.method!r} requires a lambda value")
@@ -265,7 +286,7 @@ def _fold_predictions(blocks, spec, cov, lambdas, mode, fit, stacked=None):
         design, anchor, _ = design_and_anchor(fold, spec, cov, start)
         truth.append(fold.y1_post[-1])
         g = augment_path(anchor, design, lambdas) if spec.needs_lambda() else anchor.values[:, None]
-        predictions.append(_counterfactual(fold, spec, g)[0])
+        predictions.append(_counterfactual(fold, _fitted(fold, spec, design), g))
     logger.debug(
         "%s fold pass: %d folds in 0 batched rounds, %d fitted one by one",
         mode, len(truth), len(truth),

@@ -17,12 +17,12 @@ design (``PanelBlocks.control_svd``), with singular values below 1e-10 of
 the largest treated as zero; the ridge fit, the imbalance identities, the
 weight-norm bound and the error-bound sketch read the same decomposition. A
 leave-one-period-out fold only deletes one column of the design, so
-:func:`fold_adjustments` gives every fold's adjustment from the one SVD
-of the full design by the bordered-inverse deletion identity, and the fold
-pass of cross-validation and jackknife+ takes one SVD in all. The public
-hyper-parameter is always lam = lam_ridge; diagnostics that need the
-scaled convention divide by the donor count internally and report both
-values.
+:func:`fold_adjustments` gives every fold's adjustment at every penalty
+from the one SVD of the full design by the bordered-inverse deletion
+identity, and the fold pass of cross-validation and jackknife+ takes one
+SVD in all. The public hyper-parameter is always lam = lam_ridge;
+diagnostics that need the scaled convention divide by the donor count
+internally and report both values.
 """
 
 from __future__ import annotations
@@ -104,20 +104,8 @@ class ControlSVD:
     def compute(cls, x0):
         x0 = np.asarray(x0, dtype=float)
         n0, t0 = x0.shape
-        u, d, vt = np.linalg.svd(x0 / np.sqrt(n0), full_matrices=False)
-        if d.size == 0 or d[0] == 0.0:
-            keep = np.zeros(d.shape, dtype=bool)
-        else:
-            keep = d > RANK_CUTOFF * d[0]
-        m = int(keep.sum())
-        return cls(
-            u=u[:, :m].copy(),
-            d=d[:m].copy(),
-            v=vt[:m].T.copy(),
-            rank=m,
-            n0=n0,
-            t0=t0,
-        )
+        u, d, v, rank = _svd_stack(x0[None])
+        return cls(u=u[0], d=d[0], v=v[0], rank=int(rank[0]), n0=n0, t0=t0)
 
     @property
     def full_column_rank(self):
@@ -126,6 +114,29 @@ class ControlSVD:
     def rotate(self, x):
         """Coordinates of x along the right singular vectors (length m)."""
         return self.v.T @ np.asarray(x, dtype=float)
+
+
+def _svd_stack(x0):
+    """Thin SVDs of R designs of one shape (R x N0 x T0), each scaled by
+    1 / sqrt(N0), from one batched call, keeping per design the singular
+    values above ``RANK_CUTOFF`` of its largest.
+
+    Returns ``u`` (R x N0 x m), ``d`` (R x m), ``v`` (R x T0 x m) and the R
+    ranks, m being the largest: a design of lower rank has zero columns (and
+    singular values) past its own. Each design's factors are those of a lone
+    ``np.linalg.svd`` call.
+    """
+    u, d, vt = np.linalg.svd(x0 / np.sqrt(x0.shape[-2]), full_matrices=False)
+    keep = d > RANK_CUTOFF * d[..., :1]  # none where the largest is zero
+    rank = keep.sum(axis=-1)
+    m = rank.max(initial=0)
+    keep = keep[..., :m]
+    return (
+        np.ascontiguousarray(u[..., :m] * keep[..., None, :]),
+        d[..., :m] * keep,
+        np.ascontiguousarray(vt[..., :m, :].swapaxes(-1, -2) * keep[..., None, :]),
+        rank,
+    )
 
 
 @dataclass(frozen=True)
@@ -276,32 +287,53 @@ def fold_adjustments(svd, residuals, post, held_out, lambdas):
 
     Returns the T0 x L x (P + 1) products of each fold's adjustment with
     the donor outcomes: the N0 x P ``post`` block, shared by every fold,
-    then column t of the N0 x T0 ``held_out`` block for fold t. The loop
-    runs over penalties, so extra memory stays O(T0 m).
+    then column t of the N0 x T0 ``held_out`` block for fold t. Every
+    penalty is taken in one evaluation of matrix products (the one-design
+    call of the stacked form the Monte Carlo harness uses), so beside the
+    result the extra memory is O(m (T0 + L P) + L T0), m being the rank.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     _require_invertible(svd, lambdas)
-    v, n0d2 = svd.v, svd.n0 * svd.d**2
-    v_sq = v**2
-    outside = 1.0 - v_sq.sum(axis=1)  # 1 - |V_t|^2, zero at full column rank
-    rotated = v.T @ residuals
-    outcomes = np.hstack([post, held_out])
+    return _fold_adjustments(
+        svd.u[None], svd.d[None], svd.v[None], np.array([svd.full_column_rank]),
+        residuals[None], post[None], held_out[None], lambdas[None],
+    )[0]
+
+
+def _fold_adjustments(u, d, v, full, residuals, post, held_out, lambdas):
+    """:func:`fold_adjustments` of R designs of one shape, each at its own
+    penalties: ``u``, ``d`` and ``v`` as from :func:`_svd_stack`, ``full``
+    the R-mask of designs of full column rank, ``residuals`` (R x T0 x T0),
+    ``post`` (R x N0 x P), ``held_out`` (R x N0 x T0) and ``lambdas`` (R x
+    L, positive where a design is not of full rank). Returns R x T0 x L x
+    (P + 1).
+
+    The sums over the m singular directions are matrix products with the
+    L x m factors s: for fold t and outcome column c (coordinates c_j),
+    the adjustment's product with the outcome is
+    sum_j s_j (V'r_t)_j c_j + (q_t / delta_t) sum_j s_j V_tj c_j.
+    """
+    n0, n_post = u.shape[-2], post.shape[-1]
+    n0d2 = n0 * d**2
+    s = 1.0 / (n0d2[:, None, :] + lambdas[:, :, None])  # R x L x m
+    vt = v.swapaxes(-1, -2)  # R x m x T0
+    v_sq = vt**2
+    rotated = vt @ residuals  # column t: V'r_t
+    at_full = full[:, None, None]
+    # q_t and delta_t; at full column rank -V_t . (s V'r_t) and V_t . (s V_t)
+    q = s @ (np.where(at_full, -1.0, n0d2[:, :, None]) * (vt * rotated))
+    delta = np.where(at_full, 1.0, lambdas[:, :, None]) * (s @ v_sq)
+    delta += np.where(at_full, 0.0, 1.0 - v_sq.sum(axis=1)[:, None, :])
+    ratio = q / delta  # R x L x T0
+    outcomes = np.concatenate([post, held_out], axis=-1)
     # adjustments sum to zero, so centring the outcomes only strips round-off
-    outcomes = outcomes - outcomes.mean(axis=0)
-    coords = (np.sqrt(svd.n0) * svd.d)[:, None] * (svd.u.T @ outcomes)
-    n_post = post.shape[1]
-    out = np.empty((svd.t0, lambdas.size, n_post + 1))
-    for li, lam in enumerate(lambdas):
-        s = 1.0 / (n0d2 + lam)
-        z = s[:, None] * rotated
-        if svd.full_column_rank:
-            ratio = -np.einsum("tj,jt->t", v, z) / (v_sq @ s)
-        else:
-            ratio = np.einsum("tj,jt->t", v * n0d2, z) / (lam * (v_sq @ s) + outside)
-        z += s[:, None] * v.T * ratio
-        out[:, li, :n_post] = z.T @ coords[:, :n_post]
-        out[:, li, n_post] = np.einsum("jt,jt->t", z, coords[:, n_post:])
-    return out
+    outcomes = outcomes - outcomes.mean(axis=-2, keepdims=True)
+    coords = (np.sqrt(n0) * d)[:, :, None] * (u.swapaxes(-1, -2) @ outcomes)
+    shared, own = coords[..., :n_post], coords[..., n_post:]
+    scaled = s[..., None] * shared[:, None]  # R x L x m x P
+    post = rotated.swapaxes(-1, -2)[:, None] @ scaled + ratio[..., None] * (v[:, None] @ scaled)
+    held = s @ (rotated * own) + ratio * (s @ (vt * own))
+    return np.concatenate([post, held[..., None]], axis=-1).swapaxes(1, 2)
 
 
 def augment_weights(anchor, blocks, lam):

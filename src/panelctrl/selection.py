@@ -49,8 +49,8 @@ class CvResult:
         for name in ("lambda_grid", "cv_mse", "cv_se"):
             object.__setattr__(self, name, readonly_array(getattr(self, name)))
         object.__setattr__(self, "skipped", tuple(self.skipped))
-        if np.any(self.cv_mse < 0):
-            raise ConfigError("cv_mse must be nonnegative")
+        if not np.all(self.cv_mse >= 0):
+            raise ConfigError("cv_mse must be nonnegative, not NaN")
         if self.lambda_1se < self.lambda_min:
             raise ConfigError("lambda_1se must not be below lambda_min")
 
@@ -70,8 +70,14 @@ def default_lambda_grid(blocks, size=20):
     svd = blocks.control_svd
     if svd.rank == 0:
         raise ConfigError("control block is identically zero; no sensible grid")
-    s = float(svd.d[0] ** 2)
-    return np.logspace(np.log10(1e3 * s), np.log10(1e-3 * s), size)
+    return _grids(float(svd.d[0] ** 2), size)
+
+
+def _grids(top, size):
+    """:func:`default_lambda_grid` of each squared top singular value in
+    ``top`` (a number, or an array with one grid per entry along a new last
+    axis)."""
+    return np.logspace(np.log10(1e3 * top), np.log10(1e-3 * top), size, axis=-1)
 
 
 def loo_cv(blocks, spec=None, cov=None, lambda_grid=None, mode="leave-one"):
@@ -98,26 +104,34 @@ def cv_from_folds(grid, folds, mode="leave-one"):
     """The CV curve of a :func:`estimators.fold_predictions` pass over the
     descending ``grid``: held-out truth against the last prediction column."""
     truth, predictions, skipped = folds
-    sq_residuals = (truth[:, None] - predictions[:, :, -1]) ** 2
-    n_used = truth.size
-    cv_mse = sq_residuals.mean(axis=0)
-    if n_used > 1:
-        cv_se = sq_residuals.std(axis=0, ddof=1) / np.sqrt(n_used)
-    else:
-        cv_se = np.zeros(grid.size)
-    best = int(np.argmin(cv_mse))
-    threshold = cv_mse[best] + cv_se[best]
-    within = np.nonzero(cv_mse <= threshold)[0]
-    lambda_1se = float(grid[within[0]])  # grid is descending: first hit is largest
+    cv_mse, cv_se, best, one_se = _cv_curves(truth, predictions[..., -1])
     return CvResult(
         lambda_grid=grid,
         cv_mse=cv_mse,
         cv_se=cv_se,
         lambda_min=float(grid[best]),
-        lambda_1se=lambda_1se,
+        lambda_1se=float(grid[one_se]),
         mode=mode,
         skipped=skipped,
     )
+
+
+def _cv_curves(truth, held):
+    """The CV curves of held-out ``truth`` (..., F) against its ``held``
+    predictions (..., F, L), over any leading axes: the mean squared
+    residual and its standard error over the F folds, the index of the
+    smallest mean, and the first index whose mean is within one standard
+    error of it (the largest penalty on a descending grid)."""
+    sq_residuals = (truth[..., None] - held) ** 2
+    n_used = truth.shape[-1]
+    cv_mse = sq_residuals.mean(axis=-2)
+    if n_used > 1:
+        cv_se = sq_residuals.std(axis=-2, ddof=1) / np.sqrt(n_used)
+    else:
+        cv_se = np.zeros(cv_mse.shape)
+    best = np.argmin(cv_mse, axis=-1)
+    at_best = np.take_along_axis(cv_mse + cv_se, best[..., None], axis=-1)
+    return cv_mse, cv_se, best, np.argmax(cv_mse <= at_best, axis=-1)
 
 
 def select_lambda(cv, rule="min"):

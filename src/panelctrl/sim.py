@@ -13,8 +13,11 @@ error.
 The Monte Carlo harness solves its replications in stacks: the SCM problems
 of a stack's replications (full-sample and de-meaned designs, then the
 leave-one CV folds) go through one lockstep pass each
-(:func:`scm.solve_leave_one`'s kernel), and the rest of every replication
-runs on its own.
+(:func:`scm.solve_leave_one`'s kernel), and the stack finishes in arrays:
+one batched SVD, every design's fold predictions at every penalty, the CV
+curves and penalty choices, then the estimates as stacked products. A
+replication with a problem handed back, or with a step that would raise,
+finishes alone through the estimators' own calls.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ from .errors import ConfigError
 from .estimators import (
     AnchorFit,
     EstimatorSpec,
+    _check_fold_count,
     _fold_predictions,
     design_and_anchor,
     estimate_on_blocks,
 )
-from .panel import PanelBlocks, PanelData, demean_rows, readonly_array, split_and_center
+from .panel import PanelData, demean_rows, readonly_array, split_and_center
+from .ridge import _exact_sum_to_one, _fold_adjustments, _svd_stack
 from .scm import DonorWeights, _cold_stack, _leave_one_stack, imbalance
-from .selection import cv_from_folds, default_lambda_grid, select_lambda
+from .selection import _cv_curves, _grids, cv_from_folds, default_lambda_grid, select_lambda
 
 logger = logging.getLogger(__name__)
 
@@ -323,52 +328,107 @@ _BANK = {
     "demeaned_scm": "demeaned",
 }
 _LAMBDA_RULES = {"cv-min": "min", "cv-1se": "one-se"}
+_GRID_SIZE = 12  # penalties in each replication's CV grid
 
 
 # replications drawn and solved together: a stack's arrays grow with it
 _STACK = 20
 
 
-def _replication(family, params, n, t, t0, seed, lam, estimand_period):
-    """One replication, step by step: the draw, its blocks, the full-sample
-    SCM solve, the penalty grid, the leave-one fold pass, the penalty
-    choice, the estimates of ``_BANK`` in order and the SCM fit's imbalance.
+def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
+    """``(estimates, scm_fit, error)`` of the replication of each seed in
+    ``seeds``: the estimates of ``_BANK`` at ``estimand_period`` and the SCM
+    fit's imbalance, or, for a dropped replication, only its exception, as
+    ``ExceptionClass: message``.
 
-    A generator run by :func:`_replication_stack`, which solves its SCM
-    problems in stacks. It yields its blocks and its de-meaned design (or
-    the exception that building it raised) and is sent their cold SCM
-    solutions; under a cross-validated ``lam`` it then yields its blocks and
-    full-sample solution and is sent its leave-one fold solutions and the
-    mask of folds to solve alone. A solution the stack hands back as None
-    is solved alone at its step, by the same call as for a lone
-    replication, so each step raises what it would raise alone. Returns
-    the estimates at ``estimand_period`` and the imbalance.
+    Every panel is drawn and split, and de-meaned for the demeaned_scm and
+    fixed_effects entries. One lockstep pass solves every full-sample and
+    de-meaned design cold, and under a cross-validated ``lam`` one more
+    solves every leave-one fold, warm from its replication's full solution;
+    then :func:`_finish_stack` finishes the stack in arrays. A replication
+    with a problem handed back, or one the array finish leaves, finishes
+    alone (:func:`_finish_alone`), so each step raises what it would raise
+    alone.
     """
-    blocks = split_and_center(draw_panel(family, params, n, t, t0, seed))
-    try:
-        demeaned = demean_rows(blocks)  # demeaned_scm's design, solved in the stack
-    except Exception as exc:  # noqa: BLE001 - raised again at the demeaned_scm step
-        demeaned = exc
-    full, dm = yield blocks, demeaned
+    results, drawn = [None] * len(seeds), {}
+    for r, seed in enumerate(seeds):
+        try:
+            blocks = split_and_center(draw_panel(family, params, n, t, t0, seed))
+        except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
+            results[r] = _dropped(exc)
+            continue
+        try:
+            demeaned = demean_rows(blocks)
+        except Exception:  # noqa: BLE001 - raised again alone, at the first step that de-means
+            demeaned = None
+        drawn[r] = blocks, demeaned
+    designs = [d for pair in drawn.values() for d in pair if d is not None]
+    if not designs:
+        return results
+    g, handed_back = _cold_stack(designs)
+    solutions = iter([None if back else w for w, back in zip(g.T, handed_back)])
+    cold = {r: [None if d is None else next(solutions) for d in pair] for r, pair in drawn.items()}
+    folds = {}
+    if isinstance(lam, str):
+        ready = [r for r in drawn if cold[r][0] is not None]
+        if ready:
+            stacked = _leave_one_stack([drawn[r][0] for r in ready], [cold[r][0] for r in ready])
+            folds = dict(zip(ready, zip(*stacked)))
+    whole = [
+        r for r in drawn
+        if all(w is not None for w in cold[r]) and not (r in folds and folds[r][1].any())
+    ]
+    if whole:
+        finished = _finish_stack(
+            [drawn[r] for r in whole],
+            np.array([cold[r] for r in whole]),
+            np.array([folds[r][0] for r in whole]) if folds else None,
+            lam,
+            estimand_period,
+        )
+        for r, row in zip(whole, finished):
+            if row is not None:
+                results[r] = (dict(zip(_BANK, row[:-1])), row[-1], "")
+    for r, (blocks, demeaned) in drawn.items():
+        if results[r] is None:
+            try:
+                results[r] = (
+                    *_finish_alone(blocks, demeaned, *cold[r], folds.get(r), lam, estimand_period),
+                    "",
+                )
+            except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
+                results[r] = _dropped(exc)
+    return results
+
+
+def _dropped(exc):
+    logger.warning("replication dropped: %s", exc)
+    return None, None, f"{type(exc).__name__}: {exc}"
+
+
+def _finish_alone(blocks, demeaned, full, dm, stacked, lam, estimand_period):
+    """One replication's estimates and SCM imbalance by the lone calls:
+    the full-sample SCM solve (``full``, or solved here when None), the
+    penalty grid, the leave-one fold pass (its lockstep solutions
+    ``stacked``, as for :func:`estimators._fold_predictions`, or solved
+    here), the penalty choice and the estimates of ``_BANK`` in order,
+    demeaned_scm's from its solution ``dm`` on ``demeaned`` (solved here
+    when None). One SCM solution is the scm entry, the ridge_ascm anchor
+    and the start of every CV fold."""
     ascm = EstimatorSpec()  # ridge ASCM, whose penalty is cross-validated
-    # one SCM solve: the scm entry, the ridge_ascm anchor and every CV fold's start
     shared = design_and_anchor(blocks, ascm) if full is None else _anchor_fit(blocks, full)
     if isinstance(lam, str):
-        grid = default_lambda_grid(blocks, size=12)
-        stacked = yield blocks, shared.scm.values
+        grid = default_lambda_grid(blocks, size=_GRID_SIZE)
         folds = _fold_predictions(blocks, ascm, None, grid, "leave-one", shared, stacked)
         lam = select_lambda(cv_from_folds(grid, folds), _LAMBDA_RULES[lam])
     estimates = {}
     for name, method in _BANK.items():
-        spec = EstimatorSpec(method=method, lam=lam)
         fit = shared if method in ("scm", "ridge_ascm") else None
         if method == "demeaned" and dm is not None:
             fit = _anchor_fit(demeaned, dm)
-        estimates[name] = estimate_on_blocks(blocks, spec, fit=fit)
-    return (
-        {name: float(est.att[estimand_period]) for name, est in estimates.items()},
-        imbalance(blocks, shared.scm),
-    )
+        est = estimate_on_blocks(blocks, EstimatorSpec(method=method, lam=lam), fit=fit)
+        estimates[name] = float(est.att[estimand_period])
+    return estimates, imbalance(blocks, shared.scm)
 
 
 def _anchor_fit(design, values):
@@ -377,41 +437,77 @@ def _anchor_fit(design, values):
     return AnchorFit(design, weights, weights)
 
 
-def _replication_stack(jobs):
-    """``(estimates, scm_fit, error)`` of each replication in ``jobs``
-    (argument tuples of :func:`_replication`), their SCM problems solved
-    together: one lockstep pass over every full-sample and de-meaned design,
-    cold, then one over every leave-one fold, each warm from its design's
-    full solution. A dropped replication keeps only its exception, as
-    ``ExceptionClass: message``."""
-    reps = [_replication(*job) for job in jobs]
-    results, asks = [None] * len(reps), {}
+def _finish_stack(drawn, cold, folds, lam, estimand_period):
+    """The estimates of ``_BANK`` at ``estimand_period`` and the SCM
+    imbalance of R replications, from array products over the stack.
 
-    def advance(r, answer):
-        try:
-            asks[r] = reps[r].send(answer)
-        except StopIteration as done:
-            results[r] = (*done.value, "")
-        except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
-            logger.warning("replication dropped: %s", exc)
-            results[r] = (None, None, f"{type(exc).__name__}: {exc}")
-
-    for r in range(len(reps)):
-        advance(r, None)
-    cold = dict(asks)
-    asks.clear()
-    if cold:
-        designs = [d for pair in cold.values() for d in pair if isinstance(d, PanelBlocks)]
-        g, alone = _cold_stack(designs)
-        solutions = iter([None if a else w for w, a in zip(g.T, alone)])
-        for r, pair in cold.items():
-            advance(r, [next(solutions) if isinstance(d, PanelBlocks) else None for d in pair])
-    folds = dict(asks)
-    if folds:
-        stacked = _leave_one_stack(*zip(*folds.values()))
-        for r, g, alone in zip(folds, *stacked):
-            advance(r, (g, alone))
-    return results
+    ``drawn`` holds each replication's blocks and de-meaned blocks, ``cold``
+    (R x 2 x N0) their SCM solutions and ``folds`` (R x N0 x T0) the
+    leave-one fold solutions (None under a fixed ``lam``). The steps are
+    those of :func:`_finish_alone`: one batched SVD of the designs
+    (:func:`ridge._svd_stack`); under a cross-validated ``lam`` every
+    replication's penalty grid, fold predictions at every penalty
+    (:func:`ridge._fold_adjustments`), CV curve and penalty by the rule
+    (:func:`selection._cv_curves`); then both ridge augmentations at each
+    replication's penalty and the five effects. Returns one row per
+    replication, the five estimates then the imbalance, or None where a
+    lone step would raise (a zero design under CV, lam = 0 on a design
+    without full column rank, weights off the sum-to-one check or a value
+    that is not finite): that replication finishes alone.
+    """
+    blocks, demeaned = zip(*drawn)
+    x0 = np.stack([b.x0 for b in blocks])
+    x1 = np.stack([b.x1 for b in blocks])
+    n_reps, n0, t0 = x0.shape
+    u, d, v, rank = _svd_stack(x0)
+    reps = np.arange(n_reps)
+    with np.errstate(divide="ignore", invalid="ignore"):  # such rows finish alone
+        if isinstance(lam, str):
+            ok = rank > 0
+            grids = _grids(d[:, 0] ** 2 if d.shape[1] else np.zeros(n_reps), _GRID_SIZE)
+            held_out = np.einsum("rit,rit->rt", folds, x0)
+            residuals = x1[:, :, None] - x0.swapaxes(1, 2) @ folds
+            residuals[:, range(t0), range(t0)] = 0.0
+            adjust = _fold_adjustments(
+                u, d, v, rank == t0, residuals, x0[:, :, :0], x0, grids
+            )
+            best, one_se = _cv_curves(x1, held_out[:, :, None] + adjust[..., 0])[2:]
+            lams = grids[reps, best if _LAMBDA_RULES[lam] == "min" else one_se]
+        else:
+            ok = (rank == t0) | (lam > 0)
+            lams = np.full(n_reps, float(lam))
+        # ridge and ridge_ascm: the uniform and the SCM anchor, each augmented.
+        # Every product is matrix-vector, as in augment_path and AugEstimate,
+        # so a replication's numbers are those of its lone calls
+        anchors = np.stack([np.full((n_reps, n0), 1.0 / n0), cold[:, 0]], axis=1)
+        gaps = x1[:, None, :, None] - x0.swapaxes(1, 2)[:, None] @ anchors[..., None]
+        scale = np.sqrt(n0) * d / (n0 * d**2 + lams[:, None])
+        rotated = v.swapaxes(1, 2)[:, None] @ gaps
+        adj = (u[:, None] @ (scale[:, None, :, None] * rotated))[..., 0]
+        adj -= adj.mean(axis=-1, keepdims=True)
+        ridge = anchors + adj
+        for r, w in zip(np.repeat(reps, 2), ridge.reshape(-1, n0)):  # as augment_weights
+            try:
+                w[:] = _exact_sum_to_one(w)
+                ok[r] &= abs(math.fsum(w) - 1.0) <= 1e-10
+            except (ValueError, OverflowError):  # inf - inf, or too large to sum
+                ok[r] = False
+        y0 = np.stack([b.y0_post for b in blocks])[:, None]
+        y1 = np.stack([b.y1_post for b in blocks])[:, None]
+        dy0 = np.stack([b.y0_post for b in demeaned])[:, None]
+        dy1 = np.stack([b.y1_post for b in demeaned])[:, None]
+        plain = np.concatenate([cold[:, :1], ridge], axis=1)  # scm, ridge, ridge_ascm
+        dm = np.stack([anchors[:, 0], cold[:, 1]], axis=1)  # fixed_effects, demeaned_scm
+        att_plain = y1 - (plain[:, :, None] @ y0)[:, :, 0]
+        att_dm = y1 - (y1 - dy1 + (dm[:, :, None] @ dy0)[:, :, 0])
+        scm_gap = gaps[:, 1]
+        rows = np.column_stack([
+            att_plain[..., estimand_period],
+            att_dm[..., estimand_period],
+            np.sqrt(scm_gap.swapaxes(1, 2) @ scm_gap)[:, 0, 0],
+        ])
+    ok &= np.isfinite(rows).all(axis=1)
+    return [row.tolist() if good else None for row, good in zip(rows, ok)]
 
 
 def run_monte_carlo(
@@ -437,14 +533,19 @@ def run_monte_carlo(
     entry, the ``ridge_ascm`` anchor and the start of every CV fold.
 
     The replications run in stacks of ``_STACK``, in four stages: every
-    panel is drawn and split; one lockstep pass solves every full-sample
-    and de-meaned SCM problem, cold from the best vertex as
+    panel is drawn, split and de-meaned; one lockstep pass solves every
+    full-sample and de-meaned SCM problem, cold from the best vertex as
     :func:`scm.solve_scm` does; under a cross-validated ``lam`` one more
     solves every leave-one fold, each warm from its replication's full
-    solution; then each replication takes its penalty and its five
-    estimates from those solutions. A problem a pass hands back is solved
-    alone at the step that uses it, so every replication reports what it
-    would alone, up to round-off, and drops with the same error.
+    solution; then the stack finishes in arrays, from one batched SVD of
+    its designs: the penalty grids, every fold prediction at every penalty,
+    the CV curves and each replication's penalty, the two ridge
+    augmentations, and the five estimates at the estimand period with the
+    SCM fit's imbalance. A replication with a problem a pass hands back, or
+    with a step that would raise alone, finishes by the lone calls, at the
+    step that uses them, so every replication reports what it would alone,
+    up to round-off, and drops with the same error. A cross-validated
+    ``lam`` needs ``t0`` >= 3, and is refused before any draw otherwise.
 
     Under the sharp null the per-replication true effect is zero, so bias
     equals the mean estimate, taken at the final post period for the factor
@@ -462,15 +563,16 @@ def run_monte_carlo(
     else:
         EstimatorSpec(lam=lam)  # refuses a negative or non-finite penalty
     _check_design(family, params, n, t, t0)
+    if isinstance(lam, str):
+        _check_fold_count(t0)
     estimand_period = (t - t0 - 1) if family in ("factor", "fixed-effects") else 0
 
-    jobs = [
-        (family, params, n, t, t0, s, lam, estimand_period)
-        for s in np.random.SeedSequence(seed).spawn(replications)
-    ]
+    seeds = np.random.SeedSequence(seed).spawn(replications)
     results = []
     for first in range(0, replications, _STACK):
-        results += _replication_stack(jobs[first : first + _STACK])
+        results += _replication_stack(
+            family, params, n, t, t0, seeds[first : first + _STACK], lam, estimand_period
+        )
 
     kept = [(est, fit) for est, fit, _ in results if est is not None]
     n_dropped = len(results) - len(kept)

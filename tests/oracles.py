@@ -9,9 +9,10 @@ bookkeeping rather than the estimator and so fits each fold with the
 library's ``estimate_on_blocks``, and the lone Monte Carlo replication,
 which checks the stacking of replications in ``sim`` and so runs each
 replication's steps with the library's estimators, one replication at a
-time. The row-at-a-time CSV reader checks the
-library's whole-column reader and shares with it only the time ordering and
-``PanelData``'s validation.
+time. The per-penalty loop of the fold adjustments writes out the same
+identity as the library's all-penalty evaluation, one sum at a time. The
+row-at-a-time CSV reader checks the library's whole-column reader and
+shares with it only the time ordering and ``PanelData``'s validation.
 """
 
 from __future__ import annotations
@@ -188,6 +189,33 @@ def exact_weighted_sum(weights, values):
     """sum_i weights_i values_i in Fraction arithmetic, rounded once to float."""
     terms = (Fraction(w) * Fraction(float(v)) for w, v in zip(weights, values))
     return float(sum(terms, Fraction(0)))
+
+
+def fold_adjustments_by_penalty(svd, residuals, post, held_out, lambdas):
+    """``ridge.fold_adjustments`` one penalty at a time: the same
+    bordered-inverse identity, with each sum over the singular directions
+    written out for one penalty and one fold."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    v, n0d2 = svd.v, svd.n0 * svd.d**2
+    v_sq = v**2
+    outside = 1.0 - v_sq.sum(axis=1)
+    rotated = v.T @ residuals
+    outcomes = np.hstack([post, held_out])
+    outcomes = outcomes - outcomes.mean(axis=0)
+    coords = (np.sqrt(svd.n0) * svd.d)[:, None] * (svd.u.T @ outcomes)
+    n_post = post.shape[1]
+    out = np.empty((svd.t0, lambdas.size, n_post + 1))
+    for li, lam in enumerate(lambdas):
+        s = 1.0 / (n0d2 + lam)
+        z = s[:, None] * rotated
+        if svd.full_column_rank:
+            ratio = -np.einsum("tj,jt->t", v, z) / (v_sq @ s)
+        else:
+            ratio = np.einsum("tj,jt->t", v * n0d2, z) / (lam * (v_sq @ s) + outside)
+        z += s[:, None] * v.T * ratio
+        out[:, li, :n_post] = z.T @ coords[:, :n_post]
+        out[:, li, n_post] = np.einsum("jt,jt->t", z, coords[:, n_post:])
+    return out
 
 
 def loo_cv_rebuild(x1, x0, lam, zeta=1e-10, tol=1e-9):

@@ -719,18 +719,29 @@ class TestSimulate:
             (["--t", "200", "--t0", "190"], "fixture provides 105 periods, requested 200"),
             (["--sigma-scale", "nan"], "sigma_multiplier must be finite and nonnegative"),
             (["--t0", "14", "--t", "14"], "need 2 <= t0 < t, got t0=14, t=14"),
+            (["--t0", "2", "--select", "min"],
+             "leave-one-period-out folds need at least 3 pre periods"),
         ],
     )
     def test_undrawable_design_exit_code(self, tmp_path, capsys, caplog, args, cause):
         out = tmp_path / "mc"
+        penalty = [] if "--select" in args else ["--lambda", "1"]
         rc = main([
-            "simulate", "--n", "8", "--t", "14", "--t0", "10", "--reps", "2", "--lambda", "1",
+            "simulate", "--n", "8", "--t", "14", "--t0", "10", "--reps", "2", *penalty,
             *args, "--out", str(out),
         ])
         assert rc == 3
         assert cause in capsys.readouterr().err
         assert "replication dropped" not in caplog.text
         assert not out.exists()
+
+
+    def test_fixed_lambda_at_two_pre_periods_runs(self, tmp_path):
+        rc = main([
+            "simulate", "--n", "8", "--t", "14", "--t0", "2", "--reps", "2", "--lambda", "1",
+            "--out", str(tmp_path / "mc"),
+        ])
+        assert rc == 0
 
 
 class TestDiagnose:
@@ -804,3 +815,41 @@ class TestManifest:
             ])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(panel_csv, tmp_path, capsys):
+    """Calls of several subcommands in one process, a bad command line after
+    good ones among them, give the exit codes, error output and files of
+    calls that each build their own parser."""
+    from panelctrl import cli
+
+    data = ["--input", panel_csv, "--treated", "u0", "--treatment-time", "11"]
+    calls = [
+        ["estimate", *data, "--lambda", "1"],
+        ["cv", *data],
+        ["estimate", *data, "--lambda", "1", "--bogus"],
+        ["estimate", *data, "--lambda", "-1"],
+        ["simulate", "--reps", "2", "--n", "8", "--t", "14", "--t0", "10", "--lambda", "1"],
+        ["diagnose", *data],
+    ]
+
+    def run(fresh):
+        outcomes = []
+        for k, argv in enumerate(calls):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{k}"
+            try:
+                code = cli.main([*argv, "--out", str(out)])
+            except SystemExit as exc:  # argparse's exit on a bad command line
+                code = exc.code
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+            outcomes.append((code, capsys.readouterr().err, files))
+        return outcomes
+
+    cli._build_parser.cache_clear()
+    shared = run(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 0, 2, 3, 0, 0]
+    assert "unrecognized arguments: --bogus" in shared[2][1]
+    assert shared == run(fresh=True)

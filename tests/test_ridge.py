@@ -8,10 +8,13 @@ from panelctrl.panel import PanelBlocks, split_and_center
 from panelctrl.estimators import EstimatorSpec, estimate_on_blocks, weights_for_design
 from panelctrl.ridge import (
     ControlSVD,
+    _fold_adjustments,
+    _svd_stack,
     augment_weights,
     bound_sketch,
     demeaned_estimate,
     fit_ridge,
+    fold_adjustments,
     svd_imbalance,
     verify_penalized_form,
     weight_norm_bound,
@@ -19,7 +22,7 @@ from panelctrl.ridge import (
 from panelctrl.scm import DonorWeights, imbalance, kkt_residual, solve_scm
 
 from conftest import make_blocks, make_panel, raw_blocks
-from oracles import affine_qp_descent, dense_ridge_solve
+from oracles import affine_qp_descent, dense_ridge_solve, fold_adjustments_by_penalty
 
 
 def ridge_weights(blocks, lam):
@@ -47,6 +50,56 @@ class TestControlSVD:
         svd = ControlSVD.compute(blocks.x0)
         assert svd.rank <= 3
         assert not svd.full_column_rank
+
+
+class TestFoldAdjustments:
+    @pytest.mark.parametrize(
+        "n0, t0, n_post",
+        [(19, 25, 5), (50, 89, 16), (12, 6, 3), (30, 5, 2)],
+        ids=["rank-deficient", "application-scale", "full-rank", "full-rank-wide"],
+    )
+    def test_all_penalties_at_once_match_the_penalty_loop(self, rng, n0, t0, n_post):
+        for _ in range(3):
+            blocks = make_blocks(rng, n0, t0, n_post)
+            svd = blocks.control_svd
+            residuals = rng.normal(size=(t0, t0))
+            np.fill_diagonal(residuals, 0.0)
+            lambdas = np.logspace(3, -3, 12) * svd.d[0] ** 2
+            if svd.full_column_rank:
+                lambdas = np.append(lambdas, 0.0)
+            got = fold_adjustments(svd, residuals, blocks.y0_post, blocks.x0, lambdas)
+            want = fold_adjustments_by_penalty(svd, residuals, blocks.y0_post, blocks.x0, lambdas)
+            assert svd.full_column_rank == (n0 > t0)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_stack_of_designs_of_unequal_rank(self, rng):
+        # a full-rank design, one of rank 3 and a zero one, in one stack: the
+        # lower ranks are padded with zero directions, which change nothing
+        n0, t0 = 12, 6
+        low, zero = (
+            PanelBlocks(x1=rng.normal(size=t0), x0=x0, y0_post=rng.normal(size=(n0, 2)),
+                        y1_post=rng.normal(size=2))
+            for x0 in (rng.normal(size=(n0, 3)) @ rng.normal(size=(3, t0)), np.ones((n0, t0)))
+        )
+        designs = [make_blocks(rng, n0, t0, 2), low, zero]
+        u, d, v, rank = _svd_stack(np.stack([b.x0 for b in designs]))
+        assert rank.tolist() == [6, 3, 0] and d.shape == (3, 6)
+        for r, b in enumerate(designs):
+            svd = b.control_svd
+            m = svd.rank
+            assert np.array_equal(u[r, :, :m], svd.u) and np.array_equal(d[r, :m], svd.d)
+            assert np.array_equal(v[r, :, :m], svd.v)
+            assert not (u[r, :, m:].any() or d[r, m:].any() or v[r, :, m:].any())
+        residuals = rng.normal(size=(3, t0, t0))
+        residuals[:, range(t0), range(t0)] = 0.0
+        lambdas = np.logspace(2, -2, 5) * np.array([[1.0], [2.0], [3.0]])
+        got = _fold_adjustments(u, d, v, rank == t0, residuals,
+                                np.stack([b.y0_post for b in designs]),
+                                np.stack([b.x0 for b in designs]), lambdas)
+        for r, b in enumerate(designs):
+            want = fold_adjustments_by_penalty(b.control_svd, residuals[r], b.y0_post, b.x0,
+                                               lambdas[r])
+            assert np.abs(got[r] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 
 class TestFitRidge:

@@ -1,13 +1,14 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from panelctrl.errors import ConfigError, ConvergenceError
-from panelctrl.estimators import EstimatorSpec
+from panelctrl.errors import ConfigError, ConvergenceError, PanelCtrlError
+from panelctrl.estimators import EstimatorSpec, estimate_on_blocks, fold_predictions
 from panelctrl.panel import demean_rows, split_and_center
-from panelctrl.scm import imbalance, solve_scm
+from panelctrl.scm import DonorWeights, imbalance, solve_leave_one, solve_scm
 from panelctrl.sim import (
     Ar3Dgp,
     FactorDgp,
@@ -141,13 +142,14 @@ class TestRunMonteCarlo:
             ({"t0": 16}, "got t0=16, t=16"),
             ({"params": default_dgp("ar3")}, "factor family expects FactorDgp params"),
             ({"family": "bogus"}, "unknown DGP family"),
+            ({"t0": 2, "lam": "cv-min"}, "folds need at least 3 pre periods"),
         ],
     )
     def test_refuses_bad_input_before_any_replication(self, monkeypatch, bad, cause):
         import panelctrl.sim as sim_mod
 
         started = []
-        monkeypatch.setattr(sim_mod, "_replication", lambda *job: started.append(job))
+        monkeypatch.setattr(sim_mod, "draw_panel", lambda *args: started.append(args))
         kwargs = {"family": "factor", "params": default_dgp("factor"), "replications": 2,
                   "seed": 0, "n": 8, "t": 16, "t0": 12, "lam": 1.0, **bad}
         with pytest.raises(ConfigError, match=cause):
@@ -200,53 +202,55 @@ class TestRunMonteCarlo:
         assert rep.rows[0].n_dropped == 2
         assert rep.rows[0].n_used == sim_mod._STACK + 3
 
-    def test_one_replication_shares_its_scm_solve(self, monkeypatch):
+    def test_one_replication_shares_its_scm_solve(self, monkeypatch, tmp_path):
         # one cold SCM solve, in the stack of cold solves, is the scm entry,
         # the ridge_ascm anchor and the start of the stacked CV fold anchors,
         # which finish in the stack even where they leave its support;
         # demeaned_scm's design is solved in the same cold stack. No SCM
-        # problem is solved alone
-        import panelctrl.estimators as estimators_mod
+        # problem is solved alone, and the replication finishes in arrays
         import panelctrl.sim as sim_mod
 
-        anchors, estimates, stacks = [], {}, []
-        augment = estimators_mod.augment_weights
-        estimate = sim_mod.estimate_on_blocks
-        cold, folds = sim_mod._cold_stack, sim_mod._leave_one_stack
-
-        def record_anchor(anchor, *args):
-            anchors.append(anchor)
-            return augment(anchor, *args)
-
-        def record_estimate(blocks, spec, **kwargs):
-            estimates["blocks"] = blocks
-            estimates[spec.method] = estimate(blocks, spec, **kwargs)
-            return estimates[spec.method]
+        stacks, finished = [], []
+        cold, folds, finish = sim_mod._cold_stack, sim_mod._leave_one_stack, sim_mod._finish_stack
 
         def record_cold(designs):
-            stacks.append(("cold", len(designs)))
+            stacks.append(designs)
             return cold(designs)
 
         def record_folds(designs, fulls):
-            stacks.append(("folds", len(designs)))
+            stacks.append(fulls)
             return folds(designs, fulls)
 
-        monkeypatch.setattr(estimators_mod, "augment_weights", record_anchor)
-        monkeypatch.setattr(sim_mod, "estimate_on_blocks", record_estimate)
+        def record_finish(drawn, solutions, *args):
+            finished.append(solutions)
+            return finish(drawn, solutions, *args)
+
+        def alone(*args):
+            raise AssertionError("a replication finished alone")
+
         monkeypatch.setattr(sim_mod, "_cold_stack", record_cold)
         monkeypatch.setattr(sim_mod, "_leave_one_stack", record_folds)
+        monkeypatch.setattr(sim_mod, "_finish_stack", record_finish)
+        monkeypatch.setattr(sim_mod, "_finish_alone", alone)
         solves = record_scm_solves(monkeypatch)
+        log = tmp_path / "reps.csv"
         run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
-                        n=10, t=20, t0=16, lam="cv-min")
-        assert solves == [] and stacks == [("cold", 2), ("folds", 1)]
-        blocks = estimates["blocks"]
+                        n=10, t=20, t0=16, lam="cv-min", rep_log=str(log))
+        assert solves == [] and len(stacks) == 2 and len(finished) == 1
+        (blocks, demeaned), (full,) = stacks
         resolved = folds_off_the_full_support(blocks, EstimatorSpec())
         assert 0 < len(resolved) < 16
-        shared = estimates["scm"].weights
-        assert np.abs(shared.values - solve_scm(blocks).values).max() <= 1e-12
-        assert [a for a in anchors if a is shared] == [shared]  # the ridge_ascm entry's
-        demeaned = solve_scm(demean_rows(blocks)).values
-        assert np.abs(estimates["demeaned"].weights.values - demeaned).max() <= 1e-12
+        assert np.array_equal(finished[0][0], [full, finished[0][0, 1]])  # the fold start
+        assert np.abs(full - solve_scm(blocks).values).max() <= 1e-12
+        dm = solve_scm(demean_rows(blocks)).values
+        assert np.array_equal(demeaned.x0, demean_rows(blocks).x0)
+        assert np.abs(finished[0][0, 1] - dm).max() <= 1e-12
+        with open(log, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        scm = estimate_on_blocks(blocks, EstimatorSpec(method="scm"),
+                                 fit=sim_mod._anchor_fit(blocks, full))
+        assert float(row["scm"]) == scm.att[-1]
+        assert float(row["scm_fit"]) == imbalance(blocks, full)
 
     def test_stratification_partitions(self):
         params = default_dgp("factor")
@@ -307,17 +311,27 @@ class TestRunMonteCarlo:
         assert np.array_equal(design.x0, demean_rows(blocks).x0)
 
 
+# 29 donors over 5 pre periods: full column rank, where the fold adjustments
+# take their full-rank branch. There the SCM problem's curvature off the
+# 5-dimensional row space is its 1e-8-scaled dispersion penalty, and the
+# lockstep and lone solvers stop 1e-10 apart (both within the KKT gate), so
+# the entries built on an SCM solution agree only to 1e-8
+FULL_RANK_RTOL = 1e-8
+
+
 @pytest.mark.parametrize(
-    "family, lam, n, t, t0, seed",
+    "family, lam, n, t, t0, seed, rtol",
     [
-        ("factor", "cv-min", 10, 20, 16, 1),
-        ("factor", "cv-1se", 10, 20, 16, 2),
-        ("factor", 5.0, 8, 16, 12, 3),
-        ("fixed-effects", "cv-min", 10, 20, 16, 4),
-        ("ar3", "cv-min", 10, 20, 15, 5),
+        ("factor", "cv-min", 10, 20, 16, 1, 1e-12),
+        ("factor", "cv-1se", 10, 20, 16, 2, 1e-12),
+        ("factor", 5.0, 8, 16, 12, 3, 1e-12),
+        ("fixed-effects", "cv-min", 10, 20, 16, 4, 1e-12),
+        ("ar3", "cv-min", 10, 20, 15, 5, 1e-12),
+        ("factor", "cv-min", 30, 8, 5, 6, FULL_RANK_RTOL),
+        ("factor", 0.0, 30, 8, 5, 7, FULL_RANK_RTOL),
     ],
 )
-def test_stacked_replications_match_lone_ones(tmp_path, family, lam, n, t, t0, seed):
+def test_stacked_replications_match_lone_ones(tmp_path, family, lam, n, t, t0, seed, rtol):
     """Every replication of a run over several stacks reports what it
     reports solved on its own (``oracles.one_replication``)."""
     import panelctrl.sim as sim_mod
@@ -335,6 +349,131 @@ def test_stacked_replications_match_lone_ones(tmp_path, family, lam, n, t, t0, s
     for row, (estimates, fit, _) in zip(rows, alone):
         if estimates is not None:
             got = [float(row[name]) for name in MC_BANK] + [float(row["scm_fit"])]
-            assert np.allclose(got, [*estimates.values(), fit], rtol=1e-12, atol=0.0)
+            assert np.allclose(got, [*estimates.values(), fit], rtol=rtol, atol=0.0)
     kept = sum(e is not None for e, _, _ in alone)
     assert [(r.n_used, r.n_dropped) for r in report.rows] == [(kept, reps - kept)] * 5
+
+
+def _zero_design_panel(n, t, t0, seed):
+    """A factor draw whose units share one integer pre-period path (the
+    treated unit shifted by 0.5): its centred control block is exactly zero."""
+    p = draw_panel("factor", default_dgp("factor"), n, t, t0, seed)
+    outcomes = np.array(p.outcomes)
+    outcomes[:, :t0] = np.arange(float(t0))
+    outcomes[p.treated_index, :t0] += 0.5
+    return replace(p, outcomes=outcomes)
+
+
+@pytest.mark.parametrize("lam", ["cv-min", "cv-1se", 0.0, 5.0])
+@pytest.mark.parametrize("n, t, t0", [(30, 8, 5), (10, 20, 16)])
+def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
+    """Given the same SCM solutions, the array finish of a stack reports
+    what each replication's lone calls report, to 1e-12, on both rank
+    branches and with a zero design (rank 0) among the others; where a lone
+    call raises (the zero design's penalty grid, lam = 0 without full column
+    rank) the finish leaves the replication alone."""
+    import panelctrl.sim as sim_mod
+
+    panels = [draw_panel("factor", default_dgp("factor"), n, t, t0, s) for s in range(5)]
+    blocks = [split_and_center(p) for p in [*panels, _zero_design_panel(n, t, t0, 5)]]
+    drawn = [(b, demean_rows(b)) for b in blocks]
+    cold = np.array([[solve_scm(b).values, solve_scm(d).values] for b, d in drawn])
+    folds = None
+    if isinstance(lam, str):
+        folds = np.array(
+            [solve_leave_one(b, DonorWeights(g), None) for b, g in zip(blocks, cold[:, 0])]
+        )
+    estimand_period = t - t0 - 1
+    rows = sim_mod._finish_stack(drawn, cold, folds, lam, estimand_period)
+    raised = []
+    for r, ((b, d), (g, h), row) in enumerate(zip(drawn, cold, rows)):
+        stacked = None if folds is None else (folds[r].copy(), np.zeros(t0, dtype=bool))
+        try:
+            estimates, fit = sim_mod._finish_alone(b, d, g, h, stacked, lam, estimand_period)
+        except PanelCtrlError:
+            raised.append(r)
+            assert row is None
+            continue
+        assert np.allclose(row, [*estimates.values(), fit], rtol=1e-12, atol=0.0)
+    if lam == 0.0:  # the zero design is never of full column rank
+        assert raised == ([5] if n - 2 >= t0 else list(range(6)))
+    else:
+        assert raised == ([5] if isinstance(lam, str) else [])
+
+
+def test_a_handed_back_fold_finishes_its_replication_alone(monkeypatch):
+    # the fold stack hands back fold 5 of the third replication: it alone
+    # finishes by the lone calls, solving that fold by solve_scm
+    import panelctrl.sim as sim_mod
+
+    family, params, n, t, t0, lam = "factor", default_dgp("factor"), 10, 20, 16, "cv-min"
+    folds, finish_alone, alone = sim_mod._leave_one_stack, sim_mod._finish_alone, []
+
+    def hand_back(designs, fulls):
+        g, rejected = folds(designs, fulls)
+        rejected[2, 5] = True
+        return g, rejected
+
+    def record(*args):
+        alone.append(args)
+        return finish_alone(*args)
+
+    monkeypatch.setattr(sim_mod, "_leave_one_stack", hand_back)
+    monkeypatch.setattr(sim_mod, "_finish_alone", record)
+    solves = record_scm_solves(monkeypatch)
+    seeds = np.random.SeedSequence(11).spawn(6)
+    results = sim_mod._replication_stack(family, params, n, t, t0, seeds, lam, t - t0 - 1)
+    ((blocks, _, full, _, (_, mask), _, _),) = alone
+    third = split_and_center(draw_panel(family, params, n, t, t0, seeds[2]))
+    assert np.array_equal(blocks.x0, third.x0) and np.flatnonzero(mask).tolist() == [5]
+    ((fold, start, _),) = solves
+    assert fold.t0 == t0 - 1 and np.array_equal(start, full)
+    lone = [one_replication(family, params, n, t, t0, s, lam, t - t0 - 1) for s in seeds]
+    assert [error for _, _, error in results] == [""] * 6
+    for (estimates, fit, _), (want, want_fit, _) in zip(results, lone):
+        got = [*estimates.values(), fit]
+        assert np.allclose(got, [*want.values(), want_fit], rtol=1e-12, atol=0.0)
+
+
+def test_lambda_zero_without_full_rank_drops_every_replication_alone():
+    import panelctrl.sim as sim_mod
+
+    family, params, n, t, t0 = "factor", default_dgp("factor"), 10, 20, 16
+    seeds = np.random.SeedSequence(12).spawn(4)
+    results = sim_mod._replication_stack(family, params, n, t, t0, seeds, 0.0, 3)
+    lone = [one_replication(family, params, n, t, t0, s, 0.0, 3) for s in seeds]
+    assert results == lone
+    assert [error for _, _, error in results] == [
+        "SingularityError: x0'x0 is singular (rank 8 < 16); lambda=0 not allowed"
+    ] * 4
+    with pytest.raises(ConfigError, match="every replication failed"):
+        run_monte_carlo(family, params, replications=4, seed=12, n=n, t=t, t0=t0, lam=0.0)
+
+
+def test_demeans_once_per_fit(monkeypatch):
+    """A de-meaned fit's blocks are its design: a leave-one fold pass of the
+    demeaned method de-means the full sample and each fold once, a stacked
+    replication once, and a replication finished alone twice (its
+    demeaned_scm design, then fixed_effects')."""
+    import panelctrl.estimators as estimators_mod
+    import panelctrl.sim as sim_mod
+
+    demean, calls = estimators_mod.demean_rows, []
+
+    def count(blocks):
+        calls.append(blocks)
+        return demean(blocks)
+
+    for module in (estimators_mod, sim_mod):
+        monkeypatch.setattr(module, "demean_rows", count)
+    blocks = split_and_center(draw_panel("factor", default_dgp("factor"), 20, 30, 25, 0))
+    fold_predictions(blocks, EstimatorSpec(method="demeaned"))
+    assert len(calls) == 26
+    mc = {"replications": 3, "seed": 1, "n": 20, "t": 30, "t0": 25, "lam": "cv-min"}
+    calls.clear()
+    run_monte_carlo("factor", default_dgp("factor"), **mc)
+    assert len(calls) == 3
+    calls.clear()
+    monkeypatch.setattr(sim_mod, "_finish_stack", lambda drawn, *args: [None] * len(drawn))
+    run_monte_carlo("factor", default_dgp("factor"), **mc)
+    assert len(calls) == 6

@@ -9,10 +9,11 @@ generated panels into OUT, one directory per case, plus ``exit_codes.json``
 The matrix covers every ``estimate`` method with each inference mode, the
 covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log`` (the factor, fixed-effects and AR(3) families over
-more replications than one stack of lockstep solves holds), plus cells that must fail (an infinite penalty, a NaN
-``--alpha``, zero replications, ``simulate`` designs no replication can
-draw, and a CSV for every input error of docs/schemas.md) so their exit
-codes are compared too, and two CSVs that must read like the original
+more replications than one stack of lockstep solves holds), plus cells that
+must fail (an infinite penalty, a NaN ``--alpha``, zero replications,
+``simulate`` designs no replication can draw or cross-validate, and a CSV
+for every input error of docs/schemas.md) so their exit codes are compared
+too, and two CSVs that must read like the original
 (blank rows, a quoted unit label with a comma). An 800-row panel repeats the
 ragged, duplicate and blank-row CSVs with the changed row past the reader's
 first blocks of rows, so line numbers are compared there too. A case's
@@ -192,6 +193,8 @@ def cases(inputs):
     for tag, design in (("n2", ["--n", "2"]), ("t200", ["--t", "200", "--t0", "190"]),
                         ("sigma-nan", ["--sigma-scale", "nan"]), ("t-eq-t0", ["--t0", "14"])):
         yield f"simulate-{tag}", [*small, "--reps", "2", "--lambda", "1", *design]
+    # a cross-validated penalty needs 3 pre periods: refused before any draw
+    yield "simulate-t0-2-cv", [*small, "--reps", "2", "--t0", "2", "--select", "min"]
     data = ["--treated", "u0", "--treatment-time", "11", "--lambda", "1"]
     for variant in ("ragged", "inf-outcome", "blank-outcome", "duplicate", "missing",
                     "no-outcome", "blank-rows", "comma-unit"):
