@@ -337,19 +337,11 @@ _STACK = 20
 
 def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
     """``(estimates, scm_fit, error)`` of the replication of each seed in
-    ``seeds``: the estimates of ``_BANK`` at ``estimand_period`` and the SCM
-    fit's imbalance, or, for a dropped replication, only its exception, as
-    ``ExceptionClass: message``.
-
-    Every panel is drawn and split, and de-meaned for the demeaned_scm and
-    fixed_effects entries. One lockstep pass solves every full-sample and
-    de-meaned design cold, and under a cross-validated ``lam`` one more
-    solves every leave-one fold, warm from its replication's full solution;
-    then :func:`_finish_stack` finishes the stack in arrays. A replication
-    with a problem handed back, or one the array finish leaves, finishes
-    alone (:func:`_finish_alone`), so each step raises what it would raise
-    alone.
-    """
+    ``seeds``, by the stages of :func:`run_monte_carlo`: the estimates of
+    ``_BANK`` at ``estimand_period`` and the SCM fit's imbalance or, for a
+    dropped replication, only its exception, as ``ExceptionClass: message``.
+    A replication with a problem handed back, or one :func:`_finish_stack`
+    leaves, finishes alone (:func:`_finish_alone`)."""
     results, drawn = [None] * len(seeds), {}
     for r, seed in enumerate(seeds):
         try:
@@ -438,21 +430,14 @@ def _anchor_fit(design, values):
 
 
 def _finish_stack(drawn, cold, folds, lam, estimand_period):
-    """The estimates of ``_BANK`` at ``estimand_period`` and the SCM
-    imbalance of R replications, from array products over the stack.
+    """The steps of :func:`_finish_alone` for R replications, as array
+    products over the stack: ``drawn`` holds each one's blocks and de-meaned
+    blocks, ``cold`` (R x 2 x N0) their SCM solutions and ``folds`` (R x N0
+    x T0) the leave-one fold solutions (None under a fixed ``lam``).
 
-    ``drawn`` holds each replication's blocks and de-meaned blocks, ``cold``
-    (R x 2 x N0) their SCM solutions and ``folds`` (R x N0 x T0) the
-    leave-one fold solutions (None under a fixed ``lam``). The steps are
-    those of :func:`_finish_alone`: one batched SVD of the designs
-    (:func:`ridge._svd_stack`); under a cross-validated ``lam`` every
-    replication's penalty grid, fold predictions at every penalty
-    (:func:`ridge._fold_adjustments`), CV curve and penalty by the rule
-    (:func:`selection._cv_curves`); then both ridge augmentations at each
-    replication's penalty and the five effects. Returns one row per
-    replication, the five estimates then the imbalance, or None where a
-    lone step would raise (a zero design under CV, lam = 0 on a design
-    without full column rank, weights off the sum-to-one check or a value
+    Returns one row per replication, the five estimates then the imbalance,
+    or None where a lone step would raise (a zero design under CV, lam = 0
+    without full column rank, weights off the sum-to-one check, or a value
     that is not finite): that replication finishes alone.
     """
     blocks, demeaned = zip(*drawn)
