@@ -52,15 +52,27 @@ from .ridge import (
 )
 from .scm import DonorWeights, imbalance, kkt_residual, solve_scm
 from .selection import CvResult, default_lambda_grid, loo_cv, select_lambda
-from .sim import (
-    Ar3Dgp,
-    FactorDgp,
-    FixedEffectsDgp,
-    McReport,
-    default_dgp,
-    draw_panel,
-    run_monte_carlo,
+
+# the Monte Carlo names, imported from .sim on first use (PEP 562 __getattr__),
+# so that importing the package or its CLI does not import the harness
+_SIM_NAMES = (
+    "Ar3Dgp",
+    "FactorDgp",
+    "FixedEffectsDgp",
+    "McReport",
+    "default_dgp",
+    "draw_panel",
+    "run_monte_carlo",
 )
+
+
+def __getattr__(name):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -45,7 +45,6 @@ from .ridge import (
     weight_norm_bound,
 )
 from .selection import cv_from_folds, default_lambda_grid, loo_cv, placebo_panel, select_lambda
-from .sim import default_dgp, run_monte_carlo
 
 logger = logging.getLogger(__name__)
 
@@ -335,6 +334,8 @@ def _cmd_placebo(args):
 
 
 def _cmd_simulate(args):
+    from .sim import default_dgp, run_monte_carlo  # only simulate imports the harness
+
     params = default_dgp(args.dgp)
     if args.sigma_scale != 1.0:
         params = replace(params, sigma_multiplier=args.sigma_scale)

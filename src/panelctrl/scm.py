@@ -327,25 +327,25 @@ def _solve_rejected(design, full, zeta, g, rejected):
     return g
 
 
-def _cold_stack(designs):
-    """What ``solve_scm`` solves for each design of a list of one shape, at
-    the default penalty and from the best single-donor vertex, as one
-    lockstep pass. Returns the N0 x R solutions, column r for design r, and
-    the R-mask of those handed back to be solved alone."""
-    x0, x1 = np.stack([d.x0 for d in designs]), np.stack([d.x1 for d in designs])
-    g = np.zeros((x0.shape[1], len(designs)))
-    g[np.argmin(np.sum((x1[:, None] - x0) ** 2, axis=2), axis=1), np.arange(len(designs))] = 1.0
+def _cold_stack(x0, x1):
+    """What ``solve_scm`` solves for each of R designs of one shape, centred
+    blocks ``x0`` (R x N0 x T0) and ``x1`` (R x T0), at the default penalty
+    and from the best single-donor vertex, as one lockstep pass. Returns the
+    N0 x R solutions, column r for design r, and the R-mask of those handed
+    back to be solved alone."""
+    g = np.zeros((x0.shape[1], x0.shape[0]))
+    g[np.argmin(np.sum((x1[:, None] - x0) ** 2, axis=2), axis=1), np.arange(x0.shape[0])] = 1.0
     return _lockstep(x0, x1, np.array([-1]), None, g, "cold solve")
 
 
-def _leave_one_stack(designs, fulls):
-    """The leave-one fold solutions of each design of a list of one shape,
-    from its full-sample solution in ``fulls``, at the default penalty, as
-    one lockstep pass. Returns the R x N0 x T0 solutions and the R x T0 mask
-    of folds handed back (see :func:`_solve_rejected`)."""
-    x0, x1 = np.stack([d.x0 for d in designs]), np.stack([d.x1 for d in designs])
+def _leave_one_stack(x0, x1, fulls):
+    """The leave-one fold solutions of each of R designs of one shape,
+    centred blocks ``x0`` (R x N0 x T0) and ``x1`` (R x T0), from its
+    full-sample solution, row r of ``fulls`` (R x N0), at the default
+    penalty, as one lockstep pass. Returns the R x N0 x T0 solutions and the
+    R x T0 mask of folds handed back (see :func:`_solve_rejected`)."""
     n_designs, n0, t0 = x0.shape
-    g = np.repeat(np.column_stack(fulls), t0, axis=1)
+    g = np.repeat(fulls.T, t0, axis=1)
     g, rejected = _lockstep(x0, x1, np.arange(t0), None, g, "leave-one fold")
     return g.reshape(n0, n_designs, t0).transpose(1, 0, 2).copy(), rejected.reshape(n_designs, t0)
 

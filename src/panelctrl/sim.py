@@ -10,13 +10,16 @@ of zero treatment effect holds in every family: the designated treated
 unit's outcomes are untouched, so each replication's estimate is pure
 error.
 
-The Monte Carlo harness solves its replications in stacks: the SCM problems
-of a stack's replications (full-sample and de-meaned designs, then the
+The Monte Carlo harness runs its replications in stacks, in arrays from
+the draw on: each seed's draws go into one R x N x T outcome array, whose
+blocks and de-meaned blocks are formed over the stack; the SCM problems of
+the stack's replications (full-sample and de-meaned designs, then the
 leave-one CV folds) go through one lockstep pass each
 (:func:`scm.solve_leave_one`'s kernel), and the stack finishes in arrays:
 one batched SVD, every design's fold predictions at every penalty, the CV
 curves and penalty choices, then the estimates as stacked products. A
-replication with a problem handed back, or with a step that would raise,
+replication whose blocks are not all finite, with a problem handed back, or
+with a step that would raise, is drawn again as a :class:`PanelData` and
 finishes alone through the estimators' own calls.
 """
 
@@ -27,6 +30,7 @@ import logging
 import math
 from dataclasses import astuple, dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,18 +242,44 @@ def draw_panel(family, params, n, t, t0, seed):
 
     Selection into treatment follows an inverse-logit score in the unit
     heterogeneity (standardized to unit variance), normalized so exactly
-    one unit is treated.
+    one unit is treated. The draws are :func:`_draw`'s, the one draw of
+    the Monte Carlo stacks, here checked as a :class:`PanelData`.
     """
     _check_design(family, params, n, t, t0)
+    outcomes, treated = _draw(family, params, n, t, t0, seed, _loadings(family, params))
+    return PanelData(
+        outcomes=outcomes,
+        unit_ids=tuple(f"u{i:03d}" for i in range(n)),
+        time_ids=tuple(range(1, t + 1)),
+        treated_index=treated,
+        t0=t0,
+    )
+
+
+def _loadings(family, params):
+    """The factor family's u sqrt(s), from the SVD u s v' of ``phi_cov``: the
+    matrix ``Generator.multivariate_normal(method="svd")`` turns standard
+    normals into loadings with (None for the other families)."""
+    if family != "factor":
+        return None
+    u, s, _ = np.linalg.svd(params.phi_cov)
+    return u * np.sqrt(s)
+
+
+def _draw(family, params, n, t, t0, seed, loadings):
+    """The n x t outcomes and the treated row of the panel of ``seed``,
+    unchecked, from one generator per seed. The factor loadings take the
+    calls and arithmetic of ``Generator.multivariate_normal(method="svd")``
+    after its own SVD and check: standard normals times ``loadings``
+    (:func:`_loadings`), so they are its draws bit for bit."""
     rng = np.random.default_rng(seed)
 
     if family == "factor":
         mu = params.mu[:t]
         nu = params.nu[:t]
         alpha = rng.normal(params.alpha_mean, params.alpha_sd, size=n)
-        phi = rng.multivariate_normal(
-            np.zeros(params.n_factors), params.phi_cov, size=n, method="svd"
-        )
+        k = params.n_factors
+        phi = np.zeros(k) + rng.standard_normal((n, k)) @ loadings.T
         eps = rng.normal(0.0, params.noise_sd, size=(n, t))
         outcomes = alpha[:, None] + nu[None, :] + phi @ mu.T + eps
         score = _standardize(alpha) + _standardize(phi.sum(axis=1))
@@ -273,14 +303,56 @@ def draw_panel(family, params, n, t, t0, seed):
         outcomes = path[:, params.burn_in :]
         recent = outcomes[:, max(t0 - 4, 0) : t0].sum(axis=1)
         treated = _pick_treated(rng, _standardize(recent), params.theta)
+    return outcomes, treated
 
-    return PanelData(
-        outcomes=outcomes,
-        unit_ids=tuple(f"u{i:03d}" for i in range(n)),
-        time_ids=tuple(range(1, t + 1)),
-        treated_index=treated,
-        t0=t0,
-    )
+
+class _Blocks(NamedTuple):
+    """The blocks of a stack of panels of one shape, replication r's at
+    index r of each array, named as in :class:`PanelBlocks` (whose
+    ``centering`` the stack does not use): ``x1`` (R x T0), ``x0`` (R x N0
+    x T0), ``y0_post`` (R x N0 x T1) and ``y1_post`` (R x T1)."""
+
+    x1: np.ndarray
+    x0: np.ndarray
+    y0_post: np.ndarray
+    y1_post: np.ndarray
+
+    def take(self, rows):
+        """The stack of replications ``rows``, ascending indices."""
+        if len(rows) == len(self.x1):
+            return self
+        return _Blocks(*(a[rows] for a in self))
+
+
+def _centred(x1, x0, y0_post, y1_post):
+    """Stacked blocks with their pre blocks centred on the donor column
+    means, as :class:`PanelBlocks` centres them, and those means."""
+    means = x0.mean(axis=1)
+    return _Blocks(x1 - means, x0 - means[:, None], y0_post, y1_post), means
+
+
+def _stack_blocks(outcomes, treated, t0):
+    """The blocks and de-meaned blocks (two :class:`_Blocks`) of R drawn
+    panels, ``outcomes`` (R x N x T) with treated rows ``treated``: the
+    array operations of :func:`split_and_center` and :func:`demean_rows`,
+    taken over the stack, so each replication's arrays are its lone blocks'
+    bit for bit. A draw that is not finite, or that overflows, leaves
+    values that are not finite and raises no warning."""
+    n_reps, n, _ = outcomes.shape
+    reps = np.arange(n_reps)
+    donors = np.arange(n - 1) + (np.arange(n - 1) >= treated[:, None])
+    pre, post = outcomes[..., :t0], outcomes[..., t0:]
+    # indexed by arrays, every block is a C-contiguous copy, laid out as a
+    # PanelBlocks' arrays are: the finish's products round by the layout
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks, means = _centred(
+            pre[reps, treated], pre[reps[:, None], donors], post[reps[:, None], donors],
+            post[reps, treated],
+        )
+        x1, x0 = blocks.x1 + means, blocks.x0 + means[:, None]  # the uncentred pre blocks
+        m1, m0 = x1.mean(axis=1, keepdims=True), x0.mean(axis=2, keepdims=True)
+        demeaned, _ = _centred(x1 - m1, x0 - m0, blocks.y0_post - m0, blocks.y1_post - m1)
+    return blocks, demeaned
 
 
 @dataclass(frozen=True)
@@ -340,57 +412,84 @@ def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
     ``seeds``, by the stages of :func:`run_monte_carlo`: the estimates of
     ``_BANK`` at ``estimand_period`` and the SCM fit's imbalance or, for a
     dropped replication, only its exception, as ``ExceptionClass: message``.
-    A replication with a problem handed back, or one :func:`_finish_stack`
-    leaves, finishes alone (:func:`_finish_alone`)."""
-    results, drawn = [None] * len(seeds), {}
+    A replication whose stacked blocks are not all finite, with a problem
+    handed back, or one :func:`_finish_stack` leaves, is drawn again by
+    :func:`draw_panel` and finishes alone (:func:`_finish_alone`)."""
+    blocks, demeaned, results = _draw_stack(family, params, n, t, t0, seeds)
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(seeds), -1).all(axis=1) for a in (*blocks, *demeaned)]
+    )
+    reps = np.flatnonzero(finite & np.array([res is None for res in results]))
+    solved = {}  # replication -> its stacked full, de-meaned and fold solutions, or None
+    if reps.size:
+        blocks, demeaned = blocks.take(reps), demeaned.take(reps)
+        stacked = _solve_stack(blocks, demeaned, lam)
+        whole = [i for i, (full, dm, folds) in enumerate(stacked) if full is not None
+                 and dm is not None and (folds is None or not folds[1].any())]
+        if whole:
+            finished = _finish_stack(
+                blocks.take(whole),
+                demeaned.take(whole),
+                np.array([stacked[i][:2] for i in whole]),
+                np.array([stacked[i][2][0] for i in whole]) if isinstance(lam, str) else None,
+                lam,
+                estimand_period,
+            )
+            for r, row in zip(reps[whole], finished):
+                if row is not None:
+                    results[r] = (dict(zip(_BANK, row[:-1])), row[-1], "")
+        solved = dict(zip(reps.tolist(), stacked))
     for r, seed in enumerate(seeds):
-        try:
-            blocks = split_and_center(draw_panel(family, params, n, t, t0, seed))
-        except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
-            results[r] = _dropped(exc)
-            continue
-        try:
-            demeaned = demean_rows(blocks)
-        except Exception:  # noqa: BLE001 - raised again alone, at the first step that de-means
-            demeaned = None
-        drawn[r] = blocks, demeaned
-    designs = [d for pair in drawn.values() for d in pair if d is not None]
-    if not designs:
-        return results
-    g, handed_back = _cold_stack(designs)
-    solutions = iter([None if back else w for w, back in zip(g.T, handed_back)])
-    cold = {r: [None if d is None else next(solutions) for d in pair] for r, pair in drawn.items()}
-    folds = {}
-    if isinstance(lam, str):
-        ready = [r for r in drawn if cold[r][0] is not None]
-        if ready:
-            stacked = _leave_one_stack([drawn[r][0] for r in ready], [cold[r][0] for r in ready])
-            folds = dict(zip(ready, zip(*stacked)))
-    whole = [
-        r for r in drawn
-        if all(w is not None for w in cold[r]) and not (r in folds and folds[r][1].any())
-    ]
-    if whole:
-        finished = _finish_stack(
-            [drawn[r] for r in whole],
-            np.array([cold[r] for r in whole]),
-            np.array([folds[r][0] for r in whole]) if folds else None,
-            lam,
-            estimand_period,
-        )
-        for r, row in zip(whole, finished):
-            if row is not None:
-                results[r] = (dict(zip(_BANK, row[:-1])), row[-1], "")
-    for r, (blocks, demeaned) in drawn.items():
         if results[r] is None:
             try:
-                results[r] = (
-                    *_finish_alone(blocks, demeaned, *cold[r], folds.get(r), lam, estimand_period),
-                    "",
-                )
+                blocks = split_and_center(draw_panel(family, params, n, t, t0, seed))
+                finish = _finish_alone(blocks, *solved.get(r, (None,) * 3), lam, estimand_period)
+                results[r] = (*finish, "")
             except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
                 results[r] = _dropped(exc)
     return results
+
+
+def _draw_stack(family, params, n, t, t0, seeds):
+    """The blocks and de-meaned blocks (:func:`_stack_blocks`) of each
+    seed's draw (:func:`_draw`), written into one outcome array, and a
+    result per seed: dropped where the draw raised, as :func:`draw_panel`
+    raises it, else None. A draw that raised leaves zeros in the stack."""
+    outcomes, treated = np.zeros((len(seeds), n, t)), np.zeros(len(seeds), dtype=int)
+    results, loadings = [None] * len(seeds), _loadings(family, params)
+    for r, seed in enumerate(seeds):
+        try:
+            outcomes[r], treated[r] = _draw(family, params, n, t, t0, seed, loadings)
+        except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
+            results[r] = _dropped(exc)
+    return *_stack_blocks(outcomes, treated, t0), results
+
+
+def _solve_stack(blocks, demeaned, lam):
+    """The lockstep SCM passes of a stack: one cold pass over every
+    replication's full-sample and de-meaned designs, then, under a
+    cross-validated ``lam``, one over the leave-one folds of every full
+    design not handed back, each warm from its solution. Returns per
+    replication its full and de-meaned solutions (None where handed back)
+    and its fold solutions with their handed-back mask (None where not
+    solved)."""
+    n_reps, n0, t0 = blocks.x0.shape
+    g, back = _cold_stack(
+        np.stack([blocks.x0, demeaned.x0], axis=1).reshape(-1, n0, t0),
+        np.stack([blocks.x1, demeaned.x1], axis=1).reshape(-1, t0),
+    )
+    cold = [
+        [None if b else w for w, b in zip(*pair)]
+        for pair in zip(g.T.reshape(n_reps, 2, n0), back.reshape(n_reps, 2))
+    ]
+    folds = [None] * n_reps
+    ready = [i for i, (full, _) in enumerate(cold) if full is not None]
+    if isinstance(lam, str) and ready:
+        fulls = np.array([cold[i][0] for i in ready])
+        stacked = _leave_one_stack(blocks.x0[ready], blocks.x1[ready], fulls)
+        for i, fold in zip(ready, zip(*stacked)):
+            folds[i] = fold
+    return [(full, dm, fold) for (full, dm), fold in zip(cold, folds)]
 
 
 def _dropped(exc):
@@ -398,15 +497,15 @@ def _dropped(exc):
     return None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _finish_alone(blocks, demeaned, full, dm, stacked, lam, estimand_period):
+def _finish_alone(blocks, full, dm, stacked, lam, estimand_period):
     """One replication's estimates and SCM imbalance by the lone calls:
     the full-sample SCM solve (``full``, or solved here when None), the
     penalty grid, the leave-one fold pass (its lockstep solutions
     ``stacked``, as for :func:`estimators._fold_predictions`, or solved
     here), the penalty choice and the estimates of ``_BANK`` in order,
-    demeaned_scm's from its solution ``dm`` on ``demeaned`` (solved here
-    when None). One SCM solution is the scm entry, the ridge_ascm anchor
-    and the start of every CV fold."""
+    demeaned_scm's from its solution ``dm`` on ``demean_rows(blocks)``
+    (solved here when None). One SCM solution is the scm entry, the
+    ridge_ascm anchor and the start of every CV fold."""
     ascm = EstimatorSpec()  # ridge ASCM, whose penalty is cross-validated
     shared = design_and_anchor(blocks, ascm) if full is None else _anchor_fit(blocks, full)
     if isinstance(lam, str):
@@ -417,7 +516,7 @@ def _finish_alone(blocks, demeaned, full, dm, stacked, lam, estimand_period):
     for name, method in _BANK.items():
         fit = shared if method in ("scm", "ridge_ascm") else None
         if method == "demeaned" and dm is not None:
-            fit = _anchor_fit(demeaned, dm)
+            fit = _anchor_fit(demean_rows(blocks), dm)
         est = estimate_on_blocks(blocks, EstimatorSpec(method=method, lam=lam), fit=fit)
         estimates[name] = float(est.att[estimand_period])
     return estimates, imbalance(blocks, shared.scm)
@@ -429,20 +528,19 @@ def _anchor_fit(design, values):
     return AnchorFit(design, weights, weights)
 
 
-def _finish_stack(drawn, cold, folds, lam, estimand_period):
+def _finish_stack(blocks, demeaned, cold, folds, lam, estimand_period):
     """The steps of :func:`_finish_alone` for R replications, as array
-    products over the stack: ``drawn`` holds each one's blocks and de-meaned
-    blocks, ``cold`` (R x 2 x N0) their SCM solutions and ``folds`` (R x N0
-    x T0) the leave-one fold solutions (None under a fixed ``lam``).
+    products over the stack: ``blocks`` and ``demeaned`` (:class:`_Blocks`)
+    hold their blocks and de-meaned blocks, ``cold`` (R x 2 x N0) their SCM
+    solutions and ``folds`` (R x N0 x T0) the leave-one fold solutions
+    (None under a fixed ``lam``).
 
     Returns one row per replication, the five estimates then the imbalance,
     or None where a lone step would raise (a zero design under CV, lam = 0
     without full column rank, weights off the sum-to-one check, or a value
     that is not finite): that replication finishes alone.
     """
-    blocks, demeaned = zip(*drawn)
-    x0 = np.stack([b.x0 for b in blocks])
-    x1 = np.stack([b.x1 for b in blocks])
+    x0, x1 = blocks.x0, blocks.x1
     n_reps, n0, t0 = x0.shape
     u, d, v, rank = _svd_stack(x0)
     reps = np.arange(n_reps)
@@ -477,10 +575,8 @@ def _finish_stack(drawn, cold, folds, lam, estimand_period):
                 ok[r] &= abs(math.fsum(w) - 1.0) <= 1e-10
             except (ValueError, OverflowError):  # inf - inf, or too large to sum
                 ok[r] = False
-        y0 = np.stack([b.y0_post for b in blocks])[:, None]
-        y1 = np.stack([b.y1_post for b in blocks])[:, None]
-        dy0 = np.stack([b.y0_post for b in demeaned])[:, None]
-        dy1 = np.stack([b.y1_post for b in demeaned])[:, None]
+        y0, y1 = blocks.y0_post[:, None], blocks.y1_post[:, None]
+        dy0, dy1 = demeaned.y0_post[:, None], demeaned.y1_post[:, None]
         plain = np.concatenate([cold[:, :1], ridge], axis=1)  # scm, ridge, ridge_ascm
         dm = np.stack([anchors[:, 0], cold[:, 1]], axis=1)  # fixed_effects, demeaned_scm
         att_plain = y1 - (plain[:, :, None] @ y0)[:, :, 0]
@@ -518,19 +614,21 @@ def run_monte_carlo(
     entry, the ``ridge_ascm`` anchor and the start of every CV fold.
 
     The replications run in stacks of ``_STACK``, in four stages: every
-    panel is drawn, split and de-meaned; one lockstep pass solves every
-    full-sample and de-meaned SCM problem, cold from the best vertex as
-    :func:`scm.solve_scm` does; under a cross-validated ``lam`` one more
+    seed's draws go into one outcome array, from which the stack's blocks
+    and de-meaned blocks are formed as arrays; one lockstep pass solves
+    every full-sample and de-meaned SCM problem, cold from the best vertex
+    as :func:`scm.solve_scm` does; under a cross-validated ``lam`` one more
     solves every leave-one fold, each warm from its replication's full
     solution; then the stack finishes in arrays, from one batched SVD of
     its designs: the penalty grids, every fold prediction at every penalty,
     the CV curves and each replication's penalty, the two ridge
     augmentations, and the five estimates at the estimand period with the
-    SCM fit's imbalance. A replication with a problem a pass hands back, or
-    with a step that would raise alone, finishes by the lone calls, at the
-    step that uses them, so every replication reports what it would alone,
-    up to round-off, and drops with the same error. A cross-validated
-    ``lam`` needs ``t0`` >= 3, and is refused before any draw otherwise.
+    SCM fit's imbalance. A replication whose blocks are not all finite, with
+    a problem a pass hands back, or with a step that would raise alone, is
+    drawn again and finishes by the lone calls, at the step that uses them,
+    so every replication reports what it would alone, up to round-off, and
+    drops with the same error. A cross-validated ``lam`` needs ``t0`` >= 3,
+    and is refused before any draw otherwise.
 
     Under the sharp null the per-replication true effect is zero, so bias
     equals the mean estimate, taken at the final post period for the factor

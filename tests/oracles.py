@@ -9,10 +9,12 @@ bookkeeping rather than the estimator and so fits each fold with the
 library's ``estimate_on_blocks``, and the lone Monte Carlo replication,
 which checks the stacking of replications in ``sim`` and so runs each
 replication's steps with the library's estimators, one replication at a
-time. The per-penalty loop of the fold adjustments writes out the same
-identity as the library's all-penalty evaluation, one sum at a time. The
-row-at-a-time CSV reader checks the library's whole-column reader and
-shares with it only the time ordering and ``PanelData``'s validation.
+time. The Monte Carlo draw through NumPy's own multivariate normal checks
+the harness's one draw. The per-penalty loop of the fold adjustments writes
+out the same identity as the library's all-penalty evaluation, one sum at a
+time. The row-at-a-time CSV reader checks the library's whole-column
+reader and shares with it only the time ordering and ``PanelData``'s
+validation.
 """
 
 from __future__ import annotations
@@ -416,6 +418,42 @@ def load_panel_by_rows(source, treated_label, treatment_time, covariates=()):
         covariates=table[:, :, 1:],
         covariate_names=tuple(covariates),
     )
+
+
+def draw_by_multivariate_normal(family, params, n, t, t0, seed):
+    """The outcomes (n x t) and treated row of a Monte Carlo draw, with the
+    factor loadings from ``Generator.multivariate_normal(method="svd")``,
+    which takes its own SVD of the covariance and checks it, on every draw.
+    Selection into treatment: an inverse-logit score in the standardized
+    unit heterogeneity, one unit drawn by its normalized probabilities."""
+    rng = np.random.default_rng(seed)
+
+    def standardize(v):
+        return np.zeros_like(v) if v.std() == 0 else (v - v.mean()) / v.std()
+
+    def pick(score):
+        probs = 1.0 / (1.0 + np.exp(-params.theta * score))
+        return int(rng.choice(score.shape[0], p=probs / probs.sum()))
+
+    noise = params.sigma_eps * params.sigma_multiplier
+    if family == "ar3":
+        eps = rng.normal(0.0, noise, size=(n, params.burn_in + t))
+        path = np.zeros_like(eps)
+        b1, b2, b3 = params.betas
+        for s in range(eps.shape[1]):
+            lags = [path[:, s - j] if s >= j else 0.0 for j in (1, 2, 3)]
+            path[:, s] = params.beta0 + b1 * lags[0] + b2 * lags[1] + b3 * lags[2] + eps[:, s]
+        outcomes = path[:, params.burn_in :]
+        return outcomes, pick(standardize(outcomes[:, max(t0 - 4, 0) : t0].sum(axis=1)))
+    alpha = rng.normal(params.alpha_mean, params.alpha_sd, size=n)
+    if family == "fixed-effects":
+        eps = rng.normal(0.0, noise, size=(n, t))
+        return alpha[:, None] + params.nu[:t][None, :] + eps, pick(standardize(alpha))
+    k = params.mu.shape[1]
+    phi = rng.multivariate_normal(np.zeros(k), params.phi_cov, size=n, method="svd")
+    eps = rng.normal(0.0, noise, size=(n, t))
+    outcomes = alpha[:, None] + params.nu[:t][None, :] + phi @ params.mu[:t].T + eps
+    return outcomes, pick(standardize(alpha) + standardize(phi.sum(axis=1)))
 
 
 # the simulation study's estimators, in report order, by method

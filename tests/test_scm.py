@@ -323,12 +323,17 @@ def _stack_of_designs(seed, count, n0=9, t0=12):
     return designs
 
 
+def _stacked(designs):
+    """The R x N0 x T0 and R x T0 arrays of a list of designs' x0 and x1."""
+    return np.stack([d.x0 for d in designs]), np.stack([d.x1 for d in designs])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_stacked_cold_solves_match_solve_scm(seed):
     # one lockstep pass over a stack of designs, each from its best vertex,
     # is each design's own solve_scm up to round-off
     designs = _stack_of_designs(seed, 17)
-    g, rejected = scm._cold_stack(designs)
+    g, rejected = scm._cold_stack(*_stacked(designs))
     assert g.shape == (9, 17) and not rejected.any()
     for design, w in zip(designs, g.T):
         assert np.abs(w - solve_scm(design).values).max() <= 1e-12
@@ -339,8 +344,8 @@ def test_stacked_folds_match_solve_leave_one(seed):
     # every design's folds in one stack, padded to the largest union of
     # working sets, are the folds of its own lockstep pass
     designs = _stack_of_designs(seed, 7)
-    fulls = [solve_scm(d).values for d in designs]
-    g, rejected = scm._leave_one_stack(designs, fulls)
+    fulls = np.array([solve_scm(d).values for d in designs])
+    g, rejected = scm._leave_one_stack(*_stacked(designs), fulls)
     assert g.shape == (7, 9, 12) and not rejected.any()
     for design, full, folds in zip(designs, fulls, g):
         alone = solve_leave_one(design, DonorWeights(values=full), None)

@@ -20,7 +20,7 @@ from panelctrl.sim import (
 )
 
 from conftest import folds_off_the_full_support, record_scm_solves
-from oracles import MC_BANK, one_replication
+from oracles import MC_BANK, draw_by_multivariate_normal, one_replication
 
 
 class TestFixture:
@@ -104,6 +104,91 @@ class TestDrawPanel:
         assert np.isclose(loud.noise_sd, 4 * params.sigma_eps)
 
 
+# a rank-one loading covariance over two factors, on the fixture's first two paths
+_NU, _MU = load_factor_fixture()
+_TWO_FACTORS = FactorDgp(mu=_MU[:, :2], nu=_NU, phi_cov=np.array([[0.2, 0.1], [0.1, 0.05]]))
+
+
+@pytest.mark.parametrize(
+    "family, params, n, t, t0",
+    [
+        ("factor", default_dgp("factor"), 10, 20, 16),
+        ("factor", replace(default_dgp("factor"), theta=0.0), 8, 12, 9),
+        ("factor", replace(default_dgp("factor"), sigma_multiplier=3.0), 20, 30, 25),
+        ("factor", _TWO_FACTORS, 30, 8, 5),
+        ("fixed-effects", default_dgp("fixed-effects"), 10, 20, 16),
+        ("fixed-effects", replace(default_dgp("fixed-effects"), theta=0.0,
+                                  sigma_multiplier=0.5), 6, 9, 4),
+        ("ar3", default_dgp("ar3"), 10, 20, 15),
+        ("ar3", replace(default_dgp("ar3"), theta=0.0, sigma_multiplier=2.0), 6, 9, 4),
+    ],
+)
+def test_draw_matches_the_multivariate_normal_draw(family, params, n, t, t0):
+    """draw_panel's loadings from one SVD of the covariance are those of
+    ``Generator.multivariate_normal(method="svd")``, bit for bit, and every
+    later draw of the seed's generator is unchanged with them."""
+    for seed in np.random.SeedSequence(21).spawn(50):
+        p = draw_panel(family, params, n, t, t0, seed)
+        outcomes, treated = draw_by_multivariate_normal(family, params, n, t, t0, seed)
+        assert np.array_equal(p.outcomes, outcomes) and p.treated_index == treated
+
+
+@pytest.mark.parametrize(
+    "family, n, t, t0",
+    [("factor", 10, 20, 16), ("fixed-effects", 10, 20, 16), ("ar3", 10, 20, 15),
+     ("factor", 30, 8, 5)],
+)
+def test_stacked_blocks_are_the_lone_blocks(monkeypatch, family, n, t, t0):
+    """The blocks and de-meaned blocks a stack builds in arrays are, row by
+    row, split_and_center(draw_panel(...)) and demean_rows of it, bit for bit."""
+    import panelctrl.sim as sim_mod
+
+    built, build = [], sim_mod._stack_blocks
+
+    def record(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(sim_mod, "_stack_blocks", record)
+    params, seeds = default_dgp(family), np.random.SeedSequence(13).spawn(12)
+    sim_mod._replication_stack(family, params, n, t, t0, seeds, 5.0, 0)
+    ((blocks, demeaned),) = built
+    assert blocks.x0.shape == (12, n - 1, t0)
+    for r, seed in enumerate(seeds):
+        lone = split_and_center(draw_panel(family, params, n, t, t0, seed))
+        for stacked, want in ((blocks, lone), (demeaned, demean_rows(lone))):
+            for name in sim_mod._Blocks._fields:
+                assert np.array_equal(getattr(stacked, name)[r], getattr(want, name)), name
+
+
+@pytest.mark.parametrize(
+    "scale, overflowed",
+    [
+        # the finite draws drop too, in the SCM solve, whose squares overflow
+        pytest.param(5e307, 2, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        (1e308, 20),  # no warning: no block that is not finite reaches a solve
+    ],
+)
+def test_overflowing_draws_drop_alone(scale, overflowed):
+    """With factor paths near the float limit, the draws whose outcomes
+    overflow drop with draw_panel's error, and every replication of the
+    stack reports what it reports alone."""
+    import panelctrl.sim as sim_mod
+
+    nu, mu = load_factor_fixture()
+    with np.errstate(over="ignore"):
+        params = FactorDgp(mu=mu * scale, nu=nu)
+    seeds = np.random.SeedSequence(4).spawn(20)
+    results = sim_mod._replication_stack("factor", params, 10, 20, 16, seeds, "cv-min", 3)
+    lone = [one_replication("factor", params, 10, 20, 16, s, "cv-min", 3) for s in seeds]
+    assert results == lone
+    # a draw overflows in its product of loadings and paths (a warning, an
+    # error where warnings are) or is refused as a panel
+    draw_errors = ("RuntimeWarning: overflow encountered in matmul",
+                   "PanelFormatError: non-finite outcome")
+    assert sum(error.startswith(draw_errors) for _, _, error in results) == overflowed
+
+
 class TestRunMonteCarlo:
     def test_degenerate_dgp_all_unbiased(self):
         nu, mu = load_factor_fixture()
@@ -149,7 +234,7 @@ class TestRunMonteCarlo:
         import panelctrl.sim as sim_mod
 
         started = []
-        monkeypatch.setattr(sim_mod, "draw_panel", lambda *args: started.append(args))
+        monkeypatch.setattr(sim_mod, "_draw", lambda *args: started.append(args))
         kwargs = {"family": "factor", "params": default_dgp("factor"), "replications": 2,
                   "seed": 0, "n": 8, "t": 16, "t0": 12, "lam": 1.0, **bad}
         with pytest.raises(ConfigError, match=cause):
@@ -187,7 +272,7 @@ class TestRunMonteCarlo:
         import panelctrl.sim as sim_mod
 
         params = default_dgp("factor")
-        draw, calls = sim_mod.draw_panel, []
+        draw, calls = sim_mod._draw, []
 
         def flaky(*args):
             calls.append(args)
@@ -195,7 +280,7 @@ class TestRunMonteCarlo:
                 raise RuntimeError("synthetic failure")
             return draw(*args)
 
-        monkeypatch.setattr(sim_mod, "draw_panel", flaky)
+        monkeypatch.setattr(sim_mod, "_draw", flaky)
         rep = run_monte_carlo("factor", params, replications=sim_mod._STACK + 5, seed=5,
                               n=8, t=20, t0=16, lam=5.0)
         assert len(calls) == sim_mod._STACK + 5
@@ -213,17 +298,17 @@ class TestRunMonteCarlo:
         stacks, finished = [], []
         cold, folds, finish = sim_mod._cold_stack, sim_mod._leave_one_stack, sim_mod._finish_stack
 
-        def record_cold(designs):
-            stacks.append(designs)
-            return cold(designs)
+        def record_cold(x0, x1):
+            stacks.append((x0, x1))
+            return cold(x0, x1)
 
-        def record_folds(designs, fulls):
+        def record_folds(x0, x1, fulls):
             stacks.append(fulls)
-            return folds(designs, fulls)
+            return folds(x0, x1, fulls)
 
-        def record_finish(drawn, solutions, *args):
+        def record_finish(blocks, demeaned, solutions, *args):
             finished.append(solutions)
-            return finish(drawn, solutions, *args)
+            return finish(blocks, demeaned, solutions, *args)
 
         def alone(*args):
             raise AssertionError("a replication finished alone")
@@ -237,13 +322,16 @@ class TestRunMonteCarlo:
         run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
                         n=10, t=20, t0=16, lam="cv-min", rep_log=str(log))
         assert solves == [] and len(stacks) == 2 and len(finished) == 1
-        (blocks, demeaned), (full,) = stacks
+        (x0, x1), (full,) = stacks
+        seed = np.random.SeedSequence(3).spawn(1)[0]
+        blocks = split_and_center(draw_panel("factor", default_dgp("factor"), 10, 20, 16, seed))
+        assert np.array_equal(x0[0], blocks.x0) and np.array_equal(x1[0], blocks.x1)
         resolved = folds_off_the_full_support(blocks, EstimatorSpec())
         assert 0 < len(resolved) < 16
         assert np.array_equal(finished[0][0], [full, finished[0][0, 1]])  # the fold start
         assert np.abs(full - solve_scm(blocks).values).max() <= 1e-12
         dm = solve_scm(demean_rows(blocks)).values
-        assert np.array_equal(demeaned.x0, demean_rows(blocks).x0)
+        assert np.array_equal(x0[1], demean_rows(blocks).x0)
         assert np.abs(finished[0][0, 1] - dm).max() <= 1e-12
         with open(log, newline="") as fh:
             (row,) = csv.DictReader(fh)
@@ -276,15 +364,15 @@ class TestRunMonteCarlo:
         import panelctrl.estimators as estimators_mod
         import panelctrl.sim as sim_mod
 
-        draw, cold, alone = sim_mod.draw_panel, sim_mod._cold_stack, []
+        draw, cold, alone = sim_mod._draw, sim_mod._cold_stack, []
 
-        def fail_third(family, params, n, t, t0, seed):
+        def fail_third(family, params, n, t, t0, seed, loadings):
             if seed.spawn_key[-1] == 2:
                 raise RuntimeError("synthetic failure, for the log")
-            return draw(family, params, n, t, t0, seed)
+            return draw(family, params, n, t, t0, seed, loadings)
 
-        def hand_back(designs):
-            g, rejected = cold(designs)
+        def hand_back(x0, x1):
+            g, rejected = cold(x0, x1)
             rejected[3] = True  # the full and de-meaned designs of replications 0, 1 and 3
             return g, rejected
 
@@ -292,7 +380,7 @@ class TestRunMonteCarlo:
             alone.append(blocks)
             raise ConvergenceError("SCM solver stopped, for the log", residual=1.0)
 
-        monkeypatch.setattr(sim_mod, "draw_panel", fail_third)
+        monkeypatch.setattr(sim_mod, "_draw", fail_third)
         monkeypatch.setattr(sim_mod, "_cold_stack", hand_back)
         monkeypatch.setattr(estimators_mod, "solve_scm", not_converging)
         log = tmp_path / "reps.csv"
@@ -306,7 +394,7 @@ class TestRunMonteCarlo:
         assert [r["error"] for r in rows if r["status"] == "ok"] == ["", ""]
         # the lone solve was demeaned_scm's, on replication 1's de-meaned design
         seed = np.random.SeedSequence(0).spawn(4)[1]
-        blocks = split_and_center(draw("factor", default_dgp("factor"), 8, 16, 12, seed))
+        blocks = split_and_center(draw_panel("factor", default_dgp("factor"), 8, 16, 12, seed))
         (design,) = alone
         assert np.array_equal(design.x0, demean_rows(blocks).x0)
 
@@ -355,6 +443,14 @@ def test_stacked_replications_match_lone_ones(tmp_path, family, lam, n, t, t0, s
     assert [(r.n_used, r.n_dropped) for r in report.rows] == [(kept, reps - kept)] * 5
 
 
+def _stacked(blocks):
+    """The :class:`sim._Blocks` of a list of lone blocks, each field stacked."""
+    import panelctrl.sim as sim_mod
+
+    return sim_mod._Blocks(*(np.stack([getattr(b, f) for b in blocks])
+                             for f in sim_mod._Blocks._fields))
+
+
 def _zero_design_panel(n, t, t0, seed):
     """A factor draw whose units share one integer pre-period path (the
     treated unit shifted by 0.5): its centred control block is exactly zero."""
@@ -379,18 +475,19 @@ def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
     blocks = [split_and_center(p) for p in [*panels, _zero_design_panel(n, t, t0, 5)]]
     drawn = [(b, demean_rows(b)) for b in blocks]
     cold = np.array([[solve_scm(b).values, solve_scm(d).values] for b, d in drawn])
+    stack = [_stacked(b) for b in zip(*drawn)]
     folds = None
     if isinstance(lam, str):
         folds = np.array(
             [solve_leave_one(b, DonorWeights(g), None) for b, g in zip(blocks, cold[:, 0])]
         )
     estimand_period = t - t0 - 1
-    rows = sim_mod._finish_stack(drawn, cold, folds, lam, estimand_period)
+    rows = sim_mod._finish_stack(*stack, cold, folds, lam, estimand_period)
     raised = []
-    for r, ((b, d), (g, h), row) in enumerate(zip(drawn, cold, rows)):
+    for r, (b, (g, h), row) in enumerate(zip(blocks, cold, rows)):
         stacked = None if folds is None else (folds[r].copy(), np.zeros(t0, dtype=bool))
         try:
-            estimates, fit = sim_mod._finish_alone(b, d, g, h, stacked, lam, estimand_period)
+            estimates, fit = sim_mod._finish_alone(b, g, h, stacked, lam, estimand_period)
         except PanelCtrlError:
             raised.append(r)
             assert row is None
@@ -410,8 +507,8 @@ def test_a_handed_back_fold_finishes_its_replication_alone(monkeypatch):
     family, params, n, t, t0, lam = "factor", default_dgp("factor"), 10, 20, 16, "cv-min"
     folds, finish_alone, alone = sim_mod._leave_one_stack, sim_mod._finish_alone, []
 
-    def hand_back(designs, fulls):
-        g, rejected = folds(designs, fulls)
+    def hand_back(x0, x1, fulls):
+        g, rejected = folds(x0, x1, fulls)
         rejected[2, 5] = True
         return g, rejected
 
@@ -424,7 +521,7 @@ def test_a_handed_back_fold_finishes_its_replication_alone(monkeypatch):
     solves = record_scm_solves(monkeypatch)
     seeds = np.random.SeedSequence(11).spawn(6)
     results = sim_mod._replication_stack(family, params, n, t, t0, seeds, lam, t - t0 - 1)
-    ((blocks, _, full, _, (_, mask), _, _),) = alone
+    ((blocks, full, _, (_, mask), _, _),) = alone
     third = split_and_center(draw_panel(family, params, n, t, t0, seeds[2]))
     assert np.array_equal(blocks.x0, third.x0) and np.flatnonzero(mask).tolist() == [5]
     ((fold, start, _),) = solves
@@ -454,8 +551,8 @@ def test_lambda_zero_without_full_rank_drops_every_replication_alone():
 def test_demeans_once_per_fit(monkeypatch):
     """A de-meaned fit's blocks are its design: a leave-one fold pass of the
     demeaned method de-means the full sample and each fold once, a stacked
-    replication once, and a replication finished alone twice (its
-    demeaned_scm design, then fixed_effects')."""
+    replication never (its stack de-means in arrays), and a replication
+    finished alone twice (its demeaned_scm design, then fixed_effects')."""
     import panelctrl.estimators as estimators_mod
     import panelctrl.sim as sim_mod
 
@@ -473,8 +570,8 @@ def test_demeans_once_per_fit(monkeypatch):
     mc = {"replications": 3, "seed": 1, "n": 20, "t": 30, "t0": 25, "lam": "cv-min"}
     calls.clear()
     run_monte_carlo("factor", default_dgp("factor"), **mc)
-    assert len(calls) == 3
+    assert len(calls) == 0
     calls.clear()
-    monkeypatch.setattr(sim_mod, "_finish_stack", lambda drawn, *args: [None] * len(drawn))
+    monkeypatch.setattr(sim_mod, "_finish_stack", lambda blocks, *args: [None] * len(blocks.x0))
     run_monte_carlo("factor", default_dgp("factor"), **mc)
     assert len(calls) == 6
