@@ -415,14 +415,9 @@ def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
     A replication whose stacked blocks are not all finite, with a problem
     handed back, or one :func:`_finish_stack` leaves, is drawn again by
     :func:`draw_panel` and finishes alone (:func:`_finish_alone`)."""
-    blocks, demeaned, results = _draw_stack(family, params, n, t, t0, seeds)
-    finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(len(seeds), -1).all(axis=1) for a in (*blocks, *demeaned)]
-    )
-    reps = np.flatnonzero(finite & np.array([res is None for res in results]))
+    reps, blocks, demeaned, results = _draw_stack(family, params, n, t, t0, seeds)
     solved = {}  # replication -> its stacked full, de-meaned and fold solutions, or None
     if reps.size:
-        blocks, demeaned = blocks.take(reps), demeaned.take(reps)
         stacked = _solve_stack(blocks, demeaned, lam)
         whole = [i for i, (full, dm, folds) in enumerate(stacked) if full is not None
                  and dm is not None and (folds is None or not folds[1].any())]
@@ -451,10 +446,11 @@ def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
 
 
 def _draw_stack(family, params, n, t, t0, seeds):
-    """The blocks and de-meaned blocks (:func:`_stack_blocks`) of each
-    seed's draw (:func:`_draw`), written into one outcome array, and a
-    result per seed: dropped where the draw raised, as :func:`draw_panel`
-    raises it, else None. A draw that raised leaves zeros in the stack."""
+    """Each seed's draw (:func:`_draw`), written into one outcome array:
+    the indices of the replications whose blocks and de-meaned blocks
+    (:func:`_stack_blocks`) are all finite, those blocks, and a result per
+    seed, dropped where the draw raised (as :func:`draw_panel` raises it)
+    and None elsewhere."""
     outcomes, treated = np.zeros((len(seeds), n, t)), np.zeros(len(seeds), dtype=int)
     results, loadings = [None] * len(seeds), _loadings(family, params)
     for r, seed in enumerate(seeds):
@@ -462,7 +458,12 @@ def _draw_stack(family, params, n, t, t0, seeds):
             outcomes[r], treated[r] = _draw(family, params, n, t, t0, seed, loadings)
         except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
             results[r] = _dropped(exc)
-    return *_stack_blocks(outcomes, treated, t0), results
+    blocks, demeaned = _stack_blocks(outcomes, treated, t0)
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(seeds), -1).all(axis=1) for a in (*blocks, *demeaned)]
+    )
+    reps = np.flatnonzero(finite & np.array([res is None for res in results]))
+    return reps, blocks.take(reps), demeaned.take(reps), results
 
 
 def _solve_stack(blocks, demeaned, lam):
