@@ -159,7 +159,7 @@ def _build_parser():
     sp.add_argument("--t", type=int, default=30)
     sp.add_argument("--t0", type=int, default=25)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--select", choices=["min", "one-se"], default="min")
+    sp.add_argument("--select", choices=["min", "one-se"], default=None)
     sp.add_argument("--sigma-scale", type=float, default=1.0)
     sp.add_argument("--stratify", action="store_true")
     sp.add_argument("--rep-log", default=None, help="per-replication estimate CSV")
@@ -336,10 +336,13 @@ def _cmd_placebo(args):
 def _cmd_simulate(args):
     from .sim import default_dgp, run_monte_carlo  # only simulate imports the harness
 
+    if args.lam is not None and args.select is not None:
+        raise ConfigError("--select chooses a cross-validated lambda; it needs no --lambda")
+    select = args.select or "min"
     params = default_dgp(args.dgp)
     if args.sigma_scale != 1.0:
         params = replace(params, sigma_multiplier=args.sigma_scale)
-    lam = args.lam if args.lam is not None else ("cv-min" if args.select == "min" else "cv-1se")
+    lam = args.lam if args.lam is not None else ("cv-min" if select == "min" else "cv-1se")
     report = run_monte_carlo(
         args.dgp,
         params,
@@ -384,7 +387,7 @@ def _cmd_simulate(args):
             "t": args.t,
             "t0": args.t0,
             "lambda": args.lam,
-            "select": args.select,
+            "select": select,
             "sigma_scale": args.sigma_scale,
             "estimand_period": report.estimand_period,
         },

@@ -57,7 +57,7 @@ from .ridge import (
     augment_weights,
     fold_adjustments,
 )
-from .scm import DonorWeights, _solve_rejected, solve_leave_one, solve_scm
+from .scm import DonorWeights, solve_leave_one, solve_scm
 
 logger = logging.getLogger(__name__)
 
@@ -228,13 +228,19 @@ def _counterfactual(blocks, fitted, weights):
     return blocks.y1_post - fitted.y1_post + weights.T @ fitted.y0_post
 
 
+def _check_fold_count(t0):
+    """Refuse a fold pass over fewer than 3 pre periods."""
+    if t0 < 3:
+        raise ConfigError("leave-one-period-out folds need at least 3 pre periods")
+
+
 def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit=None):
     """One pass over the folds of :func:`panel.period_folds`.
 
     Each fold fits its anchor once; a ridge method adjusts it for every
     penalty in ``lambdas`` (default ``[spec.lam]``), the others give one
     column. ``fit`` is the :class:`AnchorFit` of ``blocks`` (solved here
-    when not given).
+    when not given). Fewer than 3 pre periods are refused.
 
     When every fold's design is the full design without one column
     ("leave-one" folds of ``scm``, ``ridge`` and ``ridge_ascm``, with no
@@ -251,30 +257,15 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
     treated outcome, the folds x L x (n_post + 1) counterfactuals (held-out
     period last) and the periods whose folds kept fewer than two periods.
     """
-    return _fold_predictions(blocks, spec, cov, lambdas, mode, fit)
-
-
-def _check_fold_count(t0):
-    """Refuse a fold pass over fewer than 3 pre periods."""
-    if t0 < 3:
-        raise ConfigError("leave-one-period-out folds need at least 3 pre periods")
-
-
-def _fold_predictions(blocks, spec, cov, lambdas, mode, fit, stacked=None):
-    """:func:`fold_predictions`, whose lockstep leave-one fold solve may have
-    run already in a stack of designs: ``stacked`` is then this design's
-    folds from :func:`scm._leave_one_stack`, their solutions and the mask of
-    those to solve alone."""
     _check_fold_count(blocks.t0)
-    if spec.needs_lambda() and lambdas is None:
-        if spec.lam is None:
-            raise ConfigError(f"method {spec.method!r} requires a lambda value")
+    if lambdas is None:
+        _require_lambda(spec)
         lambdas = [spec.lam]
     if fit is None:
         fit = design_and_anchor(blocks, spec, cov)
     joint = cov is not None and cov.k > 0 and spec.covariate_mode == "joint"
     if mode == "leave-one" and spec.method in ("scm", "ridge", "ridge_ascm") and not joint:
-        predictions = _column_subset_predictions(blocks, spec, cov, lambdas, fit, stacked)
+        predictions = _column_subset_predictions(blocks, spec, cov, lambdas, fit)
         return blocks.x1.copy(), predictions, ()
     start = None if fit.scm is None else fit.scm.values
     truth, predictions, skipped = [], [], []
@@ -294,10 +285,9 @@ def _fold_predictions(blocks, spec, cov, lambdas, mode, fit, stacked=None):
     return np.array(truth), np.array(predictions), tuple(skipped)
 
 
-def _column_subset_predictions(blocks, spec, cov, lambdas, fit, stacked):
+def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
     """The leave-one fold predictions of a method whose fold designs are
-    column subsets of ``fit.design`` (see :func:`fold_predictions`), their
-    SCM solutions from ``stacked`` when given (see :func:`_fold_predictions`)."""
+    column subsets of ``fit.design`` (see :func:`fold_predictions`)."""
     design = fit.design
     svd = None
     if spec.needs_lambda():
@@ -309,10 +299,8 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit, stacked):
         logger.debug(
             "leave-one fold pass: %d folds in 0 batched rounds, 0 fitted one by one", blocks.t0
         )
-    elif stacked is None:
-        anchors = solve_leave_one(design, fit.scm, spec.zeta)
     else:
-        anchors = _solve_rejected(design, fit.scm, spec.zeta, *stacked)
+        anchors = solve_leave_one(design, fit.scm, spec.zeta)
     if fit.scm is not None and cov is not None and cov.k > 0:  # residualized: shift every anchor
         anchors = np.column_stack([balance_covariates(g, cov).values for g in anchors.T])
     held_out = np.einsum("it,it->t", anchors, blocks.x0)

@@ -314,13 +314,6 @@ def solve_leave_one(design, full, zeta):
     g, rejected = _lockstep(
         design.x0[None], design.x1[None], np.arange(t0), zeta, g, "leave-one fold"
     )
-    return _solve_rejected(design, full, zeta, g, rejected)
-
-
-def _solve_rejected(design, full, zeta, g, rejected):
-    """``g``, the N0 x T0 leave-one fold solutions of a lockstep pass, with
-    each fold in ``rejected`` solved alone by ``solve_scm``, started at
-    ``full``."""
     for t in np.flatnonzero(rejected):
         fold = period_fold(design, t, "leave-one")
         g[:, t] = solve_scm(fold, zeta, start=full.values).values
@@ -343,7 +336,7 @@ def _leave_one_stack(x0, x1, fulls):
     centred blocks ``x0`` (R x N0 x T0) and ``x1`` (R x T0), from its
     full-sample solution, row r of ``fulls`` (R x N0), at the default
     penalty, as one lockstep pass. Returns the R x N0 x T0 solutions and the
-    R x T0 mask of folds handed back (see :func:`_solve_rejected`)."""
+    R x T0 mask of folds handed back."""
     n_designs, n0, t0 = x0.shape
     g = np.repeat(fulls.T, t0, axis=1)
     g, rejected = _lockstep(x0, x1, np.arange(t0), None, g, "leave-one fold")

@@ -20,7 +20,7 @@ one batched SVD, every design's fold predictions at every penalty, the CV
 curves and penalty choices, then the estimates as stacked products. A
 replication whose blocks are not all finite, with a problem handed back, or
 with a step that would raise, is drawn again as a :class:`PanelData` and
-finishes alone through the estimators' own calls.
+finishes alone from the start, by the estimators' own calls.
 """
 
 from __future__ import annotations
@@ -36,16 +36,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import (
-    AnchorFit,
     EstimatorSpec,
     _check_fold_count,
-    _fold_predictions,
     design_and_anchor,
     estimate_on_blocks,
+    fold_predictions,
 )
-from .panel import PanelData, demean_rows, readonly_array, split_and_center
+from .panel import PanelData, readonly_array, split_and_center
 from .ridge import _exact_sum_to_one, _fold_adjustments, _svd_stack
-from .scm import DonorWeights, _cold_stack, _leave_one_stack, imbalance
+from .scm import _cold_stack, _leave_one_stack, imbalance
 from .selection import _cv_curves, _grids, cv_from_folds, default_lambda_grid, select_lambda
 
 logger = logging.getLogger(__name__)
@@ -414,32 +413,21 @@ def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
     dropped replication, only its exception, as ``ExceptionClass: message``.
     A replication whose stacked blocks are not all finite, with a problem
     handed back, or one :func:`_finish_stack` leaves, is drawn again by
-    :func:`draw_panel` and finishes alone (:func:`_finish_alone`)."""
+    :func:`draw_panel` and finishes alone from the start (:func:`_finish_alone`)."""
     reps, blocks, demeaned, results = _draw_stack(family, params, n, t, t0, seeds)
-    solved = {}  # replication -> its stacked full, de-meaned and fold solutions, or None
     if reps.size:
-        stacked = _solve_stack(blocks, demeaned, lam)
-        whole = [i for i, (full, dm, folds) in enumerate(stacked) if full is not None
-                 and dm is not None and (folds is None or not folds[1].any())]
-        if whole:
-            finished = _finish_stack(
-                blocks.take(whole),
-                demeaned.take(whole),
-                np.array([stacked[i][:2] for i in whole]),
-                np.array([stacked[i][2][0] for i in whole]) if isinstance(lam, str) else None,
-                lam,
-                estimand_period,
-            )
+        cold, folds, whole = _solve_stack(blocks, demeaned, lam)
+        if whole.size:
+            finished = _finish_stack(blocks.take(whole), demeaned.take(whole), cold[whole],
+                                     None if folds is None else folds[whole], lam, estimand_period)
             for r, row in zip(reps[whole], finished):
                 if row is not None:
                     results[r] = (dict(zip(_BANK, row[:-1])), row[-1], "")
-        solved = dict(zip(reps.tolist(), stacked))
     for r, seed in enumerate(seeds):
         if results[r] is None:
             try:
                 blocks = split_and_center(draw_panel(family, params, n, t, t0, seed))
-                finish = _finish_alone(blocks, *solved.get(r, (None,) * 3), lam, estimand_period)
-                results[r] = (*finish, "")
+                results[r] = (*_finish_alone(blocks, lam, estimand_period), "")
             except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
                 results[r] = _dropped(exc)
     return results
@@ -469,28 +457,26 @@ def _draw_stack(family, params, n, t, t0, seeds):
 def _solve_stack(blocks, demeaned, lam):
     """The lockstep SCM passes of a stack: one cold pass over every
     replication's full-sample and de-meaned designs, then, under a
-    cross-validated ``lam``, one over the leave-one folds of every full
-    design not handed back, each warm from its solution. Returns per
-    replication its full and de-meaned solutions (None where handed back)
-    and its fold solutions with their handed-back mask (None where not
-    solved)."""
+    cross-validated ``lam``, one over the folds of every replication whose
+    two cold problems were solved, each warm from its full solution; one
+    that overflows is handed back. Returns the R x 2 x N0 cold solutions,
+    the R x N0 x T0 fold solutions (None under a fixed ``lam``) and the
+    indices of the replications with no problem handed back."""
     n_reps, n0, t0 = blocks.x0.shape
-    g, back = _cold_stack(
-        np.stack([blocks.x0, demeaned.x0], axis=1).reshape(-1, n0, t0),
-        np.stack([blocks.x1, demeaned.x1], axis=1).reshape(-1, t0),
-    )
-    cold = [
-        [None if b else w for w, b in zip(*pair)]
-        for pair in zip(g.T.reshape(n_reps, 2, n0), back.reshape(n_reps, 2))
-    ]
-    folds = [None] * n_reps
-    ready = [i for i, (full, _) in enumerate(cold) if full is not None]
-    if isinstance(lam, str) and ready:
-        fulls = np.array([cold[i][0] for i in ready])
-        stacked = _leave_one_stack(blocks.x0[ready], blocks.x1[ready], fulls)
-        for i, fold in zip(ready, zip(*stacked)):
-            folds[i] = fold
-    return [(full, dm, fold) for (full, dm), fold in zip(cold, folds)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, back = _cold_stack(
+            np.stack([blocks.x0, demeaned.x0], axis=1).reshape(-1, n0, t0),
+            np.stack([blocks.x1, demeaned.x1], axis=1).reshape(-1, t0),
+        )
+        cold = g.T.reshape(n_reps, 2, n0)
+        whole = np.flatnonzero(~back.reshape(n_reps, 2).any(axis=1))
+        folds = np.zeros((n_reps, n0, t0)) if isinstance(lam, str) else None
+        if folds is not None and whole.size:
+            folds[whole], rejected = _leave_one_stack(
+                blocks.x0[whole], blocks.x1[whole], cold[whole, 0]
+            )
+            whole = whole[~rejected.any(axis=1)]
+    return cold, folds, whole
 
 
 def _dropped(exc):
@@ -498,35 +484,24 @@ def _dropped(exc):
     return None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _finish_alone(blocks, full, dm, stacked, lam, estimand_period):
-    """One replication's estimates and SCM imbalance by the lone calls:
-    the full-sample SCM solve (``full``, or solved here when None), the
-    penalty grid, the leave-one fold pass (its lockstep solutions
-    ``stacked``, as for :func:`estimators._fold_predictions`, or solved
-    here), the penalty choice and the estimates of ``_BANK`` in order,
-    demeaned_scm's from its solution ``dm`` on ``demean_rows(blocks)``
-    (solved here when None). One SCM solution is the scm entry, the
-    ridge_ascm anchor and the start of every CV fold."""
+def _finish_alone(blocks, lam, estimand_period):
+    """One replication's estimates and SCM imbalance by the lone calls: the
+    full-sample SCM solve, the penalty grid, the leave-one fold pass, the
+    penalty choice and the estimates of ``_BANK`` in order. One SCM
+    solution is the scm entry, the ridge_ascm anchor and the start of every
+    CV fold."""
     ascm = EstimatorSpec()  # ridge ASCM, whose penalty is cross-validated
-    shared = design_and_anchor(blocks, ascm) if full is None else _anchor_fit(blocks, full)
+    shared = design_and_anchor(blocks, ascm)
     if isinstance(lam, str):
         grid = default_lambda_grid(blocks, size=_GRID_SIZE)
-        folds = _fold_predictions(blocks, ascm, None, grid, "leave-one", shared, stacked)
+        folds = fold_predictions(blocks, ascm, lambdas=grid, fit=shared)
         lam = select_lambda(cv_from_folds(grid, folds), _LAMBDA_RULES[lam])
     estimates = {}
     for name, method in _BANK.items():
         fit = shared if method in ("scm", "ridge_ascm") else None
-        if method == "demeaned" and dm is not None:
-            fit = _anchor_fit(demean_rows(blocks), dm)
         est = estimate_on_blocks(blocks, EstimatorSpec(method=method, lam=lam), fit=fit)
         estimates[name] = float(est.att[estimand_period])
     return estimates, imbalance(blocks, shared.scm)
-
-
-def _anchor_fit(design, values):
-    """The :class:`AnchorFit` of an SCM solution on its design."""
-    weights = DonorWeights(values=values)
-    return AnchorFit(design, weights, weights)
 
 
 def _finish_stack(blocks, demeaned, cold, folds, lam, estimand_period):
@@ -625,10 +600,11 @@ def run_monte_carlo(
     the CV curves and each replication's penalty, the two ridge
     augmentations, and the five estimates at the estimand period with the
     SCM fit's imbalance. A replication whose blocks are not all finite, with
-    a problem a pass hands back, or with a step that would raise alone, is
-    drawn again and finishes by the lone calls, at the step that uses them,
-    so every replication reports what it would alone, up to round-off, and
-    drops with the same error. A cross-validated ``lam`` needs ``t0`` >= 3,
+    a problem a pass hands back (one that overflows included), or with a
+    step that would raise alone, is drawn again and finishes by the lone
+    calls from the start, so it reports exactly what it would alone and
+    drops with the same error; a replication finished in the stack reports
+    the same up to round-off. A cross-validated ``lam`` needs ``t0`` >= 3,
     and is refused before any draw otherwise.
 
     Under the sharp null the per-replication true effect is zero, so bias

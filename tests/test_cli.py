@@ -701,7 +701,9 @@ class TestSimulate:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
-        "args", [["--reps", "0"], ["--reps", "-1"], ["--lambda", "inf"]]
+        "args",
+        [["--reps", "0"], ["--reps", "-1"], ["--lambda", "inf"], ["--select", "one-se"],
+         ["--select", "min"]],
     )
     def test_bad_option_exit_code(self, tmp_path, args):
         out = tmp_path / "mc"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from panelctrl.errors import ConfigError, ConvergenceError, PanelCtrlError
-from panelctrl.estimators import EstimatorSpec, estimate_on_blocks, fold_predictions
+from panelctrl.estimators import AnchorFit, EstimatorSpec, estimate_on_blocks, fold_predictions
 from panelctrl.panel import demean_rows, split_and_center
 from panelctrl.scm import DonorWeights, imbalance, solve_leave_one, solve_scm
 from panelctrl.sim import (
@@ -335,8 +335,9 @@ class TestRunMonteCarlo:
         assert np.abs(finished[0][0, 1] - dm).max() <= 1e-12
         with open(log, newline="") as fh:
             (row,) = csv.DictReader(fh)
+        weights = DonorWeights(full)
         scm = estimate_on_blocks(blocks, EstimatorSpec(method="scm"),
-                                 fit=sim_mod._anchor_fit(blocks, full))
+                                 fit=AnchorFit(blocks, weights, weights))
         assert float(row["scm"]) == scm.att[-1]
         assert float(row["scm_fit"]) == imbalance(blocks, full)
 
@@ -360,7 +361,8 @@ class TestRunMonteCarlo:
 
     def test_rep_log_records_why_a_replication_was_dropped(self, tmp_path, monkeypatch):
         # replication 2's draw fails, and the cold stack hands replication
-        # 1's de-meaned design back to be solved alone, which fails too
+        # 1's de-meaned design back: replication 1 finishes alone from the
+        # start, and its full-sample solve fails
         import panelctrl.estimators as estimators_mod
         import panelctrl.sim as sim_mod
 
@@ -392,11 +394,11 @@ class TestRunMonteCarlo:
         assert rows[1]["error"] == "ConvergenceError: SCM solver stopped, for the log"
         assert rows[2]["error"] == "RuntimeError: synthetic failure, for the log"
         assert [r["error"] for r in rows if r["status"] == "ok"] == ["", ""]
-        # the lone solve was demeaned_scm's, on replication 1's de-meaned design
+        # the lone solve was replication 1's full-sample design
         seed = np.random.SeedSequence(0).spawn(4)[1]
         blocks = split_and_center(draw_panel("factor", default_dgp("factor"), 8, 16, 12, seed))
         (design,) = alone
-        assert np.array_equal(design.x0, demean_rows(blocks).x0)
+        assert np.array_equal(design.x0, blocks.x0) and np.array_equal(design.x1, blocks.x1)
 
 
 # 29 donors over 5 pre periods: full column rank, where the fold adjustments
@@ -464,11 +466,11 @@ def _zero_design_panel(n, t, t0, seed):
 @pytest.mark.parametrize("lam", ["cv-min", "cv-1se", 0.0, 5.0])
 @pytest.mark.parametrize("n, t, t0", [(30, 8, 5), (10, 20, 16)])
 def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
-    """Given the same SCM solutions, the array finish of a stack reports
-    what each replication's lone calls report, to 1e-12, on both rank
-    branches and with a zero design (rank 0) among the others; where a lone
-    call raises (the zero design's penalty grid, lam = 0 without full column
-    rank) the finish leaves the replication alone."""
+    """Given the SCM solutions that the lone calls solve, the array finish
+    of a stack reports what each replication's lone calls report, to
+    1e-12, on both rank branches and with a zero design (rank 0) among the
+    others; where a lone call raises (the zero design's penalty grid, lam =
+    0 without full column rank) the finish leaves the replication alone."""
     import panelctrl.sim as sim_mod
 
     panels = [draw_panel("factor", default_dgp("factor"), n, t, t0, s) for s in range(5)]
@@ -484,10 +486,9 @@ def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
     estimand_period = t - t0 - 1
     rows = sim_mod._finish_stack(*stack, cold, folds, lam, estimand_period)
     raised = []
-    for r, (b, (g, h), row) in enumerate(zip(blocks, cold, rows)):
-        stacked = None if folds is None else (folds[r].copy(), np.zeros(t0, dtype=bool))
+    for r, (b, row) in enumerate(zip(blocks, rows)):
         try:
-            estimates, fit = sim_mod._finish_alone(b, g, h, stacked, lam, estimand_period)
+            estimates, fit = sim_mod._finish_alone(b, lam, estimand_period)
         except PanelCtrlError:
             raised.append(r)
             assert row is None
@@ -501,7 +502,7 @@ def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
 
 def test_a_handed_back_fold_finishes_its_replication_alone(monkeypatch):
     # the fold stack hands back fold 5 of the third replication: it alone
-    # finishes by the lone calls, solving that fold by solve_scm
+    # finishes by the lone calls from the start, exactly as on its own
     import panelctrl.sim as sim_mod
 
     family, params, n, t, t0, lam = "factor", default_dgp("factor"), 10, 20, 16, "cv-min"
@@ -521,16 +522,77 @@ def test_a_handed_back_fold_finishes_its_replication_alone(monkeypatch):
     solves = record_scm_solves(monkeypatch)
     seeds = np.random.SeedSequence(11).spawn(6)
     results = sim_mod._replication_stack(family, params, n, t, t0, seeds, lam, t - t0 - 1)
-    ((blocks, full, _, (_, mask), _, _),) = alone
+    ((blocks, _, _),) = alone
     third = split_and_center(draw_panel(family, params, n, t, t0, seeds[2]))
-    assert np.array_equal(blocks.x0, third.x0) and np.flatnonzero(mask).tolist() == [5]
-    ((fold, start, _),) = solves
-    assert fold.t0 == t0 - 1 and np.array_equal(start, full)
+    assert np.array_equal(blocks.x0, third.x0)
+    (full, start, _) = solves[0]  # its full-sample solve, cold
+    assert np.array_equal(full.x0, third.x0) and start is None
     lone = [one_replication(family, params, n, t, t0, s, lam, t - t0 - 1) for s in seeds]
     assert [error for _, _, error in results] == [""] * 6
+    assert results[2] == lone[2]
     for (estimates, fit, _), (want, want_fit, _) in zip(results, lone):
         got = [*estimates.values(), fit]
         assert np.allclose(got, [*want.values(), want_fit], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", ["cv-min", 5.0])
+def test_a_handed_back_cold_problem_finishes_its_replication_alone(monkeypatch, lam):
+    # the cold stack hands back the fourth replication's full-sample design,
+    # whose solve worked: that replication alone finishes by the lone calls
+    # from the start, exactly as on its own
+    import panelctrl.sim as sim_mod
+
+    family, params, n, t, t0 = "factor", default_dgp("factor"), 10, 20, 16
+    cold, finish_alone, alone = sim_mod._cold_stack, sim_mod._finish_alone, []
+
+    def hand_back(x0, x1):
+        g, rejected = cold(x0, x1)
+        rejected[2 * 3] = True  # problem 2r is replication r's full design, 2r + 1 its de-meaned
+        return g, rejected
+
+    def record(blocks, *args):
+        alone.append(blocks)
+        return finish_alone(blocks, *args)
+
+    monkeypatch.setattr(sim_mod, "_cold_stack", hand_back)
+    monkeypatch.setattr(sim_mod, "_finish_alone", record)
+    seeds = np.random.SeedSequence(14).spawn(6)
+    results = sim_mod._replication_stack(family, params, n, t, t0, seeds, lam, t - t0 - 1)
+    (blocks,) = alone
+    fourth = split_and_center(draw_panel(family, params, n, t, t0, seeds[3]))
+    assert np.array_equal(blocks.x0, fourth.x0) and np.array_equal(blocks.x1, fourth.x1)
+    lone = [one_replication(family, params, n, t, t0, s, lam, t - t0 - 1) for s in seeds]
+    assert [error for _, _, error in results] == [""] * 6
+    assert results[3] == lone[3]
+    for (estimates, fit, _), (want, want_fit, _) in zip(results, lone):
+        got = [*estimates.values(), fit]
+        assert np.allclose(got, [*want.values(), want_fit], rtol=1e-12, atol=0.0)
+
+
+def test_an_overflowing_replication_drops_alone(monkeypatch):
+    """Under the suite's own filter, which makes a RuntimeWarning an error,
+    a replication whose draw is finite but so large that the lockstep
+    passes overflow is handed back and drops with its lone error, and the
+    other replications of its stack report what they report alone."""
+    import panelctrl.sim as sim_mod
+
+    draw = sim_mod._draw
+
+    def huge_seventh(family, params, n, t, t0, seed, loadings):
+        outcomes, treated = draw(family, params, n, t, t0, seed, loadings)
+        return outcomes * (1e152 if seed.spawn_key[-1] == 6 else 1.0), treated
+
+    monkeypatch.setattr(sim_mod, "_draw", huge_seventh)
+    params, seeds = default_dgp("factor"), np.random.SeedSequence(4).spawn(20)
+    results = sim_mod._replication_stack("factor", params, 10, 20, 16, seeds, "cv-min", 3)
+    lone = [one_replication("factor", params, 10, 20, 16, s, "cv-min", 3) for s in seeds]
+    assert results[6] == lone[6]
+    assert results[6][2].startswith("RuntimeWarning: overflow encountered")
+    assert [error for r, (_, _, error) in enumerate(results) if r != 6] == [""] * 19
+    for r, ((estimates, fit, _), (want, want_fit, _)) in enumerate(zip(results, lone)):
+        if r != 6:
+            got = [*estimates.values(), fit]
+            assert np.allclose(got, [*want.values(), want_fit], rtol=1e-12, atol=0.0)
 
 
 def test_lambda_zero_without_full_rank_drops_every_replication_alone():
@@ -562,8 +624,7 @@ def test_demeans_once_per_fit(monkeypatch):
         calls.append(blocks)
         return demean(blocks)
 
-    for module in (estimators_mod, sim_mod):
-        monkeypatch.setattr(module, "demean_rows", count)
+    monkeypatch.setattr(estimators_mod, "demean_rows", count)
     blocks = split_and_center(draw_panel("factor", default_dgp("factor"), 20, 30, 25, 0))
     fold_predictions(blocks, EstimatorSpec(method="demeaned"))
     assert len(calls) == 26

@@ -11,7 +11,8 @@ covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log`` (the factor, fixed-effects and AR(3) families over
 more replications than one stack of lockstep solves holds), plus cells that
 must fail (an infinite penalty, a NaN ``--alpha``, zero replications,
-``simulate`` designs no replication can draw or cross-validate, and a CSV
+``simulate`` designs no replication can draw or cross-validate, ``simulate``
+with both ``--select`` and ``--lambda``, and a CSV
 for every input error of docs/schemas.md) so their exit codes are compared
 too, and two CSVs that must read like the original
 (blank rows, a quoted unit label with a comma). An 800-row panel repeats the
@@ -195,6 +196,8 @@ def cases(inputs):
         yield f"simulate-{tag}", [*small, "--reps", "2", "--lambda", "1", *design]
     # a cross-validated penalty needs 3 pre periods: refused before any draw
     yield "simulate-t0-2-cv", [*small, "--reps", "2", "--t0", "2", "--select", "min"]
+    # a rule to choose the penalty by, beside a given penalty: refused
+    yield "simulate-lam-select", [*small, "--reps", "2", "--lambda", "1", "--select", "one-se"]
     data = ["--treated", "u0", "--treatment-time", "11", "--lambda", "1"]
     for variant in ("ragged", "inf-outcome", "blank-outcome", "duplicate", "missing",
                     "no-outcome", "blank-rows", "comma-unit"):
