@@ -4,10 +4,12 @@ Sub-commands: ``estimate``, ``cv``, ``placebo``, ``simulate``, and
 ``diagnose``. Every run writes plot-ready CSV artifacts plus a
 ``manifest.json`` recording the configuration, library version, and seed
 (``simulate`` only; the other commands are deterministic), so each
-artifact is reproducible from its manifest. Floats are serialized with 17
-significant digits for bit-faithful round trips; column orders are
-documented in docs/schemas.md. The ``PANELCTRL_LOG`` environment
-variable sets the log level.
+artifact is reproducible from its manifest. A command computes every
+artifact before its first write, so a refused run writes nothing (but
+``diagnose``, whose report is written when a check fails). Floats are
+serialized with 17 significant digits for bit-faithful round trips; column
+orders are documented in docs/schemas.md. The ``PANELCTRL_LOG``
+environment variable sets the log level.
 """
 
 from __future__ import annotations
@@ -67,15 +69,16 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(out_dir, command, config, seed=None):
-    payload = {
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "seed": seed,
-    }
-    # strict JSON: a NaN or infinite value raises before the file is opened
+def _write_run(out_dir, tables, command, config, seed=None):
+    """Write a run's CSV ``tables`` ({file name: (header, rows)}) and its
+    ``manifest.json`` into ``out_dir``, the run's one write: every artifact
+    is computed first, so a refused run writes nothing. The manifest is
+    strict JSON, and a NaN or infinite value in it raises before any write."""
+    payload = {"command": command, "config": config, "version": __version__, "seed": seed}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(out_dir, name), header, rows)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(text + "\n")
 
@@ -231,14 +234,6 @@ def _cmd_estimate(args):
         args, blocks, cov, args.inference == "jackknife+"
     )
     est = estimate_on_blocks(blocks, spec, cov=cov, fit=fit)
-    os.makedirs(args.out, exist_ok=True)
-
-    _write_csv(
-        os.path.join(args.out, "weights.csv"),
-        ["unit", "weight"],
-        list(zip(p.donor_ids, est.weights.values)),
-    )
-
     header = ["time", "observed", "counterfactual", "gap"]
     rows = est.to_rows(p.time_ids, p.outcomes[p.treated_index])
     if args.inference != "none":
@@ -254,23 +249,16 @@ def _cmd_estimate(args):
             (ci.lower, ci.upper, ci.method, ci.open_ended, ci.disconnected) for ci in cis
         ]
         rows = [row + cell for row, cell in zip(rows, cells)]
-    _write_csv(os.path.join(args.out, "gap.csv"), header, rows)
-
+    tables = {
+        "weights.csv": (["unit", "weight"], list(zip(p.donor_ids, est.weights.values))),
+        "gap.csv": (header, rows),
+    }
     if cov is not None:
-        _write_csv(
-            os.path.join(args.out, "balance.csv"),
-            ["covariate", "raw_gap", "weighted_gap"],
-            balance_table(cov, est.weights),
+        tables["balance.csv"] = (
+            ["covariate", "raw_gap", "weighted_gap"], balance_table(cov, est.weights)
         )
-
-    _write_manifest(
-        args.out,
-        "estimate",
-        _run_config(
-            args,
-            {"lambda": spec.lam, "inference": args.inference, "alpha": args.alpha, **cv_facts},
-        ),
-    )
+    config = {"lambda": spec.lam, "inference": args.inference, "alpha": args.alpha, **cv_facts}
+    _write_run(args.out, tables, "estimate", _run_config(args, config))
     return 0
 
 
@@ -278,11 +266,10 @@ def _cmd_cv(args):
     p, cov = _load_inputs(args)
     blocks = split_and_center(p)
     cv = loo_cv(blocks, _method_spec(args), cov, mode=args.mode)
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "cv.csv"), ["lambda", "cv_mse", "cv_se"], cv.rows())
     selected = select_lambda(cv, args.select)
-    _write_manifest(
+    _write_run(
         args.out,
+        {"cv.csv": (["lambda", "cv_mse", "cv_se"], cv.rows())},
         "cv",
         _run_config(
             args,
@@ -304,8 +291,8 @@ def _cmd_placebo(args):
     times = [s.strip() for s in args.placebo_times.split(",") if s.strip()]
     if not times:
         raise ConfigError("no placebo times given")
-    os.makedirs(args.out, exist_ok=True)
-    lambdas = []
+    lambdas, tables = [], {}
+    header = ["time", "observed", "counterfactual", "gap", "placebo_time"]
     for time_label in times:
         placebo_p = placebo_panel(p, time_label)
         # covariates and an auto-selected lambda see only the periods before
@@ -317,19 +304,11 @@ def _cmd_placebo(args):
         est = estimate_on_blocks(placebo_blocks, spec, cov=placebo_cov, fit=fit)
         observed = placebo_p.outcomes[placebo_p.treated_index]
         rows = [row + (time_label,) for row in est.to_rows(placebo_p.time_ids, observed)]
-        safe = str(time_label).replace(os.sep, "_")
-        _write_csv(
-            os.path.join(args.out, f"placebo_gap_{safe}.csv"),
-            ["time", "observed", "counterfactual", "gap", "placebo_time"],
-            rows,
-        )
+        tables[f"placebo_gap_{str(time_label).replace(os.sep, '_')}.csv"] = (header, rows)
     # every placebo time selects lambda by the same rule, or none does
     rule = {"lambda_rule": facts["lambda_rule"]} if facts else {}
-    _write_manifest(
-        args.out,
-        "placebo",
-        _run_config(args, {"lambda": lambdas, "placebo_times": times, **rule}),
-    )
+    config = _run_config(args, {"lambda": lambdas, "placebo_times": times, **rule})
+    _write_run(args.out, tables, "placebo", config)
     return 0
 
 
@@ -355,30 +334,17 @@ def _cmd_simulate(args):
         stratify_by_fit=args.stratify,
         rep_log=args.rep_log,
     )
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "mc_report.csv"),
-        [
-            "estimator",
-            "bias",
-            "bias_se",
-            "abs_bias_pct_of_scm",
-            "rmse",
-            "rmse_se",
-            "rmse_pct_of_scm",
-            "n_used",
-            "n_dropped",
-        ],
-        report.csv_rows(),
-    )
+    columns = ["estimator", "bias", "bias_se", "abs_bias_pct_of_scm", "rmse", "rmse_se",
+               "rmse_pct_of_scm", "n_used", "n_dropped"]
+    tables = {"mc_report.csv": (columns, report.csv_rows())}
     if report.fit_quartiles:
-        _write_csv(
-            os.path.join(args.out, "mc_by_fit_quartile.csv"),
+        tables["mc_by_fit_quartile.csv"] = (
             ["quartile", "estimator", "bias", "bias_se", "rmse", "rmse_se", "n"],
             report.fit_quartiles,
         )
-    _write_manifest(
+    _write_run(
         args.out,
+        tables,
         "simulate",
         {
             "dgp": args.dgp,
@@ -419,14 +385,6 @@ def _cmd_diagnose(args):
     checks.append(("weight_norm_bound_slack", max(wn.norm - wn.bound, 0.0), 1e-10))
     level, averaged = demeaned_estimate(w, blocks)
     checks.append(("demeaned_two_forms_gap", float(np.abs(level - averaged).max()), 1e-12))
-
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "identity_checks.csv"),
-        ["check", "value", "threshold", "pass"],
-        [(name, val, thr, val <= thr) for name, val, thr in checks],
-    )
-
     sd1 = float(np.std(p.outcomes[p.treated_index, : p.t0]))
     sketch = bound_sketch(
         w,
@@ -434,17 +392,21 @@ def _cmd_diagnose(args):
         lambda_grid=np.logspace(np.log10(grid.min()), np.log10(grid.max() * 1e3), 40),
         sigma_grid=np.array([0.5, 1.0, 2.0, 4.0]) * sd1,
     )
-    _write_csv(
-        os.path.join(args.out, "bound_sketch.csv"),
-        ["lambda", "sigma", "imbalance", "excess", "scm_approx", "total_pct"],
-        sketch.rows(),
-    )
-    _write_manifest(
-        args.out,
-        "diagnose",
-        _run_config(args, {"lambda": lam, "all_pass": all(val <= thr for _, val, thr in checks)}),
-    )
-    if not all(val <= thr for _, val, thr in checks):
+
+    tables = {
+        "identity_checks.csv": (
+            ["check", "value", "threshold", "pass"],
+            [(name, val, thr, val <= thr) for name, val, thr in checks],
+        ),
+        "bound_sketch.csv": (
+            ["lambda", "sigma", "imbalance", "excess", "scm_approx", "total_pct"],
+            sketch.rows(),
+        ),
+    }
+    all_pass = all(val <= thr for _, val, thr in checks)
+    config = _run_config(args, {"lambda": lam, "all_pass": all_pass})
+    _write_run(args.out, tables, "diagnose", config)
+    if not all_pass:  # a failed check is this command's finding: its report is written
         raise ConfigError("one or more identity checks failed; see identity_checks.csv")
     return 0
 

@@ -69,11 +69,6 @@ class CovariatePanel:
     def n_donors(self):
         return self.z0.shape[0]
 
-    @classmethod
-    def from_raw(cls, z1, z0, **kwargs):
-        """Raw covariates, centred on construction like any others."""
-        return cls(z1=z1, z0=z0, **kwargs)
-
 
 def standardize_to_outcomes(cov, blocks):
     """Scale covariate columns to the pooled dispersion of the lagged outcomes.
@@ -191,6 +186,4 @@ def pre_period_covariates(p):
     for j in range(p.t0):
         z += p.covariates[:, j]
     z /= p.t0
-    return CovariatePanel.from_raw(
-        z1=z[p.treated_index], z0=z[p.donor_indices], names=p.covariate_names
-    )
+    return CovariatePanel(z1=z[p.treated_index], z0=z[p.donor_indices], names=p.covariate_names)

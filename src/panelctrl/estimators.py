@@ -26,8 +26,10 @@ sample's, the :class:`AnchorFit` that a caller wanting the point estimate
 too passes as ``fit`` to reuse. For ``scm``, ``ridge`` and ``ridge_ascm``
 (no covariates, or residualized ones) a leave-one fold's design is the full
 design without one column. Then :func:`scm.solve_leave_one` runs every
-fold's SCM solve in lockstep, one stacked system per round, and the ridge
-adjustments of all folds come from one SVD of the full design.
+fold's SCM solve in lockstep, one stacked system per round, and every
+fold's prediction, ridge adjustments included, comes from one SVD of the
+full design: the one-design call of :func:`ridge._leave_one_predictions`,
+which the Monte Carlo harness calls on its stacks.
 ``demeaned``, ``fixed_effects``, joint covariates (re-standardized per
 fold) and leave-future folds build and solve every fold, each warm from
 the full-sample weights.
@@ -52,10 +54,10 @@ from .errors import ConfigError
 from .panel import PanelBlocks, demean_rows, period_folds, split_and_center
 from .ridge import (
     AugEstimate,
+    _leave_one_predictions,
     _require_invertible,
     augment_path,
     augment_weights,
-    fold_adjustments,
 )
 from .scm import DonorWeights, solve_leave_one, solve_scm
 
@@ -248,7 +250,7 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
     from one lockstep active-set solve started at ``fit.scm``
     (:func:`scm.solve_leave_one`; a fold it cannot finish, which is rare,
     is solved alone), and their ridge adjustments from one SVD of the full
-    design (:func:`ridge.fold_adjustments`). Otherwise (``demeaned``,
+    design (:func:`ridge._leave_one_predictions`). Otherwise (``demeaned``,
     ``fixed_effects``, joint covariates, re-standardized per fold, and
     "leave-future" folds) every fold is built, solved from ``fit.scm`` and
     adjusted on its own design (:func:`ridge.augment_path`).
@@ -287,13 +289,15 @@ def fold_predictions(blocks, spec, cov=None, lambdas=None, mode="leave-one", fit
 
 def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
     """The leave-one fold predictions of a method whose fold designs are
-    column subsets of ``fit.design`` (see :func:`fold_predictions`)."""
+    column subsets of ``fit.design`` (see :func:`fold_predictions`): the
+    one-design call of :func:`ridge._leave_one_predictions`."""
     design = fit.design
-    svd = None
+    adjust = ()
     if spec.needs_lambda():
         # refuse lambda 0 on a rank-deficient full design before any fold solve
-        svd = design.control_svd
-        _require_invertible(svd, np.asarray(lambdas, dtype=float))
+        lambdas = np.asarray(lambdas, dtype=float)
+        _require_invertible(design.control_svd, lambdas)
+        adjust = ((design.x1[None], design.x0[None], design.control_svd.stacked), lambdas[None])
     if fit.scm is None:  # ridge solves no SCM: every fold keeps the full sample's anchor
         anchors = np.repeat(fit.anchor.values[:, None], blocks.t0, axis=1)
         logger.debug(
@@ -303,10 +307,6 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
         anchors = solve_leave_one(design, fit.scm, spec.zeta)
     if fit.scm is not None and cov is not None and cov.k > 0:  # residualized: shift every anchor
         anchors = np.column_stack([balance_covariates(g, cov).values for g in anchors.T])
-    held_out = np.einsum("it,it->t", anchors, blocks.x0)
-    base = np.hstack([anchors.T @ blocks.y0_post, held_out[:, None]])[:, None, :]
-    if svd is None:
-        return base
-    residuals = design.x1[:, None] - design.x0.T @ anchors
-    np.fill_diagonal(residuals, 0.0)
-    return base + fold_adjustments(svd, residuals, blocks.y0_post, blocks.x0, lambdas)
+    return _leave_one_predictions(
+        anchors[None], blocks.y0_post[None], blocks.x0[None], *adjust
+    )[0]

@@ -11,7 +11,7 @@ interval from order statistics of shifted leave-one-out predictions.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,16 +74,11 @@ def convert_target(interval, y1_post_value):
     tau = Y_obs - Y(0), so the two targets are mirror images shifted by
     the observed post outcome.
     """
-    new_target = "counterfactual" if interval.target == "effect" else "effect"
-    return PredictionInterval(
+    return replace(
+        interval,
         lower=y1_post_value - interval.upper,
         upper=y1_post_value - interval.lower,
-        level=interval.level,
-        method=interval.method,
-        target=new_target,
-        grid_step=interval.grid_step,
-        disconnected=interval.disconnected,
-        open_ended=interval.open_ended,
+        target="counterfactual" if interval.target == "effect" else "effect",
     )
 
 
@@ -97,12 +92,16 @@ def _augmented_design(blocks, tau0, post_period):
     )
 
 
-def _conformal_p_blocks(blocks, tau0, spec, post_period, cov=None):
+def _require_weighting(spec):
+    """Refuse conformal inference for a method that is not a weighting one."""
     if spec.method not in _WEIGHTING_METHODS:
         raise ConfigError(
             f"conformal inference supports weighting estimators {_WEIGHTING_METHODS}, "
             f"got {spec.method!r}"
         )
+
+
+def _conformal_p_blocks(blocks, tau0, spec, post_period, cov=None):
     design = _augmented_design(blocks, tau0, post_period)
     w = weights_for_design(design, spec, cov)
     residuals = design.x1 - design.x0.T @ w.values
@@ -120,6 +119,7 @@ def conformal_p(p, tau0, spec, post_period=0, cov=None):
     covariate pipeline when one is configured), so the weights depend on
     tau0. Values live on the grid {1/(T0+1), ..., 1}.
     """
+    _require_weighting(spec)
     blocks = split_and_center(p)
     if not 0 <= post_period < blocks.n_post:
         raise ConfigError(f"post_period {post_period} out of range")
@@ -134,8 +134,9 @@ def conformal_interval(p, alpha, spec, post_period=0, target="effect", cov=None)
     times) while an endpoint stays accepted. The reported interval is the
     hull of the accepted set; disconnected acceptance is flagged. ``cov``
     enters every refit and the point estimate that centres the grid.
-    ``target`` is checked before any refit.
+    ``spec`` and ``target`` are checked before any refit.
     """
+    _require_weighting(spec)
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
     if target not in _TARGETS:

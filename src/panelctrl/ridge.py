@@ -17,12 +17,14 @@ design (``PanelBlocks.control_svd``), with singular values below 1e-10 of
 the largest treated as zero; the ridge fit, the imbalance identities, the
 weight-norm bound and the error-bound sketch read the same decomposition. A
 leave-one-period-out fold only deletes one column of the design, so
-:func:`fold_adjustments` gives every fold's adjustment at every penalty
-from the one SVD of the full design by the bordered-inverse deletion
-identity, and the fold pass of cross-validation and jackknife+ takes one
-SVD in all. The public hyper-parameter is always lam = lam_ridge;
-diagnostics that need the scaled convention divide by the donor count
-internally and report both values.
+:func:`_leave_one_predictions` gives every fold's prediction at every
+penalty from the one SVD of the full design by the bordered-inverse
+deletion identity, and the fold pass of cross-validation and jackknife+
+takes one SVD in all. The SVD, the adjustment and the fold predictions
+are each written once, over the R designs of a Monte Carlo stack, and the
+lone calls are their R = 1 case. The public hyper-parameter is always lam
+= lam_ridge; diagnostics that need the scaled convention divide by the
+donor count internally and report both values.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "fit_ridge",
     "augment_weights",
     "augment_path",
-    "fold_adjustments",
     "verify_penalized_form",
     "svd_imbalance",
     "weight_norm_bound",
@@ -106,6 +107,11 @@ class ControlSVD:
         n0, t0 = x0.shape
         u, d, v, rank = _svd_stack(x0[None])
         return cls(u=u[0], d=d[0], v=v[0], rank=int(rank[0]), n0=n0, t0=t0)
+
+    @property
+    def stacked(self):
+        """The factors as :func:`_svd_stack` gives them for a stack of one."""
+        return self.u[None], self.d[None], self.v[None], np.array([self.rank])
 
     @property
     def full_column_rank(self):
@@ -260,22 +266,56 @@ def augment_path(anchor, blocks, lambdas):
     lambdas = np.asarray(lambdas, dtype=float)
     svd = blocks.control_svd
     _require_invertible(svd, lambdas)
-    rotated = svd.rotate(blocks.x1 - blocks.x0.T @ g)
-    scale = np.sqrt(svd.n0) * svd.d[:, None] / (svd.n0 * svd.d[:, None] ** 2 + lambdas)
-    adj = svd.u @ (scale * rotated[:, None])
-    adj -= adj.mean(axis=0)  # exactly zero-sum in exact arithmetic; strip round-off
-    return g[:, None] + adj
+    x1, x0 = blocks.x1[None], blocks.x0[None]
+    return _augment(svd.stacked, x1, x0, g[None, None], lambdas[None])[0, 0]
 
 
-def fold_adjustments(svd, residuals, post, held_out, lambdas):
-    """Every leave-one-period-out fold's ridge adjustment from one SVD.
+def _augment(svd, x1, x0, anchors, lambdas):
+    """:func:`augment_path` of R designs of one shape (``svd`` as from
+    :func:`_svd_stack`, ``x1`` R x T0, ``x0`` R x N0 x T0), each with A
+    anchors (R x A x N0) and L penalties (R x L, positive below full column
+    rank): R x A x N0 x L. Each product is the lone call's, per design and
+    anchor, so the weights are the lone calls' bit for bit where the designs
+    share their rank (padding a lower one moves them by round-off only)."""
+    u, d, v, _ = svd
+    n0 = x0.shape[-2]
+    gaps = x1[:, None, :, None] - x0.swapaxes(1, 2)[:, None] @ anchors[..., None]
+    rotated = v.swapaxes(1, 2)[:, None] @ gaps  # R x A x m x 1: V'r
+    scale = np.sqrt(n0) * d[:, :, None] / (n0 * d[:, :, None] ** 2 + lambdas[:, None])
+    adj = u[:, None] @ (scale[:, None] * rotated)
+    adj -= adj.mean(axis=-2, keepdims=True)  # zero-sum in exact arithmetic; strip round-off
+    return anchors[..., None] + adj
 
-    ``svd`` is the :class:`ControlSVD` of the column-centred full design
-    C = sqrt(N0) U diag(d) V' (N0 x T0). Fold t's design is C without
-    column t, and column t of the T0 x T0 ``residuals`` is its residual
-    r_t: x1 - x0' g_t on the kept periods, 0 in row t. Deleting column t
-    takes c_t c_t' off C C' + lam I, so the bordered-inverse identity gives
-    fold t's adjustment C_t (C_t'C_t + lam I)^{-1} r_t as sqrt(N0) U (d z_t),
+
+def _leave_one_predictions(anchors, post, held_out, design=None, lambdas=None):
+    """Every leave-one-period-out fold's predictions on R designs of one
+    shape, R x T0 x L x (P + 1): fold t weighs the ``post`` block (R x N0 x
+    P) then column t of ``held_out`` (R x N0 x T0) by column t of
+    ``anchors`` (R x N0 x T0). Given the designs' ``(x1, x0, svd)``, ``svd``
+    as from :func:`_svd_stack`, it adds each fold's ridge adjustment at the
+    ``lambdas`` (R x L) to its residual with the held-out entry zeroed;
+    without them L = 1."""
+    held = np.einsum("rit,rit->rt", anchors, held_out)
+    base = np.concatenate([anchors.swapaxes(1, 2) @ post, held[..., None]], axis=-1)[:, :, None]
+    if design is None:
+        return base
+    x1, x0, (u, d, v, rank) = design
+    t0 = x0.shape[-1]
+    residuals = x1[:, :, None] - x0.swapaxes(1, 2) @ anchors
+    residuals[:, range(t0), range(t0)] = 0.0
+    return base + _fold_adjustments(u, d, v, rank == t0, residuals, post, held_out, lambdas)
+
+
+def _fold_adjustments(u, d, v, full, residuals, post, held_out, lambdas):
+    """Every leave-one-period-out fold's ridge adjustment on R designs of
+    one shape, from one SVD of each: ``u``, ``d`` and ``v`` as from
+    :func:`_svd_stack`, design r being the column-centred C = sqrt(N0) U
+    diag(d) V' (N0 x T0), and ``full`` the R-mask of designs of full
+    column rank. Fold t's design is C without column t, and column t of a
+    design's T0 x T0 ``residuals`` is its residual r_t: x1 - x0' g_t on
+    the kept periods, 0 in row t. Deleting column t takes c_t c_t' off
+    C C' + lam I, so the bordered-inverse identity gives fold t's
+    adjustment C_t (C_t'C_t + lam I)^{-1} r_t as sqrt(N0) U (d z_t),
 
         z_t = s V'r_t + (s V_t) q_t / delta_t,    s = 1 / (N0 d^2 + lam),
         q_t = V_t . (N0 d^2 s V'r_t),   delta_t = lam V_t . (s V_t) + 1 - |V_t|^2,
@@ -285,33 +325,12 @@ def fold_adjustments(svd, residuals, post, held_out, lambdas):
     q_t / delta_t = -V_t . (s V'r_t) / V_t . (s V_t); that form is used
     there, and lam = 0 requires it.
 
-    Returns the T0 x L x (P + 1) products of each fold's adjustment with
-    the donor outcomes: the N0 x P ``post`` block, shared by every fold,
-    then column t of the N0 x T0 ``held_out`` block for fold t. Every
-    penalty is taken in one evaluation of matrix products (the one-design
-    call of the stacked form the Monte Carlo harness uses), so beside the
-    result the extra memory is O(m (T0 + L P) + L T0), m being the rank.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    _require_invertible(svd, lambdas)
-    return _fold_adjustments(
-        svd.u[None], svd.d[None], svd.v[None], np.array([svd.full_column_rank]),
-        residuals[None], post[None], held_out[None], lambdas[None],
-    )[0]
-
-
-def _fold_adjustments(u, d, v, full, residuals, post, held_out, lambdas):
-    """:func:`fold_adjustments` of R designs of one shape, each at its own
-    penalties: ``u``, ``d`` and ``v`` as from :func:`_svd_stack`, ``full``
-    the R-mask of designs of full column rank, ``residuals`` (R x T0 x T0),
-    ``post`` (R x N0 x P), ``held_out`` (R x N0 x T0) and ``lambdas`` (R x
-    L, positive where a design is not of full rank). Returns R x T0 x L x
-    (P + 1).
-
-    The sums over the m singular directions are matrix products with the
-    L x m factors s: for fold t and outcome column c (coordinates c_j),
-    the adjustment's product with the outcome is
-    sum_j s_j (V'r_t)_j c_j + (q_t / delta_t) sum_j s_j V_tj c_j.
+    Returns R x T0 x L x (P + 1): fold t's adjustment at each ``lambdas``
+    (R x L, positive below full column rank) times the ``post`` block (R x
+    N0 x P) then column t of ``held_out`` (R x N0 x T0). For outcome
+    coordinates c_j that is sum_j s_j (V'r_t)_j c_j + (q_t / delta_t) sum_j
+    s_j V_tj c_j, matrix products with the L x m factors s, so beside the
+    result the extra memory per design is O(m (T0 + L P) + L T0).
     """
     n0, n_post = u.shape[-2], post.shape[-1]
     n0d2 = n0 * d**2

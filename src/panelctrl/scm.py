@@ -91,16 +91,19 @@ class DonorWeights:
         object.__setattr__(self, "values", vals)
         if not np.all(np.isfinite(vals)):
             raise ConfigError("weights must be finite")
-        # exact summation: the check must not fail from cancellation when
-        # individual weights are large (far-out conformal refits)
-        total = math.fsum(vals)
-        if abs(total - 1.0) > 1e-10:
-            raise ConfigError(f"weights sum to {total:.12g}, expected 1")
+        if not _sums_to_one(vals):
+            raise ConfigError(f"weights sum to {math.fsum(vals):.12g}, expected 1")
         if self.simplex and vals.min(initial=0.0) < -1e-12:
             raise ConfigError(f"simplex weights have min {vals.min():.3e} < -1e-12")
 
     def __len__(self):
         return self.values.shape[0]
+
+
+def _sums_to_one(values):
+    """Whether weights sum to one up to 1e-10, summed exactly so that large
+    weights (far-out conformal refits) cannot fail it by cancellation."""
+    return abs(math.fsum(values) - 1.0) <= 1e-10
 
 
 def weight_values(w):

@@ -15,12 +15,13 @@ the draw on: each seed's draws go into one R x N x T outcome array, whose
 blocks and de-meaned blocks are formed over the stack; the SCM problems of
 the stack's replications (full-sample and de-meaned designs, then the
 leave-one CV folds) go through one lockstep pass each
-(:func:`scm.solve_leave_one`'s kernel), and the stack finishes in arrays:
-one batched SVD, every design's fold predictions at every penalty, the CV
-curves and penalty choices, then the estimates as stacked products. A
-replication whose blocks are not all finite, with a problem handed back, or
-with a step that would raise, is drawn again as a :class:`PanelData` and
-finishes alone from the start, by the estimators' own calls.
+(:func:`scm.solve_leave_one`'s kernel), and the stack finishes in arrays
+by the stacked calls of the lone steps: one batched SVD, every design's
+fold predictions at every penalty, the CV curves and penalty choices, the
+ridge augmentations, then the estimates. A replication whose blocks are
+not all finite, with a problem handed back, or with a step that would
+raise, is drawn again as a :class:`PanelData` and finishes alone from the
+start, by the estimators' own calls.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .estimators import (
     fold_predictions,
 )
 from .panel import PanelData, readonly_array, split_and_center
-from .ridge import _exact_sum_to_one, _fold_adjustments, _svd_stack
-from .scm import _cold_stack, _leave_one_stack, imbalance
+from .ridge import _augment, _exact_sum_to_one, _leave_one_predictions, _svd_stack
+from .scm import _cold_stack, _leave_one_stack, _sums_to_one, imbalance
 from .selection import _cv_curves, _grids, cv_from_folds, default_lambda_grid, select_lambda
 
 logger = logging.getLogger(__name__)
@@ -518,46 +519,37 @@ def _finish_stack(blocks, demeaned, cold, folds, lam, estimand_period):
     """
     x0, x1 = blocks.x0, blocks.x1
     n_reps, n0, t0 = x0.shape
-    u, d, v, rank = _svd_stack(x0)
+    svd = _svd_stack(x0)
+    d, rank = svd[1], svd[3]
     reps = np.arange(n_reps)
     with np.errstate(divide="ignore", invalid="ignore"):  # such rows finish alone
         if isinstance(lam, str):
             ok = rank > 0
             grids = _grids(d[:, 0] ** 2 if d.shape[1] else np.zeros(n_reps), _GRID_SIZE)
-            held_out = np.einsum("rit,rit->rt", folds, x0)
-            residuals = x1[:, :, None] - x0.swapaxes(1, 2) @ folds
-            residuals[:, range(t0), range(t0)] = 0.0
-            adjust = _fold_adjustments(
-                u, d, v, rank == t0, residuals, x0[:, :, :0], x0, grids
-            )
-            best, one_se = _cv_curves(x1, held_out[:, :, None] + adjust[..., 0])[2:]
+            held = _leave_one_predictions(folds, x0[:, :, :0], x0, (x1, x0, svd), grids)
+            best, one_se = _cv_curves(x1, held[..., 0])[2:]
             lams = grids[reps, best if _LAMBDA_RULES[lam] == "min" else one_se]
         else:
             ok = (rank == t0) | (lam > 0)
             lams = np.full(n_reps, float(lam))
-        # ridge and ridge_ascm: the uniform and the SCM anchor, each augmented.
-        # Every product is matrix-vector, as in augment_path and AugEstimate,
-        # so a replication's numbers are those of its lone calls
+        # ridge and ridge_ascm: the uniform and the SCM anchor, each augmented
         anchors = np.stack([np.full((n_reps, n0), 1.0 / n0), cold[:, 0]], axis=1)
-        gaps = x1[:, None, :, None] - x0.swapaxes(1, 2)[:, None] @ anchors[..., None]
-        scale = np.sqrt(n0) * d / (n0 * d**2 + lams[:, None])
-        rotated = v.swapaxes(1, 2)[:, None] @ gaps
-        adj = (u[:, None] @ (scale[:, None, :, None] * rotated))[..., 0]
-        adj -= adj.mean(axis=-1, keepdims=True)
-        ridge = anchors + adj
-        for r, w in zip(np.repeat(reps, 2), ridge.reshape(-1, n0)):  # as augment_weights
+        ridge = _augment(svd, x1, x0, anchors, lams[:, None])[..., 0]
+        for r, a in np.ndindex(n_reps, 2):  # as augment_weights
             try:
-                w[:] = _exact_sum_to_one(w)
-                ok[r] &= abs(math.fsum(w) - 1.0) <= 1e-10
+                ridge[r, a] = _exact_sum_to_one(ridge[r, a])
+                ok[r] &= _sums_to_one(ridge[r, a])
             except (ValueError, OverflowError):  # inf - inf, or too large to sum
                 ok[r] = False
         y0, y1 = blocks.y0_post[:, None], blocks.y1_post[:, None]
         dy0, dy1 = demeaned.y0_post[:, None], demeaned.y1_post[:, None]
         plain = np.concatenate([cold[:, :1], ridge], axis=1)  # scm, ridge, ridge_ascm
         dm = np.stack([anchors[:, 0], cold[:, 1]], axis=1)  # fixed_effects, demeaned_scm
+        # AugEstimate's att by the lone matrix-vector products (_counterfactual's .T won't stack)
         att_plain = y1 - (plain[:, :, None] @ y0)[:, :, 0]
         att_dm = y1 - (y1 - dy1 + (dm[:, :, None] @ dy0)[:, :, 0])
-        scm_gap = gaps[:, 1]
+        # scm.imbalance of each SCM solution; np.linalg.norm over an axis rounds otherwise
+        scm_gap = x1[:, :, None] - x0.swapaxes(1, 2) @ anchors[:, 1, :, None]
         rows = np.column_stack([
             att_plain[..., estimand_period],
             att_dm[..., estimand_period],

@@ -194,9 +194,10 @@ def exact_weighted_sum(weights, values):
 
 
 def fold_adjustments_by_penalty(svd, residuals, post, held_out, lambdas):
-    """``ridge.fold_adjustments`` one penalty at a time: the same
-    bordered-inverse identity, with each sum over the singular directions
-    written out for one penalty and one fold."""
+    """``ridge._fold_adjustments`` of one design (its :class:`ControlSVD`
+    ``svd``), one penalty at a time: the same bordered-inverse identity,
+    with each sum over the singular directions written out for one penalty
+    and one fold."""
     lambdas = np.asarray(lambdas, dtype=float)
     v, n0d2 = svd.v, svd.n0 * svd.d**2
     v_sq = v**2

@@ -142,7 +142,7 @@ def test_criterion_05_two_step_covariates():
             y0_post=rng.normal(size=(n0, 1)),
             y1_post=rng.normal(size=1),
         )
-        cov = CovariatePanel.from_raw(z1=rng.normal(size=k), z0=rng.normal(size=(n0, k)))
+        cov = CovariatePanel(z1=rng.normal(size=k), z0=rng.normal(size=(n0, k)))
         lam = float(10 ** rng.uniform(-1, 3))
         resid = residualize(blocks, cov)
         w = solve_scm(resid)

@@ -303,6 +303,16 @@ class TestEstimate:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("method", ["demeaned", "fixed_effects"])
+    def test_refused_conformal_run_writes_nothing(self, panel_csv, tmp_path, method):
+        out = tmp_path / "est"
+        rc = main([
+            "estimate", "--input", panel_csv, "--treated", "u0", "--treatment-time", "11",
+            "--method", method, "--inference", "conformal", "--out", str(out),
+        ])
+        assert rc == 3
+        assert not out.exists()
+
     def test_config_error_exit_code(self, panel_csv, tmp_path):
         rc = main([
             "estimate", "--input", panel_csv, "--treated", "u0",
@@ -627,6 +637,17 @@ class TestPlacebo:
             assert config["lambda_rule"] == select
         else:
             assert "lambda_rule" not in config
+
+    def test_invalid_later_placebo_time_writes_nothing(self, panel_csv, tmp_path):
+        # time 8 is a valid placebo time; 12 is after the treatment time
+        out = tmp_path / "pl"
+        rc = main([
+            "placebo", "--input", panel_csv, "--treated", "u0",
+            "--treatment-time", "11", "--lambda", "1.0",
+            "--placebo-times", "8,12", "--out", str(out),
+        ])
+        assert rc == 2
+        assert not out.exists()
 
     def test_non_numeric_placebo_time_exit_code(self, panel_csv, tmp_path):
         rc = main([

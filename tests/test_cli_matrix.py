@@ -72,3 +72,23 @@ def test_manifests_must_be_strict_json(tmp_path, capsys):
     (root / "inf" / "manifest.json").unlink()
     (root / "nan" / "manifest.json").unlink()
     assert cli_matrix.check_manifests(str(root)) == 0
+
+
+def test_refused_cases_must_leave_no_files(tmp_path, capsys):
+    root = tmp_path / "run"
+    files = {"ok": ["weights.csv", "manifest.json"], "clean": ["stderr.txt"],
+             "partial": ["stderr.txt", "weights.csv"], "nested": ["stderr.txt", "sub/gap.csv"]}
+    for case, names in files.items():
+        for name in names:
+            (root / case / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / case / name).write_text("x")
+    (root / "empty").mkdir()
+    codes = {"ok": 0, "clean": 3, "partial": 3, "nested": 2, "empty": 3}
+    assert cli_matrix.check_refusals(str(root), codes) == 1
+    out = capsys.readouterr().out
+    assert "REFUSED WITH FILES partial (exit 3): weights.csv" in out
+    assert "REFUSED WITH FILES nested (exit 2): sub/gap.csv" in out
+    assert "ok " not in out and "clean" not in out and "empty" not in out
+    (root / "partial" / "weights.csv").unlink()
+    (root / "nested" / "sub" / "gap.csv").unlink()
+    assert cli_matrix.check_refusals(str(root), codes) == 0

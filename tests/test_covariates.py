@@ -23,7 +23,7 @@ from conftest import make_blocks
 def make_cov(rng, n0, k, **kwargs):
     z0 = rng.normal(size=(n0, k))
     z1 = rng.normal(size=k)
-    return CovariatePanel.from_raw(z1=z1, z0=z0, **kwargs)
+    return CovariatePanel(z1=z1, z0=z0, **kwargs)
 
 
 def covariate_weights(blocks, cov, lam, mode):
@@ -32,7 +32,7 @@ def covariate_weights(blocks, cov, lam, mode):
 
 
 class TestCovariatePanel:
-    def test_from_raw_centers(self, rng):
+    def test_constructor_centers(self, rng):
         cov = make_cov(rng, 8, 3)
         assert np.abs(cov.z0.mean(axis=0)).max() < 1e-12
 
@@ -45,9 +45,6 @@ class TestCovariatePanel:
         assert np.array_equal(cov.z1, z1 - means)
         assert np.array_equal(z0, given) and z0.flags.writeable  # the caller's array
         assert np.abs(cov.z0.mean(axis=0)).max() < 1e-15
-        # the raw route builds the same panel
-        raw = CovariatePanel.from_raw(z1=z1, z0=given)
-        assert np.array_equal(raw.z0, cov.z0) and np.array_equal(raw.z1, cov.z1)
 
     def test_default_names(self, rng):
         cov = make_cov(rng, 5, 2)
@@ -300,7 +297,7 @@ class TestCovariatesFromLong:
             for j in range(9):
                 total += values[i][j][1]
             means.append([total / 9])
-        ref = CovariatePanel.from_raw(z1=means[0], z0=means[1:])
+        ref = CovariatePanel(z1=means[0], z0=means[1:])
         outcomes = np.array([[cell[0] for cell in unit] for unit in values])
         assert expected == (outcomes.tobytes(), ref.z1.tobytes(), ref.z0.tobytes())
         for _ in range(20):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import logging
@@ -80,10 +81,15 @@ class TestConformalP:
             val = conformal_p(p, 0.0, EstimatorSpec(method=method, lam=lam))
             assert 0 < val <= 1
 
-    def test_demeaned_not_supported(self, rng):
+    @pytest.mark.parametrize("method", ["demeaned", "fixed_effects"])
+    def test_non_weighting_method_refused_before_any_fit(self, rng, monkeypatch, method):
         p = make_panel(rng, 6, 10, 8)
-        with pytest.raises(ConfigError):
-            conformal_p(p, 0.0, EstimatorSpec(method="demeaned"))
+        solves = record_scm_solves(monkeypatch)
+        with pytest.raises(ConfigError, match="weighting estimators"):
+            conformal_p(p, 0.0, EstimatorSpec(method=method))
+        with pytest.raises(ConfigError, match="weighting estimators"):
+            conformal_interval(p, 0.1, EstimatorSpec(method=method))
+        assert solves == []
 
 
 def _default_grid(p):
@@ -238,7 +244,7 @@ class TestJackknifePlusOnePass:
         )
         cov = None
         if mode is not None:
-            cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(p.n_donors, 2)))
+            cov = CovariatePanel(rng.normal(size=2), rng.normal(size=(p.n_donors, 2)))
         cis = jackknife_plus(p, 0.2, spec, cov=cov)
         assert len(cis) == p.n_periods - p.t0 == 4
         for k, ci in enumerate(cis):
@@ -274,7 +280,7 @@ class TestFoldPredictions:
             blocks = split_and_center(p)
             cov = None
             if mode is not None:
-                cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(n - 1, 2)))
+                cov = CovariatePanel(rng.normal(size=2), rng.normal(size=(n - 1, 2)))
             lambdas = penalties if ridge else None
             truth, predictions, skipped = fold_predictions(blocks, spec, cov, lambdas, fold_mode)
             scm = design_and_anchor(blocks, spec, cov).scm
@@ -380,7 +386,7 @@ class TestBatchedFoldAnchors:
         blocks = split_and_center(p)
         cov = None
         if mode is not None:
-            cov = CovariatePanel.from_raw(rng.normal(size=1), rng.normal(size=(n0, 1)))
+            cov = CovariatePanel(rng.normal(size=1), rng.normal(size=(n0, 1)))
         spec = EstimatorSpec(method=method, zeta=zeta, covariate_mode=mode or "joint")
         lambdas = [2.0, 1e-2] if spec.needs_lambda() else None
         truth, predictions, skipped = fold_predictions(blocks, spec, cov, lambdas)
@@ -469,7 +475,7 @@ class TestBatchedFoldAnchors:
         blocks = split_and_center(p)
         cov = None
         if mode is not None:
-            cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(11, 2)))
+            cov = CovariatePanel(rng.normal(size=2), rng.normal(size=(11, 2)))
         spec = EstimatorSpec(method=method, lam=1.0, covariate_mode=mode or "joint")
         resolved = folds_off_the_full_support(blocks, spec, cov)
         assert 0 < len(resolved) < blocks.t0
@@ -506,8 +512,9 @@ class TestPredictionInterval:
                                method="jackknife-plus", target="effect")
 
     def test_convert_round_trip(self):
-        ci = PredictionInterval(lower=-1.0, upper=2.0, level=0.9,
-                                method="full-conformal", target="effect")
-        back = convert_target(convert_target(ci, 5.0), 5.0)
-        assert back.lower == ci.lower and back.upper == ci.upper
-        assert back.target == "effect"
+        ci = PredictionInterval(lower=-1.0, upper=2.0, level=0.9, method="full-conformal",
+                                target="effect", grid_step=0.03, disconnected=True,
+                                open_ended=True)
+        there = convert_target(ci, 5.0)
+        assert there == replace(ci, lower=3.0, upper=6.0, target="counterfactual")
+        assert convert_target(there, 5.0) == ci

@@ -189,7 +189,7 @@ def test_weights_for_design_donor_permutation_equivariant(seed, method, mode):
     )
     cov = cov_perm = None
     if mode is not None and method in RIDGE_METHODS:
-        cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(n0, 2)))
+        cov = CovariatePanel(rng.normal(size=2), rng.normal(size=(n0, 2)))
         cov_perm = CovariatePanel(z1=cov.z1, z0=cov.z0[perm])
     w = weights_for_design(blocks, spec, cov)
     w_perm = weights_for_design(_permuted(blocks, perm), spec, cov_perm)
@@ -216,7 +216,7 @@ def _draw(seed, method, mode):
     )
     cov = None
     if mode is not None:
-        cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(n0, 2)))
+        cov = CovariatePanel(rng.normal(size=2), rng.normal(size=(n0, 2)))
     return rng, outcomes, spec, cov
 
 

@@ -8,13 +8,14 @@ from panelctrl.panel import PanelBlocks, split_and_center
 from panelctrl.estimators import EstimatorSpec, estimate_on_blocks, weights_for_design
 from panelctrl.ridge import (
     ControlSVD,
+    _augment,
     _fold_adjustments,
     _svd_stack,
+    augment_path,
     augment_weights,
     bound_sketch,
     demeaned_estimate,
     fit_ridge,
-    fold_adjustments,
     svd_imbalance,
     verify_penalized_form,
     weight_norm_bound,
@@ -52,54 +53,53 @@ class TestControlSVD:
         assert not svd.full_column_rank
 
 
+def _unequal_rank_designs(rng, n0=12, t0=6):
+    """A full-rank design, one of rank 3 and a zero one, of one shape."""
+    low, zero = (
+        PanelBlocks(x1=rng.normal(size=t0), x0=x0, y0_post=rng.normal(size=(n0, 2)),
+                    y1_post=rng.normal(size=2))
+        for x0 in (rng.normal(size=(n0, 3)) @ rng.normal(size=(3, t0)), np.ones((n0, t0)))
+    )
+    return [make_blocks(rng, n0, t0, 2), low, zero]
+
+
 class TestFoldAdjustments:
     @pytest.mark.parametrize(
-        "n0, t0, n_post",
-        [(19, 25, 5), (50, 89, 16), (12, 6, 3), (30, 5, 2)],
-        ids=["rank-deficient", "application-scale", "full-rank", "full-rank-wide"],
+        "n0, t0, n_post, stack",
+        [(19, 25, 5, 1), (50, 89, 16, 1), (12, 6, 3, 1), (30, 5, 2, 1), (12, 6, 2, 3)],
+        ids=["rank-deficient", "application-scale", "full-rank", "full-rank-wide",
+             "unequal-rank-stack"],
     )
-    def test_all_penalties_at_once_match_the_penalty_loop(self, rng, n0, t0, n_post):
-        for _ in range(3):
-            blocks = make_blocks(rng, n0, t0, n_post)
-            svd = blocks.control_svd
-            residuals = rng.normal(size=(t0, t0))
-            np.fill_diagonal(residuals, 0.0)
-            lambdas = np.logspace(3, -3, 12) * svd.d[0] ** 2
-            if svd.full_column_rank:
-                lambdas = np.append(lambdas, 0.0)
-            got = fold_adjustments(svd, residuals, blocks.y0_post, blocks.x0, lambdas)
-            want = fold_adjustments_by_penalty(svd, residuals, blocks.y0_post, blocks.x0, lambdas)
-            assert svd.full_column_rank == (n0 > t0)
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-    def test_stack_of_designs_of_unequal_rank(self, rng):
-        # a full-rank design, one of rank 3 and a zero one, in one stack: the
-        # lower ranks are padded with zero directions, which change nothing
-        n0, t0 = 12, 6
-        low, zero = (
-            PanelBlocks(x1=rng.normal(size=t0), x0=x0, y0_post=rng.normal(size=(n0, 2)),
-                        y1_post=rng.normal(size=2))
-            for x0 in (rng.normal(size=(n0, 3)) @ rng.normal(size=(3, t0)), np.ones((n0, t0)))
-        )
-        designs = [make_blocks(rng, n0, t0, 2), low, zero]
-        u, d, v, rank = _svd_stack(np.stack([b.x0 for b in designs]))
-        assert rank.tolist() == [6, 3, 0] and d.shape == (3, 6)
-        for r, b in enumerate(designs):
-            svd = b.control_svd
-            m = svd.rank
-            assert np.array_equal(u[r, :, :m], svd.u) and np.array_equal(d[r, :m], svd.d)
-            assert np.array_equal(v[r, :, :m], svd.v)
-            assert not (u[r, :, m:].any() or d[r, m:].any() or v[r, :, m:].any())
-        residuals = rng.normal(size=(3, t0, t0))
-        residuals[:, range(t0), range(t0)] = 0.0
-        lambdas = np.logspace(2, -2, 5) * np.array([[1.0], [2.0], [3.0]])
-        got = _fold_adjustments(u, d, v, rank == t0, residuals,
-                                np.stack([b.y0_post for b in designs]),
-                                np.stack([b.x0 for b in designs]), lambdas)
-        for r, b in enumerate(designs):
-            want = fold_adjustments_by_penalty(b.control_svd, residuals[r], b.y0_post, b.x0,
-                                               lambdas[r])
-            assert np.abs(got[r] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    def test_stacked_adjustments_match_the_penalty_loop(self, rng, n0, t0, n_post, stack):
+        # one design at a time (R = 1), and a stack whose lower ranks are
+        # padded with zero directions, which change nothing
+        for _ in range(3 if stack == 1 else 1):
+            designs = [make_blocks(rng, n0, t0, n_post)] if stack == 1 else \
+                _unequal_rank_designs(rng, n0, t0)
+            u, d, v, rank = _svd_stack(np.stack([b.x0 for b in designs]))
+            for r, b in enumerate(designs):
+                svd = b.control_svd
+                m = svd.rank
+                assert np.array_equal(u[r, :, :m], svd.u) and np.array_equal(d[r, :m], svd.d)
+                assert np.array_equal(v[r, :, :m], svd.v)
+                assert not (u[r, :, m:].any() or d[r, m:].any() or v[r, :, m:].any())
+            residuals = rng.normal(size=(len(designs), t0, t0))
+            residuals[:, range(t0), range(t0)] = 0.0
+            if stack == 1:
+                assert rank.tolist() == [min(n0 - 1, t0)]
+                lambdas = np.logspace(3, -3, 12) * d[:, :1] ** 2
+                if rank[0] == t0:
+                    lambdas = np.append(lambdas, [[0.0]], axis=1)
+            else:
+                assert rank.tolist() == [6, 3, 0] and d.shape == (3, 6)
+                lambdas = np.logspace(2, -2, 5) * np.array([[1.0], [2.0], [3.0]])
+            got = _fold_adjustments(u, d, v, rank == t0, residuals,
+                                    np.stack([b.y0_post for b in designs]),
+                                    np.stack([b.x0 for b in designs]), lambdas)
+            for r, b in enumerate(designs):
+                want = fold_adjustments_by_penalty(b.control_svd, residuals[r], b.y0_post, b.x0,
+                                                   lambdas[r])
+                assert np.abs(got[r] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestFitRidge:
@@ -147,6 +147,27 @@ class TestFitRidge:
 
 
 class TestAugmentWeights:
+    @pytest.mark.parametrize("n0, t0", [(19, 25), (30, 5), (12, 6)],
+                             ids=["rank-deficient", "full-rank", "unequal-rank-stack"])
+    def test_stack_matches_the_lone_path(self, rng, n0, t0):
+        # R designs, two anchors each, three penalties each: every column is
+        # augment_path's of that design, anchor and penalty, bit for bit when
+        # the designs share their rank; a lower rank is padded with zero
+        # directions, which move the sums by round-off only
+        equal_rank = n0 != 12
+        designs = ([make_blocks(rng, n0, t0) for _ in range(4)] if equal_rank
+                   else _unequal_rank_designs(rng, n0, t0))
+        anchors = rng.dirichlet(np.ones(n0), size=(len(designs), 2))
+        lambdas = np.logspace(1, -1, 3) * rng.uniform(1, 2, size=(len(designs), 1))
+        got = _augment(_svd_stack(np.stack([b.x0 for b in designs])),
+                       np.stack([b.x1 for b in designs]), np.stack([b.x0 for b in designs]),
+                       anchors, lambdas)
+        for r, b in enumerate(designs):
+            for a in range(2):
+                want = augment_path(anchors[r, a], b, lambdas[r])
+                assert np.array_equal(got[r, a], want) or (
+                    not equal_rank and np.abs(got[r, a] - want).max() <= 1e-15)
+
     def test_zero_residual_no_op(self, rng):
         x0 = rng.normal(size=(5, 3))
         x0 = x0 - x0.mean(axis=0)

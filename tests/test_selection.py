@@ -98,7 +98,7 @@ class TestLooCv:
         spec = EstimatorSpec(method=method, covariate_mode=cov_mode or "joint", zeta=1e-6)
         cov = None
         if cov_mode is not None:
-            cov = CovariatePanel.from_raw(rng.normal(size=2), rng.normal(size=(9, 2)))
+            cov = CovariatePanel(rng.normal(size=2), rng.normal(size=(9, 2)))
         grid = np.logspace(3, -2, 6)
         cv = loo_cv(blocks, spec, cov, lambda_grid=grid, mode=mode)
         for i, lam in enumerate(grid):

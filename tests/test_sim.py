@@ -467,8 +467,8 @@ def _zero_design_panel(n, t, t0, seed):
 @pytest.mark.parametrize("n, t, t0", [(30, 8, 5), (10, 20, 16)])
 def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
     """Given the SCM solutions that the lone calls solve, the array finish
-    of a stack reports what each replication's lone calls report, to
-    1e-12, on both rank branches and with a zero design (rank 0) among the
+    of a stack reports what each replication's lone calls report, bit for
+    bit, on both rank branches and with a zero design (rank 0) among the
     others; where a lone call raises (the zero design's penalty grid, lam =
     0 without full column rank) the finish leaves the replication alone."""
     import panelctrl.sim as sim_mod
@@ -493,7 +493,7 @@ def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
             raised.append(r)
             assert row is None
             continue
-        assert np.allclose(row, [*estimates.values(), fit], rtol=1e-12, atol=0.0)
+        assert row == [*estimates.values(), fit]
     if lam == 0.0:  # the zero design is never of full column rank
         assert raised == ([5] if n - 2 >= t0 else list(range(6)))
     else:

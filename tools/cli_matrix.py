@@ -10,7 +10,8 @@ The matrix covers every ``estimate`` method with each inference mode, the
 covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log`` (the factor, fixed-effects and AR(3) families over
 more replications than one stack of lockstep solves holds), plus cells that
-must fail (an infinite penalty, a NaN ``--alpha``, zero replications,
+must fail (an infinite penalty, a NaN ``--alpha``, a placebo time after
+the treatment time behind a valid one, zero replications,
 ``simulate`` designs no replication can draw or cross-validate, ``simulate``
 with both ``--select`` and ``--lambda``, and a CSV
 for every input error of docs/schemas.md) so their exit codes are compared
@@ -20,7 +21,9 @@ ragged, duplicate and blank-row CSVs with the changed row past the reader's
 first blocks of rows, so line numbers are compared there too. A case's
 ``error: ...`` lines go to its ``stderr.txt``, so compare mode compares the
 messages as well. Run mode then parses every ``manifest.json`` as strict
-JSON and exits 1 if any holds ``NaN`` or ``Infinity``. Compare mode reads two such
+JSON and exits 1 if any holds ``NaN`` or ``Infinity``, or if a case that
+failed left any file but its ``stderr.txt`` (``diagnose`` aside, whose
+report is written when a check fails). Compare mode reads two such
 directories, made for instance from two checkouts, and prints for every file
 whether it is byte-identical and otherwise its largest absolute numeric
 difference, its largest relative one among values of magnitude at least
@@ -172,6 +175,10 @@ def cases(inputs):
         yield f"{panel}-placebo-scm-zeta", [
             "placebo", *data, "--method", "scm", "--zeta", "0.05", *placebo]
         yield f"{panel}-placebo-ridge_ascm-cv", ["placebo", *data, *placebo]
+        # a valid placebo time, then one after the treatment time: refused, no files
+        yield f"{panel}-placebo-late-time", [
+            "placebo", *data, "--lambda", "1", "--placebo-times",
+            f"{treated_at - 3},{treated_at + 1}"]
         yield f"{panel}-placebo-ridge-residualize", [
             "placebo", *data, "--method", "ridge", "--lambda", "1", "--covariates", "gdp",
             "--covariate-mode", "residualize", *placebo]
@@ -223,7 +230,7 @@ def run_matrix(out):
         write_panel(inputs[name], n_units, n_periods, seed)
     inputs.update(write_bad_panels(inputs["small"]))
     inputs.update(write_late_panels(inputs["long"]))
-    codes = {}
+    codes, checked = {}, {}
     for name, argv in cases(inputs):
         case_dir = os.path.join(out, name)
         argv = [*argv, "--out", case_dir]
@@ -238,6 +245,8 @@ def run_matrix(out):
             print(f"{name}:", file=sys.stderr)
             traceback.print_exc()
             codes[name] = 1
+        if argv[0] != "diagnose":  # a diagnose whose checks fail writes its report
+            checked[name] = codes[name]
         errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
         if errors:
             os.makedirs(case_dir, exist_ok=True)
@@ -246,7 +255,20 @@ def run_matrix(out):
     with open(os.path.join(out, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return check_manifests(out)
+    return max(check_manifests(out), check_refusals(out, checked))
+
+
+def check_refusals(root, codes):
+    """Print each case of ``codes`` (case -> exit code) that exited non-zero
+    yet left a file under root/case other than ``stderr.txt``, with those
+    files, and return 1 if any: a refused run writes nothing."""
+    bad = 0
+    for case, code in sorted(codes.items()):
+        left = sorted(set(_files(os.path.join(root, case))) - {"stderr.txt"})
+        if code and left:
+            bad += 1
+            print(f"REFUSED WITH FILES {case} (exit {code}): {', '.join(left)}")
+    return 1 if bad else 0
 
 
 def _refuse(constant):
