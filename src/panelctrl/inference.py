@@ -44,8 +44,8 @@ class PredictionInterval:
 
     ``grid_step`` documents the tau grid spacing for the conformal method;
     ``disconnected`` flags acceptance regions with interior gaps (the hull
-    is still reported); ``open_ended`` flags default grids whose endpoints
-    were still accepted after adaptive widening.
+    is still reported); ``open_ended`` flags bounds it may extend past: grid
+    endpoints still accepted after widening, or jackknife+ bounds clamped.
     """
 
     lower: float
@@ -215,7 +215,9 @@ def jackknife_intervals(truth, predictions, y1_post, alpha, target="counterfactu
     (folds x (n_post + 1)) its counterfactuals, the held-out period last.
     Each post period's interval combines the leave-one-out post predictions
     shifted by the absolute held-out residuals through lower/upper order
-    statistics at level alpha/2 on each side.
+    statistics at level alpha/2 on each side. An order statistic past the
+    folds (too few for alpha) is infinite in the method; the bound is
+    clamped to the extreme fold and the interval flagged ``open_ended``.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be strictly between 0 and 1")
@@ -227,6 +229,7 @@ def jackknife_intervals(truth, predictions, y1_post, alpha, target="counterfactu
     t_total = truth.size + 1
     k_lo = int(np.floor(alpha / 2.0 * t_total))
     k_hi = int(np.ceil((1.0 - alpha / 2.0) * t_total))
+    clamped = k_lo < 1 or k_hi > truth.size
     intervals = []
     for k in range(lows.shape[1]):
         interval = PredictionInterval(
@@ -235,6 +238,7 @@ def jackknife_intervals(truth, predictions, y1_post, alpha, target="counterfactu
             level=1.0 - alpha,
             method="jackknife-plus",
             target="counterfactual",
+            open_ended=clamped,
         )
         if target == "effect":
             interval = convert_target(interval, float(y1_post[k]))

@@ -91,22 +91,30 @@ class ControlSVD:
     """Thin SVD of x0 / sqrt(N0) with small singular values dropped.
 
     ``u`` is N0 x m, ``d`` the m singular values in descending order, and
-    ``v`` is T0 x m; ``rank`` = m is the numerical rank.
+    ``v`` is T0 x m; ``rank`` (m, the numerical rank), ``n0`` and ``t0`` are
+    read off them.
     """
 
     u: np.ndarray
     d: np.ndarray
     v: np.ndarray
-    rank: int
-    n0: int
-    t0: int
 
     @classmethod
     def compute(cls, x0):
-        x0 = np.asarray(x0, dtype=float)
-        n0, t0 = x0.shape
-        u, d, v, rank = _svd_stack(x0[None])
-        return cls(u=u[0], d=d[0], v=v[0], rank=int(rank[0]), n0=n0, t0=t0)
+        u, d, v, _ = _svd_stack(np.asarray(x0, dtype=float)[None])
+        return cls(u=u[0], d=d[0], v=v[0])
+
+    @property
+    def rank(self):
+        return self.d.size
+
+    @property
+    def n0(self):
+        return self.u.shape[0]
+
+    @property
+    def t0(self):
+        return self.v.shape[0]
 
     @property
     def stacked(self):

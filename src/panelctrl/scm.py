@@ -22,13 +22,14 @@ alone, so one private kernel runs this active-set method for M problems on
 each of R designs at once: problem (r, m) is design r with one pre period
 left out, or whole. Each problem keeps its own weights and working set; a
 round is one stacked solve, each design's problems on the union of their
-working sets, a problem's rows outside its own set held at zero. Leaving
-one period out subtracts a rank-one term from the design's Hessian, so one
-Gram per design serves all its problems. :func:`solve_leave_one` is the
-kernel on one design's leave-one-period-out folds, all started at the full
-solution; the Monte Carlo harness also runs it over a stack of
-replications' designs, cold from the best vertex, and over all their
-folds. A problem the kernel cannot finish within the KKT gate of
+working sets, a problem's rows outside its own set held at zero, and one
+batched product gives every problem's gradient. Leaving one period out
+subtracts a rank-one term from the design's Hessian, so one Gram per design
+serves all its problems. :func:`solve_leave_one` is the kernel's R = 1 call
+on one design's leave-one-period-out folds, all started at the full
+solution; the Monte Carlo harness runs it over a stack of replications'
+designs, cold from the best vertex as :func:`solve_scm` is, and over all
+their folds. A problem the kernel cannot finish within the KKT gate of
 :func:`solve_scm`, which is rare, is handed back and solved alone. Both
 paths build their KKT systems with one helper and test the same residual.
 """
@@ -183,8 +184,7 @@ def solve_scm(blocks, zeta=None, start=None):
     scale = max(1.0, float(hess.diagonal().max()))
 
     if start is None:
-        g = np.zeros(n0)
-        g[int(np.argmin(np.sum((blocks.x1 - blocks.x0) ** 2, axis=1)))] = 1.0
+        g = _best_vertex(blocks.x0, blocks.x1)
     else:
         g = project_simplex(np.asarray(start, dtype=float))
         # weights below the resolution of a unit sum are round-off that the
@@ -297,26 +297,27 @@ def _newton_step(hess, scale, grad, support, gs):
     return sol[:k]
 
 
+def _best_vertex(x0, x1):
+    """All weight on the donor nearest the target, of one design (N0 weights)
+    or of each of a stack of R (N0 x R, column r for design r)."""
+    nearest = np.argmin(np.sum((x1[..., None, :] - x0) ** 2, axis=-1), axis=-1)
+    return np.equal.outer(np.arange(x0.shape[-2]), nearest).astype(float)
+
+
 def solve_leave_one(design, full, zeta):
     """Every leave-one-period-out fold's solution, from ``full``, the
     solution of :func:`solve_scm` on ``design`` at penalty ``zeta``.
 
-    Fold t is ``panel.period_fold(design, t, "leave-one")``: the
-    column-centred design C without column t. Its Hessian is 2(C C' -
-    c_t c_t' + zeta_t I), zeta_t being ``zeta`` or the default
-    ``ZETA_SCALE`` (||C||_F^2 - ||c_t||^2) / N0, and its gradient is formed
-    from the fit gap with entry t zeroed. Every fold starts at ``full``, and
-    the folds move in lockstep (:func:`_lockstep` on one design), so round 1
-    is every fold's step on the support of ``full``. A fold that the
-    lockstep pass hands back is solved alone by ``solve_scm``, started at
-    ``full``. Returns the N0 x T0 solutions, column t for fold t.
+    Fold t is ``panel.period_fold(design, t, "leave-one")``, the centred
+    design C without column t: Hessian 2(C C' - c_t c_t' + zeta_t I), zeta_t
+    being ``zeta`` or the default ``ZETA_SCALE`` (||C||_F^2 - ||c_t||^2) /
+    N0, and gradient formed from the fit gap with entry t zeroed. The folds
+    are the R = 1 call of :func:`_leave_one_stack`; a fold it hands back is
+    solved alone by ``solve_scm``, started at ``full``. Returns the N0 x T0
+    solutions, column t for fold t.
     """
-    t0 = design.t0
     zeta = None if zeta is None else _zeta(design, zeta)
-    g = np.repeat(full.values[:, None], t0, axis=1)
-    g, rejected = _lockstep(
-        design.x0[None], design.x1[None], np.arange(t0), zeta, g, "leave-one fold"
-    )
+    (g,), (rejected,) = _leave_one_stack(design.x0[None], design.x1[None], full.values[None], zeta)
     for t in np.flatnonzero(rejected):
         fold = period_fold(design, t, "leave-one")
         g[:, t] = solve_scm(fold, zeta, start=full.values).values
@@ -329,20 +330,18 @@ def _cold_stack(x0, x1):
     and from the best single-donor vertex, as one lockstep pass. Returns the
     N0 x R solutions, column r for design r, and the R-mask of those handed
     back to be solved alone."""
-    g = np.zeros((x0.shape[1], x0.shape[0]))
-    g[np.argmin(np.sum((x1[:, None] - x0) ** 2, axis=2), axis=1), np.arange(x0.shape[0])] = 1.0
-    return _lockstep(x0, x1, np.array([-1]), None, g, "cold solve")
+    return _lockstep(x0, x1, np.array([-1]), None, _best_vertex(x0, x1), "cold solve")
 
 
-def _leave_one_stack(x0, x1, fulls):
+def _leave_one_stack(x0, x1, fulls, zeta=None):
     """The leave-one fold solutions of each of R designs of one shape,
-    centred blocks ``x0`` (R x N0 x T0) and ``x1`` (R x T0), from its
-    full-sample solution, row r of ``fulls`` (R x N0), at the default
-    penalty, as one lockstep pass. Returns the R x N0 x T0 solutions and the
-    R x T0 mask of folds handed back."""
+    centred blocks ``x0`` (R x N0 x T0) and ``x1`` (R x T0), all started at
+    the design's full solution, row r of ``fulls`` (R x N0), at penalty
+    ``zeta`` (None: each fold's default), as one lockstep pass. Returns the
+    R x N0 x T0 solutions and the R x T0 mask of folds handed back."""
     n_designs, n0, t0 = x0.shape
     g = np.repeat(fulls.T, t0, axis=1)
-    g, rejected = _lockstep(x0, x1, np.arange(t0), None, g, "leave-one fold")
+    g, rejected = _lockstep(x0, x1, np.arange(t0), zeta, g, "leave-one fold")
     return g.reshape(n0, n_designs, t0).transpose(1, 0, 2).copy(), rejected.reshape(n_designs, t0)
 
 
@@ -360,21 +359,21 @@ def _lockstep(x0, x1, held, zeta, g, kind):
     ``solve_scm``'s rules, and the live problems move together: a round is
     one stacked solve, each design's problems on the union of their working
     sets, which its other donors pad to the largest union. A problem's rows
-    outside its own set are held at zero. A problem is handed back, to be
-    solved alone, when it stops on a blocked just-added donor, is still
-    live at ``ITERATION_CAP``, fails the gate (normalised, a
-    projected-gradient residual above ``KKT_TOL`` times its Hessian's
-    largest diagonal entry, at least 1) or when its own system in a round
-    is exactly singular. Returns ``g`` and the RM-mask of problems handed
-    back.
+    outside its own set are held at zero. A round's gradients, of every
+    problem, come from one batched product over the R x N0 x M stack. A
+    problem is handed back, to be solved alone, when it stops on a blocked
+    just-added donor, is still live at ``ITERATION_CAP``, fails the gate
+    (normalised, a projected-gradient residual above ``KKT_TOL`` times its
+    Hessian's largest diagonal entry, at least 1) or when its own system in
+    a round is exactly singular. Returns ``g`` and the RM-mask of problems
+    handed back.
     """
-    n_designs, n0, t0 = x0.shape
+    n_designs, n0 = x0.shape[:2]
     designs = np.arange(n_designs)[:, None]
-    first = designs * held.size  # each design's first problem
+    held_entry = designs, held, np.arange(held.size)  # of each problem's fit gap
     design = np.repeat(designs[:, 0], held.size)  # each problem's
     held = np.tile(held, n_designs)
     cut = held >= 0
-    kept = (~cut).astype(float)  # 0 for a problem that holds a period out
     col_sq = np.sum(x0**2, axis=1)
     if zeta is None:
         held_sq = np.where(cut, col_sq[design, held], 0.0)
@@ -382,32 +381,17 @@ def _lockstep(x0, x1, held, zeta, g, kind):
     else:
         zetas = np.full(design.size, zeta)
 
-    def gradients(cols):
-        """The N0 x cols.size gradients of the problems ``cols`` (ascending).
-        Several designs take one batched product, each design's chosen
-        problems first, padded with its others to the most chosen of any
-        design; one design takes plain products, which cost less."""
-        if n_designs == 1:
-            gs = g[:, cols]
-            gaps = x1[0][:, None] - x0[0].T @ gs
-            gaps[held[cols], np.arange(cols.size)] *= kept[cols]  # held out: 0
-            return 2.0 * (zetas[cols] * gs - x0[0] @ gaps)
-        chosen = np.zeros(design.size, dtype=bool)
-        chosen[cols] = True
-        chosen = chosen.reshape(n_designs, -1)
-        counts = chosen.sum(axis=1)
-        width = np.arange(counts.max())
-        pc = np.argsort(~chosen, axis=1, kind="stable")[:, : width.size] + first
-        gs = g[:, pc].transpose(1, 0, 2)
+    def gradients():
+        """The N0 x RM gradients of every problem, from one batched product
+        over the R x N0 x M stack of their weights."""
+        gs = g.reshape(n0, n_designs, -1).transpose(1, 0, 2)
         gaps = x1[:, :, None] - x0.transpose(0, 2, 1) @ gs
-        gaps[designs, held[pc], width] *= kept[pc]  # held out: 0
-        grads = 2.0 * (zetas[pc][:, None, :] * gs - x0 @ gaps)
-        valid = (width < counts[:, None]).ravel()
-        return grads.transpose(1, 0, 2).reshape(n0, -1).compress(valid, axis=1)
+        gaps[held_entry] *= held_entry[1] < 0  # held out: 0 (a whole problem's -1 stays)
+        grads = 2.0 * (zetas.reshape(n_designs, 1, -1) * gs - x0 @ gaps)
+        return grads.transpose(1, 0, 2).reshape(n0, -1)
 
-    every = np.arange(design.size)
     active = g > 0.0
-    grad = gradients(every)
+    grad = gradients()
     spread = np.where(active, grad, -np.inf).max(axis=0)
     spread -= np.where(active, grad, np.inf).min(axis=0)
     stationary = spread <= _tiny(np.where(active, grad, 0.0).sum(axis=0) / active.sum(axis=0))
@@ -426,7 +410,7 @@ def _lockstep(x0, x1, held, zeta, g, kind):
             )
         seen.append((active.copy(), adding))
         ever |= adding
-        live &= ~(adding & (cycled | (grad[j, every] >= mu - _tiny(mu))))
+        live &= ~(adding & (cycled | (grad[j, np.arange(j.size)] >= mu - _tiny(mu))))
         adding &= live
         active[j[adding], adding] = True
         folds = np.flatnonzero(live)
@@ -435,18 +419,17 @@ def _lockstep(x0, x1, held, zeta, g, kind):
         # each design's union of its live problems' working sets comes first
         # in its rows, then its other donors, which pad it to the largest
         at = design[folds]
-        if n_designs == 1:
-            rows = np.flatnonzero(active[:, folds].any(axis=1))[None]
-        else:
-            union = (active & live).reshape(n0, n_designs, -1).any(axis=2).T
-            rows = np.argsort(~union, axis=1, kind="stable")[:, : union.sum(axis=1).max()]
+        union = (active & live).reshape(n0, n_designs, -1).any(axis=2).T
+        rows = np.argsort(~union, axis=1, kind="stable")[:, : union.sum(axis=1).max()]
         idx, k = rows[at], rows.shape[1]
         # column by column, so that _bordered sums each problem's weights in order
         mask, gs = active[idx, folds[:, None]], np.ascontiguousarray(g[idx.T, folds]).T
         cu = x0[designs, rows]
         v = np.where(cut[folds, None], cu[at, :, held[folds]], 0.0)  # held-out columns
         gram = cu @ cu.transpose(0, 2, 1)
-        hess = 2.0 * ((gram if n_designs == 1 else gram[at]) - v[:, :, None] * v[:, None, :])
+        hess = gram[at]  # updated in place: a stack's temporaries are large
+        hess -= v[:, :, None] * v[:, None, :]
+        hess *= 2.0
         hess[:, range(k), range(k)] += 2.0 * zetas[folds, None]
         kkt, rhs = _bordered(hess, -grad[idx, folds[:, None]], gs, mask)
         solved = np.ones(folds.size, dtype=bool)
@@ -477,12 +460,12 @@ def _lockstep(x0, x1, held, zeta, g, kind):
         g[idx[moves], folds[:, None]] = z[moves]
         active[:, folds] = g[:, folds] > 0.0
         if folds.size:
-            grad[:, folds] = gradients(folds)
+            grad[:, folds] = gradients()[:, folds]
     g /= g.sum(axis=0)  # strip round-off in the sums
     held_out = np.where(cut, x0[design, :, held].T, 0.0)
     diagonal = 2.0 * (np.sum(x0**2, axis=2)[design].T - held_out**2 + zetas)  # of each Hessian
     target = KKT_TOL * np.maximum(1.0, diagonal.max(axis=0))
-    rejected = live | fallback | ~(_residual(g, gradients(every)) <= target)
+    rejected = live | fallback | ~(_residual(g, gradients()) <= target)
     logger.debug(
         "%s pass: %d %s of %d design(s) in %d batched rounds, %d fitted one by one",
         kind, design.size, "folds" if cut.any() else "problems", n_designs, rounds,

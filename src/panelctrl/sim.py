@@ -596,8 +596,8 @@ def run_monte_carlo(
     step that would raise alone, is drawn again and finishes by the lone
     calls from the start, so it reports exactly what it would alone and
     drops with the same error; a replication finished in the stack reports
-    the same up to round-off. A cross-validated ``lam`` needs ``t0`` >= 3,
-    and is refused before any draw otherwise.
+    the same up to round-off. Before any draw, a cross-validated ``lam``
+    needs ``t0`` >= 3 and ``seed`` must suit ``np.random.SeedSequence``.
 
     Under the sharp null the per-replication true effect is zero, so bias
     equals the mean estimate, taken at the final post period for the factor
@@ -609,6 +609,10 @@ def run_monte_carlo(
     """
     if not (isinstance(replications, (int, np.integer)) and replications >= 1):
         raise ConfigError(f"need at least 1 replication, got {replications!r}")
+    try:
+        root = np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}") from exc
     if isinstance(lam, str):
         if lam not in _LAMBDA_RULES:
             raise ConfigError(f"lam must be a number, 'cv-min' or 'cv-1se', got {lam!r}")
@@ -619,7 +623,7 @@ def run_monte_carlo(
         _check_fold_count(t0)
     estimand_period = (t - t0 - 1) if family in ("factor", "fixed-effects") else 0
 
-    seeds = np.random.SeedSequence(seed).spawn(replications)
+    seeds = root.spawn(replications)
     results = []
     for first in range(0, replications, _STACK):
         results += _replication_stack(

@@ -117,7 +117,8 @@ class TestEstimate:
         gap = read_rows(out / "gap.csv")
         assert gap[0][4:] == ["ci_lower", "ci_upper", "method", "open_ended", "disconnected"]
         post = gap[-1]
-        assert post[6:] == ["jackknife-plus", "false", "false"]
+        # ten folds are too few for alpha = 0.1: both bounds are clamped
+        assert post[6:] == ["jackknife-plus", "true", "false"]
         assert float(post[4]) <= float(post[5])
 
     def test_jackknife_rows_are_the_per_period_intervals(self, panel_csv, tmp_path):
@@ -253,7 +254,9 @@ class TestEstimate:
 
     def test_interval_flag_columns(self, panel_csv, tmp_path, monkeypatch):
         # each post row carries its interval's open_ended and disconnected
-        # flags; pre rows leave them empty and jackknife+ writes false
+        # flags; pre rows leave them empty, and jackknife+ writes
+        # disconnected false and open_ended true, its ten folds being too
+        # few for alpha = 0.05
         import panelctrl.cli as cli_mod
 
         conformal = cli_mod.conformal_interval
@@ -284,7 +287,7 @@ class TestEstimate:
         ])
         assert rc == 0
         gap = read_rows(tmp_path / "jk" / "gap.csv")
-        assert [row[7:] for row in gap[11:]] == [["false", "false"]] * 4
+        assert [row[7:] for row in gap[11:]] == [["true", "false"]] * 4
 
     def test_lambda_selected_by_cv_when_missing(self, panel_csv, tmp_path):
         out = tmp_path / "est"
@@ -724,7 +727,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "args",
         [["--reps", "0"], ["--reps", "-1"], ["--lambda", "inf"], ["--select", "one-se"],
-         ["--select", "min"]],
+         ["--select", "min"], ["--seed", "-1"]],
     )
     def test_bad_option_exit_code(self, tmp_path, args):
         out = tmp_path / "mc"

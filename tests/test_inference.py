@@ -26,6 +26,7 @@ from panelctrl.inference import (
 from panelctrl.panel import PanelBlocks, PanelData, period_folds, split_and_center
 from panelctrl.ridge import augment_path
 from panelctrl.scm import solve_leave_one, solve_scm
+from panelctrl.sim import default_dgp, draw_panel
 
 from conftest import folds_off_the_full_support, make_panel, record_scm_solves
 from oracles import (
@@ -218,6 +219,21 @@ class TestJackknifePlus:
         p = make_panel(rng, 6, 12, 9)
         ci = jackknife_plus(p, 0.1, EstimatorSpec(method="demeaned"))[0]
         assert ci.lower <= ci.upper
+
+    def test_bounds_past_the_folds_are_flagged_open_ended(self):
+        # with n = T0 = 10 folds, alpha = 0.05 and 0.1 ask for order
+        # statistics 0 and 11, which jackknife+ takes as infinite: the bounds
+        # stay those of the extreme folds, the interval of alpha = 0.2, which
+        # reads order statistics 1 and 10, and the interval is open-ended
+        p = draw_panel("factor", default_dgp("factor"), 8, 14, 10, 3)
+        spec = EstimatorSpec(method="ridge_ascm", lam=1.0)
+        for target in ("counterfactual", "effect"):
+            closed = jackknife_plus(p, 0.2, spec, target=target)
+            assert not any(ci.open_ended for ci in closed)
+            for alpha in (0.05, 0.1):
+                cis = jackknife_plus(p, alpha, spec, target=target)
+                assert all(ci.open_ended for ci in cis)
+                assert [(c.lower, c.upper) for c in cis] == [(c.lower, c.upper) for c in closed]
 
 
 ONE_PASS_CASES = [

@@ -328,27 +328,30 @@ def _stacked(designs):
     return np.stack([d.x0 for d in designs]), np.stack([d.x1 for d in designs])
 
 
+@pytest.mark.parametrize("count", [17, 1])
 @pytest.mark.parametrize("seed", range(6))
-def test_stacked_cold_solves_match_solve_scm(seed):
-    # one lockstep pass over a stack of designs, each from its best vertex,
-    # is each design's own solve_scm up to round-off
-    designs = _stack_of_designs(seed, 17)
+def test_stacked_cold_solves_match_solve_scm(seed, count):
+    # one lockstep pass over a stack of designs (or of one), each from its
+    # best vertex, is each design's own solve_scm up to round-off
+    designs = _stack_of_designs(seed, count)
     g, rejected = scm._cold_stack(*_stacked(designs))
-    assert g.shape == (9, 17) and not rejected.any()
+    assert g.shape == (9, count) and not rejected.any()
     for design, w in zip(designs, g.T):
         assert np.abs(w - solve_scm(design).values).max() <= 1e-12
 
 
+@pytest.mark.parametrize("zeta", [None, 0.0, 0.05])
 @pytest.mark.parametrize("seed", range(6))
-def test_stacked_folds_match_solve_leave_one(seed):
+def test_stacked_folds_match_solve_leave_one(seed, zeta):
     # every design's folds in one stack, padded to the largest union of
-    # working sets, are the folds of its own lockstep pass
+    # working sets, are the folds of its own lockstep pass, at the default
+    # penalty or an explicit one
     designs = _stack_of_designs(seed, 7)
-    fulls = np.array([solve_scm(d).values for d in designs])
-    g, rejected = scm._leave_one_stack(*_stacked(designs), fulls)
+    fulls = np.array([solve_scm(d, zeta).values for d in designs])
+    g, rejected = scm._leave_one_stack(*_stacked(designs), fulls, zeta)
     assert g.shape == (7, 9, 12) and not rejected.any()
     for design, full, folds in zip(designs, fulls, g):
-        alone = solve_leave_one(design, DonorWeights(values=full), None)
+        alone = solve_leave_one(design, DonorWeights(values=full), zeta)
         assert np.abs(folds - alone).max() <= 1e-12
 
 

@@ -228,6 +228,9 @@ class TestRunMonteCarlo:
             ({"params": default_dgp("ar3")}, "factor family expects FactorDgp params"),
             ({"family": "bogus"}, "unknown DGP family"),
             ({"t0": 2, "lam": "cv-min"}, "folds need at least 3 pre periods"),
+            ({"seed": -1}, "seed must be a nonnegative integer"),
+            ({"seed": 1.5}, "seed must be a nonnegative integer"),
+            ({"seed": [3, -2]}, "seed must be a nonnegative integer"),
         ],
     )
     def test_refuses_bad_input_before_any_replication(self, monkeypatch, bad, cause):

@@ -6,12 +6,14 @@ generated panels into OUT, one directory per case, plus ``exit_codes.json``
 
     PYTHONPATH=src python tools/cli_matrix.py OUT
 
-The matrix covers every ``estimate`` method with each inference mode, the
-covariate modes, ``cv`` in both fold modes, ``placebo``, ``diagnose`` and
+The matrix covers every ``estimate`` method with each inference mode (and
+``ridge_ascm``'s jackknife+ at an ``--alpha`` of 0.3 too, where no bound is
+clamped to the extreme fold), the covariate modes, ``cv`` in both fold
+modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log`` (the factor, fixed-effects and AR(3) families over
 more replications than one stack of lockstep solves holds), plus cells that
 must fail (an infinite penalty, a NaN ``--alpha``, a placebo time after
-the treatment time behind a valid one, zero replications,
+the treatment time behind a valid one, zero replications, a negative seed,
 ``simulate`` designs no replication can draw or cross-validate, ``simulate``
 with both ``--select`` and ``--lambda``, and a CSV
 for every input error of docs/schemas.md) so their exit codes are compared
@@ -160,6 +162,10 @@ def cases(inputs):
             "estimate", *data, "--method", "scm", "--zeta", "0", "--inference", "jackknife+"]
         yield f"{panel}-estimate-ridge_ascm-min-zeta", [
             "estimate", *data, "--select", "min", "--zeta", "0.05", "--inference", "jackknife+"]
+        # enough folds for alpha = 0.3, so no jackknife+ bound is clamped
+        yield f"{panel}-estimate-ridge_ascm-lam1-jackknife+-alpha0.3", [
+            "estimate", *data, "--method", "ridge_ascm", "--lambda", "1",
+            "--inference", "jackknife+", "--alpha", "0.3"]
         for method in RIDGE_METHODS:
             for mode in ("joint", "residualize"):
                 cov = ["--method", method, "--covariates", "gdp", "--covariate-mode", mode]
@@ -198,6 +204,7 @@ def cases(inputs):
     small = ["simulate", "--n", "8", "--t", "14", "--t0", "10"]
     yield "simulate-reps0", [*small, "--reps", "0", "--lambda", "1"]
     yield "simulate-lam-inf", [*small, "--reps", "2", "--lambda", "inf"]
+    yield "simulate-seed-negative", [*small, "--reps", "2", "--lambda", "1", "--seed", "-1"]
     for tag, design in (("n2", ["--n", "2"]), ("t200", ["--t", "200", "--t0", "190"]),
                         ("sigma-nan", ["--sigma-scale", "nan"]), ("t-eq-t0", ["--t0", "14"])):
         yield f"simulate-{tag}", [*small, "--reps", "2", "--lambda", "1", *design]
