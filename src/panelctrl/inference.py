@@ -188,13 +188,6 @@ def conformal_interval(p, alpha, spec, post_period=0, target="effect", cov=None)
     return interval
 
 
-def _order_statistic(values, k):
-    """k-th smallest (1-indexed), clamped to the available range."""
-    values = np.sort(np.asarray(values, dtype=float))
-    k = min(max(int(k), 1), values.shape[0])
-    return float(values[k - 1])
-
-
 def jackknife_plus(p, alpha, spec, target="counterfactual", cov=None):
     """Leave-one-period-out prediction intervals, one per post period.
 
@@ -230,11 +223,14 @@ def jackknife_intervals(truth, predictions, y1_post, alpha, target="counterfactu
     k_lo = int(np.floor(alpha / 2.0 * t_total))
     k_hi = int(np.ceil((1.0 - alpha / 2.0) * t_total))
     clamped = k_lo < 1 or k_hi > truth.size
+    # the k-th smallest of each post period's folds (1-indexed), clamped to the folds
+    lower = np.sort(lows, axis=0)[min(max(k_lo, 1), truth.size) - 1]
+    upper = np.sort(highs, axis=0)[min(max(k_hi, 1), truth.size) - 1]
     intervals = []
     for k in range(lows.shape[1]):
         interval = PredictionInterval(
-            lower=_order_statistic(lows[:, k], k_lo),
-            upper=_order_statistic(highs[:, k], k_hi),
+            lower=float(lower[k]),
+            upper=float(upper[k]),
             level=1.0 - alpha,
             method="jackknife-plus",
             target="counterfactual",

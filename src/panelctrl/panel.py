@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -199,17 +199,15 @@ class PanelBlocks:
     """Treated/control pre/post blocks extracted from a panel.
 
     ``x1`` and ``x0`` hold pre-period outcomes, always centred on the
-    donor column means: construction subtracts the means of the given
-    ``x0`` from both and adds them to ``centering``, so ``x0 + centering``
-    is the given ``x0`` plus the given ``centering`` (zero by default). The
-    y blocks hold raw post-period outcomes and are never centred.
+    donor column means (:func:`center_pre`): with weights summing to one, no
+    residual, counterfactual or effect depends on those means. The y blocks
+    hold raw post-period outcomes and are never centred.
     """
 
     x1: np.ndarray
     x0: np.ndarray
     y0_post: np.ndarray
     y1_post: np.ndarray
-    centering: np.ndarray = field(default=None)
 
     def __post_init__(self):
         for name in ("x1", "x0", "y0_post", "y1_post"):
@@ -217,19 +215,15 @@ class PanelBlocks:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise PanelFormatError(f"{name} contains non-finite values")
         n0, t0 = self.x0.shape
-        centering = np.zeros(t0) if self.centering is None else self.centering
         if self.x1.shape != (t0,):
             raise PanelFormatError("x1 length must match x0 columns")
-        if np.shape(centering) != (t0,):
-            raise PanelFormatError("centering length must match x0 columns")
         if self.y0_post.shape[0] != n0:
             raise PanelFormatError("y0_post rows must match x0 rows")
         if self.y1_post.shape != (self.y0_post.shape[1],):
             raise PanelFormatError("y1_post length must match y0_post columns")
-        means = self.x0.mean(axis=0)
-        object.__setattr__(self, "x1", readonly_array(self.x1 - means))
-        object.__setattr__(self, "x0", readonly_array(self.x0 - means))
-        object.__setattr__(self, "centering", readonly_array(centering + means))
+        x1, x0 = center_pre(self.x1, self.x0)
+        object.__setattr__(self, "x1", readonly_array(x1))
+        object.__setattr__(self, "x0", readonly_array(x0))
 
     @property
     def n_donors(self):
@@ -255,7 +249,8 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
 
     ``source`` is a CSV path or file object whose header names ``unit``,
     ``time``, ``outcome`` and every column in ``covariates`` (matched
-    case-insensitively); those columns fill ``PanelData.covariates``.
+    case-insensitively); those columns fill ``PanelData.covariates``, and one
+    named twice under that match raises :class:`ConfigError` before any read.
     ``treatment_time`` is the first treated period: T0 counts the periods
     strictly before it. Every (unit, time) pair appears once, and each of its
     requested cells holds a number; docs/schemas.md ("Input") lists the errors.
@@ -268,6 +263,9 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
     failure of the source or of ``csv`` is raised only after the rows read
     before it pass the short-row and duplicate checks.
     """
+    keys = [name.strip().lower() for name in covariates]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"covariates {list(covariates)} name one column more than once")
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", newline="") as fh:
             return load_panel(fh, treated_label, treatment_time, covariates)
@@ -404,8 +402,8 @@ def _column(unit_col, time_col, raw, name):
 
 
 def split_and_center(p):
-    """The panel's :class:`PanelBlocks`; the pre blocks come out centred on
-    the donor column means, recorded in ``centering``."""
+    """The panel's :class:`PanelBlocks`, the pre blocks centred on the donor
+    column means."""
     donors = p.donor_indices
     return PanelBlocks(
         x1=p.outcomes[p.treated_index, : p.t0],
@@ -418,24 +416,31 @@ def split_and_center(p):
 def demean_rows(blocks):
     """Blocks under the unit-mean outcome model m(X_i), unit i's pre-period mean.
 
-    Every outcome, pre and post, loses its unit's raw (uncentred) pre-period
-    mean, so weighting the post blocks gives the weighted
-    difference-in-differences effect (Y_1 - m_1) - sum_i g_i (Y_i - m_i).
-    Like every design, the de-meaned pre columns are centred over donors, so
-    the default dispersion penalty of an SCM fit to them does not move when
-    a constant is added to a period; with weights summing to one the
-    centring leaves every fit residual unchanged.
+    Every outcome, pre and post, loses its unit's pre-period mean
+    (:func:`subtract_unit_means`), so weighting the post blocks gives the
+    weighted difference-in-differences effect (Y_1 - m_1) - sum_i g_i (Y_i
+    - m_i); the pre blocks being centred shifts every m_i by one constant,
+    which moves no effect. Like every design, the de-meaned pre columns are
+    centred over donors again, so the default dispersion penalty of an SCM
+    fit to them does not move when a constant is added to a period.
     """
-    x1 = blocks.x1 + blocks.centering
-    x0 = blocks.x0 + blocks.centering
-    m1 = x1.mean()
-    m0 = x0.mean(axis=1)
-    return PanelBlocks(
-        x1=x1 - m1,
-        x0=x0 - m0[:, None],
-        y0_post=blocks.y0_post - m0[:, None],
-        y1_post=blocks.y1_post - m1,
-    )
+    return PanelBlocks(*subtract_unit_means(blocks.x1, blocks.x0, blocks.y0_post, blocks.y1_post))
+
+
+def center_pre(x1, x0):
+    """The pre blocks ``x1`` (... x T0) and ``x0`` (... x N0 x T0) of one
+    design, or of a stack along leading axes, less the donor column means."""
+    means = x0.mean(axis=-2)
+    return x1 - means, x0 - means[..., None, :]
+
+
+def subtract_unit_means(x1, x0, y0_post, y1_post):
+    """The blocks of one design, or of a stack along leading axes
+    (:func:`center_pre`; ``y0_post`` ... x N0 x T1, ``y1_post`` ... x T1),
+    each outcome less its unit's pre-period mean."""
+    m1 = x1.mean(axis=-1, keepdims=True)
+    m0 = x0.mean(axis=-1, keepdims=True)
+    return x1 - m1, x0 - m0, y0_post - m0, y1_post - m1
 
 
 def period_folds(blocks, mode="leave-one"):

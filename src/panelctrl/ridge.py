@@ -78,8 +78,8 @@ class RidgeFit:
         object.__setattr__(self, "coefs", coefs)
         if not np.all(np.isfinite(coefs)) or not np.isfinite(self.intercept):
             raise SingularityError("ridge fit produced non-finite coefficients")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
@@ -232,10 +232,10 @@ def fit_ridge(blocks, lam, post_period=0):
     the pre outcomes of blocks are centred, so the intercept is the control
     post mean. At lam=0 the solve uses the rank-truncated pseudo-inverse;
     designs that are rank-deficient beyond the deficiency induced by column
-    centering are rejected.
+    centring are rejected.
     """
-    if lam < 0:
-        raise ConfigError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ConfigError(f"lambda must be finite and nonnegative, got {lam}")
     if not 0 <= post_period < blocks.n_post:
         raise ConfigError(f"post_period {post_period} out of range")
     y = blocks.y0_post[:, post_period]
@@ -253,9 +253,10 @@ def fit_ridge(blocks, lam, post_period=0):
 
 
 def _require_invertible(svd, lambdas):
-    """Refuse lam=0 unless the design's Gram matrix x0'x0 is invertible."""
-    if np.any(lambdas < 0):
-        raise ConfigError("lambda must be nonnegative")
+    """Refuse a penalty that is negative or not finite, or lam=0 unless x0'x0 is invertible."""
+    bad = lambdas[~((lambdas >= 0) & (lambdas < math.inf))]
+    if bad.size:
+        raise ConfigError(f"lambda must be finite and nonnegative, got {bad[0]}")
     if np.any(lambdas == 0.0) and not svd.full_column_rank:
         raise SingularityError(
             f"x0'x0 is singular (rank {svd.rank} < {svd.t0}); lambda=0 not allowed"
@@ -381,8 +382,8 @@ def verify_penalized_form(w, anchor, blocks, lam):
     norm of the gradient projected onto the sum-zero direction, which
     passes at :data:`STATIONARITY_TOL`.
     """
-    if lam <= 0:
-        raise ConfigError("penalized-form check requires lambda > 0")
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"lambda must be finite and positive, got {lam}")
     g = weight_values(w)
     a = weight_values(anchor)
     grad = -(1.0 / lam) * (blocks.x0 @ (blocks.x1 - blocks.x0.T @ g)) + (g - a)
@@ -455,17 +456,9 @@ def demeaned_estimate(scm_w, blocks):
     g = weight_values(scm_w)
     demeaned = demean_rows(blocks)
     level = demeaned.y1_post - g @ demeaned.y0_post
-    x1_raw = blocks.x1 + blocks.centering
-    x0_raw = blocks.x0 + blocks.centering
-    averaged = np.empty(blocks.n_post)
-    for k in range(blocks.n_post):
-        y1 = blocks.y1_post[k]
-        y0 = blocks.y0_post[:, k]
-        diffs = [
-            (y1 - x1_raw[t]) - float(g @ (y0 - x0_raw[:, t])) for t in range(blocks.t0)
-        ]
-        averaged[k] = float(np.mean(diffs))
-    return level, averaged
+    # post period k's difference from pre period t, n_post x T0
+    lags = (blocks.y1_post[:, None] - blocks.x1) - g @ (blocks.y0_post.T[:, :, None] - blocks.x0)
+    return level, lags.mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -520,8 +513,11 @@ def bound_sketch(scm_w, blocks, lambda_grid, sigma_grid):
     """
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
     sigma_grid = np.asarray(sigma_grid, dtype=float)
-    if np.any(lambda_grid <= 0) or np.any(sigma_grid < 0):
-        raise ConfigError("lambda grid must be positive and sigma grid nonnegative")
+    bad = lambda_grid[~((lambda_grid > 0) & (lambda_grid < math.inf))]
+    if bad.size:
+        raise ConfigError(f"lambda must be finite and positive, got {bad[0]}")
+    if np.any(sigma_grid < 0):
+        raise ConfigError("sigma grid must be nonnegative")
     svd = blocks.control_svd
     g = weight_values(scm_w)
     rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)

@@ -156,7 +156,7 @@ def solve_scm(blocks, zeta=None, start=None):
     ----------
     blocks : PanelBlocks
         Design; only ``x1`` and ``x0`` are used. Because the weights sum to
-        one, the solution is invariant to column centering.
+        one, the solution is invariant to column centring.
     zeta : float or None
         Dispersion penalty, finite and nonnegative. None selects
         ``1e-8 * ||x0||_F^2 / N0``, which breaks ties between otherwise

@@ -95,8 +95,11 @@ def loo_cv(blocks, spec=None, cov=None, lambda_grid=None, mode="leave-one"):
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(blocks)
     grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ConfigError("lambda grid must be nonempty and positive")
+    if grid.size == 0:
+        raise ConfigError("lambda grid must be nonempty")
+    bad = grid[~((grid > 0) & (grid < np.inf))]
+    if bad.size:
+        raise ConfigError(f"lambda must be finite and positive, got {bad[0]}")
     return cv_from_folds(grid, fold_predictions(blocks, spec, cov, grid, mode), mode)
 
 

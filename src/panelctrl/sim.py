@@ -43,7 +43,7 @@ from .estimators import (
     estimate_on_blocks,
     fold_predictions,
 )
-from .panel import PanelData, readonly_array, split_and_center
+from .panel import PanelData, center_pre, readonly_array, split_and_center, subtract_unit_means
 from .ridge import _augment, _exact_sum_to_one, _leave_one_predictions, _svd_stack
 from .scm import _cold_stack, _leave_one_stack, _sums_to_one, imbalance
 from .selection import _cv_curves, _grids, cv_from_folds, default_lambda_grid, select_lambda
@@ -223,10 +223,13 @@ _PARAMS = {"factor": FactorDgp, "fixed-effects": FixedEffectsDgp, "ar3": Ar3Dgp}
 
 def _check_design(family, params, n, t, t0):
     """Refuse a design no replication could draw: fewer than 3 units, a
-    split outside 2 <= t0 < t, params of another family, or more periods
-    than the family's fixture provides."""
+    split of periods outside the integers 2 <= t0 < t, params of another
+    family, or more periods than the family's fixture provides."""
     if not (isinstance(n, (int, np.integer)) and n >= 3):
         raise ConfigError(f"need at least 3 units, got n={n!r}")
+    for name, value in (("t", t), ("t0", t0)):
+        if not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {name}={value!r}")
     if not 2 <= t0 < t:
         raise ConfigError(f"need 2 <= t0 < t, got t0={t0}, t={t}")
     if family not in _PARAMS:
@@ -308,9 +311,9 @@ def _draw(family, params, n, t, t0, seed, loadings):
 
 class _Blocks(NamedTuple):
     """The blocks of a stack of panels of one shape, replication r's at
-    index r of each array, named as in :class:`PanelBlocks` (whose
-    ``centering`` the stack does not use): ``x1`` (R x T0), ``x0`` (R x N0
-    x T0), ``y0_post`` (R x N0 x T1) and ``y1_post`` (R x T1)."""
+    index r of each array, named as in :class:`PanelBlocks`: ``x1`` (R x
+    T0), ``x0`` (R x N0 x T0), ``y0_post`` (R x N0 x T1) and ``y1_post``
+    (R x T1)."""
 
     x1: np.ndarray
     x0: np.ndarray
@@ -324,20 +327,13 @@ class _Blocks(NamedTuple):
         return _Blocks(*(a[rows] for a in self))
 
 
-def _centred(x1, x0, y0_post, y1_post):
-    """Stacked blocks with their pre blocks centred on the donor column
-    means, as :class:`PanelBlocks` centres them, and those means."""
-    means = x0.mean(axis=1)
-    return _Blocks(x1 - means, x0 - means[:, None], y0_post, y1_post), means
-
-
 def _stack_blocks(outcomes, treated, t0):
     """The blocks and de-meaned blocks (two :class:`_Blocks`) of R drawn
-    panels, ``outcomes`` (R x N x T) with treated rows ``treated``: the
-    array operations of :func:`split_and_center` and :func:`demean_rows`,
-    taken over the stack, so each replication's arrays are its lone blocks'
-    bit for bit. A draw that is not finite, or that overflows, leaves
-    values that are not finite and raises no warning."""
+    panels, ``outcomes`` (R x N x T) with treated rows ``treated``, by the
+    helpers of :func:`split_and_center` and :func:`demean_rows` taken over
+    the stack, so each replication's arrays are its lone blocks' bit for
+    bit. A draw that is not finite, or that overflows, leaves values that
+    are not finite and raises no warning."""
     n_reps, n, _ = outcomes.shape
     reps = np.arange(n_reps)
     donors = np.arange(n - 1) + (np.arange(n - 1) >= treated[:, None])
@@ -345,13 +341,12 @@ def _stack_blocks(outcomes, treated, t0):
     # indexed by arrays, every block is a C-contiguous copy, laid out as a
     # PanelBlocks' arrays are: the finish's products round by the layout
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks, means = _centred(
-            pre[reps, treated], pre[reps[:, None], donors], post[reps[:, None], donors],
-            post[reps, treated],
+        blocks = _Blocks(
+            *center_pre(pre[reps, treated], pre[reps[:, None], donors]),
+            post[reps[:, None], donors], post[reps, treated],
         )
-        x1, x0 = blocks.x1 + means, blocks.x0 + means[:, None]  # the uncentred pre blocks
-        m1, m0 = x1.mean(axis=1, keepdims=True), x0.mean(axis=2, keepdims=True)
-        demeaned, _ = _centred(x1 - m1, x0 - m0, blocks.y0_post - m0, blocks.y1_post - m1)
+        x1, x0, y0_post, y1_post = subtract_unit_means(*blocks)
+        demeaned = _Blocks(*center_pre(x1, x0), y0_post, y1_post)
     return blocks, demeaned
 
 
@@ -613,10 +608,9 @@ def run_monte_carlo(
         root = np.random.SeedSequence(seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}") from exc
-    if isinstance(lam, str):
-        if lam not in _LAMBDA_RULES:
-            raise ConfigError(f"lam must be a number, 'cv-min' or 'cv-1se', got {lam!r}")
-    else:
+    if lam is None or (isinstance(lam, str) and lam not in _LAMBDA_RULES):
+        raise ConfigError(f"lam must be a number, 'cv-min' or 'cv-1se', got {lam!r}")
+    if not isinstance(lam, str):
         EstimatorSpec(lam=lam)  # refuses a negative or non-finite penalty
     _check_design(family, params, n, t, t0)
     if isinstance(lam, str):

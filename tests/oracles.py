@@ -312,7 +312,6 @@ def jackknife_plus_rebuild(p, alpha, spec, post_period, cov=None):
             x0=blocks.x0[:, keep] - shift,
             y0_post=blocks.y0_post,
             y1_post=blocks.y1_post,
-            centering=np.zeros(keep.size),
         )
         est = estimate_on_blocks(fold, spec, cov=cov)
         g = est.weights.values

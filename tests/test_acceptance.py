@@ -52,12 +52,11 @@ def instances():
         shift = x0.mean(axis=0)
         x0 = x0 - shift
         x0 = x0 - x0.mean(axis=0)
-        blocks = PanelBlocks(
-            x1=rng.normal(size=t0),
-            x0=x0,
+        blocks = PanelBlocks(  # raw blocks, with a per-period shift
+            x1=rng.normal(size=t0) + shift,
+            x0=x0 + shift,
             y0_post=rng.normal(size=(n0, 2)),
             y1_post=rng.normal(size=2),
-            centering=shift,
         )
         lam = float(10 ** rng.uniform(-2, 4))
         out.append((blocks, solve_scm(blocks), lam))

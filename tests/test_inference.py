@@ -21,6 +21,7 @@ from panelctrl.inference import (
     conformal_interval,
     conformal_p,
     convert_target,
+    jackknife_intervals,
     jackknife_plus,
 )
 from panelctrl.panel import PanelBlocks, PanelData, period_folds, split_and_center
@@ -190,14 +191,18 @@ class TestJackknifePlus:
         assert abs(ci.upper - c) < 1e-4
 
     def test_order_statistics_against_sort(self, rng):
-        from panelctrl.inference import _order_statistic
-
+        # each bound is its post period's k-th smallest fold bound, k clamped
         for _ in range(50):
-            vals = rng.normal(size=int(rng.integers(1, 30)))
-            k = int(rng.integers(-2, vals.size + 3))
-            direct = _order_statistic(vals, k)
-            clamped = min(max(k, 1), vals.size)
-            assert direct == np.sort(vals)[clamped - 1]
+            folds, n_post = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            truth, predictions = rng.normal(size=folds), rng.normal(size=(folds, n_post + 1))
+            alpha = float(rng.uniform(0.01, 0.99))
+            intervals = jackknife_intervals(truth, predictions, np.zeros(n_post), alpha)
+            resids = np.abs(truth - predictions[:, -1])
+            k_lo = min(max(int(np.floor(alpha / 2 * (folds + 1))), 1), folds)
+            k_hi = min(max(int(np.ceil((1 - alpha / 2) * (folds + 1))), 1), folds)
+            for k, ci in enumerate(intervals):
+                assert ci.lower == np.sort(predictions[:, k] - resids)[k_lo - 1]
+                assert ci.upper == np.sort(predictions[:, k] + resids)[k_hi - 1]
 
     def test_widens_as_alpha_falls(self, rng):
         p = make_panel(rng, 8, 16, 13)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelctrl.errors import (
+    ConfigError,
     DuplicateCellError,
     MissingCellError,
     PanelFormatError,
@@ -175,6 +176,12 @@ class TestLoadPanel:
     def test_unknown_covariate_column(self):
         with pytest.raises(PanelFormatError, match="must contain 'gdp'"):
             load_panel(_grid_csv(["a", "b"], [1, 2, 3]), "a", 3, ["gdp"])
+
+    @pytest.mark.parametrize("names", [["gdp", "gdp"], ["gdp", " GDP "], ["pop", "gdp", "Pop"]])
+    def test_repeated_covariate_column(self, names):
+        # refused before the source is read: this one has no header to match
+        with pytest.raises(ConfigError, match="name one column more than once"):
+            load_panel(io.StringIO("not,a,panel\n"), "a", 3, names)
 
     @pytest.mark.parametrize("cell", ["", " ", "nan", " NaN "])
     def test_missing_covariate_cell(self, cell):
@@ -589,17 +596,10 @@ class TestSplitAndCenter:
         out = np.array([[5.0, 5.0, 9.0], [1.0, 3.0, 7.0], [3.0, 5.0, 8.0]])
         p = PanelData(out, ("t", "d1", "d2"), (1, 2, 3), 0, 2)
         blocks = split_and_center(p)
-        assert np.allclose(blocks.centering, [2.0, 4.0])
         assert np.allclose(blocks.x0, [[-1.0, -1.0], [1.0, 1.0]])
         assert np.allclose(blocks.x1, [3.0, 1.0])
         assert np.allclose(blocks.y0_post[:, 0], [7.0, 8.0])
         assert blocks.y1_post[0] == 9.0
-
-    def test_centering_inverse(self, rng):
-        p = make_panel(rng, 6, 9, 6)
-        blocks = split_and_center(p)
-        restored = blocks.x0 + blocks.centering
-        assert np.abs(restored - p.outcomes[1:, :6]).max() < 1e-14
 
     def test_column_means_tiny(self, rng):
         for _ in range(20):
@@ -610,11 +610,10 @@ class TestSplitAndCenter:
     def test_stacking_reconstructs_panel(self, rng):
         p = make_panel(rng, 6, 9, 6, treated_index=2)
         blocks = split_and_center(p)
-        full = np.empty_like(p.outcomes)
-        full[p.treated_index] = np.concatenate([blocks.x1 + blocks.centering, blocks.y1_post])
-        full[p.donor_indices] = np.hstack([blocks.x0 + blocks.centering, blocks.y0_post])
-        assert np.array_equal(full[:, p.t0 :], p.outcomes[:, p.t0 :])
-        assert np.abs(full - p.outcomes).max() < 1e-14
+        full = np.empty((p.n_units, p.n_periods - p.t0))
+        full[p.treated_index] = blocks.y1_post
+        full[p.donor_indices] = blocks.y0_post
+        assert np.array_equal(full, p.outcomes[:, p.t0 :])
 
     @settings(max_examples=40)
     @given(
@@ -623,8 +622,8 @@ class TestSplitAndCenter:
         shift=st.floats(0.0, 100.0),
     )
     def test_centring_is_an_invariant(self, seed, scale, shift):
-        # blocks are centred whatever the input, x0 + centering gives the
-        # input back, and a per-period shift of every unit moves no estimate
+        # blocks are centred whatever the input, and a per-period shift of
+        # every unit moves no estimate
         rng = np.random.default_rng(seed)
         p = make_panel(rng, 8, 14, 10)
         outcomes = scale * p.outcomes
@@ -632,9 +631,7 @@ class TestSplitAndCenter:
         atts = {}
         for values in (outcomes, shifted):
             blocks = split_and_center(replace(p, outcomes=values))
-            raw = values[p.donor_indices, : p.t0]
             assert np.abs(blocks.x0.mean(axis=0)).max() <= 1e-12 * scale
-            assert np.abs(blocks.x0 + blocks.centering - raw).max() <= 1e-15 * np.abs(raw).max()
             for spec in (
                 EstimatorSpec(method="scm"),
                 EstimatorSpec(method="ridge_ascm", lam=scale**2),
@@ -645,13 +642,12 @@ class TestSplitAndCenter:
             assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(np.abs(a), np.abs(b)))
 
     def test_blocks_validation(self):
-        with pytest.raises(PanelFormatError):
+        with pytest.raises(PanelFormatError, match="x1 length must match x0 columns"):
             PanelBlocks(
-                x1=np.ones(3),
+                x1=np.ones(2),  # one entry per pre period
                 x0=np.ones((4, 3)),
                 y0_post=np.ones((4, 1)),
                 y1_post=np.ones(1),
-                centering=np.ones(2),  # one entry per pre period
             )
 
     def test_blocks_reject_non_finite(self):

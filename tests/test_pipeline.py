@@ -166,7 +166,6 @@ def _permuted(blocks, perm):
         x0=blocks.x0[perm],
         y0_post=blocks.y0_post[perm],
         y1_post=blocks.y1_post,
-        centering=blocks.centering,
     )
 
 

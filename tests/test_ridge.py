@@ -21,6 +21,7 @@ from panelctrl.ridge import (
     weight_norm_bound,
 )
 from panelctrl.scm import DonorWeights, imbalance, kkt_residual, solve_scm
+from panelctrl.selection import loo_cv
 
 from conftest import make_blocks, make_panel, raw_blocks
 from oracles import affine_qp_descent, dense_ridge_solve, fold_adjustments_by_penalty
@@ -29,6 +30,29 @@ from oracles import affine_qp_descent, dense_ridge_solve, fold_adjustments_by_pe
 def ridge_weights(blocks, lam):
     """Ridge regression weights: the uniform anchor plus the ridge adjustment."""
     return weights_for_design(blocks, EstimatorSpec(method="ridge", lam=lam))
+
+
+_PENALTY_CALLS = {
+    "augment_path": (lambda w, b, lam: augment_path(w, b, [lam]), "nonnegative"),
+    "augment_weights": (augment_weights, "nonnegative"),
+    "fit_ridge": (lambda w, b, lam: fit_ridge(b, lam), "nonnegative"),
+    "svd_imbalance": (svd_imbalance, "nonnegative"),
+    "weight_norm_bound": (weight_norm_bound, "nonnegative"),
+    "verify_penalized_form": (lambda w, b, lam: verify_penalized_form(w, w, b, lam), "positive"),
+    "bound_sketch": (lambda w, b, lam: bound_sketch(w, b, [1.0, lam], [1.0]), "positive"),
+    "loo_cv": (lambda w, b, lam: loo_cv(b, lambda_grid=[lam, 1.0]), "positive"),
+}
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", list(_PENALTY_CALLS))
+def test_penalty_must_be_finite(rng, name, lam):
+    """Every function taking a ridge penalty refuses a NaN, infinite or
+    negative one, as EstimatorSpec does."""
+    call, sign = _PENALTY_CALLS[name]
+    blocks = make_blocks(rng, 6, 5)
+    with pytest.raises(ConfigError, match=f"lambda must be finite and {sign}, got {lam}"):
+        call(solve_scm(blocks), blocks, lam)
 
 
 class TestControlSVD:

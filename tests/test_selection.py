@@ -54,7 +54,6 @@ class TestLooCv:
             x0=blocks.x0[perm],
             y0_post=blocks.y0_post[perm],
             y1_post=blocks.y1_post,
-            centering=blocks.centering,
         )
         cv2 = loo_cv(shuffled, lambda_grid=grid)
         assert np.abs(cv1.cv_mse - cv2.cv_mse).max() < 1e-10

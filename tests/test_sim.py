@@ -96,6 +96,11 @@ class TestDrawPanel:
         with pytest.raises(ConfigError):
             draw_panel("factor", params, 5, 200, 150, 0)
 
+    @pytest.mark.parametrize("t, t0", [(20, 15.0), (20.0, 15)])
+    def test_period_counts_must_be_integers(self, t, t0):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            draw_panel("factor", default_dgp("factor"), 8, t, t0, 0)
+
     def test_sigma_multiplier(self):
         from dataclasses import replace
 
@@ -231,6 +236,9 @@ class TestRunMonteCarlo:
             ({"seed": -1}, "seed must be a nonnegative integer"),
             ({"seed": 1.5}, "seed must be a nonnegative integer"),
             ({"seed": [3, -2]}, "seed must be a nonnegative integer"),
+            ({"lam": None}, "got None"),
+            ({"t0": 12.0}, "t0 must be an integer, got t0=12.0"),
+            ({"t": 16.0}, "t must be an integer, got t=16.0"),
         ],
     )
     def test_refuses_bad_input_before_any_replication(self, monkeypatch, bad, cause):

@@ -12,8 +12,9 @@ clamped to the extreme fold), the covariate modes, ``cv`` in both fold
 modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log`` (the factor, fixed-effects and AR(3) families over
 more replications than one stack of lockstep solves holds), plus cells that
-must fail (an infinite penalty, a NaN ``--alpha``, a placebo time after
-the treatment time behind a valid one, zero replications, a negative seed,
+must fail (an infinite penalty, a NaN ``--alpha``, a covariate requested
+twice, a placebo time after the treatment time behind a valid one, zero
+replications, a negative seed,
 ``simulate`` designs no replication can draw or cross-validate, ``simulate``
 with both ``--select`` and ``--lambda``, and a CSV
 for every input error of docs/schemas.md) so their exit codes are compared
@@ -216,6 +217,9 @@ def cases(inputs):
     for variant in ("ragged", "inf-outcome", "blank-outcome", "duplicate", "missing",
                     "no-outcome", "blank-rows", "comma-unit"):
         yield f"{variant}-estimate", ["estimate", "--input", inputs[variant], *data]
+    # one header column named twice, in two cases: refused before the CSV is read
+    yield "small-estimate-covariates-repeated", [
+        "estimate", "--input", inputs["small"], *data, "--covariates", "gdp,GDP"]
     yield "text-gdp-post-estimate", ["estimate", "--input", inputs["text-gdp-post"], *data,
                                      "--covariates", "gdp"]
     for bad in ("nan-gdp", "inf-gdp"):
