@@ -240,10 +240,7 @@ def _cmd_estimate(args):
         if args.inference == "jackknife+":
             cis = jackknife_intervals(*folds, blocks.y1_post, args.alpha, target="effect")
         else:
-            cis = [
-                conformal_interval(p, args.alpha, spec, post_period=k, target="effect", cov=cov)
-                for k in range(p.n_periods - p.t0)
-            ]
+            cis = conformal_interval(p, args.alpha, spec, target="effect", cov=cov)
         header += ["ci_lower", "ci_upper", "method", "open_ended", "disconnected"]
         cells = [("",) * 5] * p.t0 + [
             (ci.lower, ci.upper, ci.method, ci.open_ended, ci.disconnected) for ci in cis

@@ -207,7 +207,7 @@ def estimate_on_blocks(blocks, spec, cov=None, fit=None):
     weights = weights_for_design(blocks, spec, cov, fit)
     g = weights.values
     fitted = _fitted(blocks, spec, fit.design)
-    counterfactual = _counterfactual(blocks, fitted, g)
+    counterfactual = _counterfactual(blocks, fitted, g[:, None])[0]
     return AugEstimate(
         counterfactual=counterfactual,
         att=blocks.y1_post - counterfactual,
@@ -223,11 +223,14 @@ def _fitted(blocks, spec, design):
 
 
 def _counterfactual(blocks, fitted, weights):
-    """Post counterfactuals of ``weights`` (N0, or N0 x L) on the ``fitted``
-    blocks of :func:`_fitted`: m(X_1) + sum_i g_i (Y_i - m(X_i)) per period,
-    m being the unit pre-period mean for ``demeaned`` and ``fixed_effects``
-    and zero otherwise."""
-    return blocks.y1_post - fitted.y1_post + weights.T @ fitted.y0_post
+    """Post counterfactuals of ``weights`` on the ``fitted`` blocks of
+    :func:`_fitted`: m(X_1) + sum_i g_i (Y_i - m(X_i)) per period, m being
+    the unit pre-period mean for ``demeaned`` and ``fixed_effects`` and zero
+    otherwise. ``weights`` is N0 x L (L fits) and the result L x T1, or of
+    a stack along leading axes, to which the blocks' arrays broadcast, ... x
+    N0 x L and ... x L x T1, each design's product its lone call's."""
+    shift = blocks.y1_post - fitted.y1_post
+    return shift[..., None, :] + np.swapaxes(weights, -1, -2) @ fitted.y0_post
 
 
 def _check_fold_count(t0):

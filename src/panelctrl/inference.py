@@ -126,14 +126,15 @@ def conformal_p(p, tau0, spec, post_period=0, cov=None):
     return _conformal_p_blocks(blocks, tau0, spec, post_period, cov=cov)
 
 
-def conformal_interval(p, alpha, spec, post_period=0, target="effect", cov=None):
-    """Level 1-alpha interval by inverting the conformal test over a tau grid.
-
-    The grid has 101 points spanning the point estimate plus or minus five
+def conformal_interval(p, alpha, spec, target="effect", cov=None):
+    """Level 1-alpha intervals, one per post period in order (a tuple, as
+    :func:`jackknife_plus` gives), by inverting the conformal test over tau
+    grids. The panel is split and the point estimate fit once. A period's
+    grid has 101 points spanning its point estimate plus or minus five
     pre-period residual RMS, widened (doubling the half-width, at most eight
     times) while an endpoint stays accepted. The reported interval is the
     hull of the accepted set; disconnected acceptance is flagged. ``cov``
-    enters every refit and the point estimate that centres the grid.
+    enters every refit and the point estimate that centres the grids.
     ``spec`` and ``target`` are checked before any refit.
     """
     _require_weighting(spec)
@@ -142,14 +143,18 @@ def conformal_interval(p, alpha, spec, post_period=0, target="effect", cov=None)
     if target not in _TARGETS:
         raise ConfigError(f"unknown interval target {target!r}")
     blocks = split_and_center(p)
-    if not 0 <= post_period < blocks.n_post:
-        raise ConfigError(f"post_period {post_period} out of range")
-
-    min_p = 1.0 / (blocks.t0 + 1)
     point = estimate_on_blocks(blocks, spec, cov=cov)
-    center = float(point.att[post_period])
-    rms = float(np.sqrt(np.mean(point.gap_pre**2)))
-    half = 5.0 * max(rms, 1e-12)
+    half = 5.0 * max(float(np.sqrt(np.mean(point.gap_pre**2))), 1e-12)
+    return tuple(
+        _conformal_hull(blocks, alpha, spec, cov, k, float(point.att[k]), half, target)
+        for k in range(blocks.n_post)
+    )
+
+
+def _conformal_hull(blocks, alpha, spec, cov, post_period, center, half, target):
+    """The interval of one post period, on grids around ``center`` of
+    half-width ``half`` at first (see :func:`conformal_interval`)."""
+    min_p = 1.0 / (blocks.t0 + 1)
     widenings = 0
     while True:
         grid = np.linspace(center - half, center + half, _GRID_POINTS)
@@ -165,22 +170,20 @@ def conformal_interval(p, alpha, spec, post_period=0, target="effect", cov=None)
         half *= 2.0
         widenings += 1
     if open_ended and alpha > min_p:
-        logger.warning("conformal grid endpoints still accepted after %d widenings", widenings)
+        logger.warning("post period %d: conformal grid endpoints still accepted after %d "
+                       "widenings", post_period, widenings)
 
     if not mask.any():
         raise GridError("no tau value on the conformal grid was accepted")
     idx = np.nonzero(mask)[0]
-    disconnected = bool(np.any(np.diff(idx) > 1))
-    lower, upper = float(grid[idx[0]]), float(grid[idx[-1]])
-    step = float(grid[1] - grid[0])
     interval = PredictionInterval(
-        lower=lower,
-        upper=upper,
+        lower=float(grid[idx[0]]),
+        upper=float(grid[idx[-1]]),
         level=1.0 - alpha,
         method="full-conformal",
         target="effect",
-        grid_step=step,
-        disconnected=disconnected,
+        grid_step=float(grid[1] - grid[0]),
+        disconnected=bool(np.any(np.diff(idx) > 1)),
         open_ended=open_ended,
     )
     if target == "counterfactual":

@@ -516,8 +516,9 @@ def bound_sketch(scm_w, blocks, lambda_grid, sigma_grid):
     bad = lambda_grid[~((lambda_grid > 0) & (lambda_grid < math.inf))]
     if bad.size:
         raise ConfigError(f"lambda must be finite and positive, got {bad[0]}")
-    if np.any(sigma_grid < 0):
-        raise ConfigError("sigma grid must be nonnegative")
+    bad = sigma_grid[~((sigma_grid >= 0) & (sigma_grid < math.inf))]
+    if bad.size:
+        raise ConfigError(f"sigma must be finite and nonnegative, got {bad[0]}")
     svd = blocks.control_svd
     g = weight_values(scm_w)
     rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)

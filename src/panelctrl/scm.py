@@ -475,5 +475,9 @@ def _lockstep(x0, x1, held, zeta, g, kind):
 
 
 def imbalance(blocks, w):
-    """L2 norm of the pre-period gap, ||x1 - x0' g||."""
-    return float(np.linalg.norm(blocks.x1 - blocks.x0.T @ weight_values(w)))
+    """L2 norm of the pre-period gap, ||x1 - x0' g||, of one design, or of a
+    stack along leading axes (``w`` ... x N0) as an array, each design's by
+    its lone call's products (``np.linalg.norm`` over an axis rounds apart)."""
+    g = weight_values(w)
+    gap = blocks.x1[..., None] - np.swapaxes(blocks.x0, -1, -2) @ g[..., None]
+    return np.sqrt(np.swapaxes(gap, -1, -2) @ gap)[..., 0, 0][()]  # a float for one design

@@ -10,18 +10,15 @@ of zero treatment effect holds in every family: the designated treated
 unit's outcomes are untouched, so each replication's estimate is pure
 error.
 
-The Monte Carlo harness runs its replications in stacks, in arrays from
-the draw on: each seed's draws go into one R x N x T outcome array, whose
-blocks and de-meaned blocks are formed over the stack; the SCM problems of
-the stack's replications (full-sample and de-meaned designs, then the
-leave-one CV folds) go through one lockstep pass each
-(:func:`scm.solve_leave_one`'s kernel), and the stack finishes in arrays
-by the stacked calls of the lone steps: one batched SVD, every design's
-fold predictions at every penalty, the CV curves and penalty choices, the
-ridge augmentations, then the estimates. A replication whose blocks are
-not all finite, with a problem handed back, or with a step that would
-raise, is drawn again as a :class:`PanelData` and finishes alone from the
-start, by the estimators' own calls.
+The Monte Carlo harness runs its replications in stacks. Each seed is
+drawn once, into one R x N x T outcome array, whose blocks and de-meaned
+blocks are formed over the stack, and the stack finishes in one pass of the
+stacked forms of the lone steps, each owned by its estimator module: the
+lockstep SCM passes (cold, then the leave-one CV folds), one batched SVD,
+the fold predictions, CV choices and ridge augmentations, the
+counterfactuals and the imbalance. A replication that leaves the pass is
+checked as the :class:`PanelData` of its own row and finishes alone, by the
+estimators' own calls.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .errors import ConfigError
 from .estimators import (
     EstimatorSpec,
     _check_fold_count,
+    _counterfactual,
     design_and_anchor,
     estimate_on_blocks,
     fold_predictions,
@@ -249,12 +247,18 @@ def draw_panel(family, params, n, t, t0, seed):
     the Monte Carlo stacks, here checked as a :class:`PanelData`.
     """
     _check_design(family, params, n, t, t0)
-    outcomes, treated = _draw(family, params, n, t, t0, seed, _loadings(family, params))
+    return _panel(*_draw(family, params, n, t, t0, seed, _loadings(family, params)), t0)
+
+
+def _panel(outcomes, treated, t0):
+    """The :class:`PanelData` of one draw, ``outcomes`` (n x t) with treated
+    row ``treated``: the check that refuses a draw that is not finite."""
+    n, t = outcomes.shape
     return PanelData(
         outcomes=outcomes,
         unit_ids=tuple(f"u{i:03d}" for i in range(n)),
         time_ids=tuple(range(1, t + 1)),
-        treated_index=treated,
+        treated_index=int(treated),
         t0=t0,
     )
 
@@ -319,12 +323,6 @@ class _Blocks(NamedTuple):
     x0: np.ndarray
     y0_post: np.ndarray
     y1_post: np.ndarray
-
-    def take(self, rows):
-        """The stack of replications ``rows``, ascending indices."""
-        if len(rows) == len(self.x1):
-            return self
-        return _Blocks(*(a[rows] for a in self))
 
 
 def _stack_blocks(outcomes, treated, t0):
@@ -404,25 +402,20 @@ _STACK = 20
 
 def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
     """``(estimates, scm_fit, error)`` of the replication of each seed in
-    ``seeds``, by the stages of :func:`run_monte_carlo`: the estimates of
-    ``_BANK`` at ``estimand_period`` and the SCM fit's imbalance or, for a
-    dropped replication, only its exception, as ``ExceptionClass: message``.
-    A replication whose stacked blocks are not all finite, with a problem
-    handed back, or one :func:`_finish_stack` leaves, is drawn again by
-    :func:`draw_panel` and finishes alone from the start (:func:`_finish_alone`)."""
-    reps, blocks, demeaned, results = _draw_stack(family, params, n, t, t0, seeds)
-    if reps.size:
-        cold, folds, whole = _solve_stack(blocks, demeaned, lam)
-        if whole.size:
-            finished = _finish_stack(blocks.take(whole), demeaned.take(whole), cold[whole],
-                                     None if folds is None else folds[whole], lam, estimand_period)
-            for r, row in zip(reps[whole], finished):
-                if row is not None:
-                    results[r] = (dict(zip(_BANK, row[:-1])), row[-1], "")
-    for r, seed in enumerate(seeds):
-        if results[r] is None:
+    ``seeds``: the estimates of ``_BANK`` at ``estimand_period`` and the SCM
+    fit's imbalance or, for a dropped replication, only its exception, as
+    ``ExceptionClass: message``. Each seed is drawn once (:func:`_draw_stack`);
+    a replication that the stack's one pass (:func:`_finish_stack`) leaves
+    is checked as the panel of its own row (:func:`_panel`) and finishes
+    alone from the start (:func:`_finish_alone`)."""
+    outcomes, treated, results = _draw_stack(family, params, n, t, t0, seeds)
+    rows = _finish_stack(*_stack_blocks(outcomes, treated, t0), lam, estimand_period)
+    for r, row in enumerate(rows):
+        if row is not None:
+            results[r] = (dict(zip(_BANK, row[:-1])), row[-1], "")
+        elif results[r] is None:
             try:
-                blocks = split_and_center(draw_panel(family, params, n, t, t0, seed))
+                blocks = split_and_center(_panel(outcomes[r], treated[r], t0))
                 results[r] = (*_finish_alone(blocks, lam, estimand_period), "")
             except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
                 results[r] = _dropped(exc)
@@ -430,49 +423,17 @@ def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
 
 
 def _draw_stack(family, params, n, t, t0, seeds):
-    """Each seed's draw (:func:`_draw`), written into one outcome array:
-    the indices of the replications whose blocks and de-meaned blocks
-    (:func:`_stack_blocks`) are all finite, those blocks, and a result per
-    seed, dropped where the draw raised (as :func:`draw_panel` raises it)
-    and None elsewhere."""
-    outcomes, treated = np.zeros((len(seeds), n, t)), np.zeros(len(seeds), dtype=int)
+    """Each seed's draw (:func:`_draw`), once: the R x n x t outcomes, the R
+    treated rows and a result per seed, dropped where the draw raised (as
+    :func:`draw_panel` raises it, its outcomes left NaN), None elsewhere."""
+    outcomes, treated = np.full((len(seeds), n, t), np.nan), np.zeros(len(seeds), dtype=int)
     results, loadings = [None] * len(seeds), _loadings(family, params)
     for r, seed in enumerate(seeds):
         try:
             outcomes[r], treated[r] = _draw(family, params, n, t, t0, seed, loadings)
         except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
             results[r] = _dropped(exc)
-    blocks, demeaned = _stack_blocks(outcomes, treated, t0)
-    finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(len(seeds), -1).all(axis=1) for a in (*blocks, *demeaned)]
-    )
-    reps = np.flatnonzero(finite & np.array([res is None for res in results]))
-    return reps, blocks.take(reps), demeaned.take(reps), results
-
-
-def _solve_stack(blocks, demeaned, lam):
-    """The lockstep SCM passes of a stack: one cold pass over every
-    replication's full-sample and de-meaned designs, then, under a
-    cross-validated ``lam``, one over the folds of every replication whose
-    two cold problems were solved, each warm from its full solution; one
-    that overflows is handed back. Returns the R x 2 x N0 cold solutions,
-    the R x N0 x T0 fold solutions (None under a fixed ``lam``) and the
-    indices of the replications with no problem handed back."""
-    n_reps, n0, t0 = blocks.x0.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        g, back = _cold_stack(
-            np.stack([blocks.x0, demeaned.x0], axis=1).reshape(-1, n0, t0),
-            np.stack([blocks.x1, demeaned.x1], axis=1).reshape(-1, t0),
-        )
-        cold = g.T.reshape(n_reps, 2, n0)
-        whole = np.flatnonzero(~back.reshape(n_reps, 2).any(axis=1))
-        folds = np.zeros((n_reps, n0, t0)) if isinstance(lam, str) else None
-        if folds is not None and whole.size:
-            folds[whole], rejected = _leave_one_stack(
-                blocks.x0[whole], blocks.x1[whole], cold[whole, 0]
-            )
-            whole = whole[~rejected.any(axis=1)]
-    return cold, folds, whole
+    return outcomes, treated, results
 
 
 def _dropped(exc):
@@ -500,58 +461,79 @@ def _finish_alone(blocks, lam, estimand_period):
     return estimates, imbalance(blocks, shared.scm)
 
 
-def _finish_stack(blocks, demeaned, cold, folds, lam, estimand_period):
-    """The steps of :func:`_finish_alone` for R replications, as array
-    products over the stack: ``blocks`` and ``demeaned`` (:class:`_Blocks`)
-    hold their blocks and de-meaned blocks, ``cold`` (R x 2 x N0) their SCM
-    solutions and ``folds`` (R x N0 x T0) the leave-one fold solutions
-    (None under a fixed ``lam``).
+def _finish_stack(blocks, demeaned, lam, estimand_period):
+    """The steps of :func:`_finish_alone` for R replications in one pass, by
+    the stacked forms of its lone calls, on their blocks and de-meaned blocks
+    (:class:`_Blocks`): a lockstep pass over every full-sample and de-meaned
+    SCM problem, cold, one over every leave-one fold under a cross-validated
+    ``lam``, each warm from its full solution, then one batched SVD, the
+    penalty grids, fold predictions, CV curves and choices, the two ridge
+    augmentations, the counterfactuals and the SCM fit's imbalance. Each
+    step takes the replications that the steps before it kept.
 
     Returns one row per replication, the five estimates then the imbalance,
-    or None where a lone step would raise (a zero design under CV, lam = 0
-    without full column rank, weights off the sum-to-one check, or a value
-    that is not finite): that replication finishes alone.
+    or None where it leaves the stack: its blocks are not all finite, a pass
+    hands one of its problems back (one that overflows included), or a lone
+    step would raise (a zero design under CV, lam = 0 without full column
+    rank, weights off the sum-to-one check, or a value that is not finite).
     """
-    x0, x1 = blocks.x0, blocks.x1
-    n_reps, n0, t0 = x0.shape
-    svd = _svd_stack(x0)
-    d, rank = svd[1], svd[3]
-    reps = np.arange(n_reps)
-    with np.errstate(divide="ignore", invalid="ignore"):  # such rows finish alone
+    n_reps, n0, t0 = blocks.x0.shape
+    rows = [None] * n_reps
+    kept = np.flatnonzero(np.logical_and.reduce(
+        [np.isfinite(a).reshape(n_reps, -1).all(axis=1) for a in (*blocks, *demeaned)]
+    ))
+    if not kept.size:  # an empty stack has no lockstep pass
+        return rows
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # such rows leave
+        g, back = _cold_stack(
+            np.stack([blocks.x0[kept], demeaned.x0[kept]], axis=1).reshape(-1, n0, t0),
+            np.stack([blocks.x1[kept], demeaned.x1[kept]], axis=1).reshape(-1, t0),
+        )
+        solved = ~back.reshape(-1, 2).any(axis=1)
+        # each replication's full and de-meaned solutions, C-ordered: products round by layout
+        kept, cold = kept[solved], np.ascontiguousarray(g.T.reshape(-1, 2, n0)[solved])
+        if not kept.size:
+            return rows
+        if isinstance(lam, str):
+            folds, back = _leave_one_stack(blocks.x0[kept], blocks.x1[kept], cold[:, 0])
+            solved = ~back.any(axis=1)
+            kept, cold, folds = kept[solved], cold[solved], folds[solved]
+        blocks, demeaned = (_Blocks(*(a[kept] for a in b)) for b in (blocks, demeaned))
+        x1, x0 = blocks.x1, blocks.x0
+        _, d, _, rank = svd = _svd_stack(x0)
         if isinstance(lam, str):
             ok = rank > 0
-            grids = _grids(d[:, 0] ** 2 if d.shape[1] else np.zeros(n_reps), _GRID_SIZE)
+            grids = _grids(d[:, 0] ** 2 if d.shape[1] else np.zeros(kept.size), _GRID_SIZE)
             held = _leave_one_predictions(folds, x0[:, :, :0], x0, (x1, x0, svd), grids)
             best, one_se = _cv_curves(x1, held[..., 0])[2:]
-            lams = grids[reps, best if _LAMBDA_RULES[lam] == "min" else one_se]
+            lams = grids[np.arange(kept.size), best if _LAMBDA_RULES[lam] == "min" else one_se]
         else:
             ok = (rank == t0) | (lam > 0)
-            lams = np.full(n_reps, float(lam))
+            lams = np.full(kept.size, float(lam))
         # ridge and ridge_ascm: the uniform and the SCM anchor, each augmented
-        anchors = np.stack([np.full((n_reps, n0), 1.0 / n0), cold[:, 0]], axis=1)
+        uniform = np.full((kept.size, n0), 1.0 / n0)
+        anchors = np.stack([uniform, cold[:, 0]], axis=1)
         ridge = _augment(svd, x1, x0, anchors, lams[:, None])[..., 0]
-        for r, a in np.ndindex(n_reps, 2):  # as augment_weights
+        for r, a in np.ndindex(ridge.shape[:2]):  # as augment_weights
             try:
                 ridge[r, a] = _exact_sum_to_one(ridge[r, a])
                 ok[r] &= _sums_to_one(ridge[r, a])
             except (ValueError, OverflowError):  # inf - inf, or too large to sum
                 ok[r] = False
-        y0, y1 = blocks.y0_post[:, None], blocks.y1_post[:, None]
-        dy0, dy1 = demeaned.y0_post[:, None], demeaned.y1_post[:, None]
-        plain = np.concatenate([cold[:, :1], ridge], axis=1)  # scm, ridge, ridge_ascm
-        dm = np.stack([anchors[:, 0], cold[:, 1]], axis=1)  # fixed_effects, demeaned_scm
-        # AugEstimate's att by the lone matrix-vector products (_counterfactual's .T won't stack)
-        att_plain = y1 - (plain[:, :, None] @ y0)[:, :, 0]
-        att_dm = y1 - (y1 - dy1 + (dm[:, :, None] @ dy0)[:, :, 0])
-        # scm.imbalance of each SCM solution; np.linalg.norm over an axis rounds otherwise
-        scm_gap = x1[:, :, None] - x0.swapaxes(1, 2) @ anchors[:, 1, :, None]
-        rows = np.column_stack([
-            att_plain[..., estimand_period],
-            att_dm[..., estimand_period],
-            np.sqrt(scm_gap.swapaxes(1, 2) @ scm_gap)[:, 0, 0],
-        ])
-    ok &= np.isfinite(rows).all(axis=1)
-    return [row.tolist() if good else None for row, good in zip(rows, ok)]
+        # the bank in report order: scm, ridge and ridge_ascm weigh the
+        # blocks, fixed_effects and demeaned_scm the de-meaned blocks
+        plain = np.stack([cold[:, 0], ridge[:, 0], ridge[:, 1]])[..., None]
+        dm = np.stack([uniform, cold[:, 1]])[..., None]
+        counterfactuals = np.concatenate(
+            [_counterfactual(blocks, blocks, plain), _counterfactual(blocks, demeaned, dm)]
+        )
+        att = blocks.y1_post - counterfactuals[..., 0, :]
+        finished = np.column_stack([*att[..., estimand_period], imbalance(blocks, cold[:, 0])])
+    ok &= np.isfinite(finished).all(axis=1)
+    for r, row, good in zip(kept, finished, ok):
+        if good:
+            rows[r] = row.tolist()
+    return rows
 
 
 def run_monte_carlo(
@@ -576,23 +558,19 @@ def run_monte_carlo(
     entries its penalty. In a replication one SCM solve is the ``scm``
     entry, the ``ridge_ascm`` anchor and the start of every CV fold.
 
-    The replications run in stacks of ``_STACK``, in four stages: every
-    seed's draws go into one outcome array, from which the stack's blocks
-    and de-meaned blocks are formed as arrays; one lockstep pass solves
-    every full-sample and de-meaned SCM problem, cold from the best vertex
-    as :func:`scm.solve_scm` does; under a cross-validated ``lam`` one more
-    solves every leave-one fold, each warm from its replication's full
-    solution; then the stack finishes in arrays, from one batched SVD of
-    its designs: the penalty grids, every fold prediction at every penalty,
-    the CV curves and each replication's penalty, the two ridge
-    augmentations, and the five estimates at the estimand period with the
-    SCM fit's imbalance. A replication whose blocks are not all finite, with
-    a problem a pass hands back (one that overflows included), or with a
-    step that would raise alone, is drawn again and finishes by the lone
-    calls from the start, so it reports exactly what it would alone and
-    drops with the same error; a replication finished in the stack reports
-    the same up to round-off. Before any draw, a cross-validated ``lam``
-    needs ``t0`` >= 3 and ``seed`` must suit ``np.random.SeedSequence``.
+    The replications run in stacks of ``_STACK``. Each seed is drawn once,
+    into one outcome array, and the stack finishes in one pass
+    (:func:`_finish_stack`): a lockstep pass solves every full-sample and
+    de-meaned SCM problem, cold from the best vertex as :func:`scm.solve_scm`
+    does, another every leave-one CV fold, warm from its full solution, and
+    the other steps are the stacked forms of the lone ones. A replication
+    that leaves the pass (its blocks not all finite, a problem handed back,
+    or a step that would raise alone) is checked as the panel of its own row
+    and finishes by the lone calls from the start, so it reports exactly
+    what it would alone and drops with the same error; a replication
+    finished in the stack reports the same up to round-off. Before any
+    draw, a cross-validated ``lam`` needs ``t0`` >= 3 and ``seed`` must suit
+    ``np.random.SeedSequence``.
 
     Under the sharp null the per-replication true effect is zero, so bias
     equals the mean estimate, taken at the final post period for the factor

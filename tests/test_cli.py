@@ -262,11 +262,12 @@ class TestEstimate:
         conformal = cli_mod.conformal_interval
         flagged = []
 
-        def flag_some(*args, post_period, **kwargs):
-            ci = conformal(*args, post_period=post_period, **kwargs)
-            ci = replace(ci, open_ended=post_period == 0, disconnected=post_period == 2)
-            flagged.append(ci)
-            return ci
+        def flag_some(*args, **kwargs):
+            flagged.extend(
+                replace(ci, open_ended=k == 0, disconnected=k == 2)
+                for k, ci in enumerate(conformal(*args, **kwargs))
+            )
+            return tuple(flagged)
 
         monkeypatch.setattr(cli_mod, "conformal_interval", flag_some)
         rc = main([

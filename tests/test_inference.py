@@ -104,11 +104,12 @@ def _default_grid(p):
 
 
 def _accept_on_grid(monkeypatch, accepted):
-    """Make the conformal test accept exactly the tau values in ``accepted``."""
+    """Make the conformal test accept exactly the tau values in ``accepted``
+    in the first post period, and every value in the others."""
     import panelctrl.inference as inf_mod
 
     def fake_p(blocks, tau0, spec, post_period, cov=None):
-        return 0.5 if float(tau0) in accepted else 0.0
+        return 0.5 if post_period or float(tau0) in accepted else 0.0
 
     monkeypatch.setattr(inf_mod, "_conformal_p_blocks", fake_p)
 
@@ -120,7 +121,7 @@ class TestConformalInterval:
         p = make_panel(rng, 6, 10, 8)
         grid = _default_grid(p)
         alpha = 1.0 / (p.t0 + 1)
-        ci = conformal_interval(p, alpha, SPEC)
+        ci = conformal_interval(p, alpha, SPEC)[0]
         assert ci.lower == grid[0]
         assert ci.upper == grid[-1]
         assert ci.open_ended
@@ -130,8 +131,28 @@ class TestConformalInterval:
 
         p = make_panel(rng, 8, 14, 11)
         est = estimate(p, SPEC)
-        ci = conformal_interval(p, 0.05, SPEC)
-        assert ci.lower <= est.att[0] <= ci.upper
+        cis = conformal_interval(p, 0.05, SPEC)
+        assert len(cis) == p.n_periods - p.t0
+        for ci, att in zip(cis, est.att):
+            assert ci.lower <= att <= ci.upper
+
+    def test_one_point_fit_for_every_post_period(self, rng, monkeypatch):
+        # one call splits the panel and fits the point estimate once, and
+        # centres each post period's grid on that period's effect
+        import panelctrl.inference as inf_mod
+
+        fits, fit = [], inf_mod.estimate_on_blocks
+
+        def record(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(inf_mod, "estimate_on_blocks", record)
+        p = make_panel(rng, 6, 11, 8)
+        cis = conformal_interval(p, 1.0 / (p.t0 + 1), SPEC)  # the first grids, all accepted
+        (point,) = fits
+        half = 5.0 * float(np.sqrt(np.mean(point.gap_pre**2)))
+        assert [(ci.lower, ci.upper) for ci in cis] == [(a - half, a + half) for a in point.att]
 
     def test_narrow_grid_raises(self, rng, monkeypatch):
         p = make_panel(rng, 6, 12, 10)
@@ -141,17 +162,17 @@ class TestConformalInterval:
 
     def test_target_conversion_exact(self, rng):
         p = make_panel(rng, 7, 12, 9)
-        ci_tau = conformal_interval(p, 0.1, SPEC, target="effect")
-        ci_y = conformal_interval(p, 0.1, SPEC, target="counterfactual")
-        y_obs = p.outcomes[p.treated_index, p.t0]
-        assert abs(ci_y.lower - (y_obs - ci_tau.upper)) < 1e-12
-        assert abs(ci_y.upper - (y_obs - ci_tau.lower)) < 1e-12
+        cis_tau = conformal_interval(p, 0.1, SPEC, target="effect")
+        cis_y = conformal_interval(p, 0.1, SPEC, target="counterfactual")
+        for ci_tau, ci_y, y_obs in zip(cis_tau, cis_y, p.outcomes[p.treated_index, p.t0 :]):
+            assert abs(ci_y.lower - (y_obs - ci_tau.upper)) < 1e-12
+            assert abs(ci_y.upper - (y_obs - ci_tau.lower)) < 1e-12
 
     def test_grid_step_documented(self, rng, monkeypatch):
         p = make_panel(rng, 6, 10, 8)
         grid = _default_grid(p)
         _accept_on_grid(monkeypatch, set(grid[40:61]))
-        ci = conformal_interval(p, 0.2, SPEC)
+        ci = conformal_interval(p, 0.2, SPEC)[0]
         assert (ci.lower, ci.upper) == (grid[40], grid[60])
         assert not ci.open_ended
         assert ci.grid_step == grid[1] - grid[0]
@@ -172,7 +193,7 @@ class TestConformalInterval:
         p = make_panel(rng, 6, 10, 8)
         grid = _default_grid(p)
         _accept_on_grid(monkeypatch, {grid[47], grid[48], grid[49], grid[51]})  # gap at 50
-        ci = conformal_interval(p, 0.1, SPEC)
+        ci = conformal_interval(p, 0.1, SPEC)[0]
         assert ci.disconnected
         assert ci.lower == grid[47] and ci.upper == grid[51]
 

@@ -77,7 +77,7 @@ ENTRY_POINTS = {
         [conformal_p(p, tau, spec, cov=cov) for tau in TAUS]
     ),
     "conformal_interval": lambda p, spec, cov: _interval(
-        conformal_interval(p, ALPHA, spec, cov=cov)
+        conformal_interval(p, ALPHA, spec, cov=cov)[0]
     ),
     "jackknife_plus": lambda p, spec, cov: _interval(
         jackknife_plus(p, ALPHA, spec, cov=cov)[0]
@@ -121,12 +121,8 @@ def test_spec_refuses_a_bad_penalty_for_every_method(method, bad):
 
 
 CLI_INFERENCE = {
-    "jackknife+": lambda p, spec, k, cov: jackknife_plus(
-        p, ALPHA, spec, target="effect", cov=cov
-    )[k],
-    "conformal": lambda p, spec, k, cov: conformal_interval(
-        p, ALPHA, spec, post_period=k, target="effect", cov=cov
-    ),
+    "jackknife+": lambda p, spec, cov: jackknife_plus(p, ALPHA, spec, target="effect", cov=cov),
+    "conformal": lambda p, spec, cov: conformal_interval(p, ALPHA, spec, target="effect", cov=cov),
 }
 
 
@@ -151,11 +147,11 @@ def test_cli_cell_uses_covariates_or_refuses(
         rows = list(csv.DictReader(fh))
     p, cov = data
     spec = _spec(method, mode)
-    interval = CLI_INFERENCE[inference]
-    for k, row in enumerate(rows[p.t0 :]):
+    intervals = CLI_INFERENCE[inference]
+    directs, plains = intervals(p, spec, cov), intervals(p, spec, None)
+    assert len(rows[p.t0 :]) == len(directs) == len(plains)
+    for row, direct, plain in zip(rows[p.t0 :], directs, plains):
         written = np.array([float(row["ci_lower"]), float(row["ci_upper"])])
-        direct = interval(p, spec, k, cov)
-        plain = interval(p, spec, k, None)
         assert np.abs(written - _interval(direct)).max() <= 1e-12
         assert not np.array_equal(written, _interval(plain))
 

@@ -55,6 +55,15 @@ def test_penalty_must_be_finite(rng, name, lam):
         call(solve_scm(blocks), blocks, lam)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_noise_level_must_be_finite(rng, sigma):
+    """bound_sketch refuses a NaN, infinite or negative noise level, in the
+    words of the penalty checks."""
+    blocks = make_blocks(rng, 6, 5)
+    with pytest.raises(ConfigError, match=f"sigma must be finite and nonnegative, got {sigma}"):
+        bound_sketch(solve_scm(blocks), blocks, [1.0], [1.0, sigma])
+
+
 class TestControlSVD:
     def test_orthonormal_and_reconstruction(self, rng):
         for _ in range(10):

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from panelctrl.errors import ConfigError, ConvergenceError, PanelCtrlError
-from panelctrl.estimators import AnchorFit, EstimatorSpec, estimate_on_blocks, fold_predictions
-from panelctrl.panel import demean_rows, split_and_center
+from panelctrl.estimators import (
+    AnchorFit,
+    EstimatorSpec,
+    _counterfactual,
+    estimate_on_blocks,
+    fold_predictions,
+)
+from panelctrl.panel import PanelBlocks, demean_rows, split_and_center
 from panelctrl.scm import DonorWeights, imbalance, solve_leave_one, solve_scm
 from panelctrl.sim import (
     Ar3Dgp,
@@ -306,44 +312,41 @@ class TestRunMonteCarlo:
         # problem is solved alone, and the replication finishes in arrays
         import panelctrl.sim as sim_mod
 
-        stacks, finished = [], []
-        cold, folds, finish = sim_mod._cold_stack, sim_mod._leave_one_stack, sim_mod._finish_stack
+        stacks, solved = [], []
+        cold, folds = sim_mod._cold_stack, sim_mod._leave_one_stack
 
         def record_cold(x0, x1):
             stacks.append((x0, x1))
-            return cold(x0, x1)
+            g, back = cold(x0, x1)
+            solved.append(g)
+            return g, back
 
         def record_folds(x0, x1, fulls):
             stacks.append(fulls)
             return folds(x0, x1, fulls)
-
-        def record_finish(blocks, demeaned, solutions, *args):
-            finished.append(solutions)
-            return finish(blocks, demeaned, solutions, *args)
 
         def alone(*args):
             raise AssertionError("a replication finished alone")
 
         monkeypatch.setattr(sim_mod, "_cold_stack", record_cold)
         monkeypatch.setattr(sim_mod, "_leave_one_stack", record_folds)
-        monkeypatch.setattr(sim_mod, "_finish_stack", record_finish)
         monkeypatch.setattr(sim_mod, "_finish_alone", alone)
         solves = record_scm_solves(monkeypatch)
         log = tmp_path / "reps.csv"
         run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
                         n=10, t=20, t0=16, lam="cv-min", rep_log=str(log))
-        assert solves == [] and len(stacks) == 2 and len(finished) == 1
+        assert solves == [] and len(stacks) == 2
         (x0, x1), (full,) = stacks
+        ((scm, dm),) = [g.T for g in solved]  # the full-sample and de-meaned solutions
         seed = np.random.SeedSequence(3).spawn(1)[0]
         blocks = split_and_center(draw_panel("factor", default_dgp("factor"), 10, 20, 16, seed))
         assert np.array_equal(x0[0], blocks.x0) and np.array_equal(x1[0], blocks.x1)
         resolved = folds_off_the_full_support(blocks, EstimatorSpec())
         assert 0 < len(resolved) < 16
-        assert np.array_equal(finished[0][0], [full, finished[0][0, 1]])  # the fold start
+        assert np.array_equal(full, scm)  # the fold start
         assert np.abs(full - solve_scm(blocks).values).max() <= 1e-12
-        dm = solve_scm(demean_rows(blocks)).values
         assert np.array_equal(x0[1], demean_rows(blocks).x0)
-        assert np.abs(finished[0][0, 1] - dm).max() <= 1e-12
+        assert np.abs(dm - solve_scm(demean_rows(blocks)).values).max() <= 1e-12
         with open(log, newline="") as fh:
             (row,) = csv.DictReader(fh)
         weights = DonorWeights(full)
@@ -464,6 +467,50 @@ def _stacked(blocks):
                              for f in sim_mod._Blocks._fields))
 
 
+def _mixed_rank_blocks(rng, n0=7, t0=5, n_post=3):
+    """Blocks of one shape whose centred control blocks have ranks 5, 2 and 0."""
+    return [
+        PanelBlocks(
+            x1=rng.normal(size=t0),
+            x0=rng.normal(size=(n0, rank)) @ rng.normal(size=(rank, t0)),
+            y0_post=rng.normal(size=(n0, n_post)),
+            y1_post=rng.normal(size=n_post),
+        )
+        for rank in (t0, 2, 0)
+    ]
+
+
+def test_stacked_counterfactuals_are_the_lone_ones(rng):
+    """_counterfactual of a stack of mixed rank is each design's lone call,
+    bit for bit, on the blocks and on the de-meaned blocks: with L fits per
+    design (a fold's product) and with one fit per product along a leading
+    axis of the weights (a Monte Carlo stack's, and the estimate's)."""
+    lone = _mixed_rank_blocks(rng)
+    assert [np.linalg.matrix_rank(b.x0) for b in lone] == [5, 2, 0]
+    for fitted in (lone, [demean_rows(b) for b in lone]):
+        blocks, fits = _stacked(lone), _stacked(fitted)
+        columns = rng.normal(size=(3, 7, 4))
+        stacked = _counterfactual(blocks, fits, columns)
+        vectors = rng.normal(size=(2, 3, 7))
+        each = _counterfactual(blocks, fits, vectors[..., None])[..., 0, :]
+        for r, (b, f) in enumerate(zip(lone, fitted)):
+            assert np.array_equal(stacked[r], _counterfactual(b, f, columns[r]))
+            for a in range(2):
+                assert np.array_equal(each[a, r], _counterfactual(b, f, vectors[a, r, :, None])[0])
+
+
+def test_stacked_imbalances_are_the_lone_ones(rng):
+    """imbalance of a stack of mixed rank is each design's lone call, bit
+    for bit, and the lone call's value is np.linalg.norm's."""
+    lone = _mixed_rank_blocks(rng)
+    weights = rng.dirichlet(np.ones(7), size=3)
+    stacked = imbalance(_stacked(lone), weights)
+    assert stacked.shape == (3,)
+    for b, g, value in zip(lone, weights, stacked):
+        assert isinstance(imbalance(b, g), float)
+        assert value == imbalance(b, DonorWeights(g)) == np.linalg.norm(b.x1 - b.x0.T @ g)
+
+
 def _zero_design_panel(n, t, t0, seed):
     """A factor draw whose units share one integer pre-period path (the
     treated unit shifted by 0.5): its centred control block is exactly zero."""
@@ -474,14 +521,40 @@ def _zero_design_panel(n, t, t0, seed):
     return replace(p, outcomes=outcomes)
 
 
+def test_stacked_scm_entries_are_the_lone_calls_on_the_stacked_solutions(monkeypatch):
+    """In criterion 9's factor design, each replication of a stack reports
+    as its scm entry and scm_fit what the lone calls report on its SCM
+    solution from the lockstep pass, bit for bit: the finish's products
+    round as the lone ones do, whatever layout the pass returns."""
+    import panelctrl.sim as sim_mod
+
+    cold, solutions = sim_mod._cold_stack, []
+
+    def record(x0, x1):
+        g, back = cold(x0, x1)
+        solutions.append(g[:, ::2].T)  # the full-sample designs'
+        return g, back
+
+    monkeypatch.setattr(sim_mod, "_cold_stack", record)
+    monkeypatch.setattr(sim_mod, "_finish_alone", None)  # none leaves the stack
+    params, seeds = replace(default_dgp("factor"), theta=1.5), np.random.SeedSequence(5).spawn(20)
+    results = sim_mod._replication_stack("factor", params, 20, 30, 25, seeds, "cv-min", 4)
+    for (estimates, fit, _), seed, g in zip(results, seeds, solutions[0]):
+        blocks = split_and_center(draw_panel("factor", params, 20, 30, 25, seed))
+        w = DonorWeights(g)
+        scm = estimate_on_blocks(blocks, EstimatorSpec(method="scm"), fit=AnchorFit(blocks, w, w))
+        assert (estimates["scm"], fit) == (scm.att[4], imbalance(blocks, w))
+
+
 @pytest.mark.parametrize("lam", ["cv-min", "cv-1se", 0.0, 5.0])
 @pytest.mark.parametrize("n, t, t0", [(30, 8, 5), (10, 20, 16)])
-def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
-    """Given the SCM solutions that the lone calls solve, the array finish
-    of a stack reports what each replication's lone calls report, bit for
-    bit, on both rank branches and with a zero design (rank 0) among the
-    others; where a lone call raises (the zero design's penalty grid, lam =
-    0 without full column rank) the finish leaves the replication alone."""
+def test_stacked_finish_matches_lone_finish(monkeypatch, n, t, t0, lam):
+    """Given the SCM solutions that the lone calls solve, in place of its
+    lockstep passes, the one-pass finish of a stack reports what each
+    replication's lone calls report, bit for bit, on both rank branches and
+    with a zero design (rank 0) among the others; where a lone call raises
+    (the zero design's penalty grid, lam = 0 without full column rank) the
+    finish leaves the replication alone."""
     import panelctrl.sim as sim_mod
 
     panels = [draw_panel("factor", default_dgp("factor"), n, t, t0, s) for s in range(5)]
@@ -489,13 +562,23 @@ def test_stacked_finish_matches_lone_finish(n, t, t0, lam):
     drawn = [(b, demean_rows(b)) for b in blocks]
     cold = np.array([[solve_scm(b).values, solve_scm(d).values] for b, d in drawn])
     stack = [_stacked(b) for b in zip(*drawn)]
-    folds = None
-    if isinstance(lam, str):
-        folds = np.array(
-            [solve_leave_one(b, DonorWeights(g), None) for b, g in zip(blocks, cold[:, 0])]
-        )
+    folds = np.array(
+        [solve_leave_one(b, DonorWeights(g), None) for b, g in zip(blocks, cold[:, 0])]
+    )
+
+    def lone_cold(x0, x1):  # problem 2r is replication r's full design, 2r + 1 its de-meaned
+        assert np.array_equal(x0, np.stack([stack[0].x0, stack[1].x0], axis=1).reshape(x0.shape))
+        # laid out as the lockstep pass returns them: a C-ordered N0 x 2R array
+        return np.ascontiguousarray(cold.reshape(-1, n - 1).T), np.zeros(len(x0), dtype=bool)
+
+    def lone_folds(x0, x1, fulls):
+        assert np.array_equal(fulls, cold[:, 0])
+        return folds, np.zeros((len(x0), t0), dtype=bool)
+
+    monkeypatch.setattr(sim_mod, "_cold_stack", lone_cold)
+    monkeypatch.setattr(sim_mod, "_leave_one_stack", lone_folds)
     estimand_period = t - t0 - 1
-    rows = sim_mod._finish_stack(*stack, cold, folds, lam, estimand_period)
+    rows = sim_mod._finish_stack(*stack, lam, estimand_period)
     raised = []
     for r, (b, row) in enumerate(zip(blocks, rows)):
         try:
@@ -580,6 +663,89 @@ def test_a_handed_back_cold_problem_finishes_its_replication_alone(monkeypatch, 
         assert np.allclose(got, [*want.values(), want_fit], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("lam", ["cv-min", 0.0])
+def test_each_replication_is_drawn_once(monkeypatch, lam):
+    """Replications leave one stack for every cause, and each seed is drawn
+    once: replication 0's fold is handed back (under CV), 1's cold problem
+    is handed back, 3's draw is not finite and 5's design is zero, which a
+    lone call refuses (its penalty grid under CV, lam = 0 otherwise). Each
+    leaving replication is checked as the panel of its own row of the
+    stack, and reports what it reports alone, bit for bit."""
+    import panelctrl.sim as sim_mod
+
+    family, params, n, t, t0 = "factor", default_dgp("factor"), 30, 8, 5
+    draw, cold, folds, drawn = sim_mod._draw, sim_mod._cold_stack, sim_mod._leave_one_stack, []
+
+    def draw_once(family, params, n, t, t0, seed, loadings):
+        drawn.append(seed.spawn_key[-1])
+        outcomes, treated = draw(family, params, n, t, t0, seed, loadings)
+        if drawn[-1] == 3:
+            outcomes[0, 0] = np.inf
+        if drawn[-1] == 5:  # every unit on one pre-period path, the treated unit shifted
+            outcomes[:, :t0] = np.arange(float(t0))
+            outcomes[treated, :t0] += 0.5
+        return outcomes, treated
+
+    def hand_back_cold(x0, x1):
+        g, rejected = cold(x0, x1)
+        rejected[2] = True  # replication 1's full-sample design
+        return g, rejected
+
+    def hand_back_fold(x0, x1, fulls):
+        g, rejected = folds(x0, x1, fulls)
+        rejected[0, 2] = True  # replication 0's fold 2
+        return g, rejected
+
+    monkeypatch.setattr(sim_mod, "_draw", draw_once)
+    monkeypatch.setattr(sim_mod, "_cold_stack", hand_back_cold)
+    monkeypatch.setattr(sim_mod, "_leave_one_stack", hand_back_fold)
+    seeds = np.random.SeedSequence(21).spawn(8)
+    results = sim_mod._replication_stack(family, params, n, t, t0, seeds, lam, t - t0 - 1)
+    assert drawn == list(range(8))
+    lone = [one_replication(family, params, n, t, t0, s, lam, t - t0 - 1) for s in seeds]
+    leaving = [0, 1, 3, 5] if isinstance(lam, str) else [1, 3, 5]
+    assert [results[r] for r in leaving] == [lone[r] for r in leaving]
+    assert results[3][2].startswith("PanelFormatError: non-finite outcome inf")
+    assert results[5][2] == ("ConfigError: control block is identically zero; no sensible grid"
+                             if isinstance(lam, str) else "SingularityError: x0'x0 is singular "
+                             "(rank 0 < 5); lambda=0 not allowed")
+    assert [error for _, _, error in results] == [error for _, _, error in lone]
+    for (estimates, fit, _), (want, want_fit, _) in zip(results, lone):
+        if estimates is not None:
+            got = [*estimates.values(), fit]
+            assert np.allclose(got, [*want.values(), want_fit], rtol=FULL_RANK_RTOL, atol=0.0)
+
+
+def _hand_back_every_problem(monkeypatch, stage):
+    """Make ``sim``'s lockstep pass ``stage`` hand every problem back."""
+    import panelctrl.sim as sim_mod
+
+    solve = getattr(sim_mod, stage)
+
+    def hand_back(*args):
+        g, rejected = solve(*args)
+        return g, np.ones(rejected.shape, dtype=bool)
+
+    monkeypatch.setattr(sim_mod, stage, hand_back)
+
+
+@pytest.mark.parametrize(
+    "stage, lam",
+    [("_cold_stack", "cv-min"), ("_cold_stack", 5.0), ("_leave_one_stack", "cv-min")],
+)
+def test_a_pass_that_hands_every_problem_back(monkeypatch, stage, lam):
+    """A lockstep pass that hands every problem back leaves the stack's
+    later steps no replication, and each finishes alone, exactly as on its
+    own."""
+    import panelctrl.sim as sim_mod
+
+    _hand_back_every_problem(monkeypatch, stage)
+    family, params, n, t, t0 = "factor", default_dgp("factor"), 10, 20, 16
+    seeds = np.random.SeedSequence(2).spawn(3)
+    results = sim_mod._replication_stack(family, params, n, t, t0, seeds, lam, 3)
+    assert results == [one_replication(family, params, n, t, t0, s, lam, 3) for s in seeds]
+
+
 def test_an_overflowing_replication_drops_alone(monkeypatch):
     """Under the suite's own filter, which makes a RuntimeWarning an error,
     a replication whose draw is finite but so large that the lockstep
@@ -625,9 +791,9 @@ def test_demeans_once_per_fit(monkeypatch):
     """A de-meaned fit's blocks are its design: a leave-one fold pass of the
     demeaned method de-means the full sample and each fold once, a stacked
     replication never (its stack de-means in arrays), and a replication
-    finished alone twice (its demeaned_scm design, then fixed_effects')."""
+    that leaves its stack (here, every cold problem handed back) twice: its
+    demeaned_scm design, then fixed_effects'."""
     import panelctrl.estimators as estimators_mod
-    import panelctrl.sim as sim_mod
 
     demean, calls = estimators_mod.demean_rows, []
 
@@ -644,6 +810,6 @@ def test_demeans_once_per_fit(monkeypatch):
     run_monte_carlo("factor", default_dgp("factor"), **mc)
     assert len(calls) == 0
     calls.clear()
-    monkeypatch.setattr(sim_mod, "_finish_stack", lambda blocks, *args: [None] * len(blocks.x0))
+    _hand_back_every_problem(monkeypatch, "_cold_stack")
     run_monte_carlo("factor", default_dgp("factor"), **mc)
     assert len(calls) == 6

@@ -11,7 +11,9 @@ The matrix covers every ``estimate`` method with each inference mode (and
 clamped to the extreme fold), the covariate modes, ``cv`` in both fold
 modes, ``placebo``, ``diagnose`` and
 ``simulate --rep-log`` (the factor, fixed-effects and AR(3) families over
-more replications than one stack of lockstep solves holds), plus cells that
+more replications than one stack of lockstep solves holds, and
+``simulate-wide-cv`` and ``simulate-wide-lam0``, a design of full column
+rank with a cross-validated penalty and with lambda 0), plus cells that
 must fail (an infinite penalty, a NaN ``--alpha``, a covariate requested
 twice, a placebo time after the treatment time behind a valid one, zero
 replications, a negative seed,
@@ -202,6 +204,11 @@ def cases(inputs):
         yield f"simulate-{dgp}-{select}-stacks", [
             "simulate", "--dgp", dgp, "--reps", "45", "--seed", "19", "--n", "10", "--t", "20",
             "--t0", "15", "--select", select]
+    # 29 donors over 5 pre periods: full column rank, where the stacked and
+    # lone SCM solves stop about 1e-10 apart
+    wide = ["simulate", "--n", "30", "--t", "8", "--t0", "5", "--reps", "45"]
+    yield "simulate-wide-cv", [*wide, "--select", "min"]
+    yield "simulate-wide-lam0", [*wide, "--lambda", "0"]
     small = ["simulate", "--n", "8", "--t", "14", "--t0", "10"]
     yield "simulate-reps0", [*small, "--reps", "0", "--lambda", "1"]
     yield "simulate-lam-inf", [*small, "--reps", "2", "--lambda", "inf"]
