@@ -367,6 +367,9 @@ def _cmd_diagnose(args):
     lam = args.lam if args.lam is not None else float(np.median(grid))
     ridge = EstimatorSpec(method="ridge", lam=lam)  # refuses a bad lambda before any check
 
+    # checks in outcome units: thresholds grow with the largest entry, as round-off does
+    arrays = blocks.x1, blocks.x0, blocks.y0_post, blocks.y1_post
+    scale = max(1.0, *(float(np.abs(a).max()) for a in arrays))
     checks = []
     aug = augment_weights(w, blocks, lam)
     rep = verify_penalized_form(aug, w, blocks, lam)
@@ -374,14 +377,15 @@ def _cmd_diagnose(args):
     rw = weights_for_design(blocks, ridge)
     fr = fit_ridge(blocks, lam, 0)
     gap2 = abs(float(rw.values @ blocks.y0_post[:, 0]) - fr.predict(blocks.x1))
-    checks.append(("ridge_weighting_equals_regression", gap2, 1e-10))
+    checks.append(("ridge_weighting_equals_regression", gap2, 1e-10 * scale))
     si = svd_imbalance(w, blocks, lam)
-    checks.append(("imbalance_direct_vs_svd", abs(si.direct - si.via_svd), 1e-8))
-    checks.append(("imbalance_upper_bound_slack", max(si.direct - si.upper_bound, 0.0), 1e-10))
+    checks.append(("imbalance_direct_vs_svd", abs(si.direct - si.via_svd), 1e-8 * scale))
+    slack = max(si.direct - si.upper_bound, 0.0)
+    checks.append(("imbalance_upper_bound_slack", slack, 1e-10 * scale))
     wn = weight_norm_bound(w, blocks, lam)
     checks.append(("weight_norm_bound_slack", max(wn.norm - wn.bound, 0.0), 1e-10))
     level, averaged = demeaned_estimate(w, blocks)
-    checks.append(("demeaned_two_forms_gap", float(np.abs(level - averaged).max()), 1e-12))
+    checks.append(("demeaned_two_forms_gap", float(np.abs(level - averaged).max()), 1e-12 * scale))
     sd1 = float(np.std(p.outcomes[p.treated_index, : p.t0]))
     sketch = bound_sketch(
         w,

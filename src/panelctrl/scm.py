@@ -23,9 +23,10 @@ each of R designs at once: problem (r, m) is design r with one pre period
 left out, or whole. Each problem keeps its own weights and working set; a
 round is one stacked solve, each design's problems on the union of their
 working sets, a problem's rows outside its own set held at zero, and one
-batched product gives every problem's gradient. Leaving one period out
-subtracts a rank-one term from the design's Hessian, so one Gram per design
-serves all its problems. :func:`solve_leave_one` is the kernel's R = 1 call
+batched product gives every problem's gradient. A round does only the
+bookkeeping its live problems need. Leaving one period out subtracts a
+rank-one term from the design's Hessian, so one Gram per design serves all
+its problems. :func:`solve_leave_one` is the kernel's R = 1 call
 on one design's leave-one-period-out folds, all started at the full
 solution; the Monte Carlo harness runs it over a stack of replications'
 designs, cold from the best vertex as :func:`solve_scm` is, and over all
@@ -254,6 +255,13 @@ def _tiny(mu):
     return 1e-12 * np.maximum(1.0, np.abs(mu))
 
 
+def _multipliers(active, grad):
+    """Each column's mean gradient over its working set, summed row by row
+    as NumPy sums two or more columns (a lone one pairwise): a problem's
+    multiplier does not depend on which others are live."""
+    return np.cumsum(np.where(active, grad, 0.0), axis=0)[-1] / active.sum(axis=0)
+
+
 def _bordered(hess, neg_grad, gs, mask=None):
     """The bordered KKT system of a step from gs on its support: the matrix
     [[H_S, 1], [1', 0]] and the right-hand side [-grad_S, 1 - sum(gs)], for
@@ -261,17 +269,16 @@ def _bordered(hess, neg_grad, gs, mask=None):
     minus-gradients). Donors outside ``mask`` (m x k, default none) are held
     at zero: identity rows with a zero border and right-hand side."""
     k = gs.shape[-1]
-    if mask is not None:
-        hess = np.where(mask[..., None] & mask[..., None, :], hess, np.eye(k))
-        neg_grad = np.where(mask, neg_grad, 0.0)
     kkt = np.ones(hess.shape[:-2] + (k + 1, k + 1))
     kkt[..., :k, :k] = hess
     kkt[..., k, k] = 0.0
-    if mask is not None:
-        kkt[..., :k, k] = kkt[..., k, :k] = mask
     rhs = np.empty(neg_grad.shape[:-1] + (k + 1,))
     rhs[..., :k] = neg_grad
     rhs[..., k] = 1.0 - gs.sum(axis=-1)
+    if mask is not None and not mask.all():
+        p, i = np.nonzero(~mask)  # problem p's donor i
+        kkt[p, i, :] = kkt[p, :, i] = rhs[p, i] = 0.0
+        kkt[p, i, i] = 1.0
     return kkt, rhs
 
 
@@ -356,21 +363,26 @@ def _lockstep(x0, x1, held, zeta, g, kind):
     and receives its solution.
 
     Every problem keeps its own weights and working set under
-    ``solve_scm``'s rules, and the live problems move together: a round is
-    one stacked solve, each design's problems on the union of their working
-    sets, which its other donors pad to the largest union. A problem's rows
-    outside its own set are held at zero. A round's gradients, of every
-    problem, come from one batched product over the R x N0 x M stack. A
-    problem is handed back, to be solved alone, when it stops on a blocked
-    just-added donor, is still live at ``ITERATION_CAP``, fails the gate
-    (normalised, a projected-gradient residual above ``KKT_TOL`` times its
-    Hessian's largest diagonal entry, at least 1) or when its own system in
-    a round is exactly singular. Returns ``g`` and the RM-mask of problems
+    ``solve_scm``'s rules, and the live problems move together. In a round
+    each live problem at a stationary point adds the off-set donor whose
+    gradient lies furthest below its multiplier, or stops: when none does,
+    or when it added a donor from this working set before, which only
+    round-off brings about. Then one stacked solve steps every live problem,
+    each design's on the union of their working sets, which its other
+    donors pad to the largest union; a problem's rows outside its own set
+    are held at zero. A round's gradients, of every problem, come from one
+    batched product over the R x N0 x M stack. A problem is handed back, to
+    be solved alone, when it stops on a blocked just-added donor, is still
+    live at ``ITERATION_CAP``, fails the gate (normalised, a
+    projected-gradient residual above ``KKT_TOL`` times its Hessian's
+    largest diagonal entry, at least 1) or when its own system in a round
+    is exactly singular. Returns ``g`` and the RM-mask of problems
     handed back.
     """
     n_designs, n0 = x0.shape[:2]
     designs = np.arange(n_designs)[:, None]
-    held_entry = designs, held, np.arange(held.size)  # of each problem's fit gap
+    holding = np.flatnonzero(held >= 0)
+    held_entry = designs, held[holding], holding  # of the holding problems' fit gaps
     design = np.repeat(designs[:, 0], held.size)  # each problem's
     held = np.tile(held, n_designs)
     cut = held >= 0
@@ -386,7 +398,8 @@ def _lockstep(x0, x1, held, zeta, g, kind):
         over the R x N0 x M stack of their weights."""
         gs = g.reshape(n0, n_designs, -1).transpose(1, 0, 2)
         gaps = x1[:, :, None] - x0.transpose(0, 2, 1) @ gs
-        gaps[held_entry] *= held_entry[1] < 0  # held out: 0 (a whole problem's -1 stays)
+        if holding.size:
+            gaps[held_entry] = 0.0
         grads = 2.0 * (zetas.reshape(n_designs, 1, -1) * gs - x0 @ gaps)
         return grads.transpose(1, 0, 2).reshape(n0, -1)
 
@@ -394,25 +407,27 @@ def _lockstep(x0, x1, held, zeta, g, kind):
     grad = gradients()
     spread = np.where(active, grad, -np.inf).max(axis=0)
     spread -= np.where(active, grad, np.inf).min(axis=0)
-    stationary = spread <= _tiny(np.where(active, grad, 0.0).sum(axis=0) / active.sum(axis=0))
+    stationary = spread <= _tiny(_multipliers(active, grad))
     live, fallback = np.ones(design.size, dtype=bool), np.zeros(design.size, dtype=bool)
-    rounds, seen, ever = 0, [], np.zeros(design.size, dtype=bool)
+    # the working sets of each round in which a problem added a donor, and
+    # which problems added in it: rows [:seen] in use, doubled when full
+    past, added = np.zeros((4, n0, design.size), dtype=bool), np.zeros((4, design.size), dtype=bool)
+    rounds, seen = 0, 0
     for _ in range(ITERATION_CAP):
-        adding = live & stationary
-        mu = np.where(active, grad, 0.0).sum(axis=0) / active.sum(axis=0)
-        j = np.argmin(np.where(active, np.inf, grad), axis=0)
-        again = np.flatnonzero(adding & ever)  # cycling needs an earlier addition
-        cycled = np.zeros(adding.shape, dtype=bool)
-        if again.size:
-            now = active[:, again]
-            cycled[again] = np.any(
-                [was[again] & np.all(past[:, again] == now, axis=0) for past, was in seen], axis=0
-            )
-        seen.append((active.copy(), adding))
-        ever |= adding
-        live &= ~(adding & (cycled | (grad[j, np.arange(j.size)] >= mu - _tiny(mu))))
-        adding &= live
-        active[j[adding], adding] = True
+        adding = np.flatnonzero(live & stationary)
+        if adding.size:
+            now, grads = active[:, adding], grad[:, adding]
+            mu = _multipliers(now, grads)
+            j = np.argmin(np.where(now, np.inf, grads), axis=0)
+            again = np.all(past[:seen, :, adding] == now, axis=1)  # a working set met again
+            cycled = np.any(added[:seen, adding] & again, axis=0)
+            live[adding[cycled | (grad[j, adding] >= mu - _tiny(mu))]] = False
+            if seen == added.shape[0]:
+                past, added = np.concatenate([past, past]), np.concatenate([added, added])
+            past[seen], added[seen] = active, live & stationary
+            seen += 1
+            adds = live[adding]
+            active[j[adds], adding[adds]] = True
         folds = np.flatnonzero(live)
         if folds.size == 0:
             break
@@ -425,12 +440,13 @@ def _lockstep(x0, x1, held, zeta, g, kind):
         # column by column, so that _bordered sums each problem's weights in order
         mask, gs = active[idx, folds[:, None]], np.ascontiguousarray(g[idx.T, folds]).T
         cu = x0[designs, rows]
-        v = np.where(cut[folds, None], cu[at, :, held[folds]], 0.0)  # held-out columns
         gram = cu @ cu.transpose(0, 2, 1)
         hess = gram[at]  # updated in place: a stack's temporaries are large
-        hess -= v[:, :, None] * v[:, None, :]
+        if holding.size:
+            v = np.where(cut[folds, None], cu[at, :, held[folds]], 0.0)  # held-out columns
+            hess -= v[:, :, None] * v[:, None, :]
         hess *= 2.0
-        hess[:, range(k), range(k)] += 2.0 * zetas[folds, None]
+        hess.reshape(folds.size, -1)[:, :: k + 1] += 2.0 * zetas[folds, None]  # the diagonals
         kkt, rhs = _bordered(hess, -grad[idx, folds[:, None]], gs, mask)
         solved = np.ones(folds.size, dtype=bool)
         try:
@@ -440,6 +456,7 @@ def _lockstep(x0, x1, held, zeta, g, kind):
             step = np.zeros(rhs.shape)
             step[solved] = np.linalg.solve(kkt[solved], rhs[solved, :, None])[..., 0]
         z = gs + step[:, :-1]
+        del kkt, rhs, hess, step  # freed before the next round builds its own
         rounds += 1
         blocked = mask & (z <= 0.0)
         stationary[folds] = ~blocked.any(axis=1)
@@ -447,17 +464,19 @@ def _lockstep(x0, x1, held, zeta, g, kind):
         # just-added donor: it is round-off, which stops solve_scm, and the
         # batch's round-off differs
         moves = solved & ~np.any(blocked & (gs == 0.0), axis=1)
-        live[folds[~moves]] = False
-        fallback[folds[~moves]] = True
-        # step towards z until the first weight reaches zero; drop every
-        # weight that gets there
-        dropping = (moves & ~stationary[folds])[:, None]
-        ratio = np.divide(gs, gs - z, out=np.full(z.shape, np.inf), where=blocked & dropping)
-        alpha = np.where(dropping, ratio.min(axis=1, keepdims=True), 1.0)
-        z = np.where(dropping, np.maximum(gs + alpha * (z - gs), 0.0), z)
-        z[ratio <= alpha] = 0.0
-        folds = folds[moves]
-        g[idx[moves], folds[:, None]] = z[moves]
+        if not moves.all():
+            live[folds[~moves]] = False
+            fallback[folds[~moves]] = True
+            folds, idx, gs, z, blocked = (a[moves] for a in (folds, idx, gs, z, blocked))
+        if blocked.any():
+            # step towards z until the first weight reaches zero; drop every
+            # weight that gets there
+            dropping = blocked.any(axis=1, keepdims=True)
+            ratio = np.divide(gs, gs - z, out=np.full(z.shape, np.inf), where=blocked)
+            alpha = np.where(dropping, ratio.min(axis=1, keepdims=True), 1.0)
+            z = np.where(dropping, np.maximum(gs + alpha * (z - gs), 0.0), z)
+            z[ratio <= alpha] = 0.0
+        g[idx, folds[:, None]] = z
         active[:, folds] = g[:, folds] > 0.0
         if folds.size:
             grad[:, folds] = gradients()[:, folds]

@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from panelctrl import default_dgp, draw_panel
 from panelctrl.cli import main
 from panelctrl.covariates import pre_period_covariates
 from panelctrl.estimators import EstimatorSpec
 from panelctrl.inference import jackknife_plus
 from panelctrl.panel import load_panel, split_and_center
-from panelctrl.ridge import augment_weights
+from panelctrl.ridge import augment_weights, demeaned_estimate
 from panelctrl.selection import loo_cv, placebo_panel, select_lambda
 
 from conftest import folds_off_the_full_support, record_scm_solves
@@ -794,6 +795,45 @@ class TestDiagnose:
         assert rc == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["zeta"] == 0.05
 
+
+    @staticmethod
+    def _scaled_factor_panel(path, scale):
+        """The application-scale factor panel of seed 3 (N=51, T=105,
+        T0=89) as CSV, its outcomes multiplied by ``scale``; the diagnose
+        arguments that read it."""
+        p = draw_panel("factor", default_dgp("factor"), 51, 105, 89, 3)
+        rows = [
+            [unit, t, repr(v * scale)]
+            for unit, row in zip(p.unit_ids, p.outcomes.tolist())
+            for t, v in zip(p.time_ids, row)
+        ]
+        write_rows(path, [["unit", "time", "outcome"], *rows])
+        return ["diagnose", "--input", str(path), "--treated", p.unit_ids[p.treated_index],
+                "--treatment-time", str(p.time_ids[p.t0])]
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_checks_in_outcome_units_pass_at_large_scales(self, tmp_path, scale):
+        # round-off in outcome units grows with the scale: at 1e4 the
+        # de-meaned forms differed by 1.4e-12 against an absolute 1e-12
+        argv = self._scaled_factor_panel(tmp_path / "panel.csv", scale)
+        out = tmp_path / "diag"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert all(r[3] == "true" for r in read_rows(out / "identity_checks.csv")[1:])
+
+    def test_a_planted_violation_fails_at_a_large_scale(self, tmp_path, monkeypatch):
+        import panelctrl.cli as cli
+
+        def off(w, blocks):  # the two forms a millionth of the scale apart
+            level, averaged = demeaned_estimate(w, blocks)
+            return level, averaged + 1e-6 * np.abs(blocks.x0).max()
+
+        monkeypatch.setattr(cli, "demeaned_estimate", off)
+        argv = self._scaled_factor_panel(tmp_path / "panel.csv", 1e6)
+        out = tmp_path / "diag"
+        assert main([*argv, "--out", str(out)]) == 3
+        passed = {r[0]: r[3] for r in read_rows(out / "identity_checks.csv")[1:]}
+        assert passed.pop("demeaned_two_forms_gap") == "false"
+        assert set(passed.values()) == {"true"}
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_lambda_exit_code(self, panel_csv, tmp_path):

@@ -310,6 +310,18 @@ def test_leave_one_folds_of_near_duplicate_twins():
                 assert scm_objective(fold, g, 0.0) <= scm_objective(fold, w, 0.0) + 1e-12 * scale
 
 
+def test_cycle_guard_stops_a_twin_design_at_its_solution():
+    """Solved cold at zeta = 0, twin design 2357 meets again a stationary
+    working set that it added a donor from, which round-off alone can do.
+    The guard accepts it there, at ``solve_scm``'s solution; without the
+    guard the pass cycles on and hands it back."""
+    blocks = _twin_design(2357)
+    x0, x1 = blocks.x0[None], blocks.x1[None]
+    g, rejected = scm._lockstep(x0, x1, np.array([-1]), 0.0, scm._best_vertex(x0, x1), "cold")
+    assert not rejected.any()
+    assert np.abs(g[:, 0] - solve_scm(blocks, 0.0).values).max() <= 1e-12
+
+
 def _stack_of_designs(seed, count, n0=9, t0=12):
     """Designs of one shape whose supports differ in size: some targets lie
     near a single donor, others among many."""
@@ -353,6 +365,25 @@ def test_stacked_folds_match_solve_leave_one(seed, zeta):
     for design, full, folds in zip(designs, fulls, g):
         alone = solve_leave_one(design, DonorWeights(values=full), zeta)
         assert np.abs(folds - alone).max() <= 1e-12
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(13)))
+def test_permuting_a_stack_permutes_its_solutions(seed, order):
+    """A stack's designs in another order give the same solutions and
+    hand-back masks, permuted, bit for bit, from the cold pass and from the
+    fold pass: no problem's bookkeeping reads another's."""
+    x0, x1 = _stacked(_stack_of_designs(seed, 13))
+    order = np.array(order)
+    g, back = scm._cold_stack(x0, x1)
+    g_order, back_order = scm._cold_stack(x0[order], x1[order])
+    assert g_order.tobytes() == g[:, order].tobytes()
+    assert np.array_equal(back_order, back[order])
+    fulls = np.ascontiguousarray(g.T)
+    folds, back = scm._leave_one_stack(x0, x1, fulls)
+    folds_order, back_order = scm._leave_one_stack(x0[order], x1[order], fulls[order])
+    assert folds_order.tobytes() == folds[order].tobytes()
+    assert np.array_equal(back_order, back[order])
 
 
 class TestImbalance:

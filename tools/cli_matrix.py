@@ -9,7 +9,9 @@ generated panels into OUT, one directory per case, plus ``exit_codes.json``
 The matrix covers every ``estimate`` method with each inference mode (and
 ``ridge_ascm``'s jackknife+ at an ``--alpha`` of 0.3 too, where no bound is
 clamped to the extreme fold), the covariate modes, ``cv`` in both fold
-modes, ``placebo``, ``diagnose`` and
+modes, ``placebo``, ``diagnose`` (also on the small panel with its
+outcomes multiplied by SCALE, where checks in outcome units meet
+round-off that grows with the scale) and
 ``simulate --rep-log`` (the factor, fixed-effects and AR(3) families over
 more replications than one stack of lockstep solves holds, and
 ``simulate-wide-cv`` and ``simulate-wide-lam0``, a design of full column
@@ -58,19 +60,20 @@ PANELS = [("small", 8, 14, 11, 11), ("wide", 24, 18, 15, 12)]
 # LATE_ROW lies past the reader's first blocks of a few hundred rows
 LONG_PANEL = ("long", 40, 20, 15, 13)
 LATE_ROW = 600
+SCALE = 1e6  # of the small panel's outcomes in the scaled diagnose cell
 METHODS = ("scm", "ridge", "ridge_ascm", "demeaned", "fixed_effects")
 RIDGE_METHODS = ("ridge", "ridge_ascm")
 
 
-def write_panel(path, n_units, n_periods, seed):
+def write_panel(path, n_units, n_periods, seed, scale=1.0):
     """Long CSV (unit,time,outcome,gdp): random-walk outcomes on a unit level,
-    and a covariate that tracks the level."""
+    times ``scale``, and a covariate that tracks the level."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(n_units, 1))
     walk = rng.normal(size=(n_units, n_periods)).cumsum(axis=1)
-    outcome = base + 0.15 * walk + 0.05 * rng.normal(size=(n_units, n_periods))
+    outcome = (base + 0.15 * walk + 0.05 * rng.normal(size=(n_units, n_periods))) * scale
     gdp = 2.0 * base + 0.3 * rng.normal(size=(n_units, n_periods))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -220,6 +223,8 @@ def cases(inputs):
     yield "simulate-t0-2-cv", [*small, "--reps", "2", "--t0", "2", "--select", "min"]
     # a rule to choose the penalty by, beside a given penalty: refused
     yield "simulate-lam-select", [*small, "--reps", "2", "--lambda", "1", "--select", "one-se"]
+    yield "small-scaled-diagnose", [
+        "diagnose", "--input", inputs["small-scaled"], "--treated", "u0", "--treatment-time", "11"]
     data = ["--treated", "u0", "--treatment-time", "11", "--lambda", "1"]
     for variant in ("ragged", "inf-outcome", "blank-outcome", "duplicate", "missing",
                     "no-outcome", "blank-rows", "comma-unit"):
@@ -246,6 +251,9 @@ def run_matrix(out):
     for name, n_units, n_periods, _, seed in [*PANELS, LONG_PANEL]:
         inputs[name] = os.path.join(out, "inputs", f"{name}.csv")
         write_panel(inputs[name], n_units, n_periods, seed)
+    inputs["small-scaled"] = os.path.join(out, "inputs", "small-scaled.csv")
+    _, n_units, n_periods, _, seed = PANELS[0]
+    write_panel(inputs["small-scaled"], n_units, n_periods, seed, SCALE)
     inputs.update(write_bad_panels(inputs["small"]))
     inputs.update(write_late_panels(inputs["long"]))
     codes, checked = {}, {}
