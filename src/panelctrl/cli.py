@@ -288,9 +288,12 @@ def _cmd_placebo(args):
     times = [s.strip() for s in args.placebo_times.split(",") if s.strip()]
     if not times:
         raise ConfigError("no placebo times given")
+    names = [f"placebo_gap_{time_label.replace(os.sep, '_')}.csv" for time_label in times]
+    if len(set(names)) < len(names):  # a later time's file would replace an earlier one's
+        raise ConfigError(f"placebo times {times} name one output file more than once")
     lambdas, tables = [], {}
     header = ["time", "observed", "counterfactual", "gap", "placebo_time"]
-    for time_label in times:
+    for time_label, name in zip(times, names):
         placebo_p = placebo_panel(p, time_label)
         # covariates and an auto-selected lambda see only the periods before
         # the placebo time
@@ -301,7 +304,7 @@ def _cmd_placebo(args):
         est = estimate_on_blocks(placebo_blocks, spec, cov=placebo_cov, fit=fit)
         observed = placebo_p.outcomes[placebo_p.treated_index]
         rows = [row + (time_label,) for row in est.to_rows(placebo_p.time_ids, observed)]
-        tables[f"placebo_gap_{str(time_label).replace(os.sep, '_')}.csv"] = (header, rows)
+        tables[name] = (header, rows)
     # every placebo time selects lambda by the same rule, or none does
     rule = {"lambda_rule": facts["lambda_rule"]} if facts else {}
     config = _run_config(args, {"lambda": lambdas, "placebo_times": times, **rule})
@@ -329,8 +332,13 @@ def _cmd_simulate(args):
         t0=args.t0,
         lam=lam,
         stratify_by_fit=args.stratify,
-        rep_log=args.rep_log,
     )
+    if args.rep_log is not None:  # a refused run raised above: it writes no rep log
+        names = [row.name for row in report.rows]
+        dropped = ["dropped", *[""] * (len(names) + 1)]
+        rows = [(r, *dropped, entry) if isinstance(entry, str) else (r, "ok", *entry, "")
+                for r, entry in enumerate(report.rep_log)]
+        _write_csv(args.rep_log, ["replication", "status", *names, "scm_fit", "error"], rows)
     columns = ["estimator", "bias", "bias_se", "abs_bias_pct_of_scm", "rmse", "rmse_se",
                "rmse_pct_of_scm", "n_used", "n_dropped"]
     tables = {"mc_report.csv": (columns, report.csv_rows())}
@@ -428,9 +436,9 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except PanelCtrlError as exc:
+    except (PanelCtrlError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

@@ -299,8 +299,9 @@ def _column_subset_predictions(blocks, spec, cov, lambdas, fit):
     if spec.needs_lambda():
         # refuse lambda 0 on a rank-deficient full design before any fold solve
         lambdas = np.asarray(lambdas, dtype=float)
-        _require_invertible(design.control_svd, lambdas)
-        adjust = ((design.x1[None], design.x0[None], design.control_svd.stacked), lambdas[None])
+        _require_invertible(design, lambdas)
+        svd = tuple(f[None] for f in design.control_svd)  # a stack of one
+        adjust = ((design.x1[None], design.x0[None], svd), lambdas[None])
     if fit.scm is None:  # ridge solves no SCM: every fold keeps the full sample's anchor
         anchors = np.repeat(fit.anchor.values[:, None], blocks.t0, axis=1)
         logger.debug(

@@ -12,17 +12,17 @@ outcomes at uniform weights, and the covariate estimators apply it on a
 stacked or residualized design. The outcome model is a ridge regression
 with an intercept, so it needs donor-centred pre outcomes, which every
 :class:`panel.PanelBlocks` holds by construction. All linear solves go
-through one shared SVD of the scaled control block, computed once per
-design (``PanelBlocks.control_svd``), with singular values below 1e-10 of
-the largest treated as zero; the ridge fit, the imbalance identities, the
-weight-norm bound and the error-bound sketch read the same decomposition. A
-leave-one-period-out fold only deletes one column of the design, so
-:func:`_leave_one_predictions` gives every fold's prediction at every
-penalty from the one SVD of the full design by the bordered-inverse
+through one shared SVD of the scaled control block, the tuple
+:class:`ControlSVD` computed once per design (``PanelBlocks.control_svd``),
+with singular values below 1e-10 of the largest treated as zero; the ridge
+fit, the imbalance identities, the weight-norm bound and the error-bound
+sketch read it. A leave-one-period-out fold only deletes one column of the
+design, so :func:`_leave_one_predictions` gives every fold's prediction at
+every penalty from the one SVD of the full design by the bordered-inverse
 deletion identity, and the fold pass of cross-validation and jackknife+
-takes one SVD in all. The SVD, the adjustment and the fold predictions
-are each written once, over the R designs of a Monte Carlo stack, and the
-lone calls are their R = 1 case. The public hyper-parameter is always lam
+takes one SVD in all. The SVD, the adjustment and the fold predictions are
+each written once, over the R designs of a Monte Carlo stack, and the lone
+calls are their one-design case. The public hyper-parameter is always lam
 = lam_ridge; diagnostics that need the scaled convention divide by the
 donor count internally and report both values.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,66 +87,38 @@ class RidgeFit:
         return self.intercept + x @ self.coefs
 
 
-@dataclass(frozen=True)
-class ControlSVD:
-    """Thin SVD of x0 / sqrt(N0) with small singular values dropped.
-
-    ``u`` is N0 x m, ``d`` the m singular values in descending order, and
-    ``v`` is T0 x m; ``rank`` (m, the numerical rank), ``n0`` and ``t0`` are
-    read off them.
+class ControlSVD(NamedTuple):
+    """Thin SVD of x0 / sqrt(N0) with small singular values dropped: ``u``
+    (N0 x m), the m singular values ``d`` in descending order, ``v`` (T0 x m)
+    and ``rank`` m, the numerical rank (T0 at full column rank), of one design
+    or, along leading axes, of each design of a stack (:func:`_svd_stack`).
     """
 
     u: np.ndarray
     d: np.ndarray
     v: np.ndarray
+    rank: np.ndarray
 
     @classmethod
     def compute(cls, x0):
-        u, d, v, _ = _svd_stack(np.asarray(x0, dtype=float)[None])
-        return cls(u=u[0], d=d[0], v=v[0])
-
-    @property
-    def rank(self):
-        return self.d.size
-
-    @property
-    def n0(self):
-        return self.u.shape[0]
-
-    @property
-    def t0(self):
-        return self.v.shape[0]
-
-    @property
-    def stacked(self):
-        """The factors as :func:`_svd_stack` gives them for a stack of one."""
-        return self.u[None], self.d[None], self.v[None], np.array([self.rank])
-
-    @property
-    def full_column_rank(self):
-        return self.rank == self.t0
-
-    def rotate(self, x):
-        """Coordinates of x along the right singular vectors (length m)."""
-        return self.v.T @ np.asarray(x, dtype=float)
+        return _svd_stack(np.asarray(x0, dtype=float))
 
 
 def _svd_stack(x0):
-    """Thin SVDs of R designs of one shape (R x N0 x T0), each scaled by
-    1 / sqrt(N0), from one batched call, keeping per design the singular
-    values above ``RANK_CUTOFF`` of its largest.
-
-    Returns ``u`` (R x N0 x m), ``d`` (R x m), ``v`` (R x T0 x m) and the R
-    ranks, m being the largest: a design of lower rank has zero columns (and
-    singular values) past its own. Each design's factors are those of a lone
-    ``np.linalg.svd`` call.
+    """The :class:`ControlSVD` of one design (N0 x T0), or of R designs of
+    one shape (R x N0 x T0) from one batched call, each scaled by 1 /
+    sqrt(N0), keeping per design the singular values above ``RANK_CUTOFF``
+    of its largest. A stack's ``u`` is R x N0 x m, ``d`` R x m, ``v`` R x
+    T0 x m and ``rank`` the R ranks, m being the largest: a design of lower
+    rank has zero columns (and singular values) past its own. Each design's
+    factors are those of a lone ``np.linalg.svd`` call.
     """
     u, d, vt = np.linalg.svd(x0 / np.sqrt(x0.shape[-2]), full_matrices=False)
     keep = d > RANK_CUTOFF * d[..., :1]  # none where the largest is zero
     rank = keep.sum(axis=-1)
     m = rank.max(initial=0)
     keep = keep[..., :m]
-    return (
+    return ControlSVD(
         np.ascontiguousarray(u[..., :m] * keep[..., None, :]),
         d[..., :m] * keep,
         np.ascontiguousarray(vt[..., :m, :].swapaxes(-1, -2) * keep[..., None, :]),
@@ -252,14 +225,15 @@ def fit_ridge(blocks, lam, post_period=0):
     return RidgeFit(intercept=ybar, coefs=coefs, lam=float(lam))
 
 
-def _require_invertible(svd, lambdas):
+def _require_invertible(blocks, lambdas):
     """Refuse a penalty that is negative or not finite, or lam=0 unless x0'x0 is invertible."""
     bad = lambdas[~((lambdas >= 0) & (lambdas < math.inf))]
     if bad.size:
         raise ConfigError(f"lambda must be finite and nonnegative, got {bad[0]}")
-    if np.any(lambdas == 0.0) and not svd.full_column_rank:
+    rank = blocks.control_svd.rank
+    if np.any(lambdas == 0.0) and rank < blocks.t0:
         raise SingularityError(
-            f"x0'x0 is singular (rank {svd.rank} < {svd.t0}); lambda=0 not allowed"
+            f"x0'x0 is singular (rank {rank} < {blocks.t0}); lambda=0 not allowed"
         )
 
 
@@ -273,10 +247,9 @@ def augment_path(anchor, blocks, lambdas):
     """
     g = weight_values(anchor)
     lambdas = np.asarray(lambdas, dtype=float)
-    svd = blocks.control_svd
-    _require_invertible(svd, lambdas)
-    x1, x0 = blocks.x1[None], blocks.x0[None]
-    return _augment(svd.stacked, x1, x0, g[None, None], lambdas[None])[0, 0]
+    _require_invertible(blocks, lambdas)
+    svd = tuple(f[None] for f in blocks.control_svd)  # a stack of one
+    return _augment(svd, blocks.x1[None], blocks.x0[None], g[None, None], lambdas[None])[0, 0]
 
 
 def _augment(svd, x1, x0, anchors, lambdas):
@@ -405,15 +378,15 @@ def svd_imbalance(scm_w, blocks, lam):
     """
     svd = blocks.control_svd
     g = weight_values(scm_w)
-    lam_scaled = lam / svd.n0
+    lam_scaled = lam / blocks.n_donors
     aug = augment_weights(scm_w, blocks, lam)
     direct = float(np.linalg.norm(blocks.x1 - blocks.x0.T @ aug.values))
     r = blocks.x1 - blocks.x0.T @ g
-    rt = svd.rotate(r)
+    rt = svd.v.T @ r
     perp = r - svd.v @ rt
     factors = lam_scaled / (svd.d**2 + lam_scaled) if lam_scaled > 0 else np.zeros_like(svd.d)
     via = float(np.sqrt(np.sum((factors * rt) ** 2) + perp @ perp))
-    d_eff = svd.d[-1] if (svd.full_column_rank and svd.rank > 0) else 0.0
+    d_eff = svd.d[-1] if (svd.rank == blocks.t0 and svd.rank > 0) else 0.0
     if lam_scaled == 0.0:
         upper_factor = 0.0 if d_eff > 0 else 1.0
     else:
@@ -432,12 +405,12 @@ def weight_norm_bound(scm_w, blocks, lam):
     """L2 norm of the augmented weights and its deterministic bound."""
     svd = blocks.control_svd
     g = weight_values(scm_w)
-    lam_scaled = lam / svd.n0
+    lam_scaled = lam / blocks.n_donors
     aug = augment_weights(scm_w, blocks, lam)
-    rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)
+    rt = svd.v.T @ (blocks.x1 - blocks.x0.T @ g)
     factors = svd.d / (svd.d**2 + lam_scaled)
     bound = float(
-        np.linalg.norm(g) + np.linalg.norm(factors * rt) / np.sqrt(svd.n0)
+        np.linalg.norm(g) + np.linalg.norm(factors * rt) / np.sqrt(blocks.n_donors)
     )
     return WeightNormReport(
         norm=float(np.linalg.norm(aug.values)),
@@ -521,14 +494,14 @@ def bound_sketch(scm_w, blocks, lambda_grid, sigma_grid):
         raise ConfigError(f"sigma must be finite and nonnegative, got {bad[0]}")
     svd = blocks.control_svd
     g = weight_values(scm_w)
-    rt = svd.rotate(blocks.x1 - blocks.x0.T @ g)
+    rt = svd.v.T @ (blocks.x1 - blocks.x0.T @ g)
     scale = BOUND_FACTORS * BOUND_M**2 / np.sqrt(blocks.t0)
-    scm_term = float(scale * 2.0 * np.sqrt(np.log(2.0 * svd.n0)))
+    scm_term = float(scale * 2.0 * np.sqrt(np.log(2.0 * blocks.n_donors)))
     n_lam, n_sig = lambda_grid.shape[0], sigma_grid.shape[0]
     imb = np.empty(n_lam)
     excess = np.empty((n_lam, n_sig))
     for li, lam in enumerate(lambda_grid):
-        lam_scaled = lam / svd.n0
+        lam_scaled = lam / blocks.n_donors
         imb[li] = scale * np.linalg.norm(lam_scaled / (svd.d**2 + lam_scaled) * rt)
         base = np.linalg.norm(svd.d / (svd.d**2 + lam_scaled) * rt)
         excess[li] = scale * 4.0 * sigma_grid * base

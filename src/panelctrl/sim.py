@@ -23,7 +23,6 @@ estimators' own calls.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import astuple, dataclass, field
@@ -373,6 +372,7 @@ class McReport:
     family: str
     estimand_period: int
     fit_quartiles: tuple = ()
+    rep_log: tuple = ()
 
     def row(self, name):
         for r in self.rows:
@@ -546,7 +546,6 @@ def run_monte_carlo(
     t0=25,
     lam="cv-min",
     stratify_by_fit=False,
-    rep_log=None,
 ):
     """Replicate draw-and-estimate and aggregate bias / RMSE per estimator.
 
@@ -578,7 +577,8 @@ def run_monte_carlo(
     any estimator fails is dropped from every aggregate (and counted).
     Per-replication seeds come from spawning one seed sequence, so results
     do not depend on execution order; aggregation uses compensated
-    summation.
+    summation. The report's ``rep_log`` holds each replication's estimates
+    in report order and SCM fit, or its error text; no file is written.
     """
     if not (isinstance(replications, (int, np.integer)) and replications >= 1):
         raise ConfigError(f"need at least 1 replication, got {replications!r}")
@@ -606,8 +606,6 @@ def run_monte_carlo(
     n_dropped = len(results) - len(kept)
     if not kept:
         raise ConfigError("every replication failed; nothing to aggregate")
-    if rep_log is not None:
-        _write_rep_log(rep_log, results, list(_BANK))
 
     names = list(_BANK)
     taus = {name: [est[name] for est, _ in kept] for name in names}
@@ -667,19 +665,8 @@ def run_monte_carlo(
         family=family,
         estimand_period=estimand_period,
         fit_quartiles=quartile_rows,
+        rep_log=tuple(
+            error if est is None else (*(est[name] for name in names), fit)
+            for est, fit, error in results
+        ),
     )
-
-
-def _write_rep_log(path, results, names):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "status"] + names + ["scm_fit", "error"])
-        for r, (est, fit, error) in enumerate(results):
-            if est is None:
-                writer.writerow([r, "dropped"] + [""] * (len(names) + 1) + [error])
-            else:
-                writer.writerow(
-                    [r, "ok"]
-                    + [format(est[n], ".17g") for n in names]
-                    + [format(fit, ".17g"), ""]
-                )

@@ -199,19 +199,20 @@ def fold_adjustments_by_penalty(svd, residuals, post, held_out, lambdas):
     with each sum over the singular directions written out for one penalty
     and one fold."""
     lambdas = np.asarray(lambdas, dtype=float)
-    v, n0d2 = svd.v, svd.n0 * svd.d**2
+    n0, t0, v = svd.u.shape[0], svd.v.shape[0], svd.v
+    n0d2 = n0 * svd.d**2
     v_sq = v**2
     outside = 1.0 - v_sq.sum(axis=1)
     rotated = v.T @ residuals
     outcomes = np.hstack([post, held_out])
     outcomes = outcomes - outcomes.mean(axis=0)
-    coords = (np.sqrt(svd.n0) * svd.d)[:, None] * (svd.u.T @ outcomes)
+    coords = (np.sqrt(n0) * svd.d)[:, None] * (svd.u.T @ outcomes)
     n_post = post.shape[1]
-    out = np.empty((svd.t0, lambdas.size, n_post + 1))
+    out = np.empty((t0, lambdas.size, n_post + 1))
     for li, lam in enumerate(lambdas):
         s = 1.0 / (n0d2 + lam)
         z = s[:, None] * rotated
-        if svd.full_column_rank:
+        if svd.rank == t0:
             ratio = -np.einsum("tj,jt->t", v, z) / (v_sq @ s)
         else:
             ratio = np.einsum("tj,jt->t", v * n0d2, z) / (lam * (v_sq @ s) + outside)

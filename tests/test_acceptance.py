@@ -151,7 +151,8 @@ def test_criterion_05_two_step_covariates():
         worst_z = max(worst_z, float(np.abs(cov.z1 - cov.z0.T @ tw.values).max()))
         svd = ControlSVD.compute(resid.x0)
         factor = (
-            lam / (lam + svd.n0 * float(svd.d[-1]) ** 2) if svd.full_column_rank else 1.0
+            lam / (lam + resid.n_donors * float(svd.d[-1]) ** 2)
+            if svd.rank == resid.t0 else 1.0
         )
         lhs = float(np.linalg.norm(blocks.x1 - blocks.x0.T @ tw.values))
         worst_bound = max(worst_bound, lhs - factor * imbalance(resid, w))
@@ -271,7 +272,7 @@ def test_criterion_10_bound_sketch_shape():
     svd = ControlSVD.compute(blocks.x0)
     sd1 = float(np.std(out[base.treated_index, :89]))
     lams = np.logspace(np.log10(1e-7 * svd.d[0] ** 2), np.log10(1e8 * svd.d[0] ** 2), 100)
-    sketch = bound_sketch(w, blocks, lams * svd.n0, np.array([0.5, 1.0, 2.0, 4.0]) * sd1)
+    sketch = bound_sketch(w, blocks, lams * blocks.n_donors, np.array([0.5, 1.0, 2.0, 4.0]) * sd1)
     interior, argmins, mins = [], [], []
     for si in range(4):
         pct = sketch.total_pct[:, si]

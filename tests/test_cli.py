@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from panelctrl import default_dgp, draw_panel
+from panelctrl import default_dgp, draw_panel, run_monte_carlo
 from panelctrl.cli import main
 from panelctrl.covariates import pre_period_covariates
 from panelctrl.estimators import EstimatorSpec
@@ -317,6 +317,18 @@ class TestEstimate:
         ])
         assert rc == 3
         assert not out.exists()
+
+    def test_missing_input_exit_code(self, tmp_path, capsys):
+        # an unopenable path is one error line, with exit code 1, not a traceback
+        missing = str(tmp_path / "missing.csv")
+        rc = main([
+            "estimate", "--input", missing, "--treated", "u0", "--treatment-time", "11",
+            "--lambda", "1.0", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and missing in line
+        assert not (tmp_path / "x").exists()
 
     def test_config_error_exit_code(self, panel_csv, tmp_path):
         rc = main([
@@ -654,6 +666,23 @@ class TestPlacebo:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("times", [f"p{os.sep}1,p_1", "p_2,p_2"])
+    def test_times_sharing_an_output_file_exit_code(self, panel_csv, tmp_path, capsys, times):
+        # periods a01..a08 then q01..q06, ordered as strings: each time given
+        # falls after a08, so both fits would be valid, yet write one file
+        labels = [f"a{j:02d}" for j in range(1, 9)] + [f"q{j:02d}" for j in range(1, 7)]
+        header, *rows = read_rows(panel_csv)
+        path = write_rows(tmp_path / "labelled.csv",
+                          [header, *([u, labels[int(t) - 1], *rest] for u, t, *rest in rows)])
+        out = tmp_path / "pl"
+        rc = main([
+            "placebo", "--input", path, "--treated", "u0", "--treatment-time", "q04",
+            "--lambda", "1.0", "--placebo-times", times, "--out", str(out),
+        ])
+        assert rc == 3
+        assert "name one output file more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_numeric_placebo_time_exit_code(self, panel_csv, tmp_path):
         rc = main([
             "placebo", "--input", panel_csv, "--treated", "u0",
@@ -732,12 +761,54 @@ class TestSimulate:
          ["--select", "min"], ["--seed", "-1"]],
     )
     def test_bad_option_exit_code(self, tmp_path, args):
-        out = tmp_path / "mc"
+        out, log = tmp_path / "mc", tmp_path / "reps.csv"
         rc = main([
             "simulate", "--n", "8", "--t", "14", "--t0", "10", "--lambda", "1", *args,
-            "--out", str(out),
+            "--rep-log", str(log), "--out", str(out),
         ])
         assert rc == 3
+        assert not out.exists() and not log.exists()
+
+    def test_rep_log_rows_are_the_report_entries(self, tmp_path, monkeypatch):
+        import panelctrl.sim as sim_mod
+
+        draw = sim_mod._draw
+
+        def fail_third(family, params, n, t, t0, seed, loadings):
+            if seed.spawn_key[-1] == 2:
+                raise RuntimeError("synthetic failure, for the log")
+            return draw(family, params, n, t, t0, seed, loadings)
+
+        monkeypatch.setattr(sim_mod, "_draw", fail_third)
+        log = tmp_path / "reps.csv"
+        rc = main([
+            "simulate", "--reps", "4", "--seed", "0", "--n", "8", "--t", "16", "--t0", "12",
+            "--lambda", "5.0", "--rep-log", str(log), "--out", str(tmp_path / "mc"),
+        ])
+        assert rc == 0
+        report = run_monte_carlo("factor", default_dgp("factor"), replications=4, seed=0,
+                                 n=8, t=16, t0=12, lam=5.0)
+        header, *rows = read_rows(log)
+        assert header == ["replication", "status", "scm", "ridge", "ridge_ascm",
+                          "fixed_effects", "demeaned_scm", "scm_fit", "error"]
+        assert [row[:2] for row in rows] == [["0", "ok"], ["1", "ok"], ["2", "dropped"],
+                                             ["3", "ok"]]
+        assert rows[2][2:] == [""] * 6 + ["RuntimeError: synthetic failure, for the log"]
+        for row, entry in zip(rows, report.rep_log, strict=True):
+            if row[1] == "ok":
+                assert [float(cell) for cell in row[2:-1]] == list(entry) and row[-1] == ""
+            else:
+                assert row[-1] == entry
+
+    def test_rep_log_in_a_missing_directory_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "mc"
+        rc = main([
+            "simulate", "--n", "8", "--t", "14", "--t0", "10", "--reps", "2", "--lambda", "1",
+            "--rep-log", str(tmp_path / "missing" / "reps.csv"), "--out", str(out),
+        ])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "reps.csv" in line
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -241,8 +241,8 @@ class TestTwoStepWeights:
             lhs = np.linalg.norm(blocks.x1 - blocks.x0.T @ tw.values)
             svd = ControlSVD.compute(resid.x0)
             resid_imb = imbalance(resid, w)
-            if svd.full_column_rank:
-                factor = lam / (lam + svd.n0 * float(svd.d[-1]) ** 2)
+            if svd.rank == resid.t0:
+                factor = lam / (lam + resid.n_donors * float(svd.d[-1]) ** 2)
             else:
                 factor = 1.0
             assert lhs <= factor * resid_imb + 1e-10

@@ -1,4 +1,3 @@
-import csv
 import math
 from dataclasses import replace
 
@@ -304,7 +303,7 @@ class TestRunMonteCarlo:
         assert rep.rows[0].n_dropped == 2
         assert rep.rows[0].n_used == sim_mod._STACK + 3
 
-    def test_one_replication_shares_its_scm_solve(self, monkeypatch, tmp_path):
+    def test_one_replication_shares_its_scm_solve(self, monkeypatch):
         # one cold SCM solve, in the stack of cold solves, is the scm entry,
         # the ridge_ascm anchor and the start of the stacked CV fold anchors,
         # which finish in the stack even where they leave its support;
@@ -332,9 +331,8 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(sim_mod, "_leave_one_stack", record_folds)
         monkeypatch.setattr(sim_mod, "_finish_alone", alone)
         solves = record_scm_solves(monkeypatch)
-        log = tmp_path / "reps.csv"
-        run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
-                        n=10, t=20, t0=16, lam="cv-min", rep_log=str(log))
+        report = run_monte_carlo("factor", default_dgp("factor"), replications=1, seed=3,
+                                 n=10, t=20, t0=16, lam="cv-min")
         assert solves == [] and len(stacks) == 2
         (x0, x1), (full,) = stacks
         ((scm, dm),) = [g.T for g in solved]  # the full-sample and de-meaned solutions
@@ -347,13 +345,12 @@ class TestRunMonteCarlo:
         assert np.abs(full - solve_scm(blocks).values).max() <= 1e-12
         assert np.array_equal(x0[1], demean_rows(blocks).x0)
         assert np.abs(dm - solve_scm(demean_rows(blocks)).values).max() <= 1e-12
-        with open(log, newline="") as fh:
-            (row,) = csv.DictReader(fh)
+        ((estimate, *_, fit),) = report.rep_log
         weights = DonorWeights(full)
         scm = estimate_on_blocks(blocks, EstimatorSpec(method="scm"),
                                  fit=AnchorFit(blocks, weights, weights))
-        assert float(row["scm"]) == scm.att[-1]
-        assert float(row["scm_fit"]) == imbalance(blocks, full)
+        assert estimate == scm.att[-1]
+        assert fit == imbalance(blocks, full)
 
     def test_stratification_partitions(self):
         params = default_dgp("factor")
@@ -364,16 +361,16 @@ class TestRunMonteCarlo:
         quartiles = {row[0] for row in rep.fit_quartiles}
         assert quartiles == {1, 2, 3, 4}
 
-    def test_rep_log_written(self, tmp_path):
+    def test_rep_log_written(self):
         params = default_dgp("factor")
-        log = tmp_path / "reps.csv"
-        run_monte_carlo("factor", params, replications=4, seed=0,
-                        n=8, t=16, t0=12, lam=5.0, rep_log=str(log))
-        lines = log.read_text().strip().split("\n")
-        assert len(lines) == 5
-        assert lines[0].startswith("replication,status,")
+        report = run_monte_carlo("factor", params, replications=4, seed=0,
+                                 n=8, t=16, t0=12, lam=5.0)
+        assert [len(entry) for entry in report.rep_log] == [6] * 4
+        # the entries are what the report aggregates: the estimates in report order
+        for i, row in enumerate(report.rows):
+            assert row.bias == math.fsum(entry[i] for entry in report.rep_log) / 4
 
-    def test_rep_log_records_why_a_replication_was_dropped(self, tmp_path, monkeypatch):
+    def test_rep_log_records_why_a_replication_was_dropped(self, monkeypatch):
         # replication 2's draw fails, and the cold stack hands replication
         # 1's de-meaned design back: replication 1 finishes alone from the
         # start, and its full-sample solve fails
@@ -399,15 +396,12 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(sim_mod, "_draw", fail_third)
         monkeypatch.setattr(sim_mod, "_cold_stack", hand_back)
         monkeypatch.setattr(estimators_mod, "solve_scm", not_converging)
-        log = tmp_path / "reps.csv"
-        run_monte_carlo("factor", default_dgp("factor"), replications=4, seed=0,
-                        n=8, t=16, t0=12, lam=5.0, rep_log=str(log))
-        with open(log, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["status"] for r in rows] == ["ok", "dropped", "dropped", "ok"]
-        assert rows[1]["error"] == "ConvergenceError: SCM solver stopped, for the log"
-        assert rows[2]["error"] == "RuntimeError: synthetic failure, for the log"
-        assert [r["error"] for r in rows if r["status"] == "ok"] == ["", ""]
+        report = run_monte_carlo("factor", default_dgp("factor"), replications=4, seed=0,
+                                 n=8, t=16, t0=12, lam=5.0)
+        ok, not_converged, not_drawn, ok_too = report.rep_log
+        assert len(ok) == len(ok_too) == 6
+        assert not_converged == "ConvergenceError: SCM solver stopped, for the log"
+        assert not_drawn == "RuntimeError: synthetic failure, for the log"
         # the lone solve was replication 1's full-sample design
         seed = np.random.SeedSequence(0).spawn(4)[1]
         blocks = split_and_center(draw_panel("factor", default_dgp("factor"), 8, 16, 12, seed))
@@ -435,26 +429,25 @@ FULL_RANK_RTOL = 1e-8
         ("factor", 0.0, 30, 8, 5, 7),
     ],
 )
-def test_stacked_replications_match_lone_ones(tmp_path, family, lam, n, t, t0, seed):
+def test_stacked_replications_match_lone_ones(family, lam, n, t, t0, seed):
     """Every replication of a run over several stacks reports what it
     reports solved on its own (``oracles.one_replication``)."""
     rtol = FULL_RANK_RTOL if n - 2 >= t0 else 1e-12
     import panelctrl.sim as sim_mod
 
-    params, reps, log = default_dgp(family), 2 * sim_mod._STACK + 5, tmp_path / "reps.csv"
+    params, reps = default_dgp(family), 2 * sim_mod._STACK + 5
     report = run_monte_carlo(family, params, replications=reps, seed=seed, n=n, t=t, t0=t0,
-                             lam=lam, rep_log=str(log))
+                             lam=lam)
     seeds = np.random.SeedSequence(seed).spawn(reps)
     alone = [one_replication(family, params, n, t, t0, s, lam, report.estimand_period)
              for s in seeds]
-    with open(log, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["status"] for r in rows] == ["dropped" if e is None else "ok" for e, _, _ in alone]
-    assert [r["error"] for r in rows] == [error for _, _, error in alone]
-    for row, (estimates, fit, _) in zip(rows, alone):
-        if estimates is not None:
-            got = [float(row[name]) for name in MC_BANK] + [float(row["scm_fit"])]
-            assert np.allclose(got, [*estimates.values(), fit], rtol=rtol, atol=0.0)
+    assert [row.name for row in report.rows] == list(MC_BANK)  # the entries' order
+    for entry, (estimates, fit, error) in zip(report.rep_log, alone, strict=True):
+        if estimates is None:
+            assert entry == error
+        else:
+            assert not isinstance(entry, str)
+            assert np.allclose(entry, [*estimates.values(), fit], rtol=rtol, atol=0.0)
     kept = sum(e is not None for e, _, _ in alone)
     assert [(r.n_used, r.n_dropped) for r in report.rows] == [(kept, reps - kept)] * 5
 

@@ -17,7 +17,10 @@ more replications than one stack of lockstep solves holds, and
 ``simulate-wide-cv`` and ``simulate-wide-lam0``, a design of full column
 rank with a cross-validated penalty and with lambda 0), plus cells that
 must fail (an infinite penalty, a NaN ``--alpha``, a covariate requested
-twice, a placebo time after the treatment time behind a valid one, zero
+twice, a placebo time after the treatment time behind a valid one,
+``small-placebo-repeated-time``, a placebo time given twice, whose files
+would share a name, ``small-estimate-missing-input``, an input path (relative,
+so its message is the same in every run) that does not exist, zero
 replications, a negative seed,
 ``simulate`` designs no replication can draw or cross-validate, ``simulate``
 with both ``--select`` and ``--lambda``, and a CSV
@@ -232,6 +235,10 @@ def cases(inputs):
     # one header column named twice, in two cases: refused before the CSV is read
     yield "small-estimate-covariates-repeated", [
         "estimate", "--input", inputs["small"], *data, "--covariates", "gdp,GDP"]
+    yield "small-placebo-repeated-time", [
+        "placebo", "--input", inputs["small"], *data, "--placebo-times", "8,8"]
+    yield "small-estimate-missing-input", [
+        "estimate", "--input", os.path.join("no-such-dir", "small.csv"), *data]
     yield "text-gdp-post-estimate", ["estimate", "--input", inputs["text-gdp-post"], *data,
                                      "--covariates", "gdp"]
     for bad in ("nan-gdp", "inf-gdp"):
