@@ -51,22 +51,22 @@ from .selection import cv_from_folds, default_lambda_grid, loo_cv, placebo_panel
 logger = logging.getLogger(__name__)
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
+@functools.cache  # chosen once per cell type
+def _formatter(kind):
+    """How a ``kind`` cell is written: a boolean as true or false, a float (or
+    NumPy floating) to 17 significant digits, an integer in decimal, else str."""
+    if issubclass(kind, (bool, np.bool_)):
+        return {False: "false", True: "true"}.__getitem__
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g".__mod__
+    if issubclass(kind, (int, np.integer)):
+        return "%d".__mod__
+    return str
 
 
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerows([_formatter(type(v))(v) for v in row] for row in [header, *rows])
 
 
 def _write_run(out_dir, tables, command, config, seed=None):
@@ -333,7 +333,7 @@ def _cmd_simulate(args):
         lam=lam,
         stratify_by_fit=args.stratify,
     )
-    if args.rep_log is not None:  # a refused run raised above: it writes no rep log
+    if args.rep_log is not None:  # before --out: a rep log that cannot be written stops the run
         names = [row.name for row in report.rows]
         dropped = ["dropped", *[""] * (len(names) + 1)]
         rows = [(r, *dropped, entry) if isinstance(entry, str) else (r, "ok", *entry, "")
@@ -347,23 +347,23 @@ def _cmd_simulate(args):
             ["quartile", "estimator", "bias", "bias_se", "rmse", "rmse_se", "n"],
             report.fit_quartiles,
         )
-    _write_run(
-        args.out,
-        tables,
-        "simulate",
-        {
-            "dgp": args.dgp,
-            "reps": args.reps,
-            "n": args.n,
-            "t": args.t,
-            "t0": args.t0,
-            "lambda": args.lam,
-            "select": select,
-            "sigma_scale": args.sigma_scale,
-            "estimand_period": report.estimand_period,
-        },
-        seed=args.seed,
-    )
+    config = {
+        "dgp": args.dgp,
+        "reps": args.reps,
+        "n": args.n,
+        "t": args.t,
+        "t0": args.t0,
+        "lambda": args.lam,
+        "select": select,
+        "sigma_scale": args.sigma_scale,
+        "estimand_period": report.estimand_period,
+    }
+    try:
+        _write_run(args.out, tables, "simulate", config, seed=args.seed)
+    except BaseException:  # a run that writes no --out leaves no rep log either
+        if args.rep_log is not None:
+            os.remove(args.rep_log)
+        raise
     return 0
 
 

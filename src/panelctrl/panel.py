@@ -256,12 +256,14 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
     requested cells holds a number; docs/schemas.md ("Input") lists the errors.
 
     The source's lines are read into a list first. ``csv.reader`` then parses
-    them _BLOCK_ROWS rows at a time: each block loses its blank rows, stops at
-    the first short row and is transposed onto the requested columns, so no
-    row's list outlives its block. The columns are then checked and converted
-    whole. The errors and their order are those of a row-at-a-time reader: a
-    failure of the source or of ``csv`` is raised only after the rows read
-    before it pass the short-row and duplicate checks.
+    them _BLOCK_ROWS rows at a time, and each block is transposed onto the
+    requested columns, so no row's list outlives its block. A block whose rows
+    all have the requested columns and a non-blank first cell holds no blank or
+    short row; any other block first loses its blank rows and stops at its
+    first short row. The columns are then checked and converted whole, each
+    distinct raw label stripped once. The errors and their order are those of
+    a row-at-a-time reader: a failure of the source or of ``csv`` is raised
+    only after the rows read before it pass the short-row and duplicate checks.
     """
     keys = [name.strip().lower() for name in covariates]
     if len(set(keys)) < len(keys):
@@ -301,35 +303,39 @@ def load_panel(source, treated_label, treatment_time, covariates=()):
         except Exception as exc:  # raised once the rows read before it pass their checks
             failure = exc
         full = len(block) == _BLOCK_ROWS
-        # drop blank rows, then cut the block at its first short row
-        block = list(itertools.compress(block, map(str.strip, map("".join, block))))
-        end = next(itertools.compress(itertools.count(), map(need.__gt__, map(len, block))), None)
-        if end is not None:
-            short, width = len(columns[0]) + end, len(block[end])
-            del block[end:]
-        if block:
+        fields = list(zip(*block))  # the block's columns, as many as its shortest row has
+        if len(fields) < need or not all(map(str.strip, set(fields[0]))):
+            # the block may hold a blank or short row: drop the blank rows, then
+            # cut the block at its first short row
+            block = list(itertools.compress(block, map(str.strip, map("".join, block))))
+            end = next((i for i, row in enumerate(block) if len(row) < need), None)
+            if end is not None:
+                short, width = len(columns[0]) + end, len(block[end])
+                del block[end:]
             fields = list(zip(*block))
+        if fields:
             for column, i in zip(columns, picked):
                 column.extend(fields[i])
-    unit_col, time_col = (list(map(str.strip, column)) for column in columns[:2])
-    units = list(dict.fromkeys(unit_col))
-    labels = list(dict.fromkeys(time_col))
+    unit_col, time_col = columns[:2]
+    unit_of, time_of = dict.fromkeys(unit_col), dict.fromkeys(time_col)  # distinct raw labels
+    units = list(dict.fromkeys(map(str.strip, unit_of)))
+    labels = list(dict.fromkeys(map(str.strip, time_of)))
     ordered = sorted(zip(_time_keys(labels), labels))  # each label parsed once
     time_list = [label for _, label in ordered]
-    unit_at = {unit: i for i, unit in enumerate(units)}
-    time_at = {time_label: j for j, time_label in enumerate(time_list)}
+    for codes, order in ((unit_of, units), (time_of, time_list)):  # raw label -> index
+        at = {label: i for i, label in enumerate(order)}
+        codes.update({raw: at[raw.strip()] for raw in codes})
     n = len(unit_col)
-    cell = np.fromiter(map(unit_at.__getitem__, unit_col), np.intp, n) * len(time_list)
-    cell += np.fromiter(map(time_at.__getitem__, time_col), np.intp, n)
+    cell = np.fromiter(map(unit_of.__getitem__, unit_col), np.intp, n) * len(time_list)
+    cell += np.fromiter(map(time_of.__getitem__, time_col), np.intp, n)
     order = np.arange(n)
     row_of = np.full((len(units), len(time_list)), n)  # first file row of each cell
     np.minimum.at(row_of.reshape(-1), cell, order)
     repeats = row_of.flat[cell] != order
     if repeats.any():  # the first row that repeats a pair, as a row loop meets it
         r = int(repeats.argmax())
-        raise DuplicateCellError(
-            f"duplicate observation for unit {unit_col[r]!r} at time {time_col[r]!r}"
-        )
+        unit, time_label = unit_col[r].strip(), time_col[r].strip()
+        raise DuplicateCellError(f"duplicate observation for unit {unit!r} at time {time_label!r}")
     if short is not None:  # parse the lines again, to the short row (the header is row 0)
         reader = csv.reader(lines)
         ends = (reader.line_num for row in reader if "".join(row).strip())
@@ -385,11 +391,12 @@ def _raising(exc):
 
 def _column(unit_col, time_col, raw, name):
     """One column's raw cells, in file order, as floats; a blank cell raises
-    MissingCellError and any other non-number PanelFormatError."""
+    MissingCellError and any other non-number PanelFormatError, naming the
+    stripped labels of the raw ``unit_col`` and ``time_col`` cells."""
     try:
         return np.array(raw, dtype=float)
     except ValueError:
-        for unit, time_label, text in zip(unit_col, time_col, raw):
+        for unit, time_label, text in zip(map(str.strip, unit_col), map(str.strip, time_col), raw):
             if not text.strip():
                 raise MissingCellError(unit, time_label, name) from None
             try:

@@ -14,7 +14,8 @@ the harness's one draw. The per-penalty loop of the fold adjustments writes
 out the same identity as the library's all-penalty evaluation, one sum at a
 time. The row-at-a-time CSV reader checks the library's whole-column
 reader and shares with it only the time ordering and ``PanelData``'s
-validation.
+validation. The cell formatter that tests one ``isinstance`` after another
+checks the CLI's writer, which chooses a formatter once per cell type.
 """
 
 from __future__ import annotations
@@ -419,6 +420,19 @@ def load_panel_by_rows(source, treated_label, treatment_time, covariates=()):
         covariates=table[:, :, 1:],
         covariate_names=tuple(covariates),
     )
+
+
+def format_cell_by_isinstance(x):
+    """A CLI artifact cell as text: a boolean as true or false, a float (or
+    NumPy floating) to 17 significant digits, an integer in decimal, anything
+    else by ``str``; tested in that order on every cell."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
 
 
 def draw_by_multivariate_normal(family, params, n, t, t0, seed):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 from dataclasses import replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from panelctrl import default_dgp, draw_panel, run_monte_carlo
-from panelctrl.cli import main
+from panelctrl.cli import _write_csv, main
 from panelctrl.covariates import pre_period_covariates
 from panelctrl.estimators import EstimatorSpec
 from panelctrl.inference import jackknife_plus
@@ -16,6 +17,7 @@ from panelctrl.ridge import augment_weights, demeaned_estimate
 from panelctrl.selection import loo_cv, placebo_panel, select_lambda
 
 from conftest import folds_off_the_full_support, record_scm_solves
+from oracles import format_cell_by_isinstance
 
 
 @pytest.fixture
@@ -800,6 +802,19 @@ class TestSimulate:
             else:
                 assert row[-1] == entry
 
+    def test_out_that_cannot_be_made_leaves_no_rep_log(self, tmp_path, capsys):
+        out, log = tmp_path / "notadir", tmp_path / "reps.csv"
+        out.write_text("a file, not a directory\n")
+        rc = main([
+            "simulate", "--n", "8", "--t", "14", "--t0", "10", "--reps", "2", "--lambda", "1",
+            "--rep-log", str(log), "--out", str(out),
+        ])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "notadir" in line
+        assert not log.exists()
+        assert out.read_text() == "a file, not a directory\n"
+
     def test_rep_log_in_a_missing_directory_exit_code(self, tmp_path, capsys):
         out = tmp_path / "mc"
         rc = main([
@@ -953,6 +968,27 @@ class TestManifest:
             ])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_writer_matches_the_isinstance_oracle(tmp_path):
+    """``_write_csv`` writes every kind of cell the artifacts hold as the
+    formatter that tests each cell's type in turn would."""
+    cells = [
+        True, False, np.bool_(True), np.bool_(False),
+        0.1, 1 / 3, np.float64(2 / 3), np.float32(0.1), np.float32(-7.25),
+        -0.0, np.float64(-0.0), float("nan"), np.nan, float("inf"), -np.inf,
+        5e-324, -5e-324, 1.7976931348623157e308, np.float64(5e-324),
+        0, -3, 10**20, np.int64(-9), np.int64(2**62),
+        "plain", "a, b", 'say "hi"', "two\nlines", "",
+    ]
+    rows = [cells, cells[::-1], [cell for cell in cells if isinstance(cell, str)]]
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ["a", "b, c"], rows)
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(
+        [["a", "b, c"], *([format_cell_by_isinstance(v) for v in row] for row in rows)]
+    )
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_one_parser_serves_every_call(panel_csv, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,28 @@ def test_refused_cases_must_leave_no_files(tmp_path, capsys):
     (root / "partial" / "weights.csv").unlink()
     (root / "nested" / "sub" / "gap.csv").unlink()
     assert cli_matrix.check_refusals(str(root), codes) == 0
+
+
+def test_an_uncaught_exception_is_not_a_clean_refusal(tmp_path, capsys):
+    def refuses(argv):
+        print("error: no such input", file=sys.stderr)
+        return 1
+
+    def dies(argv):
+        raise FileNotFoundError("no-such-dir/small.csv")
+
+    assert cli_matrix.run_case(refuses, "case", []) == (1, ["error: no such input"])
+    assert cli_matrix.run_case(dies, "case", []) == ("uncaught FileNotFoundError", [])
+    assert "FileNotFoundError: no-such-dir/small.csv" in capsys.readouterr().err
+    # compare mode reads a traceback against a clean refusal as a difference
+    files = {"case/stderr.txt": "error: no such input\n"}
+    a = _tree(tmp_path / "a", {"case": "uncaught FileNotFoundError"}, {})
+    b = _tree(tmp_path / "b", {"case": 1}, files)
+    assert cli_matrix.compare(a, b) == 1
+    out = capsys.readouterr().out
+    assert "EXIT    case: uncaught FileNotFoundError != 1" in out
+    assert "exit codes differ" in out
+    # and such a case counts as refused: it must leave no files but stderr.txt
+    (tmp_path / "a" / "case").mkdir()
+    (tmp_path / "a" / "case" / "gap.csv").write_text("x")
+    assert cli_matrix.check_refusals(a, {"case": "uncaught FileNotFoundError"}) == 1

@@ -219,10 +219,15 @@ def _parity_case(rng):
     """One small long CSV text and the arguments to read it with.
 
     The rows are a full unit x time grid in random order, then mutated at
-    random: blank, whitespace-only, comma-only and quoted whitespace-and-
-    newline rows, short rows, duplicate and missing pairs, bad cells, quoted
-    commas and line breaks, padded labels, an upper-case header and extra
-    columns, so most texts are read and many raise.
+    random: blank, whitespace-only (among them one with every column and a
+    tab for its first cell), comma-only and quoted whitespace-and-newline
+    rows, short rows, duplicate pairs (some with their labels padded
+    differently, so the error must name the stripped labels) and missing
+    pairs, bad cells, a unit whose label cells are blank, quoted commas and
+    line breaks, padded labels, an upper-case header and extra columns, so
+    most texts are read and many raise. A text is one block of the reader's,
+    and half the texts have at most one mutation, so each kind of row often
+    sits in a block that is otherwise clean.
     """
     pick = lambda options: options[rng.integers(len(options))]  # noqa: E731
     units = [str(u) for u in rng.permutation(["a", "b", "10", "2", "x,y", "p\nq"])]
@@ -249,22 +254,34 @@ def _parity_case(rng):
     rows = [[field(h, u, t) for h in header] for u in units for t in times]
     rows = [rows[i] for i in rng.permutation(len(rows))]
     values = [header.index(h) for h in ("outcome", "gdp") if h in header]
+    labels = [header.index("unit"), header.index("time")]
     for _ in range(rng.integers(0, 4)):
         at = int(rng.integers(len(rows) + 1))
         kind = rng.random()
-        if kind < 0.13 and rows:  # a short row: first, middle or last
+        if kind < 0.12 and rows:  # a short row: first, middle or last
             row = rows[pick([0, len(rows) - 1, at % len(rows)])]
             del row[max(1, rng.integers(len(row) + 1)) :]
-        elif kind < 0.26 and rows:  # a duplicate pair, before or after the other rows
-            rows.insert(at, list(rows[at % len(rows)]))
-        elif kind < 0.36 and rows:  # a missing pair
+        elif kind < 0.24 and rows:  # a duplicate pair, before or after the other rows
+            row = list(rows[at % len(rows)])
+            for col in labels if rng.random() < 0.5 else ():  # the same labels, padded anew
+                if col < len(row):
+                    row[col] = pick(["", " ", "  "]) + row[col].strip() + pick(["", " "])
+            rows.insert(at, row)
+        elif kind < 0.33 and rows:  # a missing pair
             del rows[at % len(rows)]
-        elif kind < 0.52 and rows:  # a bad cell
+        elif kind < 0.47 and rows:  # a bad cell
             row, col = rows[at % len(rows)], pick(values)
             if col < len(row):
                 row[col] = pick(["", " ", "nan", "-inf", "1e999", "abc", "1_0"])
-        else:  # a blank row
-            rows.insert(at, list(pick([[], ["  "], ["", "", ""], [" ", " ", ""], [" \n "], ["\t"]])))
+        elif kind < 0.55 and rows:  # a unit whose label cells are blank, its other cells not
+            row, blank = rows[at % len(rows)], pick(["", " ", "\t"])
+            unit = row[labels[0]] if len(row) > labels[0] else None
+            for row in rows:
+                if len(row) > labels[0] and row[labels[0]] == unit:
+                    row[labels[0]] = blank
+        else:  # a blank row, some with every column and a tab first
+            rows.insert(at, list(pick([[], ["  "], ["", "", ""], [" ", " ", ""], [" \n "], ["\t"],
+                                       ["\t", *[" "] * (len(header) - 1)]])))
     header = [h.upper() if rng.random() < 0.2 else h for h in header]
     if rng.random() < 0.03:
         header[int(rng.integers(len(header)))] = "outcme"

@@ -30,10 +30,12 @@ too, and two CSVs that must read like the original
 ragged, duplicate and blank-row CSVs with the changed row past the reader's
 first blocks of rows, so line numbers are compared there too. A case's
 ``error: ...`` lines go to its ``stderr.txt``, so compare mode compares the
-messages as well. Run mode then parses every ``manifest.json`` as strict
-JSON and exits 1 if any holds ``NaN`` or ``Infinity``, or if a case that
-failed left any file but its ``stderr.txt`` (``diagnose`` aside, whose
-report is written when a check fails). Compare mode reads two such
+messages as well. A case that dies with an uncaught exception is recorded as
+``"uncaught <class>"`` rather than the exit code 1 that a clean refusal
+shares with it. Run mode then parses every ``manifest.json`` as strict JSON
+and exits 1 if any holds ``NaN`` or ``Infinity``, or if a case that failed
+left any file but its ``stderr.txt`` (``diagnose`` aside, whose report is
+written when a check fails). Compare mode reads two such
 directories, made for instance from two checkouts, and prints for every file
 whether it is byte-identical and otherwise its largest absolute numeric
 difference, its largest relative one among values of magnitude at least
@@ -270,17 +272,9 @@ def run_matrix(out):
         if argv[0] == "simulate":
             os.makedirs(case_dir, exist_ok=True)
             argv += ["--rep-log", os.path.join(case_dir, "rep_log.csv")]
-        stderr = io.StringIO()
-        try:
-            with contextlib.redirect_stderr(stderr):
-                codes[name] = main(argv)
-        except Exception:  # an uncaught error exits the real CLI with 1
-            print(f"{name}:", file=sys.stderr)
-            traceback.print_exc()
-            codes[name] = 1
+        codes[name], errors = run_case(main, name, argv)
         if argv[0] != "diagnose":  # a diagnose whose checks fail writes its report
             checked[name] = codes[name]
-        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
         if errors:
             os.makedirs(case_dir, exist_ok=True)
             with open(os.path.join(case_dir, "stderr.txt"), "w") as fh:
@@ -289,6 +283,22 @@ def run_matrix(out):
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return max(check_manifests(out), check_refusals(out, checked))
+
+
+def run_case(main, name, argv):
+    """(exit code, ``error: ...`` lines) of ``main(argv)``. A case that dies
+    with an uncaught exception, which the real CLI would also exit with 1,
+    gets the code ``"uncaught <class>"`` instead, so compare mode tells a
+    traceback from a clean refusal; the traceback is printed."""
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    except Exception as exc:
+        print(f"{name}:", file=sys.stderr)
+        traceback.print_exc()
+        code = f"uncaught {type(exc).__name__}"
+    return code, [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
 
 
 def check_refusals(root, codes):
