@@ -10,15 +10,18 @@ of zero treatment effect holds in every family: the designated treated
 unit's outcomes are untouched, so each replication's estimate is pure
 error.
 
-The Monte Carlo harness runs its replications in stacks. Each seed is
-drawn once, into one R x N x T outcome array, whose blocks and de-meaned
-blocks are formed over the stack, and the stack finishes in one pass of the
-stacked forms of the lone steps, each owned by its estimator module: the
-lockstep SCM passes (cold, then the leave-one CV folds), one batched SVD,
-the fold predictions, CV choices and ridge augmentations, the
-counterfactuals and the imbalance. A replication that leaves the pass is
-checked as the :class:`PanelData` of its own row and finishes alone, by the
-estimators' own calls.
+The Monte Carlo harness works on stacks of replications, in arrays. A
+stack's draw makes only the generator calls per seed; the DGP arithmetic
+and the selection probabilities run once over the R x N x T stack, each
+row bit for bit its seed's lone draw, which is the one-seed stack. The
+blocks and de-meaned blocks are formed over the stack, and it finishes in
+one pass of the stacked forms of the lone steps, each owned by its
+estimator module: the lockstep SCM passes (cold, then the leave-one CV
+folds), one batched SVD, the fold predictions, CV choices and ridge
+augmentations, the counterfactuals and the imbalance. A replication that
+leaves the pass is checked as the :class:`PanelData` of its own row and
+finishes alone, by the estimators' own calls. One call aggregates the
+estimates of every estimator.
 """
 
 from __future__ import annotations
@@ -74,12 +77,19 @@ def load_factor_fixture():
     return nu, mu
 
 
-def _check_noise(params):
-    """Refuse a NaN, infinite or negative noise scale."""
-    for name in ("sigma_eps", "sigma_multiplier"):
-        value = getattr(params, name)
+def _check_params(params):
+    """Refuse parameters no replication can draw: a scale that is negative or
+    not finite (the noise's product too), a location or strength not finite."""
+    for name in ("sigma_eps", "sigma_multiplier", "alpha_sd"):
+        value = getattr(params, name, 0.0)
         if not 0 <= value < math.inf:
             raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
+    if params.noise_sd == math.inf:
+        raise ConfigError("sigma_eps * sigma_multiplier overflows")
+    for name in ("theta", "alpha_mean", "beta0"):
+        value = getattr(params, name, 0.0)
+        if not -math.inf < value < math.inf:
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,7 @@ class FactorDgp:
         eigs = np.linalg.eigvalsh(phi_cov)
         if eigs.min() < -1e-10:
             raise ConfigError("phi_cov must be positive semidefinite")
-        _check_noise(self)
+        _check_params(self)
 
     @property
     def n_factors(self):
@@ -145,7 +155,7 @@ class FixedEffectsDgp:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", readonly_array(self.nu))
-        _check_noise(self)
+        _check_params(self)
 
     @property
     def noise_sd(self):
@@ -182,7 +192,9 @@ class Ar3Dgp:
             raise ConfigError(
                 f"AR coefficients are non-stationary (companion spectral radius {radius:.4f})"
             )
-        _check_noise(self)
+        if not (isinstance(self.burn_in, (int, np.integer)) and self.burn_in >= 0):
+            raise ConfigError(f"burn_in must be a nonnegative integer, got {self.burn_in!r}")
+        _check_params(self)
 
     @property
     def noise_sd(self):
@@ -203,16 +215,10 @@ def default_dgp(family):
 
 
 def _standardize(v):
-    sd = v.std()
-    if sd == 0:
-        return np.zeros_like(v)
-    return (v - v.mean()) / sd
-
-
-def _pick_treated(rng, score, theta):
-    probs = 1.0 / (1.0 + np.exp(-theta * score))
-    probs = probs / probs.sum()
-    return int(rng.choice(score.shape[0], p=probs))
+    """Each row of ``v`` less its mean, over its standard deviation (zero
+    where that is zero)."""
+    sd = v.std(axis=-1, keepdims=True)
+    return np.where(sd == 0, 0.0, (v - v.mean(axis=-1, keepdims=True)) / sd)
 
 
 _PARAMS = {"factor": FactorDgp, "fixed-effects": FixedEffectsDgp, "ar3": Ar3Dgp}
@@ -237,16 +243,31 @@ def _check_design(family, params, n, t, t0):
         raise ConfigError(f"fixture provides {params.nu.shape[0]} periods, requested {t}")
 
 
+def _seed_sequence(seed):
+    """``np.random.SeedSequence(seed)``, or the ConfigError of a seed that
+    cannot be one."""
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}") from exc
+
+
 def draw_panel(family, params, n, t, t0, seed):
     """Draw one panel from the named family under the sharp null.
 
     Selection into treatment follows an inverse-logit score in the unit
     heterogeneity (standardized to unit variance), normalized so exactly
-    one unit is treated. The draws are :func:`_draw`'s, the one draw of
-    the Monte Carlo stacks, here checked as a :class:`PanelData`.
+    one unit is treated. ``seed`` is what ``np.random.SeedSequence`` takes,
+    or one. The draw is the one-seed stack of :func:`_draw_stack`, the
+    Monte Carlo's draw, checked as a :class:`PanelData`, so a draw that is
+    not finite raises PanelData's error.
     """
     _check_design(family, params, n, t, t0)
-    return _panel(*_draw(family, params, n, t, t0, seed, _loadings(family, params)), t0)
+    seed = seed if isinstance(seed, np.random.SeedSequence) else _seed_sequence(seed)
+    outcomes, treated, (error,) = _draw_stack(family, params, n, t, t0, [seed])
+    if error is not None:
+        raise error
+    return _panel(outcomes[0], treated[0], t0)
 
 
 def _panel(outcomes, treated, t0):
@@ -262,54 +283,84 @@ def _panel(outcomes, treated, t0):
     )
 
 
-def _loadings(family, params):
-    """The factor family's u sqrt(s), from the SVD u s v' of ``phi_cov``: the
-    matrix ``Generator.multivariate_normal(method="svd")`` turns standard
-    normals into loadings with (None for the other families)."""
-    if family != "factor":
-        return None
-    u, s, _ = np.linalg.svd(params.phi_cov)
-    return u * np.sqrt(s)
-
-
-def _draw(family, params, n, t, t0, seed, loadings):
-    """The n x t outcomes and the treated row of the panel of ``seed``,
-    unchecked, from one generator per seed. The factor loadings take the
-    calls and arithmetic of ``Generator.multivariate_normal(method="svd")``
-    after its own SVD and check: standard normals times ``loadings``
-    (:func:`_loadings`), so they are its draws bit for bit."""
+def _generate(family, params, n, t, seed):
+    """The generator of ``seed`` and its draws before the pick of the treated
+    unit, in order: the unit effects (not for AR(3)), standard normals for
+    the factor loadings (factor only), then the noise, over the burn-in too
+    for AR(3)."""
     rng = np.random.default_rng(seed)
+    if family == "ar3":
+        return rng, (rng.normal(0.0, params.noise_sd, size=(n, params.burn_in + t)),)
+    alpha = rng.normal(params.alpha_mean, params.alpha_sd, size=n)
+    loadings = (rng.standard_normal((n, params.n_factors)),) if family == "factor" else ()
+    return rng, (alpha, *loadings, rng.normal(0.0, params.noise_sd, size=(n, t)))
 
-    if family == "factor":
-        mu = params.mu[:t]
-        nu = params.nu[:t]
-        alpha = rng.normal(params.alpha_mean, params.alpha_sd, size=n)
-        k = params.n_factors
-        phi = np.zeros(k) + rng.standard_normal((n, k)) @ loadings.T
-        eps = rng.normal(0.0, params.noise_sd, size=(n, t))
-        outcomes = alpha[:, None] + nu[None, :] + phi @ mu.T + eps
-        score = _standardize(alpha) + _standardize(phi.sum(axis=1))
-        treated = _pick_treated(rng, score, params.theta)
-    elif family == "fixed-effects":
-        nu = params.nu[:t]
-        alpha = rng.normal(params.alpha_mean, params.alpha_sd, size=n)
-        eps = rng.normal(0.0, params.noise_sd, size=(n, t))
-        outcomes = alpha[:, None] + nu[None, :] + eps
-        treated = _pick_treated(rng, _standardize(alpha), params.theta)
-    else:
-        total = params.burn_in + t
-        eps = rng.normal(0.0, params.noise_sd, size=(n, total))
-        path = np.zeros((n, total))
-        b1, b2, b3 = params.betas
-        for s in range(total):
-            y1 = path[:, s - 1] if s >= 1 else 0.0
-            y2 = path[:, s - 2] if s >= 2 else 0.0
-            y3 = path[:, s - 3] if s >= 3 else 0.0
-            path[:, s] = params.beta0 + b1 * y1 + b2 * y2 + b3 * y3 + eps[:, s]
-        outcomes = path[:, params.burn_in :]
-        recent = outcomes[:, max(t0 - 4, 0) : t0].sum(axis=1)
-        treated = _pick_treated(rng, _standardize(recent), params.theta)
-    return outcomes, treated
+
+def _draw_stack(family, params, n, t, t0, seeds):
+    """The draw of each seed: the R x n x t outcomes, the R treated rows and,
+    per seed, the exception its draw raised or None.
+
+    Only the generator calls run per seed: :func:`_generate`, then the pick
+    of the treated unit by the seed's row of the selection probabilities.
+    The arithmetic runs once over the stack, each row by a lone draw's
+    operations in its order, so a row is its seed's draw bit for bit. The
+    factor loadings are those of ``Generator.multivariate_normal(method=
+    "svd")``: standard normals times u sqrt(s), from the SVD u s v' of
+    ``phi_cov``. The arithmetic raises no warning: a pick from probabilities
+    that are not finite raises, and :func:`_panel` refuses outcomes that
+    are not finite."""
+    reps = len(seeds)
+    rngs, errors, columns = [None] * reps, [None] * reps, None
+    for r, seed in enumerate(seeds):
+        try:
+            rngs[r], drawn = _generate(family, params, n, t, seed)
+        except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
+            errors[r] = exc
+            continue
+        if columns is None:
+            columns = [np.full((reps, *a.shape), np.nan) for a in drawn]
+        for column, a in zip(columns, drawn):
+            column[r] = a
+    treated = np.zeros(reps, dtype=int)
+    if columns is None:
+        return np.full((reps, n, t), np.nan), treated, errors
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if family == "factor":
+            alpha, z, eps = columns
+            u, s, _ = np.linalg.svd(params.phi_cov)
+            phi = np.zeros(params.n_factors) + z @ (u * np.sqrt(s)).T
+            outcomes = alpha[..., None] + params.nu[:t] + phi @ params.mu[:t].T + eps
+            score = _standardize(alpha) + _standardize(phi.sum(axis=-1))
+        elif family == "fixed-effects":
+            alpha, eps = columns
+            outcomes = alpha[..., None] + params.nu[:t] + eps
+            score = _standardize(alpha)
+        else:
+            outcomes = _ar3_window(params, *columns)
+            score = _standardize(outcomes[..., max(t0 - 4, 0) : t0].sum(axis=-1))
+        probs = 1.0 / (1.0 + np.exp(-params.theta * score))
+        probs = probs / probs.sum(axis=-1, keepdims=True)
+    for r, rng in enumerate(rngs):
+        if rng is not None:
+            try:
+                treated[r] = rng.choice(n, p=probs[r])
+            except ValueError as exc:  # probabilities that are not finite
+                errors[r] = exc
+    return outcomes, treated, errors
+
+
+def _ar3_window(params, eps):
+    """The AR(3) outcomes (R x n x t) of the noise ``eps`` (R x n x (burn-in
+    + t)): the recursion from zero initial conditions, one period at a time
+    over every row, the burn-in discarded as it goes."""
+    b1, b2, b3 = params.betas
+    y1 = y2 = y3 = 0.0
+    window = []
+    for s, step in enumerate(np.moveaxis(eps, -1, 0)):
+        y1, y2, y3 = params.beta0 + b1 * y1 + b2 * y2 + b3 * y3 + step, y1, y2
+        if s >= params.burn_in:
+            window.append(y1)
+    return np.stack(window, axis=-1)
 
 
 class _Blocks(NamedTuple):
@@ -408,7 +459,8 @@ def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
     a replication that the stack's one pass (:func:`_finish_stack`) leaves
     is checked as the panel of its own row (:func:`_panel`) and finishes
     alone from the start (:func:`_finish_alone`)."""
-    outcomes, treated, results = _draw_stack(family, params, n, t, t0, seeds)
+    outcomes, treated, errors = _draw_stack(family, params, n, t, t0, seeds)
+    results = [None if exc is None else _dropped(exc) for exc in errors]
     rows = _finish_stack(*_stack_blocks(outcomes, treated, t0), lam, estimand_period)
     for r, row in enumerate(rows):
         if row is not None:
@@ -420,20 +472,6 @@ def _replication_stack(family, params, n, t, t0, seeds, lam, estimand_period):
             except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
                 results[r] = _dropped(exc)
     return results
-
-
-def _draw_stack(family, params, n, t, t0, seeds):
-    """Each seed's draw (:func:`_draw`), once: the R x n x t outcomes, the R
-    treated rows and a result per seed, dropped where the draw raised (as
-    :func:`draw_panel` raises it, its outcomes left NaN), None elsewhere."""
-    outcomes, treated = np.full((len(seeds), n, t), np.nan), np.zeros(len(seeds), dtype=int)
-    results, loadings = [None] * len(seeds), _loadings(family, params)
-    for r, seed in enumerate(seeds):
-        try:
-            outcomes[r], treated[r] = _draw(family, params, n, t, t0, seed, loadings)
-        except Exception as exc:  # noqa: BLE001 - dropped reps are counted, never averaged
-            results[r] = _dropped(exc)
-    return outcomes, treated, results
 
 
 def _dropped(exc):
@@ -536,6 +574,25 @@ def _finish_stack(blocks, demeaned, lam, estimand_period):
     return rows
 
 
+def _aggregate(values):
+    """(bias, bias_se, rmse, rmse_se) of each row of ``values`` (estimators x
+    replications): compensated sums for the bias and RMSE, each row's
+    ``std(ddof=1)`` for the standard errors (zero from one replication)."""
+    values = np.ascontiguousarray(values)  # each row summed as one estimator's array is
+    n_reps = values.shape[1]
+    squares = values**2
+    bias = [math.fsum(row) / n_reps for row in values.tolist()]
+    rmse = [math.sqrt(math.fsum(row) / n_reps) for row in squares.tolist()]
+    if n_reps == 1:
+        return [(b, 0.0, m, 0.0) for b, m in zip(bias, rmse)]
+    bias_se = (values.std(axis=1, ddof=1) / np.sqrt(n_reps)).tolist()
+    square_se = (squares.std(axis=1, ddof=1) / np.sqrt(n_reps)).tolist()
+    return [
+        (b, b_se, m, s_se / (2 * m) if m > 0 else 0.0)
+        for b, b_se, m, s_se in zip(bias, bias_se, rmse, square_se)
+    ]
+
+
 def run_monte_carlo(
     family,
     params,
@@ -557,35 +614,33 @@ def run_monte_carlo(
     entries its penalty. In a replication one SCM solve is the ``scm``
     entry, the ``ridge_ascm`` anchor and the start of every CV fold.
 
-    The replications run in stacks of ``_STACK``. Each seed is drawn once,
-    into one outcome array, and the stack finishes in one pass
-    (:func:`_finish_stack`): a lockstep pass solves every full-sample and
-    de-meaned SCM problem, cold from the best vertex as :func:`scm.solve_scm`
-    does, another every leave-one CV fold, warm from its full solution, and
-    the other steps are the stacked forms of the lone ones. A replication
-    that leaves the pass (its blocks not all finite, a problem handed back,
-    or a step that would raise alone) is checked as the panel of its own row
-    and finishes by the lone calls from the start, so it reports exactly
-    what it would alone and drops with the same error; a replication
-    finished in the stack reports the same up to round-off. Before any
+    The replications run in stacks of ``_STACK``, each drawn once in arrays
+    (:func:`_draw_stack`, each row the seed's :func:`draw_panel` bit for
+    bit) and finished in one pass (:func:`_finish_stack`): a lockstep pass
+    solves every full-sample and de-meaned SCM problem, cold from the best
+    vertex as :func:`scm.solve_scm` does, another every leave-one CV fold,
+    warm from its full solution, and the other steps are the stacked forms
+    of the lone ones. A replication that leaves the pass (its blocks not
+    all finite, a problem handed back, or a step that would raise alone) is
+    checked as the panel of its own row and finishes by the lone calls, so
+    it reports exactly what it would alone and drops with the same error;
+    one finished in the stack reports the same up to round-off. Before any
     draw, a cross-validated ``lam`` needs ``t0`` >= 3 and ``seed`` must suit
     ``np.random.SeedSequence``.
 
-    Under the sharp null the per-replication true effect is zero, so bias
-    equals the mean estimate, taken at the final post period for the factor
-    and fixed-effects families and the first for AR. A replication in which
-    any estimator fails is dropped from every aggregate (and counted).
-    Per-replication seeds come from spawning one seed sequence, so results
-    do not depend on execution order; aggregation uses compensated
-    summation. The report's ``rep_log`` holds each replication's estimates
-    in report order and SCM fit, or its error text; no file is written.
+    Under the sharp null the true effect is zero, so bias is the mean
+    estimate, at the final post period for the factor and fixed-effects
+    families and the first for AR. A replication in which any estimator
+    fails is dropped from every aggregate (and counted). Per-replication
+    seeds are spawned from one seed sequence, so results do not depend on
+    execution order. One call (:func:`_aggregate`) aggregates every
+    estimator, and every fit quartile, with compensated sums. The report's
+    ``rep_log`` holds each replication's estimates in report order and SCM
+    fit, or its error text; no file is written.
     """
     if not (isinstance(replications, (int, np.integer)) and replications >= 1):
         raise ConfigError(f"need at least 1 replication, got {replications!r}")
-    try:
-        root = np.random.SeedSequence(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}") from exc
+    root = _seed_sequence(seed)
     if lam is None or (isinstance(lam, str) and lam not in _LAMBDA_RULES):
         raise ConfigError(f"lam must be a number, 'cv-min' or 'cv-1se', got {lam!r}")
     if not isinstance(lam, str):
@@ -608,63 +663,36 @@ def run_monte_carlo(
         raise ConfigError("every replication failed; nothing to aggregate")
 
     names = list(_BANK)
-    taus = {name: [est[name] for est, _ in kept] for name in names}
+    taus = np.array([[est[name] for est, _ in kept] for name in names])
     fits = np.array([fit for _, fit in kept])
+    aggregates = _aggregate(taus)
+    scm_bias, _, scm_rmse, _ = aggregates[0]
 
-    def aggregate(values):
-        arr = np.asarray(values)
-        r = arr.shape[0]
-        bias = math.fsum(arr) / r
-        rmse = math.sqrt(math.fsum(arr**2) / r)
-        bias_se = float(arr.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
-        if rmse > 0 and r > 1:
-            rmse_se = float(np.std(arr**2, ddof=1) / np.sqrt(r) / (2 * rmse))
-        else:
-            rmse_se = 0.0
-        return bias, bias_se, rmse, rmse_se
+    def pct(value, scm):  # |value| as a percentage of the scm entry's
+        return 100.0 * abs(value) / abs(scm) if scm != 0 else math.nan
 
-    scm_bias, _, scm_rmse, _ = aggregate(taus["scm"])
-    rows = []
-    for name in names:
-        bias, bias_se, rmse, rmse_se = aggregate(taus[name])
-        rows.append(
-            McEstimatorRow(
-                name=name,
-                bias=bias,
-                bias_se=bias_se,
-                abs_bias_pct_of_scm=100.0 * abs(bias) / abs(scm_bias)
-                if scm_bias != 0
-                else float("nan"),
-                rmse=rmse,
-                rmse_se=rmse_se,
-                rmse_pct_of_scm=100.0 * rmse / scm_rmse if scm_rmse != 0 else float("nan"),
-                n_used=len(taus[name]),
-                n_dropped=n_dropped,
-            )
-        )
+    rows = tuple(
+        McEstimatorRow(name, bias, bias_se, pct(bias, scm_bias), rmse, rmse_se,
+                       pct(rmse, scm_rmse), len(kept), n_dropped)
+        for name, (bias, bias_se, rmse, rmse_se) in zip(names, aggregates)
+    )
 
-    quartile_rows = ()
+    quartile_rows = []
     if stratify_by_fit:
-        edges = np.quantile(fits, [0.25, 0.5, 0.75])
-        labels = np.digitize(fits, edges)  # 0..3, exhaustive and disjoint
-        q_out = []
+        labels = np.digitize(fits, np.quantile(fits, [0.25, 0.5, 0.75]))  # 0..3, a partition
         for q in range(4):
             mask = labels == q
-            if not mask.any():
-                continue
-            for name in names:
-                vals = np.asarray(taus[name])[mask]
-                bias, bias_se, rmse, rmse_se = aggregate(vals)
-                q_out.append((q + 1, name, bias, bias_se, rmse, rmse_se, int(mask.sum())))
-        quartile_rows = tuple(q_out)
+            if mask.any():
+                for name, agg in zip(names, _aggregate(taus[:, mask])):
+                    quartile_rows.append((q + 1, name, *agg, int(mask.sum())))
 
     return McReport(
-        rows=tuple(rows),
+        rows=rows,
         replications=replications,
         seed=seed,
         family=family,
         estimand_period=estimand_period,
-        fit_quartiles=quartile_rows,
+        fit_quartiles=tuple(quartile_rows),
         rep_log=tuple(
             error if est is None else (*(est[name] for name in names), fit)
             for est, fit, error in results

@@ -10,7 +10,8 @@ library's ``estimate_on_blocks``, and the lone Monte Carlo replication,
 which checks the stacking of replications in ``sim`` and so runs each
 replication's steps with the library's estimators, one replication at a
 time. The Monte Carlo draw through NumPy's own multivariate normal checks
-the harness's one draw. The per-penalty loop of the fold adjustments writes
+the harness's one draw, and the per-estimator aggregate checks its stacked
+aggregation. The per-penalty loop of the fold adjustments writes
 out the same identity as the library's all-penalty evaluation, one sum at a
 time. The row-at-a-time CSV reader checks the library's whole-column
 reader and shares with it only the time ordering and ``PanelData``'s
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -469,6 +471,23 @@ def draw_by_multivariate_normal(family, params, n, t, t0, seed):
     eps = rng.normal(0.0, noise, size=(n, t))
     outcomes = alpha[:, None] + params.nu[:t][None, :] + phi @ params.mu[:t].T + eps
     return outcomes, pick(standardize(alpha) + standardize(phi.sum(axis=1)))
+
+
+def aggregate_one_estimator(values):
+    """(bias, bias_se, rmse, rmse_se) of one estimator's Monte Carlo
+    estimates, one estimator at a time: compensated sums for the bias and
+    RMSE, ``std(ddof=1)`` of the estimates and of their squares for the
+    standard errors (zero from one replication)."""
+    arr = np.asarray(values)
+    r = arr.shape[0]
+    bias = math.fsum(arr) / r
+    rmse = math.sqrt(math.fsum(arr**2) / r)
+    bias_se = float(arr.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
+    if rmse > 0 and r > 1:
+        rmse_se = float(np.std(arr**2, ddof=1) / np.sqrt(r) / (2 * rmse))
+    else:
+        rmse_se = 0.0
+    return bias, bias_se, rmse, rmse_se
 
 
 # the simulation study's estimators, in report order, by method

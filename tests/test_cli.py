@@ -774,14 +774,14 @@ class TestSimulate:
     def test_rep_log_rows_are_the_report_entries(self, tmp_path, monkeypatch):
         import panelctrl.sim as sim_mod
 
-        draw = sim_mod._draw
+        generate = sim_mod._generate
 
-        def fail_third(family, params, n, t, t0, seed, loadings):
+        def fail_third(family, params, n, t, seed):
             if seed.spawn_key[-1] == 2:
                 raise RuntimeError("synthetic failure, for the log")
-            return draw(family, params, n, t, t0, seed, loadings)
+            return generate(family, params, n, t, seed)
 
-        monkeypatch.setattr(sim_mod, "_draw", fail_third)
+        monkeypatch.setattr(sim_mod, "_generate", fail_third)
         log = tmp_path / "reps.csv"
         rc = main([
             "simulate", "--reps", "4", "--seed", "0", "--n", "8", "--t", "16", "--t0", "12",

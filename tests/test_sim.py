@@ -25,7 +25,12 @@ from panelctrl.sim import (
 )
 
 from conftest import folds_off_the_full_support, record_scm_solves
-from oracles import MC_BANK, draw_by_multivariate_normal, one_replication
+from oracles import (
+    MC_BANK,
+    aggregate_one_estimator,
+    draw_by_multivariate_normal,
+    one_replication,
+)
 
 
 class TestFixture:
@@ -106,6 +111,16 @@ class TestDrawPanel:
         with pytest.raises(ConfigError, match="must be an integer"):
             draw_panel("factor", default_dgp("factor"), 8, t, t0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, [3, -2]])
+    def test_refuses_the_seeds_run_monte_carlo_refuses(self, seed):
+        params = default_dgp("factor")
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer") as alone:
+            draw_panel("factor", params, 8, 16, 12, seed)
+        with pytest.raises(ConfigError) as mc:
+            run_monte_carlo("factor", params, replications=2, seed=seed, n=8, t=16, t0=12,
+                            lam=1.0)
+        assert str(alone.value) == str(mc.value)
+
     def test_sigma_multiplier(self):
         from dataclasses import replace
 
@@ -136,11 +151,18 @@ _TWO_FACTORS = FactorDgp(mu=_MU[:, :2], nu=_NU, phi_cov=np.array([[0.2, 0.1], [0
 def test_draw_matches_the_multivariate_normal_draw(family, params, n, t, t0):
     """draw_panel's loadings from one SVD of the covariance are those of
     ``Generator.multivariate_normal(method="svd")``, bit for bit, and every
-    later draw of the seed's generator is unchanged with them."""
-    for seed in np.random.SeedSequence(21).spawn(50):
+    later draw of the seed's generator is unchanged with them; so is every
+    row of one stack of the 50 seeds' draws."""
+    import panelctrl.sim as sim_mod
+
+    seeds = np.random.SeedSequence(21).spawn(50)
+    stacked, picked, errors = sim_mod._draw_stack(family, params, n, t, t0, seeds)
+    assert errors == [None] * 50
+    for r, seed in enumerate(seeds):
         p = draw_panel(family, params, n, t, t0, seed)
         outcomes, treated = draw_by_multivariate_normal(family, params, n, t, t0, seed)
         assert np.array_equal(p.outcomes, outcomes) and p.treated_index == treated
+        assert np.array_equal(stacked[r], outcomes) and picked[r] == treated
 
 
 @pytest.mark.parametrize(
@@ -250,7 +272,7 @@ class TestRunMonteCarlo:
         import panelctrl.sim as sim_mod
 
         started = []
-        monkeypatch.setattr(sim_mod, "_draw", lambda *args: started.append(args))
+        monkeypatch.setattr(sim_mod, "_generate", lambda *args: started.append(args))
         kwargs = {"family": "factor", "params": default_dgp("factor"), "replications": 2,
                   "seed": 0, "n": 8, "t": 16, "t0": 12, "lam": 1.0, **bad}
         with pytest.raises(ConfigError, match=cause):
@@ -265,6 +287,30 @@ class TestRunMonteCarlo:
 
         with pytest.raises(ConfigError, match=f"{field} must be finite and nonnegative"):
             replace(default_dgp(family), **{field: value})
+
+    @pytest.mark.parametrize(
+        "family, fields, cause",
+        [
+            ("factor", {"theta": math.nan}, "theta must be finite, got nan"),
+            ("factor", {"theta": math.inf}, "theta must be finite, got inf"),
+            ("factor", {"alpha_sd": -1.0}, "alpha_sd must be finite and nonnegative"),
+            ("factor", {"alpha_sd": math.nan}, "alpha_sd must be finite and nonnegative"),
+            ("factor", {"alpha_mean": math.inf}, "alpha_mean must be finite, got inf"),
+            ("factor", {"sigma_eps": 1e200, "sigma_multiplier": 1e200},
+             r"sigma_eps \* sigma_multiplier overflows"),
+            ("fixed-effects", {"theta": math.nan}, "theta must be finite, got nan"),
+            ("fixed-effects", {"alpha_sd": -0.3}, "alpha_sd must be finite and nonnegative"),
+            ("fixed-effects", {"alpha_mean": -math.inf}, "alpha_mean must be finite, got -inf"),
+            ("ar3", {"burn_in": -5}, "burn_in must be a nonnegative integer, got -5"),
+            ("ar3", {"burn_in": 2.5}, "burn_in must be a nonnegative integer, got 2.5"),
+            ("ar3", {"beta0": math.nan}, "beta0 must be finite, got nan"),
+            ("ar3", {"theta": -math.inf}, "theta must be finite, got -inf"),
+        ],
+    )
+    def test_other_parameters_must_be_drawable(self, family, fields, cause):
+        # as the noise scales: refused at construction, naming the field
+        with pytest.raises(ConfigError, match=cause):
+            replace(default_dgp(family), **fields)
 
     def test_scm_row_normalizes_to_100(self):
         params = default_dgp("factor")
@@ -288,15 +334,15 @@ class TestRunMonteCarlo:
         import panelctrl.sim as sim_mod
 
         params = default_dgp("factor")
-        draw, calls = sim_mod._draw, []
+        generate, calls = sim_mod._generate, []
 
         def flaky(*args):
             calls.append(args)
             if len(calls) in (2, sim_mod._STACK + 2):
                 raise RuntimeError("synthetic failure")
-            return draw(*args)
+            return generate(*args)
 
-        monkeypatch.setattr(sim_mod, "_draw", flaky)
+        monkeypatch.setattr(sim_mod, "_generate", flaky)
         rep = run_monte_carlo("factor", params, replications=sim_mod._STACK + 5, seed=5,
                               n=8, t=20, t0=16, lam=5.0)
         assert len(calls) == sim_mod._STACK + 5
@@ -361,6 +407,28 @@ class TestRunMonteCarlo:
         quartiles = {row[0] for row in rep.fit_quartiles}
         assert quartiles == {1, 2, 3, 4}
 
+    @pytest.mark.parametrize("replications, seed", [(24, 9), (150, 4), (1, 0)])
+    def test_stacked_aggregates_are_the_per_estimator_ones(self, replications, seed):
+        """The report's rows and fit quartiles are, bit for bit, the
+        per-estimator formulas (``oracles.aggregate_one_estimator``) on the
+        entries of its rep log."""
+        report = run_monte_carlo("factor", default_dgp("factor"), replications=replications,
+                                 seed=seed, n=10, t=20, t0=16, lam=10.0, stratify_by_fit=True)
+        entries = [entry for entry in report.rep_log if not isinstance(entry, str)]
+        taus = {name: [entry[i] for entry in entries] for i, name in enumerate(MC_BANK)}
+        fits = np.array([entry[-1] for entry in entries])
+        for row, name in zip(report.rows, MC_BANK, strict=True):
+            assert row.name == name
+            got = (row.bias, row.bias_se, row.rmse, row.rmse_se)
+            assert got == aggregate_one_estimator(taus[name])
+        labels = np.digitize(fits, np.quantile(fits, [0.25, 0.5, 0.75]))
+        want = [
+            (q + 1, name, *aggregate_one_estimator(np.asarray(taus[name])[labels == q]),
+             int((labels == q).sum()))
+            for q in range(4) if (labels == q).any() for name in MC_BANK
+        ]
+        assert list(report.fit_quartiles) == want
+
     def test_rep_log_written(self):
         params = default_dgp("factor")
         report = run_monte_carlo("factor", params, replications=4, seed=0,
@@ -377,12 +445,12 @@ class TestRunMonteCarlo:
         import panelctrl.estimators as estimators_mod
         import panelctrl.sim as sim_mod
 
-        draw, cold, alone = sim_mod._draw, sim_mod._cold_stack, []
+        generate, cold, alone = sim_mod._generate, sim_mod._cold_stack, []
 
-        def fail_third(family, params, n, t, t0, seed, loadings):
+        def fail_third(family, params, n, t, seed):
             if seed.spawn_key[-1] == 2:
                 raise RuntimeError("synthetic failure, for the log")
-            return draw(family, params, n, t, t0, seed, loadings)
+            return generate(family, params, n, t, seed)
 
         def hand_back(x0, x1):
             g, rejected = cold(x0, x1)
@@ -393,7 +461,7 @@ class TestRunMonteCarlo:
             alone.append(blocks)
             raise ConvergenceError("SCM solver stopped, for the log", residual=1.0)
 
-        monkeypatch.setattr(sim_mod, "_draw", fail_third)
+        monkeypatch.setattr(sim_mod, "_generate", fail_third)
         monkeypatch.setattr(sim_mod, "_cold_stack", hand_back)
         monkeypatch.setattr(estimators_mod, "solve_scm", not_converging)
         report = run_monte_carlo("factor", default_dgp("factor"), replications=4, seed=0,
@@ -667,17 +735,23 @@ def test_each_replication_is_drawn_once(monkeypatch, lam):
     import panelctrl.sim as sim_mod
 
     family, params, n, t, t0 = "factor", default_dgp("factor"), 30, 8, 5
-    draw, cold, folds, drawn = sim_mod._draw, sim_mod._cold_stack, sim_mod._leave_one_stack, []
+    generate, draw = sim_mod._generate, sim_mod._draw_stack
+    cold, folds, drawn = sim_mod._cold_stack, sim_mod._leave_one_stack, []
 
-    def draw_once(family, params, n, t, t0, seed, loadings):
+    def draw_once(family, params, n, t, seed):
         drawn.append(seed.spawn_key[-1])
-        outcomes, treated = draw(family, params, n, t, t0, seed, loadings)
-        if drawn[-1] == 3:
-            outcomes[0, 0] = np.inf
-        if drawn[-1] == 5:  # every unit on one pre-period path, the treated unit shifted
-            outcomes[:, :t0] = np.arange(float(t0))
-            outcomes[treated, :t0] += 0.5
-        return outcomes, treated
+        return generate(family, params, n, t, seed)
+
+    def edit(family, params, n, t, t0, seeds):
+        outcomes, treated, errors = draw(family, params, n, t, t0, seeds)
+        for r, seed in enumerate(seeds):
+            if seed.spawn_key[-1] == 3:
+                outcomes[r, 0, 0] = np.inf
+            # every unit on one pre-period path, the treated unit shifted
+            if seed.spawn_key[-1] == 5:
+                outcomes[r, :, :t0] = np.arange(float(t0))
+                outcomes[r, treated[r], :t0] += 0.5
+        return outcomes, treated, errors
 
     def hand_back_cold(x0, x1):
         g, rejected = cold(x0, x1)
@@ -689,7 +763,8 @@ def test_each_replication_is_drawn_once(monkeypatch, lam):
         rejected[0, 2] = True  # replication 0's fold 2
         return g, rejected
 
-    monkeypatch.setattr(sim_mod, "_draw", draw_once)
+    monkeypatch.setattr(sim_mod, "_generate", draw_once)
+    monkeypatch.setattr(sim_mod, "_draw_stack", edit)
     monkeypatch.setattr(sim_mod, "_cold_stack", hand_back_cold)
     monkeypatch.setattr(sim_mod, "_leave_one_stack", hand_back_fold)
     seeds = np.random.SeedSequence(21).spawn(8)
@@ -746,13 +821,14 @@ def test_an_overflowing_replication_drops_alone(monkeypatch):
     other replications of its stack report what they report alone."""
     import panelctrl.sim as sim_mod
 
-    draw = sim_mod._draw
+    draw = sim_mod._draw_stack
 
-    def huge_seventh(family, params, n, t, t0, seed, loadings):
-        outcomes, treated = draw(family, params, n, t, t0, seed, loadings)
-        return outcomes * (1e152 if seed.spawn_key[-1] == 6 else 1.0), treated
+    def huge_seventh(family, params, n, t, t0, seeds):
+        outcomes, treated, errors = draw(family, params, n, t, t0, seeds)
+        scales = [1e152 if seed.spawn_key[-1] == 6 else 1.0 for seed in seeds]
+        return outcomes * np.array(scales)[:, None, None], treated, errors
 
-    monkeypatch.setattr(sim_mod, "_draw", huge_seventh)
+    monkeypatch.setattr(sim_mod, "_draw_stack", huge_seventh)
     params, seeds = default_dgp("factor"), np.random.SeedSequence(4).spawn(20)
     results = sim_mod._replication_stack("factor", params, 10, 20, 16, seeds, "cv-min", 3)
     lone = [one_replication("factor", params, 10, 20, 16, s, "cv-min", 3) for s in seeds]
